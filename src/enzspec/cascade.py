@@ -33,7 +33,7 @@ from .fem import (
     solve_dirichlet,
     solve_neumann,
 )
-from .linalg import lu_factor
+from .linalg import LUFactors
 from .mesh import INCLUSION, INTERFACE, OUTER, SHELL, Mesh, extract_submesh
 
 __all__ = [
@@ -164,12 +164,12 @@ def solve_psi(mesh: Mesh):
     sub = extract_submesh(mesh, SHELL)
     forms_s = assemble(sub.mesh)
     psi_s = solve_dirichlet(forms_s, {INTERFACE: 0.0, OUTER: 1.0})
-    energy = float(psi_s.values @ forms_s.A.matvec(psi_s.values))
+    energy = float(psi_s.values @ (forms_s.A @ psi_s.values))
     if energy <= 0.0:
         raise CascadeError("interface function has nonpositive energy")
     # identity check: the variational outer flux of psi equals its energy
     outer_nodes = sub.mesh.boundary_vertices(OUTER)
-    flux = float(forms_s.A.matvec(psi_s.values)[outer_nodes].sum())
+    flux = float((forms_s.A @ psi_s.values)[outer_nodes].sum())
     if abs(flux - energy) > 1e-8 * energy:
         raise CascadeError(f"outer flux {flux:g} of the interface function "
                            f"disagrees with its energy {energy:g}")
@@ -208,7 +208,7 @@ class Cascade:
     def _shell_residual(self, h_s: np.ndarray, field_s: np.ndarray) -> np.ndarray:
         """Nodal residual of the shell solve = variational normal flux of
         (grad h + F) w.r.t. the shell's outward normal."""
-        return self.forms_s.A.matvec(h_s) + divergence_load_vector(self.forms_s, field_s)
+        return self.forms_s.A @ h_s + divergence_load_vector(self.forms_s, field_s)
 
     def outer_flux(self, h_full: np.ndarray, field_full: np.ndarray) -> float:
         h_s = self.sub_s.restrict(h_full)
@@ -299,7 +299,7 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
     dtype = complex if complex_case else float
     delta_s = complex(delta) if complex_case else float(np.real(delta))
 
-    a_delta = (forms.A_D.csr + delta_s * forms.A_S.csr).astype(dtype)
+    a_delta = (forms.A_D + delta_s * forms.A_S).astype(dtype)
     field_w = np.asarray(field_values, dtype=dtype).copy()
     field_w[mesh.regions == SHELL] *= delta_s
     b_w = divergence_load_vector(forms, field_w)
@@ -314,10 +314,10 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
 
     ar = (p.T @ a_delta @ p).tocsc()
     br = -(p.T @ b_w)
-    md1 = forms.M_D.matvec(np.ones(n))
+    md1 = forms.M_D @ np.ones(n)
     mr = p.T @ md1.astype(dtype)
     kkt = scipy.sparse.bmat([[ar, mr[:, None]], [mr[None, :], None]], format="csc")
-    sol = lu_factor(kkt).solve(np.concatenate([br, [0.0]]))
+    sol = LUFactors(kkt).solve(np.concatenate([br, [0.0]]))
     h = p @ sol[:nr]
     h = h - np.dot(md1, h) / md1.sum()   # exact zero inclusion mean
 
@@ -328,7 +328,7 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
     scale = max(1.0, float(np.abs(field_values).max()))
     if np.abs(res[interior]).max() > 1e-8 * scale:
         raise CascadeError("weighted divergence residual too large in direct projection")
-    unweighted_outer = (forms.A.csr.astype(dtype) @ h
+    unweighted_outer = (forms.A.astype(dtype) @ h
                         + divergence_load_vector(forms, np.asarray(field_values, dtype=dtype)))
     if abs(unweighted_outer[outer].sum()) > 1e-8 * scale:
         raise CascadeError("outer flux condition violated in direct projection")

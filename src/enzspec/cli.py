@@ -7,14 +7,16 @@ numeric cells use 17 significant digits and row order is fixed, so repeated
 runs with the same configuration produce bit-identical artifacts.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure (with a
-diagnostic JSON on stderr), 3 I/O error.
+diagnostic JSON on stderr), 3 I/O error.  An unexpected exception is
+reported like a numerical failure, so no traceback leaves the front end.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .eig import EigError, delta_spectrum, discrete_K0, limit_spectrum, track_br
 from .fem import FemError, assemble
 from .linalg import ArnoldiError, SingularMatrixError
 from .mesh import (
+    MeshError,
     MeshParseError,
     generate_disk_in_disk,
     generate_square_with_disk,
@@ -192,7 +195,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def _parse_args(argv):
-    """(command, subcommand, raw key->string map, jobs)."""
+    """(command, subcommand, raw key->string map)."""
     if not argv:
         raise ConfigError(
             "usage: enzspec COMMAND [SUBCOMMAND] [--config FILE] [--key value ...]")
@@ -209,7 +212,7 @@ def _parse_args(argv):
         if sub not in _SUBCOMMANDS[command]:
             raise ConfigError(f"unknown subcommand {command} {sub!r}")
         rest = rest[1:]
-    raw, config_path, jobs = {}, None, 1
+    raw, config_path = {}, None
     i = 0
     while i < len(rest):
         tok = rest[i]
@@ -222,15 +225,11 @@ def _parse_args(argv):
         i += 2
         if key == "config":
             config_path = value
-        elif key == "jobs":
-            jobs = int(value)
-            if jobs < 1:
-                raise ConfigError("jobs must be >= 1")
         else:
             raw[key] = value
     merged = _read_config_file(config_path) if config_path else {}
     merged.update(raw)   # flags win over the config file
-    return command, sub, merged, jobs
+    return command, sub, merged
 
 
 def _validate(command, sub, raw) -> dict:
@@ -401,7 +400,7 @@ def _cmd_mie_nonelectrostatic(cfg, out):
         print(f"matching_{name} {_fmt(value)}", file=out)
 
 
-def _cmd_mie_dispersion(cfg, out, jobs=1):
+def _cmd_mie_dispersion(cfg, out):
     family = cfg["family"]
     if family not in (FAMILY_E, FAMILY_H):
         raise ConfigError(f"family must be {FAMILY_E!r} or {FAMILY_H!r}")
@@ -421,14 +420,7 @@ def _cmd_mie_dispersion(cfg, out, jobs=1):
         if family == FAMILY_E:
             seed /= cfg["R"]
 
-    def solve(d):
-        return concentric_dispersion(family, cfg["n"], cfg["R"], d, seed)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            lams = list(pool.map(solve, deltas))
-    else:
-        lams = [solve(d) for d in deltas]
+    lams = [concentric_dispersion(family, cfg["n"], cfg["R"], d, seed) for d in deltas]
     rows = [(np.real(d), np.imag(d), np.real(lam), np.imag(lam))
             for d, lam in zip(deltas, lams)]
     _write_lines(cfg["out"], _csv_lines(
@@ -445,7 +437,7 @@ def _cmd_invariance(cfg, out):
                                         rows))
 
 
-def _dispatch(command, sub, cfg, jobs, out):
+def _dispatch(command, sub, cfg, out):
     if (command, sub) == ("mesh", "gen"):
         _cmd_mesh_gen(cfg, out)
     elif (command, sub) == ("mesh", "info"):
@@ -465,7 +457,7 @@ def _dispatch(command, sub, cfg, jobs, out):
     elif (command, sub) == ("mie", "nonelectrostatic"):
         _cmd_mie_nonelectrostatic(cfg, out)
     elif (command, sub) == ("mie", "dispersion"):
-        _cmd_mie_dispersion(cfg, out, jobs)
+        _cmd_mie_dispersion(cfg, out)
     elif command == "invariance":
         _cmd_invariance(cfg, out)
     else:   # pragma: no cover - schema and dispatch tables are in sync
@@ -477,28 +469,33 @@ _NUMERICAL_ERRORS = (EigError, CascadeError, MieError, FemError,
                      SingularMatrixError)
 
 
+def _diagnose(exc, err, **extra) -> None:
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc), **extra},
+                     sort_keys=True), file=err)
+
+
 def main(argv=None, out=None, err=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        command, sub, raw, jobs = _parse_args(argv)
-        cfg = _validate(command, sub, raw)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    try:
-        _dispatch(command, sub, cfg, jobs, out)
-    except ConfigError as exc:
+        command, sub, raw = _parse_args(argv)
+        _dispatch(command, sub, _validate(command, sub, raw), out)
+    except (ConfigError, MeshError) as exc:
         print(f"error: {exc}", file=err)
         return 1
     except _NUMERICAL_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True), file=err)
+        _diagnose(exc, err)
         return 2
     except (OSError, MeshParseError) as exc:
         print(f"i/o error: {exc}", file=err)
         return 3
+    except Exception as exc:
+        # a defect, not a bad input: name the innermost frame for the report
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        _diagnose(exc, err, unexpected=True,
+                  where=f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}")
+        return 2
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import AssembledForms
-from .linalg import SingularMatrixError, bilinear_dot, lu_factor, shift_invert_arnoldi, sym_eig_dense
+from .linalg import LUFactors, SingularMatrixError, bilinear_dot, shift_invert_arnoldi, sym_eig_dense
 from .mesh import INCLUSION, SHELL
 
 __all__ = [
@@ -106,7 +106,7 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
 
 
 def _bilinear_normalize(v: np.ndarray, bmat) -> np.ndarray:
-    q = bilinear_dot(v, bmat.matvec(v))
+    q = bilinear_dot(v, bmat @ v)
     if abs(q) < 1e-14 * float(np.vdot(v, v).real):
         raise EigError("eigenvector is bilinearly isotropic; cannot normalize")
     v = v / cmath.sqrt(q) if np.iscomplexobj(v) else v / np.sqrt(q)
@@ -114,8 +114,8 @@ def _bilinear_normalize(v: np.ndarray, bmat) -> np.ndarray:
 
 
 def _residual(amat, bmat, lam, v) -> float:
-    av = amat.matvec(v)
-    bv = bmat.matvec(v)
+    av = amat @ v
+    bv = bmat @ v
     r = av - lam * bv
     scale = np.linalg.norm(av) + abs(lam) * np.linalg.norm(bv)
     return float(np.linalg.norm(r) / max(scale, 1e-300))
@@ -140,12 +140,12 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
     dtype = float if real_case else complex
     sigma = float(np.real(target)) if real_case else complex(target)
 
-    acsr = amat.csr.astype(dtype)
-    bcsr = bmat.csr.astype(dtype)
+    acsr = amat.astype(dtype)
+    bcsr = bmat.astype(dtype)
     fac = None
     for bump in range(3):
         try:
-            fac = lu_factor((acsr - sigma * bcsr).tocsc())
+            fac = LUFactors(acsr - sigma * bcsr)
             break
         except SingularMatrixError:
             if bump == 2:
@@ -178,6 +178,9 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
         theta, vecs, _ = shift_invert_arnoldi(
             apply_op, n, min(need + 4, n - 1), deflate=deflate, dtype=dtype,
             tol=1e-10)
+        if real_case:
+            # a real H can still have complex Ritz vectors; the factor is real
+            vecs = vecs.real
         new_found = False
         for i in range(vecs.shape[1]):
             v = vecs[:, i]
@@ -235,7 +238,7 @@ def _orthonormalize_groups(pairs, bmat, rel_tol: float = 1e-6):
             v = pairs[a].vector
             for b in group[:a_pos]:
                 w = pairs[b].vector
-                v = v - bilinear_dot(w, bmat.matvec(v)) * w
+                v = v - bilinear_dot(w, bmat @ v) * w
             pairs[a].vector = _bilinear_normalize(v, bmat)
 
 
@@ -278,14 +281,14 @@ def discrete_K0(forms: AssembledForms, size_limit: int = 2000):
     n = forms.mesh.n_vertices
     if n > size_limit:
         raise EigError(f"dense operator path limited to {size_limit} nodes, mesh has {n}")
-    a = forms.A.to_dense()
-    m = forms.M.to_dense()
+    a = forms.A.toarray()
+    m = forms.M.toarray()
     mu, x = sym_eig_dense(a, m)
     if mu[0] > 1e-8 or mu[1] < 1e-8:
         raise EigError("expected exactly one near-zero Laplacian mode (connected mesh)")
     xp = x[:, 1:]
     mup = mu[1:]
-    md = forms.M_D.to_dense()
+    md = forms.M_D.toarray()
     md1 = md @ np.ones(n)
     md_corr = md - np.outer(md1, md1) / md1.sum()
     core = xp.T @ md_corr @ xp
@@ -342,7 +345,7 @@ def track_branch(forms: AssembledForms, lambda0: float, path, count_hint: int = 
 
     for delta in path[1:]:
         pairs = delta_spectrum(forms, delta, prev.lam, count_hint)
-        bcsr = forms.mass_delta(delta).csr
+        bcsr = forms.mass_delta(delta)
         overlaps = np.array([abs(bilinear_dot(prev.vector, bcsr @ p.vector)) for p in pairs])
         order = np.argsort(-overlaps)
         best, second = order[0], order[1] if len(order) > 1 else None

@@ -1,11 +1,11 @@
 """P1 finite elements on tagged meshes.
 
 Assembles the Neumann stiffness matrix and the per-region consistent mass
-matrices, and provides subdomain Neumann/Dirichlet solves, variational
-boundary-flux functionals, norms and interpolation.  All matrices are kept
-per region so that coefficient-weighted forms (stiffness weighted by a
-piecewise-constant permittivity, the mass B_delta = M_D + delta*M_S) are
-exact linear combinations of the assembled pieces.
+matrices as scipy CSR matrices, and provides subdomain Neumann/Dirichlet
+solves, variational boundary-flux functionals, norms and interpolation.
+All matrices are kept per region so that delta-weighted forms (the mass
+B_delta = M_D + delta*M_S, the stiffness A_D + delta*A_S) are exact linear
+combinations of the assembled pieces.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .linalg import LUFactors, SparseMatrix, lu_factor
+from .linalg import LUFactors
 from .mesh import INCLUSION, SHELL, Mesh
 
 __all__ = [
-    "CoefficientField",
     "AssembledForms",
     "FEFunction",
     "FemError",
@@ -37,18 +36,6 @@ __all__ = [
 
 class FemError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class CoefficientField:
-    """Piecewise-constant scalar coefficient, one value per region."""
-
-    value_inclusion: complex
-    value_shell: complex
-
-    @classmethod
-    def permittivity(cls, delta: complex) -> "CoefficientField":
-        return cls(1.0, delta)
 
 
 @dataclass
@@ -84,11 +71,10 @@ _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12
 
 
 class AssembledForms:
-    """Stiffness and mass matrices split by region.
+    """Stiffness and mass matrices (scipy CSR) split by region.
 
     A = A_D + A_S has kernel exactly the constants on a connected mesh;
-    M = M_D + M_S is the consistent mass.  mass_for / stiffness_for build
-    coefficient-weighted combinations without reassembly.
+    M = M_D + M_S is the consistent mass.
     """
 
     def __init__(self, mesh: Mesh):
@@ -101,13 +87,14 @@ class AssembledForms:
         k_local = np.einsum("tid,tjd->tij", grads, grads) * area[:, None, None]
         m_local = _LOCAL_MASS[None, :, :] * area[:, None, None]
 
+        shape = (mesh.n_vertices, mesh.n_vertices)
+
         def build(mask):
+            # duplicate (i, j) triplets sum on conversion to CSR, as assembly needs
             sel = np.repeat(mask, 9)
-            a = SparseMatrix(mesh.n_vertices, rows[sel], cols[sel],
-                             k_local.reshape(nt, 9)[mask].ravel())
-            m = SparseMatrix(mesh.n_vertices, rows[sel], cols[sel],
-                             m_local.reshape(nt, 9)[mask].ravel())
-            return a, m
+            ij = (rows[sel], cols[sel])
+            return (scipy.sparse.csr_matrix((k_local.reshape(nt, 9)[mask].ravel(), ij), shape=shape),
+                    scipy.sparse.csr_matrix((m_local.reshape(nt, 9)[mask].ravel(), ij), shape=shape))
 
         mask_d = mesh.regions == INCLUSION
         mask_s = mesh.regions == SHELL
@@ -119,14 +106,8 @@ class AssembledForms:
         self.A = self.A_D + self.A_S
         self.M = self.M_D + self.M_S
 
-    def stiffness_for(self, coeff: CoefficientField) -> SparseMatrix:
-        return self.A_D.scaled(coeff.value_inclusion) + self.A_S.scaled(coeff.value_shell)
-
-    def mass_for(self, coeff: CoefficientField) -> SparseMatrix:
-        return self.M_D.scaled(coeff.value_inclusion) + self.M_S.scaled(coeff.value_shell)
-
-    def mass_delta(self, delta: complex) -> SparseMatrix:
-        return self.mass_for(CoefficientField.permittivity(delta))
+    def mass_delta(self, delta: complex) -> scipy.sparse.csr_matrix:
+        return self.M_D + delta * self.M_S
 
 
 def assemble(mesh: Mesh) -> AssembledForms:
@@ -163,12 +144,12 @@ def edge_flux_load(mesh: Mesh, tag: int, edge_flux) -> np.ndarray:
 
 
 def _weighted_mean(forms: AssembledForms, values: np.ndarray) -> complex:
-    m1 = forms.M.matvec(np.ones(forms.mesh.n_vertices))
+    m1 = forms.M @ np.ones(forms.mesh.n_vertices)
     return np.dot(m1, values) / m1.sum()
 
 
 def solve_neumann(forms: AssembledForms, load: np.ndarray,
-                  compat_tol: float = 1e-8, stiffness: SparseMatrix | None = None) -> FEFunction:
+                  compat_tol: float = 1e-8) -> FEFunction:
     """Pure-Neumann solve A h = load with mean-zero normalization.
 
     `load` is an assembled nodal right-hand side (use edge_flux_load and/or
@@ -176,7 +157,7 @@ def solve_neumann(forms: AssembledForms, load: np.ndarray,
     that the load sums to zero; an imbalance beyond compat_tol times the
     load scale is an error, since the singular system is then unsolvable.
     """
-    a = stiffness if stiffness is not None else forms.A
+    a = forms.A
     load = np.asarray(load)
     scale = max(1.0, float(np.abs(load).sum()))
     imbalance = abs(load.sum())
@@ -184,17 +165,17 @@ def solve_neumann(forms: AssembledForms, load: np.ndarray,
         raise FemError(f"Neumann compatibility violated: flux imbalance {imbalance:.3e} "
                        f"(relative {imbalance / scale:.3e})")
     n = forms.mesh.n_vertices
-    m1 = forms.M.matvec(np.ones(n))
+    m1 = forms.M @ np.ones(n)
     dtype = np.result_type(a.dtype, load.dtype)
     # Lagrange multiplier pins the M-weighted mean of the solution
-    big = scipy.sparse.bmat([[a.csr.astype(dtype), m1[:, None]],
+    big = scipy.sparse.bmat([[a.astype(dtype), m1[:, None]],
                              [m1[None, :], None]], format="csc")
     rhs = np.concatenate([load.astype(dtype), [0.0]])
-    sol = lu_factor(big).solve(rhs)
+    sol = LUFactors(big).solve(rhs)
     h = sol[:n]
     h = h - _weighted_mean(forms, h)   # exact re-normalization
     # residual modulo the multiplier direction m1 (the singular system's range gap)
-    r = a.matvec(h) - load
+    r = a @ h - load
     r = r - np.dot(m1, r) / np.dot(m1, m1) * m1
     res = np.linalg.norm(r) / scale
     if res > 1e-8:
@@ -203,15 +184,14 @@ def solve_neumann(forms: AssembledForms, load: np.ndarray,
 
 
 def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
-                    load: np.ndarray | None = None,
-                    stiffness: SparseMatrix | None = None) -> FEFunction:
+                    load: np.ndarray | None = None) -> FEFunction:
     """Solve A h = load with nodal Dirichlet data per boundary tag.
 
     boundary_values maps edge tag -> scalar, callable(x, y) or nodal array.
     Data must be supplied for every tag present on the mesh.
     """
     mesh = forms.mesh
-    a = stiffness if stiffness is not None else forms.A
+    a = forms.A
     present = set(int(t) for t in np.unique(mesh.edge_tags))
     missing = present - set(boundary_values)
     if missing:
@@ -235,11 +215,11 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
 
     b = np.zeros(n, dtype=dtype) if load is None else np.asarray(load).astype(dtype)
     free = ~constrained
-    acsr = a.csr.astype(dtype)
+    acsr = a.astype(dtype)
     rhs = b[free] - (acsr @ u)[free]
     aff = acsr[free][:, free]
     if aff.shape[0]:
-        u[free] = lu_factor(aff.tocsc()).solve(rhs)
+        u[free] = LUFactors(aff).solve(rhs)
     # Galerkin residual on the free nodes
     res = np.linalg.norm((acsr @ u - b)[free])
     scale = max(1.0, np.linalg.norm(u), np.linalg.norm(b))
@@ -249,13 +229,11 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
 
 
 def boundary_flux(forms: AssembledForms, values: np.ndarray, tag: int,
-                  field: np.ndarray | None = None,
-                  stiffness: SparseMatrix | None = None) -> complex:
+                  field: np.ndarray | None = None) -> complex:
     """Variationally consistent outward flux of (grad h + F) through the
     edges of a tag: the discrete residual A h + b_F summed over the tag's
     nodes equals the boundary integral of the normal component."""
-    a = stiffness if stiffness is not None else forms.A
-    r = a.matvec(np.asarray(values))
+    r = forms.A @ np.asarray(values)
     if field is not None:
         r = r + divergence_load_vector(forms, field)
     nodes = forms.mesh.boundary_vertices(tag)
@@ -275,8 +253,8 @@ def norms(forms: AssembledForms, values: np.ndarray, region: int | None = None):
     else:
         raise FemError(f"unknown region {region}")
     vc = np.conj(v)
-    l2 = float(np.sqrt(abs(np.dot(vc, m.matvec(v)))))
-    h1 = float(np.sqrt(abs(np.dot(vc, a.matvec(v)))))
+    l2 = float(np.sqrt(abs(np.dot(vc, m @ v))))
+    h1 = float(np.sqrt(abs(np.dot(vc, a @ v))))
     return l2, h1
 
 

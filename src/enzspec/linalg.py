@@ -1,16 +1,16 @@
-"""Linear-algebra kernels: sparse storage, LU solves with refinement,
-symmetric dense eigendecomposition, and a shift-invert Arnoldi iteration.
+"""Linear-algebra kernels: sparse LU solves with refinement, symmetric
+dense eigendecomposition, and a shift-invert Arnoldi iteration.
 
-The factorization and dense-eigen layers wrap LAPACK (via scipy); the
-Arnoldi iteration, with its deterministic start vector, deflation hook and
-reorthogonalization monitor, is implemented here directly because the
-complex-symmetric pencils need bilinear (unconjugated) handling that
-off-the-shelf eigensolvers do not expose.
+Matrices are plain scipy sparse (CSR) matrices.  Every factorization is a
+SuperLU factorization with a fixed column ordering; dense eigenproblems
+wrap LAPACK (via scipy).  The Arnoldi iteration, with its deterministic
+start vector, deflation hook and reorthogonalization monitor, is
+implemented here directly because the complex-symmetric pencils need
+bilinear (unconjugated) handling that off-the-shelf eigensolvers do not
+expose.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -18,23 +18,26 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 __all__ = [
-    "SparseMatrix",
     "LUFactors",
     "SingularMatrixError",
     "ArnoldiError",
-    "lu_factor",
     "sym_eig_dense",
     "shift_invert_arnoldi",
     "bilinear_dot",
-    "sesquilinear_dot",
 ]
 
 
 class SingularMatrixError(RuntimeError):
-    """Raised when elimination meets a (near-)zero pivot."""
+    """Raised when elimination meets a (near-)zero pivot.
 
-    def __init__(self, pivot_index: int, pivot_value: float):
-        super().__init__(f"singular matrix: pivot {pivot_index} has magnitude {pivot_value:.3e}")
+    pivot_index is the column of the input matrix whose pivot was too
+    small, or None when the factorization met an exactly zero pivot
+    without saying where.
+    """
+
+    def __init__(self, pivot_index: int | None, pivot_value: float):
+        where = "of unknown column" if pivot_index is None else f"in column {pivot_index}"
+        super().__init__(f"singular matrix: pivot {where} has magnitude {pivot_value:.3e}")
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
 
@@ -47,124 +50,46 @@ class ArnoldiError(RuntimeError):
         self.residuals = residuals
 
 
-class SparseMatrix:
-    """CSR matrix built from COO triplets, real or complex."""
-
-    def __init__(self, n: int, rows, cols, values):
-        values = np.asarray(values)
-        self.n = n
-        self.csr = scipy.sparse.csr_matrix(
-            (values, (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))),
-            shape=(n, n))
-        self.csr.sum_duplicates()
-        self.csr.sort_indices()
-
-    @classmethod
-    def from_csr(cls, csr) -> "SparseMatrix":
-        obj = cls.__new__(cls)
-        obj.n = csr.shape[0]
-        obj.csr = csr.tocsr()
-        obj.csr.sort_indices()
-        return obj
-
-    @property
-    def dtype(self):
-        return self.csr.dtype
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        d = self.csr - self.csr.T
-        return abs(d).max() <= tol * max(1.0, abs(self.csr).max())
-
-    def __add__(self, other):
-        return SparseMatrix.from_csr(self.csr + other.csr)
-
-    def scaled(self, alpha) -> "SparseMatrix":
-        return SparseMatrix.from_csr(self.csr * alpha)
-
-
 def bilinear_dot(u: np.ndarray, v: np.ndarray):
     """Unconjugated pairing u^T v (analytic in the entries)."""
     return np.dot(u, v)
 
 
-def sesquilinear_dot(u: np.ndarray, v: np.ndarray):
-    return np.vdot(u, v)
-
-
 class LUFactors:
-    """LU factors of a square matrix with one step of iterative refinement.
-
-    Dense inputs go through LAPACK getrf; sparse inputs above the dense
-    cutoff use a sparse LU with a fixed, deterministic ordering.
+    """Sparse LU factors of a square matrix with one step of iterative
+    refinement.  Dense inputs are converted to CSC; the column ordering
+    (COLAMD) is fixed, so repeated factorizations are deterministic.
     """
 
-    _DENSE_CUTOFF = 1200
-
     def __init__(self, matrix, pivot_tol: float = 1e-13):
-        if isinstance(matrix, SparseMatrix):
-            sparse_input = matrix.csr
-            n = matrix.n
-        elif scipy.sparse.issparse(matrix):
-            sparse_input = matrix.tocsc()
-            n = matrix.shape[0]
-        else:
-            sparse_input = None
-            dense = np.asarray(matrix)
-            if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-                raise ValueError("lu_factor requires a square matrix")
-            n = dense.shape[0]
-        self.n = n
-
-        if sparse_input is not None and n > self._DENSE_CUTOFF:
-            self._mat = sparse_input.tocsr()
-            splu = scipy.sparse.linalg.splu(
-                sparse_input.tocsc(), permc_spec="COLAMD",
-                options={"SymmetricMode": False})
-            diag = np.abs(splu.U.diagonal())
-            scale = max(1.0, abs(sparse_input).max())
-            small = np.nonzero(diag <= pivot_tol * scale)[0]
-            if len(small):
-                raise SingularMatrixError(int(small[0]), float(diag[small[0]]))
-            self._splu = splu
-            self._dense = None
-        else:
-            dense = sparse_input.toarray() if sparse_input is not None else np.array(dense)
-            self._mat = dense
-            with warnings.catch_warnings():
-                # zero pivots are detected and reported below
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, piv = scipy.linalg.lu_factor(dense, check_finite=False)
-            diag = np.abs(np.diag(lu))
-            scale = max(1.0, np.abs(dense).max())
-            small = np.nonzero(diag <= pivot_tol * scale)[0]
-            if len(small):
-                raise SingularMatrixError(int(small[0]), float(diag[small[0]]))
-            self._lu, self._piv = lu, piv
-            self._splu = None
-            self._dense = dense
-
-    def _solve_once(self, b: np.ndarray) -> np.ndarray:
-        if self._splu is not None:
-            return self._splu.solve(b)
-        return scipy.linalg.lu_solve((self._lu, self._piv), b, check_finite=False)
+        mat = scipy.sparse.csc_matrix(matrix)
+        if mat.shape[0] != mat.shape[1]:
+            raise ValueError("LUFactors requires a square matrix")
+        self.n = mat.shape[0]
+        self._mat = mat.tocsr()
+        try:
+            splu = scipy.sparse.linalg.splu(mat, permc_spec="COLAMD",
+                                            options={"SymmetricMode": False})
+        except RuntimeError as exc:
+            if "singular" not in str(exc):
+                raise
+            # SuperLU reports an exactly zero pivot without its position
+            raise SingularMatrixError(None, 0.0) from exc
+        diag = np.abs(splu.U.diagonal())
+        scale = max(1.0, abs(mat).max())
+        small = np.nonzero(diag <= pivot_tol * scale)[0]
+        if len(small):
+            # U's k-th pivot belongs to column perm_c^{-1}[k] of the input
+            column = int(np.argsort(splu.perm_c)[small[0]])
+            raise SingularMatrixError(column, float(diag[small[0]]))
+        self._splu = splu
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b)
-        x = self._solve_once(b)
+        x = self._splu.solve(b)
         # one step of iterative refinement
         r = b - self._mat @ x
-        x = x + self._solve_once(r)
-        return x
-
-
-def lu_factor(matrix) -> LUFactors:
-    return LUFactors(matrix)
+        return x + self._splu.solve(r)
 
 
 def sym_eig_dense(a: np.ndarray, b: np.ndarray | None = None,

@@ -95,11 +95,11 @@ def test_criterion_02_limit_invariant_branch(forms_fine_disk):
         radial = lams[np.argmin(np.abs(lams - oracle))]
         assert abs(radial - oracle) / oracle <= 0.01
         ones = np.ones(forms.mesh.n_vertices)
-        md1 = forms.M_D.matvec(ones)
+        md1 = forms.M_D @ ones
         vs = [p.vector for p in pairs]
         for v in vs:
             assert abs(md1 @ v) <= 1e-8
-        gram = np.array([[bilinear_dot(a, forms.M_D.matvec(b)) for b in vs]
+        gram = np.array([[bilinear_dot(a, forms.M_D @ b) for b in vs]
                          for a in vs])
         assert np.abs(gram - np.eye(len(vs))).max() <= 1e-8
 
@@ -139,8 +139,8 @@ def test_criterion_04_analyticity(forms_track):
         lam = rb.lambda_samples[-1]
         assert abs(np.imag(lam)) <= 1e-9 * (1.0 + abs(lam))
         v = rb.vectors[-1]
-        b = forms_track.M_D + forms_track.M_S.scaled(d)
-        assert abs(bilinear_dot(v, b.matvec(v)) - 1.0) <= 1e-8
+        b = forms_track.M_D + d * forms_track.M_S
+        assert abs(bilinear_dot(v, b @ v) - 1.0) <= 1e-8
 
 
 def test_criterion_05_degenerate_cluster(forms_track):

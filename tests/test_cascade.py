@@ -98,7 +98,7 @@ class TestBase:
         # the correction cancels the constant field inside: grad h = -F
         core = cascade_ws.sub_d
         exact = -core.mesh.vertices[:, 0]
-        m1 = cascade_ws.forms_d.M.matvec(np.ones(core.mesh.n_vertices))
+        m1 = cascade_ws.forms_d.M @ np.ones(core.mesh.n_vertices)
         exact = exact - (m1 @ exact) / m1.sum()
         assert np.abs(core.restrict(h0) - exact).max() < 1e-9
         assert abs(state.c_list[0]) < 1e-10
@@ -129,7 +129,7 @@ class TestSteps:
     def test_inclusion_mean_zero(self, cascade_ws):
         driving = DrivingField([constant_field(cascade_ws, [0.3, 0.7])])
         state = cascade_ws.run(driving, 3)
-        md1 = cascade_ws.forms.M_D.matvec(np.ones(cascade_ws.mesh.n_vertices))
+        md1 = cascade_ws.forms.M_D @ np.ones(cascade_ws.mesh.n_vertices)
         for h in state.h_list[1:]:
             assert abs(md1 @ h) < 1e-10
 

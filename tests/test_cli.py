@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from enzspec import cli
 from enzspec.cli import main
 from enzspec.specfun import bessel_zeros
 
@@ -53,6 +54,18 @@ class TestArgumentHandling:
         assert "n 1" in text            # the flag beat the config file
         assert "k 4.4934094579090" in out or "k 4.4934094579090" in text
 
+    def test_unexpected_exception_is_diagnosed(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(cli, "electrostatic_mode", broken)
+        code, _, err = run("mie", "electrostatic", "--n", "1",
+                           "--out", str(tmp_path / "mode.txt"))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "TypeError" and payload["message"] == "boom"
+        assert payload["unexpected"] is True and "broken" in payload["where"]
+
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not a key value pair\n")
@@ -84,6 +97,11 @@ class TestMeshCommands:
         code, _, err = run("mesh", "gen", "--shape", "triangle", "--out",
                            str(tmp_path / "m.txt"))
         assert code == 1
+
+    def test_bad_ring_count_is_validation_error(self, tmp_path):
+        code, _, err = run("mesh", "gen", "--rings_core", "0", "--out",
+                           str(tmp_path / "m.txt"))
+        assert code == 1 and "ring counts" in err
 
 
 class TestEigCommands:
@@ -206,13 +224,11 @@ class TestMieCommands:
         k_ref = bessel_zeros(1, 1)[0] / 2.0
         assert abs(float(row[2]) - k_ref**2) < 1e-9
 
-    def test_dispersion_jobs_deterministic(self, tmp_path):
-        args = ("mie", "dispersion", "--family", "magnetic", "--n", "1",
-                "--R", "2", "--radius", "0.01", "--samples", "8")
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(*args, "--out", str(a))[0] == 0
-        assert run(*args, "--out", str(b), "--jobs", "2")[0] == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_dispersion_jobs_rejected(self, tmp_path):
+        code, _, err = run("mie", "dispersion", "--family", "magnetic", "--n", "1",
+                           "--radius", "0.01", "--samples", "8",
+                           "--out", str(tmp_path / "d.csv"), "--jobs", "2")
+        assert code == 1 and "jobs" in err
 
     def test_dispersion_needs_samples(self, tmp_path):
         code, _, err = run("mie", "dispersion", "--family", "electric", "--n",
