@@ -29,12 +29,13 @@ from .fem import (
     assemble,
     divergence_load_vector,
     element_gradients,
+    factor_once,
     norms,
     solve_dirichlet,
     solve_neumann,
 )
 from .linalg import LUFactors
-from .mesh import INCLUSION, INTERFACE, OUTER, SHELL, Mesh, extract_submesh
+from .mesh import INCLUSION, INTERFACE, OUTER, SHELL, Mesh, Submesh, extract_submesh
 
 __all__ = [
     "DrivingField",
@@ -162,7 +163,11 @@ def solve_psi(mesh: Mesh):
     (and its boundary), 1 on the outer boundary.  Returns (FEFunction on
     the full mesh, Dirichlet energy)."""
     sub = extract_submesh(mesh, SHELL)
-    forms_s = assemble(sub.mesh)
+    return _solve_psi(mesh, sub, assemble(sub.mesh))
+
+
+def _solve_psi(mesh: Mesh, sub: Submesh, forms_s: AssembledForms):
+    """solve_psi on an already extracted and assembled shell submesh."""
     psi_s = solve_dirichlet(forms_s, {INTERFACE: 0.0, OUTER: 1.0})
     energy = float(psi_s.values @ (forms_s.A @ psi_s.values))
     if energy <= 0.0:
@@ -187,7 +192,7 @@ class Cascade:
         self.sub_s = extract_submesh(mesh, SHELL)
         self.forms_d = assemble(self.sub_d.mesh)
         self.forms_s = assemble(self.sub_s.mesh)
-        self.psi, self.psi_energy = solve_psi(mesh)
+        self.psi, self.psi_energy = _solve_psi(mesh, self.sub_s, self.forms_s)
         # node index translation between the two submeshes via the parent
         parent_to_d = {int(p): i for i, p in enumerate(self.sub_d.vertex_map)}
         self._shell_iface = self.sub_s.mesh.boundary_vertices(INTERFACE)
@@ -271,9 +276,13 @@ class Cascade:
 
     def run(self, driving: DrivingField, max_order: int) -> CascadeState:
         driving.validate(self.forms)
-        state = self.base(driving.coefficient(0))
-        for k in range(1, max_order + 1):
-            self.step(state, driving.coefficient(k - 1), driving.coefficient(k))
+        # every order solves the same interior Neumann and shell Dirichlet
+        # operators: factor each once, and free both factors before the
+        # caller goes on to the (larger) direct projection
+        with factor_once(self.forms_d, self.forms_s):
+            state = self.base(driving.coefficient(0))
+            for k in range(1, max_order + 1):
+                self.step(state, driving.coefficient(k - 1), driving.coefficient(k))
         return state
 
     def growth_ratio(self, state: CascadeState) -> float:

@@ -67,6 +67,10 @@ def _str(text):
     return str(text)
 
 
+def _complex(text):
+    return complex(text)
+
+
 def _complex_list(text):
     items = [tok.strip() for tok in str(text).split(",") if tok.strip()]
     try:
@@ -105,7 +109,7 @@ _SCHEMAS = {
     ("eig", "sweep"): {
         "mesh": (_str, _REQUIRED),
         "deltas": (_complex_list, _REQUIRED),
-        "target": (_complex_list, [complex(-1.0)]),
+        "target": (_complex, complex(-1.0)),
         "count": (_int, 4),
         "out": (_str, _REQUIRED),
     },
@@ -313,10 +317,9 @@ def _cmd_eig_limit(cfg, out):
 
 def _cmd_eig_sweep(cfg, out):
     forms = assemble(load_mesh(cfg["mesh"]))
-    target = cfg["target"][0]
     rows = []
     for d in cfg["deltas"]:
-        pairs = delta_spectrum(forms, d, target, cfg["count"])
+        pairs = delta_spectrum(forms, d, cfg["target"], cfg["count"])
         for i, p in enumerate(pairs):
             rows.append((_fmt(d.real), _fmt(d.imag), str(i),
                          float(np.real(p.lam)), float(np.imag(p.lam)), p.residual))

@@ -3,6 +3,7 @@
 Assembles the Neumann stiffness matrix and the per-region consistent mass
 matrices as scipy CSR matrices, and provides subdomain Neumann/Dirichlet
 solves, variational boundary-flux functionals, norms and interpolation.
+Solves inside `factor_once` reuse one factor per operator and dtype.
 All matrices are kept per region so that delta-weighted forms (the mass
 B_delta = M_D + delta*M_S, the stiffness A_D + delta*A_S) are exact linear
 combinations of the assembled pieces.
@@ -10,6 +11,7 @@ combinations of the assembled pieces.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,7 @@ __all__ = [
     "FEFunction",
     "FemError",
     "assemble",
+    "factor_once",
     "element_gradients",
     "divergence_load_vector",
     "edge_flux_load",
@@ -105,6 +108,7 @@ class AssembledForms:
         self.A_S, self.M_S = build(mask_s)
         self.A = self.A_D + self.A_S
         self.M = self.M_D + self.M_S
+        self._factors = None     # (solve kind, dtype) -> LUFactors inside factor_once
 
     def mass_delta(self, delta: complex) -> scipy.sparse.csr_matrix:
         return self.M_D + delta * self.M_S
@@ -112,6 +116,34 @@ class AssembledForms:
 
 def assemble(mesh: Mesh) -> AssembledForms:
     return AssembledForms(mesh)
+
+
+@contextmanager
+def factor_once(*forms_list: AssembledForms):
+    """Inside the block, solve_neumann and solve_dirichlet on these forms
+    factor each operator once per (solve kind, dtype) and reuse the factor
+    for later loads; the factors are dropped on exit, also on error.
+
+    Keying on dtype keeps a complex load away from a real factor.  The
+    Dirichlet free set needs no key: data is required on every boundary
+    tag present, so the forms fix it."""
+    for forms in forms_list:
+        forms._factors = {}
+    try:
+        yield
+    finally:
+        for forms in forms_list:
+            forms._factors = None
+
+
+def _factor(forms: AssembledForms, key, build) -> LUFactors:
+    """LUFactors of build(), kept on forms under key inside factor_once."""
+    if forms._factors is None:
+        return LUFactors(build())
+    lu = forms._factors.get(key)
+    if lu is None:
+        lu = forms._factors[key] = LUFactors(build())
+    return lu
 
 
 def element_gradients(forms: AssembledForms, values: np.ndarray) -> np.ndarray:
@@ -168,10 +200,10 @@ def solve_neumann(forms: AssembledForms, load: np.ndarray,
     m1 = forms.M @ np.ones(n)
     dtype = np.result_type(a.dtype, load.dtype)
     # Lagrange multiplier pins the M-weighted mean of the solution
-    big = scipy.sparse.bmat([[a.astype(dtype), m1[:, None]],
-                             [m1[None, :], None]], format="csc")
+    lu = _factor(forms, ("neumann", dtype), lambda: scipy.sparse.bmat(
+        [[a.astype(dtype), m1[:, None]], [m1[None, :], None]], format="csc"))
     rhs = np.concatenate([load.astype(dtype), [0.0]])
-    sol = LUFactors(big).solve(rhs)
+    sol = lu.solve(rhs)
     h = sol[:n]
     h = h - _weighted_mean(forms, h)   # exact re-normalization
     # residual modulo the multiplier direction m1 (the singular system's range gap)
@@ -217,9 +249,9 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
     free = ~constrained
     acsr = a.astype(dtype)
     rhs = b[free] - (acsr @ u)[free]
-    aff = acsr[free][:, free]
-    if aff.shape[0]:
-        u[free] = LUFactors(aff).solve(rhs)
+    if free.any():
+        lu = _factor(forms, ("dirichlet", dtype), lambda: acsr[free][:, free])
+        u[free] = lu.solve(rhs)
     # Galerkin residual on the free nodes
     res = np.linalg.norm((acsr @ u - b)[free])
     scale = max(1.0, np.linalg.norm(u), np.linalg.norm(b))

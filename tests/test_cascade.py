@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from enzspec import cascade as cascade_module
 from enzspec.cascade import (
     Cascade,
     CascadeError,
@@ -14,7 +15,8 @@ from enzspec.cascade import (
     series_vs_direct,
     solve_psi,
 )
-from enzspec.fem import assemble, interpolate, norms
+from enzspec.fem import assemble, interpolate, norms, solve_neumann
+from enzspec.linalg import LUFactors
 from enzspec.mesh import (
     INCLUSION,
     generate_disk_in_disk,
@@ -180,3 +182,52 @@ class TestSeriesVsDirect:
         r1 = e1[4] / e1[3]
         r2 = e2[4] / e2[3]
         assert abs(r2 / r1 - 2.0) < 0.4
+
+
+class TestFactorReuse:
+    """Every order solves the same two operators: a run factors each once
+    and drops both factors when it returns."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"factors": 0, "neumann": 0}
+        init, neumann = LUFactors.__init__, cascade_module.solve_neumann
+
+        def counting_init(self, *args, **kwargs):
+            counts["factors"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_neumann(*args, **kwargs):
+            counts["neumann"] += 1
+            return neumann(*args, **kwargs)
+
+        monkeypatch.setattr(LUFactors, "__init__", counting_init)
+        monkeypatch.setattr(cascade_module, "solve_neumann", counting_neumann)
+        return counts
+
+    def test_two_factors_per_run(self, cascade_ws, counts):
+        driving = DrivingField([constant_field(cascade_ws, [1.0, 0.0])])
+        cascade_ws.run(driving, 6)
+        assert counts == {"factors": 2, "neumann": 7}
+        cascade_ws.run(driving, 6)     # released: the next run factors again
+        assert counts == {"factors": 4, "neumann": 14}
+
+    def test_four_factors_per_cascade_command(self, counts):
+        # Psi, interior Neumann, shell Dirichlet, direct projection
+        cascade = Cascade(generate_disk_in_disk(2.0, 8, 8))
+        driving = DrivingField([constant_field(cascade, [0.6, 0.8])])
+        state = cascade.run(driving, 6)
+        series_vs_direct(cascade, driving, 0.05, 6, state=state)
+        assert counts["factors"] == 4
+
+    def test_factors_released_on_error(self, cascade_ws, counts, monkeypatch):
+        def broken(*args):
+            raise CascadeError("step failed")
+
+        monkeypatch.setattr(Cascade, "step", broken)
+        with pytest.raises(CascadeError):
+            cascade_ws.run(DrivingField([constant_field(cascade_ws, [1.0, 0.0])]), 3)
+        assert counts["factors"] == 2
+        load = np.zeros(cascade_ws.forms_d.mesh.n_vertices)
+        solve_neumann(cascade_ws.forms_d, load)
+        assert counts["factors"] == 3  # no cached factor survived the error

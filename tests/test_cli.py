@@ -144,6 +144,13 @@ class TestEigCommands:
         for ln in lines[2:]:
             assert abs(float(ln.split(",")[4])) < 1e-9   # real delta: real lambda
 
+    def test_sweep_takes_one_target(self, disk_mesh, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run("eig", "sweep", "--mesh", disk_mesh, "--deltas", "0.05",
+                           "--target", "14.5,3", "--out", str(out_path))
+        assert code == 1 and "target" in err
+        assert not out_path.exists()
+
 
 class TestTaylorCommand:
     def test_zero_radius_is_validation_error(self, disk_mesh, tmp_path):
@@ -187,6 +194,20 @@ class TestCascadeCommand:
         assert len(errors) == 5
         for a, b in zip(errors, errors[1:]):
             assert b <= 0.5 * a
+
+    def test_six_orders_on_32_ring_disk(self, tmp_path):
+        mesh_path = tmp_path / "disk32.txt"
+        assert run("mesh", "gen", "--shape", "disk", "--rings_core", "32",
+                   "--rings_shell", "32", "--out", str(mesh_path))[0] == 0
+        out_path = tmp_path / "cascade.csv"
+        code, _, err = run("cascade", "--mesh", str(mesh_path), "--delta", "0.05",
+                           "--orders", "6", "--out", str(out_path))
+        assert code == 0, err
+        lines = out_path.read_text().splitlines()
+        assert float(lines[1].split()[-1]) > 0.0             # psi_energy
+        errors = [float(ln.split(",")[3]) for ln in lines[3:]]
+        assert len(errors) == 7
+        assert all(b < a for a, b in zip(errors, errors[1:]))
 
     def test_zero_delta_rejected(self, disk_mesh, tmp_path):
         code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", "0",

@@ -10,11 +10,13 @@ from enzspec.fem import (
     divergence_load_vector,
     edge_flux_load,
     element_gradients,
+    factor_once,
     interpolate,
     norms,
     solve_dirichlet,
     solve_neumann,
 )
+from enzspec.linalg import LUFactors
 from enzspec.mesh import (
     INCLUSION,
     INTERFACE,
@@ -156,6 +158,74 @@ class TestSolveDirichlet:
         load = -divergence_load_vector(disk_forms, field)
         h = solve_dirichlet(disk_forms, {INTERFACE: 0.0, OUTER: 0.0}, load=load)
         assert np.abs(h.values).max() < 1e-9
+
+
+class TestFactorOnce:
+    """Inside factor_once one forms object reuses its factors; each solve
+    must equal, bit for bit, the same solve on freshly assembled forms."""
+
+    @pytest.fixture
+    def factor_count(self, monkeypatch):
+        built = []
+        init = LUFactors.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LUFactors, "__init__", counting_init)
+        return built
+
+    def test_neumann_real_complex_real(self, factor_count):
+        sub = extract_submesh(generate_disk_in_disk(2.0, 8, 8), INCLUSION)
+        normals = outward_edge_normals(sub.mesh, INTERFACE)
+        loads = [edge_flux_load(sub.mesh, INTERFACE, normals[:, 0]),
+                 edge_flux_load(sub.mesh, INTERFACE, normals[:, 0] + 2j * normals[:, 1]),
+                 edge_flux_load(sub.mesh, INTERFACE, normals[:, 1])]
+        forms = assemble(sub.mesh)
+        with factor_once(forms):
+            reused = [solve_neumann(forms, load).values for load in loads]
+        assert len(factor_count) == 2       # one real, one complex factor
+        for load, h in zip(loads, reused):
+            fresh = solve_neumann(assemble(sub.mesh), load).values
+            assert h.dtype == fresh.dtype
+            assert np.array_equal(h, fresh)
+
+    def test_dirichlet_two_data_sets(self, factor_count):
+        sub = extract_submesh(generate_disk_in_disk(2.0, 8, 8), SHELL)
+        forms = assemble(sub.mesh)
+        field = np.tile([0.6, 0.8], (sub.mesh.n_triangles, 1))
+        cases = [({INTERFACE: 0.0, OUTER: 1.0}, None),
+                 ({INTERFACE: sub.mesh.vertices[:, 0].copy(), OUTER: 0.5},
+                  -divergence_load_vector(forms, field))]
+        with factor_once(forms):
+            reused = [solve_dirichlet(forms, bv, load).values for bv, load in cases]
+        assert len(factor_count) == 1
+        for (bv, load), h in zip(cases, reused):
+            fresh = solve_dirichlet(assemble(sub.mesh), bv, load).values
+            assert np.array_equal(h, fresh)
+
+    def test_neumann_and_dirichlet_on_one_forms(self, disk_mesh, factor_count):
+        forms = assemble(disk_mesh)
+        load = -divergence_load_vector(forms, np.tile([1.0, 0.0], (disk_mesh.n_triangles, 1)))
+        load -= load.mean()
+        bv = {INTERFACE: 0.0, OUTER: 1.0}
+        with factor_once(forms):
+            h_n = solve_neumann(forms, load).values
+            h_d = solve_dirichlet(forms, bv).values
+        assert len(factor_count) == 2
+        assert np.array_equal(h_n, solve_neumann(assemble(disk_mesh), load).values)
+        assert np.array_equal(h_d, solve_dirichlet(assemble(disk_mesh), bv).values)
+
+    def test_factors_dropped_on_exit(self, factor_count):
+        sub = extract_submesh(generate_disk_in_disk(2.0, 4, 4), SHELL)
+        forms = assemble(sub.mesh)
+        with pytest.raises(FemError):
+            with factor_once(forms):
+                solve_dirichlet(forms, {INTERFACE: 0.0, OUTER: 1.0})
+                solve_dirichlet(forms, {OUTER: 0.0})    # missing data raises
+        solve_dirichlet(forms, {INTERFACE: 0.0, OUTER: 1.0})
+        assert len(factor_count) == 2
 
 
 class TestBoundaryFlux:
