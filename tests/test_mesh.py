@@ -197,3 +197,112 @@ class TestRefine:
     def test_refined_mesh_valid(self):
         mesh = generate_square_with_disk(2.0, 4, 4)
         refine_uniform(mesh).validate()
+
+
+def _incidence(mesh):
+    """Edge -> incident triangles, in first-occurrence order (brute force)."""
+    incident = {}
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            incident.setdefault((min(a, b), max(a, b)), []).append(t)
+    return incident
+
+
+def _edge_where(mesh, regions):
+    """First untagged edge whose incident triangles carry exactly `regions`."""
+    tagged = {(min(a, b), max(a, b)) for a, b in mesh.edges.tolist()}
+    for key, tris in _incidence(mesh).items():
+        if key not in tagged and sorted(mesh.regions[tris].tolist()) == regions:
+            return key
+    raise AssertionError(f"no untagged edge between regions {regions}")
+
+
+class TestValidate:
+    """Each case has exactly one defect; validate names it."""
+
+    @pytest.fixture
+    def mesh(self):
+        return generate_disk_in_disk(2.0, 2, 2)
+
+    def _rejects(self, mesh, fragment):
+        with pytest.raises(MeshError) as exc:
+            mesh.validate()
+        assert fragment in str(exc.value)
+
+    def test_index_out_of_range(self, mesh):
+        mesh.triangles[5, 1] = mesh.n_vertices
+        self._rejects(mesh, "vertex index out of range")
+
+    def test_negative_index(self, mesh):
+        mesh.triangles[5, 1] = -1
+        self._rejects(mesh, "vertex index out of range")
+
+    def test_non_positive_area(self, mesh):
+        mesh.triangles[7] = mesh.triangles[7, ::-1]
+        self._rejects(mesh, "triangle 7 has non-positive area")
+
+    def test_edge_on_three_triangles(self, mesh):
+        mesh.triangles = np.vstack([mesh.triangles, mesh.triangles[20]])
+        mesh.regions = np.append(mesh.regions, mesh.regions[20])
+        self._rejects(mesh, "shared by 3 triangles")
+
+    def test_edge_tagged_twice(self, mesh):
+        mesh.edges = np.vstack([mesh.edges, mesh.edges[3]])
+        mesh.edge_tags = np.append(mesh.edge_tags, mesh.edge_tags[3])
+        self._rejects(mesh, "tagged twice")
+
+    def test_tagged_edge_on_no_triangle(self, mesh):
+        outer = mesh.boundary_vertices(OUTER)[0]
+        mesh.edges = np.vstack([mesh.edges, [0, outer]])
+        mesh.edge_tags = np.append(mesh.edge_tags, OUTER)
+        self._rejects(mesh, "not found in any triangle")
+
+    def test_tagged_edge_out_of_range(self, mesh):
+        # 0 * nv + (nv + 2) is the key of edge (1, 2) if keys are not range-checked
+        mesh.edges = np.vstack([mesh.edges, [0, mesh.n_vertices + 2]])
+        mesh.edge_tags = np.append(mesh.edge_tags, OUTER)
+        self._rejects(mesh, "not found in any triangle")
+
+    def test_outer_edge_on_two_triangles(self, mesh):
+        mesh.edge_tags[mesh.edge_tags == INTERFACE] = OUTER
+        self._rejects(mesh, "lies on 2 triangles, expected 1")
+
+    def test_interface_edge_on_one_triangle(self, mesh):
+        mesh.edge_tags[mesh.edge_tags == OUTER] = INTERFACE
+        self._rejects(mesh, "lies on 1 triangles, expected 2")
+
+    def test_interface_inside_one_region(self, mesh):
+        key = _edge_where(mesh, [SHELL, SHELL])
+        mesh.edges = np.vstack([mesh.edges, key])
+        mesh.edge_tags = np.append(mesh.edge_tags, INTERFACE)
+        self._rejects(mesh, "does not separate INCLUSION from SHELL")
+
+    def test_unknown_edge_tag(self, mesh):
+        mesh.edge_tags[4] = 7
+        self._rejects(mesh, "unknown edge tag 7")
+
+    def test_untagged_boundary_edge(self, mesh):
+        keep = np.arange(len(mesh.edges)) != np.flatnonzero(mesh.edge_tags == OUTER)[2]
+        mesh.edges, mesh.edge_tags = mesh.edges[keep], mesh.edge_tags[keep]
+        self._rejects(mesh, "carries no tag")
+
+    def test_untagged_interface_edge(self, mesh):
+        keep = np.arange(len(mesh.edges)) != np.flatnonzero(mesh.edge_tags == INTERFACE)[2]
+        mesh.edges, mesh.edge_tags = mesh.edges[keep], mesh.edge_tags[keep]
+        self._rejects(mesh, "not tagged INTERFACE")
+
+    def test_disconnected_inclusion(self, mesh):
+        # turn one outermost shell triangle into a second inclusion piece and
+        # tag its shell-facing edges INTERFACE: only connectivity is broken
+        t = mesh.n_triangles - 1
+        tagged = {(min(a, b), max(a, b)) for a, b in mesh.edges.tolist()}
+        tri = mesh.triangles[t].tolist()
+        new = [key for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
+               if (key := (min(a, b), max(a, b))) not in tagged]
+        mesh.regions[t] = INCLUSION
+        mesh.edges = np.vstack([mesh.edges, new])
+        mesh.edge_tags = np.append(mesh.edge_tags, [INTERFACE] * len(new))
+        self._rejects(mesh, "INCLUSION region is disconnected (2 components)")
+
+    def test_defect_free_base_passes(self, mesh):
+        mesh.validate()
