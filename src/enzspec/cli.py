@@ -297,7 +297,6 @@ def _cmd_mesh_gen(cfg, out):
 
 def _cmd_mesh_info(cfg, out):
     mesh = load_mesh(cfg["mesh"])
-    mesh.validate()
     from .mesh import INCLUSION, INTERFACE, OUTER, SHELL
     print(f"vertices {mesh.n_vertices}", file=out)
     print(f"triangles {mesh.n_triangles}", file=out)

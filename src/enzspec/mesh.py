@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 INCLUSION = 0
 SHELL = 1
@@ -85,68 +88,111 @@ class Mesh:
         nv = self.n_vertices
         if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= nv:
             raise MeshError("triangle vertex index out of range")
+        bad = np.nonzero(~np.isfinite(self.vertices).all(axis=1))[0]
+        if len(bad):
+            raise MeshError(f"vertex {bad[0]} has non-finite coordinates")
         areas = self.triangle_areas()
         bad = np.nonzero(areas <= 0.0)[0]
         if len(bad):
             raise MeshError(f"triangle {bad[0]} has non-positive area {areas[bad[0]]:g}")
 
-        # edge -> incident triangle list with regions
-        incident: dict[tuple[int, int], list[int]] = {}
-        for t, tri in enumerate(self.triangles):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                incident.setdefault(key, []).append(t)
+        keys, count, incident, first = _edge_incidence(self.triangles, nv)
+        # edges are reported in the order of their first occurrence
+        bad = np.nonzero(count > 2)[0]
+        if len(bad):
+            e = bad[np.argmin(first[bad])]
+            raise MeshError(f"edge {_edge_of(keys[e], nv)} shared by {count[e]} triangles")
 
-        for key, tris in incident.items():
-            if len(tris) > 2:
-                raise MeshError(f"edge {key} shared by {len(tris)} triangles")
+        # each tagged edge, in file order, against the checks in this order
+        tagged, tag_order = _edge_keys(self.edges, nv)
+        in_range = (self.edges.min(axis=1) >= 0) & (self.edges.max(axis=1) < nv)
+        pos, found = _find(keys, tagged)
+        found &= in_range
+        n = np.zeros(len(tagged), dtype=int)
+        n[found] = count[pos[found]]
+        regs = np.full((len(tagged), 2), -1)
+        regs[found] = self.regions[incident[pos[found]]]
+        separates = (regs.min(axis=1) == INCLUSION) & (regs.max(axis=1) == SHELL)
+        twice = np.zeros(len(tagged), dtype=bool)
+        sorted_tagged = tagged[tag_order]
+        twice[tag_order[1:][sorted_tagged[1:] == sorted_tagged[:-1]]] = True
+        outer, iface = self.edge_tags == OUTER, self.edge_tags == INTERFACE
+        checks = (
+            (twice, "edge {key} tagged twice"),
+            (~found, "tagged edge {key} not found in any triangle (hanging node or stale index)"),
+            (outer & (n != 1), "OUTER edge {key} lies on {n} triangles, expected 1"),
+            (iface & (n != 2), "INTERFACE edge {key} lies on {n} triangles, expected 2"),
+            (iface & ~separates, "INTERFACE edge {key} does not separate INCLUSION from SHELL"),
+            (~outer & ~iface, "unknown edge tag {tag}"),
+        )
+        bad = np.nonzero(np.any([mask for mask, _ in checks], axis=0))[0]
+        if len(bad):
+            i = bad[0]
+            a, b = sorted(self.edges[i].tolist())
+            message = next(message for mask, message in checks if mask[i])
+            raise MeshError(message.format(key=(a, b), n=n[i], tag=self.edge_tags[i]))
 
-        tagged = {}
-        for (a, b), tag in zip(self.edges, self.edge_tags):
-            key = (min(a, b), max(a, b))
-            if key in tagged:
-                raise MeshError(f"edge {key} tagged twice")
-            tagged[key] = tag
-            if key not in incident:
-                raise MeshError(f"tagged edge {key} not found in any triangle "
-                                "(hanging node or stale index)")
-            tris = incident[key]
-            if tag == OUTER:
-                if len(tris) != 1:
-                    raise MeshError(f"OUTER edge {key} lies on {len(tris)} triangles, expected 1")
-            elif tag == INTERFACE:
-                if len(tris) != 2:
-                    raise MeshError(f"INTERFACE edge {key} lies on {len(tris)} triangles, expected 2")
-                regs = sorted(self.regions[t] for t in tris)
-                if regs != [INCLUSION, SHELL]:
-                    raise MeshError(f"INTERFACE edge {key} does not separate INCLUSION from SHELL")
-            else:
-                raise MeshError(f"unknown edge tag {tag}")
+        _, is_tagged = _find(sorted_tagged, keys)
+        splits = self.regions[incident[:, 0]] != self.regions[incident[:, 1]]
+        bad = np.nonzero(~is_tagged & ((count == 1) | ((count == 2) & splits)))[0]
+        if len(bad):
+            e = bad[np.argmin(first[bad])]
+            if count[e] == 1:
+                raise MeshError(f"boundary edge {_edge_of(keys[e], nv)} carries no tag (hanging node?)")
+            raise MeshError(f"region-separating edge {_edge_of(keys[e], nv)} not tagged INTERFACE")
 
-        for key, tris in incident.items():
-            if len(tris) == 1 and key not in tagged:
-                raise MeshError(f"boundary edge {key} carries no tag (hanging node?)")
-            if len(tris) == 2 and self.regions[tris[0]] != self.regions[tris[1]] and key not in tagged:
-                raise MeshError(f"region-separating edge {key} not tagged INTERFACE")
+        # connectivity of the inclusion over the edges two inclusion triangles share
+        in_inc = self.regions == INCLUSION
+        if in_inc.any():
+            pairs = incident[count == 2]
+            a, b = pairs[in_inc[pairs].all(axis=1)].T
+            nt = self.n_triangles
+            graph = scipy.sparse.coo_matrix((np.ones(len(a)), (a, b)), shape=(nt, nt))
+            labels = connected_components(graph, directed=False)[1]
+            parts = len(np.unique(labels[in_inc]))
+            if parts > 1:
+                raise MeshError(f"INCLUSION region is disconnected ({parts} components)")
 
-        # connectivity of the inclusion via union-find over shared edges
-        inc = np.nonzero(self.regions == INCLUSION)[0]
-        if len(inc):
-            parent = {int(t): int(t) for t in inc}
 
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
+def _edge_keys(edges: np.ndarray, n_vertices: int):
+    """Key lo * n_vertices + hi (int64) of each undirected edge, and the
+    stable permutation that sorts the keys."""
+    edges = np.asarray(edges, dtype=np.int64)
+    keys = edges.min(axis=1) * n_vertices + edges.max(axis=1)
+    return keys, np.argsort(keys, kind="stable")
 
-            incset = set(parent)
-            for tris in incident.values():
-                if len(tris) == 2 and tris[0] in incset and tris[1] in incset:
-                    parent[find(tris[0])] = find(tris[1])
-            roots = {find(t) for t in incset}
-            if len(roots) > 1:
-                raise MeshError(f"INCLUSION region is disconnected ({len(roots)} components)")
+
+def _edge_of(key, n_vertices: int) -> tuple[int, int]:
+    return divmod(int(key), n_vertices)
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray):
+    """Position of each key in sorted_keys, and whether it is there."""
+    pos = np.searchsorted(sorted_keys, keys)
+    found = pos < len(sorted_keys)
+    found[found] = sorted_keys[pos[found]] == keys[found]
+    return pos, found
+
+
+def _edge_incidence(triangles: np.ndarray, n_vertices: int):
+    """The distinct edges of a triangle array, sorted by key.
+
+    Triangle t has its edges (0, 1), (1, 2), (2, 0) at positions 3t, 3t+1,
+    3t+2 of the edge sequence.  Returns, per distinct edge: its key (see
+    _edge_keys), the number of triangles it lies on, its first two incident
+    triangles (the second is -1 on an edge of one triangle) and the position
+    of its first occurrence in the edge sequence.
+    """
+    ends = np.stack([triangles, triangles[:, [1, 2, 0]]], axis=-1).reshape(-1, 2)
+    keys, order = _edge_keys(ends, n_vertices)
+    sorted_keys = keys[order]
+    start = np.ones(len(keys), dtype=bool)
+    start[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    start = np.nonzero(start)[0]
+    count = np.diff(np.append(start, len(keys)))
+    first = order[start]
+    second = np.where(count > 1, order[np.minimum(start + 1, len(keys) - 1)] // 3, -1)
+    return sorted_keys[start], count, np.column_stack([first // 3, second]), first
 
 
 @dataclass
@@ -313,81 +359,89 @@ def save_mesh(mesh: Mesh, path: str) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _parse_rows(numbers: list, texts: list, form: str, dtype,
+                tag: tuple[str, tuple[int, ...]] | None = None) -> np.ndarray:
+    """Convert the lines of one section as one (n, k) block.
+
+    The last column of an integer section is a tag that must be one of
+    tag[1].  If the block does not convert, the lines are walked to name the
+    first bad one.
+    """
+    k = len(form.split())
+    if not texts:
+        return np.empty((0, k), dtype=dtype)
+    try:
+        block = np.loadtxt(texts, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
+        block = None
+    if block is not None and block.shape[1] == k:
+        if tag is None:
+            return block
+        bad = np.nonzero(~np.isin(block[:, -1], tag[1]))[0]
+        if not len(bad):
+            return block
+        raise MeshParseError(numbers[bad[0]], f"unknown {tag[0]} tag {block[bad[0], -1]}")
+    for no, ln in zip(numbers, texts):
+        if len(ln.split()) != k:
+            raise MeshParseError(no, f"expected '{form}', got {ln!r}")
+        try:
+            row = np.loadtxt([ln], dtype=dtype, comments=None, ndmin=2)
+        except ValueError:
+            row = None
+        if row is None or row.shape != (1, k):
+            raise MeshParseError(no, f"bad {'coordinate' if dtype is float else 'integer'} "
+                                     f"in {ln!r}")
+        if tag is not None and row[0, -1] not in tag[1]:
+            raise MeshParseError(no, f"unknown {tag[0]} tag {row[0, -1]}")
+    raise AssertionError("a mesh section failed to convert but every line converts")
+
+
 def load_mesh(path: str) -> Mesh:
     with open(path, encoding="utf-8") as f:
         raw = f.read().splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
+    stripped = list(map(str.strip, raw))
+    texts = list(compress(stripped, stripped))
+    numbers = list(compress(range(1, len(raw) + 1), stripped))
     pos = 0
 
     def next_line():
         nonlocal pos
-        if pos >= len(lines):
+        if pos >= len(texts):
             raise MeshParseError(len(raw) + 1, "unexpected end of file")
-        ln = lines[pos]
         pos += 1
-        return ln
+        return numbers[pos - 1], texts[pos - 1]
 
     no, header = next_line()
     if header.split() != ["enzmesh", "1", "2"]:
         raise MeshParseError(no, f"bad header {header!r}, expected 'enzmesh 1 2'")
 
-    def section(name):
+    def section(name, form, dtype, tag=None):
+        nonlocal pos
         no, ln = next_line()
         parts = ln.split()
         if len(parts) != 2 or parts[0] != name:
             raise MeshParseError(no, f"expected '{name} N', got {ln!r}")
         try:
-            return int(parts[1])
+            n = int(parts[1])
         except ValueError:
             raise MeshParseError(no, f"bad count {parts[1]!r}") from None
+        if n < 0:
+            raise MeshParseError(no, f"negative count {n}")
+        block = _parse_rows(numbers[pos:pos + n], texts[pos:pos + n], form, dtype, tag)
+        pos += len(block)
+        if len(block) < n:
+            raise MeshParseError(len(raw) + 1, "unexpected end of file")
+        return block
 
-    nv = section("vertices")
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        no, ln = next_line()
-        parts = ln.split()
-        if len(parts) != 2:
-            raise MeshParseError(no, f"expected 'x y', got {ln!r}")
-        try:
-            verts[i] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise MeshParseError(no, f"bad coordinate in {ln!r}") from None
+    verts = section("vertices", "x y", float)
+    tris = section("triangles", "i j k region", int, ("region", (INCLUSION, SHELL)))
+    edges = section("boundary", "i j tag", int, ("boundary", (INTERFACE, OUTER)))
+    if pos < len(texts):
+        raise MeshParseError(numbers[pos], f"unexpected line after the boundary section: "
+                                           f"{texts[pos]!r}")
 
-    nt = section("triangles")
-    tris = np.empty((nt, 3), dtype=int)
-    regs = np.empty(nt, dtype=int)
-    for i in range(nt):
-        no, ln = next_line()
-        parts = ln.split()
-        if len(parts) != 4:
-            raise MeshParseError(no, f"expected 'i j k region', got {ln!r}")
-        try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            raise MeshParseError(no, f"bad integer in {ln!r}") from None
-        if vals[3] not in (INCLUSION, SHELL):
-            raise MeshParseError(no, f"unknown region tag {vals[3]}")
-        tris[i] = vals[:3]
-        regs[i] = vals[3]
-
-    ne = section("boundary")
-    edges = np.empty((ne, 2), dtype=int)
-    tags = np.empty(ne, dtype=int)
-    for i in range(ne):
-        no, ln = next_line()
-        parts = ln.split()
-        if len(parts) != 3:
-            raise MeshParseError(no, f"expected 'i j tag', got {ln!r}")
-        try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            raise MeshParseError(no, f"bad integer in {ln!r}") from None
-        if vals[2] not in (INTERFACE, OUTER):
-            raise MeshParseError(no, f"unknown boundary tag {vals[2]}")
-        edges[i] = vals[:2]
-        tags[i] = vals[2]
-
-    mesh = Mesh(verts, tris, regs, edges, tags)
+    mesh = Mesh(verts, *(np.ascontiguousarray(a) for a in
+                         (tris[:, :3], tris[:, 3], edges[:, :2], edges[:, 2])))
     mesh.validate()
     return mesh
 
@@ -403,23 +457,21 @@ def extract_submesh(mesh: Mesh, region: int) -> Submesh:
     remap[used] = np.arange(len(used))
     child_tris = remap[tris]
 
-    tag_of = {(min(a, b), max(a, b)): t for (a, b), t in zip(mesh.edges, mesh.edge_tags)}
-    count: dict[tuple[int, int], int] = {}
-    for tri in tris:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            count[key] = count.get(key, 0) + 1
-    edges, tags = [], []
-    for key, c in count.items():
-        if c == 1:
-            if key not in tag_of:
-                raise MeshError(f"untagged boundary edge {key} in region {region}")
-            edges.append((remap[key[0]], remap[key[1]]))
-            tags.append(tag_of[key])
+    # the region's boundary: edges of one triangle, in first-occurrence order
+    nv = mesh.n_vertices
+    keys, count, _, first = _edge_incidence(tris, nv)
+    once = np.nonzero(count == 1)[0]
+    boundary = keys[once[np.argsort(first[once])]]
+    tagged, tag_order = _edge_keys(mesh.edges, nv)
+    pos, found = _find(tagged[tag_order], boundary)
+    if not found.all():
+        key = _edge_of(boundary[np.argmin(found)], nv)
+        raise MeshError(f"untagged boundary edge {key} in region {region}")
+    edges = remap[np.column_stack([boundary // nv, boundary % nv])]
+    tags = mesh.edge_tags[tag_order[pos]].astype(int)
 
     child = Mesh(mesh.vertices[used].copy(), child_tris,
-                 np.full(len(child_tris), region, dtype=int),
-                 np.array(edges, dtype=int), np.array(tags, dtype=int),
+                 np.full(len(child_tris), region, dtype=int), edges, tags,
                  metadata=dict(mesh.metadata))
     # the child's "region" labels are uniform by construction; validation of
     # INTERFACE edges does not apply on the child, so check the rest by hand

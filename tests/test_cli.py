@@ -86,6 +86,21 @@ class TestMeshCommands:
         code, _, err = run("mesh", "info", "--mesh", str(tmp_path / "nope.txt"))
         assert code == 3
 
+    @pytest.mark.parametrize("edit, code_expected, fragment", [
+        (lambda lines: lines[:1] + ["vertices -1"] + lines[2:], 3, "line 2: negative count"),
+        (lambda lines: lines + ["0 1 1"], 3, "after the boundary section"),
+        (lambda lines: lines[:2] + ["nan 0"] + lines[3:], 1, "vertex 0 has non-finite"),
+        (lambda lines: lines[:2] + ["0 inf"] + lines[3:], 1, "vertex 0 has non-finite"),
+    ], ids=["negative-count", "line-after-boundary", "nan-vertex", "inf-vertex"])
+    def test_bad_file_exit_code(self, disk_mesh, tmp_path, edit, code_expected, fragment):
+        with open(disk_mesh) as f:
+            lines = f.read().splitlines()
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        code, out, err = run("mesh", "info", "--mesh", str(path))
+        assert code == code_expected and fragment in err
+        assert out == ""
+
     def test_square_gen(self, tmp_path):
         out_path = tmp_path / "sq.txt"
         code, _, err = run("mesh", "gen", "--shape", "square", "--rings_core",

@@ -304,5 +304,149 @@ class TestValidate:
         mesh.edge_tags = np.append(mesh.edge_tags, [INTERFACE] * len(new))
         self._rejects(mesh, "INCLUSION region is disconnected (2 components)")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex(self, mesh, value):
+        mesh.vertices[3, 1] = value
+        self._rejects(mesh, "vertex 3 has non-finite coordinates")
+
     def test_defect_free_base_passes(self, mesh):
         mesh.validate()
+
+
+# A triangular annulus: inclusion triangle 0 1 2 inside the shell of six
+# triangles out to the triangle 3 4 5.  Line numbers in the tests below are
+# those of this text (header on line 1, last boundary line on line 23).
+SMALL_MESH = """enzmesh 1 2
+vertices 6
+0 0
+2 0
+0 2
+-1 -1
+5 -1
+-1 5
+triangles 7
+0 1 2 0
+0 3 4 1
+0 4 1 1
+1 4 5 1
+1 5 2 1
+2 5 3 1
+2 3 0 1
+boundary 6
+0 1 0
+1 2 0
+2 0 0
+3 4 1
+4 5 1
+5 3 1
+"""
+
+
+def _edited(changes, keep=None):
+    """SMALL_MESH with lines replaced ({line: text}) and cut after `keep`."""
+    lines = SMALL_MESH.splitlines()[:keep]
+    for line, text in changes.items():
+        lines[line - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+class TestParseErrors:
+    def _fails_at(self, tmp_path, text, line, fragment):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MeshParseError) as exc:
+            load_mesh(str(path))
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: ")
+        assert fragment in str(exc.value)
+
+    def test_small_mesh_is_valid(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(SMALL_MESH)
+        mesh = load_mesh(str(path))
+        assert (mesh.n_vertices, mesh.n_triangles, len(mesh.edges)) == (6, 7, 6)
+
+    @pytest.mark.parametrize("line, text, fragment", [
+        (5, "0 2 1", "expected 'x y'"),
+        (12, "0 4 1", "expected 'i j k region'"),
+        (20, "2 0 0 1", "expected 'i j tag'"),
+        (4, "2 zero", "bad coordinate"),
+        (6, "-1 1.5.0", "bad coordinate"),
+        (11, "0 3 4.0 1", "bad integer"),
+        (19, "x 2 0", "bad integer"),
+        (13, "1 4 5 2", "unknown region tag 2"),
+        (22, "4 5 3", "unknown boundary tag 3"),
+        (2, "vertices -1", "negative count -1"),
+        (9, "triangles -7", "negative count -7"),
+        (17, "boundary x", "bad count 'x'"),
+        (9, "faces 7", "expected 'triangles N'"),
+    ])
+    def test_bad_line(self, tmp_path, line, text, fragment):
+        self._fails_at(tmp_path, _edited({line: text}), line, fragment)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        self._fails_at(tmp_path, _edited({12: "1 4 5 9", 14: "1 5 2 1 0"}),
+                       12, "unknown region tag 9")
+        self._fails_at(tmp_path, _edited({14: "1 5 2 1 0"}, keep=20),
+                       14, "expected 'i j k region'")
+
+    @pytest.mark.parametrize("keep", [5, 13, 17, 21])
+    def test_cut_off(self, tmp_path, keep):
+        # ends inside the vertices, triangles and boundary sections, and
+        # right after the boundary header
+        self._fails_at(tmp_path, _edited({}, keep), keep + 1, "unexpected end of file")
+
+    def test_cut_off_after_blank_lines(self, tmp_path):
+        self._fails_at(tmp_path, _edited({}, 13) + "\n  \n", 16, "unexpected end of file")
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        lines = SMALL_MESH.splitlines()
+        lines[11:11] = ["", "   "]
+        lines[14] = "0 4 1"
+        self._fails_at(tmp_path, "\n".join(lines) + "\n", 15, "expected 'i j k region'")
+
+    def test_content_after_boundary(self, tmp_path):
+        self._fails_at(tmp_path, SMALL_MESH + "\n0 1 1\n", 25, "after the boundary section")
+
+    def test_blank_lines_after_boundary_are_fine(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(SMALL_MESH + "\n  \n\n")
+        load_mesh(str(path))
+
+
+@pytest.fixture(scope="module", params=["disk", "square"])
+def mesh32(request):
+    if request.param == "disk":
+        return generate_disk_in_disk(2.0, 32, 32)
+    return generate_square_with_disk(2.0, 32, 32)
+
+
+class TestRings32:
+    def test_save_load_round_trip(self, mesh32, tmp_path):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_mesh(mesh32, str(first))
+        back = load_mesh(str(first))
+        for name in ("vertices", "triangles", "regions", "edges", "edge_tags"):
+            want, got = getattr(mesh32, name), getattr(back, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.flags.c_contiguous, name
+            assert np.array_equal(got, want), name
+        save_mesh(back, str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("region", [INCLUSION, SHELL])
+    def test_submesh_boundary(self, mesh32, region):
+        sub = extract_submesh(mesh32, region)
+        # brute force: edges of the region's triangles used exactly once,
+        # in the order they first occur
+        count = {}
+        for tri in mesh32.triangles[mesh32.regions == region].tolist():
+            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+                key = (min(a, b), max(a, b))
+                count[key] = count.get(key, 0) + 1
+        expected = [key for key, c in count.items() if c == 1]
+        got = [tuple(pair) for pair in sub.vertex_map[sub.mesh.edges].tolist()]
+        assert got == expected
+        tag_of = {(min(a, b), max(a, b)): t
+                  for (a, b), t in zip(mesh32.edges.tolist(), mesh32.edge_tags.tolist())}
+        assert sub.mesh.edge_tags.tolist() == [tag_of[key] for key in expected]
