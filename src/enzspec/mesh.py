@@ -15,7 +15,6 @@ from itertools import compress
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 INCLUSION = 0
 SHELL = 1
@@ -144,6 +143,10 @@ class Mesh:
         # connectivity of the inclusion over the edges two inclusion triangles share
         in_inc = self.regions == INCLUSION
         if in_inc.any():
+            # imported here so that commands which never validate a mesh do
+            # not load csgraph's ten modules
+            from scipy.sparse.csgraph import connected_components
+
             pairs = incident[count == 2]
             a, b = pairs[in_inc[pairs].all(axis=1)].T
             nt = self.n_triangles

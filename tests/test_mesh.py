@@ -229,12 +229,9 @@ class TestValidate:
             mesh.validate()
         assert fragment in str(exc.value)
 
-    def test_index_out_of_range(self, mesh):
-        mesh.triangles[5, 1] = mesh.n_vertices
-        self._rejects(mesh, "vertex index out of range")
-
-    def test_negative_index(self, mesh):
-        mesh.triangles[5, 1] = -1
+    @pytest.mark.parametrize("index", [65, -1])   # the mesh has 65 vertices
+    def test_index_out_of_range(self, mesh, index):
+        mesh.triangles[5, 1] = index
         self._rejects(mesh, "vertex index out of range")
 
     def test_non_positive_area(self, mesh):
