@@ -199,19 +199,14 @@ class TestRefine:
         refine_uniform(mesh).validate()
 
 
-def _incidence(mesh):
-    """Edge -> incident triangles, in first-occurrence order (brute force)."""
+def _edge_where(mesh, regions):
+    """First untagged edge whose incident triangles carry exactly `regions`."""
     incident = {}
     for t, tri in enumerate(mesh.triangles.tolist()):
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             incident.setdefault((min(a, b), max(a, b)), []).append(t)
-    return incident
-
-
-def _edge_where(mesh, regions):
-    """First untagged edge whose incident triangles carry exactly `regions`."""
     tagged = {(min(a, b), max(a, b)) for a, b in mesh.edges.tolist()}
-    for key, tris in _incidence(mesh).items():
+    for key, tris in incident.items():
         if key not in tagged and sorted(mesh.regions[tris].tolist()) == regions:
             return key
     raise AssertionError(f"no untagged edge between regions {regions}")
