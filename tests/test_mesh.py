@@ -376,6 +376,12 @@ class TestParseErrors:
     def test_bad_line(self, tmp_path, line, text, fragment):
         self._fails_at(tmp_path, _edited({line: text}), line, fragment)
 
+    def test_every_line_too_wide(self, tmp_path):
+        # a block whose lines all have the same wrong width converts cleanly
+        lines = SMALL_MESH.splitlines()
+        wide = {no: lines[no - 1] + " 0" for no in range(3, 9)}
+        self._fails_at(tmp_path, _edited(wide), 3, "expected 'x y'")
+
     def test_first_bad_line_wins(self, tmp_path):
         self._fails_at(tmp_path, _edited({12: "1 4 5 9", 14: "1 5 2 1 0"}),
                        12, "unknown region tag 9")
