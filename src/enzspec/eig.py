@@ -106,41 +106,73 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
 
 
 def _bilinear_normalize(v: np.ndarray, bmat) -> np.ndarray:
+    """Scale v to v^T B v = 1, or to +-1 for a real v when B is indefinite."""
     q = bilinear_dot(v, bmat @ v)
     if abs(q) < 1e-14 * float(np.vdot(v, v).real):
         raise EigError("eigenvector is bilinearly isotropic; cannot normalize")
-    v = v / cmath.sqrt(q) if np.iscomplexobj(v) else v / np.sqrt(q)
+    v = v / cmath.sqrt(q) if np.iscomplexobj(v) else v / np.sqrt(abs(q))
     return _phase_fix(v)
 
 
-def _residual(amat, bmat, lam, v) -> float:
+def _rayleigh(amat, bmat, v):
+    """(bilinear Rayleigh quotient, relative residual) of v, or None when
+    v is bilinearly isotropic."""
     av = amat @ v
     bv = bmat @ v
-    r = av - lam * bv
+    den = bilinear_dot(v, bv)
+    if abs(den) < 1e-14 * float(np.vdot(v, v).real):
+        return None
+    lam = bilinear_dot(v, av) / den
     scale = np.linalg.norm(av) + abs(lam) * np.linalg.norm(bv)
-    return float(np.linalg.norm(r) / max(scale, 1e-300))
+    return lam, float(np.linalg.norm(av - lam * bv) / max(scale, 1e-300))
+
+
+def _finite_count(forms: AssembledForms, delta) -> int:
+    """Finite eigenvalues of (A, B_delta) once the constant mode is deflated:
+    rank(B) - 1.  At delta = 0, B = M_D has rank equal to the number of
+    vertices of inclusion triangles; otherwise B is nonsingular."""
+    if delta == 0:
+        return int(np.count_nonzero(forms.M_D.diagonal())) - 1
+    return forms.mesh.n_vertices - 1
 
 
 def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count: int,
                   res_tol: float = 1e-8, max_rounds: int = 6):
-    """Harvest `count` eigenpairs of (A, B_delta) nearest `target`.
+    """Harvest the `count` eigenpairs of (A, B_delta) nearest `target`.
 
-    Runs shift-invert Arnoldi with bilinear deflation of the constant mode
-    and of already-accepted eigenvectors, then polishes each candidate by
-    inverse iteration.  Repeated rounds with growing deflation sets recover
-    members of degenerate eigenspaces that a single Krylov sequence misses.
+    Shift-invert ARPACK (`shift_invert_arnoldi`) runs on (A - sigma B)^{-1} B
+    with the constant mode and every accepted eigenvector deflated
+    bilinearly; the caches B p / p^T B p make each deflation a pair of dense
+    products.  Each Ritz vector is first deflated against the accepted
+    vectors: a copy of one of them leaves almost nothing and is dropped, and
+    a further member of a degenerate eigenspace comes out bilinearly
+    orthogonal to the members already held.  A candidate whose residual is
+    not already far below `res_tol` (above res_tol / 1000) is polished by
+    four steps of deflated inverse iteration, and is dropped if it still
+    misses `res_tol`.
+
+    A Krylov space reaches a multiple eigenvalue's eigenspace only along its
+    start vector's component there, so it can hold one copy and miss
+    another.  Once `count` pairs are held, verification rounds run on the
+    operator deflated by all of them, until a round finds nothing nearer the
+    target than the count-th pair.  A round asks ARPACK for one Ritz pair in
+    a 12-dimensional space: on the 8- and 16-ring meshes, two pairs in 16
+    dimensions took a quarter more solves and found nothing more.
     """
     real_case = complex(delta).imag == 0.0 and complex(target).imag == 0.0
     if real_case:
         delta = float(np.real(delta))
+    available = _finite_count(forms, delta)
+    if count > available:
+        raise EigError(f"count {count} exceeds the {available} finite eigenvalues "
+                       f"of the deflated pencil at delta={delta}")
     pencil = Pencil(forms, delta)
     bmat = pencil.B
-    amat = forms.A
     n = forms.mesh.n_vertices
     dtype = float if real_case else complex
     sigma = float(np.real(target)) if real_case else complex(target)
 
-    acsr = amat.astype(dtype)
+    acsr = forms.A.astype(dtype)
     bcsr = bmat.astype(dtype)
     fac = None
     for bump in range(3):
@@ -161,85 +193,73 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
         raise EigError("total mass degenerate: delta = -area(D)/area(shell)")
 
     accepted: list[EigenPair] = []
+    # deflation: v -> v - P (W^T v), columns p and B p / (p^T B p)
+    basis = ones[:, None]
+    weights = (b_ones / ones_q)[:, None]
 
     def deflate(v):
-        v = v - bilinear_dot(b_ones, v) / ones_q * ones
-        for p in accepted:
-            v = v - bilinear_dot(p.vector, bcsr @ v) * p.vector
-        return v
+        return v - basis @ (weights.T @ v)
 
     def apply_op(v):
         return fac.solve(bcsr @ v)
 
-    for _ in range(max_rounds):
-        need = count - len(accepted)
-        if need <= 0:
-            break
-        theta, vecs, _ = shift_invert_arnoldi(
-            apply_op, n, min(need + 4, n - 1), deflate=deflate, dtype=dtype,
-            tol=1e-10)
+    def distance(lam):
+        return abs(lam - target)
+
+    def harvest(k, krylov_dim, bound):
+        """Accept the Ritz pairs of one ARPACK run that pass every check and
+        lie nearer the target than `bound`, stopping when `count` pairs are
+        held.  Returns the number accepted."""
+        nonlocal basis, weights
+        _, vecs, _ = shift_invert_arnoldi(apply_op, n, k, deflate=deflate, dtype=dtype,
+                                          tol=1e-10, krylov_dim=krylov_dim)
         if real_case:
-            # a real H can still have complex Ritz vectors; the factor is real
+            # a real operator can still have complex Ritz vectors; the factor is real
             vecs = vecs.real
-        new_found = False
+        added = 0
         for i in range(vecs.shape[1]):
-            v = vecs[:, i]
-            for _ in range(4):
-                w = deflate(apply_op(v))
-                nw = np.linalg.norm(w)
-                if nw == 0.0:
-                    break
-                v = w / nw
-            num = bilinear_dot(v, acsr @ v)
-            den = bilinear_dot(v, bcsr @ v)
-            if abs(den) < 1e-14:
+            v = deflate(vecs[:, i])
+            nv = np.linalg.norm(v)
+            if not nv > 1e-3 * np.linalg.norm(vecs[:, i]):
+                continue    # (almost) a copy of an accepted vector
+            v = v / nv
+            quotient = _rayleigh(acsr, bcsr, v)
+            if quotient is not None and quotient[1] > 1e-3 * res_tol:
+                for _ in range(4):
+                    w = deflate(apply_op(v))
+                    nw = np.linalg.norm(w)
+                    if nw == 0.0:
+                        break
+                    v = w / nw
+                quotient = _rayleigh(acsr, bcsr, v)
+            if quotient is None or not quotient[1] <= res_tol or not distance(quotient[0]) < bound:
                 continue
-            lam = num / den
-            res = _residual(amat, bmat, lam, v)
-            if res > res_tol:
-                continue
-            if any(abs(lam - p.lam) <= 1e-9 * max(1.0, abs(lam))
-                   and abs(bilinear_dot(p.vector, bcsr @ v)) > 0.5 for p in accepted):
-                continue
-            v = _bilinear_normalize(v, bmat)
-            accepted.append(EigenPair(lam if not real_case else float(np.real(lam)),
-                                      v, res))
-            new_found = True
-            if len(accepted) >= count:
+            lam, res = quotient
+            v = _bilinear_normalize(v, bcsr)
+            bv = bcsr @ v
+            basis = np.column_stack([basis, v])
+            weights = np.column_stack([weights, bv / bilinear_dot(v, bv)])
+            accepted.append(EigenPair(float(np.real(lam)) if real_case else lam, v, res))
+            added += 1
+            if len(accepted) == count:
                 break
-        if not new_found and len(accepted) < count:
-            # no progress: widen the Krylov space once more, then give up
-            continue
+        return added
+
+    for _ in range(max_rounds):
+        if len(accepted) == count or not harvest(
+                min(count - len(accepted) + 4, available - len(accepted)), None, np.inf):
+            break
     if len(accepted) < count:
         raise EigError(f"found only {len(accepted)} of {count} requested eigenpairs "
                        f"near target {target}")
 
-    accepted.sort(key=lambda p: (abs(p.lam - target), np.real(p.lam), np.imag(p.lam)))
-    pairs = accepted[:count]
-    _orthonormalize_groups(pairs, bmat)
-    return pairs
+    while len(accepted) < available:
+        bound = sorted(distance(p.lam) for p in accepted)[count - 1]
+        if not harvest(1, 12, bound):
+            break
 
-
-def _orthonormalize_groups(pairs, bmat, rel_tol: float = 1e-6):
-    """Bilinear Gram-Schmidt inside groups of (numerically) equal eigenvalues."""
-    used = [False] * len(pairs)
-    for i, p in enumerate(pairs):
-        if used[i]:
-            continue
-        group = [i]
-        used[i] = True
-        for j in range(i + 1, len(pairs)):
-            if not used[j] and abs(pairs[j].lam - p.lam) <= rel_tol * max(1.0, abs(p.lam)):
-                group.append(j)
-                used[j] = True
-        if len(group) == 1:
-            continue
-        for a_pos, a in enumerate(group):
-            v = pairs[a].vector
-            for b in group[:a_pos]:
-                w = pairs[b].vector
-                v = v - bilinear_dot(w, bmat @ v) * w
-            pairs[a].vector = _bilinear_normalize(v, bmat)
+    accepted.sort(key=lambda p: (distance(p.lam), np.real(p.lam), np.imag(p.lam)))
+    return accepted[:count]
 
 
 def limit_spectrum(forms: AssembledForms, count: int):

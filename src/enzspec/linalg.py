@@ -1,13 +1,14 @@
-"""Linear-algebra kernels: sparse LU solves with refinement, symmetric
-dense eigendecomposition, and a shift-invert Arnoldi iteration.
+"""Linear-algebra kernels: sparse LU solves with conditional refinement,
+symmetric dense eigendecomposition, and shift-invert Arnoldi.
 
 Matrices are plain scipy sparse (CSR) matrices.  Every factorization is a
 SuperLU factorization with a fixed column ordering; dense eigenproblems
-wrap LAPACK (via scipy).  The Arnoldi iteration, with its deterministic
-start vector, deflation hook and reorthogonalization monitor, is
-implemented here directly because the complex-symmetric pencils need
-bilinear (unconjugated) handling that off-the-shelf eigensolvers do not
-expose.
+wrap LAPACK (via scipy).  The Arnoldi iteration is ARPACK's implicitly
+restarted Arnoldi (`scipy.sparse.linalg.eigs`) on a linear operator that
+applies the shift-inverted pencil followed by the caller's deflation.  The
+bilinear (unconjugated) handling of complex-symmetric pencils lives in that
+deflation and in the caller's normalization; ARPACK itself only needs the
+operator and a fixed start vector.
 """
 
 from __future__ import annotations
@@ -43,10 +44,16 @@ class SingularMatrixError(RuntimeError):
 
 
 class ArnoldiError(RuntimeError):
-    """Non-convergence of the shift-invert iteration; carries best residuals."""
+    """Non-convergence of the shift-invert iteration; carries best residuals.
+
+    The message lists the first six of them.
+    """
 
     def __init__(self, residuals):
-        super().__init__(f"Arnoldi did not converge; best residuals {residuals}")
+        listed = ", ".join(f"{r:.3e}" for r in residuals[:6])
+        if len(residuals) > 6:
+            listed += f", ... ({len(residuals) - 6} more)"
+        super().__init__(f"Arnoldi did not converge; best residuals [{listed}]")
         self.residuals = residuals
 
 
@@ -56,10 +63,13 @@ def bilinear_dot(u: np.ndarray, v: np.ndarray):
 
 
 class LUFactors:
-    """Sparse LU factors of a square matrix with one step of iterative
-    refinement.  Dense inputs are converted to CSC; the column ordering
+    """Sparse LU factors of a square matrix.  A solve takes one step of
+    iterative refinement only when its normwise backward error exceeds
+    `refine_tol`.  Dense inputs are converted to CSC; the column ordering
     (COLAMD) is fixed, so repeated factorizations are deterministic.
     """
+
+    refine_tol = 1e-14
 
     def __init__(self, matrix, pivot_tol: float = 1e-13):
         mat = scipy.sparse.csc_matrix(matrix)
@@ -67,6 +77,7 @@ class LUFactors:
             raise ValueError("LUFactors requires a square matrix")
         self.n = mat.shape[0]
         self._mat = mat.tocsr()
+        self._norm_inf = float(abs(self._mat).sum(axis=1).max()) if self.n else 0.0
         try:
             splu = scipy.sparse.linalg.splu(mat, permc_spec="COLAMD",
                                             options={"SymmetricMode": False})
@@ -87,9 +98,12 @@ class LUFactors:
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b)
         x = self._splu.solve(b)
-        # one step of iterative refinement
         r = b - self._mat @ x
-        return x + self._splu.solve(r)
+        # normwise backward error |r| / (|A| |x| + |b|), in the max norm
+        scale = self._norm_inf * np.abs(x).max(initial=0.0) + np.abs(b).max(initial=0.0)
+        if np.abs(r).max(initial=0.0) > self.refine_tol * scale:
+            x = x + self._splu.solve(r)
+        return x
 
 
 def sym_eig_dense(a: np.ndarray, b: np.ndarray | None = None,
@@ -112,72 +126,59 @@ def sym_eig_dense(a: np.ndarray, b: np.ndarray | None = None,
     return w, x
 
 
-def _orthonormal_start(n: int, deflate, dtype) -> np.ndarray:
-    v = np.ones(n, dtype=dtype)
-    if deflate is not None:
-        v = deflate(v)
-    nrm = np.linalg.norm(v)
-    if nrm <= 1e-8 * np.sqrt(n):
-        # the all-ones vector lies in the deflated space; fall back to a
-        # fixed, seedless pseudo-random direction
-        v = np.cos(np.arange(n, dtype=float)).astype(dtype)
-        if deflate is not None:
-            v = deflate(v)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            raise ArnoldiError([np.inf])
-    return v / nrm
+def _start_vector(n: int, deflate, dtype) -> np.ndarray:
+    """A fixed generic start vector, deflated.
+
+    Not the all-ones vector: that one is symmetric under every mesh
+    reflection, so its Krylov space never reaches the antisymmetric member
+    of a double eigenvalue.
+    """
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, n).astype(dtype)
+    return v if deflate is None else deflate(v)
+
+
+def _dense_ritz(op, n: int, count: int, dtype):
+    """Eigenpairs of the operator formed column by column (small n)."""
+    eye = np.eye(n, dtype=dtype)
+    mat = np.column_stack([op(eye[:, j]) for j in range(n)])
+    theta, vecs = np.linalg.eig(mat)
+    order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))[:count]
+    theta, vecs = theta[order], vecs[:, order]
+    res = np.linalg.norm(mat @ vecs - vecs * theta, axis=0) / np.maximum(np.abs(theta), 1e-300)
+    return theta, vecs, res
 
 
 def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
                          dtype=complex, tol: float = 1e-10,
-                         krylov_dim: int | None = None, max_restarts: int = 4):
-    """Arnoldi iteration on the (already shift-inverted) operator.
+                         krylov_dim: int | None = None, max_restarts: int = 300):
+    """ARPACK's implicitly restarted Arnoldi on the shift-inverted operator.
 
-    apply_op(v) must compute (A - sigma B)^{-1} B v.  Returns the `count`
-    Ritz pairs of largest |theta| as (thetas, vectors, residual_estimates);
-    pencil eigenvalues follow as lambda = sigma + 1/theta.  The start vector
-    is the all-ones vector (deflated, then normalized) for determinism.
+    apply_op(v) must compute (A - sigma B)^{-1} B v; `deflate`, when given,
+    is applied to the start vector and to every operator output, so the
+    Krylov space stays in the deflated subspace.  Returns the `count` Ritz
+    pairs of largest |theta| as (thetas, vectors, residual_bounds); pencil
+    eigenvalues follow as lambda = sigma + 1/theta.  ARPACK accepts a Ritz
+    pair once its residual estimate is at most tol * |theta|, so each bound
+    is tol.  The start vector is fixed, so repeated calls agree bit for bit.
+    ARPACK needs count < n - 1; larger counts form the operator densely.
+    `krylov_dim` is ARPACK's ncv and `max_restarts` its maxiter.
     """
     if count >= n:
         raise ValueError("count must be smaller than the dimension")
-    m = krylov_dim or min(n, max(2 * count + 16, 40))
-    for attempt in range(max_restarts):
-        mm = min(n, m * (attempt + 1))
-        v0 = _orthonormal_start(n, deflate, dtype)
-        V = np.zeros((n, mm + 1), dtype=dtype)
-        H = np.zeros((mm + 1, mm), dtype=dtype)
-        V[:, 0] = v0
-        k = mm
-        for j in range(mm):
-            w = apply_op(V[:, j])
-            if deflate is not None:
-                w = deflate(w)
-            # modified Gram-Schmidt with one full reorthogonalization pass
-            for i in range(j + 1):
-                h = np.vdot(V[:, i], w)
-                H[i, j] += h
-                w = w - h * V[:, i]
-            for i in range(j + 1):
-                h = np.vdot(V[:, i], w)
-                H[i, j] += h
-                w = w - h * V[:, i]
-            beta = np.linalg.norm(w)
-            H[j + 1, j] = beta
-            if beta < 1e-14:
-                k = j + 1
-                break
-            V[:, j + 1] = w / beta
-        Hk = H[:k, :k]
-        theta, S = np.linalg.eig(Hk)
-        order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))
-        theta, S = theta[order], S[:, order]
-        take = min(count, k)
-        res = np.empty(take)
-        for i in range(take):
-            # last-subdiagonal residual estimate for the operator Ritz pair
-            res[i] = abs(H[k, k - 1] * S[k - 1, i]) / max(abs(theta[i]), 1e-300)
-        vecs = V[:, :k] @ S[:, :take]
-        if take == count and (k < mm or np.all(res <= tol)):
-            return theta[:take], vecs, res
-    raise ArnoldiError(res.tolist())
+
+    def op(v):
+        w = apply_op(v)
+        return w if deflate is None else deflate(w)
+
+    if count >= n - 1:
+        return _dense_ritz(op, n, count, dtype)
+    linop = scipy.sparse.linalg.LinearOperator((n, n), matvec=op, dtype=dtype)
+    try:
+        theta, vecs = scipy.sparse.linalg.eigs(
+            linop, k=count, which="LM", v0=_start_vector(n, deflate, dtype),
+            ncv=krylov_dim, tol=tol, maxiter=max_restarts)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        converged = len(exc.eigenvalues)
+        raise ArnoldiError([tol] * converged + [np.inf] * (count - converged)) from None
+    order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))
+    return theta[order], vecs[:, order], np.full(count, tol)

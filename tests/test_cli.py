@@ -166,6 +166,17 @@ class TestEigCommands:
         assert code == 1 and "target" in err
         assert not out_path.exists()
 
+    def test_count_beyond_the_spectrum(self, disk_mesh, tmp_path):
+        # the 513-node disk has far fewer than 600 finite limit eigenvalues
+        out_path = tmp_path / "limit.csv"
+        code, _, err = run("eig", "limit", "--mesh", disk_mesh, "--count", "600",
+                           "--out", str(out_path))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "EigError" and "600" in payload["message"]
+        assert "unexpected" not in payload
+        assert not out_path.exists()
+
 
 class TestTaylorCommand:
     def test_zero_radius_is_validation_error(self, disk_mesh, tmp_path):

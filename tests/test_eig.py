@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from enzspec.eig import (
     EigError,
@@ -206,6 +208,77 @@ def test_real_spectra_on_sparse_meshes(forms_by_mesh, shape, rings, delta, targe
         av, bv = forms.A @ p.vector, b @ p.vector
         res = np.linalg.norm(av - p.lam * bv) / (np.linalg.norm(av) + abs(p.lam) * np.linalg.norm(bv))
         assert res <= 1e-8
+
+
+def _nearest(values, target, count):
+    values = np.asarray(values)
+    values = values[np.isfinite(values) & (np.abs(values) > 1e-8)]   # drop the constant mode
+    return np.sort_complex(np.array(sorted(values, key=lambda l: abs(l - target))[:count],
+                                    dtype=complex))
+
+
+def _assert_same_multiset(pairs, expected, rel=1e-9):
+    got = np.sort_complex(np.array([p.lam for p in pairs], dtype=complex))
+    assert len(got) == len(expected)
+    assert np.all(np.abs(got - expected) <= rel * np.abs(expected)), (got, expected)
+
+
+class TestCompleteness:
+    """Every copy of a multiple eigenvalue comes back, checked against a dense
+    or an independent sparse (scipy ARPACK) solve."""
+
+    def test_square8_real_delta_keeps_both_copies(self, forms_by_mesh):
+        forms = forms_by_mesh("square", 8)
+        delta = 0.05998
+        pairs = delta_spectrum(forms, delta, 14.5, 6)
+        dense = scipy.linalg.eigh(forms.A.toarray(), forms.mass_delta(delta).toarray(),
+                                  eigvals_only=True)
+        expected = _nearest(dense, 14.5, 6)
+        _assert_same_multiset(pairs, expected)
+        assert sum(abs(p.lam - 18.244281) < 1e-5 for p in pairs) == 2
+
+    def test_square8_complex_delta(self, forms_by_mesh):
+        forms = forms_by_mesh("square", 8)
+        delta = 0.04 + 0.03j
+        pairs = delta_spectrum(forms, delta, 14.5, 6)
+        dense = scipy.linalg.eigvals(forms.A.toarray(), forms.mass_delta(delta).toarray())
+        _assert_same_multiset(pairs, _nearest(dense, 14.5, 6))
+
+    def test_disk32_real_delta_keeps_both_copies(self, forms_by_mesh):
+        forms = forms_by_mesh("disk", 32)
+        delta = 0.05248
+        pairs = delta_spectrum(forms, delta, 14.5, 6)
+        ref = scipy.sparse.linalg.eigsh(forms.A.tocsc(), k=10, M=forms.mass_delta(delta).tocsc(),
+                                        sigma=14.5, return_eigenvectors=False)
+        expected = _nearest(ref, 14.5, 6)
+        assert sum(abs(e - 13.22761) < 1e-5 for e in expected) == 2
+        # the sixth pair is one copy of a double eigenvalue; either copy will do
+        _assert_same_multiset(pairs, expected)
+
+    def test_disk32_limit_keeps_both_copies(self, forms_by_mesh):
+        forms = forms_by_mesh("disk", 32)
+        pairs = limit_spectrum(forms, 8)
+        ref = scipy.sparse.linalg.eigsh(forms.A.tocsc(), k=12, M=forms.M_D.tocsc(),
+                                        sigma=-1.0, return_eigenvectors=False)
+        expected = _nearest(ref, -1.0, 8)
+        assert sum(abs(e - 26.296638) < 1e-5 for e in expected) == 2
+        _assert_same_multiset(pairs, expected)
+
+
+def test_negative_real_delta_vectors_finite(forms_coarse):
+    # B = M_D - 0.3 M_S is indefinite: v^T B v < 0 for the eigenvector of -0.39967
+    delta = -0.3
+    pairs = delta_spectrum(forms_coarse, delta, 14.5, 6)
+    b = forms_coarse.mass_delta(delta)
+    dense = scipy.linalg.eigvals(forms_coarse.A.toarray(), b.toarray())
+    _assert_same_multiset(pairs, _nearest(dense, 14.5, 6))
+    assert any(abs(p.lam + 0.39967) < 1e-5 for p in pairs)
+    for p in pairs:
+        assert np.all(np.isfinite(p.vector))
+        av, bv = forms_coarse.A @ p.vector, b @ p.vector
+        res = np.linalg.norm(av - p.lam * bv) / (np.linalg.norm(av) + abs(p.lam) * np.linalg.norm(bv))
+        assert res <= 1e-8
+        assert abs(abs(bilinear_dot(p.vector, bv)) - 1.0) < 1e-8
 
 
 class TestDiscreteK0:

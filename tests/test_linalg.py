@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse
 
 from enzspec.linalg import (
+    ArnoldiError,
     LUFactors,
     SingularMatrixError,
     bilinear_dot,
@@ -58,6 +59,31 @@ class TestLU:
         b = rng.standard_normal(n)
         x = f.solve(b)
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-10
+
+    def test_refines_only_a_poor_solve(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((30, 30)) + 30.0 * np.eye(30)
+        b = rng.standard_normal(30)
+        f = LUFactors(a)
+        exact = f._splu
+
+        class Counting:
+            calls = 0
+            noise = 0.0
+
+            def solve(self, rhs):
+                Counting.calls += 1
+                x = exact.solve(rhs)
+                return x + Counting.noise * np.linalg.norm(x) * np.ones_like(x)
+
+        f._splu = Counting()
+        x = f.solve(b)
+        assert Counting.calls == 1          # backward error at roundoff: no refinement
+        assert np.linalg.norm(a @ x - b) <= 1e-13 * np.linalg.norm(b)
+        Counting.calls, Counting.noise = 0, 1e-9
+        x = f.solve(b)
+        assert Counting.calls == 2          # a perturbed solve is refined once
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -116,6 +142,11 @@ def pencil_oracle(a, b):
 
 
 class TestShiftInvertArnoldi:
+    def test_error_message_lists_few_residuals(self):
+        exc = ArnoldiError([1e-3] * 500)
+        assert len(exc.residuals) == 500
+        assert str(exc).count("e-03") == 6 and "494 more" in str(exc)
+
     def test_diagonal_standard(self):
         a = np.diag(np.arange(1.0, 11.0))
         sigma = 0.5
