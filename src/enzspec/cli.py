@@ -419,7 +419,8 @@ def _cmd_mie_dispersion(cfg, out):
     seed = cfg["seed"]
     if seed == 0.0:
         seed = float(bessel_zeros(cfg["n"], 1)[0])
-        if family == FAMILY_E:
+        # an R <= 1 is left for concentric_dispersion to reject
+        if family == FAMILY_E and cfg["R"] > 1.0:
             seed /= cfg["R"]
 
     lams = [concentric_dispersion(family, cfg["n"], cfg["R"], d, seed) for d in deltas]

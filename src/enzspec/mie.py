@@ -8,7 +8,7 @@ Two closed-form families on D = B_1, Omega = B_R:
 * nonelectrostatic: interior trace U[p,q]; the shell electric field is
   tangential (C r^p + D r^{-p-1}) V with a nonvanishing shell magnetic
   field; the wavenumber is selected by tangential-H matching across r = 1,
-  located by bisection between consecutive zeros of j_p.
+  located by brentq between consecutive zeros of j_p.
 
 Also provided: the general single-mode interior Maxwell solver on B_1, a
 finite-difference residual checker, and a concentric two-sphere dispersion
@@ -96,8 +96,7 @@ class MieMode:
     def __post_init__(self):
         if self.family not in (ELECTROSTATIC, NONELECTROSTATIC):
             raise MieError(f"unknown family {self.family!r}")
-        if self.R <= 1.0:
-            raise MieError(f"outer radius must exceed 1, got {self.R}")
+        _check_outer_radius(self.R)
         if self.k <= 0.0:
             raise MieError(f"wavenumber must be positive, got {self.k}")
 
@@ -114,8 +113,14 @@ class FieldSample:
     region: str
 
 
+def _check_outer_radius(R: float) -> None:
+    if not R > 1.0:
+        raise MieError(f"outer radius must exceed 1, got {R}")
+
+
 def _outer_system(n: int, R: float, rhs0: float) -> tuple:
-    """Solve a + b = rhs0, a R^n + b R^{-n-1} = 0."""
+    """Solve a + b = rhs0, a R^n + b R^{-n-1} = 0 (singular at R = 1)."""
+    _check_outer_radius(R)
     mat = np.array([[1.0, 1.0], [R**n, R ** (-n - 1)]])
     a, b = np.linalg.solve(mat, np.array([rhs0, 0.0]))
     return float(a), float(b)
@@ -147,7 +152,7 @@ def _h_matching_gap(p: int, k: float, shell_const: float) -> float:
 def nonelectrostatic_mode(p: int, q: int, R: float, interval_index: int) -> MieMode:
     """Resonance whose shell magnetic field does not vanish.
 
-    (C, D) depend only on (p, R); k is then located by bisection of the
+    (C, D) depend only on (p, R); k is then located by brentq on the
     tangential-H mismatch over the interval between consecutive zeros of
     j_p selected by interval_index (1-based).
     """
@@ -168,19 +173,8 @@ def nonelectrostatic_mode(p: int, q: int, R: float, interval_index: int) -> MieM
         raise MieError(
             f"no sign change of the tangential-H mismatch on ({lo:.6g}, {hi:.6g}): "
             f"endpoint values {fa:.6g}, {fb:.6g} (implementation fault)")
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = _h_matching_gap(p, mid, shell_const)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-        if b - a <= 1e-15 * (1.0 + b):
-            break
-    k = 0.5 * (a + b)
+    from scipy.optimize import brentq
+    k = brentq(lambda t: _h_matching_gap(p, t, shell_const), a, b, xtol=1e-15)
     gap = abs(_h_matching_gap(p, k, shell_const)) / (1.0 + abs(shell_const))
     if gap > 1e-10:
         raise MieError(f"matching residual {gap:.3e} exceeds 1e-10")
@@ -429,16 +423,6 @@ def residual_checks(mode: MieMode, sample_count: int = 20, step: float = 1e-4,
     return report
 
 
-def _jy_pair(n: int, x: complex, kind) -> tuple:
-    """(f_n(x), f_n'(x)) for the complex spherical Bessel (j) or Neumann (y)
-    functions via the derivative recurrence f_n' = f_{n-1} - (n+1)/x f_n."""
-    f = kind(n, x)
-    prev = kind(1, x) if n == 0 else kind(n - 1, x)
-    if n == 0:
-        return f, -prev
-    return f, prev - (n + 1.0) / x * f
-
-
 def concentric_dispersion(family: str, n: int, R: float, delta: complex,
                           k_seed: complex, tol: float = 1e-12,
                           max_iter: int = 80) -> complex:
@@ -455,6 +439,9 @@ def concentric_dispersion(family: str, n: int, R: float, delta: complex,
         raise MieError("dispersion relation requires delta != 0")
     if family not in (FAMILY_E, FAMILY_H):
         raise MieError(f"unknown polarization family {family!r}")
+    if n < 1:
+        raise MieError(f"degree must be >= 1, got {n}")
+    _check_outer_radius(R)
     if np.imag(delta) == 0 and np.real(delta) < 0:
         warnings.warn("delta on the negative real axis: the principal square "
                       "root branch cut is being evaluated", stacklevel=2)
@@ -462,11 +449,11 @@ def concentric_dispersion(family: str, n: int, R: float, delta: complex,
 
     def det(k: complex) -> complex:
         kappa = s * k
-        jR, jRp = _jy_pair(n, kappa * R, spherical_bessel_complex)
-        yR, yRp = _jy_pair(n, kappa * R, spherical_neumann_complex)
-        j1, j1p = _jy_pair(n, kappa, spherical_bessel_complex)
-        y1, y1p = _jy_pair(n, kappa, spherical_neumann_complex)
-        jk, jkp = _jy_pair(n, k, spherical_bessel_complex)
+        # Python complex arithmetic on .tolist() values beats numpy scalars
+        j, jp = spherical_bessel_complex(n, [kappa * R, kappa, k])
+        y, yp = spherical_neumann_complex(n, [kappa * R, kappa])
+        (jR, j1, jk), (jRp, j1p, jkp) = j.tolist(), jp.tolist()
+        (yR, y1), (yRp, y1p) = y.tolist(), yp.tolist()
         if family == FAMILY_E:
             beta, gamma = yR, -jR
             g1 = beta * j1 + gamma * y1

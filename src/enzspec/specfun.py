@@ -1,9 +1,12 @@
-"""Spherical and cylinder Bessel functions, real spherical harmonics and the
-tangent vector harmonics U, V.
+"""Spherical Bessel functions and their zeros, real spherical harmonics and
+the tangent vector harmonics U, V.
 
-Everything here is evaluated by stable recurrences and ascending series; no
-external special-function library is used.  The spherical harmonics are real
-valued and normalized to unit L2 norm on the unit sphere, so that
+The Bessel functions come from scipy.special (spherical_jn, spherical_yn
+with derivative=True) and their zeros from a scan plus scipy.optimize.brentq;
+both modules are imported on first use, so importing enzspec does not pay
+for them.  The spherical harmonics are evaluated here by the associated
+Legendre recurrence.  They are real valued and normalized to unit L2 norm on
+the unit sphere, so that
 
     integral over S2 of Y[n,m] * Y[n',m']  =  delta_{nn'} delta_{mm'} .
 
@@ -28,8 +31,6 @@ __all__ = [
     "spherical_bessel_complex",
     "spherical_neumann_complex",
     "bessel_zeros",
-    "cylinder_bessel",
-    "cylinder_bessel_zeros",
     "real_spherical_harmonic",
     "vector_harmonics",
     "sphere_quadrature",
@@ -91,71 +92,14 @@ class SurfacePoint:
 
 
 # ---------------------------------------------------------------------------
-# spherical Bessel functions of the first kind, real argument
+# spherical Bessel functions (scipy.special, imported on first use)
 # ---------------------------------------------------------------------------
 
-def _sph_j_series(n: int, x: float) -> tuple[float, float]:
-    # ascending series about x = 0; used for small arguments only
-    dfact = 1.0
-    for i in range(1, 2 * n + 2, 2):
-        dfact *= i
-    term = x**n / dfact
-    val = term
-    dval = n * x ** (n - 1) / dfact if n >= 1 else 0.0
-    x2 = x * x
-    k = 0
-    while True:
-        k += 1
-        term *= -x2 / (2.0 * k * (2.0 * (n + k) + 1.0))
-        val += term
-        if x > 0:
-            dval += term * (n + 2 * k) / x
-        if abs(term) < 1e-18 * (abs(val) + 1e-300):
-            break
-        if k > 60:
-            break
-    return val, dval
-
-
-def _sph_j_upward(n: int, x: float) -> tuple[float, float]:
-    jm = math.sin(x) / x
-    if n == 0:
-        return jm, math.cos(x) / x - jm / x
-    jc = jm / x - math.cos(x) / x
-    for k in range(1, n):
-        jm, jc = jc, (2.0 * k + 1.0) / x * jc - jm
-    return jc, jm - (n + 1.0) / x * jc
-
-
-def _sph_j_downward(n: int, x: float) -> tuple[float, float]:
-    # Miller's algorithm: downward recurrence with renormalization
-    start = n + 20 + int(math.sqrt(40.0 * (n + 1)))
-    fp, fc = 0.0, 1e-300
-    jn = jn1 = 0.0
-    for k in range(start, 0, -1):
-        fm = (2.0 * k + 1.0) / x * fc - fp
-        fp, fc = fc, fm
-        if k - 1 == n:
-            jn = fc
-        if k - 1 == n - 1:
-            jn1 = fc
-        if abs(fc) > 1e250:
-            fp, fc, jn, jn1 = fp * 1e-250, fc * 1e-250, jn * 1e-250, jn1 * 1e-250
-    j0, j1 = math.sin(x) / x, math.sin(x) / x**2 - math.cos(x) / x
-    # normalize against whichever low-order value is better conditioned
-    scale = j0 / fc if abs(j0) >= abs(j1) * 0.1 or abs(fp) == 0.0 else j1 / fp
-    jn *= scale
-    jn1 *= scale
-    if n == 0:
-        return jn, math.cos(x) / x - jn / x
-    return jn, jn1 - (n + 1.0) / x * jn
-
-
 def spherical_bessel(n: int, x: float) -> tuple[float, float]:
-    """Return (j_n(x), j_n'(x)) for real x > 0.
+    """Return (j_n(x), j_n'(x)) for real x >= 0.
 
     The analytic limit at x = 0 is returned when x == 0 exactly; negative
-    arguments are rejected.
+    orders and arguments are rejected.
     """
     if n < 0:
         raise SpecFunError(f"order must be >= 0, got {n}")
@@ -165,143 +109,50 @@ def spherical_bessel(n: int, x: float) -> tuple[float, float]:
         val = 1.0 if n == 0 else 0.0
         dval = 1.0 / 3.0 if n == 1 else 0.0
         return val, dval
-    if x < 0.1:
-        return _sph_j_series(n, x)
-    if n <= 1 or x >= n:
-        return _sph_j_upward(n, x)
-    return _sph_j_downward(n, x)
+    from scipy.special import spherical_jn
+    return float(spherical_jn(n, x)), float(spherical_jn(n, x, derivative=True))
 
 
-def _complex_sph_jy0(x: complex) -> tuple[complex, complex]:
-    return np.sin(x) / x, -np.cos(x) / x
+def spherical_bessel_complex(n: int, z):
+    """(j_n(z), j_n'(z)) at complex z, scalar or array."""
+    from scipy.special import spherical_jn
+    z = np.asarray(z, dtype=complex)
+    return spherical_jn(n, z), spherical_jn(n, z, derivative=True)
 
 
-def spherical_bessel_complex(n: int, x: complex) -> complex:
-    """j_n at complex argument (ascending series for small |x|, else upward)."""
-    x = complex(x)
-    if abs(x) == 0.0:
-        return 1.0 + 0.0j if n == 0 else 0.0j
-    if abs(x) < max(1.0, n):
-        dfact = 1.0
-        for i in range(1, 2 * n + 2, 2):
-            dfact *= i
-        term = x**n / dfact
-        val = term
-        for k in range(1, 80):
-            term *= -x * x / (2.0 * k * (2.0 * (n + k) + 1.0))
-            val += term
-            if abs(term) < 1e-18 * (abs(val) + 1e-300):
-                break
-        return val
-    jm = np.sin(x) / x
-    if n == 0:
-        return jm
-    jc = jm / x - np.cos(x) / x
-    for k in range(1, n):
-        jm, jc = jc, (2.0 * k + 1.0) / x * jc - jm
-    return jc
-
-
-def spherical_neumann_complex(n: int, x: complex) -> complex:
-    """y_n at complex argument via the (stable) upward recurrence."""
-    x = complex(x)
-    ym = -np.cos(x) / x
-    if n == 0:
-        return ym
-    yc = ym / x - np.sin(x) / x
-    for k in range(1, n):
-        ym, yc = yc, (2.0 * k + 1.0) / x * yc - ym
-    return yc
+def spherical_neumann_complex(n: int, z):
+    """(y_n(z), y_n'(z)) at complex z, scalar or array."""
+    from scipy.special import spherical_yn
+    z = np.asarray(z, dtype=complex)
+    return spherical_yn(n, z), spherical_yn(n, z, derivative=True)
 
 
 def bessel_zeros(n: int, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of j_n, strictly increasing."""
+    """First ``count`` positive zeros of j_n, strictly increasing.
+
+    Consecutive zeros are more than pi apart, so a scan with step pi/4
+    brackets each one exactly once; brentq refines the bracket.
+    """
+    if n < 0:
+        raise SpecFunError(f"order must be >= 0, got {n}")
     if count < 1:
         raise SpecFunError("count must be >= 1")
+    from scipy.optimize import brentq
+    from scipy.special import spherical_jn
+
+    def jn(x):
+        return spherical_jn(n, x)
+
     zeros = []
-    step = min(1.0, math.pi / 4.0)
-    x = 0.25
-    fx = spherical_bessel(n, x)[0]
+    step = math.pi / 4.0
+    x, fx = 0.25, jn(0.25)
     while len(zeros) < count:
         xn = x + step
-        fn = spherical_bessel(n, xn)[0]
-        if fx == 0.0:
-            zeros.append(x)
-        elif fx * fn < 0.0:
-            lo, hi = x, xn
-            flo = fx
-            while hi - lo > 1e-13:
-                mid = 0.5 * (lo + hi)
-                fm = spherical_bessel(n, mid)[0]
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            zeros.append(0.5 * (lo + hi))
-        x, fx = xn, fn
-    return np.array(zeros)
-
-
-# ---------------------------------------------------------------------------
-# cylinder Bessel functions J_m
-# ---------------------------------------------------------------------------
-
-def cylinder_bessel(m: int, x: float) -> tuple[float, float]:
-    """Return (J_m(x), J_m'(x)) for x >= 0 by Miller's backward recurrence."""
-    if m < 0:
-        raise SpecFunError(f"order must be >= 0, got {m}")
-    if x < 0.0:
-        raise SpecFunError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        if m == 0:
-            return 1.0, 0.0
-        return 0.0, 0.5 if m == 1 else 0.0
-    top = int(max(m, x)) + 20 + int(2.0 * math.sqrt(40.0 * (max(m, x) + 1)))
-    top += top % 2  # even start keeps the normalization sum aligned
-    fp, fc = 0.0, 1e-300
-    jm = jm1 = 0.0
-    norm = 0.0
-    for k in range(top, 0, -1):
-        fm = 2.0 * k / x * fc - fp
-        fp, fc = fc, fm
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += 2.0 * fc
-        if k - 1 == m:
-            jm = fc
-        if k - 1 == m - 1:
-            jm1 = fc
-        if abs(fc) > 1e250:
-            fp, fc, jm, jm1, norm = (v * 1e-250 for v in (fp, fc, jm, jm1, norm))
-    norm += fc  # J_0 + 2*sum_{k even >0} J_k = 1
-    jm /= norm
-    jm1 /= norm
-    if m == 0:
-        # J_0' = -J_1; recover J_1 from the same pass (it sits above J_0)
-        j1 = cylinder_bessel(1, x)[0]
-        return jm, -j1
-    return jm, jm1 - m / x * jm
-
-
-def cylinder_bessel_zeros(m: int, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of J_m by scan plus bisection."""
-    zeros = []
-    step = min(1.0, math.pi / 4.0)
-    x = 0.25
-    fx = cylinder_bessel(m, x)[0]
-    while len(zeros) < count:
-        xn = x + step
-        fn = cylinder_bessel(m, xn)[0]
+        fn = jn(xn)
         if fx * fn < 0.0:
-            lo, hi = x, xn
-            flo = fx
-            while hi - lo > 1e-13:
-                mid = 0.5 * (lo + hi)
-                fm = cylinder_bessel(m, mid)[0]
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            zeros.append(0.5 * (lo + hi))
+            zeros.append(brentq(jn, x, xn, xtol=1e-15))
+        elif fn == 0.0:
+            zeros.append(xn)
         x, fx = xn, fn
     return np.array(zeros)
 

@@ -1,13 +1,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import enzspec
 from enzspec import cli
 from enzspec.cli import main
-from enzspec.specfun import bessel_zeros
 
 
 def run(*argv):
@@ -71,6 +74,18 @@ class TestArgumentHandling:
         cfg.write_text("this is not a key value pair\n")
         code, _, err = run("mie", "electrostatic", "--config", str(cfg))
         assert code == 1 and "key=value" in err
+
+
+def test_import_leaves_scipy_special_and_optimize_unloaded():
+    # specfun and mie import them on first use, so every command that does
+    # not touch a sphere mode starts without them
+    src = os.path.dirname(os.path.dirname(enzspec.__file__))
+    probe = ("import sys, enzspec.cli; print(sorted(m for m in "
+             "('scipy.special', 'scipy.optimize') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 class TestMeshCommands:
@@ -268,8 +283,30 @@ class TestMieCommands:
                            str(out_path))
         assert code == 0, err
         row = out_path.read_text().splitlines()[2].split(",")
-        k_ref = bessel_zeros(1, 1)[0] / 2.0
+        k_ref = 4.493409457909064 / 2.0   # first zero of j_1, over R
         assert abs(float(row[2]) - k_ref**2) < 1e-9
+
+    @pytest.mark.parametrize("command, degree", [("electrostatic", "--n"),
+                                                 ("nonelectrostatic", "--p")])
+    def test_outer_radius_one_rejected(self, tmp_path, command, degree):
+        out_path = tmp_path / "mode.txt"
+        code, _, err = run("mie", command, degree, "1", "--R", "1",
+                           "--out", str(out_path))
+        assert code == 2
+        diag = json.loads(err)
+        assert diag["error"] == "MieError" and "unexpected" not in diag
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("family, n, R", [
+        ("electric", "0", "2"), ("magnetic", "0", "2"), ("magnetic", "-1", "2"),
+        ("electric", "1", "0.5"), ("electric", "1", "0"), ("magnetic", "1", "1")])
+    def test_dispersion_rejects_degree_and_radius(self, tmp_path, family, n, R):
+        out_path = tmp_path / "d.csv"
+        code, _, err = run("mie", "dispersion", "--family", family, "--n", n,
+                           "--R", R, "--deltas", "0.01", "--out", str(out_path))
+        assert code == 2
+        assert "unexpected" not in json.loads(err)
+        assert not out_path.exists()
 
     def test_dispersion_jobs_rejected(self, tmp_path):
         code, _, err = run("mie", "dispersion", "--family", "magnetic", "--n", "1",

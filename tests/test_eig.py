@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.optimize import brentq
+from scipy.special import jv, jvp
 
 from enzspec.eig import (
     EigError,
@@ -19,22 +21,12 @@ from enzspec.eig import (
 from enzspec.fem import assemble
 from enzspec.linalg import bilinear_dot
 from enzspec.mesh import INCLUSION, generate_disk_in_disk, generate_square_with_disk
-from enzspec.specfun import cylinder_bessel
 
 
 def radial_limit_oracle():
     """Smallest rotationally symmetric limit eigenvalue of the unit disk:
     the shell solution must be constant, so sqrt(lam) J_0'(sqrt(lam)) = 0."""
-    lo, hi = 3.5, 4.0
-    flo = cylinder_bessel(0, lo)[1]
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        fm = cylinder_bessel(0, mid)[1]
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return (0.5 * (lo + hi)) ** 2
+    return brentq(lambda k: jvp(0, k), 3.5, 4.0, xtol=1e-13) ** 2
 
 
 def m1_limit_oracle(R):
@@ -42,28 +34,12 @@ def m1_limit_oracle(R):
     core J_1(k r), shell a r + b / r with outer Neumann data, matched at 1."""
 
     def f(k):
-        val, dval = cylinder_bessel(1, k)
-        return k * dval * (1.0 + R * R) + (R * R - 1.0) * val
+        return k * jvp(1, k) * (1.0 + R * R) + (R * R - 1.0) * jv(1, k)
 
-    lo = 0.5
-    k = None
-    x = lo
-    fx = f(x)
-    while k is None:
-        xn = x + 0.05
-        fn = f(xn)
-        if fx * fn < 0.0:
-            a, b, fa = x, xn, fx
-            while b - a > 1e-13:
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            k = 0.5 * (a + b)
-        x, fx = xn, fn
-    return k * k
+    x = 0.5
+    while f(x) * f(x + 0.05) > 0.0:
+        x += 0.05
+    return brentq(f, x, x + 0.05, xtol=1e-13) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -118,16 +94,7 @@ class TestDeltaSpectrum:
             pairs = delta_spectrum(forms, 1.0, 0.8, 6)
         # first nonzero Neumann eigenvalue of the R=2 disk: (z/2)^2 with
         # z the first zero of J_1'
-        lo, hi = 1.5, 2.5
-        flo = cylinder_bessel(1, lo)[1]
-        while hi - lo > 1e-13:
-            mid = 0.5 * (lo + hi)
-            fm = cylinder_bessel(1, mid)[1]
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        oracle = (0.5 * (lo + hi) / 2.0) ** 2
+        oracle = (brentq(lambda k: jvp(1, k), 1.5, 2.5, xtol=1e-13) / 2.0) ** 2
         best = min(abs(p.lam - oracle) / oracle for p in pairs)
         assert best < 0.02
 

@@ -22,11 +22,37 @@ from enzspec.mie import (
     save_mode,
 )
 from enzspec.perturb import taylor_from_circle
-from enzspec.specfun import HarmonicIndex, bessel_zeros
+from enzspec.specfun import HarmonicIndex
 
 # first zero of j_1, frozen from the independent closed-form bisection in
 # the special-function tests
 J1_ZERO_1 = 4.493409457909064
+
+
+def scipy_roots(f, count=1, lo=0.5, hi=40.0, step=0.05):
+    """First `count` sign changes of the ufunc expression f on a grid from
+    lo, refined by brentq."""
+    grid = np.arange(lo, hi, step)
+    vals = f(grid)
+    flips = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0][:count]
+    return np.array([brentq(f, grid[i], grid[i + 1], xtol=1e-15) for i in flips])
+
+
+def jn_zeros(n: int, count: int = 1) -> np.ndarray:
+    return scipy_roots(lambda x: spherical_jn(n, x), count)
+
+
+def electric_limit_k(n: int, R: float) -> float:
+    """First root of the delta -> 0 limit of the electric family, where the
+    shell field is g ~ r^n - R^(2n+1) r^(-n-1):
+    j_n(k) [(n+1) + n R^(2n+1)] = (j_n(k) + k j_n'(k)) (1 - R^(2n+1))."""
+    q = R ** (2 * n + 1)
+
+    def f(k):
+        j = spherical_jn(n, k)
+        return j * ((n + 1) + n * q) - (j + k * spherical_jn(n, k, derivative=True)) * (1 - q)
+
+    return float(scipy_roots(f)[0])
 
 
 def oracle_nonelectro_k(p: int, R: float, interval: int) -> float:
@@ -41,7 +67,7 @@ def oracle_nonelectro_k(p: int, R: float, interval: int) -> float:
         jp = spherical_jn(p, k, derivative=True)
         return const - (1.0 + k * jp / j)
 
-    zeros = bessel_zeros(p, interval + 1)
+    zeros = jn_zeros(p, interval + 1)
     lo, hi = zeros[-2] + 1e-9, zeros[-1] - 1e-9
     return brentq(gap, lo, hi, xtol=1e-13)
 
@@ -71,11 +97,17 @@ class TestElectrostaticMode:
             electrostatic_mode(0, 0, 1, 2.0)
         with pytest.raises(MieError):
             electrostatic_mode(1, 0, 1, 0.9)
+        with pytest.raises(MieError, match="outer radius"):
+            electrostatic_mode(1, 0, 1, 1.0)
         with pytest.raises(MieError):
             electrostatic_mode(1, 0, 0, 2.0)
 
 
 class TestNonelectrostaticMode:
+    def test_rejects_outer_radius_one(self):
+        with pytest.raises(MieError, match="outer radius"):
+            nonelectrostatic_mode(1, 0, 1.0, 1)
+
     def test_coefficients_p1_r2(self):
         mode = nonelectrostatic_mode(1, 0, 2.0, 1)
         c, d = mode.outer_coeffs
@@ -86,7 +118,7 @@ class TestNonelectrostaticMode:
         for p, R, interval in [(1, 2.0, 1), (1, 2.0, 2), (2, 1.5, 1), (3, 2.0, 1)]:
             mode = nonelectrostatic_mode(p, 0, R, interval)
             assert abs(mode.k - oracle_nonelectro_k(p, R, interval)) < 1e-10
-            zeros = bessel_zeros(p, interval + 1)
+            zeros = jn_zeros(p, interval + 1)
             assert zeros[-2] < mode.k < zeros[-1]
 
     def test_interface_residuals_and_shell_h(self):
@@ -200,7 +232,7 @@ class TestDispersion:
         # homogeneous ball of radius R: the tangential-E family needs
         # j_n(kR) = 0
         for n, R, i in [(1, 2.0, 1), (2, 1.5, 2)]:
-            k_ref = bessel_zeros(n, i)[-1] / R
+            k_ref = jn_zeros(n, i)[-1] / R
             lam = concentric_dispersion(FAMILY_E, n, R, 1.0, k_ref * (1.0 + 1e-3))
             assert abs(lam - k_ref**2) < 1e-9 * k_ref**2
 
@@ -231,6 +263,42 @@ class TestDispersion:
             concentric_dispersion(FAMILY_E, 1, 2.0, 0.0, 4.0)
         with pytest.raises(MieError):
             concentric_dispersion("weird", 1, 2.0, 1.0, 4.0)
+
+    @pytest.mark.parametrize("n, R", [(0, 2.0), (-1, 2.0), (1, 1.0), (1, 0.5)])
+    def test_rejects_degree_and_radius(self, n, R):
+        for family in (FAMILY_E, FAMILY_H):
+            with pytest.raises(MieError):
+                concentric_dispersion(family, n, R, 1e-2, 4.0)
+
+    def test_electric_limit_oracle(self):
+        assert abs(electric_limit_k(1, 2.0) ** 2 - 10.6736) < 1e-4
+        assert abs(electric_limit_k(1, 3.0) ** 2 - 10.0964) < 1e-4
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_magnetic_limit_is_shell_invariant(self, n):
+        # delta -> 0 limit j_n(k) = 0 does not involve R
+        z2 = jn_zeros(n)[0] ** 2
+        for R in (2.0, 3.0):
+            lam = concentric_dispersion(FAMILY_H, n, R, 1e-5, math.sqrt(z2))
+            assert abs(lam - z2) <= 1e-4 * z2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_electric_limit_is_shell_sensitive(self, n):
+        lims = [electric_limit_k(n, R) ** 2 for R in (2.0, 3.0)]
+        for R, lim in zip((2.0, 3.0), lims):
+            lam = concentric_dispersion(FAMILY_E, n, R, 1e-5, math.sqrt(lim))
+            assert abs(lam - lim) <= 1e-4 * lim
+        assert abs(lims[0] - lims[1]) > 1e-3 * lims[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_electric_circle_a0_is_limit_root(self, n):
+        k0, r = electric_limit_k(n, 2.0), 0.0091
+        samples = [concentric_dispersion(FAMILY_E, n, 2.0,
+                                         r * np.exp(2j * np.pi * j / 16), k0)
+                   for j in range(16)]
+        samples.append(samples[0])
+        coeffs = taylor_from_circle(np.array(samples), r, 4)
+        assert abs(coeffs[0] - k0**2) <= 1e-10
 
     def test_branch_cut_warning(self):
         with pytest.warns(UserWarning, match="branch"):

@@ -8,8 +8,6 @@ from enzspec.specfun import (
     SpecFunError,
     SurfacePoint,
     bessel_zeros,
-    cylinder_bessel,
-    cylinder_bessel_zeros,
     real_spherical_harmonic,
     spherical_bessel,
     spherical_bessel_complex,
@@ -65,7 +63,7 @@ class TestSphericalBessel:
             assert abs(spherical_bessel(2, x)[0] - j2) < 1e-13
 
     def test_high_order_small_argument(self):
-        # downward recurrence regime; compare with ascending series partial sum
+        # order well above the argument; compare with the ascending series
         n, x = 12, 3.0
         dfact = 1.0
         for i in range(1, 2 * n + 2, 2):
@@ -101,6 +99,12 @@ class TestSphericalBessel:
             spherical_bessel(-1, 1.0)
         with pytest.raises(SpecFunError):
             spherical_bessel(0, -1.0)
+        # scipy returns NaN for a negative order; the zero scan must not
+        # run on it
+        with pytest.raises(SpecFunError):
+            bessel_zeros(-1, 1)
+        with pytest.raises(SpecFunError):
+            bessel_zeros(0, 0)
 
     def test_x_zero_limits(self):
         assert spherical_bessel(0, 0.0) == (1.0, 0.0)
@@ -108,26 +112,48 @@ class TestSphericalBessel:
         assert spherical_bessel(5, 0.0) == (0.0, 0.0)
 
     def test_complex_argument_matches_real(self):
-        for n in (0, 1, 3, 6):
-            for x in (0.4, 2.5, 11.0):
-                zc = spherical_bessel_complex(n, complex(x))
-                zr = spherical_bessel(n, x)[0]
-                assert abs(zc - zr) < 1e-11 * max(1.0, abs(zr))
+        # complex evaluation on the real axis against the real closed forms
+        xs = np.array([0.4, 2.5, 11.0])
+        j0 = np.sin(xs) / xs
+        j1 = np.sin(xs) / xs**2 - np.cos(xs) / xs
+        for n, ref, dref in [(0, j0, -j1), (1, j1, j0 - 2.0 * j1 / xs)]:
+            val, dval = spherical_bessel_complex(n, xs + 0j)
+            assert np.abs(val - ref).max() < 1e-14
+            assert np.abs(dval - dref).max() < 1e-14
+
+    def test_complex_closed_forms(self):
+        z = np.array([0.3 + 0.2j, 1.5 + 0.3j, 4.0 - 1.0j, 9.0 + 2.5j])
+        j0 = np.sin(z) / z
+        y0 = -np.cos(z) / z
+        j1 = np.sin(z) / z**2 - np.cos(z) / z
+        y1 = -np.cos(z) / z**2 - np.sin(z) / z
+        for f, ref0, ref1 in [(spherical_bessel_complex, j0, j1),
+                              (spherical_neumann_complex, y0, y1)]:
+            val0, dval0 = f(0, z)
+            val1, _ = f(1, z)
+            scale = np.maximum(1.0, np.abs(ref0))
+            assert np.all(np.abs(val0 - ref0) < 1e-13 * scale)
+            assert np.all(np.abs(val1 - ref1) < 1e-13 * np.maximum(1.0, np.abs(ref1)))
+            assert np.all(np.abs(dval0 + ref1) < 1e-13 * np.maximum(1.0, np.abs(ref1)))
 
     def test_neumann_closed_form(self):
         for x in (0.7, 3.1, 12.0):
             y0 = -math.cos(x) / x
             y1 = -math.cos(x) / x**2 - math.sin(x) / x
-            assert abs(spherical_neumann_complex(0, complex(x)) - y0) < 1e-12
-            assert abs(spherical_neumann_complex(1, complex(x)) - y1) < 1e-12
+            assert abs(spherical_neumann_complex(0, complex(x))[0] - y0) < 1e-12
+            assert abs(spherical_neumann_complex(1, complex(x))[0] - y1) < 1e-12
 
     def test_wronskian_complex(self):
-        # j_n(x) y_{n-1}(x) - j_{n-1}(x) y_n(x) = 1/x^2
-        for n in (1, 2, 4):
-            for x in (1.5 + 0.3j, 4.0 - 1.0j):
-                w = spherical_bessel_complex(n, x) * spherical_neumann_complex(n - 1, x) - \
-                    spherical_bessel_complex(n - 1, x) * spherical_neumann_complex(n, x)
-                assert abs(w - 1.0 / x**2) < 1e-10
+        # j_n y_{n-1} - j_{n-1} y_n = 1/z^2 and j_n y_n' - j_n' y_n = 1/z^2
+        z = np.array([1.5 + 0.3j, 4.0 - 1.0j, 0.2 + 0.1j, 20.0 + 1.0j])
+        for n in (1, 2, 4, 9):
+            j, jp = spherical_bessel_complex(n, z)
+            y, yp = spherical_neumann_complex(n, z)
+            jm, _ = spherical_bessel_complex(n - 1, z)
+            ym, _ = spherical_neumann_complex(n - 1, z)
+            scale = np.abs(j * yp) + np.abs(jp * y)
+            assert np.all(np.abs(j * ym - jm * y - 1.0 / z**2) < 1e-12 * scale)
+            assert np.all(np.abs(j * yp - jp * y - 1.0 / z**2) < 1e-12 * scale)
 
 
 class TestBesselZeros:
@@ -155,50 +181,6 @@ class TestBesselZeros:
             for i in range(10):
                 assert prev[i] < cur[i] < prev[i + 1]
             prev = cur
-
-
-class TestCylinderBessel:
-    def test_values_at_zero(self):
-        assert cylinder_bessel(0, 0.0) == (1.0, 0.0)
-        assert cylinder_bessel(1, 0.0) == (0.0, 0.5)
-
-    def test_j1_zero(self):
-        # oracle: bisection on ascending series for J_1
-        def J1_series(x):
-            term = x / 2.0
-            s = term
-            for k in range(1, 60):
-                term *= -(x * x / 4.0) / (k * (k + 1.0))
-                s += term
-            return s
-
-        oracle = bisect(J1_series, 3.5, 4.0)
-        assert abs(oracle - 3.831705970207512) < 1e-12
-        val, _ = cylinder_bessel(1, oracle)
-        assert abs(val) < 1e-12
-        z = cylinder_bessel_zeros(1, 1)[0]
-        assert abs(z - oracle) < 1e-11
-
-    def test_derivative_identity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            x = float(rng.uniform(0.1, 40.0))
-            _, d0 = cylinder_bessel(0, x)
-            j1 = cylinder_bessel(1, x)[0]
-            assert abs(d0 + j1) < 1e-12
-
-    def test_accuracy_vs_scipy(self):
-        from scipy.special import jv
-
-        rng = np.random.default_rng(11)
-        for _ in range(60):
-            m = int(rng.integers(0, 21))
-            x = float(rng.uniform(0.05, 100.0))
-            val, dval = cylinder_bessel(m, x)
-            ref = jv(m, x)
-            assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref)) + 1e-14
-            refd = 0.5 * (jv(m - 1, x) - jv(m + 1, x))
-            assert abs(dval - refd) <= 1e-11
 
 
 class TestSphericalHarmonics:
