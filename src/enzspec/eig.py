@@ -13,6 +13,7 @@ and bilinear quantities stay analytic in delta.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -57,6 +58,8 @@ class Pencil:
     def __post_init__(self):
         area_d = self.forms.mesh.region_area(INCLUSION)
         area_s = self.forms.mesh.region_area(SHELL)
+        if abs(self.delta + area_d / area_s) < 1e-14:
+            raise EigError("delta = -area(D)/area(shell): total mass direction degenerate")
         if abs(self.delta) >= area_d / area_s:
             warnings.warn(
                 f"|delta| = {abs(self.delta):.3g} is outside the validated disk "
@@ -136,6 +139,20 @@ def _finite_count(forms: AssembledForms, delta) -> int:
     return forms.mesh.n_vertices - 1
 
 
+def _shifted_factor(acsr, bcsr, sigma, bump: float, delta) -> LUFactors:
+    """LU factors of A - sigma B.  A singular shift (sigma at an eigenvalue)
+    moves to sigma (1 + bump) + bump, at most twice."""
+    for attempt in range(3):
+        try:
+            return LUFactors(acsr - sigma * bcsr)
+        except SingularMatrixError:
+            if attempt == 2:
+                raise EigError(
+                    f"delta={delta} puts the shifted pencil at a discrete resonance "
+                    f"(singular factorization at shift {sigma})") from None
+            sigma = sigma * (1.0 + bump) + bump
+
+
 def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count: int,
                   res_tol: float = 1e-8, max_rounds: int = 6):
     """Harvest the `count` eigenpairs of (A, B_delta) nearest `target`.
@@ -174,17 +191,7 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
 
     acsr = forms.A.astype(dtype)
     bcsr = bmat.astype(dtype)
-    fac = None
-    for bump in range(3):
-        try:
-            fac = LUFactors(acsr - sigma * bcsr)
-            break
-        except SingularMatrixError:
-            if bump == 2:
-                raise EigError(
-                    f"delta={delta} puts the shifted pencil at a discrete resonance "
-                    f"(singular factorization at shift {sigma})") from None
-            sigma = sigma * (1.0 + 1e-3) + 1e-3
+    fac = _shifted_factor(acsr, bcsr, sigma, 1e-3, delta)
 
     ones = np.ones(n, dtype=dtype)
     b_ones = bcsr @ ones
@@ -279,10 +286,6 @@ def delta_spectrum(forms: AssembledForms, delta: complex, target: complex, count
     """Eigenpairs of (A, M_D + delta M_S) nearest the target shift."""
     if count < 1:
         raise EigError("count must be >= 1")
-    area_d = forms.mesh.region_area(INCLUSION)
-    area_s = forms.mesh.region_area(SHELL)
-    if abs(delta + area_d / area_s) < 1e-14:
-        raise EigError("delta = -area(D)/area(shell): total mass direction degenerate")
     return _solve_pencil(forms, delta, target, count)
 
 
@@ -342,43 +345,131 @@ def find_clusters(pairs, rel_tol: float = 1e-6):
     return out
 
 
+# Relative Ritz residuals the block corrector aims for and accepts, and the
+# relative distance within which Ritz values count as one eigenvalue.
+_RES_GOAL, _RES_ACCEPT, _SAME_VALUE = 1e-13, 1e-8, 1e-9
+
+
+def _slope(forms: AssembledForms, lam, v, bmat):
+    """d lambda / d delta = -lambda v^T M_S v / v^T B v of an eigenpair."""
+    return -lam * bilinear_dot(v, forms.M_S @ v) / bilinear_dot(v, bmat @ v)
+
+
+def _predict(history, delta):
+    """Cubic Hermite extrapolation to delta through the last two
+    (delta, lambda, d lambda / d delta) samples; the tangent line from one."""
+    d1, l1, s1 = history[-1]
+    if len(history) == 1 or history[-2][0] == d1:
+        return l1 + s1 * (delta - d1)
+    d0, l0, s0 = history[-2]
+    h = d1 - d0
+    t = (delta - d0) / h
+    return ((1 + 2 * t) * (1 - t) ** 2 * l0 + t * (1 - t) ** 2 * h * s0
+            + t * t * (3 - 2 * t) * l1 + t * t * (t - 1) * h * s1)
+
+
+def _block_step(forms: AssembledForms, delta, sigma, block):
+    """Ritz pairs of (A, B_delta) on the span that block inverse iteration
+    with one factor of A - sigma B reaches from `block` (n x h).
+
+    Each round solves (A - sigma B) W = B V for the whole block and takes a
+    bilinear Rayleigh-Ritz step on span W.  Rounds stop once the largest
+    relative Ritz residual reaches _RES_GOAL or falls by less than half; a
+    residual still above _RES_ACCEPT raises TrackingAmbiguityError.
+    Returns (B_delta, Ritz values, Ritz vectors scaled to v^T B v = 1).
+    """
+    real = complex(delta).imag == 0.0 and complex(sigma).imag == 0.0 and not np.iscomplexobj(block)
+    if real:
+        delta, sigma = float(np.real(delta)), float(np.real(sigma))
+    dtype = float if real else complex
+    bcsr = Pencil(forms, delta).B.astype(dtype)
+    acsr = forms.A.astype(dtype)
+    fac = _shifted_factor(acsr, bcsr, sigma, 1e-6, delta)
+    bv, res = bcsr @ block, np.inf
+    while True:
+        q = np.linalg.qr(fac.solve(bv))[0]
+        aq, bq = acsr @ q, bcsr @ q
+        at, bt = q.T @ aq, q.T @ bq
+        if real:
+            # symmetric-definite: B-orthonormal Ritz vectors even inside a double
+            theta, c = sym_eig_dense(0.5 * (at + at.T), 0.5 * (bt + bt.T))
+        else:
+            theta, c = np.linalg.eig(np.linalg.solve(bt, at))
+        av, bv = aq @ c, bq @ c
+        scale = np.linalg.norm(av, axis=0) + np.abs(theta) * np.linalg.norm(bv, axis=0)
+        last, res = res, float(np.max(np.linalg.norm(av - bv * theta, axis=0) / scale))
+        if res <= _RES_GOAL or not res <= 0.5 * last:
+            break
+    if not res <= _RES_ACCEPT:
+        raise TrackingAmbiguityError(
+            f"corrector at delta={delta} stopped at residual {res:.3e} (shift {sigma})")
+    return bcsr, theta, np.column_stack([_bilinear_normalize(v, bcsr) for v in (q @ c).T])
+
+
+def _match(values, targets):
+    """Index of the value nearest each target in turn, each index used once."""
+    free, out = list(range(len(values))), []
+    for t in targets:
+        out.append(free.pop(min(range(len(free)), key=lambda j: abs(values[free[j]] - t))))
+    return out
+
+
 def track_branch(forms: AssembledForms, lambda0: float, path, count_hint: int = 5,
                  ambiguity_ratio: float = 0.9) -> Branch:
     """Continue one eigenvalue branch along a delta path starting at 0.
 
-    At each step the successor is the eigenpair maximizing the bilinear
-    overlap |v_prev^T B_delta v|; if the top two overlaps are within 10%
-    (and belong to distinct eigenvalues), the branch has entered a cluster
-    and a TrackingAmbiguityError is raised.
+    The start harvests `count_hint` eigenpairs at delta = 0 and keeps the
+    one nearest lambda0 in a block with every harvested copy of its
+    eigenvalue (1e-6 relative), so a double eigenvalue travels as its
+    two-dimensional eigenspace.  Each later step predicts lambda by cubic
+    Hermite extrapolation through the last two samples (slopes
+    -lambda v^T M_S v / v^T B v; the tangent line on the first step) and
+    corrects the block with one factorization at the prediction
+    (`_block_step`).  When the Ritz values agree to 1e-9 (relative) the
+    successor is the bilinear projection of the previous vector onto the
+    block; otherwise it is the Ritz vector maximizing the overlap
+    |v_prev^T B_delta v|, and a second overlap above `ambiguity_ratio`
+    times the first, on a distinct eigenvalue, raises
+    TrackingAmbiguityError.  So does a successor overlap below
+    1 / hypot(1, ambiguity_ratio), or a corrector that misses its residual
+    bound: the branch has entered a cluster or jumped.
     """
     path = list(path)
     if abs(path[0]) > 1e-15:
         raise EigError("tracking path must start at delta = 0")
-    branch = Branch(delta_samples=[], lambda_samples=[], vectors=[])
-
     start = _solve_pencil(forms, 0.0, lambda0 * (1.0 + 1e-4) + 1e-3, count_hint)
     start.sort(key=lambda p: abs(p.lam - lambda0))
-    prev = start[0]
-    branch.delta_samples.append(0.0)
-    branch.lambda_samples.append(prev.lam)
-    branch.vectors.append(prev.vector)
+    lam, v = start[0].lam, start[0].vector
+    block = np.column_stack([p.vector for p in start if abs(p.lam - lam) <= 1e-6 * abs(lam)])
+    history = [(0.0, lam, _slope(forms, lam, v, forms.M_D))]
+    branch = Branch(delta_samples=[0.0], lambda_samples=[lam], vectors=[v])
+    min_overlap = 1.0 / math.hypot(1.0, ambiguity_ratio)
 
     for delta in path[1:]:
-        pairs = delta_spectrum(forms, delta, prev.lam, count_hint)
-        bcsr = forms.mass_delta(delta)
-        overlaps = np.array([abs(bilinear_dot(prev.vector, bcsr @ p.vector)) for p in pairs])
-        order = np.argsort(-overlaps)
-        best, second = order[0], order[1] if len(order) > 1 else None
-        if second is not None and overlaps[best] > 0:
-            close_vals = abs(pairs[best].lam - pairs[second].lam) > 1e-9 * max(1.0, abs(pairs[best].lam))
-            if close_vals and overlaps[second] / overlaps[best] > ambiguity_ratio:
+        bmat, theta, block = _block_step(forms, delta, _predict(history, delta), block)
+        if np.all(np.abs(theta - theta[0]) <= _SAME_VALUE * max(1.0, abs(theta[0]))):
+            # one eigenvalue: inside a degenerate block the basis is arbitrary
+            w = block @ np.linalg.solve(block.T @ (bmat @ block), block.T @ (bmat @ v))
+            w = _bilinear_normalize(w, bmat)
+            lam = _rayleigh(forms.A, bmat, w)[0]
+        else:
+            overlaps = np.abs(block.T @ (bmat @ v))
+            best, second = np.argsort(-overlaps)[:2]
+            distinct = abs(theta[best] - theta[second]) > _SAME_VALUE * max(1.0, abs(theta[best]))
+            if distinct and overlaps[second] > ambiguity_ratio * overlaps[best]:
                 raise TrackingAmbiguityError(
                     f"ambiguous continuation at delta={delta}: overlaps "
                     f"{overlaps[best]:.3e} vs {overlaps[second]:.3e}")
-        prev = pairs[best]
+            w, lam = block[:, best], theta[best]
+        overlap = abs(bilinear_dot(v, bmat @ w))
+        if overlap < min_overlap:
+            raise TrackingAmbiguityError(
+                f"continuation at delta={delta} lost the branch: overlap {overlap:.3e}")
+        v = w
+        history = [history[-1], (delta, lam, _slope(forms, lam, v, bmat))]
         branch.delta_samples.append(delta)
-        branch.lambda_samples.append(prev.lam)
-        branch.vectors.append(prev.vector)
+        branch.lambda_samples.append(lam)
+        branch.vectors.append(v)
     return branch
 
 
@@ -389,23 +480,27 @@ def cluster_track(forms: AssembledForms, lambda0s, path, count_hint: int | None 
     samples) with s_p(delta) = sum of lambda_i(delta)^p for p = 1..h.
     The symmetric functions are single-valued along closed circles even
     when the individual branches permute.
+
+    One `delta_spectrum` harvest of `count_hint` pairs (default h + 4) at
+    path[0] takes the eigenpair nearest each lambda0 in turn.  Every later
+    step corrects the h-vector block with `_block_step`, shifted at the
+    cluster mean predicted as in `track_branch`, and matches its Ritz
+    values to the previous set the same way.
     """
     h = len(lambda0s)
-    count = count_hint or (h + 4)
     path = list(path)
-    prev_set = list(lambda0s)
-    deltas, sets = [], []
-    for delta in path:
-        target = sum(prev_set) / h
-        pairs = delta_spectrum(forms, delta, target, count)
-        remaining = list(pairs)
-        chosen = []
-        for lam_prev in prev_set:
-            j = min(range(len(remaining)), key=lambda i: abs(remaining[i].lam - lam_prev))
-            chosen.append(remaining.pop(j))
-        lams = tuple(p.lam for p in chosen)
-        deltas.append(delta)
-        sets.append(lams)
-        prev_set = list(lams)
+    pairs = delta_spectrum(forms, path[0], sum(lambda0s) / h, count_hint or (h + 4))
+    chosen = [pairs[i] for i in _match([p.lam for p in pairs], lambda0s)]
+    lams = [p.lam for p in chosen]
+    block = np.column_stack([p.vector for p in chosen])
+    bmat, history, sets = forms.mass_delta(path[0]), [], []
+    for k, delta in enumerate(path):
+        if k:
+            bmat, theta, block = _block_step(forms, delta, _predict(history, delta), block)
+            order = _match(theta, lams)
+            lams, block = [theta[i] for i in order], block[:, order]
+        sets.append(tuple(lams))
+        slopes = [_slope(forms, lam, v, bmat) for lam, v in zip(lams, block.T)]
+        history = history[-1:] + [(delta, sum(lams) / h, sum(slopes) / h)]
     s = {p: np.array([sum(l**p for l in ls) for ls in sets]) for p in range(1, h + 1)}
-    return deltas, sets, s
+    return path, sets, s

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import scipy.sparse.linalg
 from scipy.optimize import brentq
 from scipy.special import jv, jvp
 
+from enzspec import eig
 from enzspec.eig import (
     EigError,
     Pencil,
+    TrackingAmbiguityError,
     cluster_track,
     delta_spectrum,
     discrete_K0,
@@ -19,8 +22,9 @@ from enzspec.eig import (
     track_branch,
 )
 from enzspec.fem import assemble
-from enzspec.linalg import bilinear_dot
+from enzspec.linalg import LUFactors, bilinear_dot
 from enzspec.mesh import INCLUSION, generate_disk_in_disk, generate_square_with_disk
+from enzspec.perturb import circle_path, taylor_from_circle
 
 
 def radial_limit_oracle():
@@ -308,6 +312,95 @@ class TestTracking:
     def test_path_must_start_at_zero(self, forms_coarse):
         with pytest.raises(EigError):
             track_branch(forms_coarse, 14.0, [0.1, 0.2])
+
+
+def _dense_branch_oracle(forms, lambda0, delta, steps=20):
+    """lambda at real delta by dense continuation: scipy eigh at `steps`
+    equal steps, started at delta = 1e-6 nearest lambda0 and matched by the
+    largest bilinear overlap |v_prev^T B v|."""
+    a, md, ms = forms.A.toarray(), forms.M_D.toarray(), forms.M_S.toarray()
+    w, x = scipy.linalg.eigh(a, md + 1e-6 * ms)
+    j = int(np.argmin(np.abs(w - lambda0)))
+    v = x[:, j]
+    for k in range(1, steps + 1):
+        b = md + (delta * k / steps) * ms
+        w, x = scipy.linalg.eigh(a, b)
+        j = int(np.argmax(np.abs(v @ b @ x)))
+        v = x[:, j]
+    return w[j]
+
+
+@pytest.mark.parametrize("shape, delta, expected", [
+    ("square", 0.1, 7.95535675),
+    ("disk", 0.2, 7.30328311),
+])
+def test_coarse_step_stays_on_branch(forms_by_mesh, shape, delta, expected):
+    # one step from 0 to delta: the branch must not land on a neighbour
+    # (a 5-pair harvest at every step returned 10.183657 and 9.306515 here)
+    forms = forms_by_mesh(shape, 8)
+    oracle = _dense_branch_oracle(forms, 15.005677, delta)
+    assert abs(oracle - expected) < 1e-7
+    try:
+        lam = track_branch(forms, 15.005677, [0.0, delta]).lambda_samples[-1]
+    except TrackingAmbiguityError:
+        return
+    assert abs(lam - oracle) <= 1e-8 * abs(oracle)
+
+
+@pytest.mark.parametrize("shape, lam_nominal, a1_expected", [
+    ("disk", 31.173239, -74.0293),
+    ("square", 31.299336, -92.9915),
+])
+def test_double_branch_first_order(forms_by_mesh, shape, lam_nominal, a1_expected):
+    # a symmetry-protected double stays double: its circle closes, and the
+    # DFT a_1 equals -lambda_0 times the eigenvalue of the first-order
+    # matrix V0^T M_S V0 on an M_D-orthonormal basis V0 of the eigenspace
+    forms = forms_by_mesh(shape, 8)
+    w, x = scipy.linalg.eig(forms.A.toarray(), forms.M_D.toarray())
+    close = np.isfinite(w) & (np.abs(w - lam_nominal) <= 1e-6 * lam_nominal)
+    assert np.count_nonzero(close) == 2
+    lam0 = float(np.mean(w[close].real))
+    v0 = x[:, close].real
+    chol = np.linalg.cholesky(v0.T @ (forms.M_D @ v0))
+    v0 = np.linalg.solve(chol, v0.T).T
+    first_order = -lam0 * np.linalg.eigvalsh(v0.T @ (forms.M_S @ v0))
+    assert np.abs(first_order - a1_expected).max() < 1e-4 * abs(a1_expected)
+
+    radius = 0.01
+    path, start = circle_path(radius, 16)
+    circle = np.asarray(track_branch(forms, lam_nominal, path).lambda_samples[start:])
+    assert abs(circle[-1] - circle[0]) <= 1e-9 * (1.0 + abs(circle[0]))
+    a = taylor_from_circle(circle, radius, 1)
+    assert abs(a[0] - lam0) <= 1e-9 * lam0
+    assert np.abs(a[1] - first_order).max() <= 1e-6 * abs(a[1])
+
+
+def test_tracking_steps_reuse_no_harvest(forms_coarse, limit_coarse, monkeypatch):
+    # after the delta = 0 start, no step harvests a spectrum, and at most
+    # one factorization is alive at any time
+    pencil_calls = []
+    real_solve_pencil = eig._solve_pencil
+    live = weakref.WeakSet()
+    most_alive = []
+
+    class CountedFactors(LUFactors):
+        def __init__(self, *args, **kwargs):
+            most_alive.append(len(live))
+            super().__init__(*args, **kwargs)
+            live.add(self)
+
+    def counted_solve_pencil(*args, **kwargs):
+        pencil_calls.append(args[1])
+        return real_solve_pencil(*args, **kwargs)
+
+    monkeypatch.setattr(eig, "_solve_pencil", counted_solve_pencil)
+    monkeypatch.setattr(eig, "LUFactors", CountedFactors)
+    path, _ = circle_path(0.02, 8)
+    br = track_branch(forms_coarse, limit_coarse[0].lam, path)
+    assert len(br.lambda_samples) == len(path)
+    assert pencil_calls == [0.0]
+    assert len(most_alive) >= len(path) - 1
+    assert max(most_alive) == 0
 
 
 class TestClusterTrack:
