@@ -18,6 +18,7 @@ compatibility identity that makes every interior problem solvable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -183,7 +184,11 @@ def _solve_psi(mesh: Mesh, sub: Submesh, forms_s: AssembledForms):
 
 
 class Cascade:
-    """Workspace bundling the mesh split, assembled forms and Psi."""
+    """Workspace bundling the mesh split, assembled forms and Psi.
+
+    Psi is solved on first use.  Inside `run` that is within the factor
+    scope, so Psi and every order's shell solve share one shell Dirichlet
+    factor."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -192,13 +197,24 @@ class Cascade:
         self.sub_s = extract_submesh(mesh, SHELL)
         self.forms_d = assemble(self.sub_d.mesh)
         self.forms_s = assemble(self.sub_s.mesh)
-        self.psi, self.psi_energy = _solve_psi(mesh, self.sub_s, self.forms_s)
         # node index translation between the two submeshes via the parent
         parent_to_d = {int(p): i for i, p in enumerate(self.sub_d.vertex_map)}
         self._shell_iface = self.sub_s.mesh.boundary_vertices(INTERFACE)
         self._shell_outer = self.sub_s.mesh.boundary_vertices(OUTER)
         self._iface_in_d = np.array([parent_to_d[int(self.sub_s.vertex_map[i])]
                                      for i in self._shell_iface])
+
+    @cached_property
+    def _psi_solution(self):
+        return _solve_psi(self.mesh, self.sub_s, self.forms_s)
+
+    @property
+    def psi(self) -> FEFunction:
+        return self._psi_solution[0]
+
+    @property
+    def psi_energy(self) -> float:
+        return self._psi_solution[1]
 
     # -- field restrictions ------------------------------------------------
     def _restrict(self, field_values, sub):
@@ -277,8 +293,9 @@ class Cascade:
     def run(self, driving: DrivingField, max_order: int) -> CascadeState:
         driving.validate(self.forms)
         # every order solves the same interior Neumann and shell Dirichlet
-        # operators: factor each once, and free both factors before the
-        # caller goes on to the (larger) direct projection
+        # operators, and Psi (if not yet solved) the same shell Dirichlet
+        # one: factor each once, and free both factors before the caller
+        # goes on to the (larger) direct projection
         with factor_once(self.forms_d, self.forms_s):
             state = self.base(driving.coefficient(0))
             for k in range(1, max_order + 1):

@@ -56,8 +56,10 @@ class Pencil:
     delta: complex
 
     def __post_init__(self):
-        area_d = self.forms.mesh.region_area(INCLUSION)
-        area_s = self.forms.mesh.region_area(SHELL)
+        # forms.areas holds the triangle areas of the mesh, computed once
+        regions = self.forms.mesh.regions
+        area_d = float(self.forms.areas[regions == INCLUSION].sum())
+        area_s = float(self.forms.areas[regions == SHELL].sum())
         if abs(self.delta + area_d / area_s) < 1e-14:
             raise EigError("delta = -area(D)/area(shell): total mass direction degenerate")
         if abs(self.delta) >= area_d / area_s:

@@ -2,13 +2,16 @@
 symmetric dense eigendecomposition, and shift-invert Arnoldi.
 
 Matrices are plain scipy sparse (CSR) matrices.  Every factorization is a
-SuperLU factorization with a fixed column ordering; dense eigenproblems
-wrap LAPACK (via scipy).  The Arnoldi iteration is ARPACK's implicitly
-restarted Arnoldi (`scipy.sparse.linalg.eigs`) on a linear operator that
-applies the shift-inverted pencil followed by the caller's deflation.  The
-bilinear (unconjugated) handling of complex-symmetric pencils lives in that
-deflation and in the caller's normalization; ARPACK itself only needs the
-operator and a fixed start vector.
+SuperLU factorization with a fixed column ordering.  Its pivot check is
+gated: one solve with a fixed probe vector measures the growth |A||x|/|b|,
+and only a matrix that this flags has U's diagonal read (which makes scipy
+keep CSC copies of L and U) for the exact small-pivot test.  Dense
+eigenproblems wrap LAPACK (via scipy).  The Arnoldi iteration is ARPACK's
+implicitly restarted Arnoldi (`scipy.sparse.linalg.eigs`) on a linear
+operator that applies the shift-inverted pencil followed by the caller's
+deflation.  The bilinear (unconjugated) handling of complex-symmetric
+pencils lives in that deflation and in the caller's normalization; ARPACK
+itself only needs the operator and a fixed start vector.
 """
 
 from __future__ import annotations
@@ -65,19 +68,29 @@ def bilinear_dot(u: np.ndarray, v: np.ndarray):
 class LUFactors:
     """Sparse LU factors of a square matrix.  A solve takes one step of
     iterative refinement only when its normwise backward error exceeds
-    `refine_tol`.  Dense inputs are converted to CSC; the column ordering
+    `refine_tol`.  The input is copied to CSC; the column ordering
     (COLAMD) is fixed, so repeated factorizations are deterministic.
+
+    A pivot counts as singular when its magnitude is at most
+    `pivot_tol * max(1, max |a_ij|)`.  Reading U's diagonal makes scipy
+    keep CSC copies of L and U for the factor's whole life, so it is read
+    only when one solve with a fixed probe vector b flags the matrix: the
+    growth max(1, |A|_inf) |x|_inf / |b|_inf is non-finite or above
+    `1e-5 / pivot_tol`.  A pivot that small puts its reciprocal into x, so
+    the gate over-flags; the floor of 1 mirrors the check's own scale, so a
+    matrix with only small entries (say 1e-14 I) is flagged too.  A flagged
+    matrix gets the exact check.
     """
 
     refine_tol = 1e-14
 
     def __init__(self, matrix, pivot_tol: float = 1e-13):
-        mat = scipy.sparse.csc_matrix(matrix)
+        # a copy the factor owns: splu sums duplicates in place, and the
+        # refinement residual needs the matrix as factored
+        mat = scipy.sparse.csc_matrix(matrix, copy=True)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("LUFactors requires a square matrix")
         self.n = mat.shape[0]
-        self._mat = mat.tocsr()
-        self._norm_inf = float(abs(self._mat).sum(axis=1).max()) if self.n else 0.0
         try:
             splu = scipy.sparse.linalg.splu(mat, permc_spec="COLAMD",
                                             options={"SymmetricMode": False})
@@ -86,13 +99,23 @@ class LUFactors:
                 raise
             # SuperLU reports an exactly zero pivot without its position
             raise SingularMatrixError(None, 0.0) from exc
-        diag = np.abs(splu.U.diagonal())
-        scale = max(1.0, abs(mat).max())
-        small = np.nonzero(diag <= pivot_tol * scale)[0]
-        if len(small):
-            # U's k-th pivot belongs to column perm_c^{-1}[k] of the input
-            column = int(np.argsort(splu.perm_c)[small[0]])
-            raise SingularMatrixError(column, float(diag[small[0]]))
+        magnitudes = np.abs(mat.data)
+        self._mat = mat
+        self._norm_inf = float(np.bincount(mat.indices, weights=magnitudes,
+                                           minlength=self.n).max(initial=0.0))
+        # the probe takes the factor's dtype: splu promotes integer matrices
+        probe = _start_vector(self.n, None, np.result_type(mat.dtype, np.float32))
+        x = splu.solve(probe)
+        growth = (max(1.0, self._norm_inf) * np.abs(x).max(initial=0.0)
+                  / np.abs(probe).max(initial=0.0)) if self.n else 0.0
+        if not growth <= 1e-5 / pivot_tol:
+            diag = np.abs(splu.U.diagonal())
+            scale = max(1.0, magnitudes.max(initial=0.0))
+            small = np.nonzero(diag <= pivot_tol * scale)[0]
+            if len(small):
+                # U's k-th pivot belongs to column perm_c^{-1}[k] of the input
+                column = int(np.argsort(splu.perm_c)[small[0]])
+                raise SingularMatrixError(column, float(diag[small[0]]))
         self._splu = splu
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -212,13 +212,24 @@ class TestFactorReuse:
         cascade_ws.run(driving, 6)     # released: the next run factors again
         assert counts == {"factors": 4, "neumann": 14}
 
-    def test_four_factors_per_cascade_command(self, counts):
-        # Psi, interior Neumann, shell Dirichlet, direct projection
+    def test_three_factors_per_cascade_command(self, counts, monkeypatch):
+        # interior Neumann, shell Dirichlet (shared by Psi), direct projection
         cascade = Cascade(generate_disk_in_disk(2.0, 8, 8))
+        assert counts["factors"] == 0       # Psi is solved on first use
         driving = DrivingField([constant_field(cascade, [0.6, 0.8])])
         state = cascade.run(driving, 6)
+        assert counts["factors"] == 2
+        direct = cascade_module.direct_projection
+
+        def checked_direct(ws, *args):
+            # no cascade factor is alive while the direct projection runs
+            assert ws.forms_d._factors is None and ws.forms_s._factors is None
+            return direct(ws, *args)
+
+        monkeypatch.setattr(cascade_module, "direct_projection", checked_direct)
         series_vs_direct(cascade, driving, 0.05, 6, state=state)
-        assert counts["factors"] == 4
+        assert counts["factors"] == 3
+        assert cascade.psi_energy == solve_psi(cascade.mesh)[1]
 
     def test_factors_released_on_error(self, cascade_ws, counts, monkeypatch):
         def broken(*args):
@@ -231,3 +242,18 @@ class TestFactorReuse:
         load = np.zeros(cascade_ws.forms_d.mesh.n_vertices)
         solve_neumann(cascade_ws.forms_d, load)
         assert counts["factors"] == 3  # no cached factor survived the error
+
+    def test_psi_factor_released_on_error(self, counts, monkeypatch):
+        # Psi is solved inside the failing run and shares its shell factor
+        cascade = Cascade(generate_disk_in_disk(2.0, 8, 8))
+
+        def broken(*args):
+            raise CascadeError("step failed")
+
+        monkeypatch.setattr(Cascade, "step", broken)
+        with pytest.raises(CascadeError):
+            cascade.run(DrivingField([constant_field(cascade, [1.0, 0.0])]), 3)
+        assert counts["factors"] == 2
+        assert cascade.forms_d._factors is None and cascade.forms_s._factors is None
+        assert cascade.psi_energy > 0.0
+        assert counts["factors"] == 2  # Psi was kept; its factor was not

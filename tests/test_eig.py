@@ -22,8 +22,8 @@ from enzspec.eig import (
     track_branch,
 )
 from enzspec.fem import assemble
-from enzspec.linalg import LUFactors, bilinear_dot
-from enzspec.mesh import INCLUSION, generate_disk_in_disk, generate_square_with_disk
+from enzspec.linalg import LUFactors, SingularMatrixError, bilinear_dot
+from enzspec.mesh import INCLUSION, SHELL, Mesh, generate_disk_in_disk, generate_square_with_disk
 from enzspec.perturb import circle_path, taylor_from_circle
 
 
@@ -140,6 +140,57 @@ class TestDeltaSpectrum:
     def test_outside_disk_warns(self, forms_coarse):
         with pytest.warns(UserWarning, match="validated disk"):
             Pencil(forms_coarse, 0.9)
+
+    def test_pencil_reuses_assembled_areas(self, forms_coarse, monkeypatch):
+        # the region areas come from forms.areas, bit for bit what the mesh gives
+        mesh = forms_coarse.mesh
+        for region in (INCLUSION, SHELL):
+            assert forms_coarse.areas[mesh.regions == region].sum() == mesh.region_area(region)
+        calls = []
+        triangle_areas = Mesh.triangle_areas
+
+        def counted(self):
+            calls.append(1)
+            return triangle_areas(self)
+
+        monkeypatch.setattr(Mesh, "triangle_areas", counted)
+        Pencil(forms_coarse, 0.05)
+        path, _ = circle_path(0.02, 4)
+        track_branch(forms_coarse, 15.005677, path)
+        assert calls == []
+
+    def test_resonant_shift_is_bumped(self, forms_coarse, monkeypatch):
+        # a target at an exact eigenvalue whose shifted matrix the pivot
+        # check rejects: the factor is retried once at a moved shift
+        a = forms_coarse.A
+        b = forms_coarse.mass_delta(0.05)
+        dense = scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True)
+
+        def rejected(lam):
+            m = (a - lam * b).tocsc()
+            u = scipy.sparse.linalg.splu(m, permc_spec="COLAMD",
+                                         options={"SymmetricMode": False}).U
+            return np.abs(u.diagonal()).min() <= 1e-13 * max(1.0, abs(m).max())
+
+        flagged = [lam for lam in dense[1:11] if rejected(lam)]
+        assert flagged
+        target = flagged[0]
+        outcomes = []
+
+        class CountedFactors(LUFactors):
+            def __init__(self, *args, **kwargs):
+                try:
+                    super().__init__(*args, **kwargs)
+                except SingularMatrixError:
+                    outcomes.append("singular")
+                    raise
+                outcomes.append("ok")
+
+        monkeypatch.setattr(eig, "LUFactors", CountedFactors)
+        pairs = eig._solve_pencil(forms_coarse, 0.05, target, 3)
+        assert outcomes == ["singular", "ok"]
+        expected = dense[np.argsort(np.abs(dense - target))[:3]]
+        assert np.abs(np.sort([p.lam for p in pairs]) - np.sort(expected)).max() <= 1e-8
 
 
 _GENERATORS = {"disk": generate_disk_in_disk, "square": generate_square_with_disk}

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from enzspec.linalg import (
     ArnoldiError,
@@ -92,6 +95,102 @@ class TestLU:
         x1 = LUFactors(a).solve(b)
         x2 = LUFactors(a).solve(b)
         assert np.array_equal(x1, x2)
+
+
+def unconditional_pivot_check(a, pivot_tol=1e-13):
+    """(column, magnitude) of the first pivot of SuperLU's U that is at most
+    pivot_tol * max(1, max |a_ij|), (None, 0.0) when SuperLU itself meets an
+    exact zero, or None when every pivot passes."""
+    m = scipy.sparse.csc_matrix(a)
+    try:
+        lu = scipy.sparse.linalg.splu(m, permc_spec="COLAMD", options={"SymmetricMode": False})
+    except RuntimeError:
+        return None, 0.0
+    diag = np.abs(lu.U.diagonal())
+    small = np.nonzero(diag <= pivot_tol * max(1.0, np.abs(m.data).max()))[0]
+    if not len(small):
+        return None
+    return int(np.argsort(lu.perm_c)[small[0]]), float(diag[small[0]])
+
+
+def pivot_family(count=320):
+    """Seeded square matrices on both sides of the singularity threshold:
+    planted tiny or zero pivots, rows that combine other rows, A - lambda I
+    at exact eigvalsh eigenvalues, uniformly tiny or large scalings, and
+    well-conditioned matrices."""
+    rng = np.random.default_rng(2026)
+    for i in range(count):
+        n = int(rng.integers(4, 30))
+        complex_case = i % 8 >= 4
+
+        def sparse_random(density=0.3):
+            r = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+            if complex_case:
+                r = r + 1j * rng.standard_normal((n, n)) * (r != 0)
+            return r
+
+        kind = i % 5
+        if kind == 0:
+            # L D U with one planted pivot, rows and columns shuffled
+            d = rng.uniform(0.5, 2.0, n).astype(complex if complex_case else float)
+            d[rng.integers(n)] = rng.choice([0.0, 1e-30, 1e-18, 1e-15, 1e-14, 1e-13, 1e-12, 1e-9, 1e-4])
+            lower = np.tril(sparse_random(0.4), -1) + np.eye(n)
+            upper = np.triu(sparse_random(0.4), 1) + np.eye(n)
+            a = (lower * d) @ upper
+            a = a[rng.permutation(n)][:, rng.permutation(n)]
+        elif kind == 1:
+            # one row a combination of two others
+            a = sparse_random() + n * np.eye(n)
+            k, p, q = rng.choice(n, 3, replace=False)
+            a[k] = rng.standard_normal() * a[p] + rng.standard_normal() * a[q]
+        elif kind == 2:
+            # a (Hermitian) matrix shifted by one of its eigenvalues
+            s = sparse_random()
+            s = s + s.conj().T
+            lam = scipy.linalg.eigvalsh(s)[rng.integers(n)]
+            a = s - lam * np.eye(n)
+        elif kind == 3:
+            # at 1e-16 and 1e-14 every pivot is below pivot_tol while
+            # |A| |x| / |b| stays moderate: the gate needs its floor of 1
+            scale = rng.choice([1e-16, 1e-14, 1e-12, 1.0, 1e6])
+            a = scale * (sparse_random() + n * np.eye(n))
+            if rng.random() < 0.5:
+                a[rng.integers(n)] *= 1e-15
+        else:
+            a = sparse_random() + n * np.eye(n)
+        yield a
+
+
+class TestGatedPivotCheck:
+    def test_agrees_with_unconditional_check(self):
+        flagged = 0
+        family = list(pivot_family())
+        for a in family:
+            expected = unconditional_pivot_check(a)
+            try:
+                LUFactors(a)
+                got = None
+            except SingularMatrixError as exc:
+                got = exc.pivot_index, exc.pivot_value
+            assert got == expected
+            flagged += expected is not None
+        assert len(family) >= 300
+        assert 100 <= flagged <= len(family) - 50   # both sides of the threshold
+
+    def test_factor_never_materialises_l_and_u(self):
+        # reading U would copy L and U into CSC arrays: 12 bytes a nonzero
+        k = 200
+        t = scipy.sparse.diags([-np.ones(k - 1), 2.0 * np.ones(k), -np.ones(k - 1)], [-1, 0, 1])
+        lap = (scipy.sparse.kron(t, scipy.sparse.eye(k)) + scipy.sparse.kron(scipy.sparse.eye(k), t)).tocsc()
+        tracemalloc.start()
+        try:
+            f = LUFactors(lap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 12 * f._splu.nnz
+        b = np.ones(k * k)
+        assert np.linalg.norm(lap @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestSymEig:
