@@ -152,12 +152,6 @@ class CascadeState:
     def order(self) -> int:
         return len(self.h_list) - 1
 
-    def partial_sum(self, delta: complex) -> np.ndarray:
-        out = np.zeros(len(self.h_list[0]), dtype=complex)
-        for k, h in enumerate(self.h_list):
-            out = out + (delta**k) * h
-        return out
-
 
 def solve_psi(mesh: Mesh):
     """Interface function: harmonic in the shell, 0 on the inclusion
@@ -371,10 +365,9 @@ def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
     l2d, h1d = norms(cascade.forms, h_direct)
     ref = float(np.hypot(l2d, h1d))
     errors = []
+    partial = np.zeros(cascade.mesh.n_vertices, dtype=complex)
     for k in range(max_order + 1):
-        partial = np.zeros(cascade.mesh.n_vertices, dtype=complex)
-        for j in range(k + 1):
-            partial += (delta**j) * state.h_list[j]
+        partial += (delta**k) * state.h_list[k]
         diff = partial - h_direct
         l2, h1 = norms(cascade.forms, diff)
         errors.append(float(np.hypot(l2, h1)) / ref)

@@ -55,126 +55,21 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-def _float(text):
-    return float(text)
-
-
-def _int(text):
-    return int(text)
-
-
-def _str(text):
-    return str(text)
-
-
-def _complex(text):
-    return complex(text)
-
-
-def _complex_list(text):
-    items = [tok.strip() for tok in str(text).split(",") if tok.strip()]
-    try:
-        return [complex(tok) for tok in items]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse complex list {text!r}: {exc}") from exc
-
-
-def _float_list(text):
-    items = [tok.strip() for tok in str(text).split(",") if tok.strip()]
-    try:
-        return [float(tok) for tok in items]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse number list {text!r}: {exc}") from exc
-
-
 def _str_list(text):
     return [tok.strip() for tok in str(text).split(",") if tok.strip()]
 
 
-_SCHEMAS = {
-    ("mesh", "gen"): {
-        "shape": (_str, "disk"),
-        "size": (_float, 2.0),
-        "rings_core": (_int, 8),
-        "rings_shell": (_int, 8),
-        "n_theta": (_int, 0),
-        "out": (_str, _REQUIRED),
-    },
-    ("mesh", "info"): {"mesh": (_str, _REQUIRED)},
-    ("eig", "limit"): {
-        "mesh": (_str, _REQUIRED),
-        "count": (_int, 6),
-        "out": (_str, _REQUIRED),
-    },
-    ("eig", "sweep"): {
-        "mesh": (_str, _REQUIRED),
-        "deltas": (_complex_list, _REQUIRED),
-        "target": (_complex, complex(-1.0)),
-        "count": (_int, 4),
-        "out": (_str, _REQUIRED),
-    },
-    ("eig", "k0"): {
-        "mesh": (_str, _REQUIRED),
-        "count": (_int, 6),
-        "tol": (_float, 1e-7),
-        "out": (_str, _REQUIRED),
-    },
-    ("taylor", None): {
-        "mesh": (_str, _REQUIRED),
-        "lambda0": (_float, _REQUIRED),
-        "radius": (_float, _REQUIRED),
-        "samples": (_int, 16),
-        "order": (_int, 4),
-        "real_deltas": (_float_list, []),
-        "out": (_str, _REQUIRED),
-    },
-    ("cascade", None): {
-        "mesh": (_str, _REQUIRED),
-        "field": (_str, ""),
-        "fx": (_float, 1.0),
-        "fy": (_float, 0.0),
-        "delta": (_float, 0.05),
-        "orders": (_int, 6),
-        "out": (_str, _REQUIRED),
-    },
-    ("mie", "electrostatic"): {
-        "n": (_int, _REQUIRED),
-        "m": (_int, 0),
-        "root": (_int, 1),
-        "R": (_float, 2.0),
-        "out": (_str, _REQUIRED),
-    },
-    ("mie", "nonelectrostatic"): {
-        "p": (_int, _REQUIRED),
-        "q": (_int, 0),
-        "R": (_float, 2.0),
-        "interval": (_int, 1),
-        "out": (_str, _REQUIRED),
-    },
-    ("mie", "dispersion"): {
-        "family": (_str, _REQUIRED),
-        "n": (_int, _REQUIRED),
-        "R": (_float, 2.0),
-        "deltas": (_complex_list, []),
-        "radius": (_float, 0.0),
-        "samples": (_int, 16),
-        "seed": (_float, 0.0),
-        "out": (_str, _REQUIRED),
-    },
-    ("invariance", None): {
-        "shapes": (_str_list, ["disk", "square"]),
-        "size": (_float, 2.0),
-        "rings": (_int, 16),
-        "count": (_int, 12),
-        "out": (_str, _REQUIRED),
-    },
-}
+def _list_of(cast, name):
+    def parse(text):
+        try:
+            return [cast(tok) for tok in _str_list(text)]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse {name} list {text!r}: {exc}") from exc
+    return parse
 
-_SUBCOMMANDS = {
-    "mesh": ("gen", "info"),
-    "eig": ("limit", "sweep", "k0"),
-    "mie": ("electrostatic", "nonelectrostatic", "dispersion"),
-}
+
+_complex_list = _list_of(complex, "complex")
+_float_list = _list_of(float, "number")
 
 
 def _fmt(x) -> str:
@@ -204,16 +99,16 @@ def _parse_args(argv):
         raise ConfigError(
             "usage: enzspec COMMAND [SUBCOMMAND] [--config FILE] [--key value ...]")
     command = argv[0]
-    if command not in {cmd for cmd, _ in _SCHEMAS}:
+    if command not in {cmd for cmd, _ in _COMMANDS}:
         raise ConfigError(f"unknown command {command!r}")
     rest = argv[1:]
     sub = None
-    if command in _SUBCOMMANDS:
+    subs = [s for cmd, s in _COMMANDS if cmd == command and s is not None]
+    if subs:
         if not rest or rest[0].startswith("--"):
-            raise ConfigError(f"command {command!r} needs a subcommand: "
-                              + ", ".join(_SUBCOMMANDS[command]))
+            raise ConfigError(f"command {command!r} needs a subcommand: " + ", ".join(subs))
         sub = rest[0]
-        if sub not in _SUBCOMMANDS[command]:
+        if sub not in subs:
             raise ConfigError(f"unknown subcommand {command} {sub!r}")
         rest = rest[1:]
     raw, config_path = {}, None
@@ -237,7 +132,7 @@ def _parse_args(argv):
 
 
 def _validate(command, sub, raw) -> dict:
-    schema = _SCHEMAS[(command, sub)]
+    schema = _COMMANDS[(command, sub)][1]
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys for {command}"
@@ -440,31 +335,85 @@ def _cmd_invariance(cfg, out):
                                         rows))
 
 
-def _dispatch(command, sub, cfg, out):
-    if (command, sub) == ("mesh", "gen"):
-        _cmd_mesh_gen(cfg, out)
-    elif (command, sub) == ("mesh", "info"):
-        _cmd_mesh_info(cfg, out)
-    elif (command, sub) == ("eig", "limit"):
-        _cmd_eig_limit(cfg, out)
-    elif (command, sub) == ("eig", "sweep"):
-        _cmd_eig_sweep(cfg, out)
-    elif (command, sub) == ("eig", "k0"):
-        _cmd_eig_k0(cfg, out)
-    elif command == "taylor":
-        _cmd_taylor(cfg, out)
-    elif command == "cascade":
-        _cmd_cascade(cfg, out)
-    elif (command, sub) == ("mie", "electrostatic"):
-        _cmd_mie_electrostatic(cfg, out)
-    elif (command, sub) == ("mie", "nonelectrostatic"):
-        _cmd_mie_nonelectrostatic(cfg, out)
-    elif (command, sub) == ("mie", "dispersion"):
-        _cmd_mie_dispersion(cfg, out)
-    elif command == "invariance":
-        _cmd_invariance(cfg, out)
-    else:   # pragma: no cover - schema and dispatch tables are in sync
-        raise ConfigError(f"unhandled command {command} {sub}")
+# (command, subcommand) -> (handler, key -> (parser, default))
+_COMMANDS = {
+    ("mesh", "gen"): (_cmd_mesh_gen, {
+        "shape": (str, "disk"),
+        "size": (float, 2.0),
+        "rings_core": (int, 8),
+        "rings_shell": (int, 8),
+        "n_theta": (int, 0),
+        "out": (str, _REQUIRED),
+    }),
+    ("mesh", "info"): (_cmd_mesh_info, {"mesh": (str, _REQUIRED)}),
+    ("eig", "limit"): (_cmd_eig_limit, {
+        "mesh": (str, _REQUIRED),
+        "count": (int, 6),
+        "out": (str, _REQUIRED),
+    }),
+    ("eig", "sweep"): (_cmd_eig_sweep, {
+        "mesh": (str, _REQUIRED),
+        "deltas": (_complex_list, _REQUIRED),
+        "target": (complex, complex(-1.0)),
+        "count": (int, 4),
+        "out": (str, _REQUIRED),
+    }),
+    ("eig", "k0"): (_cmd_eig_k0, {
+        "mesh": (str, _REQUIRED),
+        "count": (int, 6),
+        "tol": (float, 1e-7),
+        "out": (str, _REQUIRED),
+    }),
+    ("taylor", None): (_cmd_taylor, {
+        "mesh": (str, _REQUIRED),
+        "lambda0": (float, _REQUIRED),
+        "radius": (float, _REQUIRED),
+        "samples": (int, 16),
+        "order": (int, 4),
+        "real_deltas": (_float_list, []),
+        "out": (str, _REQUIRED),
+    }),
+    ("cascade", None): (_cmd_cascade, {
+        "mesh": (str, _REQUIRED),
+        "field": (str, ""),
+        "fx": (float, 1.0),
+        "fy": (float, 0.0),
+        "delta": (float, 0.05),
+        "orders": (int, 6),
+        "out": (str, _REQUIRED),
+    }),
+    ("mie", "electrostatic"): (_cmd_mie_electrostatic, {
+        "n": (int, _REQUIRED),
+        "m": (int, 0),
+        "root": (int, 1),
+        "R": (float, 2.0),
+        "out": (str, _REQUIRED),
+    }),
+    ("mie", "nonelectrostatic"): (_cmd_mie_nonelectrostatic, {
+        "p": (int, _REQUIRED),
+        "q": (int, 0),
+        "R": (float, 2.0),
+        "interval": (int, 1),
+        "out": (str, _REQUIRED),
+    }),
+    ("mie", "dispersion"): (_cmd_mie_dispersion, {
+        "family": (str, _REQUIRED),
+        "n": (int, _REQUIRED),
+        "R": (float, 2.0),
+        "deltas": (_complex_list, []),
+        "radius": (float, 0.0),
+        "samples": (int, 16),
+        "seed": (float, 0.0),
+        "out": (str, _REQUIRED),
+    }),
+    ("invariance", None): (_cmd_invariance, {
+        "shapes": (_str_list, ["disk", "square"]),
+        "size": (float, 2.0),
+        "rings": (int, 16),
+        "count": (int, 12),
+        "out": (str, _REQUIRED),
+    }),
+}
 
 
 _NUMERICAL_ERRORS = (EigError, CascadeError, MieError, FemError,
@@ -483,7 +432,7 @@ def main(argv=None, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     try:
         command, sub, raw = _parse_args(argv)
-        _dispatch(command, sub, _validate(command, sub, raw), out)
+        _COMMANDS[(command, sub)][0](_validate(command, sub, raw), out)
     except (ConfigError, MeshError) as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -55,9 +55,7 @@ class FEFunction:
 def _triangle_geometry(mesh: Mesh):
     """Areas and barycentric gradients for all triangles, vectorized."""
     p = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1])
+    area = mesh.triangle_areas()
     if np.any(area <= 0):
         raise FemError("degenerate or inverted triangle in assembly")
     # grad lambda_i = (y_j - y_k, x_k - x_j) / (2 area), (i, j, k) cyclic
@@ -175,11 +173,6 @@ def edge_flux_load(mesh: Mesh, tag: int, edge_flux) -> np.ndarray:
     return b
 
 
-def _weighted_mean(forms: AssembledForms, values: np.ndarray) -> complex:
-    m1 = forms.M @ np.ones(forms.mesh.n_vertices)
-    return np.dot(m1, values) / m1.sum()
-
-
 def solve_neumann(forms: AssembledForms, load: np.ndarray,
                   compat_tol: float = 1e-8) -> FEFunction:
     """Pure-Neumann solve A h = load with mean-zero normalization.
@@ -205,7 +198,7 @@ def solve_neumann(forms: AssembledForms, load: np.ndarray,
     rhs = np.concatenate([load.astype(dtype), [0.0]])
     sol = lu.solve(rhs)
     h = sol[:n]
-    h = h - _weighted_mean(forms, h)   # exact re-normalization
+    h = h - np.dot(m1, h) / m1.sum()   # exact re-normalization
     # residual modulo the multiplier direction m1 (the singular system's range gap)
     r = a @ h - load
     r = r - np.dot(m1, r) / np.dot(m1, m1) * m1

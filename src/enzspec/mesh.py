@@ -95,7 +95,7 @@ class Mesh:
         if len(bad):
             raise MeshError(f"triangle {bad[0]} has non-positive area {areas[bad[0]]:g}")
 
-        keys, count, incident, first = _edge_incidence(self.triangles, nv)
+        keys, count, incident, first, _ = _edge_incidence(self.triangles, nv)
         # edges are reported in the order of their first occurrence
         bad = np.nonzero(count > 2)[0]
         if len(bad):
@@ -184,18 +184,21 @@ def _edge_incidence(triangles: np.ndarray, n_vertices: int):
     3t+2 of the edge sequence.  Returns, per distinct edge: its key (see
     _edge_keys), the number of triangles it lies on, its first two incident
     triangles (the second is -1 on an edge of one triangle) and the position
-    of its first occurrence in the edge sequence.
+    of its first occurrence in the edge sequence; then, per position of the
+    edge sequence, the index of its distinct edge.
     """
     ends = np.stack([triangles, triangles[:, [1, 2, 0]]], axis=-1).reshape(-1, 2)
     keys, order = _edge_keys(ends, n_vertices)
     sorted_keys = keys[order]
     start = np.ones(len(keys), dtype=bool)
     start[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    edge = np.empty(len(keys), dtype=int)
+    edge[order] = np.cumsum(start) - 1
     start = np.nonzero(start)[0]
     count = np.diff(np.append(start, len(keys)))
     first = order[start]
     second = np.where(count > 1, order[np.minimum(start + 1, len(keys) - 1)] // 3, -1)
-    return sorted_keys[start], count, np.column_stack([first // 3, second]), first
+    return sorted_keys[start], count, np.column_stack([first // 3, second]), first, edge
 
 
 @dataclass
@@ -218,60 +221,38 @@ class Submesh:
         return out
 
 
-def _polar_rings(rings_core: int, n_theta: int):
-    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    verts = [np.zeros((1, 2))]
-    for i in range(1, rings_core + 1):
-        r = i / rings_core
-        verts.append(np.column_stack([r * np.cos(thetas), r * np.sin(thetas)]))
-    return np.vstack(verts), thetas
+def _unit_circle(n_theta: int) -> np.ndarray:
+    """(n_theta, 2) points of the unit circle at the angles 2 pi t / n_theta."""
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
-def _ring_index(ring: int, t: int, n_theta: int) -> int:
-    # ring 0 is the single center vertex
-    if ring == 0:
-        return 0
-    return 1 + (ring - 1) * n_theta + (t % n_theta)
+def _ring_mesh(rings_core: int, n_theta: int, shell_rings):
+    """Vertices, triangles, regions, tagged edges and tags of a ring mesh,
+    numbered as generate_disk_in_disk states.
 
+    Core ring i = 1..rings_core is the circle of radius i / rings_core;
+    shell_rings lists the (n_theta, 2) vertex rings outside it, innermost
+    first.  The tagged edges are the n_theta INTERFACE edges (a, b) of ring
+    rings_core, then the n_theta OUTER edges of the last ring.
+    """
+    if n_theta < 3:
+        raise MeshError(f"n_theta must be >= 3, got {n_theta}")
+    core = (np.arange(1, rings_core + 1) / rings_core)[:, None, None] * _unit_circle(n_theta)
+    rings = np.concatenate([core, shell_rings])
+    vertices = np.vstack([np.zeros((1, 2)), rings.reshape(-1, 2)])
 
-def _build_core(rings_core: int, n_theta: int):
-    tris, regs = [], []
-    for t in range(n_theta):
-        tris.append((0, _ring_index(1, t, n_theta), _ring_index(1, t + 1, n_theta)))
-        regs.append(INCLUSION)
-    for ring in range(1, rings_core):
-        for t in range(n_theta):
-            a = _ring_index(ring, t, n_theta)
-            b = _ring_index(ring, t + 1, n_theta)
-            c = _ring_index(ring + 1, t, n_theta)
-            d = _ring_index(ring + 1, t + 1, n_theta)
-            tris.append((a, d, b))
-            tris.append((a, c, d))
-            regs.extend((INCLUSION, INCLUSION))
-    return tris, regs
+    ring = 1 + n_theta * np.arange(len(rings))[:, None] + np.arange(n_theta)
+    step = np.roll(ring, -1, axis=1)
+    fan = np.column_stack([np.zeros(n_theta, dtype=int), ring[0], step[0]])
+    a, b, c, d = ring[:-1], step[:-1], ring[1:], step[1:]
+    triangles = np.vstack([fan, np.stack([a, d, b, a, c, d], axis=-1).reshape(-1, 3)])
+    n_core = n_theta * (2 * rings_core - 1)
+    regions = np.repeat([INCLUSION, SHELL], [n_core, len(triangles) - n_core])
 
-
-def _build_shell(rings_core: int, rings_shell: int, n_theta: int, tris, regs):
-    for ring in range(rings_core, rings_core + rings_shell):
-        for t in range(n_theta):
-            a = _ring_index(ring, t, n_theta)
-            b = _ring_index(ring, t + 1, n_theta)
-            c = _ring_index(ring + 1, t, n_theta)
-            d = _ring_index(ring + 1, t + 1, n_theta)
-            tris.append((a, d, b))
-            tris.append((a, c, d))
-            regs.extend((SHELL, SHELL))
-
-
-def _tag_rings(rings_core: int, rings_total: int, n_theta: int):
-    edges, tags = [], []
-    for t in range(n_theta):
-        edges.append((_ring_index(rings_core, t, n_theta), _ring_index(rings_core, t + 1, n_theta)))
-        tags.append(INTERFACE)
-    for t in range(n_theta):
-        edges.append((_ring_index(rings_total, t, n_theta), _ring_index(rings_total, t + 1, n_theta)))
-        tags.append(OUTER)
-    return edges, tags
+    tagged = [rings_core - 1, -1]
+    edges = np.column_stack([ring[tagged].ravel(), step[tagged].ravel()])
+    return vertices, triangles, regions, edges, np.repeat([INTERFACE, OUTER], n_theta)
 
 
 def _default_n_theta(rings_core: int) -> int:
@@ -281,41 +262,46 @@ def _default_n_theta(rings_core: int) -> int:
 
 def generate_disk_in_disk(R: float, rings_core: int, rings_shell: int,
                           n_theta: int | None = None) -> Mesh:
-    """Structured polar mesh of the unit disk inside the disk of radius R."""
+    """Structured polar mesh of the unit disk inside the disk of radius R.
+
+    Ring i = 1..rings_core is the circle of radius i / rings_core, ring
+    rings_core + j (j = 1..rings_shell) the circle of radius
+    1 + j (R - 1) / rings_shell.  Vertex 0 is the centre; vertex
+    1 + (i - 1) n_theta + t lies on ring i at the angle 2 pi t / n_theta.
+    The triangles are the centre fan (0, 1 + t, 1 + (t + 1) % n_theta)
+    (INCLUSION), then, ring by ring and t by t, each quad with a, b on ring i
+    and c, d on ring i + 1 (b and d one step after a and c) as (a, d, b),
+    (a, c, d), INCLUSION inside the unit circle and SHELL outside.  The mesh
+    file bytes depend on this order.
+    """
     if R <= 1.0:
         raise MeshError(f"outer radius must exceed 1, got {R}")
     if rings_core < 2 or rings_shell < 2:
         raise MeshError("ring counts must be >= 2")
     if n_theta is None:
         n_theta = _default_n_theta(rings_core)
-    core_verts, thetas = _polar_rings(rings_core, n_theta)
-    shell = []
-    for j in range(1, rings_shell + 1):
-        r = 1.0 + j * (R - 1.0) / rings_shell
-        shell.append(np.column_stack([r * np.cos(thetas), r * np.sin(thetas)]))
-    verts = np.vstack([core_verts] + shell)
-
-    tris, regs = _build_core(rings_core, n_theta)
-    _build_shell(rings_core, rings_shell, n_theta, tris, regs)
-    edges, tags = _tag_rings(rings_core, rings_core + rings_shell, n_theta)
-
-    mesh = Mesh(verts, np.array(tris), np.array(regs), np.array(edges), np.array(tags),
+    radii = 1.0 + np.arange(1, rings_shell + 1) * (R - 1.0) / rings_shell
+    mesh = Mesh(*_ring_mesh(rings_core, n_theta, radii[:, None, None] * _unit_circle(n_theta)),
                 metadata={"generator": "disk_in_disk", "snap_interface": True,
                           "R": float(R)})
     mesh.validate()
     return mesh
 
 
-def _square_point(theta: float, L: float) -> tuple[float, float]:
-    c, s = math.cos(theta), math.sin(theta)
-    m = max(abs(c), abs(s))
-    return L * c / m, L * s / m
-
-
 def generate_square_with_disk(L: float, rings_core: int, rings_blend: int,
                               n_theta: int | None = None) -> Mesh:
     """Unit disk inside the square [-L, L]^2, shell meshed by transfinite
-    blending between the circle r = 1 and the square boundary."""
+    blending between the circle r = 1 and the square boundary.
+
+    Ring i = 1..rings_core is the circle of radius i / rings_core; ring
+    rings_core + j (j = 1..rings_blend) is (1 - s) c + s q with
+    s = j / rings_blend, c the unit-circle point and q the square point on
+    the same ray.  Vertex 0 is the centre; vertex 1 + (i - 1) n_theta + t
+    lies on ring i on the ray at the angle 2 pi t / n_theta.  Triangles are
+    numbered as in generate_disk_in_disk: the centre fan, then ring by ring
+    the quads as (a, d, b), (a, c, d).  The mesh file bytes depend on this
+    order.
+    """
     if L <= 1.0:
         raise MeshError(f"half side must exceed 1, got {L}")
     if rings_core < 2 or rings_blend < 2:
@@ -324,20 +310,10 @@ def generate_square_with_disk(L: float, rings_core: int, rings_blend: int,
         n_theta = _default_n_theta(rings_core)
     if n_theta % 8:
         raise MeshError("n_theta must be a multiple of 8 so square corners are vertices")
-    core_verts, thetas = _polar_rings(rings_core, n_theta)
-    circle = core_verts[1 + (rings_core - 1) * n_theta:]
-    square = np.array([_square_point(t, L) for t in thetas])
-    shell = []
-    for j in range(1, rings_blend + 1):
-        s = j / rings_blend
-        shell.append((1.0 - s) * circle + s * square)
-    verts = np.vstack([core_verts] + shell)
-
-    tris, regs = _build_core(rings_core, n_theta)
-    _build_shell(rings_core, rings_blend, n_theta, tris, regs)
-    edges, tags = _tag_rings(rings_core, rings_core + rings_blend, n_theta)
-
-    mesh = Mesh(verts, np.array(tris), np.array(regs), np.array(edges), np.array(tags),
+    circle = _unit_circle(n_theta)
+    square = L * circle / np.abs(circle).max(axis=1, keepdims=True)
+    s = (np.arange(1, rings_blend + 1) / rings_blend)[:, None, None]
+    mesh = Mesh(*_ring_mesh(rings_core, n_theta, (1.0 - s) * circle + s * square),
                 metadata={"generator": "square_with_disk", "snap_interface": True,
                           "L": float(L)})
     mesh.validate()
@@ -462,7 +438,7 @@ def extract_submesh(mesh: Mesh, region: int) -> Submesh:
 
     # the region's boundary: edges of one triangle, in first-occurrence order
     nv = mesh.n_vertices
-    keys, count, _, first = _edge_incidence(tris, nv)
+    keys, count, _, first, _ = _edge_incidence(tris, nv)
     once = np.nonzero(count == 1)[0]
     boundary = keys[once[np.argsort(first[once])]]
     tagged, tag_order = _edge_keys(mesh.edges, nv)
@@ -488,49 +464,41 @@ def extract_submesh(mesh: Mesh, region: int) -> Submesh:
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Red refinement: each triangle splits into 4; tags are inherited.
 
-    If the mesh metadata carries snap_interface, new interface midpoints are
-    projected back to the unit circle (generator geometry).
+    Coarse triangle t = (a, b, c) becomes fine triangles 4t..4t+3:
+    (a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca), where ab is the
+    midpoint of edge (a, b).  The midpoints are numbered from n_vertices in
+    the order in which their edges first occur in the triangles, and each
+    tagged edge (a, b) becomes (a, ab), (ab, b).  If the mesh metadata carries
+    snap_interface, interface nodes are projected back to the unit circle
+    (generator geometry).
     """
-    mid_of: dict[tuple[int, int], int] = {}
-    verts = [mesh.vertices]
-    next_id = mesh.n_vertices
-    new_pts = []
+    nv = mesh.n_vertices
+    keys, _, _, first, edge = _edge_incidence(mesh.triangles, nv)
+    new = np.argsort(first)
+    mid = np.empty(len(keys), dtype=int)
+    mid[new] = nv + np.arange(len(keys))
+    lo, hi = divmod(keys[new], nv)
+    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])])
 
-    def midpoint(a, b):
-        nonlocal next_id
-        key = (min(a, b), max(a, b))
-        if key not in mid_of:
-            mid_of[key] = next_id
-            new_pts.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
-            next_id += 1
-        return mid_of[key]
+    a, b, c = mesh.triangles.T
+    ab, bc, ca = mid[edge].reshape(-1, 3).T
+    triangles = np.column_stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]).reshape(-1, 3)
 
-    tris, regs = [], []
-    for tri, r in zip(mesh.triangles, mesh.regions):
-        a, b, c = (int(v) for v in tri)
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-        regs.extend([r, r, r, r])
-
-    edges, tags = [], []
-    for (a, b), t in zip(mesh.edges, mesh.edge_tags):
-        m = midpoint(int(a), int(b))
-        edges.extend([(int(a), m), (m, int(b))])
-        tags.extend([t, t])
-
-    vertices = np.vstack([mesh.vertices, np.array(new_pts)]) if new_pts else mesh.vertices.copy()
+    tagged, _ = _edge_keys(mesh.edges, nv)
+    pos, found = _find(keys, tagged)
+    if not found.all():
+        raise MeshError(f"tagged edge {_edge_of(tagged[np.argmin(found)], nv)} "
+                        f"not found in any triangle")
+    m = mid[pos]
+    edges = np.column_stack([mesh.edges[:, 0], m, m, mesh.edges[:, 1]]).reshape(-1, 2)
+    tags = np.repeat(mesh.edge_tags, 2)
 
     if mesh.metadata.get("snap_interface"):
-        iface_nodes = set()
-        for (a, b), t in zip(edges, tags):
-            if t == INTERFACE:
-                iface_nodes.update((a, b))
-        for v in iface_nodes:
-            r = np.linalg.norm(vertices[v])
-            if r > 0:
-                vertices[v] = vertices[v] / r
+        nodes = np.unique(edges[tags == INTERFACE])
+        r = np.linalg.norm(vertices[nodes], axis=1)
+        vertices[nodes] /= np.where(r > 0, r, 1.0)[:, None]
 
-    out = Mesh(vertices, np.array(tris), np.array(regs),
-               np.array(edges), np.array(tags), metadata=dict(mesh.metadata))
+    out = Mesh(vertices, triangles, np.repeat(mesh.regions, 4), edges, tags,
+               metadata=dict(mesh.metadata))
     out.validate()
     return out

@@ -24,7 +24,6 @@ from enzspec.mesh import (
     SHELL,
     extract_submesh,
     generate_disk_in_disk,
-    refine_uniform,
 )
 
 

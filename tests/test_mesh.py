@@ -88,6 +88,41 @@ class TestSquareWithDisk:
         assert np.all(mesh.triangle_areas() > 0)
 
 
+@pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+@pytest.mark.parametrize("rings, n_theta", [(2, 16), (16, 64), (32, 128)])
+def test_ring_numbering_closed_forms(generate, rings, n_theta):
+    mesh = generate(2.0, rings, rings)
+    n_rings = 2 * rings
+    assert mesh.n_vertices == 1 + n_theta * n_rings
+    assert mesh.n_triangles == n_theta * (2 * n_rings - 1)
+    assert (mesh.regions == INCLUSION).sum() == n_theta * (2 * rings - 1)
+    assert len(mesh.boundary_edges(INTERFACE)) == n_theta
+    assert len(mesh.boundary_edges(OUTER)) == n_theta
+    # vertex 1 + (i - 1) n_theta + t lies on ring i at the angle 2 pi t / n_theta
+    angle = np.array([2.0 * math.pi * t / n_theta for t in range(n_theta)])
+    ray = np.column_stack([[math.cos(a) for a in angle], [math.sin(a) for a in angle]])
+    rings_xy = mesh.vertices[1:].reshape(n_rings, n_theta, 2)
+    core = np.arange(1, rings + 1)[:, None, None] / rings * ray
+    np.testing.assert_allclose(rings_xy[:rings], core, rtol=0, atol=1e-15)
+    assert np.array_equal(mesh.vertices[0], [0.0, 0.0])
+    cross = rings_xy[..., 0] * ray[:, 1] - rings_xy[..., 1] * ray[:, 0]
+    assert np.abs(cross).max() < 1e-14
+    assert ((rings_xy * ray).sum(axis=-1) > 0).all()
+    # interface and outer edges join consecutive vertices of rings `rings` and 2 rings
+    step = np.roll(np.arange(n_theta), -1)
+    for tag, ring in ((INTERFACE, rings), (OUTER, n_rings)):
+        first = 1 + (ring - 1) * n_theta
+        expected = np.column_stack([first + np.arange(n_theta), first + step])
+        assert np.array_equal(mesh.boundary_edges(tag), expected)
+
+
+@pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+@pytest.mark.parametrize("n_theta", [0, -8])
+def test_rejects_too_few_angles(generate, n_theta):
+    with pytest.raises(MeshError, match="n_theta"):
+        generate(2.0, 2, 2, n_theta=n_theta)
+
+
 class TestFileIO:
     def test_round_trip(self, tmp_path):
         mesh = generate_disk_in_disk(2.0, 4, 4)
@@ -197,6 +232,49 @@ class TestRefine:
     def test_refined_mesh_valid(self):
         mesh = generate_square_with_disk(2.0, 4, 4)
         refine_uniform(mesh).validate()
+
+
+def _red_refinement(mesh):
+    """Loop oracle for refine_uniform without snapping: midpoints numbered
+    from n_vertices on the first occurrence of their edge, in triangle order."""
+    nv = mesh.n_vertices
+    mid = {}
+
+    def m(a, b):
+        return mid.setdefault((min(a, b), max(a, b)), nv + len(mid))
+
+    tris = []
+    for a, b, c in mesh.triangles.tolist():
+        ab, bc, ca = m(a, b), m(b, c), m(c, a)
+        tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    edges = []
+    for a, b in mesh.edges.tolist():
+        edges += [(a, m(a, b)), (m(a, b), b)]
+    points = np.empty((nv + len(mid), 2))
+    points[:nv] = mesh.vertices
+    for (a, b), k in mid.items():
+        points[k] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+    return np.array(tris), np.array(edges), points
+
+
+@pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+@pytest.mark.parametrize("snap", [False, True])
+def test_refine_numbering_and_midpoints(generate, snap):
+    mesh = generate(2.0, 3, 2)
+    if not snap:
+        mesh.metadata.pop("snap_interface")
+    fine = refine_uniform(mesh)
+    tris, edges, points = _red_refinement(mesh)
+    assert np.array_equal(fine.triangles, tris)
+    assert np.array_equal(fine.regions, np.repeat(mesh.regions, 4))
+    assert np.array_equal(fine.edges, edges)
+    assert np.array_equal(fine.edge_tags, np.repeat(mesh.edge_tags, 2))
+    snapped = np.zeros(len(points), dtype=bool)
+    if snap:
+        snapped[fine.boundary_vertices(INTERFACE)] = True
+        on_circle = points[snapped] / np.linalg.norm(points[snapped], axis=1)[:, None]
+        np.testing.assert_allclose(fine.vertices[snapped], on_circle, rtol=0, atol=1e-15)
+    assert np.array_equal(fine.vertices[~snapped], points[~snapped])
 
 
 def _edge_where(mesh, regions):
