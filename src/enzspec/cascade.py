@@ -36,7 +36,17 @@ from .fem import (
     solve_neumann,
 )
 from .linalg import LUFactors
-from .mesh import INCLUSION, INTERFACE, OUTER, SHELL, Mesh, Submesh, extract_submesh
+from .mesh import (
+    INCLUSION,
+    INTERFACE,
+    OUTER,
+    SHELL,
+    Mesh,
+    MeshParseError,
+    Submesh,
+    _SectionReader,
+    extract_submesh,
+)
 
 __all__ = [
     "DrivingField",
@@ -120,22 +130,19 @@ def save_field(df: DrivingField, path: str) -> None:
 
 
 def load_field(path: str, forms: AssembledForms, tol: float = 1e-12) -> DrivingField:
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f.read().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "field":
-        raise CascadeError(f"bad field file header {lines[0]!r}")
-    count = int(head[1])
+    """Read a save_field file for the mesh of forms.
+
+    The file is parsed as a mesh section is: a malformed file raises
+    MeshParseError naming its line.  A field that is not weakly
+    divergence-free raises CascadeError.
+    """
+    lines = _SectionReader(path)
     nt = forms.mesh.n_triangles
-    if len(lines) - 1 != count * nt:
-        raise CascadeError(f"field file has {len(lines) - 1} data lines, "
-                           f"expected {count} x {nt}")
-    fields = []
-    for k in range(count):
-        block = lines[1 + k * nt: 1 + (k + 1) * nt]
-        fields.append(np.array([[float(a), float(b)] for a, b in
-                                (ln.split() for ln in block)]))
-    df = DrivingField(fields)
+    block = lines.section("field", "fx fy", float, rows_per_count=nt)
+    if not len(block):
+        raise MeshParseError(lines.numbers[0], "a field file holds at least one field")
+    lines.finish("the field data")
+    df = DrivingField(list(block.reshape(-1, nt, 2)))
     df.validate(forms, tol)
     return df
 

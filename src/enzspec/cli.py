@@ -166,7 +166,7 @@ def _csv_lines(name: str, header, rows):
 
 def _generate(shape: str, size: float, rings_core: int, rings_shell: int,
               n_theta: int = 0):
-    kwargs = {} if n_theta <= 0 else {"n_theta": n_theta}
+    kwargs = {} if n_theta == 0 else {"n_theta": n_theta}
     if shape == "disk":
         return generate_disk_in_disk(size, rings_core, rings_shell, **kwargs)
     if shape == "square":

@@ -26,7 +26,6 @@ from .mesh import INCLUSION, SHELL
 __all__ = [
     "Pencil",
     "EigenPair",
-    "SpectralCluster",
     "Branch",
     "EigError",
     "TrackingAmbiguityError",
@@ -35,7 +34,6 @@ __all__ = [
     "discrete_K0",
     "track_branch",
     "cluster_track",
-    "find_clusters",
 ]
 
 
@@ -79,16 +77,6 @@ class EigenPair:
     lam: complex
     vector: np.ndarray
     residual: float
-
-
-@dataclass
-class SpectralCluster:
-    members: list          # of EigenPair
-    gap: float             # distance to the nearest eigenvalue outside
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.members)
 
 
 @dataclass
@@ -322,29 +310,6 @@ def discrete_K0(forms: AssembledForms, size_limit: int = 2000):
     k0 = 0.5 * (k0 + k0.T)
     rho, _ = sym_eig_dense(k0)
     return rho[::-1].copy(), k0
-
-
-def find_clusters(pairs, rel_tol: float = 1e-6):
-    """Group eigenpairs whose eigenvalues agree to rel_tol (relative)."""
-    order = sorted(range(len(pairs)), key=lambda i: np.real(pairs[i].lam))
-    clusters = []
-    current = [pairs[order[0]]]
-    for i in order[1:]:
-        p = pairs[i]
-        if abs(p.lam - current[-1].lam) <= rel_tol * max(1.0, abs(p.lam)):
-            current.append(p)
-        else:
-            clusters.append(current)
-            current = [p]
-    clusters.append(current)
-    out = []
-    for ci, c in enumerate(clusters):
-        gaps = []
-        for cj, other in enumerate(clusters):
-            if ci != cj:
-                gaps.append(min(abs(p.lam - q.lam) for p in c for q in other))
-        out.append(SpectralCluster(c, min(gaps) if gaps else np.inf))
-    return out
 
 
 # Relative Ritz residuals the block corrector aims for and accepts, and the

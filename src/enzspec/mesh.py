@@ -10,7 +10,7 @@ extraction and uniform red refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -44,7 +44,7 @@ class MeshError(ValueError):
 
 
 class MeshParseError(ValueError):
-    """Mesh file syntax error; carries the offending line number."""
+    """Syntax error in a mesh or field file; carries the offending line number."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -58,7 +58,6 @@ class Mesh:
     regions: np.ndarray           # (nt,) int in {INCLUSION, SHELL}
     edges: np.ndarray             # (ne, 2) int, tagged edges only
     edge_tags: np.ndarray         # (ne,) int in {INTERFACE, OUTER}
-    metadata: dict = field(default_factory=dict)
 
     @property
     def n_vertices(self) -> int:
@@ -281,9 +280,7 @@ def generate_disk_in_disk(R: float, rings_core: int, rings_shell: int,
     if n_theta is None:
         n_theta = _default_n_theta(rings_core)
     radii = 1.0 + np.arange(1, rings_shell + 1) * (R - 1.0) / rings_shell
-    mesh = Mesh(*_ring_mesh(rings_core, n_theta, radii[:, None, None] * _unit_circle(n_theta)),
-                metadata={"generator": "disk_in_disk", "snap_interface": True,
-                          "R": float(R)})
+    mesh = Mesh(*_ring_mesh(rings_core, n_theta, radii[:, None, None] * _unit_circle(n_theta)))
     mesh.validate()
     return mesh
 
@@ -313,9 +310,7 @@ def generate_square_with_disk(L: float, rings_core: int, rings_blend: int,
     circle = _unit_circle(n_theta)
     square = L * circle / np.abs(circle).max(axis=1, keepdims=True)
     s = (np.arange(1, rings_blend + 1) / rings_blend)[:, None, None]
-    mesh = Mesh(*_ring_mesh(rings_core, n_theta, (1.0 - s) * circle + s * square),
-                metadata={"generator": "square_with_disk", "snap_interface": True,
-                          "L": float(L)})
+    mesh = Mesh(*_ring_mesh(rings_core, n_theta, (1.0 - s) * circle + s * square))
     mesh.validate()
     return mesh
 
@@ -375,28 +370,31 @@ def _parse_rows(numbers: list, texts: list, form: str, dtype,
     raise AssertionError("a mesh section failed to convert but every line converts")
 
 
-def load_mesh(path: str) -> Mesh:
-    with open(path, encoding="utf-8") as f:
-        raw = f.read().splitlines()
-    stripped = list(map(str.strip, raw))
-    texts = list(compress(stripped, stripped))
-    numbers = list(compress(range(1, len(raw) + 1), stripped))
-    pos = 0
+class _SectionReader:
+    """The non-blank lines of a text file, read as `name N` sections."""
 
-    def next_line():
-        nonlocal pos
-        if pos >= len(texts):
-            raise MeshParseError(len(raw) + 1, "unexpected end of file")
-        pos += 1
-        return numbers[pos - 1], texts[pos - 1]
+    def __init__(self, path: str):
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            raw = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise MeshParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+        stripped = list(map(str.strip, raw))
+        self.texts = list(compress(stripped, stripped))
+        self.numbers = list(compress(range(1, len(raw) + 1), stripped))
+        self.end = len(raw) + 1   # line number reported at end of file
+        self.pos = 0
 
-    no, header = next_line()
-    if header.split() != ["enzmesh", "1", "2"]:
-        raise MeshParseError(no, f"bad header {header!r}, expected 'enzmesh 1 2'")
+    def next_line(self) -> tuple[int, str]:
+        if self.pos >= len(self.texts):
+            raise MeshParseError(self.end, "unexpected end of file")
+        self.pos += 1
+        return self.numbers[self.pos - 1], self.texts[self.pos - 1]
 
-    def section(name, form, dtype, tag=None):
-        nonlocal pos
-        no, ln = next_line()
+    def section(self, name: str, form: str, dtype, tag=None, rows_per_count: int = 1):
+        """Read a `name N` line and the N * rows_per_count rows after it."""
+        no, ln = self.next_line()
         parts = ln.split()
         if len(parts) != 2 or parts[0] != name:
             raise MeshParseError(no, f"expected '{name} N', got {ln!r}")
@@ -406,18 +404,28 @@ def load_mesh(path: str) -> Mesh:
             raise MeshParseError(no, f"bad count {parts[1]!r}") from None
         if n < 0:
             raise MeshParseError(no, f"negative count {n}")
-        block = _parse_rows(numbers[pos:pos + n], texts[pos:pos + n], form, dtype, tag)
-        pos += len(block)
-        if len(block) < n:
-            raise MeshParseError(len(raw) + 1, "unexpected end of file")
+        rows = slice(self.pos, self.pos + n * rows_per_count)
+        block = _parse_rows(self.numbers[rows], self.texts[rows], form, dtype, tag)
+        self.pos += len(block)
+        if len(block) < n * rows_per_count:
+            raise MeshParseError(self.end, "unexpected end of file")
         return block
 
-    verts = section("vertices", "x y", float)
-    tris = section("triangles", "i j k region", int, ("region", (INCLUSION, SHELL)))
-    edges = section("boundary", "i j tag", int, ("boundary", (INTERFACE, OUTER)))
-    if pos < len(texts):
-        raise MeshParseError(numbers[pos], f"unexpected line after the boundary section: "
-                                           f"{texts[pos]!r}")
+    def finish(self, last: str) -> None:
+        if self.pos < len(self.texts):
+            raise MeshParseError(self.numbers[self.pos], f"unexpected line after {last}: "
+                                                         f"{self.texts[self.pos]!r}")
+
+
+def load_mesh(path: str) -> Mesh:
+    lines = _SectionReader(path)
+    no, header = lines.next_line()
+    if header.split() != ["enzmesh", "1", "2"]:
+        raise MeshParseError(no, f"bad header {header!r}, expected 'enzmesh 1 2'")
+    verts = lines.section("vertices", "x y", float)
+    tris = lines.section("triangles", "i j k region", int, ("region", (INCLUSION, SHELL)))
+    edges = lines.section("boundary", "i j tag", int, ("boundary", (INTERFACE, OUTER)))
+    lines.finish("the boundary section")
 
     mesh = Mesh(verts, *(np.ascontiguousarray(a) for a in
                          (tris[:, :3], tris[:, 3], edges[:, :2], edges[:, 2])))
@@ -450,8 +458,7 @@ def extract_submesh(mesh: Mesh, region: int) -> Submesh:
     tags = mesh.edge_tags[tag_order[pos]].astype(int)
 
     child = Mesh(mesh.vertices[used].copy(), child_tris,
-                 np.full(len(child_tris), region, dtype=int), edges, tags,
-                 metadata=dict(mesh.metadata))
+                 np.full(len(child_tris), region, dtype=int), edges, tags)
     # the child's "region" labels are uniform by construction; validation of
     # INTERFACE edges does not apply on the child, so check the rest by hand
     areas = child.triangle_areas()
@@ -468,11 +475,13 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     (a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca), where ab is the
     midpoint of edge (a, b).  The midpoints are numbered from n_vertices in
     the order in which their edges first occur in the triangles, and each
-    tagged edge (a, b) becomes (a, ab), (ab, b).  If the mesh metadata carries
-    snap_interface, interface nodes are projected back to the unit circle
-    (generator geometry).
+    tagged edge (a, b) becomes (a, ab), (ab, b).  If every coarse interface
+    vertex lies on the unit circle (to 1e-12), as in the generated meshes,
+    the fine interface nodes are projected back onto it.
     """
     nv = mesh.n_vertices
+    iface = mesh.boundary_vertices(INTERFACE)
+    snap = np.all(np.abs(np.linalg.norm(mesh.vertices[iface], axis=1) - 1.0) <= 1e-12)
     keys, _, _, first, edge = _edge_incidence(mesh.triangles, nv)
     new = np.argsort(first)
     mid = np.empty(len(keys), dtype=int)
@@ -493,12 +502,11 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     edges = np.column_stack([mesh.edges[:, 0], m, m, mesh.edges[:, 1]]).reshape(-1, 2)
     tags = np.repeat(mesh.edge_tags, 2)
 
-    if mesh.metadata.get("snap_interface"):
+    if snap:
         nodes = np.unique(edges[tags == INTERFACE])
         r = np.linalg.norm(vertices[nodes], axis=1)
         vertices[nodes] /= np.where(r > 0, r, 1.0)[:, None]
 
-    out = Mesh(vertices, triangles, np.repeat(mesh.regions, 4), edges, tags,
-               metadata=dict(mesh.metadata))
+    out = Mesh(vertices, triangles, np.repeat(mesh.regions, 4), edges, tags)
     out.validate()
     return out

@@ -32,13 +32,12 @@ import numpy as np
 from .specfun import (
     HarmonicIndex,
     SurfacePoint,
+    _harmonic_frame,
     bessel_zeros,
-    real_spherical_harmonic,
     spherical_bessel,
     spherical_bessel_complex,
     spherical_neumann_complex,
     sphere_quadrature,
-    vector_harmonics,
 )
 
 __all__ = [
@@ -204,62 +203,78 @@ def matching_constants(mode: MieMode) -> dict:
     }
 
 
-def _frame(point) -> tuple:
-    """(r, omega, SurfacePoint) of a 3D point away from the origin."""
-    x = np.asarray(point, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r < 1e-12:
+def _frame(points) -> tuple:
+    """(r, omega, SurfacePoint) of 3D points away from the origin: the row
+    norms, the unit rows and their angles, for points read as an (N, 3) array."""
+    x = np.asarray(points, dtype=float).reshape(-1, 3)
+    r = np.linalg.norm(x, axis=1)
+    if (r < 1e-12).any():
         raise MieError("field evaluation at the origin is not supported")
-    omega = x / r
-    theta = math.acos(min(1.0, max(-1.0, omega[2])))
-    phi = math.atan2(omega[1], omega[0])
+    omega = x / r[:, None]
+    theta = np.arccos(np.clip(omega[:, 2], -1.0, 1.0))
+    phi = np.arctan2(omega[:, 1], omega[:, 0])
     return r, omega, SurfacePoint(theta, phi % (2.0 * math.pi))
 
 
-def _mode_fields_at(mode: MieMode, point) -> FieldSample:
-    r, omega, sp = _frame(point)
-    n = mode.idx.n
+def _expansion(idx: HarmonicIndex, omega: np.ndarray, sp: SurfacePoint):
+    """expand(a, b, c) = a Y omega + b U + c V at the points, for per-point
+    coefficients (or scalars) a, b, c.  Y[n,m] is evaluated once."""
+    y, u, v = _harmonic_frame(idx, sp)
+    yw = y[:, None] * omega
+
+    def expand(a, b, c):
+        return (np.reshape(a, (-1, 1)) * yw + np.reshape(b, (-1, 1)) * u
+                + np.reshape(c, (-1, 1)) * v)
+
+    return expand
+
+
+def _mode_fields(mode: MieMode, points) -> tuple:
+    """(E, H) of the mode at 3D points, each (N, 3) complex; core where |x| <= 1."""
+    r, omega, sp = _frame(points)
+    n, k = mode.idx.n, mode.k
     root = math.sqrt(n * (n + 1.0))
-    y, _ = real_spherical_harmonic(mode.idx, sp)
-    u, v = vector_harmonics(mode.idx, sp)
-    k = mode.k
-    region = CORE if r <= 1.0 else SHELL
+    expand = _expansion(mode.idx, omega, sp)
+    core = r <= 1.0
+    j, jp = spherical_bessel(n, k * r)
+    jk, jkp = spherical_bessel(n, k)
+    radial = (j + k * r * jp) / r
+    # both branches are evaluated everywhere; the shell one at |x| >= 1 only,
+    # so that its negative powers cannot overflow near the origin
+    rs = np.maximum(r, 1.0)
     if mode.family == ELECTROSTATIC:
         a, b = mode.outer_coeffs
-        if region == CORE:
-            j, jp = spherical_bessel(n, k * r)
-            jk, jkp = spherical_bessel(n, k)
-            den = jk + k * jkp
-            e = (root * j / (r * den)) * y * omega + ((j + k * r * jp) / (r * den)) * u
-            h = (1j * k * j / den) * v
-        else:
-            e = ((n * a * r ** (n - 1) - (n + 1.0) * b * r ** (-n - 2)) * y * omega
-                 + root * (a * r**n + b * r ** (-n - 1)) / r * u)
-            h = np.zeros(3, dtype=complex)
+        den = jk + k * jkp
+        e = expand(np.where(core, root * j / (r * den),
+                            n * a * rs ** (n - 1) - (n + 1.0) * b * rs ** (-n - 2)),
+                   np.where(core, radial / den, root * (a * rs**n + b * rs ** (-n - 1)) / rs),
+                   0.0) + 0j
+        h = expand(0.0, 0.0, np.where(core, 1j * k * j / den, 0.0))
     else:
         c, d = mode.outer_coeffs
-        if region == CORE:
-            j, jp = spherical_bessel(n, k * r)
-            jk, _ = spherical_bessel(n, k)
-            e = -(j / jk) * v + 0j
-            h = (1.0 / (1j * k)) * (root * j / (r * jk) * y * omega
-                                    + (j + k * r * jp) / (r * jk) * u)
-        else:
-            e = (c * r**n + d * r ** (-n - 1)) / root * v + 0j
-            h = -(1.0 / (1j * k)) * (
-                (c * r ** (n - 1) + d * r ** (-n - 2)) * y * omega
-                + ((n + 1.0) * c * r ** (n - 1) - n * d * r ** (-n - 2)) / root * u)
-    return FieldSample(np.asarray(point, dtype=float), np.asarray(e, dtype=complex),
-                       np.asarray(h, dtype=complex), region)
+        e = expand(0.0, 0.0, np.where(core, -j / jk, (c * rs**n + d * rs ** (-n - 1)) / root)) + 0j
+        h = expand(np.where(core, root * j / (r * jk), -(c * rs ** (n - 1) + d * rs ** (-n - 2))),
+                   np.where(core, radial / jk,
+                            -((n + 1.0) * c * rs ** (n - 1) - n * d * rs ** (-n - 2)) / root),
+                   0.0) / (1j * k)
+    return e, h
+
+
+def _checked_fields(mode: MieMode, points) -> tuple:
+    """_mode_fields, raising MieError at the first point with a non-finite component."""
+    e, h = _mode_fields(mode, points)
+    bad = np.nonzero(~(np.isfinite(e).all(axis=1) & np.isfinite(h).all(axis=1)))[0]
+    if len(bad):
+        raise MieError(f"non-finite field components at {np.reshape(points, (-1, 3))[bad[0]]}")
+    return e, h
 
 
 def evaluate_fields(mode: MieMode, points) -> list:
     """FieldSamples of the mode at 3D points (core/shell chosen by |x|)."""
-    samples = [_mode_fields_at(mode, pt) for pt in points]
-    for s in samples:
-        if not (np.all(np.isfinite(s.E)) and np.all(np.isfinite(s.H))):
-            raise MieError(f"non-finite field components at {s.point}")
-    return samples
+    x = np.asarray(points, dtype=float).reshape(-1, 3)
+    e, h = _checked_fields(mode, x)
+    core = np.linalg.norm(x, axis=1) <= 1.0
+    return [FieldSample(p, a, b, CORE if c else SHELL) for p, a, b, c in zip(x, e, h, core)]
 
 
 def interior_solution(f_coeffs, k: float):
@@ -286,24 +301,17 @@ def interior_solution(f_coeffs, k: float):
         active.append((idx, complex(uc), complex(vc), jk, den))
 
     def evaluate(points):
-        out = []
-        for pt in points:
-            r, omega, sp = _frame(pt)
-            e = np.zeros(3, dtype=complex)
-            ikh = np.zeros(3, dtype=complex)
-            for idx, uc, vc, jk, den in active:
-                n = idx.n
-                root = math.sqrt(n * (n + 1.0))
-                y, _ = real_spherical_harmonic(idx, sp)
-                u, v = vector_harmonics(idx, sp)
-                j, jp = spherical_bessel(n, k * r)
-                radial = (j + k * r * jp) / r
-                e += vc * (root * j / (r * den) * y * omega + radial / den * u)
-                e -= uc * (j / jk) * v
-                ikh += uc * (root * j / (r * jk) * y * omega + radial / jk * u)
-                ikh -= vc * k * k * (j / den) * v
-            out.append((e, ikh / (1j * k)))
-        return out
+        r, omega, sp = _frame(points)
+        e = np.zeros(omega.shape, dtype=complex)
+        ikh = np.zeros(omega.shape, dtype=complex)
+        for idx, uc, vc, jk, den in active:
+            root = math.sqrt(idx.n * (idx.n + 1.0))
+            expand = _expansion(idx, omega, sp)
+            j, jp = spherical_bessel(idx.n, k * r)
+            radial = (j + k * r * jp) / r
+            e += expand(vc * root * j / (r * den), vc * radial / den, -uc * j / jk)
+            ikh += expand(uc * root * j / (r * jk), uc * radial / jk, -vc * k * k * j / den)
+        return list(zip(e, ikh / (1j * k)))
 
     return evaluate
 
@@ -317,6 +325,15 @@ def _fibonacci_directions(count: int) -> np.ndarray:
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
+def _tangential(vec: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows of vec with their components along the unit rows of w removed."""
+    return vec - np.sum(vec * w, axis=1)[:, None] * w
+
+
+def _row_max(vec: np.ndarray) -> float:
+    return float(np.linalg.norm(vec, axis=1).max())
+
+
 def interface_residuals(mode: MieMode, n_quad: int = 24) -> dict:
     """Boundary/interface defects of a mode, measured by evaluation.
 
@@ -325,62 +342,42 @@ def interface_residuals(mode: MieMode, n_quad: int = 24) -> dict:
     tangential_e_jump, tangential_h_jump, normal_h_jump, shell_h_scale.
     """
     dirs = _fibonacci_directions(32)
-    inner = evaluate_fields(mode, (1.0 - 1e-12) * dirs)
-    outer = evaluate_fields(mode, (1.0 + 1e-12) * dirs)
-
-    def tangential(vec, w):
-        return vec - (vec @ w) * w
-
-    e_jump = max(np.linalg.norm(tangential(a.E - b.E, w))
-                 for a, b, w in zip(inner, outer, dirs))
+    e_in, h_in = _checked_fields(mode, (1.0 - 1e-12) * dirs)
+    e_out, h_out = _checked_fields(mode, (1.0 + 1e-12) * dirs)
+    e_jump = _row_max(_tangential(e_in - e_out, dirs))
     if mode.family == ELECTROSTATIC:
         res = {
-            "normal_e_interface": max(abs(s.E @ w) for s, w in zip(inner, dirs)),
-            "h_interface": max(np.linalg.norm(s.H) for s in inner),
+            "normal_e_interface": float(np.abs(np.sum(e_in * dirs, axis=1)).max()),
+            "h_interface": _row_max(h_in),
             "tangential_e_jump": e_jump,
         }
-        rim = evaluate_fields(mode, mode.R * dirs)
-        res["tangential_e_outer"] = max(np.linalg.norm(tangential(s.E, w))
-                                        for s, w in zip(rim, dirs))
+        e_rim, _ = _checked_fields(mode, mode.R * dirs)
+        res["tangential_e_outer"] = _row_max(_tangential(e_rim, dirs))
         pts, wts = sphere_quadrature(n_quad, 2 * n_quad)
-        flux = 0.0
-        for p, wq in zip(pts, wts):
-            s = _mode_fields_at(mode, mode.R * p.omega)
-            flux += wq * float(np.real(s.E @ p.omega))
+        e_quad, _ = _mode_fields(mode, mode.R * pts.omega)
+        flux = float(wts @ np.real(np.sum(e_quad * pts.omega, axis=1)))
         res["net_flux_outer"] = abs(flux) * mode.R**2
     else:
-        h_scale = max(np.linalg.norm(s.H) for s in inner)
         res = {
             "tangential_e_jump": e_jump,
-            "tangential_h_jump": max(np.linalg.norm(tangential(a.H - b.H, w))
-                                     for a, b, w in zip(inner, outer, dirs)),
-            "normal_h_jump": max(abs((a.H - b.H) @ w)
-                                 for a, b, w in zip(inner, outer, dirs)),
-            "shell_h_scale": max(np.linalg.norm(s.H) for s in outer) / h_scale,
+            "tangential_h_jump": _row_max(_tangential(h_in - h_out, dirs)),
+            "normal_h_jump": float(np.abs(np.sum((h_in - h_out) * dirs, axis=1)).max()),
+            "shell_h_scale": _row_max(h_out) / _row_max(h_in),
         }
     return res
 
 
 def _fd_curl(evaluate_e, x: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros(3, dtype=complex)
-    cols = []
-    for a in range(3):
-        step = np.zeros(3)
-        step[a] = h
-        cols.append((evaluate_e(x + step) - evaluate_e(x - step)) / (2.0 * h))
-    out[0] = cols[1][2] - cols[2][1]
-    out[1] = cols[2][0] - cols[0][2]
-    out[2] = cols[0][1] - cols[1][0]
-    return out
+    """Central-difference curl of evaluate_e at the rows of x."""
+    d = [(evaluate_e(x + step) - evaluate_e(x - step)) / (2.0 * h) for step in h * np.eye(3)]
+    return np.column_stack([d[1][:, 2] - d[2][:, 1], d[2][:, 0] - d[0][:, 2],
+                            d[0][:, 1] - d[1][:, 0]])
 
 
-def _fd_div(evaluate_e, x: np.ndarray, h: float) -> complex:
-    out = 0.0 + 0.0j
-    for a in range(3):
-        step = np.zeros(3)
-        step[a] = h
-        out += (evaluate_e(x + step)[a] - evaluate_e(x - step)[a]) / (2.0 * h)
-    return out
+def _fd_div(evaluate_e, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference divergence of evaluate_e at the rows of x."""
+    return sum((evaluate_e(x + step)[:, a] - evaluate_e(x - step)[:, a]) / (2.0 * h)
+               for a, step in enumerate(h * np.eye(3)))
 
 
 def residual_checks(mode: MieMode, sample_count: int = 20, step: float = 1e-4,
@@ -398,28 +395,20 @@ def residual_checks(mode: MieMode, sample_count: int = 20, step: float = 1e-4,
     radii_shell = np.linspace(1.0 + margin + 2.0 * step, hi, sample_count)
 
     def e_at(x):
-        return _mode_fields_at(mode, x).E
+        return _mode_fields(mode, x)[0]
 
     lam = mode.lam
-    scale = 0.0
-    points = [(r * w, True) for r, w in zip(radii_core, dirs)]
-    points += [(r * w, False) for r, w in zip(radii_shell, dirs)]
-    scale = max(np.linalg.norm(e_at(x)) for x, _ in points)
-    worst_cc = worst_div = worst_shell_curl = 0.0
-    for x, in_core in points:
-        curlcurl = _fd_curl(lambda z: _fd_curl(e_at, z, step), x, step)
-        target = lam * e_at(x) if in_core else 0.0
-        worst_cc = max(worst_cc, np.linalg.norm(curlcurl - target))
-        worst_div = max(worst_div, abs(_fd_div(e_at, x, step)))
-        if mode.family == ELECTROSTATIC and not in_core:
-            worst_shell_curl = max(worst_shell_curl,
-                                   np.linalg.norm(_fd_curl(e_at, x, step)))
+    x = np.vstack([radii_core[:, None] * dirs, radii_shell[:, None] * dirs])
+    in_core = np.arange(len(x)) < sample_count
+    e = e_at(x)
+    scale = _row_max(e)
+    curlcurl = _fd_curl(lambda z: _fd_curl(e_at, z, step), x, step)
     report = {
-        "curl_curl": worst_cc / (lam * scale),
-        "divergence": worst_div / (mode.k * scale),
+        "curl_curl": _row_max(curlcurl - np.where(in_core[:, None], lam * e, 0.0)) / (lam * scale),
+        "divergence": float(np.abs(_fd_div(e_at, x, step)).max()) / (mode.k * scale),
     }
     if mode.family == ELECTROSTATIC:
-        report["shell_curl"] = worst_shell_curl / (mode.k * scale)
+        report["shell_curl"] = _row_max(_fd_curl(e_at, x[~in_core], step)) / (mode.k * scale)
     return report
 
 

@@ -4,9 +4,9 @@ the tangent vector harmonics U, V.
 The Bessel functions come from scipy.special (spherical_jn, spherical_yn
 with derivative=True) and their zeros from a scan plus scipy.optimize.brentq;
 both modules are imported on first use, so importing enzspec does not pay
-for them.  The spherical harmonics are evaluated here by the associated
-Legendre recurrence.  They are real valued and normalized to unit L2 norm on
-the unit sphere, so that
+for them.  The spherical harmonics come from scipy.special.sph_legendre_p,
+without its Condon-Shortley phase.  They are real valued and normalized to
+unit L2 norm on the unit sphere, so that
 
     integral over S2 of Y[n,m] * Y[n',m']  =  delta_{nn'} delta_{mm'} .
 
@@ -14,13 +14,14 @@ The tangent frame is
 
     U[n,m] = grad_S2 Y[n,m] / sqrt(n(n+1)),     V[n,m] = omega x U[n,m],
 
-which is orthonormal in L2(S2) for n >= 1.
+which is orthonormal in L2(S2) for n >= 1.  A SurfacePoint may hold arrays
+of angles; the harmonics are then evaluated at all of its points at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,60 +58,62 @@ class HarmonicIndex:
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    """Point on the unit sphere given by polar angle theta and azimuth phi."""
+    """Point on the unit sphere given by polar angle theta and azimuth phi.
 
-    theta: float
-    phi: float
+    theta and phi may also be arrays of one shape; omega, theta_hat and
+    phi_hat then have that shape plus a trailing axis of length 3.
+    """
+
+    theta: float | np.ndarray
+    phi: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise SpecFunError(f"theta must lie in [0, pi], got {self.theta}")
+        theta = np.asarray(self.theta, dtype=float)
+        outside = ~((0.0 <= theta) & (theta <= math.pi))
+        if outside.any():
+            raise SpecFunError(f"theta must lie in [0, pi], got {theta[outside].flat[0]}")
+        if np.shape(self.phi) != theta.shape:
+            raise SpecFunError(f"theta and phi differ in shape: {theta.shape} and "
+                               f"{np.shape(self.phi)}")
 
     @property
     def omega(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array([st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)])
+        st = np.sin(self.theta)
+        return np.stack([st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)], -1)
 
     @property
     def theta_hat(self) -> np.ndarray:
-        ct, st = math.cos(self.theta), math.sin(self.theta)
-        return np.array([ct * math.cos(self.phi), ct * math.sin(self.phi), -st])
+        ct, st = np.cos(self.theta), np.sin(self.theta)
+        return np.stack([ct * np.cos(self.phi), ct * np.sin(self.phi), -st], -1)
 
     @property
     def phi_hat(self) -> np.ndarray:
-        return np.array([-math.sin(self.phi), math.cos(self.phi), 0.0])
-
-    @classmethod
-    def from_vector(cls, x) -> "SurfacePoint":
-        x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            raise SpecFunError("cannot project the origin onto the sphere")
-        theta = math.acos(min(1.0, max(-1.0, x[2] / r)))
-        phi = math.atan2(x[1], x[0]) % (2.0 * math.pi)
-        return cls(theta, phi)
+        return np.stack([-np.sin(self.phi), np.cos(self.phi), np.zeros(np.shape(self.phi))], -1)
 
 
 # ---------------------------------------------------------------------------
 # spherical Bessel functions (scipy.special, imported on first use)
 # ---------------------------------------------------------------------------
 
-def spherical_bessel(n: int, x: float) -> tuple[float, float]:
-    """Return (j_n(x), j_n'(x)) for real x >= 0.
+def spherical_bessel(n: int, x):
+    """Return (j_n(x), j_n'(x)) for real x >= 0, scalar or array.
 
-    The analytic limit at x = 0 is returned when x == 0 exactly; negative
-    orders and arguments are rejected.
+    The analytic limit at x = 0 is returned where x == 0 exactly; negative
+    orders and arguments are rejected.  A scalar x gives two floats.
     """
     if n < 0:
         raise SpecFunError(f"order must be >= 0, got {n}")
-    if x < 0.0:
-        raise SpecFunError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        val = 1.0 if n == 0 else 0.0
-        dval = 1.0 / 3.0 if n == 1 else 0.0
-        return val, dval
+    x = np.asarray(x, dtype=float)
+    if (x < 0.0).any():
+        raise SpecFunError(f"argument must be >= 0, got {x[x < 0.0].flat[0]}")
     from scipy.special import spherical_jn
-    return float(spherical_jn(n, x)), float(spherical_jn(n, x, derivative=True))
+    zero = x == 0.0
+    xs = np.where(zero, 1.0, x)  # j_n'(0) is 0/0 in scipy's recurrence
+    val = np.where(zero, 1.0 if n == 0 else 0.0, spherical_jn(n, xs))
+    dval = np.where(zero, 1.0 / 3.0 if n == 1 else 0.0, spherical_jn(n, xs, derivative=True))
+    if x.ndim == 0:
+        return float(val), float(dval)
+    return val, dval
 
 
 def spherical_bessel_complex(n: int, z):
@@ -161,102 +164,60 @@ def bessel_zeros(n: int, count: int) -> np.ndarray:
 # real spherical harmonics and the tangent frame
 # ---------------------------------------------------------------------------
 
-def _assoc_legendre(n: int, m: int, ct: float, st: float) -> tuple[float, float]:
-    """P_n^m(cos theta) and P_{n-1}^m(cos theta), no Condon-Shortley phase."""
-    pmm = 1.0
-    for i in range(1, m + 1):
-        pmm *= (2.0 * i - 1.0) * st
-    if n == m:
-        return pmm, 0.0
-    pmm1 = ct * (2.0 * m + 1.0) * pmm
-    if n == m + 1:
-        return pmm1, pmm
-    pnm2, pnm1 = pmm, pmm1
-    pnm = 0.0
-    for k in range(m + 2, n + 1):
-        pnm = ((2.0 * k - 1.0) * ct * pnm1 - (k - 1.0 + m) * pnm2) / (k - m)
-        pnm2, pnm1 = pnm1, pnm
-    return pnm, pnm2
-
-
-def _y_normalization(n: int, m: int) -> float:
-    am = abs(m)
-    logfac = 0.0
-    for i in range(n - am + 1, n + am + 1):
-        logfac += math.log(i)
-    return math.sqrt((2.0 * n + 1.0) / (4.0 * math.pi) * math.exp(-logfac))
-
-
 _POLE_TOL = 1e-12
 
 
-def real_spherical_harmonic(idx: HarmonicIndex, p: SurfacePoint) -> tuple[float, np.ndarray]:
+def real_spherical_harmonic(idx: HarmonicIndex, p: SurfacePoint) -> tuple:
     """Value and surface gradient of the real spherical harmonic Y[n,m].
 
     The gradient is returned as a Cartesian 3-vector tangent to the sphere.
-    Evaluation at the poles uses the analytic limits (only m = 0 contributes
-    a value there, only |m| = 1 a gradient).
+    A scalar point gives a float and a (3,) array; a point of angle arrays
+    gives arrays of their shape and that shape plus (3,).  On a pole
+    P / sin(theta) is replaced by its limit P' / cos(theta).
     """
+    from scipy.special import sph_legendre_p
     n, m = idx.n, idx.m
     am = abs(m)
-    ct, st = math.cos(p.theta), math.sin(p.theta)
-    norm = _y_normalization(n, am)
-
-    if st < _POLE_TOL:
-        sgn = 1.0 if ct > 0 else (-1.0) ** n
-        value = norm * sgn if m == 0 else 0.0
-        grad = np.zeros(3)
-        if am == 1:
-            cn = 0.5 * n * (n + 1.0)
-            norm1 = _y_normalization(n, 1)
-            if m == 1:
-                f, fp = math.sqrt(2.0) * math.cos(p.phi), -math.sqrt(2.0) * math.sin(p.phi)
-            else:
-                f, fp = math.sqrt(2.0) * math.sin(p.phi), math.sqrt(2.0) * math.cos(p.phi)
-            if ct > 0:
-                grad = norm1 * cn * (f * p.theta_hat + fp * p.phi_hat)
-            else:
-                par = (-1.0) ** n
-                grad = norm1 * cn * (par * f * p.theta_hat - par * fp * p.phi_hat)
-        return value, grad
-
-    pnm, pn1m = _assoc_legendre(n, am, ct, st)
+    theta, phi = p.theta, p.phi
+    # sph_legendre_p carries the normalization and the phase (-1)^m
+    pnm, dpnm = (-1.0) ** am * sph_legendre_p(n, am, theta, diff_n=1)
     if m == 0:
         f, fp = 1.0, 0.0
     elif m > 0:
-        f, fp = math.sqrt(2.0) * math.cos(m * p.phi), -m * math.sqrt(2.0) * math.sin(m * p.phi)
+        f, fp = math.sqrt(2.0) * np.cos(m * phi), -m * math.sqrt(2.0) * np.sin(m * phi)
     else:
-        f, fp = math.sqrt(2.0) * math.sin(am * p.phi), am * math.sqrt(2.0) * math.cos(am * p.phi)
+        f, fp = math.sqrt(2.0) * np.sin(am * phi), am * math.sqrt(2.0) * np.cos(am * phi)
 
-    value = norm * pnm * f
-    dp_dtheta = (n * ct * pnm - (n + am) * pn1m) / st
-    grad = norm * (dp_dtheta * f * p.theta_hat + pnm / st * fp * p.phi_hat)
-    return value, grad
+    st = np.sin(theta)
+    pole = np.abs(st) < _POLE_TOL
+    p_over_st = np.where(pole, dpnm / np.cos(theta), pnm / np.where(pole, 1.0, st))
+    value = pnm * f
+    grad = (dpnm * f)[..., None] * p.theta_hat + (p_over_st * fp)[..., None] * p.phi_hat
+    return (float(value) if np.ndim(value) == 0 else value), grad
+
+
+def _harmonic_frame(idx: HarmonicIndex, p: SurfacePoint) -> tuple:
+    """(Y, U, V) of index idx at p from one evaluation of Y; requires n >= 1."""
+    if idx.n < 1:
+        raise SpecFunError("vector harmonics vanish identically for n = 0")
+    y, grad = real_spherical_harmonic(idx, p)
+    u = grad / math.sqrt(idx.n * (idx.n + 1.0))
+    return y, u, np.cross(p.omega, u)
 
 
 def vector_harmonics(idx: HarmonicIndex, p: SurfacePoint) -> tuple[np.ndarray, np.ndarray]:
     """The orthonormal tangent pair (U, V) at p; requires n >= 1."""
-    if idx.n < 1:
-        raise SpecFunError("vector harmonics vanish identically for n = 0")
-    _, grad = real_spherical_harmonic(idx, p)
-    u = grad / math.sqrt(idx.n * (idx.n + 1.0))
-    v = np.cross(p.omega, u)
-    return u, v
+    return _harmonic_frame(idx, p)[1:]
 
 
 def sphere_quadrature(n_theta: int = 40, n_phi: int = 80):
     """Product Gauss-Legendre x trapezoid quadrature on S2.
 
-    Returns (points, weights) with points a list of SurfacePoint.  Exact for
-    spherical polynomials well beyond the degrees exercised here.
+    Returns (points, weights): one SurfacePoint over the flattened
+    n_theta x n_phi grid (theta-major) and the matching weight array.  Exact
+    for spherical polynomials well beyond the degrees exercised here.
     """
     xs, ws = np.polynomial.legendre.leggauss(n_theta)
-    thetas = np.arccos(xs)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * math.pi / n_phi
-    pts, wts = [], []
-    for th, w in zip(thetas, ws):
-        for ph in phis:
-            pts.append(SurfacePoint(float(th), float(ph)))
-            wts.append(w * wphi)
-    return pts, np.array(wts)
+    points = SurfacePoint(np.repeat(np.arccos(xs), n_phi), np.tile(phis, n_theta))
+    return points, np.repeat(ws * (2.0 * math.pi / n_phi), n_phi)

@@ -80,8 +80,7 @@ def test_criterion_01_special_functions():
     # spherical-harmonic orthonormality up to n = 8 by quadrature
     pts, wts = sphere_quadrature(24, 48)
     idxs = [HarmonicIndex(n, m) for n in range(9) for m in range(-n, n + 1)]
-    values = np.array([[real_spherical_harmonic(i, p)[0] for p in pts]
-                       for i in idxs])
+    values = np.array([real_spherical_harmonic(i, pts)[0] for i in idxs])
     gram = (values * wts) @ values.T
     assert np.abs(gram - np.eye(len(idxs))).max() <= 1e-8
 

@@ -133,6 +133,16 @@ class TestMeshCommands:
                            str(tmp_path / "m.txt"))
         assert code == 1 and "ring counts" in err
 
+    @pytest.mark.parametrize("shape, fragment", [("disk", "n_theta must be >= 3"),
+                                                 ("square", "multiple of 8")])
+    def test_negative_n_theta_rejected(self, tmp_path, shape, fragment):
+        # only 0 selects the default angle count
+        path = tmp_path / "m.txt"
+        code, out, err = run("mesh", "gen", "--shape", shape, "--n_theta", "-5",
+                             "--out", str(path))
+        assert code == 1 and fragment in err
+        assert out == "" and not path.exists()
+
 
 class TestEigCommands:
     def test_limit_csv(self, disk_mesh, tmp_path):
@@ -254,6 +264,71 @@ class TestCascadeCommand:
         code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", "0",
                            "--out", str(tmp_path / "c.csv"))
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def disk2_mesh(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mesh") / "disk2.txt"
+    code, out, err = run("mesh", "gen", "--shape", "disk", "--rings_core", "2",
+                         "--rings_shell", "2", "--out", str(path))
+    assert code == 0 and "112 triangles" in out, err
+    return str(path)
+
+
+def _field_lines(rows=112):
+    return ["field 1"] + ["1 0"] * rows
+
+
+class TestCascadeFieldFile:
+    def cascade(self, mesh, tmp_path, lines):
+        field = tmp_path / "field.txt"
+        field.write_text("".join(ln + "\n" for ln in lines))
+        out_path = tmp_path / "c.csv"
+        code, out, err = run("cascade", "--mesh", mesh, "--delta", "0.05", "--orders", "2",
+                             "--field", str(field), "--out", str(out_path))
+        return code, err, out_path
+
+    def test_constant_field_matches_fx_fy(self, disk2_mesh, tmp_path):
+        code, err, out_path = self.cascade(disk2_mesh, tmp_path, _field_lines())
+        assert code == 0, err
+        ref = tmp_path / "ref.csv"
+        assert run("cascade", "--mesh", disk2_mesh, "--delta", "0.05", "--orders", "2",
+                   "--fx", "1", "--fy", "0", "--out", str(ref))[0] == 0
+        assert out_path.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("lines, fragment", [
+        ([], "line 1: unexpected end of file"),
+        (["field x"] + ["1 0"] * 112, "line 1: bad count 'x'"),
+        (["fields 1"] + ["1 0"] * 112, "line 1: expected 'field N'"),
+        (["field -1"], "line 1: negative count -1"),
+        (["field 0"], "line 1: a field file holds at least one field"),
+        (["field 1", "1 0 5"] + ["1 0"] * 111, "line 2: expected 'fx fy', got '1 0 5'"),
+        (["field 1"] + ["1 0"] * 50 + ["1 zero"] + ["1 0"] * 61, "line 52: bad coordinate"),
+        (_field_lines(111), "line 113: unexpected end of file"),
+        (["field 2"] + ["1 0"] * 112, "line 114: unexpected end of file"),
+        (_field_lines(113), "line 114: unexpected line after the field data"),
+    ], ids=["empty", "bad-count", "bad-header", "negative-count", "zero-count",
+            "token-count", "non-numeric", "too-few-lines", "too-few-fields", "too-many-lines"])
+    def test_malformed_file_is_parse_error(self, disk2_mesh, tmp_path, lines, fragment):
+        code, err, out_path = self.cascade(disk2_mesh, tmp_path, lines)
+        assert code == 3 and err.startswith("i/o error: ") and fragment in err, err
+        assert not out_path.exists()
+
+    def test_bytes_that_are_not_utf8(self, disk2_mesh, tmp_path):
+        field = tmp_path / "field.txt"
+        field.write_bytes(b"field 1\n1 0\n\xff 0\n")
+        code, _, err = run("cascade", "--mesh", disk2_mesh, "--field", str(field),
+                           "--out", str(tmp_path / "c.csv"))
+        assert code == 3 and err == "i/o error: line 3: not UTF-8 text\n"
+
+    def test_divergent_field_is_cascade_error(self, disk2_mesh, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = [f"{a:.17g} {b:.17g}" for a, b in rng.standard_normal((112, 2))]
+        code, err, out_path = self.cascade(disk2_mesh, tmp_path, ["field 1"] + rows)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "CascadeError" and "unexpected" not in payload
+        assert "not weakly divergence-free" in payload["message"]
 
 
 class TestMieCommands:

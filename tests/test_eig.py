@@ -17,7 +17,6 @@ from enzspec.eig import (
     cluster_track,
     delta_spectrum,
     discrete_K0,
-    find_clusters,
     limit_spectrum,
     track_branch,
 )

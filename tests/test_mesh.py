@@ -217,21 +217,37 @@ class TestRefine:
             assert abs(np.linalg.norm(fine.vertices[v]) - 1.0) < 1e-14
 
     def test_no_snap_without_flag(self):
-        mesh = generate_disk_in_disk(2.0, 4, 4)
-        mesh.metadata.pop("snap_interface")
+        # an interface off the unit circle is not snapped
+        mesh = _scaled(generate_disk_in_disk(2.0, 4, 4))
         fine = refine_uniform(mesh)
         radii = [np.linalg.norm(fine.vertices[v]) for v in fine.boundary_vertices(INTERFACE)]
-        assert min(radii) < 1.0 - 1e-6  # chord midpoints stay inside
+        assert min(radii) < 1.25 - 1e-6  # chord midpoints stay inside
 
     def test_area_preserved_without_snap(self):
-        mesh = generate_disk_in_disk(2.0, 4, 4)
-        mesh.metadata.pop("snap_interface")
+        mesh = _scaled(generate_disk_in_disk(2.0, 4, 4))
         fine = refine_uniform(mesh)
         assert abs(fine.triangle_areas().sum() - mesh.triangle_areas().sum()) < 1e-12
 
     def test_refined_mesh_valid(self):
         mesh = generate_square_with_disk(2.0, 4, 4)
         refine_uniform(mesh).validate()
+
+    @pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+    def test_reloaded_mesh_snaps(self, generate, tmp_path):
+        # snapping is read off the geometry, so it survives the file format
+        mesh = generate(2.0, 4, 4)
+        save_mesh(mesh, str(tmp_path / "m.txt"))
+        fine = refine_uniform(load_mesh(str(tmp_path / "m.txt")))
+        ref = refine_uniform(mesh)
+        radii = np.linalg.norm(fine.vertices[fine.boundary_vertices(INTERFACE)], axis=1)
+        assert np.abs(radii - 1.0).max() < 1e-14
+        assert np.array_equal(fine.vertices, ref.vertices)
+
+
+def _scaled(mesh, factor=1.25):
+    """The mesh stretched about the origin, so its interface leaves the unit circle."""
+    mesh.vertices = factor * mesh.vertices
+    return mesh
 
 
 def _red_refinement(mesh):
@@ -262,7 +278,7 @@ def _red_refinement(mesh):
 def test_refine_numbering_and_midpoints(generate, snap):
     mesh = generate(2.0, 3, 2)
     if not snap:
-        mesh.metadata.pop("snap_interface")
+        mesh = _scaled(mesh)
     fine = refine_uniform(mesh)
     tris, edges, points = _red_refinement(mesh)
     assert np.array_equal(fine.triangles, tris)
@@ -488,6 +504,14 @@ class TestParseErrors:
         path = tmp_path / "m.txt"
         path.write_text(SMALL_MESH + "\n  \n\n")
         load_mesh(str(path))
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        lines = SMALL_MESH.encode().splitlines()
+        lines[3] = b"1 \xff0"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(MeshParseError, match="^line 4: not UTF-8 text$"):
+            load_mesh(str(path))
 
 
 @pytest.fixture(scope="module", params=["disk", "square"])

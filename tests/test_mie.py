@@ -22,7 +22,7 @@ from enzspec.mie import (
     save_mode,
 )
 from enzspec.perturb import taylor_from_circle
-from enzspec.specfun import HarmonicIndex
+from enzspec.specfun import HarmonicIndex, SpecFunError
 
 # first zero of j_1, frozen from the independent closed-form bisection in
 # the special-function tests
@@ -179,6 +179,12 @@ class TestInteriorSolution:
         with pytest.raises(MieError, match="j_1"):
             interior_solution([(idx, 1.0, 0.0)], k_den)
 
+    def test_degree_zero_rejected(self):
+        # U and V vanish for n = 0, so a degree-0 trace has no interior field
+        evaluate = interior_solution([(HarmonicIndex(0, 0), 1.0, 0.0)], 2.0)
+        with pytest.raises(SpecFunError, match="n = 0"):
+            evaluate([[0.3, 0.2, 0.1]])
+
     def test_superposition_of_indices(self):
         k = 2.5
         pair = [(HarmonicIndex(1, 0), 1.0, 0.0), (HarmonicIndex(2, 1), 0.0, 1.0)]
@@ -220,6 +226,13 @@ class TestEvaluateFields:
         mode = electrostatic_mode(1, 0, 1, 2.0)
         with pytest.raises(MieError):
             evaluate_fields(mode, [[0.0, 0.0, 0.0]])
+
+    def test_high_degree_near_origin(self):
+        # the shell powers r^(-n-2) would overflow at a core point this close
+        mode = electrostatic_mode(30, 0, 1, 2.0)
+        samples = evaluate_fields(mode, [[0.0, 0.0, 1e-11], [0.0, 0.0, 1.5]])
+        assert [s.region for s in samples] == ["core", "shell"]
+        assert np.abs(samples[0].E).max() < 1e-100
 
     def test_shell_h_zero_electrostatic(self):
         mode = electrostatic_mode(2, 1, 1, 2.0)

@@ -111,6 +111,16 @@ class TestSphericalBessel:
         assert spherical_bessel(1, 0.0)[1] == pytest.approx(1.0 / 3.0)
         assert spherical_bessel(5, 0.0) == (0.0, 0.0)
 
+    def test_array_matches_scalar_calls(self):
+        xs = np.array([0.0, 0.3, 2.5, 0.0, 11.0])
+        for n in range(4):
+            val, dval = spherical_bessel(n, xs)
+            assert val.shape == dval.shape == xs.shape
+            for x, v, d in zip(xs, val, dval):
+                assert (v, d) == spherical_bessel(n, float(x))
+        with pytest.raises(SpecFunError, match="-0.5"):
+            spherical_bessel(1, np.array([1.0, -0.5]))
+
     def test_complex_argument_matches_real(self):
         # complex evaluation on the real axis against the real closed forms
         xs = np.array([0.4, 2.5, 11.0])
@@ -209,14 +219,14 @@ class TestSphericalHarmonics:
     def test_orthonormality(self):
         pts, wts = sphere_quadrature(24, 48)
         idxs = [HarmonicIndex(n, m) for n in range(0, 9) for m in range(-n, n + 1)]
-        vals = np.array([[real_spherical_harmonic(i, p)[0] for p in pts] for i in idxs])
+        vals = np.array([real_spherical_harmonic(i, pts)[0] for i in idxs])
         gram = vals @ (wts[:, None] * vals.T)
         assert np.max(np.abs(gram - np.eye(len(idxs)))) < 1e-8
 
     def test_gradient_eigen_relation(self):
         pts, wts = sphere_quadrature(24, 48)
         for (n, m) in [(1, 0), (2, 1), (3, -2), (5, 4), (8, -8)]:
-            grads = np.array([real_spherical_harmonic(HarmonicIndex(n, m), p)[1] for p in pts])
+            grads = real_spherical_harmonic(HarmonicIndex(n, m), pts)[1]
             energy = float(np.sum(wts * np.sum(grads * grads, axis=1)))
             assert abs(energy - n * (n + 1.0)) < 1e-8 * n * (n + 1.0)
 
@@ -226,10 +236,11 @@ class TestSphericalHarmonics:
             idx = HarmonicIndex(n, m)
             p = SurfacePoint(0.9, 1.7)
             _, g = real_spherical_harmonic(idx, p)
-            dth = (real_spherical_harmonic(idx, SurfacePoint(p.theta + eps, p.phi))[0]
-                   - real_spherical_harmonic(idx, SurfacePoint(p.theta - eps, p.phi))[0]) / (2 * eps)
-            dph = (real_spherical_harmonic(idx, SurfacePoint(p.theta, p.phi + eps))[0]
-                   - real_spherical_harmonic(idx, SurfacePoint(p.theta, p.phi - eps))[0]) / (2 * eps)
+            shifted = SurfacePoint(p.theta + np.array([eps, -eps, 0.0, 0.0]),
+                                   p.phi + np.array([0.0, 0.0, eps, -eps]))
+            y = real_spherical_harmonic(idx, shifted)[0]
+            dth = (y[0] - y[1]) / (2 * eps)
+            dph = (y[2] - y[3]) / (2 * eps)
             fd = dth * p.theta_hat + dph / math.sin(p.theta) * p.phi_hat
             assert np.linalg.norm(g - fd) < 1e-5 * max(1.0, np.linalg.norm(g))
 
@@ -238,12 +249,63 @@ class TestSphericalHarmonics:
         for n in range(1, 5):
             for m in range(-n, n + 1):
                 idx = HarmonicIndex(n, m)
-                for pole, near in ((0.0, 1e-7), (math.pi, math.pi - 1e-7)):
-                    for phi in (0.0, 0.7, 2.9):
-                        yp, gp = real_spherical_harmonic(idx, SurfacePoint(pole, phi))
-                        yn, gn = real_spherical_harmonic(idx, SurfacePoint(near, phi))
-                        assert abs(yp - yn) < 1e-6
-                        assert np.linalg.norm(gp - gn) < 1e-5 * (1.0 + np.linalg.norm(gn))
+                phi = np.tile([0.0, 0.7, 2.9], 2)
+                poles = np.repeat([0.0, math.pi], 3)
+                nears = np.repeat([1e-7, math.pi - 1e-7], 3)
+                yp, gp = real_spherical_harmonic(idx, SurfacePoint(poles, phi))
+                yn, gn = real_spherical_harmonic(idx, SurfacePoint(nears, phi))
+                assert np.all(np.abs(yp - yn) < 1e-6)
+                assert np.all(np.linalg.norm(gp - gn, axis=1)
+                              < 1e-5 * (1.0 + np.linalg.norm(gn, axis=1)))
+
+    def test_closed_forms(self):
+        # Y[1,1] = sqrt(3/4pi) x, Y[1,-1] = sqrt(3/4pi) y, Y[2,0] and
+        # Y[2,2] from their Cartesian forms; surface gradients by projecting
+        # the Cartesian gradient onto the tangent plane
+        rng = np.random.default_rng(23)
+        theta = np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, 30)])
+        p = SurfacePoint(theta, rng.uniform(0.0, 2 * math.pi, len(theta)))
+        w = p.omega
+        c1 = math.sqrt(3.0 / (4.0 * math.pi))
+        c20 = math.sqrt(5.0 / (16.0 * math.pi))
+        c22 = math.sqrt(15.0 / (16.0 * math.pi))
+        x, y, z = w.T
+        forms = [
+            ((1, 1), c1 * x, c1 * np.array([1.0, 0.0, 0.0]) + 0 * w),
+            ((1, -1), c1 * y, c1 * np.array([0.0, 1.0, 0.0]) + 0 * w),
+            ((2, 0), c20 * (3 * z * z - 1), c20 * 6 * z[:, None] * [0.0, 0.0, 1.0]),
+            ((2, 2), c22 * (x * x - y * y), c22 * 2 * np.column_stack([x, -y, 0 * z])),
+        ]
+        for (n, m), value, cart in forms:
+            grad = cart - np.sum(cart * w, axis=1)[:, None] * w
+            yv, g = real_spherical_harmonic(HarmonicIndex(n, m), p)
+            assert np.abs(yv - value).max() < 1e-14
+            assert np.abs(g - grad).max() < 1e-13
+
+    def test_array_point_matches_scalar_points(self):
+        rng = np.random.default_rng(31)
+        theta = np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, 6)]).reshape(2, 4)
+        phi = rng.uniform(0.0, 2 * math.pi, (2, 4))
+        p = SurfacePoint(theta, phi)
+        assert p.omega.shape == p.theta_hat.shape == p.phi_hat.shape == (2, 4, 3)
+        for n in range(5):
+            for m in range(-n, n + 1):
+                y, g = real_spherical_harmonic(HarmonicIndex(n, m), p)
+                assert y.shape == (2, 4) and g.shape == (2, 4, 3)
+                for i in np.ndindex(2, 4):
+                    ys, gs = real_spherical_harmonic(HarmonicIndex(n, m),
+                                                     SurfacePoint(theta[i], phi[i]))
+                    assert isinstance(ys, float) and gs.shape == (3,)
+                    assert ys == y[i]
+                    assert np.array_equal(gs, g[i])
+
+    def test_surface_point_validation(self):
+        with pytest.raises(SpecFunError, match="4.0"):
+            SurfacePoint(np.array([1.0, 4.0]), np.array([0.0, 0.0]))
+        with pytest.raises(SpecFunError, match="nan"):
+            SurfacePoint(float("nan"), 0.0)
+        with pytest.raises(SpecFunError, match="shape"):
+            SurfacePoint(np.array([1.0, 2.0]), 0.5)
 
 
 class TestVectorHarmonics:
@@ -268,9 +330,9 @@ class TestVectorHarmonics:
         idxs = [HarmonicIndex(n, m) for n in range(1, 5) for m in range(-n, n + 1)]
         us, vs = [], []
         for i in idxs:
-            uv = [vector_harmonics(i, p) for p in pts]
-            us.append(np.array([x[0] for x in uv]))
-            vs.append(np.array([x[1] for x in uv]))
+            u, v = vector_harmonics(i, pts)
+            us.append(u)
+            vs.append(v)
         for a, ia in enumerate(idxs):
             for b in range(a, len(idxs)):
                 uu = float(np.sum(wts * np.sum(us[a] * us[b], axis=1)))
