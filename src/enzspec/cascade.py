@@ -25,7 +25,6 @@ import scipy.sparse
 
 from .fem import (
     AssembledForms,
-    FEFunction,
     FemError,
     assemble,
     divergence_load_vector,
@@ -66,6 +65,11 @@ class CascadeError(RuntimeError):
     pass
 
 
+# Largest patch flux, relative to the field scale, that a driving field
+# coefficient may carry and still count as weakly divergence-free.
+_DIVERGENCE_TOL = 1e-12
+
+
 def _weak_divergence_defect(forms: AssembledForms, field_values: np.ndarray) -> float:
     """Largest patch flux of a per-triangle field over non-outer vertices."""
     b = divergence_load_vector(forms, field_values)
@@ -85,25 +89,21 @@ class DrivingField:
     def __post_init__(self):
         self.fields = [np.asarray(f, dtype=float) for f in self.fields]
 
-    @property
-    def order(self) -> int:
-        return len(self.fields) - 1
-
     def coefficient(self, k: int) -> np.ndarray:
-        if k <= self.order:
+        if k < len(self.fields):
             return self.fields[k]
         return np.zeros_like(self.fields[0])
 
-    def validate(self, forms: AssembledForms, tol: float = 1e-12) -> None:
+    def validate(self, forms: AssembledForms) -> None:
         for k, f in enumerate(self.fields):
             if f.shape != (forms.mesh.n_triangles, 2):
                 raise CascadeError(f"coefficient {k} has shape {f.shape}, "
                                    f"expected ({forms.mesh.n_triangles}, 2)")
             defect = _weak_divergence_defect(forms, f)
-            if defect > tol:
+            if defect > _DIVERGENCE_TOL:
                 raise CascadeError(
                     f"coefficient {k} is not weakly divergence-free: "
-                    f"patch flux defect {defect:.3e} > {tol:g}")
+                    f"patch flux defect {defect:.3e} > {_DIVERGENCE_TOL:g}")
 
     def evaluate(self, delta: complex) -> np.ndarray:
         out = np.zeros(self.fields[0].shape, dtype=complex if np.iscomplexobj(
@@ -129,7 +129,7 @@ def save_field(df: DrivingField, path: str) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def load_field(path: str, forms: AssembledForms, tol: float = 1e-12) -> DrivingField:
+def load_field(path: str, forms: AssembledForms) -> DrivingField:
     """Read a save_field file for the mesh of forms.
 
     The file is parsed as a mesh section is: a malformed file raises
@@ -143,14 +143,12 @@ def load_field(path: str, forms: AssembledForms, tol: float = 1e-12) -> DrivingF
         raise MeshParseError(lines.numbers[0], "a field file holds at least one field")
     lines.finish("the field data")
     df = DrivingField(list(block.reshape(-1, nt, 2)))
-    df.validate(forms, tol)
+    df.validate(forms)
     return df
 
 
 @dataclass
 class CascadeState:
-    psi: FEFunction
-    psi_energy: float
     h_list: list = field(default_factory=list)      # full-mesh nodal arrays
     c_list: list = field(default_factory=list)
     norm_list: list = field(default_factory=list)   # H1(Omega) norms of h_k
@@ -162,26 +160,26 @@ class CascadeState:
 
 def solve_psi(mesh: Mesh):
     """Interface function: harmonic in the shell, 0 on the inclusion
-    (and its boundary), 1 on the outer boundary.  Returns (FEFunction on
+    (and its boundary), 1 on the outer boundary.  Returns (nodal values on
     the full mesh, Dirichlet energy)."""
     sub = extract_submesh(mesh, SHELL)
-    return _solve_psi(mesh, sub, assemble(sub.mesh))
+    return _solve_psi(sub, assemble(sub.mesh))
 
 
-def _solve_psi(mesh: Mesh, sub: Submesh, forms_s: AssembledForms):
+def _solve_psi(sub: Submesh, forms_s: AssembledForms):
     """solve_psi on an already extracted and assembled shell submesh."""
     psi_s = solve_dirichlet(forms_s, {INTERFACE: 0.0, OUTER: 1.0})
-    energy = float(psi_s.values @ (forms_s.A @ psi_s.values))
+    a_psi = forms_s.A @ psi_s
+    energy = float(psi_s @ a_psi)
     if energy <= 0.0:
         raise CascadeError("interface function has nonpositive energy")
     # identity check: the variational outer flux of psi equals its energy
     outer_nodes = sub.mesh.boundary_vertices(OUTER)
-    flux = float((forms_s.A @ psi_s.values)[outer_nodes].sum())
+    flux = float(a_psi[outer_nodes].sum())
     if abs(flux - energy) > 1e-8 * energy:
         raise CascadeError(f"outer flux {flux:g} of the interface function "
                            f"disagrees with its energy {energy:g}")
-    full = sub.extend(psi_s.values, fill=0.0)
-    return FEFunction(mesh, full), energy
+    return sub.extend(psi_s, fill=0.0), energy
 
 
 class Cascade:
@@ -207,10 +205,10 @@ class Cascade:
 
     @cached_property
     def _psi_solution(self):
-        return _solve_psi(self.mesh, self.sub_s, self.forms_s)
+        return _solve_psi(self.sub_s, self.forms_s)
 
     @property
-    def psi(self) -> FEFunction:
+    def psi(self) -> np.ndarray:
         return self._psi_solution[0]
 
     @property
@@ -242,11 +240,11 @@ class Cascade:
         """Order zero: interior Neumann driven by the inclusion-side normal
         trace of F_0, harmonic shell extension, then the Psi multiple that
         cancels the outer flux."""
-        state = CascadeState(psi=self.psi, psi_energy=self.psi_energy)
+        state = CascadeState()
         f0_d = self._restrict(f0, self.sub_d)
         load = -divergence_load_vector(self.forms_d, f0_d)
         try:
-            h_d = solve_neumann(self.forms_d, load).values
+            h_d = solve_neumann(self.forms_d, load)
         except FemError as exc:
             raise CascadeError(f"order 0 interior problem incompatible: {exc}") from exc
         self._finish_order(state, h_d, f0)
@@ -264,7 +262,7 @@ class Cascade:
         load = -divergence_load_vector(self.forms_d, self._restrict(f_curr, self.sub_d))
         load[self._iface_in_d] -= r[self._shell_iface]
         try:
-            h_d = solve_neumann(self.forms_d, load).values
+            h_d = solve_neumann(self.forms_d, load)
         except FemError as exc:
             raise CascadeError(
                 f"order {k} interior problem incompatible (flux imbalance "
@@ -277,10 +275,10 @@ class Cascade:
         trace[self._shell_iface] = h_d[self._iface_in_d]
         h_s = solve_dirichlet(self.forms_s,
                               {INTERFACE: trace, OUTER: 0.0},
-                              load=-divergence_load_vector(self.forms_s, f_s)).values
+                              load=-divergence_load_vector(self.forms_s, f_s))
         flux = float(self._shell_residual(h_s, f_s)[self._shell_outer].sum())
         c_k = -flux / self.psi_energy
-        h_full = self._combine(h_d, h_s) + c_k * self.psi.values
+        h_full = self._combine(h_d, h_s) + c_k * self.psi
         # independent re-measurement of the enforced normalization
         re_flux = self.outer_flux(h_full, f_k)
         if abs(re_flux) > 1e-8 * max(1.0, float(np.abs(f_k).max())):
@@ -313,7 +311,7 @@ class Cascade:
         return float(np.exp(np.mean(np.log(ratios))))
 
 
-def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex) -> FEFunction:
+def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex) -> np.ndarray:
     """Single-solve projection: div(eps_delta (F + grad h)) = 0 with h
     constant on the outer boundary (one merged unknown) and zero net outer
     flux.  Normalized to zero inclusion mean, matching the cascade."""
@@ -359,7 +357,7 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
                         + divergence_load_vector(forms, np.asarray(field_values, dtype=dtype)))
     if abs(unweighted_outer[outer].sum()) > 1e-8 * scale:
         raise CascadeError("outer flux condition violated in direct projection")
-    return FEFunction(mesh, h)
+    return h
 
 
 def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
@@ -368,7 +366,7 @@ def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
     projection of the full field evaluated at delta."""
     if state is None:
         state = cascade.run(driving, max_order)
-    h_direct = direct_projection(cascade, driving.evaluate(delta), delta).values
+    h_direct = direct_projection(cascade, driving.evaluate(delta), delta)
     l2d, h1d = norms(cascade.forms, h_direct)
     ref = float(np.hypot(l2d, h1d))
     errors = []

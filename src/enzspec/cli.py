@@ -13,7 +13,9 @@ reported like a numerical failure, so no traceback leaves the front end.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 import os
 import sys
 import traceback
@@ -59,17 +61,33 @@ def _str_list(text):
     return [tok.strip() for tok in str(text).split(",") if tok.strip()]
 
 
-def _list_of(cast, name):
+def _checked(cast, ok, what):
+    """A parser that casts its text and rejects a value v unless ok(v)."""
     def parse(text):
-        try:
-            return [cast(tok) for tok in _str_list(text)]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse {name} list {text!r}: {exc}") from exc
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}")
+        return value
     return parse
 
 
-_complex_list = _list_of(complex, "complex")
-_float_list = _list_of(float, "number")
+def _list_of(cast):
+    return lambda text: [cast(tok) for tok in _str_list(text)]
+
+
+# each key's domain; a value outside it is a validation error (exit 1)
+_finite = _checked(float, math.isfinite, "finite")
+_finite_complex = _checked(complex, cmath.isfinite, "finite")
+_positive = _checked(_finite, lambda x: x > 0, "> 0")
+_nonzero = _checked(_finite, lambda x: x != 0, "nonzero")
+_outer_radius = _checked(_finite, lambda x: x > 1, "> 1")
+_at_least_1 = _checked(int, lambda k: k >= 1, ">= 1")
+_at_least_0 = _checked(int, lambda k: k >= 0, ">= 0")
+_power_of_two = _checked(int, lambda k: k >= 4 and not k & (k - 1), "a power of two >= 4")
+_family = _checked(str, lambda f: f in (FAMILY_E, FAMILY_H), f"{FAMILY_E!r} or {FAMILY_H!r}")
+_complex_list = _list_of(_finite_complex)
+_nonzero_complex_list = _list_of(_checked(_finite_complex, lambda d: d != 0, "nonzero"))
+_float_list = _list_of(_finite)
 
 
 def _fmt(x) -> str:
@@ -166,17 +184,17 @@ def _csv_lines(name: str, header, rows):
 
 def _generate(shape: str, size: float, rings_core: int, rings_shell: int,
               n_theta: int = 0):
-    kwargs = {} if n_theta == 0 else {"n_theta": n_theta}
-    if shape == "disk":
-        return generate_disk_in_disk(size, rings_core, rings_shell, **kwargs)
-    if shape == "square":
-        return generate_square_with_disk(size, rings_core, rings_shell, **kwargs)
-    raise ConfigError(f"unknown shape {shape!r} (expected disk or square)")
+    """The mesh of a shape; n_theta = 0 selects the generator's default."""
+    generators = {"disk": generate_disk_in_disk, "square": generate_square_with_disk}
+    if shape not in generators:
+        raise ConfigError(f"unknown shape {shape!r} (expected disk or square)")
+    return generators[shape](size, rings_core, rings_shell, n_theta or None)
 
 
-def _ramp_track(forms, lambda0: float, delta: float, steps: int = 4):
-    """Last eigenvalue of the branch continued from 0 to a real delta."""
-    path = [delta * j / steps for j in range(steps + 1)]
+def _ramp_track(forms, lambda0: float, delta: float):
+    """Last eigenvalue of the branch continued from 0 to a real delta in
+    four equal steps."""
+    path = [delta * j / 4 for j in range(5)]
     return track_branch(forms, lambda0, path).lambda_samples[-1]
 
 
@@ -204,9 +222,8 @@ def _cmd_mesh_info(cfg, out):
 def _cmd_eig_limit(cfg, out):
     forms = assemble(load_mesh(cfg["mesh"]))
     pairs = limit_spectrum(forms, cfg["count"])
-    rows = [(i, float(np.real(p.lam)), p.residual) for i, p in enumerate(pairs)]
-    _write_lines(cfg["out"], _csv_lines("eig-limit", ["index", "lambda", "residual"],
-                                        [(str(i), lam, res) for i, lam, res in rows]))
+    rows = [(str(i), float(np.real(p.lam)), p.residual) for i, p in enumerate(pairs)]
+    _write_lines(cfg["out"], _csv_lines("eig-limit", ["index", "lambda", "residual"], rows))
 
 
 def _cmd_eig_sweep(cfg, out):
@@ -243,10 +260,9 @@ def _cmd_eig_k0(cfg, out):
 
 
 def _cmd_taylor(cfg, out):
-    if cfg["radius"] <= 0.0:
-        raise ConfigError("radius must be positive")
-    if cfg["samples"] < 4:
-        raise ConfigError("samples must be >= 4")
+    if cfg["order"] > cfg["samples"] // 4:
+        raise ConfigError(f"order {cfg['order']} exceeds the aliasing guard "
+                          f"samples / 4 = {cfg['samples'] // 4}")
     forms = assemble(load_mesh(cfg["mesh"]))
     path, start = circle_path(cfg["radius"], cfg["samples"])
     branch = track_branch(forms, cfg["lambda0"], path)
@@ -262,8 +278,6 @@ def _cmd_taylor(cfg, out):
 
 
 def _cmd_cascade(cfg, out):
-    if cfg["delta"] == 0.0:
-        raise ConfigError("delta must be nonzero")
     cascade = Cascade(load_mesh(cfg["mesh"]))
     if cfg["field"]:
         driving = load_field(cfg["field"], cascade.forms)
@@ -282,6 +296,8 @@ def _cmd_cascade(cfg, out):
 
 
 def _cmd_mie_electrostatic(cfg, out):
+    if abs(cfg["m"]) > cfg["n"]:
+        raise ConfigError(f"order m = {cfg['m']} must satisfy |m| <= n = {cfg['n']}")
     mode = electrostatic_mode(cfg["n"], cfg["m"], cfg["root"], cfg["R"])
     save_mode(mode, cfg["out"])
     print(f"k {_fmt(mode.k)}", file=out)
@@ -289,6 +305,8 @@ def _cmd_mie_electrostatic(cfg, out):
 
 
 def _cmd_mie_nonelectrostatic(cfg, out):
+    if abs(cfg["q"]) > cfg["p"]:
+        raise ConfigError(f"order q = {cfg['q']} must satisfy |q| <= p = {cfg['p']}")
     mode = nonelectrostatic_mode(cfg["p"], cfg["q"], cfg["R"], cfg["interval"])
     save_mode(mode, cfg["out"])
     print(f"k {_fmt(mode.k)}", file=out)
@@ -299,8 +317,6 @@ def _cmd_mie_nonelectrostatic(cfg, out):
 
 def _cmd_mie_dispersion(cfg, out):
     family = cfg["family"]
-    if family not in (FAMILY_E, FAMILY_H):
-        raise ConfigError(f"family must be {FAMILY_E!r} or {FAMILY_H!r}")
     deltas = list(cfg["deltas"])
     if cfg["radius"] > 0.0:
         if deltas:
@@ -309,13 +325,10 @@ def _cmd_mie_dispersion(cfg, out):
                   for j in range(cfg["samples"] + 1)]
     if not deltas:
         raise ConfigError("no delta samples requested")
-    if any(d == 0 for d in deltas):
-        raise ConfigError("delta samples must be nonzero")
     seed = cfg["seed"]
     if seed == 0.0:
         seed = float(bessel_zeros(cfg["n"], 1)[0])
-        # an R <= 1 is left for concentric_dispersion to reject
-        if family == FAMILY_E and cfg["R"] > 1.0:
+        if family == FAMILY_E:
             seed /= cfg["R"]
 
     lams = [concentric_dispersion(family, cfg["n"], cfg["R"], d, seed) for d in deltas]
@@ -339,7 +352,7 @@ def _cmd_invariance(cfg, out):
 _COMMANDS = {
     ("mesh", "gen"): (_cmd_mesh_gen, {
         "shape": (str, "disk"),
-        "size": (float, 2.0),
+        "size": (_finite, 2.0),
         "rings_core": (int, 8),
         "rings_shell": (int, 8),
         "n_theta": (int, 0),
@@ -348,69 +361,69 @@ _COMMANDS = {
     ("mesh", "info"): (_cmd_mesh_info, {"mesh": (str, _REQUIRED)}),
     ("eig", "limit"): (_cmd_eig_limit, {
         "mesh": (str, _REQUIRED),
-        "count": (int, 6),
+        "count": (_at_least_1, 6),
         "out": (str, _REQUIRED),
     }),
     ("eig", "sweep"): (_cmd_eig_sweep, {
         "mesh": (str, _REQUIRED),
         "deltas": (_complex_list, _REQUIRED),
-        "target": (complex, complex(-1.0)),
-        "count": (int, 4),
+        "target": (_finite_complex, complex(-1.0)),
+        "count": (_at_least_1, 4),
         "out": (str, _REQUIRED),
     }),
     ("eig", "k0"): (_cmd_eig_k0, {
         "mesh": (str, _REQUIRED),
-        "count": (int, 6),
-        "tol": (float, 1e-7),
+        "count": (_at_least_1, 6),
+        "tol": (_positive, 1e-7),
         "out": (str, _REQUIRED),
     }),
     ("taylor", None): (_cmd_taylor, {
         "mesh": (str, _REQUIRED),
-        "lambda0": (float, _REQUIRED),
-        "radius": (float, _REQUIRED),
-        "samples": (int, 16),
-        "order": (int, 4),
+        "lambda0": (_finite, _REQUIRED),
+        "radius": (_positive, _REQUIRED),
+        "samples": (_power_of_two, 16),
+        "order": (_at_least_0, 4),
         "real_deltas": (_float_list, []),
         "out": (str, _REQUIRED),
     }),
     ("cascade", None): (_cmd_cascade, {
         "mesh": (str, _REQUIRED),
         "field": (str, ""),
-        "fx": (float, 1.0),
-        "fy": (float, 0.0),
-        "delta": (float, 0.05),
-        "orders": (int, 6),
+        "fx": (_finite, 1.0),
+        "fy": (_finite, 0.0),
+        "delta": (_nonzero, 0.05),
+        "orders": (_at_least_0, 6),
         "out": (str, _REQUIRED),
     }),
     ("mie", "electrostatic"): (_cmd_mie_electrostatic, {
-        "n": (int, _REQUIRED),
+        "n": (_at_least_1, _REQUIRED),
         "m": (int, 0),
-        "root": (int, 1),
-        "R": (float, 2.0),
+        "root": (_at_least_1, 1),
+        "R": (_outer_radius, 2.0),
         "out": (str, _REQUIRED),
     }),
     ("mie", "nonelectrostatic"): (_cmd_mie_nonelectrostatic, {
-        "p": (int, _REQUIRED),
+        "p": (_at_least_1, _REQUIRED),
         "q": (int, 0),
-        "R": (float, 2.0),
-        "interval": (int, 1),
+        "R": (_outer_radius, 2.0),
+        "interval": (_at_least_1, 1),
         "out": (str, _REQUIRED),
     }),
     ("mie", "dispersion"): (_cmd_mie_dispersion, {
-        "family": (str, _REQUIRED),
-        "n": (int, _REQUIRED),
-        "R": (float, 2.0),
-        "deltas": (_complex_list, []),
-        "radius": (float, 0.0),
-        "samples": (int, 16),
-        "seed": (float, 0.0),
+        "family": (_family, _REQUIRED),
+        "n": (_at_least_1, _REQUIRED),
+        "R": (_outer_radius, 2.0),
+        "deltas": (_nonzero_complex_list, []),
+        "radius": (_positive, 0.0),
+        "samples": (_at_least_1, 16),
+        "seed": (_finite, 0.0),
         "out": (str, _REQUIRED),
     }),
     ("invariance", None): (_cmd_invariance, {
         "shapes": (_str_list, ["disk", "square"]),
-        "size": (float, 2.0),
+        "size": (_finite, 2.0),
         "rings": (int, 16),
-        "count": (int, 12),
+        "count": (_at_least_1, 12),
         "out": (str, _REQUIRED),
     }),
 }

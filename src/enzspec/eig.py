@@ -18,9 +18,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .fem import AssembledForms
-from .linalg import LUFactors, SingularMatrixError, bilinear_dot, shift_invert_arnoldi, sym_eig_dense
+from .linalg import LUFactors, SingularMatrixError, shift_invert_arnoldi
 from .mesh import INCLUSION, SHELL
 
 __all__ = [
@@ -44,6 +45,17 @@ class EigError(RuntimeError):
 class TrackingAmbiguityError(EigError):
     """Raised when branch continuation cannot pick a unique successor
     (the branch has entered a cluster; switch to cluster tracking)."""
+
+
+# _solve_pencil: the relative residual a harvested eigenpair must reach,
+# and the most ARPACK runs before the verification rounds.
+_RES_TOL, _MAX_ROUNDS = 1e-8, 6
+# _block_step: the relative Ritz residuals it aims for and accepts, and the
+# relative distance within which Ritz values count as one eigenvalue.
+_RES_GOAL, _RES_ACCEPT, _SAME_VALUE = 1e-13, 1e-8, 1e-9
+# track_branch: the eigenpairs its start harvests at delta = 0, and the
+# overlap ratio above which two successors are ambiguous.
+_START_COUNT, _AMBIGUITY_RATIO = 5, 0.9
 
 
 @dataclass
@@ -86,8 +98,6 @@ class Branch:
     delta_samples: list
     lambda_samples: list
     vectors: list = field(default_factory=list)
-    radius: float | None = None
-    taylor: np.ndarray | None = None
 
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
@@ -100,7 +110,7 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
 
 def _bilinear_normalize(v: np.ndarray, bmat) -> np.ndarray:
     """Scale v to v^T B v = 1, or to +-1 for a real v when B is indefinite."""
-    q = bilinear_dot(v, bmat @ v)
+    q = v @ (bmat @ v)
     if abs(q) < 1e-14 * float(np.vdot(v, v).real):
         raise EigError("eigenvector is bilinearly isotropic; cannot normalize")
     v = v / cmath.sqrt(q) if np.iscomplexobj(v) else v / np.sqrt(abs(q))
@@ -112,10 +122,10 @@ def _rayleigh(amat, bmat, v):
     v is bilinearly isotropic."""
     av = amat @ v
     bv = bmat @ v
-    den = bilinear_dot(v, bv)
+    den = v @ bv
     if abs(den) < 1e-14 * float(np.vdot(v, v).real):
         return None
-    lam = bilinear_dot(v, av) / den
+    lam = (v @ av) / den
     scale = np.linalg.norm(av) + abs(lam) * np.linalg.norm(bv)
     return lam, float(np.linalg.norm(av - lam * bv) / max(scale, 1e-300))
 
@@ -143,8 +153,7 @@ def _shifted_factor(acsr, bcsr, sigma, bump: float, delta) -> LUFactors:
             sigma = sigma * (1.0 + bump) + bump
 
 
-def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count: int,
-                  res_tol: float = 1e-8, max_rounds: int = 6):
+def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count: int):
     """Harvest the `count` eigenpairs of (A, B_delta) nearest `target`.
 
     Shift-invert ARPACK (`shift_invert_arnoldi`) runs on (A - sigma B)^{-1} B
@@ -154,9 +163,9 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
     vectors: a copy of one of them leaves almost nothing and is dropped, and
     a further member of a degenerate eigenspace comes out bilinearly
     orthogonal to the members already held.  A candidate whose residual is
-    not already far below `res_tol` (above res_tol / 1000) is polished by
+    not already far below _RES_TOL (above _RES_TOL / 1000) is polished by
     four steps of deflated inverse iteration, and is dropped if it still
-    misses `res_tol`.
+    misses _RES_TOL.
 
     A Krylov space reaches a multiple eigenvalue's eigenspace only along its
     start vector's component there, so it can hold one copy and miss
@@ -166,6 +175,8 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
     a 12-dimensional space: on the 8- and 16-ring meshes, two pairs in 16
     dimensions took a quarter more solves and found nothing more.
     """
+    if count < 1:
+        raise EigError("count must be >= 1")
     real_case = complex(delta).imag == 0.0 and complex(target).imag == 0.0
     if real_case:
         delta = float(np.real(delta))
@@ -185,7 +196,7 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
 
     ones = np.ones(n, dtype=dtype)
     b_ones = bcsr @ ones
-    ones_q = bilinear_dot(ones, b_ones)
+    ones_q = ones @ b_ones
     if abs(ones_q) < 1e-14:
         raise EigError("total mass degenerate: delta = -area(D)/area(shell)")
 
@@ -209,7 +220,7 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
         held.  Returns the number accepted."""
         nonlocal basis, weights
         _, vecs, _ = shift_invert_arnoldi(apply_op, n, k, deflate=deflate, dtype=dtype,
-                                          tol=1e-10, krylov_dim=krylov_dim)
+                                          krylov_dim=krylov_dim)
         if real_case:
             # a real operator can still have complex Ritz vectors; the factor is real
             vecs = vecs.real
@@ -221,7 +232,7 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
                 continue    # (almost) a copy of an accepted vector
             v = v / nv
             quotient = _rayleigh(acsr, bcsr, v)
-            if quotient is not None and quotient[1] > 1e-3 * res_tol:
+            if quotient is not None and quotient[1] > 1e-3 * _RES_TOL:
                 for _ in range(4):
                     w = deflate(apply_op(v))
                     nw = np.linalg.norm(w)
@@ -229,20 +240,20 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
                         break
                     v = w / nw
                 quotient = _rayleigh(acsr, bcsr, v)
-            if quotient is None or not quotient[1] <= res_tol or not distance(quotient[0]) < bound:
+            if quotient is None or not quotient[1] <= _RES_TOL or not distance(quotient[0]) < bound:
                 continue
             lam, res = quotient
             v = _bilinear_normalize(v, bcsr)
             bv = bcsr @ v
             basis = np.column_stack([basis, v])
-            weights = np.column_stack([weights, bv / bilinear_dot(v, bv)])
+            weights = np.column_stack([weights, bv / (v @ bv)])
             accepted.append(EigenPair(float(np.real(lam)) if real_case else lam, v, res))
             added += 1
             if len(accepted) == count:
                 break
         return added
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         if len(accepted) == count or not harvest(
                 min(count - len(accepted) + 4, available - len(accepted)), None, np.inf):
             break
@@ -265,8 +276,6 @@ def limit_spectrum(forms: AssembledForms, count: int):
     The constant mode (eigenvalue zero) is deflated away; eigenvectors come
     out M_D-bilinearly orthonormal with vanishing inclusion mean.
     """
-    if count < 1:
-        raise EigError("count must be >= 1")
     pairs = _solve_pencil(forms, 0.0, -1.0, count)
     pairs.sort(key=lambda p: np.real(p.lam))
     return pairs
@@ -274,8 +283,6 @@ def limit_spectrum(forms: AssembledForms, count: int):
 
 def delta_spectrum(forms: AssembledForms, delta: complex, target: complex, count: int):
     """Eigenpairs of (A, M_D + delta M_S) nearest the target shift."""
-    if count < 1:
-        raise EigError("count must be >= 1")
     return _solve_pencil(forms, delta, target, count)
 
 
@@ -296,7 +303,10 @@ def discrete_K0(forms: AssembledForms, size_limit: int = 2000):
         raise EigError(f"dense operator path limited to {size_limit} nodes, mesh has {n}")
     a = forms.A.toarray()
     m = forms.M.toarray()
-    mu, x = sym_eig_dense(a, m)
+    for name, mat in (("stiffness", a), ("mass", m)):
+        if np.abs(mat - mat.T).max() > 1e-12 * max(1.0, np.abs(mat).max()):
+            raise EigError(f"{name} matrix is not symmetric to the required tolerance")
+    mu, x = scipy.linalg.eigh(a, m, check_finite=False)
     if mu[0] > 1e-8 or mu[1] < 1e-8:
         raise EigError("expected exactly one near-zero Laplacian mode (connected mesh)")
     xp = x[:, 1:]
@@ -308,18 +318,13 @@ def discrete_K0(forms: AssembledForms, size_limit: int = 2000):
     s = 1.0 / np.sqrt(mup)
     k0 = s[:, None] * core * s[None, :]
     k0 = 0.5 * (k0 + k0.T)
-    rho, _ = sym_eig_dense(k0)
+    rho = scipy.linalg.eigh(k0, check_finite=False)[0]
     return rho[::-1].copy(), k0
-
-
-# Relative Ritz residuals the block corrector aims for and accepts, and the
-# relative distance within which Ritz values count as one eigenvalue.
-_RES_GOAL, _RES_ACCEPT, _SAME_VALUE = 1e-13, 1e-8, 1e-9
 
 
 def _slope(forms: AssembledForms, lam, v, bmat):
     """d lambda / d delta = -lambda v^T M_S v / v^T B v of an eigenpair."""
-    return -lam * bilinear_dot(v, forms.M_S @ v) / bilinear_dot(v, bmat @ v)
+    return -lam * (v @ (forms.M_S @ v)) / (v @ (bmat @ v))
 
 
 def _predict(history, delta):
@@ -359,7 +364,7 @@ def _block_step(forms: AssembledForms, delta, sigma, block):
         at, bt = q.T @ aq, q.T @ bq
         if real:
             # symmetric-definite: B-orthonormal Ritz vectors even inside a double
-            theta, c = sym_eig_dense(0.5 * (at + at.T), 0.5 * (bt + bt.T))
+            theta, c = scipy.linalg.eigh(0.5 * (at + at.T), 0.5 * (bt + bt.T), check_finite=False)
         else:
             theta, c = np.linalg.eig(np.linalg.solve(bt, at))
         av, bv = aq @ c, bq @ c
@@ -381,11 +386,10 @@ def _match(values, targets):
     return out
 
 
-def track_branch(forms: AssembledForms, lambda0: float, path, count_hint: int = 5,
-                 ambiguity_ratio: float = 0.9) -> Branch:
+def track_branch(forms: AssembledForms, lambda0: float, path) -> Branch:
     """Continue one eigenvalue branch along a delta path starting at 0.
 
-    The start harvests `count_hint` eigenpairs at delta = 0 and keeps the
+    The start harvests _START_COUNT eigenpairs at delta = 0 and keeps the
     one nearest lambda0 in a block with every harvested copy of its
     eigenvalue (1e-6 relative), so a double eigenvalue travels as its
     two-dimensional eigenspace.  Each later step predicts lambda by cubic
@@ -395,22 +399,22 @@ def track_branch(forms: AssembledForms, lambda0: float, path, count_hint: int = 
     (`_block_step`).  When the Ritz values agree to 1e-9 (relative) the
     successor is the bilinear projection of the previous vector onto the
     block; otherwise it is the Ritz vector maximizing the overlap
-    |v_prev^T B_delta v|, and a second overlap above `ambiguity_ratio`
+    |v_prev^T B_delta v|, and a second overlap above _AMBIGUITY_RATIO
     times the first, on a distinct eigenvalue, raises
     TrackingAmbiguityError.  So does a successor overlap below
-    1 / hypot(1, ambiguity_ratio), or a corrector that misses its residual
+    1 / hypot(1, _AMBIGUITY_RATIO), or a corrector that misses its residual
     bound: the branch has entered a cluster or jumped.
     """
     path = list(path)
     if abs(path[0]) > 1e-15:
         raise EigError("tracking path must start at delta = 0")
-    start = _solve_pencil(forms, 0.0, lambda0 * (1.0 + 1e-4) + 1e-3, count_hint)
+    start = _solve_pencil(forms, 0.0, lambda0 * (1.0 + 1e-4) + 1e-3, _START_COUNT)
     start.sort(key=lambda p: abs(p.lam - lambda0))
     lam, v = start[0].lam, start[0].vector
     block = np.column_stack([p.vector for p in start if abs(p.lam - lam) <= 1e-6 * abs(lam)])
     history = [(0.0, lam, _slope(forms, lam, v, forms.M_D))]
     branch = Branch(delta_samples=[0.0], lambda_samples=[lam], vectors=[v])
-    min_overlap = 1.0 / math.hypot(1.0, ambiguity_ratio)
+    min_overlap = 1.0 / math.hypot(1.0, _AMBIGUITY_RATIO)
 
     for delta in path[1:]:
         bmat, theta, block = _block_step(forms, delta, _predict(history, delta), block)
@@ -423,12 +427,12 @@ def track_branch(forms: AssembledForms, lambda0: float, path, count_hint: int = 
             overlaps = np.abs(block.T @ (bmat @ v))
             best, second = np.argsort(-overlaps)[:2]
             distinct = abs(theta[best] - theta[second]) > _SAME_VALUE * max(1.0, abs(theta[best]))
-            if distinct and overlaps[second] > ambiguity_ratio * overlaps[best]:
+            if distinct and overlaps[second] > _AMBIGUITY_RATIO * overlaps[best]:
                 raise TrackingAmbiguityError(
                     f"ambiguous continuation at delta={delta}: overlaps "
                     f"{overlaps[best]:.3e} vs {overlaps[second]:.3e}")
             w, lam = block[:, best], theta[best]
-        overlap = abs(bilinear_dot(v, bmat @ w))
+        overlap = abs(v @ (bmat @ w))
         if overlap < min_overlap:
             raise TrackingAmbiguityError(
                 f"continuation at delta={delta} lost the branch: overlap {overlap:.3e}")
@@ -440,7 +444,7 @@ def track_branch(forms: AssembledForms, lambda0: float, path, count_hint: int = 
     return branch
 
 
-def cluster_track(forms: AssembledForms, lambda0s, path, count_hint: int | None = None):
+def cluster_track(forms: AssembledForms, lambda0s, path):
     """Track an unordered eigenvalue cluster along a delta path.
 
     Returns (delta list, list of unordered lambda tuples, dict p -> s_p
@@ -448,15 +452,15 @@ def cluster_track(forms: AssembledForms, lambda0s, path, count_hint: int | None 
     The symmetric functions are single-valued along closed circles even
     when the individual branches permute.
 
-    One `delta_spectrum` harvest of `count_hint` pairs (default h + 4) at
-    path[0] takes the eigenpair nearest each lambda0 in turn.  Every later
-    step corrects the h-vector block with `_block_step`, shifted at the
-    cluster mean predicted as in `track_branch`, and matches its Ritz
-    values to the previous set the same way.
+    One `delta_spectrum` harvest of h + 4 pairs at path[0] takes the
+    eigenpair nearest each lambda0 in turn.  Every later step corrects the
+    h-vector block with `_block_step`, shifted at the cluster mean
+    predicted as in `track_branch`, and matches its Ritz values to the
+    previous set the same way.
     """
     h = len(lambda0s)
     path = list(path)
-    pairs = delta_spectrum(forms, path[0], sum(lambda0s) / h, count_hint or (h + 4))
+    pairs = delta_spectrum(forms, path[0], sum(lambda0s) / h, h + 4)
     chosen = [pairs[i] for i in _match([p.lam for p in pairs], lambda0s)]
     lams = [p.lam for p in chosen]
     block = np.column_stack([p.vector for p in chosen])

@@ -12,7 +12,6 @@ combinations of the assembled pieces.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -22,7 +21,6 @@ from .mesh import INCLUSION, SHELL, Mesh
 
 __all__ = [
     "AssembledForms",
-    "FEFunction",
     "FemError",
     "assemble",
     "factor_once",
@@ -41,15 +39,9 @@ class FemError(RuntimeError):
     pass
 
 
-@dataclass
-class FEFunction:
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if len(self.values) != self.mesh.n_vertices:
-            raise FemError("nodal value count does not match the mesh")
+# Neumann load imbalance, relative to the load scale, that solve_neumann
+# rejects as incompatible.
+_COMPAT_TOL = 1e-8
 
 
 def _triangle_geometry(mesh: Mesh):
@@ -173,20 +165,20 @@ def edge_flux_load(mesh: Mesh, tag: int, edge_flux) -> np.ndarray:
     return b
 
 
-def solve_neumann(forms: AssembledForms, load: np.ndarray,
-                  compat_tol: float = 1e-8) -> FEFunction:
-    """Pure-Neumann solve A h = load with mean-zero normalization.
+def solve_neumann(forms: AssembledForms, load: np.ndarray) -> np.ndarray:
+    """Pure-Neumann solve A h = load with mean-zero normalization; returns
+    the nodal values of h.
 
     `load` is an assembled nodal right-hand side (use edge_flux_load and/or
     divergence_load_vector to build it).  The compatibility condition is
-    that the load sums to zero; an imbalance beyond compat_tol times the
+    that the load sums to zero; an imbalance beyond _COMPAT_TOL times the
     load scale is an error, since the singular system is then unsolvable.
     """
     a = forms.A
     load = np.asarray(load)
     scale = max(1.0, float(np.abs(load).sum()))
     imbalance = abs(load.sum())
-    if imbalance > compat_tol * scale:
+    if imbalance > _COMPAT_TOL * scale:
         raise FemError(f"Neumann compatibility violated: flux imbalance {imbalance:.3e} "
                        f"(relative {imbalance / scale:.3e})")
     n = forms.mesh.n_vertices
@@ -205,12 +197,13 @@ def solve_neumann(forms: AssembledForms, load: np.ndarray,
     res = np.linalg.norm(r) / scale
     if res > 1e-8:
         raise FemError(f"Neumann solve residual too large: {res:.3e}")
-    return FEFunction(forms.mesh, h)
+    return h
 
 
 def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
-                    load: np.ndarray | None = None) -> FEFunction:
-    """Solve A h = load with nodal Dirichlet data per boundary tag.
+                    load: np.ndarray | None = None) -> np.ndarray:
+    """Solve A h = load with nodal Dirichlet data per boundary tag; returns
+    the nodal values of h.
 
     boundary_values maps edge tag -> scalar, callable(x, y) or nodal array.
     Data must be supplied for every tag present on the mesh.
@@ -250,7 +243,7 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
     scale = max(1.0, np.linalg.norm(u), np.linalg.norm(b))
     if res > 1e-8 * scale:
         raise FemError(f"Dirichlet solve residual too large: {res:.3e}")
-    return FEFunction(mesh, u)
+    return u
 
 
 def boundary_flux(forms: AssembledForms, values: np.ndarray, tag: int,
@@ -283,6 +276,6 @@ def norms(forms: AssembledForms, values: np.ndarray, region: int | None = None):
     return l2, h1
 
 
-def interpolate(mesh: Mesh, fn) -> FEFunction:
-    vals = np.array([fn(x, y) for x, y in mesh.vertices])
-    return FEFunction(mesh, vals)
+def interpolate(mesh: Mesh, fn) -> np.ndarray:
+    """Nodal values fn(x, y) at the mesh vertices."""
+    return np.array([fn(x, y) for x, y in mesh.vertices])

@@ -1,15 +1,14 @@
-"""Linear-algebra kernels: sparse LU solves with conditional refinement,
-symmetric dense eigendecomposition, and shift-invert Arnoldi.
+"""Linear-algebra kernels: sparse LU solves with conditional refinement
+and shift-invert Arnoldi.
 
 Matrices are plain scipy sparse (CSR) matrices.  Every factorization is a
 SuperLU factorization with a fixed column ordering.  Its pivot check is
 gated: one solve with a fixed probe vector measures the growth |A||x|/|b|,
 and only a matrix that this flags has U's diagonal read (which makes scipy
-keep CSC copies of L and U) for the exact small-pivot test.  Dense
-eigenproblems wrap LAPACK (via scipy).  The Arnoldi iteration is ARPACK's
-implicitly restarted Arnoldi (`scipy.sparse.linalg.eigs`) on a linear
-operator that applies the shift-inverted pencil followed by the caller's
-deflation.  The bilinear (unconjugated) handling of complex-symmetric
+keep CSC copies of L and U) for the exact small-pivot test.  The Arnoldi
+iteration is ARPACK's implicitly restarted Arnoldi
+(`scipy.sparse.linalg.eigs`) on a linear operator that applies the
+shift-inverted pencil followed by the caller's deflation.  The bilinear (unconjugated) handling of complex-symmetric
 pencils lives in that deflation and in the caller's normalization; ARPACK
 itself only needs the operator and a fixed start vector.
 """
@@ -17,7 +16,6 @@ itself only needs the operator and a fixed start vector.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -25,10 +23,14 @@ __all__ = [
     "LUFactors",
     "SingularMatrixError",
     "ArnoldiError",
-    "sym_eig_dense",
     "shift_invert_arnoldi",
-    "bilinear_dot",
 ]
+
+# Singular-pivot threshold and solve backward error above which one step of
+# refinement runs (see LUFactors); ARPACK's relative residual tolerance and
+# restart limit (see shift_invert_arnoldi).
+_PIVOT_TOL, _REFINE_TOL = 1e-13, 1e-14
+_ARNOLDI_TOL, _ARNOLDI_RESTARTS = 1e-10, 300
 
 
 class SingularMatrixError(RuntimeError):
@@ -60,31 +62,24 @@ class ArnoldiError(RuntimeError):
         self.residuals = residuals
 
 
-def bilinear_dot(u: np.ndarray, v: np.ndarray):
-    """Unconjugated pairing u^T v (analytic in the entries)."""
-    return np.dot(u, v)
-
-
 class LUFactors:
     """Sparse LU factors of a square matrix.  A solve takes one step of
     iterative refinement only when its normwise backward error exceeds
-    `refine_tol`.  The input is copied to CSC; the column ordering
+    _REFINE_TOL.  The input is copied to CSC; the column ordering
     (COLAMD) is fixed, so repeated factorizations are deterministic.
 
     A pivot counts as singular when its magnitude is at most
-    `pivot_tol * max(1, max |a_ij|)`.  Reading U's diagonal makes scipy
+    `_PIVOT_TOL * max(1, max |a_ij|)`.  Reading U's diagonal makes scipy
     keep CSC copies of L and U for the factor's whole life, so it is read
     only when one solve with a fixed probe vector b flags the matrix: the
     growth max(1, |A|_inf) |x|_inf / |b|_inf is non-finite or above
-    `1e-5 / pivot_tol`.  A pivot that small puts its reciprocal into x, so
+    `1e-5 / _PIVOT_TOL`.  A pivot that small puts its reciprocal into x, so
     the gate over-flags; the floor of 1 mirrors the check's own scale, so a
     matrix with only small entries (say 1e-14 I) is flagged too.  A flagged
     matrix gets the exact check.
     """
 
-    refine_tol = 1e-14
-
-    def __init__(self, matrix, pivot_tol: float = 1e-13):
+    def __init__(self, matrix):
         # a copy the factor owns: splu sums duplicates in place, and the
         # refinement residual needs the matrix as factored
         mat = scipy.sparse.csc_matrix(matrix, copy=True)
@@ -108,10 +103,10 @@ class LUFactors:
         x = splu.solve(probe)
         growth = (max(1.0, self._norm_inf) * np.abs(x).max(initial=0.0)
                   / np.abs(probe).max(initial=0.0)) if self.n else 0.0
-        if not growth <= 1e-5 / pivot_tol:
+        if not growth <= 1e-5 / _PIVOT_TOL:
             diag = np.abs(splu.U.diagonal())
             scale = max(1.0, magnitudes.max(initial=0.0))
-            small = np.nonzero(diag <= pivot_tol * scale)[0]
+            small = np.nonzero(diag <= _PIVOT_TOL * scale)[0]
             if len(small):
                 # U's k-th pivot belongs to column perm_c^{-1}[k] of the input
                 column = int(np.argsort(splu.perm_c)[small[0]])
@@ -124,29 +119,9 @@ class LUFactors:
         r = b - self._mat @ x
         # normwise backward error |r| / (|A| |x| + |b|), in the max norm
         scale = self._norm_inf * np.abs(x).max(initial=0.0) + np.abs(b).max(initial=0.0)
-        if np.abs(r).max(initial=0.0) > self.refine_tol * scale:
+        if np.abs(r).max(initial=0.0) > _REFINE_TOL * scale:
             x = x + self._splu.solve(r)
         return x
-
-
-def sym_eig_dense(a: np.ndarray, b: np.ndarray | None = None,
-                  sym_tol: float = 1e-12):
-    """Eigendecomposition of a real symmetric matrix, optionally generalized
-    against a symmetric positive definite b.  Eigenvalues ascending; the
-    eigenvector matrix X satisfies X^T b X = I (or X^T X = I when b is None).
-    """
-    a = np.asarray(a, dtype=float)
-    scale = max(1.0, np.abs(a).max())
-    if np.abs(a - a.T).max() > sym_tol * scale:
-        raise ValueError("matrix is not symmetric to the required tolerance")
-    if b is None:
-        w, x = scipy.linalg.eigh(a, check_finite=False)
-        return w, x
-    b = np.asarray(b, dtype=float)
-    if np.abs(b - b.T).max() > sym_tol * max(1.0, np.abs(b).max()):
-        raise ValueError("mass matrix is not symmetric to the required tolerance")
-    w, x = scipy.linalg.eigh(a, b, check_finite=False)
-    return w, x
 
 
 def _start_vector(n: int, deflate, dtype) -> np.ndarray:
@@ -172,8 +147,7 @@ def _dense_ritz(op, n: int, count: int, dtype):
 
 
 def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
-                         dtype=complex, tol: float = 1e-10,
-                         krylov_dim: int | None = None, max_restarts: int = 300):
+                         dtype=complex, krylov_dim: int | None = None):
     """ARPACK's implicitly restarted Arnoldi on the shift-inverted operator.
 
     apply_op(v) must compute (A - sigma B)^{-1} B v; `deflate`, when given,
@@ -181,10 +155,11 @@ def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
     Krylov space stays in the deflated subspace.  Returns the `count` Ritz
     pairs of largest |theta| as (thetas, vectors, residual_bounds); pencil
     eigenvalues follow as lambda = sigma + 1/theta.  ARPACK accepts a Ritz
-    pair once its residual estimate is at most tol * |theta|, so each bound
-    is tol.  The start vector is fixed, so repeated calls agree bit for bit.
-    ARPACK needs count < n - 1; larger counts form the operator densely.
-    `krylov_dim` is ARPACK's ncv and `max_restarts` its maxiter.
+    pair once its residual estimate is at most _ARNOLDI_TOL * |theta|, so
+    each bound is _ARNOLDI_TOL.  The start vector is fixed, so repeated
+    calls agree bit for bit.  ARPACK needs count < n - 1; larger counts
+    form the operator densely.
+    `krylov_dim` is ARPACK's ncv; _ARNOLDI_RESTARTS is its maxiter.
     """
     if count >= n:
         raise ValueError("count must be smaller than the dimension")
@@ -199,9 +174,9 @@ def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
     try:
         theta, vecs = scipy.sparse.linalg.eigs(
             linop, k=count, which="LM", v0=_start_vector(n, deflate, dtype),
-            ncv=krylov_dim, tol=tol, maxiter=max_restarts)
+            ncv=krylov_dim, tol=_ARNOLDI_TOL, maxiter=_ARNOLDI_RESTARTS)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         converged = len(exc.eigenvalues)
-        raise ArnoldiError([tol] * converged + [np.inf] * (count - converged)) from None
+        raise ArnoldiError([_ARNOLDI_TOL] * converged + [np.inf] * (count - converged)) from None
     order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))
-    return theta[order], vecs[:, order], np.full(count, tol)
+    return theta[order], vecs[:, order], np.full(count, _ARNOLDI_TOL)

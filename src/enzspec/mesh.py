@@ -3,8 +3,8 @@
 A mesh carries per-triangle region tags (INCLUSION / SHELL), and a list of
 tagged edges: INTERFACE edges separate the two regions, OUTER edges lie on
 the domain boundary.  Two structured generators are provided (disk inside a
-disk, disk inside a square) plus a plain-text file format, submesh
-extraction and uniform red refinement.
+disk, disk inside a square) plus a plain-text file format and submesh
+extraction.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "load_mesh",
     "save_mesh",
     "extract_submesh",
-    "refine_uniform",
 ]
 
 
@@ -94,7 +93,7 @@ class Mesh:
         if len(bad):
             raise MeshError(f"triangle {bad[0]} has non-positive area {areas[bad[0]]:g}")
 
-        keys, count, incident, first, _ = _edge_incidence(self.triangles, nv)
+        keys, count, incident, first = _edge_incidence(self.triangles, nv)
         # edges are reported in the order of their first occurrence
         bad = np.nonzero(count > 2)[0]
         if len(bad):
@@ -183,21 +182,18 @@ def _edge_incidence(triangles: np.ndarray, n_vertices: int):
     3t+2 of the edge sequence.  Returns, per distinct edge: its key (see
     _edge_keys), the number of triangles it lies on, its first two incident
     triangles (the second is -1 on an edge of one triangle) and the position
-    of its first occurrence in the edge sequence; then, per position of the
-    edge sequence, the index of its distinct edge.
+    of its first occurrence in the edge sequence.
     """
     ends = np.stack([triangles, triangles[:, [1, 2, 0]]], axis=-1).reshape(-1, 2)
     keys, order = _edge_keys(ends, n_vertices)
     sorted_keys = keys[order]
     start = np.ones(len(keys), dtype=bool)
     start[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    edge = np.empty(len(keys), dtype=int)
-    edge[order] = np.cumsum(start) - 1
     start = np.nonzero(start)[0]
     count = np.diff(np.append(start, len(keys)))
     first = order[start]
     second = np.where(count > 1, order[np.minimum(start + 1, len(keys) - 1)] // 3, -1)
-    return sorted_keys[start], count, np.column_stack([first // 3, second]), first, edge
+    return sorted_keys[start], count, np.column_stack([first // 3, second]), first
 
 
 @dataclass
@@ -446,7 +442,7 @@ def extract_submesh(mesh: Mesh, region: int) -> Submesh:
 
     # the region's boundary: edges of one triangle, in first-occurrence order
     nv = mesh.n_vertices
-    keys, count, _, first, _ = _edge_incidence(tris, nv)
+    keys, count, _, first = _edge_incidence(tris, nv)
     once = np.nonzero(count == 1)[0]
     boundary = keys[once[np.argsort(first[once])]]
     tagged, tag_order = _edge_keys(mesh.edges, nv)
@@ -467,46 +463,3 @@ def extract_submesh(mesh: Mesh, region: int) -> Submesh:
     return Submesh(parent=mesh, region=region, mesh=child, vertex_map=used,
                    triangle_map=sel)
 
-
-def refine_uniform(mesh: Mesh) -> Mesh:
-    """Red refinement: each triangle splits into 4; tags are inherited.
-
-    Coarse triangle t = (a, b, c) becomes fine triangles 4t..4t+3:
-    (a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca), where ab is the
-    midpoint of edge (a, b).  The midpoints are numbered from n_vertices in
-    the order in which their edges first occur in the triangles, and each
-    tagged edge (a, b) becomes (a, ab), (ab, b).  If every coarse interface
-    vertex lies on the unit circle (to 1e-12), as in the generated meshes,
-    the fine interface nodes are projected back onto it.
-    """
-    nv = mesh.n_vertices
-    iface = mesh.boundary_vertices(INTERFACE)
-    snap = np.all(np.abs(np.linalg.norm(mesh.vertices[iface], axis=1) - 1.0) <= 1e-12)
-    keys, _, _, first, edge = _edge_incidence(mesh.triangles, nv)
-    new = np.argsort(first)
-    mid = np.empty(len(keys), dtype=int)
-    mid[new] = nv + np.arange(len(keys))
-    lo, hi = divmod(keys[new], nv)
-    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])])
-
-    a, b, c = mesh.triangles.T
-    ab, bc, ca = mid[edge].reshape(-1, 3).T
-    triangles = np.column_stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]).reshape(-1, 3)
-
-    tagged, _ = _edge_keys(mesh.edges, nv)
-    pos, found = _find(keys, tagged)
-    if not found.all():
-        raise MeshError(f"tagged edge {_edge_of(tagged[np.argmin(found)], nv)} "
-                        f"not found in any triangle")
-    m = mid[pos]
-    edges = np.column_stack([mesh.edges[:, 0], m, m, mesh.edges[:, 1]]).reshape(-1, 2)
-    tags = np.repeat(mesh.edge_tags, 2)
-
-    if snap:
-        nodes = np.unique(edges[tags == INTERFACE])
-        r = np.linalg.norm(vertices[nodes], axis=1)
-        vertices[nodes] /= np.where(r > 0, r, 1.0)[:, None]
-
-    out = Mesh(vertices, triangles, np.repeat(mesh.regions, 4), edges, tags)
-    out.validate()
-    return out

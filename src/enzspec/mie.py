@@ -71,6 +71,12 @@ FAMILY_E = "electric"
 FAMILY_H = "magnetic"
 
 _DENOM_TOL = 1e-12
+# residual_checks: the central-difference step, and the distance its sample
+# points keep from the interface
+_FD_STEP, _FD_MARGIN = 1e-4, 0.05
+# concentric_dispersion: the relative Newton update at which it stops, and
+# its iteration limit
+_NEWTON_TOL, _NEWTON_ITER = 1e-12, 80
 
 
 class MieError(RuntimeError):
@@ -380,15 +386,15 @@ def _fd_div(evaluate_e, x: np.ndarray, h: float) -> np.ndarray:
                for a, step in enumerate(h * np.eye(3)))
 
 
-def residual_checks(mode: MieMode, sample_count: int = 20, step: float = 1e-4,
-                    margin: float = 0.05) -> dict:
+def residual_checks(mode: MieMode, sample_count: int = 20) -> dict:
     """Finite-difference PDE residuals at interior sample points.
 
     Checks curl curl E = lam 1_core E and div E = 0 in both regions, plus
     curl E = 0 in the shell for the electrostatic family, at deterministic
-    sample points kept at least `margin` away from the interface (the
+    sample points kept at least _FD_MARGIN away from the interface (the
     fields are only piecewise smooth).
     """
+    step, margin = _FD_STEP, _FD_MARGIN
     dirs = _fibonacci_directions(sample_count)
     radii_core = np.linspace(0.25, 1.0 - margin - 2.0 * step, sample_count)
     hi = mode.R - 2.0 * step
@@ -413,8 +419,7 @@ def residual_checks(mode: MieMode, sample_count: int = 20, step: float = 1e-4,
 
 
 def concentric_dispersion(family: str, n: int, R: float, delta: complex,
-                          k_seed: complex, tol: float = 1e-12,
-                          max_iter: int = 80) -> complex:
+                          k_seed: complex) -> complex:
     """Eigenvalue lambda = k^2 of the concentric core-shell resonator with
     shell permittivity delta, by complex Newton on the transfer-matching
     determinant from the seed wavenumber.
@@ -455,7 +460,7 @@ def concentric_dispersion(family: str, n: int, R: float, delta: complex,
         return jk * rh1 / complex(delta) - (jk + k * jkp) * h1
 
     k = complex(k_seed)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITER):
         f = det(k)
         dk = 1e-7 * (1.0 + abs(k))
         df = (det(k + dk) - det(k - dk)) / (2.0 * dk)
@@ -463,7 +468,7 @@ def concentric_dispersion(family: str, n: int, R: float, delta: complex,
             raise MieError("Newton derivative vanished in the dispersion solve")
         update = f / df
         k = k - update
-        if abs(update) <= tol * (1.0 + abs(k)):
+        if abs(update) <= _NEWTON_TOL * (1.0 + abs(k)):
             return k * k
     raise MieError(f"dispersion Newton did not converge from seed {k_seed!r} "
                    f"(last update {abs(update):.3e})")

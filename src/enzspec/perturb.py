@@ -10,14 +10,11 @@ solves, the reality defect on the real axis and the circle-closure defect.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import Branch
-
 __all__ = [
-    "Branch",
     "AnalyticityReport",
     "NonClosedBranchError",
     "circle_path",
@@ -25,6 +22,10 @@ __all__ = [
     "analyticity_report",
     "cluster_series",
 ]
+
+# Circle closure defects, relative to 1 + |lambda|, that analyticity_report
+# accepts for one branch and cluster_series for a symmetric function.
+_CLOSURE_TOL, _CLUSTER_CLOSURE_TOL = 1e-9, 1e-8
 
 
 class NonClosedBranchError(RuntimeError):
@@ -67,8 +68,6 @@ def taylor_from_circle(samples, radius: float, order: int,
 
     a_k = (1/N) sum_j lambda(delta_j) exp(-2 pi i j k / N) / radius^k.
     """
-    if isinstance(samples, Branch):
-        samples = samples.lambda_samples
     vals, n, _ = _circle_samples(samples, closure_tol)
     if order > n // 4:
         raise ValueError(f"order {order} exceeds the aliasing guard N/4 = {n // 4}")
@@ -104,18 +103,15 @@ def _evaluate_series(coeffs: np.ndarray, delta: complex) -> complex:
 
 
 def analyticity_report(samples, radius: float, order: int,
-                       held_out=(), real_axis_samples=(),
-                       closure_tol: float = 1e-9) -> AnalyticityReport:
+                       held_out=(), real_axis_samples=()) -> AnalyticityReport:
     """Diagnostics for one branch sampled on a circle.
 
     held_out: iterable of (delta, lambda_direct) pairs strictly inside the
     circle; real_axis_samples: iterable of lambda values computed at real
     delta (their imaginary parts measure the reality defect).
     """
-    if isinstance(samples, Branch):
-        samples = samples.lambda_samples
-    vals, _, defect = _circle_samples(samples, closure_tol)
-    coeffs = taylor_from_circle(np.append(vals, vals[0]), radius, order, closure_tol)
+    vals, _, defect = _circle_samples(samples, _CLOSURE_TOL)
+    coeffs = taylor_from_circle(np.append(vals, vals[0]), radius, order, _CLOSURE_TOL)
     mags = np.abs(coeffs)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(mags[:-1] > 0, mags[1:] * radius / np.maximum(mags[:-1], 1e-300), np.inf)
@@ -128,9 +124,8 @@ def analyticity_report(samples, radius: float, order: int,
     return AnalyticityReport(coeffs, ratios, pred_errs, reality, defect)
 
 
-def cluster_series(sym_functions: dict, radius: float, order: int,
-                   closure_tol: float = 1e-8) -> dict:
+def cluster_series(sym_functions: dict, radius: float, order: int) -> dict:
     """Taylor coefficients of each symmetric function s_p sampled on a
     circle (N + 1 samples each, closing duplicate included)."""
-    return {p: taylor_from_circle(vals, radius, order, closure_tol)
+    return {p: taylor_from_circle(vals, radius, order, _CLUSTER_CLOSURE_TOL)
             for p, vals in sym_functions.items()}

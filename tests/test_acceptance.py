@@ -21,7 +21,6 @@ from enzspec.eig import (
     track_branch,
 )
 from enzspec.fem import assemble, interpolate
-from enzspec.linalg import bilinear_dot
 from enzspec.mesh import generate_disk_in_disk, generate_square_with_disk
 from enzspec.mie import (
     FAMILY_E,
@@ -98,7 +97,7 @@ def test_criterion_02_limit_invariant_branch(forms_fine_disk):
         vs = [p.vector for p in pairs]
         for v in vs:
             assert abs(md1 @ v) <= 1e-8
-        gram = np.array([[bilinear_dot(a, forms.M_D @ b) for b in vs]
+        gram = np.array([[a @ (forms.M_D @ b) for b in vs]
                          for a in vs])
         assert np.abs(gram - np.eye(len(vs))).max() <= 1e-8
 
@@ -139,7 +138,7 @@ def test_criterion_04_analyticity(forms_track):
         assert abs(np.imag(lam)) <= 1e-9 * (1.0 + abs(lam))
         v = rb.vectors[-1]
         b = forms_track.M_D + d * forms_track.M_S
-        assert abs(bilinear_dot(v, b @ v) - 1.0) <= 1e-8
+        assert abs(v @ (b @ v) - 1.0) <= 1e-8
 
 
 def test_criterion_05_degenerate_cluster(forms_track):
@@ -186,7 +185,7 @@ def test_criterion_06_cascade():
         fk = constant if k == 0 else zero
         assert abs(cascade.outer_flux(h, fk)) <= 1e-8
     # tangential driving: identically-zero cascade
-    stream = interpolate(cascade.mesh, lambda x, y: x * x + y * y).values
+    stream = interpolate(cascade.mesh, lambda x, y: x * x + y * y)
     tangential = DrivingField([perp_gradient_field(cascade.forms, stream)])
     trivial = cascade.run(tangential, 3)
     for h in trivial.h_list:

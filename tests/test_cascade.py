@@ -37,7 +37,7 @@ def constant_field(cascade, vec):
 def tangential_field(cascade):
     # rotated gradient of a radial stream function: tangential to every
     # circle r = const, with constant stream on both boundary rings
-    s = interpolate(cascade.mesh, lambda x, y: x * x + y * y).values
+    s = interpolate(cascade.mesh, lambda x, y: x * x + y * y)
     return perp_gradient_field(cascade.forms, s)
 
 
@@ -49,7 +49,7 @@ class TestSolvePsi:
         assert abs(energy - exact) / exact < 0.01
 
     def test_range_and_support(self, cascade_ws):
-        psi = cascade_ws.psi.values
+        psi = cascade_ws.psi
         assert psi.min() >= -1e-12 and psi.max() <= 1.0 + 1e-12
         core = np.unique(cascade_ws.mesh.triangles[cascade_ws.mesh.regions == INCLUSION])
         assert np.abs(psi[core]).max() == 0.0
@@ -151,19 +151,19 @@ class TestDirectProjection:
         f = tangential_field(cascade_ws)
         for delta in (1.0, 0.05, 0.1 + 0.05j):
             h = direct_projection(cascade_ws, f, delta)
-            assert np.abs(h.values).max() < 1e-10
+            assert np.abs(h).max() < 1e-10
 
     def test_delta_one_consistency(self, cascade_ws):
         # at delta = 1 the weighting is trivial; the solve's internal
         # residual checks certify the classical projection
         h = direct_projection(cascade_ws, constant_field(cascade_ws, [1.0, 0.0]), 1.0)
         outer = cascade_ws.mesh.boundary_vertices(1)
-        assert np.abs(h.values[outer] - h.values[outer[0]]).max() < 1e-10
+        assert np.abs(h[outer] - h[outer[0]]).max() < 1e-10
 
     def test_complex_delta_runs(self, cascade_ws):
         h = direct_projection(cascade_ws, constant_field(cascade_ws, [1.0, 0.0]),
                               0.05 + 0.02j)
-        assert np.iscomplexobj(h.values)
+        assert np.iscomplexobj(h)
 
 
 class TestSeriesVsDirect:

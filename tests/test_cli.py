@@ -1,7 +1,10 @@
+import ast
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -76,6 +79,31 @@ class TestArgumentHandling:
         assert code == 1 and "key=value" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["taylor", "--lambda0", "3", "--radius", "0.01", "--samples", "12"], "samples"),
+    (["taylor", "--lambda0", "3", "--radius", "0.01", "--order", "9"], "order"),
+    (["mie", "dispersion", "--family", "magnetic", "--n", "1", "--radius", "0.01",
+      "--samples", "0"], "samples"),
+    (["cascade", "--orders", "-1"], "orders"),
+    (["eig", "k0", "--tol", "nan"], "tol"),
+    (["eig", "limit", "--count", "0"], "count"),
+    (["invariance", "--rings", "2", "--count", "0"], "count"),
+    (["eig", "sweep", "--deltas", "nan"], "deltas"),
+    (["cascade", "--delta", "nan"], "delta"),
+    (["mie", "electrostatic", "--n", "1", "--m", "5"], "|m| <= n"),
+    (["mie", "nonelectrostatic", "--p", "1", "--R", "1"], "R"),
+], ids=["taylor-samples-12", "taylor-order-9", "dispersion-samples-0", "cascade-orders-neg",
+        "k0-tol-nan", "limit-count-0", "invariance-count-0", "sweep-deltas-nan",
+        "cascade-delta-nan", "electrostatic-m-5", "nonelectrostatic-R-1"])
+def test_value_outside_its_domain_is_validation_error(disk2_mesh, tmp_path, argv, key):
+    out_path = tmp_path / "out.txt"
+    mesh = [] if argv[0] in ("mie", "invariance") else ["--mesh", disk2_mesh]
+    code, _, err = run(*argv, *mesh, "--out", str(out_path))
+    assert code == 1, err
+    assert err.startswith("error: ") and key in err
+    assert not out_path.exists()
+
+
 def test_import_leaves_scipy_special_and_optimize_unloaded():
     # specfun and mie import them on first use, so every command that does
     # not touch a sphere mode starts without them
@@ -86,6 +114,34 @@ def test_import_leaves_scipy_special_and_optimize_unloaded():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
+
+
+def _modules():
+    return [importlib.import_module(f"enzspec.{info.name}")
+            for info in pkgutil.iter_modules(enzspec.__path__)]
+
+
+def test_every_exported_name_resolves():
+    for module in _modules():
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+
+
+def test_no_unused_module_level_import():
+    # a name counts as used when the module reads it or re-exports it
+    for module in _modules():
+        tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.name != "annotations":
+                        name = alias.asname or alias.name.split(".")[0]
+                        imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(module, "__all__", ()))
+        unused = sorted(name for name in imported if name not in used)
+        assert not unused, (module.__name__, unused)
 
 
 class TestMeshCommands:
@@ -367,9 +423,7 @@ class TestMieCommands:
         out_path = tmp_path / "mode.txt"
         code, _, err = run("mie", command, degree, "1", "--R", "1",
                            "--out", str(out_path))
-        assert code == 2
-        diag = json.loads(err)
-        assert diag["error"] == "MieError" and "unexpected" not in diag
+        assert code == 1 and "bad value for R" in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("family, n, R", [
@@ -379,8 +433,8 @@ class TestMieCommands:
         out_path = tmp_path / "d.csv"
         code, _, err = run("mie", "dispersion", "--family", family, "--n", n,
                            "--R", R, "--deltas", "0.01", "--out", str(out_path))
-        assert code == 2
-        assert "unexpected" not in json.loads(err)
+        assert code == 1
+        assert "bad value for " + ("n" if n != "1" else "R") in err
         assert not out_path.exists()
 
     def test_dispersion_jobs_rejected(self, tmp_path):

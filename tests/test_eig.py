@@ -21,7 +21,7 @@ from enzspec.eig import (
     track_branch,
 )
 from enzspec.fem import assemble
-from enzspec.linalg import LUFactors, SingularMatrixError, bilinear_dot
+from enzspec.linalg import LUFactors, SingularMatrixError
 from enzspec.mesh import INCLUSION, SHELL, Mesh, generate_disk_in_disk, generate_square_with_disk
 from enzspec.perturb import circle_path, taylor_from_circle
 
@@ -71,7 +71,7 @@ class TestLimitSpectrum:
     def test_md_orthonormal(self, forms_coarse, limit_coarse):
         for i, p in enumerate(limit_coarse):
             for j, q in enumerate(limit_coarse):
-                g = bilinear_dot(p.vector, forms_coarse.M_D @ q.vector)
+                g = p.vector @ (forms_coarse.M_D @ q.vector)
                 assert abs(g - (1.0 if i == j else 0.0)) < 1e-8
 
     def test_residuals(self, limit_coarse):
@@ -125,7 +125,7 @@ class TestDeltaSpectrum:
         b = forms_coarse.mass_delta(delta)
         for i, p in enumerate(pairs):
             for j, q in enumerate(pairs):
-                g = bilinear_dot(p.vector, b @ q.vector)
+                g = p.vector @ (b @ q.vector)
                 assert abs(g - (1.0 if i == j else 0.0)) < 1e-8
 
     def test_degenerate_mass_rejected(self, forms_coarse):
@@ -188,7 +188,9 @@ class TestDeltaSpectrum:
         monkeypatch.setattr(eig, "LUFactors", CountedFactors)
         pairs = eig._solve_pencil(forms_coarse, 0.05, target, 3)
         assert outcomes == ["singular", "ok"]
-        expected = dense[np.argsort(np.abs(dense - target))[:3]]
+        # dense[0] is the constant mode (lambda = 0), which the pencil deflates
+        finite = dense[1:]
+        expected = finite[np.argsort(np.abs(finite - target))[:3]]
         assert np.abs(np.sort([p.lam for p in pairs]) - np.sort(expected)).max() <= 1e-8
 
 
@@ -299,7 +301,7 @@ def test_negative_real_delta_vectors_finite(forms_coarse):
         av, bv = forms_coarse.A @ p.vector, b @ p.vector
         res = np.linalg.norm(av - p.lam * bv) / (np.linalg.norm(av) + abs(p.lam) * np.linalg.norm(bv))
         assert res <= 1e-8
-        assert abs(abs(bilinear_dot(p.vector, bv)) - 1.0) < 1e-8
+        assert abs(abs(p.vector @ bv) - 1.0) < 1e-8
 
 
 class TestDiscreteK0:
@@ -329,6 +331,15 @@ class TestDiscreteK0:
         forms = assemble(generate_disk_in_disk(2.0, 16, 16))
         with pytest.raises(EigError):
             discrete_K0(forms, size_limit=100)
+
+    @pytest.mark.parametrize("name", ["A", "M"])
+    def test_rejects_asymmetric(self, name):
+        forms = assemble(generate_disk_in_disk(2.0, 4, 4))
+        mat = getattr(forms, name).tolil()
+        mat[0, 1] += 1e-6
+        setattr(forms, name, mat.tocsr())
+        with pytest.raises(EigError, match="not symmetric"):
+            discrete_K0(forms)
 
 
 class TestTracking:

@@ -76,7 +76,7 @@ class TestAssemble:
         assert np.abs(b.toarray() - ref).max() < 1e-15
 
     def test_element_gradients_linear_exact(self, disk_forms):
-        vals = interpolate(disk_forms.mesh, lambda x, y: 3.0 * x - 2.0 * y).values
+        vals = interpolate(disk_forms.mesh, lambda x, y: 3.0 * x - 2.0 * y)
         g = element_gradients(disk_forms, vals)
         assert np.abs(g - np.array([3.0, -2.0])).max() < 1e-12
 
@@ -84,7 +84,7 @@ class TestAssemble:
 class TestSolveNeumann:
     def test_zero_flux_gives_zero(self, disk_forms):
         h = solve_neumann(disk_forms, np.zeros(disk_forms.mesh.n_vertices))
-        assert np.abs(h.values).max() < 1e-12
+        assert np.abs(h).max() < 1e-12
 
     def test_linear_solution_from_normal_flux(self):
         # -Laplace h = 0 in unit disk, dh/dnu = nu_x on the boundary -> h = x
@@ -97,7 +97,7 @@ class TestSolveNeumann:
         exact = sub.mesh.vertices[:, 0]
         m1 = forms.M @ np.ones(len(exact))
         exact = exact - (m1 @ exact) / m1.sum()
-        assert np.abs(h.values - exact).max() < 1e-9
+        assert np.abs(h - exact).max() < 1e-9
 
     def test_imbalance_rejected(self, disk_forms):
         load = np.zeros(disk_forms.mesh.n_vertices)
@@ -114,13 +114,13 @@ class TestSolveNeumann:
         load = edge_flux_load(sub.mesh, INTERFACE, normals[:, 1])
         h = solve_neumann(forms, load)
         m1 = forms.M @ np.ones(sub.mesh.n_vertices)
-        assert abs(m1 @ h.values) < 1e-10
+        assert abs(m1 @ h) < 1e-10
 
 
 class TestSolveDirichlet:
     def test_constant_data(self, disk_forms):
         h = solve_dirichlet(disk_forms, {INTERFACE: 1.0, OUTER: 1.0})
-        assert np.abs(h.values - 1.0).max() < 1e-10
+        assert np.abs(h - 1.0).max() < 1e-10
 
     def test_annulus_log_solution(self):
         mesh = generate_disk_in_disk(2.0, 8, 8)
@@ -129,7 +129,7 @@ class TestSolveDirichlet:
         h = solve_dirichlet(forms, {INTERFACE: 0.0, OUTER: 1.0})
         exact = np.array([math.log(np.linalg.norm(v)) / math.log(2.0)
                           for v in sub.mesh.vertices])
-        err = h.values - exact
+        err = h - exact
         l2 = math.sqrt(float(err @ (forms.M @ err)))
         assert l2 < 5e-3
 
@@ -142,7 +142,7 @@ class TestSolveDirichlet:
             h = solve_dirichlet(forms, {INTERFACE: 0.0, OUTER: 1.0})
             exact = np.array([math.log(np.linalg.norm(v)) / math.log(2.0)
                               for v in sub.mesh.vertices])
-            err = h.values - exact
+            err = h - exact
             errs.append(math.sqrt(float(err @ (forms.M @ err))))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
@@ -156,7 +156,7 @@ class TestSolveDirichlet:
         field = np.tile([1.0, 0.0], (nt, 1))  # constant field, weakly div-free
         load = -divergence_load_vector(disk_forms, field)
         h = solve_dirichlet(disk_forms, {INTERFACE: 0.0, OUTER: 0.0}, load=load)
-        assert np.abs(h.values).max() < 1e-9
+        assert np.abs(h).max() < 1e-9
 
 
 class TestFactorOnce:
@@ -183,10 +183,10 @@ class TestFactorOnce:
                  edge_flux_load(sub.mesh, INTERFACE, normals[:, 1])]
         forms = assemble(sub.mesh)
         with factor_once(forms):
-            reused = [solve_neumann(forms, load).values for load in loads]
+            reused = [solve_neumann(forms, load) for load in loads]
         assert len(factor_count) == 2       # one real, one complex factor
         for load, h in zip(loads, reused):
-            fresh = solve_neumann(assemble(sub.mesh), load).values
+            fresh = solve_neumann(assemble(sub.mesh), load)
             assert h.dtype == fresh.dtype
             assert np.array_equal(h, fresh)
 
@@ -198,10 +198,10 @@ class TestFactorOnce:
                  ({INTERFACE: sub.mesh.vertices[:, 0].copy(), OUTER: 0.5},
                   -divergence_load_vector(forms, field))]
         with factor_once(forms):
-            reused = [solve_dirichlet(forms, bv, load).values for bv, load in cases]
+            reused = [solve_dirichlet(forms, bv, load) for bv, load in cases]
         assert len(factor_count) == 1
         for (bv, load), h in zip(cases, reused):
-            fresh = solve_dirichlet(assemble(sub.mesh), bv, load).values
+            fresh = solve_dirichlet(assemble(sub.mesh), bv, load)
             assert np.array_equal(h, fresh)
 
     def test_neumann_and_dirichlet_on_one_forms(self, disk_mesh, factor_count):
@@ -210,11 +210,11 @@ class TestFactorOnce:
         load -= load.mean()
         bv = {INTERFACE: 0.0, OUTER: 1.0}
         with factor_once(forms):
-            h_n = solve_neumann(forms, load).values
-            h_d = solve_dirichlet(forms, bv).values
+            h_n = solve_neumann(forms, load)
+            h_d = solve_dirichlet(forms, bv)
         assert len(factor_count) == 2
-        assert np.array_equal(h_n, solve_neumann(assemble(disk_mesh), load).values)
-        assert np.array_equal(h_d, solve_dirichlet(assemble(disk_mesh), bv).values)
+        assert np.array_equal(h_n, solve_neumann(assemble(disk_mesh), load))
+        assert np.array_equal(h_d, solve_dirichlet(assemble(disk_mesh), bv))
 
     def test_factors_dropped_on_exit(self, factor_count):
         sub = extract_submesh(generate_disk_in_disk(2.0, 4, 4), SHELL)
@@ -233,7 +233,7 @@ class TestBoundaryFlux:
         sub = extract_submesh(mesh, SHELL)
         forms = assemble(sub.mesh)
         psi = solve_dirichlet(forms, {INTERFACE: 0.0, OUTER: 1.0})
-        flux = boundary_flux(forms, psi.values, OUTER)
+        flux = boundary_flux(forms, psi, OUTER)
         exact = 2.0 * math.pi / math.log(2.0)
         assert abs(flux - exact) / exact < 0.01
 
@@ -242,8 +242,8 @@ class TestBoundaryFlux:
         sub = extract_submesh(mesh, SHELL)
         forms = assemble(sub.mesh)
         h = solve_dirichlet(forms, {INTERFACE: 0.0, OUTER: 1.0})
-        fin = boundary_flux(forms, h.values, INTERFACE)
-        fout = boundary_flux(forms, h.values, OUTER)
+        fin = boundary_flux(forms, h, INTERFACE)
+        fout = boundary_flux(forms, h, OUTER)
         assert abs(fin + fout) < 1e-10 * max(1.0, abs(fout))
 
     def test_constant_function_zero_flux(self, disk_forms):
@@ -259,14 +259,14 @@ class TestBoundaryFlux:
         normals = outward_edge_normals(sub.mesh, INTERFACE)
         load = edge_flux_load(sub.mesh, INTERFACE, normals[:, 0])
         h = solve_neumann(forms, load)
-        flux = boundary_flux(forms, h.values, INTERFACE)
+        flux = boundary_flux(forms, h, INTERFACE)
         assert abs(flux) < 1e-9  # net flux of nu_x over a closed curve is 0
 
 
 class TestNormsInterp:
     def test_linear_function_norms(self, disk_forms):
         f = interpolate(disk_forms.mesh, lambda x, y: x)
-        l2, h1 = norms(disk_forms, f.values)
+        l2, h1 = norms(disk_forms, f)
         area = disk_forms.mesh.triangle_areas().sum()
         # integral of x^2 over the polygonal R=2 disk is ~ pi R^4 / 4
         assert abs(l2**2 - math.pi * 4.0) / (math.pi * 4.0) < 0.03
@@ -274,7 +274,7 @@ class TestNormsInterp:
 
     def test_region_split(self, disk_forms):
         f = interpolate(disk_forms.mesh, lambda x, y: x)
-        _, h1_d = norms(disk_forms, f.values, INCLUSION)
-        _, h1_s = norms(disk_forms, f.values, SHELL)
-        _, h1 = norms(disk_forms, f.values)
+        _, h1_d = norms(disk_forms, f, INCLUSION)
+        _, h1_s = norms(disk_forms, f, SHELL)
+        _, h1 = norms(disk_forms, f)
         assert abs(h1_d**2 + h1_s**2 - h1**2) < 1e-10

@@ -10,9 +10,7 @@ from enzspec.linalg import (
     ArnoldiError,
     LUFactors,
     SingularMatrixError,
-    bilinear_dot,
     shift_invert_arnoldi,
-    sym_eig_dense,
 )
 
 
@@ -191,47 +189,6 @@ class TestGatedPivotCheck:
         assert peak < 0.25 * 12 * f._splu.nnz
         b = np.ones(k * k)
         assert np.linalg.norm(lap @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
-
-
-class TestSymEig:
-    def test_diagonal(self):
-        w, x = sym_eig_dense(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-        assert np.allclose(np.abs(x.T @ x), np.eye(3), atol=1e-12)
-
-    def test_two_by_two(self):
-        w, _ = sym_eig_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(w, [-1.0, 1.0])
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((30, 30))
-        a = 0.5 * (a + a.T)
-        w, x = sym_eig_dense(a)
-        assert np.abs(x @ np.diag(w) @ x.T - a).max() < 1e-9
-        assert np.abs(x.T @ x - np.eye(30)).max() < 1e-10
-
-    def test_generalized_b_normalization(self):
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal((12, 12))
-        a = a + a.T
-        c = rng.standard_normal((12, 12))
-        b = c @ c.T + 12.0 * np.eye(12)
-        w, x = sym_eig_dense(a, b)
-        assert np.abs(x.T @ b @ x - np.eye(12)).max() < 1e-9
-        assert np.abs(a @ x - b @ x @ np.diag(w)).max() < 1e-8
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            sym_eig_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestDots:
-    def test_bilinear_vs_sesquilinear(self):
-        u = np.array([1.0 + 1j, 2.0])
-        v = np.array([1.0 - 1j, 1.0])
-        assert bilinear_dot(u, v) == (1 + 1j) * (1 - 1j) + 2.0
-        assert bilinear_dot(u, v) != np.vdot(u, v)   # the sesquilinear pairing
 
 
 def pencil_oracle(a, b):

@@ -15,7 +15,6 @@ from enzspec.mesh import (
     generate_disk_in_disk,
     generate_square_with_disk,
     load_mesh,
-    refine_uniform,
     save_mesh,
 )
 
@@ -200,97 +199,6 @@ class TestSubmesh:
         mesh = generate_disk_in_disk(2.0, 4, 4)
         sub = extract_submesh(mesh, INCLUSION)
         assert abs(sub.mesh.triangle_areas().sum() - mesh.region_area(INCLUSION)) < 1e-13
-
-
-class TestRefine:
-    def test_counts_and_tags(self):
-        mesh = generate_disk_in_disk(2.0, 4, 4)
-        fine = refine_uniform(mesh)
-        assert fine.n_triangles == 4 * mesh.n_triangles
-        assert len(fine.edges) == 2 * len(mesh.edges)
-        assert (fine.edge_tags == INTERFACE).sum() == 2 * (mesh.edge_tags == INTERFACE).sum()
-
-    def test_interface_snapped(self):
-        mesh = generate_disk_in_disk(2.0, 4, 4)
-        fine = refine_uniform(mesh)
-        for v in fine.boundary_vertices(INTERFACE):
-            assert abs(np.linalg.norm(fine.vertices[v]) - 1.0) < 1e-14
-
-    def test_no_snap_without_flag(self):
-        # an interface off the unit circle is not snapped
-        mesh = _scaled(generate_disk_in_disk(2.0, 4, 4))
-        fine = refine_uniform(mesh)
-        radii = [np.linalg.norm(fine.vertices[v]) for v in fine.boundary_vertices(INTERFACE)]
-        assert min(radii) < 1.25 - 1e-6  # chord midpoints stay inside
-
-    def test_area_preserved_without_snap(self):
-        mesh = _scaled(generate_disk_in_disk(2.0, 4, 4))
-        fine = refine_uniform(mesh)
-        assert abs(fine.triangle_areas().sum() - mesh.triangle_areas().sum()) < 1e-12
-
-    def test_refined_mesh_valid(self):
-        mesh = generate_square_with_disk(2.0, 4, 4)
-        refine_uniform(mesh).validate()
-
-    @pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
-    def test_reloaded_mesh_snaps(self, generate, tmp_path):
-        # snapping is read off the geometry, so it survives the file format
-        mesh = generate(2.0, 4, 4)
-        save_mesh(mesh, str(tmp_path / "m.txt"))
-        fine = refine_uniform(load_mesh(str(tmp_path / "m.txt")))
-        ref = refine_uniform(mesh)
-        radii = np.linalg.norm(fine.vertices[fine.boundary_vertices(INTERFACE)], axis=1)
-        assert np.abs(radii - 1.0).max() < 1e-14
-        assert np.array_equal(fine.vertices, ref.vertices)
-
-
-def _scaled(mesh, factor=1.25):
-    """The mesh stretched about the origin, so its interface leaves the unit circle."""
-    mesh.vertices = factor * mesh.vertices
-    return mesh
-
-
-def _red_refinement(mesh):
-    """Loop oracle for refine_uniform without snapping: midpoints numbered
-    from n_vertices on the first occurrence of their edge, in triangle order."""
-    nv = mesh.n_vertices
-    mid = {}
-
-    def m(a, b):
-        return mid.setdefault((min(a, b), max(a, b)), nv + len(mid))
-
-    tris = []
-    for a, b, c in mesh.triangles.tolist():
-        ab, bc, ca = m(a, b), m(b, c), m(c, a)
-        tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    edges = []
-    for a, b in mesh.edges.tolist():
-        edges += [(a, m(a, b)), (m(a, b), b)]
-    points = np.empty((nv + len(mid), 2))
-    points[:nv] = mesh.vertices
-    for (a, b), k in mid.items():
-        points[k] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-    return np.array(tris), np.array(edges), points
-
-
-@pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
-@pytest.mark.parametrize("snap", [False, True])
-def test_refine_numbering_and_midpoints(generate, snap):
-    mesh = generate(2.0, 3, 2)
-    if not snap:
-        mesh = _scaled(mesh)
-    fine = refine_uniform(mesh)
-    tris, edges, points = _red_refinement(mesh)
-    assert np.array_equal(fine.triangles, tris)
-    assert np.array_equal(fine.regions, np.repeat(mesh.regions, 4))
-    assert np.array_equal(fine.edges, edges)
-    assert np.array_equal(fine.edge_tags, np.repeat(mesh.edge_tags, 2))
-    snapped = np.zeros(len(points), dtype=bool)
-    if snap:
-        snapped[fine.boundary_vertices(INTERFACE)] = True
-        on_circle = points[snapped] / np.linalg.norm(points[snapped], axis=1)[:, None]
-        np.testing.assert_allclose(fine.vertices[snapped], on_circle, rtol=0, atol=1e-15)
-    assert np.array_equal(fine.vertices[~snapped], points[~snapped])
 
 
 def _edge_where(mesh, regions):
