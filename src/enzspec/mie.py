@@ -12,7 +12,8 @@ Two closed-form families on D = B_1, Omega = B_R:
 
 Also provided: the general single-mode interior Maxwell solver on B_1, a
 finite-difference residual checker, and a concentric two-sphere dispersion
-relation for nonzero shell permittivity delta.
+relation for nonzero shell permittivity delta, solved for many delta at once
+by one vectorised Newton iteration with the exact determinant derivative.
 
 All magnetic fields follow the convention curl E = -i k H, curl H = i k
 eps E, so H is purely imaginary for the real electric profiles used here.
@@ -418,9 +419,49 @@ def residual_checks(mode: MieMode, sample_count: int = 20) -> dict:
     return report
 
 
-def concentric_dispersion(family: str, n: int, R: float, delta: complex,
-                          k_seed: complex) -> complex:
-    """Eigenvalue lambda = k^2 of the concentric core-shell resonator with
+def _det_and_slope(family: str, n: int, R: float, delta, s, k) -> tuple:
+    """The transfer-matching determinant at wavenumbers k and its exact
+    k-derivative, elementwise over arrays delta, s = sqrt(delta) and k.
+
+    The Bessel functions are evaluated at kappa R, kappa = s k and k, whose
+    k-derivatives are s R, s and 1.  Second derivatives come from the
+    spherical Bessel equation, which gives (z f)'' = -(z - n(n+1)/z) f for
+    any solution f, and (z f)' = f + z f'.
+    """
+    c = n * (n + 1.0)
+    kappa = s * k
+    zR = kappa * R
+    j, jp = spherical_bessel_complex(n, np.stack([zR, kappa, k]))
+    y, yp = spherical_neumann_complex(n, np.stack([zR, kappa]))
+    (jR, j1, jk), (jRp, j1p, jkp) = j, jp
+    (yR, y1), (yRp, y1p) = y, yp
+    # shell profile beta j_n(kappa r) + gamma y_n(kappa r), zero (electric)
+    # or with zero (r h)' (magnetic) at r = R
+    if family == FAMILY_E:
+        beta, gamma = yR, -jR
+        dbeta, dgamma = s * R * yRp, -s * R * jRp
+    else:
+        beta, gamma = yR + zR * yRp, -(jR + zR * jRp)
+        w = s * R * (zR - c / zR)
+        dbeta, dgamma = -w * yR, w * jR
+    # the profile g and (r g)' at r = 1, and their k-derivatives
+    g1 = beta * j1 + gamma * y1
+    q1 = beta * j1p + gamma * y1p
+    rg1 = g1 + kappa * q1
+    dg1 = dbeta * j1 + dgamma * y1 + s * q1
+    drg1 = (dbeta * (j1 + kappa * j1p) + dgamma * (y1 + kappa * y1p)
+            - s * (kappa - c / kappa) * g1)
+    # the core's (r j_n(k r))' at r = 1 and its k-derivative
+    core = jk + k * jkp
+    dcore = -(k - c / k) * jk
+    if family == FAMILY_E:
+        return jk * rg1 - core * g1, jkp * rg1 + jk * drg1 - dcore * g1 - core * dg1
+    return (jk * rg1 / delta - core * g1,
+            (jkp * rg1 + jk * drg1) / delta - dcore * g1 - core * dg1)
+
+
+def concentric_dispersion(family: str, n: int, R: float, delta, k_seed):
+    """Eigenvalues lambda = k^2 of the concentric core-shell resonator with
     shell permittivity delta, by complex Newton on the transfer-matching
     determinant from the seed wavenumber.
 
@@ -428,50 +469,49 @@ def concentric_dispersion(family: str, n: int, R: float, delta: complex,
     and g(R) = 0; at delta = 1 this reduces to j_n(kR) = 0.
     family 'magnetic': H = h(r) V with h and (r h)'/eps continuous at
     r = 1 and (r h)'(R) = 0; its delta -> 0 limit is j_n(k) = 0.
+
+    delta is a scalar or a 1-D array, and k_seed broadcasts to it.  All
+    samples share one vectorised Newton iteration with the exact
+    determinant derivative (`_det_and_slope`); a sample is frozen once its
+    own update is below _NEWTON_TOL, so its result does not depend on the
+    other samples of the call.  A scalar delta gives a complex, an array
+    delta an array.
     """
-    if delta == 0:
-        raise MieError("dispersion relation requires delta != 0")
+    d = np.asarray(delta, dtype=complex)
+    if d.ndim > 1:
+        raise MieError(f"delta must be a scalar or a 1-D array, got shape {d.shape}")
     if family not in (FAMILY_E, FAMILY_H):
         raise MieError(f"unknown polarization family {family!r}")
     if n < 1:
         raise MieError(f"degree must be >= 1, got {n}")
     _check_outer_radius(R)
-    if np.imag(delta) == 0 and np.real(delta) < 0:
+    deltas = np.atleast_1d(d)
+    if (deltas == 0).any():
+        raise MieError("dispersion relation requires delta != 0")
+    if ((deltas.imag == 0) & (deltas.real < 0)).any():
         warnings.warn("delta on the negative real axis: the principal square "
                       "root branch cut is being evaluated", stacklevel=2)
-    s = np.sqrt(complex(delta))
-
-    def det(k: complex) -> complex:
-        kappa = s * k
-        # Python complex arithmetic on .tolist() values beats numpy scalars
-        j, jp = spherical_bessel_complex(n, [kappa * R, kappa, k])
-        y, yp = spherical_neumann_complex(n, [kappa * R, kappa])
-        (jR, j1, jk), (jRp, j1p, jkp) = j.tolist(), jp.tolist()
-        (yR, y1), (yRp, y1p) = y.tolist(), yp.tolist()
-        if family == FAMILY_E:
-            beta, gamma = yR, -jR
-            g1 = beta * j1 + gamma * y1
-            rg1 = g1 + kappa * (beta * j1p + gamma * y1p)
-            return jk * rg1 - (jk + k * jkp) * g1
-        beta = yR + kappa * R * yRp
-        gamma = -(jR + kappa * R * jRp)
-        h1 = beta * j1 + gamma * y1
-        rh1 = h1 + kappa * (beta * j1p + gamma * y1p)
-        return jk * rh1 / complex(delta) - (jk + k * jkp) * h1
-
-    k = complex(k_seed)
-    for _ in range(_NEWTON_ITER):
-        f = det(k)
-        dk = 1e-7 * (1.0 + abs(k))
-        df = (det(k + dk) - det(k - dk)) / (2.0 * dk)
-        if df == 0:
-            raise MieError("Newton derivative vanished in the dispersion solve")
-        update = f / df
-        k = k - update
-        if abs(update) <= _NEWTON_TOL * (1.0 + abs(k)):
-            return k * k
-    raise MieError(f"dispersion Newton did not converge from seed {k_seed!r} "
-                   f"(last update {abs(update):.3e})")
+    s = np.sqrt(deltas)
+    k = np.full(deltas.shape, k_seed, dtype=complex)
+    todo = np.arange(len(deltas))
+    # a wandering iterate may overflow; it then stays unconverged and is
+    # reported below, so numpy's warnings would say nothing more
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_ITER):
+            f, df = _det_and_slope(family, n, R, deltas[todo], s[todo], k[todo])
+            flat = df == 0
+            if flat.any():
+                raise MieError("Newton derivative vanished in the dispersion solve "
+                               f"at delta = {complex(deltas[todo[flat][0]])!r}")
+            update = f / df
+            k[todo] -= update
+            todo = todo[~(np.abs(update) <= _NEWTON_TOL * (1.0 + np.abs(k[todo])))]
+            if not len(todo):
+                lam = k * k
+                return complex(lam[0]) if d.ndim == 0 else lam
+    raise MieError("dispersion Newton did not converge at delta = "
+                   f"{complex(deltas[todo[0]])!r}: {len(todo)} of {len(deltas)} "
+                   f"samples unconverged after {_NEWTON_ITER} iterations")
 
 
 def save_mode(mode: MieMode, path: str) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "AnalyticityReport",
     "NonClosedBranchError",
+    "NonFiniteSeriesError",
     "circle_path",
     "taylor_from_circle",
     "analyticity_report",
@@ -35,6 +36,11 @@ class NonClosedBranchError(RuntimeError):
     def __init__(self, defect: float):
         super().__init__(f"branch does not close on the circle: defect {defect:.3e}")
         self.defect = defect
+
+
+class NonFiniteSeriesError(RuntimeError):
+    """A Taylor coefficient a_k = c_k / radius**k is not finite: on a very
+    small circle radius**k underflows to 0 or the quotient overflows."""
 
 
 def circle_path(r: float, n_samples: int = 32, ramp: int = 4):
@@ -66,14 +72,21 @@ def taylor_from_circle(samples, radius: float, order: int,
     """Coefficients a_0..a_order of lambda(delta) = sum a_k delta^k from
     N + 1 equispaced samples on |delta| = radius (closing sample repeated).
 
-    a_k = (1/N) sum_j lambda(delta_j) exp(-2 pi i j k / N) / radius^k.
+    a_k = (1/N) sum_j lambda(delta_j) exp(-2 pi i j k / N) / radius^k;
+    a coefficient that is not finite raises NonFiniteSeriesError.
     """
     vals, n, _ = _circle_samples(samples, closure_tol)
     if order > n // 4:
         raise ValueError(f"order {order} exceeds the aliasing guard N/4 = {n // 4}")
     coeffs = np.fft.fft(vals) / n
     k = np.arange(order + 1)
-    return coeffs[: order + 1] / radius**k
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = coeffs[: order + 1] / radius**k
+    bad = np.nonzero(~np.isfinite(a))[0]
+    if len(bad):
+        raise NonFiniteSeriesError(f"Taylor coefficient a_{bad[0]} is not finite "
+                                   f"on the circle of radius {radius:g}")
+    return a
 
 
 @dataclass

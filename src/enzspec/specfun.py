@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "SpecFunError",
     "HarmonicIndex",
     "SurfacePoint",
     "spherical_bessel",

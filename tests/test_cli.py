@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ def _modules():
 def test_every_exported_name_resolves():
     for module in _modules():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+
+
+def test_every_exception_class_is_exported():
+    for module in _modules():
+        defined = [name for name, obj in vars(module).items()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == module.__name__]
+        missing = [name for name in defined if name not in module.__all__]
         assert not missing, (module.__name__, missing)
 
 
@@ -285,6 +295,19 @@ class TestTaylorCommand:
         assert payload["reality_defect"] <= 1e-9
         a0 = payload["a_coeffs"][0]
         assert abs(a0[0] - lam0) < 1e-6 * lam0
+
+    def test_tiny_radius_is_numerical_failure(self, disk2_mesh, tmp_path):
+        # radius**k underflows to 0 for k >= 2, so a_2 cannot be finite
+        out_path = tmp_path / "t.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run("taylor", "--mesh", disk2_mesh, "--lambda0", "15",
+                               "--radius", "1e-300", "--out", str(out_path))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "NonFiniteSeriesError" and "unexpected" not in payload
+        assert "a_2" in payload["message"]
+        assert not out_path.exists()
 
 
 class TestCascadeCommand:

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
+from enzspec import mie
+from enzspec.cli import main
 from enzspec.mie import (
     ELECTROSTATIC,
     FAMILY_E,
@@ -316,6 +320,79 @@ class TestDispersion:
     def test_branch_cut_warning(self):
         with pytest.warns(UserWarning, match="branch"):
             concentric_dispersion(FAMILY_H, 1, 2.0, -1e-3, J1_ZERO_1)
+
+
+CIRCLE = 0.0091 * np.exp(2j * np.pi * np.arange(257) / 256)
+
+
+def _circle_csv(path):
+    rows = np.loadtxt(path, delimiter=",", skiprows=2)
+    return rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+
+
+class TestBatchedDispersion:
+    @pytest.mark.parametrize("family", [FAMILY_E, FAMILY_H])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_array_call_equals_scalar_calls(self, family, n):
+        k0 = electric_limit_k(n, 2.0) if family == FAMILY_E else jn_zeros(n)[0]
+        lams = concentric_dispersion(family, n, 2.0, CIRCLE, k0)
+        assert isinstance(lams, np.ndarray) and lams.shape == CIRCLE.shape
+        one = [concentric_dispersion(family, n, 2.0, d, k0) for d in CIRCLE]
+        assert all(isinstance(lam, complex) for lam in one)
+        assert (lams == np.array(one)).all()
+        # a seed array broadcast from the scalar gives the same iterates
+        seeds = np.full(CIRCLE.shape, k0)
+        assert (concentric_dispersion(family, n, 2.0, CIRCLE, seeds) == lams).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cli_circle_mean_is_limit_root(self, tmp_path, n):
+        # the Cauchy mean of the magnetic branch is its delta = 0 value, the
+        # squared first zero of j_n (scipy brentq, not the code under test)
+        out_path = tmp_path / "d.csv"
+        assert main(["mie", "dispersion", "--family", "magnetic", "--n", str(n),
+                     "--R", "2", "--radius", "0.01", "--samples", "256",
+                     "--out", str(out_path)]) == 0
+        deltas, lams = _circle_csv(out_path)
+        assert len(lams) == 257 and deltas[0] == 0.01
+        z2 = jn_zeros(n)[0] ** 2
+        assert abs(lams[:-1].mean() - z2) <= 1e-8 * z2
+
+    def test_zero_anywhere_rejected(self):
+        with pytest.raises(MieError, match="delta != 0"):
+            concentric_dispersion(FAMILY_H, 1, 2.0, [0.01, 0.0, 0.02j], J1_ZERO_1)
+
+    def test_rejects_two_dimensional_delta(self):
+        with pytest.raises(MieError, match="1-D"):
+            concentric_dispersion(FAMILY_H, 1, 2.0, [[0.01, 0.02]], J1_ZERO_1)
+
+    def test_branch_cut_warns_once(self):
+        with pytest.warns(UserWarning, match="branch") as record:
+            concentric_dispersion(FAMILY_H, 1, 2.0, [1e-3j, -1e-3, -2e-3], J1_ZERO_1)
+        assert len(record) == 1
+
+    def test_vanishing_derivative_names_its_delta(self, monkeypatch):
+        exact = mie._det_and_slope
+
+        def flat_at(family, n, R, delta, s, k):
+            f, df = exact(family, n, R, delta, s, k)
+            return f, np.where(delta == 0.02j, 0.0, df)
+
+        monkeypatch.setattr(mie, "_det_and_slope", flat_at)
+        with pytest.raises(MieError, match=r"vanished .* delta = 0\.02j"):
+            concentric_dispersion(FAMILY_H, 1, 2.0, [0.01, 0.02j, -0.01j], J1_ZERO_1)
+
+    def test_nonconvergence_names_first_delta_and_count(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(mie, "_NEWTON_ITER", 1)
+        with pytest.raises(MieError, match=r"at delta = 0\.01j: 2 of 2 samples unconverged"):
+            concentric_dispersion(FAMILY_H, 1, 2.0, [0.01j, -0.01j], J1_ZERO_1)
+        out_path, err = tmp_path / "d.csv", io.StringIO()
+        code = main(["mie", "dispersion", "--family", "magnetic", "--n", "1",
+                     "--radius", "0.01", "--samples", "16", "--out", str(out_path)],
+                    out=io.StringIO(), err=err)
+        assert code == 2 and not out_path.exists()
+        payload = json.loads(err.getvalue())
+        assert payload["error"] == "MieError" and "unexpected" not in payload
+        assert "at delta = (0.01+0j): 17 of 17 samples" in payload["message"]
 
 
 class TestModeExport:
