@@ -68,6 +68,9 @@ class CascadeError(RuntimeError):
 # Largest patch flux, relative to the field scale, that a driving field
 # coefficient may carry and still count as weakly divergence-free.
 _DIVERGENCE_TOL = 1e-12
+# largest field entry accepted: the cascade's norms and residuals square the
+# field, and the problem is linear in it, so a larger field is scaled down
+_FIELD_MAX = 1e100
 
 
 def _weak_divergence_defect(forms: AssembledForms, field_values: np.ndarray) -> float:
@@ -99,6 +102,9 @@ class DrivingField:
             if f.shape != (forms.mesh.n_triangles, 2):
                 raise CascadeError(f"coefficient {k} has shape {f.shape}, "
                                    f"expected ({forms.mesh.n_triangles}, 2)")
+            if np.abs(f).max(initial=0.0) > _FIELD_MAX:
+                raise CascadeError(f"coefficient {k} has an entry beyond {_FIELD_MAX:g} "
+                                   "in magnitude; scale the field down")
             defect = _weak_divergence_defect(forms, f)
             if defect > _DIVERGENCE_TOL:
                 raise CascadeError(
@@ -197,11 +203,11 @@ class Cascade:
         self.forms_d = assemble(self.sub_d.mesh)
         self.forms_s = assemble(self.sub_s.mesh)
         # node index translation between the two submeshes via the parent
-        parent_to_d = {int(p): i for i, p in enumerate(self.sub_d.vertex_map)}
+        parent_to_d = np.empty(mesh.n_vertices, dtype=int)
+        parent_to_d[self.sub_d.vertex_map] = np.arange(len(self.sub_d.vertex_map))
         self._shell_iface = self.sub_s.mesh.boundary_vertices(INTERFACE)
         self._shell_outer = self.sub_s.mesh.boundary_vertices(OUTER)
-        self._iface_in_d = np.array([parent_to_d[int(self.sub_s.vertex_map[i])]
-                                     for i in self._shell_iface])
+        self._iface_in_d = parent_to_d[self.sub_s.vertex_map[self._shell_iface]]
 
     @cached_property
     def _psi_solution(self):
@@ -369,6 +375,9 @@ def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
     h_direct = direct_projection(cascade, driving.evaluate(delta), delta)
     l2d, h1d = norms(cascade.forms, h_direct)
     ref = float(np.hypot(l2d, h1d))
+    if ref == 0.0:
+        raise CascadeError("the direct projection vanishes, so the relative "
+                           "series error is undefined (zero driving field?)")
     errors = []
     partial = np.zeros(cascade.mesh.n_vertices, dtype=complex)
     for k in range(max_order + 1):

@@ -56,6 +56,9 @@ _RES_GOAL, _RES_ACCEPT, _SAME_VALUE = 1e-13, 1e-8, 1e-9
 # track_branch: the eigenpairs its start harvests at delta = 0, and the
 # overlap ratio above which two successors are ambiguous.
 _START_COUNT, _AMBIGUITY_RATIO = 5, 0.9
+# Pencil: the largest |delta| accepted; beyond it the shifted matrix
+# A - sigma (M_D + delta M_S), with sigma growing like delta, overflows.
+_DELTA_MAX = 1e100
 
 
 @dataclass
@@ -70,6 +73,8 @@ class Pencil:
         regions = self.forms.mesh.regions
         area_d = float(self.forms.areas[regions == INCLUSION].sum())
         area_s = float(self.forms.areas[regions == SHELL].sum())
+        if not abs(self.delta) <= _DELTA_MAX:
+            raise EigError(f"|delta| = {abs(self.delta):.3g} exceeds {_DELTA_MAX:g}")
         if abs(self.delta + area_d / area_s) < 1e-14:
             raise EigError("delta = -area(D)/area(shell): total mass direction degenerate")
         if abs(self.delta) >= area_d / area_s:

@@ -2,15 +2,19 @@
 and shift-invert Arnoldi.
 
 Matrices are plain scipy sparse (CSR) matrices.  Every factorization is a
-SuperLU factorization with a fixed column ordering.  Its pivot check is
-gated: one solve with a fixed probe vector measures the growth |A||x|/|b|,
-and only a matrix that this flags has U's diagonal read (which makes scipy
-keep CSC copies of L and U) for the exact small-pivot test.  The Arnoldi
-iteration is ARPACK's implicitly restarted Arnoldi
+SuperLU factorization with a fixed ordering: minimum degree on the structure
+of A^T + A, in SuperLU's symmetric mode.  Every matrix the package factors
+(A - sigma B and the bordered Neumann and projection systems) has symmetric
+structure, and on these this ordering gives about half the fill of COLAMD.
+Its pivot check is gated: one solve with a fixed probe vector measures the
+growth |A||x|/|b|, and only a matrix that this flags has U's diagonal read
+(which makes scipy keep CSC copies of L and U) for the exact small-pivot
+test.  The Arnoldi iteration is ARPACK's implicitly restarted Arnoldi
 (`scipy.sparse.linalg.eigs`) on a linear operator that applies the
-shift-inverted pencil followed by the caller's deflation.  The bilinear (unconjugated) handling of complex-symmetric
-pencils lives in that deflation and in the caller's normalization; ARPACK
-itself only needs the operator and a fixed start vector.
+shift-inverted pencil followed by the caller's deflation.  The bilinear
+(unconjugated) handling of complex-symmetric pencils lives in that deflation
+and in the caller's normalization; ARPACK itself only needs the operator and
+a fixed start vector.
 """
 
 from __future__ import annotations
@@ -65,8 +69,9 @@ class ArnoldiError(RuntimeError):
 class LUFactors:
     """Sparse LU factors of a square matrix.  A solve takes one step of
     iterative refinement only when its normwise backward error exceeds
-    _REFINE_TOL.  The input is copied to CSC; the column ordering
-    (COLAMD) is fixed, so repeated factorizations are deterministic.
+    _REFINE_TOL.  The input is copied to CSC; the ordering (minimum degree
+    on A^T + A, symmetric mode) is fixed, so repeated factorizations are
+    deterministic.
 
     A pivot counts as singular when its magnitude is at most
     `_PIVOT_TOL * max(1, max |a_ij|)`.  Reading U's diagonal makes scipy
@@ -87,8 +92,8 @@ class LUFactors:
             raise ValueError("LUFactors requires a square matrix")
         self.n = mat.shape[0]
         try:
-            splu = scipy.sparse.linalg.splu(mat, permc_spec="COLAMD",
-                                            options={"SymmetricMode": False})
+            splu = scipy.sparse.linalg.splu(mat, permc_spec="MMD_AT_PLUS_A",
+                                            options={"SymmetricMode": True})
         except RuntimeError as exc:
             if "singular" not in str(exc):
                 raise

@@ -21,6 +21,10 @@ SHELL = 1
 INTERFACE = 0
 OUTER = 1
 
+# largest outer size the generators accept: triangle areas and the region
+# areas summed from them grow as its square and must stay finite
+_SIZE_MAX = 1e100
+
 __all__ = [
     "INCLUSION",
     "SHELL",
@@ -269,8 +273,8 @@ def generate_disk_in_disk(R: float, rings_core: int, rings_shell: int,
     (a, c, d), INCLUSION inside the unit circle and SHELL outside.  The mesh
     file bytes depend on this order.
     """
-    if R <= 1.0:
-        raise MeshError(f"outer radius must exceed 1, got {R}")
+    if not 1.0 < R <= _SIZE_MAX:
+        raise MeshError(f"outer radius must exceed 1 and be at most {_SIZE_MAX:g}, got {R}")
     if rings_core < 2 or rings_shell < 2:
         raise MeshError("ring counts must be >= 2")
     if n_theta is None:
@@ -295,8 +299,8 @@ def generate_square_with_disk(L: float, rings_core: int, rings_blend: int,
     the quads as (a, d, b), (a, c, d).  The mesh file bytes depend on this
     order.
     """
-    if L <= 1.0:
-        raise MeshError(f"half side must exceed 1, got {L}")
+    if not 1.0 < L <= _SIZE_MAX:
+        raise MeshError(f"half side must exceed 1 and be at most {_SIZE_MAX:g}, got {L}")
     if rings_core < 2 or rings_blend < 2:
         raise MeshError("ring counts must be >= 2")
     if n_theta is None:

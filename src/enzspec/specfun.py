@@ -1,12 +1,13 @@
 """Spherical Bessel functions and their zeros, real spherical harmonics and
 the tangent vector harmonics U, V.
 
-The Bessel functions come from scipy.special (spherical_jn, spherical_yn
-with derivative=True) and their zeros from a scan plus scipy.optimize.brentq;
-both modules are imported on first use, so importing enzspec does not pay
-for them.  The spherical harmonics come from scipy.special.sph_legendre_p,
-without its Condon-Shortley phase.  They are real valued and normalized to
-unit L2 norm on the unit sphere, so that
+The Bessel functions come from scipy.special (spherical_jn, spherical_yn;
+at complex arguments one call evaluates the orders n - 1 and n, and the
+derivative follows from them) and their zeros from a scan plus
+scipy.optimize.brentq; both modules are imported on first use, so
+importing enzspec does not pay for them.  The spherical harmonics come from
+scipy.special.sph_legendre_p, without its Condon-Shortley phase.  They are
+real valued and normalized to unit L2 norm on the unit sphere, so that
 
     integral over S2 of Y[n,m] * Y[n',m']  =  delta_{nn'} delta_{mm'} .
 
@@ -117,18 +118,27 @@ def spherical_bessel(n: int, x):
     return val, dval
 
 
-def spherical_bessel_complex(n: int, z):
-    """(j_n(z), j_n'(z)) at complex z, scalar or array."""
-    from scipy.special import spherical_jn
+def _value_and_slope(f, n: int, z):
+    """(f_n(z), f_n'(z)) from one evaluation of the orders n - 1 and n:
+    f_n' = f_{n-1} - (n + 1) f_n / z, and f_0' = -f_1."""
     z = np.asarray(z, dtype=complex)
-    return spherical_jn(n, z), spherical_jn(n, z, derivative=True)
+    low = max(n - 1, 0)
+    a, b = f(np.array([low, low + 1]).reshape((2,) + (1,) * z.ndim), z)
+    if n == 0:
+        return a, -b
+    return b, a - (n + 1) * b / z
+
+
+def spherical_bessel_complex(n: int, z):
+    """(j_n(z), j_n'(z)) at complex z != 0, scalar or array."""
+    from scipy.special import spherical_jn
+    return _value_and_slope(spherical_jn, n, z)
 
 
 def spherical_neumann_complex(n: int, z):
-    """(y_n(z), y_n'(z)) at complex z, scalar or array."""
+    """(y_n(z), y_n'(z)) at complex z != 0, scalar or array."""
     from scipy.special import spherical_yn
-    z = np.asarray(z, dtype=complex)
-    return spherical_yn(n, z), spherical_yn(n, z, derivative=True)
+    return _value_and_slope(spherical_yn, n, z)
 
 
 def bessel_zeros(n: int, count: int) -> np.ndarray:

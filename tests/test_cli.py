@@ -105,6 +105,49 @@ def test_value_outside_its_domain_is_validation_error(disk2_mesh, tmp_path, argv
     assert not out_path.exists()
 
 
+# small valid arguments for each command on the 2-ring disk ("MESH"), so
+# that a run whose edited key is still valid finishes quickly
+_SMALL_ARGS = {
+    ("mesh", "gen"): {"rings_core": "2", "rings_shell": "2"},
+    ("mesh", "info"): {"mesh": "MESH"},
+    ("eig", "limit"): {"mesh": "MESH", "count": "3"},
+    ("eig", "sweep"): {"mesh": "MESH", "deltas": "0.05", "count": "2"},
+    ("eig", "k0"): {"mesh": "MESH", "count": "3"},
+    ("taylor", None): {"mesh": "MESH", "lambda0": "15", "radius": "0.01",
+                       "samples": "8", "order": "2"},
+    ("cascade", None): {"mesh": "MESH", "orders": "2"},
+    ("mie", "electrostatic"): {"n": "1"},
+    ("mie", "nonelectrostatic"): {"p": "1"},
+    ("mie", "dispersion"): {"family": "magnetic", "n": "1", "radius": "0.01",
+                            "samples": "4"},
+    ("invariance", None): {"rings": "2", "count": "3"},
+}
+_PATH_KEYS = {"mesh", "field"}      # a missing file is an i/o error (exit 3)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")   # outside the validated disk
+@pytest.mark.parametrize("command, key", [(command, key) for command, (_, schema)
+                                          in cli._COMMANDS.items() for key in schema],
+                         ids=lambda v: v if isinstance(v, str) else "-".join(filter(None, v)))
+def test_edge_values_never_escape(disk2_mesh, tmp_path, monkeypatch, command, key):
+    # every key of every command, at values on and beyond its domain's edge:
+    # the run ends in success, a validation error or a numerical diagnostic
+    monkeypatch.chdir(tmp_path)
+    for value in ["0", "-1", "nan", "inf", "-inf", "1e300"]:
+        args = {k: disk2_mesh if v == "MESH" else v for k, v in _SMALL_ARGS[command].items()}
+        if "out" in cli._COMMANDS[command][1]:
+            args["out"] = "out.txt"
+        if command == ("mie", "dispersion") and key == "deltas":
+            del args["radius"]              # the two are exclusive
+        args[key] = value
+        argv = [part for part in command if part]
+        argv += [token for k, v in args.items() for token in (f"--{k}", v)]
+        code, _, err = run(*argv)
+        assert code in (0, 1, 2) or (code == 3 and key in _PATH_KEYS), (value, err)
+        if code == 2:
+            assert "unexpected" not in json.loads(err), (value, err)
+
+
 def test_import_leaves_scipy_special_and_optimize_unloaded():
     # specfun and mie import them on first use, so every command that does
     # not touch a sphere mode starts without them

@@ -6,12 +6,14 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from enzspec import cascade as cascade_module
 from enzspec.linalg import (
     ArnoldiError,
     LUFactors,
     SingularMatrixError,
     shift_invert_arnoldi,
 )
+from enzspec.mesh import generate_disk_in_disk
 
 
 class TestLU:
@@ -39,8 +41,8 @@ class TestLU:
         with pytest.raises(SingularMatrixError):
             LUFactors(a)
         # a near-zero pivot is reported by input column; the dense column 0
-        # makes the fill-reducing ordering move it, so the elimination step
-        # of that pivot is not 3
+        # makes the fill-reducing ordering move it (minimum degree eliminates
+        # column 3 at step 1), so the elimination step of that pivot is not 3
         a = 4.0 * np.eye(5)
         a[1:, 0] = 1.0
         a[3, 3] = 1e-20
@@ -101,7 +103,7 @@ def unconditional_pivot_check(a, pivot_tol=1e-13):
     exact zero, or None when every pivot passes."""
     m = scipy.sparse.csc_matrix(a)
     try:
-        lu = scipy.sparse.linalg.splu(m, permc_spec="COLAMD", options={"SymmetricMode": False})
+        lu = scipy.sparse.linalg.splu(m, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError:
         return None, 0.0
     diag = np.abs(lu.U.diagonal())
@@ -176,19 +178,60 @@ class TestGatedPivotCheck:
         assert 100 <= flagged <= len(family) - 50   # both sides of the threshold
 
     def test_factor_never_materialises_l_and_u(self):
-        # reading U would copy L and U into CSC arrays: 12 bytes a nonzero
+        # reading U copies L and U into CSC arrays; the factor's peak must
+        # stay under half of what that copy costs for scipy's default splu
+        # of the same matrix, a scale that does not follow our ordering
         k = 200
         t = scipy.sparse.diags([-np.ones(k - 1), 2.0 * np.ones(k), -np.ones(k - 1)], [-1, 0, 1])
         lap = (scipy.sparse.kron(t, scipy.sparse.eye(k)) + scipy.sparse.kron(scipy.sparse.eye(k), t)).tocsc()
-        tracemalloc.start()
-        try:
-            f = LUFactors(lap)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * 12 * f._splu.nnz
+
+        def traced_peak(work):
+            tracemalloc.start()
+            try:
+                result = work()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        f, peak = traced_peak(lambda: LUFactors(lap))
+        _, read_u = traced_peak(lambda: scipy.sparse.linalg.splu(lap).U)
+        assert peak < 0.5 * read_u
         b = np.ones(k * k)
         assert np.linalg.norm(lap @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.fixture(scope="module")
+def disk32_operators():
+    """The cascade's direct-projection KKT matrix and the complex shifted
+    pencil A - 14.5 (M_D + (0.035+0.02i) M_S) on the 32-ring disk."""
+    cascade = cascade_module.Cascade(generate_disk_in_disk(2.0, 32, 32))
+    field = np.tile([1.0, 0.0], (cascade.mesh.n_triangles, 1))
+    kkt = []
+
+    class Capturing(LUFactors):
+        def __init__(self, matrix):
+            kkt.append(matrix)
+            super().__init__(matrix)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cascade_module, "LUFactors", Capturing)
+        cascade_module.direct_projection(cascade, field, 0.05)
+    forms = cascade.forms
+    pencil = forms.A - 14.5 * forms.mass_delta(0.035 + 0.02j)
+    return {"kkt": kkt[0], "pencil": pencil}
+
+
+@pytest.mark.parametrize("name", ["kkt", "pencil"])
+def test_fill_below_colamd(disk32_operators, name):
+    # the matrices have symmetric structure: minimum degree on A^T + A must
+    # cut the L + U fill of a COLAMD ordering well below 0.7 (about 0.5)
+    mat = scipy.sparse.csc_matrix(disk32_operators[name])
+    f = LUFactors(mat)
+    colamd = scipy.sparse.linalg.splu(mat, permc_spec="COLAMD")
+    assert f._splu.nnz <= 0.7 * colamd.nnz
+    b = np.random.default_rng(7).standard_normal(mat.shape[0]).astype(mat.dtype)
+    x = f.solve(b)
+    assert np.linalg.norm(mat @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def pencil_oracle(a, b):
