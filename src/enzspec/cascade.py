@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .fem import (
     AssembledForms,
@@ -31,6 +30,7 @@ from .fem import (
     element_gradients,
     factor_once,
     norms,
+    restrict_forms,
     solve_dirichlet,
     solve_neumann,
 )
@@ -65,21 +65,38 @@ class CascadeError(RuntimeError):
     pass
 
 
-# Largest patch flux, relative to the field scale, that a driving field
-# coefficient may carry and still count as weakly divergence-free.
+# Largest patch flux, relative at each vertex to the magnitudes of the terms
+# it sums, that a driving field coefficient may carry and still count as
+# weakly divergence-free.
 _DIVERGENCE_TOL = 1e-12
 # largest field entry accepted: the cascade's norms and residuals square the
 # field, and the problem is linear in it, so a larger field is scaled down
 _FIELD_MAX = 1e100
 
 
+def _load_size(forms: AssembledForms, field_values: np.ndarray) -> np.ndarray:
+    """Per vertex, the summed magnitudes of the terms that
+    divergence_load_vector adds up: the scale of its rounding error, which
+    follows both the field and the mesh length scale."""
+    terms = np.einsum("td,tid->ti", np.abs(field_values), np.abs(forms.grads))
+    return np.bincount(forms.mesh.triangles.ravel(),
+                       weights=(terms * forms.areas[:, None]).ravel(),
+                       minlength=forms.mesh.n_vertices)
+
+
+def _flux_size(matrix, h: np.ndarray, forms: AssembledForms, field_values) -> np.ndarray:
+    """Per vertex, the summed magnitudes of the terms of matrix @ h plus the
+    divergence load of the field."""
+    return abs(matrix) @ np.abs(h) + _load_size(forms, field_values)
+
+
 def _weak_divergence_defect(forms: AssembledForms, field_values: np.ndarray) -> float:
-    """Largest patch flux of a per-triangle field over non-outer vertices."""
+    """Largest patch flux of a per-triangle field over non-outer vertices,
+    each relative to the summed magnitudes of its terms (0 where all vanish)."""
     b = divergence_load_vector(forms, field_values)
-    interior = np.ones(forms.mesh.n_vertices, dtype=bool)
-    interior[forms.mesh.boundary_vertices(OUTER)] = False
-    scale = max(1.0, float(np.abs(field_values).max()))
-    return float(np.abs(b[interior]).max()) / scale
+    defect = np.abs(b) / np.maximum(_load_size(forms, field_values), np.finfo(float).tiny)
+    defect[forms.mesh.boundary_vertices(OUTER)] = 0.0
+    return float(defect.max())
 
 
 @dataclass
@@ -200,8 +217,8 @@ class Cascade:
         self.forms = assemble(mesh)
         self.sub_d = extract_submesh(mesh, INCLUSION)
         self.sub_s = extract_submesh(mesh, SHELL)
-        self.forms_d = assemble(self.sub_d.mesh)
-        self.forms_s = assemble(self.sub_s.mesh)
+        self.forms_d = restrict_forms(self.forms, self.sub_d)
+        self.forms_s = restrict_forms(self.forms, self.sub_s)
         # node index translation between the two submeshes via the parent
         parent_to_d = np.empty(mesh.n_vertices, dtype=int)
         parent_to_d[self.sub_d.vertex_map] = np.arange(len(self.sub_d.vertex_map))
@@ -285,9 +302,12 @@ class Cascade:
         flux = float(self._shell_residual(h_s, f_s)[self._shell_outer].sum())
         c_k = -flux / self.psi_energy
         h_full = self._combine(h_d, h_s) + c_k * self.psi
-        # independent re-measurement of the enforced normalization
+        # independent re-measurement of the enforced normalization, against
+        # the magnitudes of the terms it sums: order k > 0 is driven by
+        # h_{k-1}, not by F_k alone
         re_flux = self.outer_flux(h_full, f_k)
-        if abs(re_flux) > 1e-8 * max(1.0, float(np.abs(f_k).max())):
+        size = _flux_size(self.forms_s.A, self.sub_s.restrict(h_full), self.forms_s, f_s)
+        if abs(re_flux) > 1e-8 * size[self._shell_outer].sum():
             raise CascadeError(f"outer flux {re_flux:.3e} survives the "
                                f"Psi correction at order {state.order + 1}")
         l2, h1 = norms(self.forms, h_full)
@@ -319,8 +339,14 @@ class Cascade:
 
 def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex) -> np.ndarray:
     """Single-solve projection: div(eps_delta (F + grad h)) = 0 with h
-    constant on the outer boundary (one merged unknown) and zero net outer
-    flux.  Normalized to zero inclusion mean, matching the cascade."""
+    constant on the outer boundary and zero net outer flux.  Normalized to
+    zero inclusion mean, matching the cascade.
+
+    The outer constant is grounded at 0, which leaves a Dirichlet solve on
+    the non-outer vertices with A_D + delta A_S.  The rows of that matrix and
+    of the load sum to zero, so the zero-net-flux condition, the one row the
+    grounding drops, holds by itself; the inclusion mean is subtracted after.
+    """
     if delta == 0:
         raise CascadeError("direct projection requires delta != 0")
     forms = cascade.forms
@@ -336,32 +362,22 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
     b_w = divergence_load_vector(forms, field_w)
 
     outer = mesh.boundary_vertices(OUTER)
-    red = -np.ones(n, dtype=int)
-    inner_nodes = np.setdiff1d(np.arange(n), outer)
-    red[inner_nodes] = np.arange(len(inner_nodes))
-    red[outer] = len(inner_nodes)
-    nr = len(inner_nodes) + 1
-    p = scipy.sparse.csr_matrix((np.ones(n), (np.arange(n), red)), shape=(n, nr))
-
-    ar = (p.T @ a_delta @ p).tocsc()
-    br = -(p.T @ b_w)
+    free = np.ones(n, dtype=bool)
+    free[outer] = False
+    h = np.zeros(n, dtype=dtype)
+    h[free] = LUFactors(a_delta[free][:, free]).solve(-b_w[free])
     md1 = forms.M_D @ np.ones(n)
-    mr = p.T @ md1.astype(dtype)
-    kkt = scipy.sparse.bmat([[ar, mr[:, None]], [mr[None, :], None]], format="csc")
-    sol = LUFactors(kkt).solve(np.concatenate([br, [0.0]]))
-    h = p @ sol[:nr]
     h = h - np.dot(md1, h) / md1.sum()   # exact zero inclusion mean
 
-    # side conditions: interior weighted-divergence residual and outer flux
+    # side conditions, each against the magnitudes of the terms it sums:
+    # interior weighted-divergence residual and unweighted outer flux
     res = a_delta @ h + b_w
-    interior = np.ones(n, dtype=bool)
-    interior[outer] = False
-    scale = max(1.0, float(np.abs(field_values).max()))
-    if np.abs(res[interior]).max() > 1e-8 * scale:
+    size = _flux_size(a_delta, h, forms, field_w)
+    if np.abs(res[free]).max() > 1e-8 * size[free].max():
         raise CascadeError("weighted divergence residual too large in direct projection")
-    unweighted_outer = (forms.A.astype(dtype) @ h
-                        + divergence_load_vector(forms, np.asarray(field_values, dtype=dtype)))
-    if abs(unweighted_outer[outer].sum()) > 1e-8 * scale:
+    field_u = np.asarray(field_values, dtype=dtype)
+    flux = forms.A @ h + divergence_load_vector(forms, field_u)
+    if abs(flux[outer].sum()) > 1e-8 * _flux_size(forms.A, h, forms, field_u)[outer].sum():
         raise CascadeError("outer flux condition violated in direct projection")
     return h
 

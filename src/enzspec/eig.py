@@ -75,7 +75,8 @@ class Pencil:
         area_s = float(self.forms.areas[regions == SHELL].sum())
         if not abs(self.delta) <= _DELTA_MAX:
             raise EigError(f"|delta| = {abs(self.delta):.3g} exceeds {_DELTA_MAX:g}")
-        if abs(self.delta + area_d / area_s) < 1e-14:
+        # relative: on a large shell the area ratio itself is tiny
+        if abs(self.delta + area_d / area_s) < 1e-14 * (area_d / area_s):
             raise EigError("delta = -area(D)/area(shell): total mass direction degenerate")
         if abs(self.delta) >= area_d / area_s:
             warnings.warn(

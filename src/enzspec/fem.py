@@ -17,12 +17,13 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import LUFactors
-from .mesh import INCLUSION, SHELL, Mesh
+from .mesh import INCLUSION, SHELL, Mesh, Submesh
 
 __all__ = [
     "AssembledForms",
     "FemError",
     "assemble",
+    "restrict_forms",
     "factor_once",
     "element_gradients",
     "divergence_load_vector",
@@ -67,37 +68,19 @@ class AssembledForms:
     """Stiffness and mass matrices (scipy CSR) split by region.
 
     A = A_D + A_S has kernel exactly the constants on a connected mesh;
-    M = M_D + M_S is the consistent mass.
+    M = M_D + M_S is the consistent mass.  Built by `assemble` for a mesh
+    and by `restrict_forms` for a submesh of an assembled mesh.
     """
 
-    def __init__(self, mesh: Mesh):
-        area, grads = _triangle_geometry(mesh)
-        nt = mesh.n_triangles
-        tri = mesh.triangles
-
-        rows = np.repeat(tri, 3, axis=1).ravel()            # i index
-        cols = np.tile(tri, (1, 3)).ravel()                 # j index
-        k_local = np.einsum("tid,tjd->tij", grads, grads) * area[:, None, None]
-        m_local = _LOCAL_MASS[None, :, :] * area[:, None, None]
-
-        shape = (mesh.n_vertices, mesh.n_vertices)
-
-        def build(mask):
-            # duplicate (i, j) triplets sum on conversion to CSR, as assembly needs
-            sel = np.repeat(mask, 9)
-            ij = (rows[sel], cols[sel])
-            return (scipy.sparse.csr_matrix((k_local.reshape(nt, 9)[mask].ravel(), ij), shape=shape),
-                    scipy.sparse.csr_matrix((m_local.reshape(nt, 9)[mask].ravel(), ij), shape=shape))
-
-        mask_d = mesh.regions == INCLUSION
-        mask_s = mesh.regions == SHELL
+    def __init__(self, mesh: Mesh, areas, grads, A_D, M_D, A_S, M_S):
         self.mesh = mesh
-        self.areas = area
+        self.areas = areas
         self.grads = grads
-        self.A_D, self.M_D = build(mask_d)
-        self.A_S, self.M_S = build(mask_s)
-        self.A = self.A_D + self.A_S
-        self.M = self.M_D + self.M_S
+        self.A_D, self.M_D = A_D, M_D
+        self.A_S, self.M_S = A_S, M_S
+        # the sums drop the entries that cancel to exactly zero
+        self.A = A_D + A_S
+        self.M = M_D + M_S
         self._factors = None     # (solve kind, dtype) -> LUFactors inside factor_once
 
     def mass_delta(self, delta: complex) -> scipy.sparse.csr_matrix:
@@ -105,7 +88,45 @@ class AssembledForms:
 
 
 def assemble(mesh: Mesh) -> AssembledForms:
-    return AssembledForms(mesh)
+    area, grads = _triangle_geometry(mesh)
+    nt = mesh.n_triangles
+    tri = mesh.triangles
+
+    rows = np.repeat(tri, 3, axis=1).ravel()            # i index
+    cols = np.tile(tri, (1, 3)).ravel()                 # j index
+    k_local = np.einsum("tid,tjd->tij", grads, grads) * area[:, None, None]
+    m_local = _LOCAL_MASS[None, :, :] * area[:, None, None]
+
+    shape = (mesh.n_vertices, mesh.n_vertices)
+
+    def build(mask):
+        # duplicate (i, j) triplets sum on conversion to CSR, as assembly needs
+        sel = np.repeat(mask, 9)
+        ij = (rows[sel], cols[sel])
+        return (scipy.sparse.csr_matrix((k_local.reshape(nt, 9)[mask].ravel(), ij), shape=shape),
+                scipy.sparse.csr_matrix((m_local.reshape(nt, 9)[mask].ravel(), ij), shape=shape))
+
+    return AssembledForms(mesh, area, grads, *build(mesh.regions == INCLUSION),
+                          *build(mesh.regions == SHELL))
+
+
+def restrict_forms(forms: AssembledForms, sub: Submesh) -> AssembledForms:
+    """The forms of sub.mesh, sliced out of the forms of its parent.
+
+    The region's own matrices are principal submatrices of the parent's, the
+    other region's are empty.  The submesh keeps the parent's vertex and
+    triangle order, so each entry sums the same element contributions in the
+    same order: the result equals assemble(sub.mesh) in values and in CSR
+    structure, explicit zeros included.
+    """
+    v, t = sub.vertex_map, sub.triangle_map
+
+    def piece(mat, region):
+        return mat[v][:, v] if sub.region == region else scipy.sparse.csr_matrix((len(v), len(v)))
+
+    return AssembledForms(sub.mesh, forms.areas[t], forms.grads[t],
+                          piece(forms.A_D, INCLUSION), piece(forms.M_D, INCLUSION),
+                          piece(forms.A_S, SHELL), piece(forms.M_S, SHELL))
 
 
 @contextmanager
@@ -173,6 +194,11 @@ def solve_neumann(forms: AssembledForms, load: np.ndarray) -> np.ndarray:
     divergence_load_vector to build it).  The compatibility condition is
     that the load sums to zero; an imbalance beyond _COMPAT_TOL times the
     load scale is an error, since the singular system is then unsolvable.
+    A smaller imbalance is taken out along m1 = M 1, the direction a
+    multiplier on the M-weighted mean would absorb.  Vertex 0 is then
+    grounded: the other vertices solve with the principal submatrix
+    A[1:, 1:], nonsingular on a connected mesh, and the M-weighted mean is
+    subtracted after.
     """
     a = forms.A
     load = np.asarray(load)
@@ -184,17 +210,12 @@ def solve_neumann(forms: AssembledForms, load: np.ndarray) -> np.ndarray:
     n = forms.mesh.n_vertices
     m1 = forms.M @ np.ones(n)
     dtype = np.result_type(a.dtype, load.dtype)
-    # Lagrange multiplier pins the M-weighted mean of the solution
-    lu = _factor(forms, ("neumann", dtype), lambda: scipy.sparse.bmat(
-        [[a.astype(dtype), m1[:, None]], [m1[None, :], None]], format="csc"))
-    rhs = np.concatenate([load.astype(dtype), [0.0]])
-    sol = lu.solve(rhs)
-    h = sol[:n]
-    h = h - np.dot(m1, h) / m1.sum()   # exact re-normalization
-    # residual modulo the multiplier direction m1 (the singular system's range gap)
-    r = a @ h - load
-    r = r - np.dot(m1, r) / np.dot(m1, m1) * m1
-    res = np.linalg.norm(r) / scale
+    load = load.astype(dtype) - (load.sum() / m1.sum()) * m1
+    lu = _factor(forms, ("neumann", dtype), lambda: a[1:, 1:].astype(dtype))
+    h = np.zeros(n, dtype=dtype)
+    h[1:] = lu.solve(load[1:])
+    h = h - np.dot(m1, h) / m1.sum()   # zero M-weighted mean
+    res = np.linalg.norm(a @ h - load) / scale
     if res > 1e-8:
         raise FemError(f"Neumann solve residual too large: {res:.3e}")
     return h

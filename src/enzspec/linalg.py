@@ -4,8 +4,9 @@ and shift-invert Arnoldi.
 Matrices are plain scipy sparse (CSR) matrices.  Every factorization is a
 SuperLU factorization with a fixed ordering: minimum degree on the structure
 of A^T + A, in SuperLU's symmetric mode.  Every matrix the package factors
-(A - sigma B and the bordered Neumann and projection systems) has symmetric
-structure, and on these this ordering gives about half the fill of COLAMD.
+(A - sigma B, and principal submatrices of stiffness matrices for the
+grounded Neumann, Dirichlet and projection solves) has symmetric structure,
+and on these this ordering gives about half the fill of COLAMD.
 Its pivot check is gated: one solve with a fixed probe vector measures the
 growth |A||x|/|b|, and only a matrix that this flags has U's diagonal read
 (which makes scipy keep CSC copies of L and U) for the exact small-pivot

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from enzspec import cascade as cascade_module
 from enzspec.cascade import (
@@ -15,10 +17,12 @@ from enzspec.cascade import (
     series_vs_direct,
     solve_psi,
 )
-from enzspec.fem import assemble, interpolate, norms, solve_neumann
+from enzspec.fem import assemble, divergence_load_vector, interpolate, norms, solve_neumann
 from enzspec.linalg import LUFactors
 from enzspec.mesh import (
     INCLUSION,
+    OUTER,
+    SHELL,
     generate_disk_in_disk,
     generate_square_with_disk,
 )
@@ -34,11 +38,36 @@ def constant_field(cascade, vec):
     return np.tile(np.asarray(vec, dtype=float), (nt, 1))
 
 
+def scaled_mesh(mesh, size):
+    return dataclasses.replace(mesh, vertices=mesh.vertices * size)
+
+
+def same_csr(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
 def tangential_field(cascade):
     # rotated gradient of a radial stream function: tangential to every
     # circle r = const, with constant stream on both boundary rings
     s = interpolate(cascade.mesh, lambda x, y: x * x + y * y)
     return perp_gradient_field(cascade.forms, s)
+
+
+@pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+def test_subdomain_forms_equal_their_assembly(generate):
+    # the workspace slices its subdomain forms out of the full-mesh forms;
+    # they must be what assembling each submesh gives, explicit zeros and
+    # entry order included, or the factor orderings (and outputs) drift
+    cascade = Cascade(generate(2.0, 8, 8))
+    for sub, forms in ((cascade.sub_d, cascade.forms_d), (cascade.sub_s, cascade.forms_s)):
+        ref = assemble(sub.mesh)
+        assert forms.mesh is sub.mesh
+        for name in ("A_D", "M_D", "A_S", "M_S", "A", "M"):
+            assert same_csr(getattr(forms, name), getattr(ref, name)), name
+        assert np.array_equal(forms.areas, ref.areas)
+        assert np.array_equal(forms.grads, ref.grads)
 
 
 class TestSolvePsi:
@@ -76,6 +105,17 @@ class TestDrivingField:
         f = np.array(cascade_ws.mesh.vertices[cascade_ws.mesh.triangles].mean(axis=1))
         with pytest.raises(CascadeError, match="divergence"):
             DrivingField([f]).validate(cascade_ws.forms)
+
+    @pytest.mark.parametrize("size", [1e-6, 1e6])
+    def test_verdict_free_of_mesh_scale(self, size):
+        # the patch flux of a constant field is pure rounding, which grows
+        # with the mesh length; a radial field's is not, at any length
+        mesh = scaled_mesh(generate_disk_in_disk(2.0, 8, 8), size)
+        forms = assemble(mesh)
+        DrivingField([np.tile([1.0, 0.5], (mesh.n_triangles, 1))]).validate(forms)
+        radial = mesh.vertices[mesh.triangles].mean(axis=1)
+        with pytest.raises(CascadeError, match="divergence"):
+            DrivingField([radial]).validate(forms)
 
     def test_file_round_trip(self, cascade_ws, tmp_path):
         df = DrivingField([constant_field(cascade_ws, [1.0, 0.5]),
@@ -160,6 +200,40 @@ class TestDirectProjection:
         outer = cascade_ws.mesh.boundary_vertices(1)
         assert np.abs(h[outer] - h[outer[0]]).max() < 1e-10
 
+    @pytest.mark.parametrize("delta", [0.05, 0.05 + 0.02j])
+    def test_matches_dense_bordered_system(self, delta):
+        # oracle: the outer vertices merged into one unknown c, and a
+        # Lagrange border pinning the inclusion mean, solved densely
+        cascade = Cascade(generate_disk_in_disk(2.0, 4, 4))
+        forms, mesh = cascade.forms, cascade.mesh
+        n = mesh.n_vertices
+        field = np.tile([0.6, 0.8], (mesh.n_triangles, 1))
+        a = (forms.A_D + delta * forms.A_S).toarray()
+        weighted = field.astype(complex)
+        weighted[mesh.regions == SHELL] *= delta
+        b = divergence_load_vector(forms, weighted)
+        outer = mesh.boundary_vertices(OUTER)
+        inner = np.setdiff1d(np.arange(n), outer)
+        merge = np.zeros((n, len(inner) + 1))
+        merge[inner, np.arange(len(inner))] = 1.0
+        merge[outer, -1] = 1.0
+        md1 = forms.M_D @ np.ones(n)
+        kkt = np.block([[merge.T @ a @ merge, (merge.T @ md1)[:, None]],
+                        [(merge.T @ md1)[None, :], np.zeros((1, 1))]])
+        exact = merge @ np.linalg.solve(kkt, np.append(-merge.T @ b, 0.0))[:-1]
+        h = direct_projection(cascade, field, delta)
+        assert np.linalg.norm(h - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("size", [1e-6, 1e12])
+    def test_scales_with_the_mesh(self, size):
+        # a constant field's projection grows like the mesh length: the
+        # side-condition checks must pass at any length
+        mesh = generate_disk_in_disk(2.0, 4, 4)
+        field = np.tile([1.0, 0.0], (mesh.n_triangles, 1))
+        ref = direct_projection(Cascade(mesh), field, 0.05)
+        h = direct_projection(Cascade(scaled_mesh(mesh, size)), field, 0.05)
+        assert np.linalg.norm(h / size - ref) <= 1e-10 * np.linalg.norm(ref)
+
     def test_complex_delta_runs(self, cascade_ws):
         h = direct_projection(cascade_ws, constant_field(cascade_ws, [1.0, 0.0]),
                               0.05 + 0.02j)
@@ -230,6 +304,27 @@ class TestFactorReuse:
         series_vs_direct(cascade, driving, 0.05, 6, state=state)
         assert counts["factors"] == 3
         assert cascade.psi_energy == solve_psi(cascade.mesh)[1]
+
+    def test_no_factored_matrix_has_a_dense_row(self, monkeypatch):
+        # every factor is a principal submatrix of a mesh operator, so no
+        # row or column is longer than the longest stiffness row; a
+        # Lagrange border or a merged outer unknown would be
+        matrices = []
+        init = LUFactors.__init__
+
+        def capturing_init(self, matrix):
+            matrices.append(scipy.sparse.csr_matrix(matrix))
+            init(self, matrix)
+
+        monkeypatch.setattr(LUFactors, "__init__", capturing_init)
+        cascade = Cascade(generate_disk_in_disk(2.0, 8, 8))
+        driving = DrivingField([constant_field(cascade, [0.6, 0.8])])
+        series_vs_direct(cascade, driving, 0.05 + 0.02j, 3)
+        longest = np.diff(cascade.forms.A.indptr).max()
+        assert len(matrices) == 3
+        for mat in matrices:
+            assert np.diff(mat.indptr).max() <= longest
+            assert np.diff(mat.tocsc().indptr).max() <= longest
 
     def test_factors_released_on_error(self, cascade_ws, counts, monkeypatch):
         def broken(*args):

@@ -300,6 +300,16 @@ class TestEigCommands:
         assert code == 1 and "target" in err
         assert not out_path.exists()
 
+    def test_limit_on_a_large_shell(self, tmp_path):
+        # area(D)/area(S) is about 1e-16 here: delta = 0 is not degenerate
+        mesh_path, out_path = tmp_path / "big.txt", tmp_path / "limit.csv"
+        assert run("mesh", "gen", "--shape", "disk", "--size", "1e8", "--rings_core", "4",
+                   "--rings_shell", "4", "--out", str(mesh_path))[0] == 0
+        code, _, err = run("eig", "limit", "--mesh", str(mesh_path), "--out", str(out_path))
+        assert code == 0, err
+        rows = [ln.split(",") for ln in out_path.read_text().splitlines()[2:]]
+        assert rows and all(float(r[1]) > 0.0 and float(r[2]) <= 1e-8 for r in rows)
+
     def test_count_beyond_the_spectrum(self, disk_mesh, tmp_path):
         # the 513-node disk has far fewer than 600 finite limit eigenvalues
         out_path = tmp_path / "limit.csv"
@@ -381,6 +391,22 @@ class TestCascadeCommand:
         errors = [float(ln.split(",")[3]) for ln in lines[3:]]
         assert len(errors) == 7
         assert all(b < a for a, b in zip(errors, errors[1:]))
+
+    def test_field_scale_leaves_the_verdict(self, disk2_mesh, tmp_path):
+        # the cascade is linear in F: c and h1_norm scale with it and the
+        # relative series error does not, up to rounding
+        tables = {}
+        for fx in ("1", "1e4", "1e8", "1e12"):
+            out_path = tmp_path / f"c{fx}.csv"
+            code, _, err = run("cascade", "--mesh", disk2_mesh, "--fx", fx, "--fy", "0",
+                               "--out", str(out_path))
+            assert code == 0, (fx, err)
+            lines = out_path.read_text().splitlines()[3:]
+            tables[float(fx)] = np.array([ln.split(",")[1:] for ln in lines], dtype=float)
+        ref = tables[1.0]
+        for fx, table in tables.items():
+            assert np.allclose(table[:, :2] / fx, ref[:, :2], rtol=1e-9, atol=1e-12)
+            assert np.allclose(table[:, 2], ref[:, 2], rtol=1e-9, atol=1e-14)
 
     def test_zero_delta_rejected(self, disk_mesh, tmp_path):
         code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", "0",

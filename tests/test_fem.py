@@ -106,6 +106,23 @@ class TestSolveNeumann:
             solve_neumann(disk_forms, load)
         assert "imbalance" in str(exc.value)
 
+    @pytest.mark.parametrize("imbalance", [0.0, 1e-10])
+    def test_matches_dense_least_squares(self, imbalance):
+        # oracle: dense least squares on the Lagrange-bordered system
+        # [[A, m1], [m1^T, 0]] (m1 = M 1), whose multiplier takes up the
+        # imbalance of a compatible load; M-mean normalized
+        forms = assemble(generate_disk_in_disk(2.0, 4, 4))
+        n = forms.mesh.n_vertices
+        load = np.random.default_rng(5).standard_normal(n)
+        load -= load.mean()
+        load[0] += imbalance * np.abs(load).sum()
+        m1 = forms.M @ np.ones(n)
+        kkt = np.block([[forms.A.toarray(), m1[:, None]], [m1[None, :], np.zeros((1, 1))]])
+        exact = np.linalg.lstsq(kkt, np.append(load, 0.0), rcond=None)[0][:n]
+        exact -= (m1 @ exact) / m1.sum()
+        h = solve_neumann(forms, load)
+        assert np.linalg.norm(h - exact) <= 1e-10 * np.linalg.norm(exact)
+
     def test_mean_zero(self):
         mesh = generate_disk_in_disk(2.0, 4, 4)
         sub = extract_submesh(mesh, INCLUSION)

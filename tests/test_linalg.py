@@ -202,15 +202,16 @@ class TestGatedPivotCheck:
 
 @pytest.fixture(scope="module")
 def disk32_operators():
-    """The cascade's direct-projection KKT matrix and the complex shifted
-    pencil A - 14.5 (M_D + (0.035+0.02i) M_S) on the 32-ring disk."""
+    """The cascade's direct-projection matrix (A_D + 0.05 A_S on the
+    vertices off the outer boundary) and the complex shifted pencil
+    A - 14.5 (M_D + (0.035+0.02i) M_S) on the 32-ring disk."""
     cascade = cascade_module.Cascade(generate_disk_in_disk(2.0, 32, 32))
     field = np.tile([1.0, 0.0], (cascade.mesh.n_triangles, 1))
-    kkt = []
+    factored = []
 
     class Capturing(LUFactors):
         def __init__(self, matrix):
-            kkt.append(matrix)
+            factored.append(matrix)
             super().__init__(matrix)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -218,10 +219,10 @@ def disk32_operators():
         cascade_module.direct_projection(cascade, field, 0.05)
     forms = cascade.forms
     pencil = forms.A - 14.5 * forms.mass_delta(0.035 + 0.02j)
-    return {"kkt": kkt[0], "pencil": pencil}
+    return {"projection": factored[0], "pencil": pencil}
 
 
-@pytest.mark.parametrize("name", ["kkt", "pencil"])
+@pytest.mark.parametrize("name", ["projection", "pencil"])
 def test_fill_below_colamd(disk32_operators, name):
     # the matrices have symmetric structure: minimum degree on A^T + A must
     # cut the L + U fill of a COLAMD ordering well below 0.7 (about 0.5)
