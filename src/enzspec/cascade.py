@@ -33,6 +33,8 @@ from .fem import (
     restrict_forms,
     solve_dirichlet,
     solve_neumann,
+    validated_radius,
+    warn_outside_validated_disk,
 )
 from .linalg import LUFactors
 from .mesh import (
@@ -385,7 +387,10 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
 def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
                      max_order: int, state: CascadeState | None = None):
     """Relative H1 errors e_K of the truncated series against the direct
-    projection of the full field evaluated at delta."""
+    projection of the full field evaluated at delta.  A delta outside the
+    validated disk draws the same UserWarning as `eig.Pencil`: the series
+    need not converge there."""
+    warn_outside_validated_disk(delta, validated_radius(cascade.forms))
     if state is None:
         state = cascade.run(driving, max_order)
     h_direct = direct_projection(cascade, driving.evaluate(delta), delta)

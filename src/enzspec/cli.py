@@ -198,13 +198,6 @@ def _generate(shape: str, size: float, rings_core: int, rings_shell: int,
     return generators[shape](size, rings_core, rings_shell, n_theta or None)
 
 
-def _ramp_track(forms, lambda0: float, delta: float):
-    """Last eigenvalue of the branch continued from 0 to a real delta in
-    four equal steps."""
-    path = [delta * j / 4 for j in range(5)]
-    return track_branch(forms, lambda0, path).lambda_samples[-1]
-
-
 # -- command bodies ----------------------------------------------------------
 
 def _cmd_mesh_gen(cfg, out):
@@ -272,13 +265,15 @@ def _cmd_taylor(cfg, out):
                           f"samples / 4 = {cfg['samples'] // 4}")
     forms = assemble(load_mesh(cfg["mesh"]))
     path, start = circle_path(cfg["radius"], cfg["samples"])
-    branch = track_branch(forms, cfg["lambda0"], path)
-    circle = np.asarray(branch.lambda_samples[start:])
-    held = [(cfg["radius"] / 2.0,
-             _ramp_track(forms, cfg["lambda0"], cfg["radius"] / 2.0))]
-    real_axis = [_ramp_track(forms, cfg["lambda0"], d) for d in cfg["real_deltas"]]
+    # the held-out point and each real delta end a ramp of four equal steps;
+    # every path continues the one delta = 0 start
+    held = cfg["radius"] / 2.0
+    ramps = [[d * j / 4 for j in range(5)] for d in [held] + cfg["real_deltas"]]
+    circle_branch, *ramp_branches = track_branch(forms, cfg["lambda0"], [path] + ramps)
+    circle = np.asarray(circle_branch.lambda_samples[start:])
+    ends = [branch.lambda_samples[-1] for branch in ramp_branches]
     report = analyticity_report(circle, cfg["radius"], cfg["order"],
-                                held_out=held, real_axis_samples=real_axis)
+                                held_out=[(held, ends[0])], real_axis_samples=ends[1:])
     with open(cfg["out"], "w", encoding="utf-8", newline="\n") as f:
         f.write(report.to_json() + "\n")
     print(f"wrote {cfg['out']}: closure defect {report.closure_defect:.3e}", file=out)

@@ -13,16 +13,15 @@ and bilinear quantities stay analytic in delta.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .fem import AssembledForms
+from .fem import AssembledForms, validated_radius, warn_outside_validated_disk
 from .linalg import LUFactors, SingularMatrixError, shift_invert_arnoldi
-from .mesh import INCLUSION, SHELL
 
 __all__ = [
     "Pencil",
@@ -69,21 +68,13 @@ class Pencil:
     delta: complex
 
     def __post_init__(self):
-        # forms.areas holds the triangle areas of the mesh, computed once
-        regions = self.forms.mesh.regions
-        area_d = float(self.forms.areas[regions == INCLUSION].sum())
-        area_s = float(self.forms.areas[regions == SHELL].sum())
+        radius = validated_radius(self.forms)
         if not abs(self.delta) <= _DELTA_MAX:
             raise EigError(f"|delta| = {abs(self.delta):.3g} exceeds {_DELTA_MAX:g}")
         # relative: on a large shell the area ratio itself is tiny
-        if abs(self.delta + area_d / area_s) < 1e-14 * (area_d / area_s):
+        if abs(self.delta + radius) < 1e-14 * radius:
             raise EigError("delta = -area(D)/area(shell): total mass direction degenerate")
-        if abs(self.delta) >= area_d / area_s:
-            warnings.warn(
-                f"|delta| = {abs(self.delta):.3g} is outside the validated disk "
-                f"|delta| < {area_d / area_s:.3g}; the solve proceeds but the "
-                "mean functional's contraction bound no longer applies",
-                stacklevel=2)
+        warn_outside_validated_disk(self.delta, radius)
 
     @property
     def B(self):
@@ -346,9 +337,10 @@ def _predict(history, delta):
             + t * t * (3 - 2 * t) * l1 + t * t * (t - 1) * h * s1)
 
 
-def _block_step(forms: AssembledForms, delta, sigma, block):
+def _block_step(forms: AssembledForms, stiffness, delta, sigma, block):
     """Ritz pairs of (A, B_delta) on the span that block inverse iteration
     with one factor of A - sigma B reaches from `block` (n x h).
+    `stiffness(dtype)` is A converted to dtype, once per tracking call.
 
     Each round solves (A - sigma B) W = B V for the whole block and takes a
     bilinear Rayleigh-Ritz step on span W.  Rounds stop once the largest
@@ -360,8 +352,8 @@ def _block_step(forms: AssembledForms, delta, sigma, block):
     if real:
         delta, sigma = float(np.real(delta)), float(np.real(sigma))
     dtype = float if real else complex
-    bcsr = Pencil(forms, delta).B.astype(dtype)
-    acsr = forms.A.astype(dtype)
+    bcsr = Pencil(forms, delta).B.astype(dtype, copy=False)
+    acsr = stiffness(dtype)
     fac = _shifted_factor(acsr, bcsr, sigma, 1e-6, delta)
     bv, res = bcsr @ block, np.inf
     while True:
@@ -392,14 +384,18 @@ def _match(values, targets):
     return out
 
 
-def track_branch(forms: AssembledForms, lambda0: float, path) -> Branch:
-    """Continue one eigenvalue branch along a delta path starting at 0.
+def track_branch(forms: AssembledForms, lambda0: float, paths) -> list[Branch]:
+    """Continue one eigenvalue branch along each of several delta paths,
+    all starting at 0; returns one Branch per path.
 
-    The start harvests _START_COUNT eigenpairs at delta = 0 and keeps the
-    one nearest lambda0 in a block with every harvested copy of its
-    eigenvalue (1e-6 relative), so a double eigenvalue travels as its
-    two-dimensional eigenspace.  Each later step predicts lambda by cubic
-    Hermite extrapolation through the last two samples (slopes
+    One start, shared by every path, harvests _START_COUNT eigenpairs at
+    delta = 0 and keeps the one nearest lambda0 in a block with every
+    harvested copy of its eigenvalue (1e-6 relative), so a double
+    eigenvalue travels as its two-dimensional eigenspace.  A path's branch
+    is the same whether it is tracked alone or with others, so a `taylor`
+    command tracks its circle and every real ramp in one call, from one
+    harvest.  Each later step predicts lambda by cubic Hermite
+    extrapolation through the last two samples (slopes
     -lambda v^T M_S v / v^T B v; the tangent line on the first step) and
     corrects the block with one factorization at the prediction
     (`_block_step`).  When the Ritz values agree to 1e-9 (relative) the
@@ -411,19 +407,27 @@ def track_branch(forms: AssembledForms, lambda0: float, path) -> Branch:
     1 / hypot(1, _AMBIGUITY_RATIO), or a corrector that misses its residual
     bound: the branch has entered a cluster or jumped.
     """
-    path = list(path)
-    if abs(path[0]) > 1e-15:
+    paths = [list(path) for path in paths]
+    if not all(path and abs(path[0]) <= 1e-15 for path in paths):
         raise EigError("tracking path must start at delta = 0")
-    start = _solve_pencil(forms, 0.0, lambda0 * (1.0 + 1e-4) + 1e-3, _START_COUNT)
-    start.sort(key=lambda p: abs(p.lam - lambda0))
-    lam, v = start[0].lam, start[0].vector
-    block = np.column_stack([p.vector for p in start if abs(p.lam - lam) <= 1e-6 * abs(lam)])
+    pairs = _solve_pencil(forms, 0.0, lambda0 * (1.0 + 1e-4) + 1e-3, _START_COUNT)
+    pairs.sort(key=lambda p: abs(p.lam - lambda0))
+    lam = pairs[0].lam
+    block = np.column_stack([p.vector for p in pairs if abs(p.lam - lam) <= 1e-6 * abs(lam)])
+    stiffness = functools.cache(forms.A.astype)
+    return [_continue_branch(forms, stiffness, lam, pairs[0].vector, block, path)
+            for path in paths]
+
+
+def _continue_branch(forms: AssembledForms, stiffness, lam, v, block, path) -> Branch:
+    """The branch of the delta = 0 eigenpair (lam, v), whose eigenspace
+    block holds, continued along path (see `track_branch`)."""
     history = [(0.0, lam, _slope(forms, lam, v, forms.M_D))]
     branch = Branch(delta_samples=[0.0], lambda_samples=[lam], vectors=[v])
     min_overlap = 1.0 / math.hypot(1.0, _AMBIGUITY_RATIO)
 
     for delta in path[1:]:
-        bmat, theta, block = _block_step(forms, delta, _predict(history, delta), block)
+        bmat, theta, block = _block_step(forms, stiffness, delta, _predict(history, delta), block)
         if np.all(np.abs(theta - theta[0]) <= _SAME_VALUE * max(1.0, abs(theta[0]))):
             # one eigenvalue: inside a degenerate block the basis is arbitrary
             w = block @ np.linalg.solve(block.T @ (bmat @ block), block.T @ (bmat @ v))
@@ -471,9 +475,11 @@ def cluster_track(forms: AssembledForms, lambda0s, path):
     lams = [p.lam for p in chosen]
     block = np.column_stack([p.vector for p in chosen])
     bmat, history, sets = forms.mass_delta(path[0]), [], []
+    stiffness = functools.cache(forms.A.astype)
     for k, delta in enumerate(path):
         if k:
-            bmat, theta, block = _block_step(forms, delta, _predict(history, delta), block)
+            bmat, theta, block = _block_step(forms, stiffness, delta,
+                                             _predict(history, delta), block)
             order = _match(theta, lams)
             lams, block = [theta[i] for i in order], block[:, order]
         sets.append(tuple(lams))

@@ -11,6 +11,7 @@ combinations of the assembled pieces.
 
 from __future__ import annotations
 
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
     "boundary_flux",
     "norms",
     "interpolate",
+    "validated_radius",
+    "warn_outside_validated_disk",
 ]
 
 
@@ -85,6 +88,26 @@ class AssembledForms:
 
     def mass_delta(self, delta: complex) -> scipy.sparse.csr_matrix:
         return self.M_D + delta * self.M_S
+
+
+def validated_radius(forms: AssembledForms) -> float:
+    """area(D) / area(shell): the radius of the validated disk of delta,
+    inside which the mean functional's contraction bound applies."""
+    # forms.areas holds the triangle areas of the mesh, computed once
+    regions = forms.mesh.regions
+    area_d = float(forms.areas[regions == INCLUSION].sum())
+    area_s = float(forms.areas[regions == SHELL].sum())
+    return area_d / area_s
+
+
+def warn_outside_validated_disk(delta, radius: float) -> None:
+    """A UserWarning, for the caller's caller, when |delta| >= radius."""
+    if abs(delta) >= radius:
+        warnings.warn(
+            f"|delta| = {abs(delta):.3g} is outside the validated disk "
+            f"|delta| < {radius:.3g}; the solve proceeds but the "
+            "mean functional's contraction bound no longer applies",
+            stacklevel=3)
 
 
 def assemble(mesh: Mesh) -> AssembledForms:

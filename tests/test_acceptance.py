@@ -119,21 +119,20 @@ def test_criterion_04_analyticity(forms_track):
     lam0 = float(lams[np.argmin(np.abs(lams - oracle))])
     radius = 0.05
     path, start = circle_path(radius, 32)
-    branch = track_branch(forms_track, lam0, path)
+    # the circle and four real ramps, all continued from one delta = 0 start
+    ramp_ends = (0.025, 0.02, 0.05, 0.1)
+    branch, direct, *ramps = track_branch(
+        forms_track, lam0, [path] + [[d * j / 4 for j in range(5)] for d in ramp_ends])
     circle = np.asarray(branch.lambda_samples[start:])
     # closure of the invariant branch on the circle
     assert abs(circle[-1] - circle[0]) <= 1e-9 * (1.0 + abs(circle[0]))
     coeffs = taylor_from_circle(circle, radius, 6)
     # Taylor prediction against a direct solve strictly inside the circle
-    d = 0.025
-    direct = track_branch(forms_track, lam0,
-                          [d * j / 4 for j in range(5)]).lambda_samples[-1]
-    pred = np.polyval(coeffs[::-1], d)
-    assert abs(pred - direct) / abs(direct) <= 1e-6
+    pred = np.polyval(coeffs[::-1], ramp_ends[0])
+    assert abs(pred - direct.lambda_samples[-1]) / abs(direct.lambda_samples[-1]) <= 1e-6
     # reality along the real axis and bilinear orthonormality of the
     # tracked eigenvectors
-    for d in (0.02, 0.05, 0.1):
-        rb = track_branch(forms_track, lam0, [d * j / 4 for j in range(5)])
+    for d, rb in zip(ramp_ends[1:], ramps):
         lam = rb.lambda_samples[-1]
         assert abs(np.imag(lam)) <= 1e-9 * (1.0 + abs(lam))
         v = rb.vectors[-1]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import enzspec
-from enzspec import cli
+from enzspec import cli, eig
 from enzspec.cli import main
 
 
@@ -349,6 +349,23 @@ class TestTaylorCommand:
         a0 = payload["a_coeffs"][0]
         assert abs(a0[0] - lam0) < 1e-6 * lam0
 
+    def test_one_harvest_per_command(self, disk_mesh, tmp_path, monkeypatch):
+        # the circle, the held-out ramp and every real-delta ramp continue
+        # one delta = 0 start
+        calls = []
+        solve_pencil = eig._solve_pencil
+
+        def counted(*args):
+            calls.append(args[1])
+            return solve_pencil(*args)
+
+        monkeypatch.setattr(eig, "_solve_pencil", counted)
+        code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", "15.005677",
+                           "--radius", "0.02", "--samples", "8", "--order", "2",
+                           "--real_deltas", "0.005,0.01", "--out", str(tmp_path / "t.json"))
+        assert code == 0, err
+        assert calls == [0.0]
+
     def test_tiny_radius_is_numerical_failure(self, disk2_mesh, tmp_path):
         # radius**k underflows to 0 for k >= 2, so a_2 cannot be finite
         out_path = tmp_path / "t.json"
@@ -407,6 +424,19 @@ class TestCascadeCommand:
         for fx, table in tables.items():
             assert np.allclose(table[:, :2] / fx, ref[:, :2], rtol=1e-9, atol=1e-12)
             assert np.allclose(table[:, 2], ref[:, 2], rtol=1e-9, atol=1e-14)
+
+    def test_warns_outside_validated_disk(self, disk2_mesh, tmp_path):
+        # area(D) / area(shell) = 1/3 on the radius-2 disk: 0.3 is inside,
+        # 0.4 is outside and still writes its table
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("cascade", "--mesh", disk2_mesh, "--delta", "0.3",
+                       "--out", str(tmp_path / "in.csv"))[0] == 0
+        with pytest.warns(UserWarning, match="validated disk"):
+            code, _, err = run("cascade", "--mesh", disk2_mesh, "--delta", "0.4",
+                               "--out", str(tmp_path / "out.csv"))
+        assert code == 0, err
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 3 + 7
 
     def test_zero_delta_rejected(self, disk_mesh, tmp_path):
         code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", "0",

@@ -155,7 +155,7 @@ class TestDeltaSpectrum:
         monkeypatch.setattr(Mesh, "triangle_areas", counted)
         Pencil(forms_coarse, 0.05)
         path, _ = circle_path(0.02, 4)
-        track_branch(forms_coarse, 15.005677, path)
+        track_branch(forms_coarse, 15.005677, [path])
         assert calls == []
 
     def test_resonant_shift_is_bumped(self, forms_coarse, monkeypatch):
@@ -345,7 +345,7 @@ class TestDiscreteK0:
 class TestTracking:
     def test_constant_path(self, forms_coarse, limit_coarse):
         lam0 = limit_coarse[0].lam
-        br = track_branch(forms_coarse, lam0, [0.0, 0.0, 0.0])
+        br, = track_branch(forms_coarse, lam0, [[0.0, 0.0, 0.0]])
         assert np.allclose(br.lambda_samples, br.lambda_samples[0])
 
     def test_real_path_monotone_real(self, forms_coarse):
@@ -353,7 +353,7 @@ class TestTracking:
         lam0 = min((p.lam for p in limit_spectrum(forms_coarse, 6)),
                    key=lambda l: abs(l - oracle))
         path = [0.0, 0.025, 0.05, 0.075, 0.1]
-        br = track_branch(forms_coarse, lam0, path)
+        br, = track_branch(forms_coarse, lam0, [path])
         lams = np.real(br.lambda_samples)
         assert np.all(np.abs(np.imag(br.lambda_samples)) <= 1e-9 * (1 + np.abs(lams)))
         diffs = np.diff(lams)
@@ -366,13 +366,13 @@ class TestTracking:
         r = 0.05
         ramp = [0.0, r / 4, r / 2, 3 * r / 4]
         circle = [r * np.exp(2j * np.pi * j / 16) for j in range(17)]
-        br = track_branch(forms_coarse, lam0, ramp + circle)
+        br, = track_branch(forms_coarse, lam0, [ramp + circle])
         assert abs(br.lambda_samples[-1] - br.lambda_samples[len(ramp)]) \
             <= 1e-9 * (1 + abs(br.lambda_samples[-1]))
 
     def test_path_must_start_at_zero(self, forms_coarse):
         with pytest.raises(EigError):
-            track_branch(forms_coarse, 14.0, [0.1, 0.2])
+            track_branch(forms_coarse, 14.0, [[0.1, 0.2]])
 
 
 def _dense_branch_oracle(forms, lambda0, delta, steps=20):
@@ -402,38 +402,57 @@ def test_coarse_step_stays_on_branch(forms_by_mesh, shape, delta, expected):
     oracle = _dense_branch_oracle(forms, 15.005677, delta)
     assert abs(oracle - expected) < 1e-7
     try:
-        lam = track_branch(forms, 15.005677, [0.0, delta]).lambda_samples[-1]
+        lam = track_branch(forms, 15.005677, [[0.0, delta]])[0].lambda_samples[-1]
     except TrackingAmbiguityError:
         return
     assert abs(lam - oracle) <= 1e-8 * abs(oracle)
 
 
-@pytest.mark.parametrize("shape, lam_nominal, a1_expected", [
-    ("disk", 31.173239, -74.0293),
-    ("square", 31.299336, -92.9915),
-])
-def test_double_branch_first_order(forms_by_mesh, shape, lam_nominal, a1_expected):
-    # a symmetry-protected double stays double: its circle closes, and the
-    # DFT a_1 equals -lambda_0 times the eigenvalue of the first-order
-    # matrix V0^T M_S V0 on an M_D-orthonormal basis V0 of the eigenspace
-    forms = forms_by_mesh(shape, 8)
+def _first_order(forms, lam_nominal, multiplicity):
+    """(lambda_0, first-order coefficients) of the limit eigenvalue near
+    lam_nominal from scipy's dense eig: -lambda_0 times the eigenvalues of
+    V0^T M_S V0 on an M_D-orthonormal basis V0 of its eigenspace, which for
+    a simple eigenvalue is -lambda_0 v0^T M_S v0 / v0^T M_D v0."""
     w, x = scipy.linalg.eig(forms.A.toarray(), forms.M_D.toarray())
     close = np.isfinite(w) & (np.abs(w - lam_nominal) <= 1e-6 * lam_nominal)
-    assert np.count_nonzero(close) == 2
+    assert np.count_nonzero(close) == multiplicity
     lam0 = float(np.mean(w[close].real))
     v0 = x[:, close].real
     chol = np.linalg.cholesky(v0.T @ (forms.M_D @ v0))
     v0 = np.linalg.solve(chol, v0.T).T
-    first_order = -lam0 * np.linalg.eigvalsh(v0.T @ (forms.M_S @ v0))
+    return lam0, -lam0 * np.linalg.eigvalsh(v0.T @ (forms.M_S @ v0))
+
+
+@pytest.mark.parametrize("shape, lam_nominal, multiplicity, a1_expected", [
+    pytest.param("disk", 31.173239, 2, -74.0293, id="disk-31.173239--74.0293"),
+    pytest.param("square", 31.299336, 2, -92.9915, id="square-31.299336--92.9915"),
+    pytest.param("disk", 15.005677, 1, -46.4383, id="disk-15.005677--46.4383"),
+    pytest.param("square", 15.005677, 1, -63.8655, id="square-15.005677--63.8655"),
+])
+def test_double_branch_first_order(forms_by_mesh, shape, lam_nominal, multiplicity,
+                                   a1_expected):
+    # a symmetry-protected double stays double and a simple branch stays
+    # simple: the circle closes, and the DFT a_1 equals the first-order
+    # coefficients of the dense eigenspace
+    forms = forms_by_mesh(shape, 8)
+    lam0, first_order = _first_order(forms, lam_nominal, multiplicity)
     assert np.abs(first_order - a1_expected).max() < 1e-4 * abs(a1_expected)
 
     radius = 0.01
     path, start = circle_path(radius, 16)
-    circle = np.asarray(track_branch(forms, lam_nominal, path).lambda_samples[start:])
+    circle = np.asarray(track_branch(forms, lam_nominal, [path])[0].lambda_samples[start:])
     assert abs(circle[-1] - circle[0]) <= 1e-9 * (1.0 + abs(circle[0]))
     a = taylor_from_circle(circle, radius, 1)
     assert abs(a[0] - lam0) <= 1e-9 * lam0
     assert np.abs(a[1] - first_order).max() <= 1e-6 * abs(a[1])
+
+
+def test_simple_branch_shell_sensitivity(forms_by_mesh):
+    # the limit eigenvalue does not see the shell's shape, its delta slope does
+    lam_disk, a1_disk = _first_order(forms_by_mesh("disk", 8), 15.005677, 1)
+    lam_square, a1_square = _first_order(forms_by_mesh("square", 8), 15.005677, 1)
+    assert abs(lam_disk - lam_square) <= 1e-6 * lam_disk
+    assert a1_square[0] / a1_disk[0] > 1.3     # -63.87 against -46.44
 
 
 def test_tracking_steps_reuse_no_harvest(forms_coarse, limit_coarse, monkeypatch):
@@ -456,12 +475,24 @@ def test_tracking_steps_reuse_no_harvest(forms_coarse, limit_coarse, monkeypatch
 
     monkeypatch.setattr(eig, "_solve_pencil", counted_solve_pencil)
     monkeypatch.setattr(eig, "LUFactors", CountedFactors)
-    path, _ = circle_path(0.02, 8)
-    br = track_branch(forms_coarse, limit_coarse[0].lam, path)
-    assert len(br.lambda_samples) == len(path)
+    circle, _ = circle_path(0.02, 8)
+    paths = [circle, [0.0, 0.005, 0.01], [0.0, -0.01]]
+    branches = track_branch(forms_coarse, limit_coarse[0].lam, paths)
+    assert [len(br.lambda_samples) for br in branches] == [len(p) for p in paths]
     assert pencil_calls == [0.0]
-    assert len(most_alive) >= len(path) - 1
+    assert len(most_alive) >= sum(len(p) - 1 for p in paths)
     assert max(most_alive) == 0
+
+
+def test_paths_tracked_together_equal_paths_tracked_alone(forms_coarse):
+    # the shared start is the one each single-path call harvests
+    circle, _ = circle_path(0.02, 8)
+    paths = [circle, [0.01 * j / 4 for j in range(5)], [0.0], [0.0, 0.02j]]
+    together = track_branch(forms_coarse, 15.005677, paths)
+    for path, branch in zip(paths, together):
+        alone, = track_branch(forms_coarse, 15.005677, [path])
+        assert branch.lambda_samples == alone.lambda_samples
+        assert branch.delta_samples == alone.delta_samples
 
 
 class TestClusterTrack:
