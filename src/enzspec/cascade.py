@@ -45,6 +45,7 @@ from .mesh import (
     Mesh,
     MeshParseError,
     Submesh,
+    _format_rows,
     _SectionReader,
     extract_submesh,
 )
@@ -146,12 +147,11 @@ def perp_gradient_field(forms: AssembledForms, stream_values: np.ndarray) -> np.
 
 
 def save_field(df: DrivingField, path: str) -> None:
-    lines = [f"field {len(df.fields)}"]
-    for f in df.fields:
-        for fx, fy in f:
-            lines.append(f"{fx:.17g} {fy:.17g}")
+    """Write df as a `field N` text file (README, "Mesh and field files")."""
+    text = f"field {len(df.fields)}\n" + "".join(
+        _format_rows("%.17g %.17g\n", f) for f in df.fields)
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(text)
 
 
 def load_field(path: str, forms: AssembledForms) -> DrivingField:

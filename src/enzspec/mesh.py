@@ -319,18 +319,23 @@ def generate_square_with_disk(L: float, rings_core: int, rings_blend: int,
 # plain-text format: header `enzmesh 1 2`, then vertices/triangles/boundary
 # ---------------------------------------------------------------------------
 
+def _format_rows(fmt: str, rows: np.ndarray) -> str:
+    """The rows of a 2-D array as text, fmt per row, in one C-level format."""
+    return fmt * len(rows) % tuple(rows.ravel().tolist())
+
+
 def save_mesh(mesh: Mesh, path: str) -> None:
-    lines = ["enzmesh 1 2", f"vertices {mesh.n_vertices}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g}")
-    lines.append(f"triangles {mesh.n_triangles}")
-    for (i, j, k), r in zip(mesh.triangles, mesh.regions):
-        lines.append(f"{i} {j} {k} {r}")
-    lines.append(f"boundary {len(mesh.edges)}")
-    for (i, j), t in zip(mesh.edges, mesh.edge_tags):
-        lines.append(f"{i} {j} {t}")
+    """Write mesh as an `enzmesh 1 2` text file (README, "Mesh and field files")."""
+    text = "".join([
+        f"enzmesh 1 2\nvertices {mesh.n_vertices}\n",
+        _format_rows("%.17g %.17g\n", mesh.vertices),
+        f"triangles {mesh.n_triangles}\n",
+        _format_rows("%d %d %d %d\n", np.column_stack([mesh.triangles, mesh.regions])),
+        f"boundary {len(mesh.edges)}\n",
+        _format_rows("%d %d %d\n", np.column_stack([mesh.edges, mesh.edge_tags])),
+    ])
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(text)
 
 
 def _parse_rows(numbers: list, texts: list, form: str, dtype,

@@ -42,6 +42,14 @@ def scaled_mesh(mesh, size):
     return dataclasses.replace(mesh, vertices=mesh.vertices * size)
 
 
+def reference_field_bytes(df):
+    """The field file as a per-row f-string writer formats it: an oracle for
+    the bytes save_field writes."""
+    lines = [f"field {len(df.fields)}"]
+    lines += [f"{fx:.17g} {fy:.17g}" for f in df.fields for fx, fy in f]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def same_csr(a, b):
     return (a.shape == b.shape and a.dtype == b.dtype
             and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
@@ -118,14 +126,27 @@ class TestDrivingField:
             DrivingField([radial]).validate(forms)
 
     def test_file_round_trip(self, cascade_ws, tmp_path):
+        x, y = cascade_ws.mesh.vertices.T
+        swirl = perp_gradient_field(cascade_ws.forms, np.sin(x) * y / 3.0)
         df = DrivingField([constant_field(cascade_ws, [1.0, 0.5]),
-                           constant_field(cascade_ws, [0.0, -2.0])])
+                           constant_field(cascade_ws, [0.0, -2.0]), swirl])
         path = tmp_path / "f.txt"
         save_field(df, str(path))
+        assert path.read_bytes() == reference_field_bytes(df)
         back = load_field(str(path), cascade_ws.forms)
-        assert len(back.fields) == 2
+        assert len(back.fields) == 3
         for a, b in zip(df.fields, back.fields):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("fields", [
+        [[[-0.0, 5e-324], [-1e300, 1.0 / 3.0]], [[2.0**53 + 2.0, -1e-300], [0.1, 7.0]]],
+        [],
+    ], ids=["extreme_values", "no_field"])
+    def test_file_bytes_match_the_row_writer(self, fields, tmp_path):
+        df = DrivingField(fields)
+        path = tmp_path / "f.txt"
+        save_field(df, str(path))
+        assert path.read_bytes() == reference_field_bytes(df)
 
 
 class TestBase:

@@ -122,6 +122,25 @@ def test_rejects_too_few_angles(generate, n_theta):
         generate(2.0, 2, 2, n_theta=n_theta)
 
 
+def reference_mesh_bytes(mesh):
+    """The mesh file as a per-row f-string writer formats it: an oracle for
+    the bytes save_mesh writes."""
+    lines = ["enzmesh 1 2", f"vertices {mesh.n_vertices}"]
+    lines += [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices]
+    lines.append(f"triangles {mesh.n_triangles}")
+    lines += [f"{i} {j} {k} {r}" for (i, j, k), r in zip(mesh.triangles, mesh.regions)]
+    lines.append(f"boundary {len(mesh.edges)}")
+    lines += [f"{i} {j} {t}" for (i, j), t in zip(mesh.edges, mesh.edge_tags)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _hand_built_mesh(boundary: bool) -> Mesh:
+    vertices = np.array([[-0.0, 5e-324], [-1e300, 1.0 / 3.0], [1.0, 2.0**53 + 2.0]])
+    edges = np.array([[0, 1], [1, 2], [2, 0]]) if boundary else np.empty((0, 2), dtype=int)
+    return Mesh(vertices, np.array([[0, 1, 2]]), np.array([SHELL]), edges,
+                np.full(len(edges), OUTER))
+
+
 class TestFileIO:
     def test_round_trip(self, tmp_path):
         mesh = generate_disk_in_disk(2.0, 4, 4)
@@ -133,6 +152,20 @@ class TestFileIO:
         assert np.array_equal(back.regions, mesh.regions)
         assert np.array_equal(back.edges, mesh.edges)
         assert np.array_equal(back.edge_tags, mesh.edge_tags)
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_disk_in_disk(2.0, 4, 4),
+        lambda: generate_disk_in_disk(2.0, 32, 32),
+        lambda: generate_square_with_disk(2.0, 4, 4),
+        lambda: generate_square_with_disk(2.0, 32, 32),
+        lambda: _hand_built_mesh(boundary=True),
+        lambda: _hand_built_mesh(boundary=False),
+    ], ids=["disk4", "disk32", "square4", "square32", "hand_built", "no_boundary"])
+    def test_bytes_match_the_row_writer(self, make, tmp_path):
+        mesh = make()
+        path = tmp_path / "m.txt"
+        save_mesh(mesh, str(path))
+        assert path.read_bytes() == reference_mesh_bytes(mesh)
 
     def test_unknown_region_tag(self, tmp_path):
         path = tmp_path / "bad.txt"
