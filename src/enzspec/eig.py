@@ -171,6 +171,12 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
     target than the count-th pair.  A round asks ARPACK for one Ritz pair in
     a 12-dimensional space: on the 8- and 16-ring meshes, two pairs in 16
     dimensions took a quarter more solves and found nothing more.
+
+    `count` is a hard cut on the pairs sorted by distance: when the count-th
+    nearest eigenvalue is one copy of a multiple eigenvalue whose other
+    copies lie just beyond it, only the copies that fit are returned.  On
+    the 8-ring disk at delta = 0.02623, count 6 around 14.5 returns one copy
+    of the double 27.439249 and count 7 returns both.
     """
     if count < 1:
         raise EigError("count must be >= 1")

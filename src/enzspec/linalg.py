@@ -7,7 +7,11 @@ of A^T + A, in SuperLU's symmetric mode.  Every matrix the package factors
 (A - sigma B, and principal submatrices of stiffness matrices for the
 grounded Neumann, Dirichlet and projection solves) has symmetric structure,
 and on these this ordering gives about half the fill of COLAMD.
-Its pivot check is gated: one solve with a fixed probe vector measures the
+Supernodes are not relaxed and panels are narrow (relax=1, panel_size=4):
+after minimum-degree ordering these 2-D P1 matrices have many small
+elimination subtrees, and padding each into a dense block, as SuperLU's
+default relaxation does, cost more than the blocking saved.
+The pivot check is gated: one solve with a fixed probe vector measures the
 growth |A||x|/|b|, and only a matrix that this flags has U's diagonal read
 (which makes scipy keep CSC copies of L and U) for the exact small-pivot
 test.  The Arnoldi iteration is ARPACK's implicitly restarted Arnoldi
@@ -35,6 +39,10 @@ __all__ = [
 # refinement runs (see LUFactors); ARPACK's relative residual tolerance and
 # restart limit (see shift_invert_arnoldi).
 _PIVOT_TOL, _REFINE_TOL = 1e-13, 1e-14
+# Every splu call: minimum degree on A^T + A in symmetric mode, no relaxed
+# supernodes and panels of 4 columns (see LUFactors).
+_SPLU_SETTINGS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 4,
+                  "options": {"SymmetricMode": True}}
 _ARNOLDI_TOL, _ARNOLDI_RESTARTS = 1e-10, 300
 
 
@@ -70,9 +78,18 @@ class ArnoldiError(RuntimeError):
 class LUFactors:
     """Sparse LU factors of a square matrix.  A solve takes one step of
     iterative refinement only when its normwise backward error exceeds
-    _REFINE_TOL.  The input is copied to CSC; the ordering (minimum degree
-    on A^T + A, symmetric mode) is fixed, so repeated factorizations are
+    _REFINE_TOL; for an (n, k) right-hand side each column is tested, and
+    refined, on its own.  The input is copied to CSC; the SuperLU settings
+    (_SPLU_SETTINGS) are fixed, so repeated factorizations are
     deterministic.
+
+    Those settings are minimum degree on A^T + A in symmetric mode, relax=1
+    and panel_size=4.  On the package's pencils (8- to 32-ring, real and
+    complex) and its cascade Neumann, Dirichlet and projection matrices
+    (32- and 64-ring), this pair factored in 0.56-0.86 of the time of
+    SuperLU's default relaxation and panel width, with 0.61-0.98 of the
+    fill, and solved in 0.76-1.04 of the time; the gain is largest on the
+    small 8-ring matrices.
 
     A pivot counts as singular when its magnitude is at most
     `_PIVOT_TOL * max(1, max |a_ij|)`.  Reading U's diagonal makes scipy
@@ -93,8 +110,7 @@ class LUFactors:
             raise ValueError("LUFactors requires a square matrix")
         self.n = mat.shape[0]
         try:
-            splu = scipy.sparse.linalg.splu(mat, permc_spec="MMD_AT_PLUS_A",
-                                            options={"SymmetricMode": True})
+            splu = scipy.sparse.linalg.splu(mat, **_SPLU_SETTINGS)
         except RuntimeError as exc:
             if "singular" not in str(exc):
                 raise
@@ -123,10 +139,15 @@ class LUFactors:
         b = np.asarray(b)
         x = self._splu.solve(b)
         r = b - self._mat @ x
-        # normwise backward error |r| / (|A| |x| + |b|), in the max norm
-        scale = self._norm_inf * np.abs(x).max(initial=0.0) + np.abs(b).max(initial=0.0)
-        if np.abs(r).max(initial=0.0) > _REFINE_TOL * scale:
-            x = x + self._splu.solve(r)
+        # normwise backward error |r| / (|A| |x| + |b|) of each column, in the
+        # max norm: a column of small entries must not hide behind a large one
+        scale = (self._norm_inf * np.abs(x).max(axis=0, initial=0.0)
+                 + np.abs(b).max(axis=0, initial=0.0))
+        poor = np.abs(r).max(axis=0, initial=0.0) > _REFINE_TOL * scale
+        if b.ndim == 1:
+            return x + self._splu.solve(r) if poor else x
+        if poor.any():
+            x[:, poor] += self._splu.solve(r[:, poor])
         return x
 
 

@@ -199,6 +199,27 @@ def test_no_unused_module_level_import():
         assert not unused, (module.__name__, unused)
 
 
+def test_only_linalg_factors():
+    # one factorization path: no module but linalg calls, imports or passes
+    # on a scipy sparse solver
+    solvers = {"splu", "spilu", "spsolve", "factorized"}
+    for module in _modules():
+        if module.__name__ == "enzspec.linalg":
+            continue
+        found = []
+        for node in ast.walk(ast.parse(open(module.__file__, encoding="utf-8").read())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            else:
+                continue
+            found += [(node.lineno, name) for name in names if name in solvers]
+        assert not found, (module.__name__, found)
+
+
 class TestMeshCommands:
     def test_info(self, disk_mesh):
         code, out, err = run("mesh", "info", "--mesh", disk_mesh)

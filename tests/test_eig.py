@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 from scipy.optimize import brentq
 from scipy.special import jv, jvp
 
-from enzspec import eig
+from enzspec import eig, linalg
 from enzspec.eig import (
     EigError,
     Pencil,
@@ -167,8 +167,7 @@ class TestDeltaSpectrum:
 
         def rejected(lam):
             m = (a - lam * b).tocsc()
-            u = scipy.sparse.linalg.splu(m, permc_spec="MMD_AT_PLUS_A",
-                                         options={"SymmetricMode": True}).U
+            u = scipy.sparse.linalg.splu(m, **linalg._SPLU_SETTINGS).U
             return np.abs(u.diagonal()).min() <= 1e-13 * max(1.0, abs(m).max())
 
         flagged = [lam for lam in dense[1:11] if rejected(lam)]
@@ -247,8 +246,8 @@ def _assert_same_multiset(pairs, expected, rel=1e-9):
 
 
 class TestCompleteness:
-    """Every copy of a multiple eigenvalue comes back, checked against a dense
-    or an independent sparse (scipy ARPACK) solve."""
+    """Every copy of a multiple eigenvalue that the count reaches comes back,
+    checked against a dense or an independent sparse (scipy ARPACK) solve."""
 
     def test_square8_real_delta_keeps_both_copies(self, forms_by_mesh):
         forms = forms_by_mesh("square", 8)
@@ -286,6 +285,18 @@ class TestCompleteness:
         expected = _nearest(ref, -1.0, 8)
         assert sum(abs(e - 26.296638) < 1e-5 for e in expected) == 2
         _assert_same_multiset(pairs, expected)
+
+    @pytest.mark.parametrize("count", [6, 7])
+    def test_count_cuts_a_double_at_the_boundary(self, forms_coarse, count):
+        # the 6th and 7th eigenvalues nearest 14.5 are the two copies of
+        # 27.439249 (distances equal to about 1e-13): count 6 returns one
+        # copy, count 7 both, each the count values nearest the target
+        delta = 0.02623
+        pairs = delta_spectrum(forms_coarse, delta, 14.5, count)
+        dense = scipy.linalg.eigh(forms_coarse.A.toarray(), forms_coarse.mass_delta(delta).toarray(),
+                                  eigvals_only=True)
+        _assert_same_multiset(pairs, _nearest(dense, 14.5, count), rel=1e-10)
+        assert sum(abs(p.lam - 27.439249) < 1e-5 for p in pairs) == count - 5
 
 
 def test_negative_real_delta_vectors_finite(forms_coarse):

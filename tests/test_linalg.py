@@ -7,6 +7,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from enzspec import cascade as cascade_module
+from enzspec import linalg
 from enzspec.linalg import (
     ArnoldiError,
     LUFactors,
@@ -14,6 +15,20 @@ from enzspec.linalg import (
     shift_invert_arnoldi,
 )
 from enzspec.mesh import generate_disk_in_disk
+
+
+class Counting:
+    """Stands in for a factor's SuperLU object: records the shape of each
+    right-hand side it solves, and adds noise * |X| (Frobenius norm of the
+    whole solution) to every entry of the solution."""
+
+    def __init__(self, exact, noise=0.0):
+        self.exact, self.noise, self.shapes = exact, noise, []
+
+    def solve(self, rhs):
+        self.shapes.append(rhs.shape)
+        x = self.exact.solve(rhs)
+        return x + self.noise * np.linalg.norm(x) * np.ones_like(x)
 
 
 class TestLU:
@@ -70,23 +85,35 @@ class TestLU:
         f = LUFactors(a)
         exact = f._splu
 
-        class Counting:
-            calls = 0
-            noise = 0.0
-
-            def solve(self, rhs):
-                Counting.calls += 1
-                x = exact.solve(rhs)
-                return x + Counting.noise * np.linalg.norm(x) * np.ones_like(x)
-
-        f._splu = Counting()
+        f._splu = counting = Counting(exact)
         x = f.solve(b)
-        assert Counting.calls == 1          # backward error at roundoff: no refinement
+        assert counting.shapes == [(30,)]   # backward error at roundoff: no refinement
         assert np.linalg.norm(a @ x - b) <= 1e-13 * np.linalg.norm(b)
-        Counting.calls, Counting.noise = 0, 1e-9
+        f._splu = counting = Counting(exact, 1e-9)
         x = f.solve(b)
-        assert Counting.calls == 2          # a perturbed solve is refined once
+        assert counting.shapes == [(30,), (30,)]   # a perturbed solve is refined once
         assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+        # the 1-D rule, spelled out: one correction of the whole vector
+        f._splu = Counting(exact, 1e-9)
+        x0 = f._splu.solve(b)
+        assert np.array_equal(x, x0 + f._splu.solve(b - f._mat @ x0))
+
+    def test_refines_each_block_column_on_its_own(self):
+        # the second column is 1e-8 the size of the first: noise at 1e-17 of
+        # the block's norm is roundoff for the first column but a backward
+        # error near 1e-9 for the second, which a block-wide max norm misses
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((30, 30)) + 30.0 * np.eye(30)
+        b = np.column_stack([rng.standard_normal(30), 1e-8 * rng.standard_normal(30)])
+        f = LUFactors(a)
+        exact = f._splu
+        f._splu = counting = Counting(exact, 1e-17)
+        x = f.solve(b)
+        assert counting.shapes == [(30, 2), (30, 1)]   # only the second column is refined
+        for j in range(2):
+            assert np.linalg.norm(a @ x[:, j] - b[:, j]) <= 1e-12 * np.linalg.norm(b[:, j])
+        # the first column is left as the first solve gave it
+        assert np.array_equal(x[:, 0], Counting(exact, 1e-17).solve(b)[:, 0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -98,12 +125,13 @@ class TestLU:
 
 
 def unconditional_pivot_check(a, pivot_tol=1e-13):
-    """(column, magnitude) of the first pivot of SuperLU's U that is at most
+    """(column, magnitude) of the first pivot of U, in the factorization
+    LUFactors makes (the same SuperLU settings), that is at most
     pivot_tol * max(1, max |a_ij|), (None, 0.0) when SuperLU itself meets an
     exact zero, or None when every pivot passes."""
     m = scipy.sparse.csc_matrix(a)
     try:
-        lu = scipy.sparse.linalg.splu(m, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        lu = scipy.sparse.linalg.splu(m, **linalg._SPLU_SETTINGS)
     except RuntimeError:
         return None, 0.0
     diag = np.abs(lu.U.diagonal())
@@ -198,6 +226,22 @@ class TestGatedPivotCheck:
         assert peak < 0.5 * read_u
         b = np.ones(k * k)
         assert np.linalg.norm(lap @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_factor_takes_the_shared_settings(monkeypatch):
+    # the one splu call gets the matrix and exactly the package's settings
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def capturing(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", capturing)
+    LUFactors(np.eye(3))
+    assert calls == [(1, linalg._SPLU_SETTINGS)]
+    assert linalg._SPLU_SETTINGS == {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 4,
+                                     "options": {"SymmetricMode": True}}
 
 
 @pytest.fixture(scope="module")
