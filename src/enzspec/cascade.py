@@ -77,20 +77,23 @@ _DIVERGENCE_TOL = 1e-12
 _FIELD_MAX = 1e100
 
 
+def _abs(matrix):
+    """|matrix| entrywise, on the matrix's own index arrays."""
+    return type(matrix)((np.abs(matrix.data), matrix.indices, matrix.indptr),
+                        shape=matrix.shape)
+
+
 def _load_size(forms: AssembledForms, field_values: np.ndarray) -> np.ndarray:
     """Per vertex, the summed magnitudes of the terms that
     divergence_load_vector adds up: the scale of its rounding error, which
     follows both the field and the mesh length scale."""
-    terms = np.einsum("td,tid->ti", np.abs(field_values), np.abs(forms.grads))
-    return np.bincount(forms.mesh.triangles.ravel(),
-                       weights=(terms * forms.areas[:, None]).ravel(),
-                       minlength=forms.mesh.n_vertices)
+    return _abs(forms.div) @ np.abs(field_values).ravel()
 
 
 def _flux_size(matrix, h: np.ndarray, forms: AssembledForms, field_values) -> np.ndarray:
     """Per vertex, the summed magnitudes of the terms of matrix @ h plus the
     divergence load of the field."""
-    return abs(matrix) @ np.abs(h) + _load_size(forms, field_values)
+    return _abs(matrix) @ np.abs(h) + _load_size(forms, field_values)
 
 
 def _weak_divergence_defect(forms: AssembledForms, field_values: np.ndarray) -> float:
@@ -331,8 +334,9 @@ class Cascade:
 
     def growth_ratio(self, state: CascadeState) -> float:
         """Fitted per-order growth of the H1 norms (geometric mean of
-        successive ratios over the nonvanishing tail)."""
-        ns = [n for n in state.norm_list if n > 1e-14]
+        successive ratios over the norms above 1e-14 of the largest)."""
+        top = max(state.norm_list, default=0.0)
+        ns = [n for n in state.norm_list if n > 1e-14 * top]
         if len(ns) < 2:
             return 0.0
         ratios = [b / a for a, b in zip(ns, ns[1:])]

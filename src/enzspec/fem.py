@@ -4,6 +4,9 @@ Assembles the Neumann stiffness matrix and the per-region consistent mass
 matrices as scipy CSR matrices, and provides subdomain Neumann/Dirichlet
 solves, variational boundary-flux functionals, norms and interpolation.
 Solves inside `factor_once` reuse one factor per operator and dtype.
+Divergence loads, their load-size bounds and element gradients are products
+with one sparse divergence operator, built at assembly and sliced out of the
+parent's for a subdomain.
 All matrices are kept per region so that delta-weighted forms (the mass
 B_delta = M_D + delta*M_S, the stiffness A_D + delta*A_S) are exact linear
 combinations of the assembled pieces.
@@ -67,18 +70,32 @@ def _triangle_geometry(mesh: Mesh):
 _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
+def _div_operator(triangles: np.ndarray, data: np.ndarray, n_vertices: int):
+    """The P1 divergence operator: CSC of shape (n_vertices, 2 nt) whose
+    column 2t + d holds area_t d(phi_i)/dx_d at the three vertices i of
+    triangle t, with data laid out as (nt, 2, 3)."""
+    nt = len(triangles)
+    indices = np.repeat(triangles.astype(np.int32)[:, None, :], 2, axis=1).ravel()
+    indptr = 3 * np.arange(2 * nt + 1, dtype=np.int32)
+    return scipy.sparse.csc_matrix((data.ravel(), indices, indptr),
+                                   shape=(n_vertices, 2 * nt))
+
+
 class AssembledForms:
-    """Stiffness and mass matrices (scipy CSR) split by region.
+    """Stiffness and mass matrices (scipy CSR) split by region, and the
+    divergence operator `div`.
 
     A = A_D + A_S has kernel exactly the constants on a connected mesh;
-    M = M_D + M_S is the consistent mass.  Built by `assemble` for a mesh
-    and by `restrict_forms` for a submesh of an assembled mesh.
+    M = M_D + M_S is the consistent mass.  div @ F.ravel() is the load
+    b_i = integral of F . grad(phi_i) of a per-triangle constant field F of
+    shape (nt, 2).  Built by `assemble` for a mesh and by `restrict_forms`
+    for a submesh of an assembled mesh.
     """
 
-    def __init__(self, mesh: Mesh, areas, grads, A_D, M_D, A_S, M_S):
+    def __init__(self, mesh: Mesh, areas, div, A_D, M_D, A_S, M_S):
         self.mesh = mesh
         self.areas = areas
-        self.grads = grads
+        self.div = div
         self.A_D, self.M_D = A_D, M_D
         self.A_S, self.M_S = A_S, M_S
         # the sums drop the entries that cancel to exactly zero
@@ -129,7 +146,9 @@ def assemble(mesh: Mesh) -> AssembledForms:
         return (scipy.sparse.csr_matrix((k_local.reshape(nt, 9)[mask].ravel(), ij), shape=shape),
                 scipy.sparse.csr_matrix((m_local.reshape(nt, 9)[mask].ravel(), ij), shape=shape))
 
-    return AssembledForms(mesh, area, grads, *build(mesh.regions == INCLUSION),
+    div = _div_operator(tri, grads.transpose(0, 2, 1) * area[:, None, None],
+                        mesh.n_vertices)
+    return AssembledForms(mesh, area, div, *build(mesh.regions == INCLUSION),
                           *build(mesh.regions == SHELL))
 
 
@@ -140,14 +159,18 @@ def restrict_forms(forms: AssembledForms, sub: Submesh) -> AssembledForms:
     other region's are empty.  The submesh keeps the parent's vertex and
     triangle order, so each entry sums the same element contributions in the
     same order: the result equals assemble(sub.mesh) in values and in CSR
-    structure, explicit zeros included.
+    structure, explicit zeros included.  The divergence operator keeps the
+    parent's data of the submesh triangles.
     """
     v, t = sub.vertex_map, sub.triangle_map
+    nt = forms.mesh.n_triangles
 
     def piece(mat, region):
         return mat[v][:, v] if sub.region == region else scipy.sparse.csr_matrix((len(v), len(v)))
 
-    return AssembledForms(sub.mesh, forms.areas[t], forms.grads[t],
+    div = _div_operator(sub.mesh.triangles, forms.div.data.reshape(nt, 2, 3)[t],
+                        sub.mesh.n_vertices)
+    return AssembledForms(sub.mesh, forms.areas[t], div,
                           piece(forms.A_D, INCLUSION), piece(forms.M_D, INCLUSION),
                           piece(forms.A_S, SHELL), piece(forms.M_S, SHELL))
 
@@ -182,17 +205,12 @@ def _factor(forms: AssembledForms, key, build) -> LUFactors:
 
 def element_gradients(forms: AssembledForms, values: np.ndarray) -> np.ndarray:
     """Per-triangle constant gradient of a P1 function, shape (nt, 2)."""
-    v = np.asarray(values)[forms.mesh.triangles]             # (nt, 3)
-    return np.einsum("ti,tid->td", v, forms.grads)
+    return (forms.div.T @ np.asarray(values)).reshape(-1, 2) / forms.areas[:, None]
 
 
 def divergence_load_vector(forms: AssembledForms, field: np.ndarray) -> np.ndarray:
     """b_i = integral of F . grad(phi_i) for a per-triangle constant field F."""
-    field = np.asarray(field)
-    contrib = np.einsum("td,tid->ti", field, forms.grads) * forms.areas[:, None]
-    b = np.zeros(forms.mesh.n_vertices, dtype=contrib.dtype)
-    np.add.at(b, forms.mesh.triangles.ravel(), contrib.ravel())
-    return b
+    return forms.div @ np.asarray(field).ravel()
 
 
 def edge_flux_load(mesh: Mesh, tag: int, edge_flux) -> np.ndarray:
@@ -277,7 +295,7 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
 
     b = np.zeros(n, dtype=dtype) if load is None else np.asarray(load).astype(dtype)
     free = ~constrained
-    acsr = a.astype(dtype)
+    acsr = a.astype(dtype, copy=False)
     rhs = b[free] - (acsr @ u)[free]
     if free.any():
         lu = _factor(forms, ("dirichlet", dtype), lambda: acsr[free][:, free])
@@ -314,9 +332,17 @@ def norms(forms: AssembledForms, values: np.ndarray, region: int | None = None):
         m, a = forms.M_S, forms.A_S
     else:
         raise FemError(f"unknown region {region}")
+    # the forms square v: divide it by the power of two of its largest entry
+    # first, an exact rescale that keeps a small or large v from under- or
+    # overflowing, and multiply the norms back
+    e = int(np.frexp(np.abs(v).max(initial=0.0))[1])
+    if np.iscomplexobj(v):
+        v = np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e)
+    else:
+        v = np.ldexp(v, -e)
     vc = np.conj(v)
-    l2 = float(np.sqrt(abs(np.dot(vc, m @ v))))
-    h1 = float(np.sqrt(abs(np.dot(vc, a @ v))))
+    l2 = float(np.ldexp(np.sqrt(abs(np.dot(vc, m @ v))), e))
+    h1 = float(np.ldexp(np.sqrt(abs(np.dot(vc, a @ v))), e))
     return l2, h1
 
 

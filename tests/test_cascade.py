@@ -75,7 +75,9 @@ def test_subdomain_forms_equal_their_assembly(generate):
         for name in ("A_D", "M_D", "A_S", "M_S", "A", "M"):
             assert same_csr(getattr(forms, name), getattr(ref, name)), name
         assert np.array_equal(forms.areas, ref.areas)
-        assert np.array_equal(forms.grads, ref.grads)
+        assert forms.div.shape == ref.div.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(forms.div, name), getattr(ref.div, name)), name
 
 
 class TestSolvePsi:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import enzspec
-from enzspec import cli, eig
+from enzspec import cli, eig, fem
 from enzspec.cli import main
 from enzspec.mesh import generate_disk_in_disk, save_mesh
 
@@ -435,18 +435,30 @@ class TestCascadeCommand:
         for a, b in zip(errors, errors[1:]):
             assert b <= 0.5 * a
 
-    def test_six_orders_on_32_ring_disk(self, tmp_path):
-        mesh_path = tmp_path / "disk32.txt"
-        assert run("mesh", "gen", "--shape", "disk", "--rings_core", "32",
-                   "--rings_shell", "32", "--out", str(mesh_path))[0] == 0
+    @pytest.mark.parametrize("shape", ["disk", "square"])
+    def test_six_orders_on_32_rings(self, ring32_meshes, tmp_path, shape):
         out_path = tmp_path / "cascade.csv"
-        code, _, err = run("cascade", "--mesh", str(mesh_path), "--delta", "0.05",
-                           "--orders", "6", "--out", str(out_path))
+        argv = ("cascade", "--mesh", ring32_meshes[shape], "--delta", "0.05", "--orders", "6")
+        code, _, err = run(*argv, "--out", str(out_path))
         assert code == 0, err
         lines = out_path.read_text().splitlines()
         assert float(lines[1].split()[-1]) > 0.0             # psi_energy
         errors = [float(ln.split(",")[3]) for ln in lines[3:]]
         assert len(errors) == 7
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        again = tmp_path / "again.csv"
+        assert run(*argv, "--out", str(again))[0] == 0
+        assert again.read_bytes() == out_path.read_bytes()
+
+    def test_tiny_field_on_32_ring_disk(self, ring32_meshes, tmp_path):
+        # the norms square h, which is of the field's size: 1e-200 squared
+        # underflows unless the norms rescale first
+        out_path = tmp_path / "cascade.csv"
+        code, _, err = run("cascade", "--mesh", ring32_meshes["disk"], "--orders", "6",
+                           "--delta", "0.05", "--fx", "1e-200", "--fy", "0",
+                           "--out", str(out_path))
+        assert code == 0, err
+        errors = [float(ln.split(",")[3]) for ln in out_path.read_text().splitlines()[3:]]
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
     def test_field_scale_leaves_the_verdict(self, disk2_mesh, tmp_path):
@@ -454,16 +466,52 @@ class TestCascadeCommand:
         # relative series error does not, up to rounding
         tables = {}
         for fx in ("1", "1e4", "1e8", "1e12"):
-            out_path = tmp_path / f"c{fx}.csv"
-            code, _, err = run("cascade", "--mesh", disk2_mesh, "--fx", fx, "--fy", "0",
-                               "--out", str(out_path))
-            assert code == 0, (fx, err)
-            lines = out_path.read_text().splitlines()[3:]
-            tables[float(fx)] = np.array([ln.split(",")[1:] for ln in lines], dtype=float)
+            tables[float(fx)] = self.table(disk2_mesh, tmp_path, fx)
         ref = tables[1.0]
         for fx, table in tables.items():
             assert np.allclose(table[:, :2] / fx, ref[:, :2], rtol=1e-9, atol=1e-12)
             assert np.allclose(table[:, 2], ref[:, 2], rtol=1e-9, atol=1e-14)
+
+    @pytest.mark.parametrize("exponent", [-600, 300])
+    def test_power_of_two_field_scale_is_exact(self, disk2_mesh, tmp_path, exponent):
+        # scaling F by a power of two commutes with every rounding, so c and
+        # h1_norm scale exactly and series_error is equal, as long as no
+        # norm squares its values into underflow or overflow
+        scale = 2.0 ** exponent
+        ref = self.table(disk2_mesh, tmp_path, "1")
+        table = self.table(disk2_mesh, tmp_path, repr(scale))
+        assert np.array_equal(table[:, :2], ref[:, :2] * scale)
+        assert np.array_equal(table[:, 2], ref[:, 2])
+
+    @pytest.mark.parametrize("orders", ["1", "6"])
+    def test_three_divergence_operators_per_command(self, disk_mesh, tmp_path,
+                                                    monkeypatch, orders):
+        # the full mesh assembles it and each subdomain slices its own: no
+        # order, load or size bound builds another
+        built = []
+        div_operator = fem._div_operator
+
+        def counted(*args):
+            built.append(args[2])
+            return div_operator(*args)
+
+        monkeypatch.setattr(fem, "_div_operator", counted)
+        code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", "0.05",
+                           "--orders", orders, "--out", str(tmp_path / "c.csv"))
+        assert code == 0, err
+        assert len(built) == 3
+        # then the two subdomains, whose vertex counts overlap on the interface
+        assert built[1] + built[2] > built[0]
+
+    @staticmethod
+    def table(mesh, tmp_path, fx):
+        """The c, h1_norm and series_error columns of a cascade with field (fx, 0)."""
+        out_path = tmp_path / f"c{fx}.csv"
+        code, _, err = run("cascade", "--mesh", mesh, "--fx", fx, "--fy", "0",
+                           "--out", str(out_path))
+        assert code == 0, (fx, err)
+        lines = out_path.read_text().splitlines()[3:]
+        return np.array([ln.split(",")[1:] for ln in lines], dtype=float)
 
     def test_warns_outside_validated_disk(self, disk2_mesh, tmp_path):
         # area(D) / area(shell) = 1/3 on the radius-2 disk: 0.3 is inside,
@@ -482,6 +530,18 @@ class TestCascadeCommand:
         code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", "0",
                            "--out", str(tmp_path / "c.csv"))
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def ring32_meshes(tmp_path_factory):
+    """Paths of the 32-ring disk and square meshes, by shape."""
+    root = tmp_path_factory.mktemp("ring32")
+    paths = {}
+    for shape in ("disk", "square"):
+        paths[shape] = str(root / f"{shape}32.txt")
+        assert run("mesh", "gen", "--shape", shape, "--rings_core", "32",
+                   "--rings_shell", "32", "--out", paths[shape])[0] == 0
+    return paths
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from enzspec.cascade import _load_size
 from enzspec.fem import (
     FemError,
     assemble,
@@ -24,6 +25,7 @@ from enzspec.mesh import (
     SHELL,
     extract_submesh,
     generate_disk_in_disk,
+    generate_square_with_disk,
 )
 
 
@@ -42,6 +44,25 @@ def outward_edge_normals(mesh, tag):
             n = -n
         normals.append(n)
     return np.array(normals)
+
+
+def element_loads(mesh, fields):
+    """Per field, b_i = sum_t area_t F_t . grad(phi_i) and the summed
+    magnitudes of its terms, triangle by triangle: grad(phi_i) comes from
+    inverting the triangle's [1, x, y] vertex matrix, whose inverse holds
+    the coefficients of the three barycentric functions."""
+    loads = [np.zeros(mesh.n_vertices, dtype=np.result_type(f, float)) for f in fields]
+    sizes = [np.zeros(mesh.n_vertices) for _ in fields]
+    for t, tri in enumerate(mesh.triangles):
+        corners = np.column_stack([np.ones(3), mesh.vertices[tri]])
+        area = 0.5 * abs(np.linalg.det(corners))
+        coeffs = np.linalg.inv(corners)        # column i: phi_i = a + b x + c y
+        for i, vertex in enumerate(tri):
+            grad = coeffs[1:, i]
+            for f, b, size in zip(fields, loads, sizes):
+                b[vertex] += area * (f[t] @ grad)
+                size[vertex] += area * (np.abs(f[t]) @ np.abs(grad))
+    return loads, sizes
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +100,24 @@ class TestAssemble:
         vals = interpolate(disk_forms.mesh, lambda x, y: 3.0 * x - 2.0 * y)
         g = element_gradients(disk_forms, vals)
         assert np.abs(g - np.array([3.0, -2.0])).max() < 1e-12
+
+
+class TestDivergenceOperator:
+    """divergence_load_vector and the cascade's load-size bound are products
+    with the assembled operator: each must equal the element formula."""
+
+    @pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+    @pytest.mark.parametrize("rings", [8, 32])
+    def test_matches_the_element_loop(self, generate, rings):
+        mesh = generate(2.0, rings, rings)
+        forms = assemble(mesh)
+        rng = np.random.default_rng(rings)
+        real = rng.standard_normal((mesh.n_triangles, 2))
+        fields = [real, real + 1j * rng.standard_normal(real.shape)]
+        loads, sizes = element_loads(mesh, fields)
+        for f, b, size in zip(fields, loads, sizes):
+            assert np.all(np.abs(divergence_load_vector(forms, f) - b) <= 1e-14 * size)
+            assert np.all(np.abs(_load_size(forms, f) - size) <= 1e-14 * size)
 
 
 class TestSolveNeumann:
@@ -288,6 +327,18 @@ class TestNormsInterp:
         # integral of x^2 over the polygonal R=2 disk is ~ pi R^4 / 4
         assert abs(l2**2 - math.pi * 4.0) / (math.pi * 4.0) < 0.03
         assert abs(h1**2 - area) < 1e-10
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_power_of_two_scale_is_exact(self, disk_forms, exponent):
+        # the forms square the values: 2**-600 of them would underflow to
+        # (0, 0) and 2**600 overflow, unless the norms rescale first
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(disk_forms.mesh.n_vertices)
+        scale = 2.0 ** exponent
+        for values in (v, v + 1j * rng.standard_normal(v.shape)):
+            l2, h1 = norms(disk_forms, values)
+            assert norms(disk_forms, scale * values) == (scale * l2, scale * h1)
+        assert norms(disk_forms, np.zeros_like(v)) == (0.0, 0.0)
 
     def test_region_split(self, disk_forms):
         f = interpolate(disk_forms.mesh, lambda x, y: x)
