@@ -2,8 +2,8 @@
 
 Covers the delta = 0 limit problem, the complex-delta problem via
 shift-invert Arnoldi with constant-mode deflation, the explicit dense
-compact-operator route, and eigenvalue branch / cluster tracking along
-paths in the complex delta plane.
+compact-operator route, and one continuation loop that tracks a
+branch or a cluster along paths in the complex delta plane.
 
 All complex pairings are bilinear (unconjugated): the pencil is complex
 symmetric, its eigenvectors for distinct eigenvalues satisfy u^T B v = 0,
@@ -42,8 +42,7 @@ class EigError(RuntimeError):
 
 
 class TrackingAmbiguityError(EigError):
-    """Raised when branch continuation cannot pick a unique successor
-    (the branch has entered a cluster; switch to cluster tracking)."""
+    """Raised when continuation cannot pick its successors or loses the tracked span."""
 
 
 # _solve_pencil: the relative residual a harvested eigenpair must reach,
@@ -52,8 +51,8 @@ _RES_TOL, _MAX_ROUNDS = 1e-8, 6
 # _block_step: the relative Ritz residuals it aims for and accepts, and the
 # relative distance within which Ritz values count as one eigenvalue.
 _RES_GOAL, _RES_ACCEPT, _SAME_VALUE = 1e-13, 1e-8, 1e-9
-# track_branch: the eigenpairs its start harvests at delta = 0, and the
-# overlap ratio above which two successors are ambiguous.
+# track_branch: the eigenpairs its start harvests at delta = 0; _continue:
+# the overlap ratio that makes two successors ambiguous or a span lost.
 _START_COUNT, _AMBIGUITY_RATIO = 5, 0.9
 # Pencil: the largest |delta| accepted; beyond it the shifted matrix
 # A - sigma (M_D + delta M_S), with sigma growing like delta, overflows.
@@ -325,11 +324,6 @@ def discrete_K0(forms: AssembledForms, size_limit: int = 2000):
     return rho[::-1].copy(), k0
 
 
-def _slope(forms: AssembledForms, lam, v, bmat):
-    """d lambda / d delta = -lambda v^T M_S v / v^T B v of an eigenpair."""
-    return -lam * (v @ (forms.M_S @ v)) / (v @ (bmat @ v))
-
-
 def _predict(history, delta):
     """Cubic Hermite extrapolation to delta through the last two
     (delta, lambda, d lambda / d delta) samples; the tangent line from one."""
@@ -390,6 +384,69 @@ def _match(values, targets):
     return out
 
 
+def _continue(forms: AssembledForms, stiffness, lams, vecs, block, path, pick):
+    """Continue the eigenpairs (lams, columns of vecs) of (A, B_path[0]),
+    whose eigenspaces `block` spans, along path; returns one sample
+    (delta, lams, vecs) per point.
+
+    Each step predicts the tracked values' mean (`_predict` on the means of
+    lambda and of its slope -lambda v^T M_S v / v^T B v), corrects the
+    block with one factorization there (`_block_step`), and takes the
+    successors and the next block from `pick(forms, delta, B, Ritz values,
+    Ritz vectors, lams, vecs)`.  With p the bilinear projection of a
+    previous vector v onto the successors' span W, |v^T B p| / sqrt|p^T B p|
+    = sqrt|c^T (W^T B W)^-1 c|, c = W^T B v (|v^T B w| for one successor w),
+    below 1 / hypot(1, _AMBIGUITY_RATIO) raises TrackingAmbiguityError.  The
+    check is set-wise because a symmetry-protected double's Ritz basis
+    turns freely.
+    """
+    bmat, history, samples = forms.mass_delta(path[0]), [], []
+    for k, delta in enumerate(path):
+        if k:
+            bmat, theta, block = _block_step(forms, stiffness, delta,
+                                             _predict(history, delta), block)
+            prev, (lams, vecs, block) = vecs, pick(forms, delta, bmat, theta, block, lams, vecs)
+            bw = bmat @ vecs
+            c = bw.T @ prev
+            overlap = np.sqrt(np.min(np.abs(np.sum(c * np.linalg.solve(vecs.T @ bw, c), 0))))
+            if not overlap >= 1.0 / math.hypot(1.0, _AMBIGUITY_RATIO):
+                raise TrackingAmbiguityError(f"continuation at delta={delta}: the tracked "
+                                             f"set lost its span (overlap {overlap:.3e})")
+        samples.append((delta, lams, vecs))
+        slopes = [-lam * (v @ (forms.M_S @ v)) / (v @ (bmat @ v)) for lam, v in zip(lams, vecs.T)]
+        history = history[-1:] + [(delta, sum(lams) / len(lams), sum(slopes) / len(lams))]
+    return samples
+
+
+def _pick_branch(forms, delta, bmat, theta, block, lams, vecs):
+    """One branch's successor.  When the Ritz values agree to _SAME_VALUE
+    (relative), the block's basis is arbitrary: the bilinear projection of
+    the tracked vector onto it.  Else the Ritz vector w of largest overlap
+    |v^T B w|; a second above _AMBIGUITY_RATIO times it, on a distinct
+    eigenvalue, raises TrackingAmbiguityError.  The block goes on as is."""
+    v = vecs[:, 0]
+    if np.all(np.abs(theta - theta[0]) <= _SAME_VALUE * max(1.0, abs(theta[0]))):
+        w = block @ np.linalg.solve(block.T @ (bmat @ block), block.T @ (bmat @ v))
+        w = _bilinear_normalize(w, bmat)
+        lam = _rayleigh(forms.A, bmat, w)[0]
+    else:
+        overlaps = np.abs(block.T @ (bmat @ v))
+        best, second = np.argsort(-overlaps)[:2]
+        distinct = abs(theta[best] - theta[second]) > _SAME_VALUE * max(1.0, abs(theta[best]))
+        if distinct and overlaps[second] > _AMBIGUITY_RATIO * overlaps[best]:
+            raise TrackingAmbiguityError(f"ambiguous continuation at delta={delta}: overlaps "
+                                         f"{overlaps[best]:.3e} vs {overlaps[second]:.3e}")
+        w, lam = block[:, best], theta[best]
+    return [lam], w[:, None], block
+
+
+def _pick_cluster(forms, delta, bmat, theta, block, lams, vecs):
+    """A cluster's successors: the Ritz pair nearest each tracked value (`_match`)."""
+    order = _match(theta, lams)
+    ritz = block[:, order]
+    return [theta[i] for i in order], ritz, ritz
+
+
 def track_branch(forms: AssembledForms, lambda0: float, paths) -> list[Branch]:
     """Continue one eigenvalue branch along each of several delta paths,
     all starting at 0; returns one Branch per path.
@@ -397,67 +454,22 @@ def track_branch(forms: AssembledForms, lambda0: float, paths) -> list[Branch]:
     One start, shared by every path, harvests _START_COUNT eigenpairs at
     delta = 0 and keeps the one nearest lambda0 in a block with every
     harvested copy of its eigenvalue (1e-6 relative), so a double
-    eigenvalue travels as its two-dimensional eigenspace.  A path's branch
-    is the same whether it is tracked alone or with others, so a `taylor`
-    command tracks its circle and every real ramp in one call, from one
-    harvest.  Each later step predicts lambda by cubic Hermite
-    extrapolation through the last two samples (slopes
-    -lambda v^T M_S v / v^T B v; the tangent line on the first step) and
-    corrects the block with one factorization at the prediction
-    (`_block_step`).  When the Ritz values agree to 1e-9 (relative) the
-    successor is the bilinear projection of the previous vector onto the
-    block; otherwise it is the Ritz vector maximizing the overlap
-    |v_prev^T B_delta v|, and a second overlap above _AMBIGUITY_RATIO
-    times the first, on a distinct eigenvalue, raises
-    TrackingAmbiguityError.  So does a successor overlap below
-    1 / hypot(1, _AMBIGUITY_RATIO), or a corrector that misses its residual
-    bound: the branch has entered a cluster or jumped.
+    eigenvalue travels as its two-dimensional eigenspace.  Every path,
+    which gives the same branch alone or with others, runs `_continue`
+    with `_pick_branch`.
     """
     paths = [list(path) for path in paths]
     if not all(path and abs(path[0]) <= 1e-15 for path in paths):
         raise EigError("tracking path must start at delta = 0")
     pairs = _solve_pencil(forms, 0.0, lambda0 * (1.0 + 1e-4) + 1e-3, _START_COUNT)
     pairs.sort(key=lambda p: abs(p.lam - lambda0))
-    lam = pairs[0].lam
+    lam, v = pairs[0].lam, pairs[0].vector[:, None]
     block = np.column_stack([p.vector for p in pairs if abs(p.lam - lam) <= 1e-6 * abs(lam)])
     stiffness = functools.cache(forms.A.astype)
-    return [_continue_branch(forms, stiffness, lam, pairs[0].vector, block, path)
-            for path in paths]
-
-
-def _continue_branch(forms: AssembledForms, stiffness, lam, v, block, path) -> Branch:
-    """The branch of the delta = 0 eigenpair (lam, v), whose eigenspace
-    block holds, continued along path (see `track_branch`)."""
-    history = [(0.0, lam, _slope(forms, lam, v, forms.M_D))]
-    branch = Branch(delta_samples=[0.0], lambda_samples=[lam], vectors=[v])
-    min_overlap = 1.0 / math.hypot(1.0, _AMBIGUITY_RATIO)
-
-    for delta in path[1:]:
-        bmat, theta, block = _block_step(forms, stiffness, delta, _predict(history, delta), block)
-        if np.all(np.abs(theta - theta[0]) <= _SAME_VALUE * max(1.0, abs(theta[0]))):
-            # one eigenvalue: inside a degenerate block the basis is arbitrary
-            w = block @ np.linalg.solve(block.T @ (bmat @ block), block.T @ (bmat @ v))
-            w = _bilinear_normalize(w, bmat)
-            lam = _rayleigh(forms.A, bmat, w)[0]
-        else:
-            overlaps = np.abs(block.T @ (bmat @ v))
-            best, second = np.argsort(-overlaps)[:2]
-            distinct = abs(theta[best] - theta[second]) > _SAME_VALUE * max(1.0, abs(theta[best]))
-            if distinct and overlaps[second] > _AMBIGUITY_RATIO * overlaps[best]:
-                raise TrackingAmbiguityError(
-                    f"ambiguous continuation at delta={delta}: overlaps "
-                    f"{overlaps[best]:.3e} vs {overlaps[second]:.3e}")
-            w, lam = block[:, best], theta[best]
-        overlap = abs(v @ (bmat @ w))
-        if overlap < min_overlap:
-            raise TrackingAmbiguityError(
-                f"continuation at delta={delta} lost the branch: overlap {overlap:.3e}")
-        v = w
-        history = [history[-1], (delta, lam, _slope(forms, lam, v, bmat))]
-        branch.delta_samples.append(delta)
-        branch.lambda_samples.append(lam)
-        branch.vectors.append(v)
-    return branch
+    samples = [_continue(forms, stiffness, [lam], v, block, [0.0] + path[1:], _pick_branch)
+               for path in paths]
+    return [Branch([d for d, _, _ in s], [ls[0] for _, ls, _ in s], [vs[:, 0] for _, _, vs in s])
+            for s in samples]
 
 
 def cluster_track(forms: AssembledForms, lambda0s, path):
@@ -469,27 +481,15 @@ def cluster_track(forms: AssembledForms, lambda0s, path):
     when the individual branches permute.
 
     One `delta_spectrum` harvest of h + 4 pairs at path[0] takes the
-    eigenpair nearest each lambda0 in turn.  Every later step corrects the
-    h-vector block with `_block_step`, shifted at the cluster mean
-    predicted as in `track_branch`, and matches its Ritz values to the
-    previous set the same way.
+    eigenpair nearest each lambda0 in turn; the h vectors run `_continue`
+    with `_pick_cluster`.
     """
-    h = len(lambda0s)
-    path = list(path)
+    h, path = len(lambda0s), list(path)
     pairs = delta_spectrum(forms, path[0], sum(lambda0s) / h, h + 4)
     chosen = [pairs[i] for i in _match([p.lam for p in pairs], lambda0s)]
-    lams = [p.lam for p in chosen]
     block = np.column_stack([p.vector for p in chosen])
-    bmat, history, sets = forms.mass_delta(path[0]), [], []
-    stiffness = functools.cache(forms.A.astype)
-    for k, delta in enumerate(path):
-        if k:
-            bmat, theta, block = _block_step(forms, stiffness, delta,
-                                             _predict(history, delta), block)
-            order = _match(theta, lams)
-            lams, block = [theta[i] for i in order], block[:, order]
-        sets.append(tuple(lams))
-        slopes = [_slope(forms, lam, v, bmat) for lam, v in zip(lams, block.T)]
-        history = history[-1:] + [(delta, sum(lams) / h, sum(slopes) / h)]
+    samples = _continue(forms, functools.cache(forms.A.astype), [p.lam for p in chosen],
+                        block, block, path, _pick_cluster)
+    sets = [tuple(ls) for _, ls, _ in samples]
     s = {p: np.array([sum(l**p for l in ls) for ls in sets]) for p in range(1, h + 1)}
     return path, sets, s

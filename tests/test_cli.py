@@ -220,6 +220,21 @@ def test_only_linalg_factors():
         assert not found, (module.__name__, found)
 
 
+def test_one_continuation_loop():
+    # branches and clusters share one step loop: the corrector is called
+    # from one place, the loop both trackers run
+    calls = []
+    for module in _modules():
+        tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+        # ast.walk is breadth-first, so a nested function's name wins
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        calls += [(module.__name__, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).split(".")[-1] == "_block_step"]
+    assert calls == [("enzspec.eig", "_continue")]
+
+
 class TestMeshCommands:
     def test_info(self, disk_mesh):
         code, out, err = run("mesh", "info", "--mesh", disk_mesh)
@@ -388,6 +403,22 @@ class TestTaylorCommand:
         assert payload["reality_defect"] <= 1e-9
         a0 = payload["a_coeffs"][0]
         assert abs(a0[0] - lam0) < 1e-6 * lam0
+
+    def test_lost_branch_is_numerical_failure(self, tmp_path):
+        # on the 8-ring square the 0.05 ramp of the branch at 31.17 meets a
+        # neighbour: exit 2, with a diagnostic naming delta and the residual
+        mesh = tmp_path / "square.txt"
+        assert run("mesh", "gen", "--shape", "square", "--rings_core", "8",
+                   "--rings_shell", "8", "--out", str(mesh))[0] == 0
+        out_path = tmp_path / "t.json"
+        code, _, err = run("taylor", "--mesh", str(mesh), "--lambda0", "31.17",
+                           "--radius", "0.01", "--samples", "16", "--real_deltas", "0.02,0.05",
+                           "--out", str(out_path))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "TrackingAmbiguityError" and "unexpected" not in payload
+        assert "delta=" in payload["message"] and "residual" in payload["message"]
+        assert not out_path.exists()
 
     def test_one_harvest_per_command(self, disk_mesh, tmp_path, monkeypatch):
         # the circle, the held-out ramp and every real-delta ramp continue

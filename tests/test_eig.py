@@ -402,21 +402,44 @@ def _dense_branch_oracle(forms, lambda0, delta, steps=20):
     return w[j]
 
 
-@pytest.mark.parametrize("shape, delta, expected", [
-    ("square", 0.1, 7.95535675),
-    ("disk", 0.2, 7.30328311),
+def _track_one_step(forms, lambda0, delta):
+    return track_branch(forms, lambda0, [[0.0, delta]])[0].lambda_samples[-1]
+
+
+def _cluster_one_step(forms, lambda0, delta):
+    return cluster_track(forms, [lambda0], [0.0, delta])[1][-1][0]
+
+
+@pytest.mark.parametrize("tracker", [_track_one_step, _cluster_one_step],
+                         ids=["track_branch", "cluster_track"])
+@pytest.mark.parametrize("shape, lambda0, delta, expected", [
+    ("square", 15.005677, 0.1, 7.95535675),
+    ("disk", 15.005677, 0.2, 7.30328311),
+    ("square", 14.841263, 0.1, 10.18365684),
 ])
-def test_coarse_step_stays_on_branch(forms_by_mesh, shape, delta, expected):
+def test_coarse_step_stays_on_branch(forms_by_mesh, tracker, shape, lambda0, delta, expected):
     # one step from 0 to delta: the branch must not land on a neighbour
-    # (a 5-pair harvest at every step returned 10.183657 and 9.306515 here)
+    # (a 5-pair harvest at every step returned 10.183657 and 9.306515 for
+    # 15.005677, and a cluster matched by distance alone 12.897483 for
+    # 14.841263)
     forms = forms_by_mesh(shape, 8)
-    oracle = _dense_branch_oracle(forms, 15.005677, delta)
+    oracle = _dense_branch_oracle(forms, lambda0, delta)
     assert abs(oracle - expected) < 1e-7
     try:
-        lam = track_branch(forms, 15.005677, [[0.0, delta]])[0].lambda_samples[-1]
+        lam = tracker(forms, lambda0, delta)
     except TrackingAmbiguityError:
         return
     assert abs(lam - oracle) <= 1e-8 * abs(oracle)
+
+
+@pytest.mark.parametrize("tracker", [_track_one_step, _cluster_one_step],
+                         ids=["track_branch", "cluster_track"])
+def test_lost_span_names_delta_and_overlap(forms_by_mesh, tracker):
+    # the one step from 14.841263 to 0.1 on the 8-ring square lands on a
+    # neighbour: a branch and a cluster of one both say so
+    with pytest.raises(TrackingAmbiguityError,
+                       match=r"delta=0\.1: the tracked set lost its span \(overlap \d"):
+        tracker(forms_by_mesh("square", 8), 14.841263, 0.1)
 
 
 def _first_order(forms, lam_nominal, multiplicity):
@@ -467,8 +490,8 @@ def test_simple_branch_shell_sensitivity(forms_by_mesh):
 
 
 def test_tracking_steps_reuse_no_harvest(forms_coarse, limit_coarse, monkeypatch):
-    # after the delta = 0 start, no step harvests a spectrum, and at most
-    # one factorization is alive at any time
+    # after the start, no step harvests a spectrum, and at most one
+    # factorization is alive at any time
     pencil_calls = []
     real_solve_pencil = eig._solve_pencil
     live = weakref.WeakSet()
@@ -492,6 +515,16 @@ def test_tracking_steps_reuse_no_harvest(forms_coarse, limit_coarse, monkeypatch
     assert [len(br.lambda_samples) for br in branches] == [len(p) for p in paths]
     assert pencil_calls == [0.0]
     assert len(most_alive) >= sum(len(p) - 1 for p in paths)
+    assert max(most_alive) == 0
+
+    # a cluster harvests once, at its path's first point
+    pencil_calls.clear()
+    most_alive.clear()
+    path = circle[-5:]
+    _, sets, _ = cluster_track(forms_coarse, [p.lam for p in limit_coarse[:2]], path)
+    assert len(sets) == len(path)
+    assert pencil_calls == [path[0]]
+    assert len(most_alive) >= len(path)
     assert max(most_alive) == 0
 
 
