@@ -47,6 +47,7 @@ from .mie import (
     save_mode,
 )
 from .perturb import (
+    LEAD_IN_STEPS,
     NonClosedBranchError,
     NonFiniteSeriesError,
     analyticity_report,
@@ -265,15 +266,17 @@ def _cmd_taylor(cfg, out):
                           f"samples / 4 = {cfg['samples'] // 4}")
     forms = assemble(load_mesh(cfg["mesh"]))
     path, start = circle_path(cfg["radius"], cfg["samples"])
-    # the held-out point and each real delta end a ramp of four equal steps;
-    # every path continues the one delta = 0 start
-    held = cfg["radius"] / 2.0
-    ramps = [[d * j / 4 for j in range(5)] for d in [held] + cfg["real_deltas"]]
+    # the held-out point is the circle path's own lead-in sample at
+    # delta = 3r/5, outside the DFT; each real delta ends a ramp of four
+    # equal steps, and every path continues the one delta = 0 start
+    held = LEAD_IN_STEPS - 1
+    ramps = [[d * j / 4 for j in range(5)] for d in cfg["real_deltas"]]
     circle_branch, *ramp_branches = track_branch(forms, cfg["lambda0"], [path] + ramps)
     circle = np.asarray(circle_branch.lambda_samples[start:])
-    ends = [branch.lambda_samples[-1] for branch in ramp_branches]
-    report = analyticity_report(circle, cfg["radius"], cfg["order"],
-                                held_out=[(held, ends[0])], real_axis_samples=ends[1:])
+    report = analyticity_report(
+        circle, cfg["radius"], cfg["order"],
+        held_out=[(path[held], circle_branch.lambda_samples[held])],
+        real_axis_samples=[branch.lambda_samples[-1] for branch in ramp_branches])
     with open(cfg["out"], "w", encoding="utf-8", newline="\n") as f:
         f.write(report.to_json() + "\n")
     print(f"wrote {cfg['out']}: closure defect {report.closure_defect:.3e}", file=out)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "LEAD_IN_STEPS",
     "AnalyticityReport",
     "NonClosedBranchError",
     "NonFiniteSeriesError",
@@ -27,6 +28,9 @@ __all__ = [
 # Circle closure defects, relative to 1 + |lambda|, that analyticity_report
 # accepts for one branch and cluster_series for a symmetric function.
 _CLOSURE_TOL, _CLUSTER_CLOSURE_TOL = 1e-9, 1e-8
+# circle_path: equal steps from delta = 0 to the circle; lead-in sample j
+# sits at delta = j r / (LEAD_IN_STEPS + 1).
+LEAD_IN_STEPS = 4
 
 
 class NonClosedBranchError(RuntimeError):
@@ -43,15 +47,17 @@ class NonFiniteSeriesError(RuntimeError):
     small circle radius**k underflows to 0 or the quotient overflows."""
 
 
-def circle_path(r: float, n_samples: int = 32, ramp: int = 4):
+def circle_path(r: float, n_samples: int = 32):
     """Path from delta = 0 onto the circle |delta| = r and once around.
 
-    Returns (path, circle_start): path[circle_start:] are the n_samples + 1
-    equispaced circle points with the closing sample duplicated.
+    Returns (path, circle_start): path[:circle_start] is the lead-in,
+    delta = 0 and LEAD_IN_STEPS equispaced points inside the circle on the
+    real axis; path[circle_start:] are the n_samples + 1 equispaced circle
+    points with the closing sample duplicated.
     """
     if r <= 0:
         raise ValueError("circle radius must be positive")
-    lead = [0.0] + [r * (j + 1) / (ramp + 1) for j in range(ramp)]
+    lead = [r * j / (LEAD_IN_STEPS + 1) for j in range(LEAD_IN_STEPS + 1)]
     circle = [r * np.exp(2j * np.pi * j / n_samples) for j in range(n_samples + 1)]
     return lead + circle, len(lead)
 
@@ -120,9 +126,16 @@ def analyticity_report(samples, radius: float, order: int,
     """Diagnostics for one branch sampled on a circle.
 
     held_out: iterable of (delta, lambda_direct) pairs strictly inside the
-    circle; real_axis_samples: iterable of lambda values computed at real
-    delta (their imaginary parts measure the reality defect).
+    circle (|delta| >= radius raises ValueError: the Cauchy integral
+    bounds the truncation error only inside it); real_axis_samples:
+    iterable of lambda values computed at real delta (their imaginary
+    parts measure the reality defect).
     """
+    held_out = list(held_out)
+    outside = [d for d, _ in held_out if not abs(d) < radius]
+    if outside:
+        raise ValueError(f"held-out delta {outside[0]} is not inside the circle "
+                         f"of radius {radius:g}")
     vals, _, defect = _circle_samples(samples, _CLOSURE_TOL)
     coeffs = taylor_from_circle(np.append(vals, vals[0]), radius, order, _CLOSURE_TOL)
     mags = np.abs(coeffs)

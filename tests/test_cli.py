@@ -16,7 +16,7 @@ import pytest
 import enzspec
 from enzspec import cli, eig, fem
 from enzspec.cli import main
-from enzspec.mesh import generate_disk_in_disk, save_mesh
+from enzspec.mesh import generate_disk_in_disk, load_mesh, save_mesh
 
 
 def run(*argv):
@@ -377,6 +377,20 @@ class TestEigCommands:
         assert not out_path.exists()
 
 
+@pytest.fixture
+def block_steps(monkeypatch):
+    """The delta of every continuation step (`eig._block_step` call)."""
+    deltas = []
+    block_step = eig._block_step
+
+    def counted(forms, stiffness, delta, *args):
+        deltas.append(delta)
+        return block_step(forms, stiffness, delta, *args)
+
+    monkeypatch.setattr(eig, "_block_step", counted)
+    return deltas
+
+
 class TestTaylorCommand:
     def test_zero_radius_is_validation_error(self, disk_mesh, tmp_path):
         code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", "3.0",
@@ -421,8 +435,8 @@ class TestTaylorCommand:
         assert not out_path.exists()
 
     def test_one_harvest_per_command(self, disk_mesh, tmp_path, monkeypatch):
-        # the circle, the held-out ramp and every real-delta ramp continue
-        # one delta = 0 start
+        # the circle, whose lead-in holds the held-out point, and every
+        # real-delta ramp continue one delta = 0 start
         calls = []
         solve_pencil = eig._solve_pencil
 
@@ -436,6 +450,52 @@ class TestTaylorCommand:
                            "--real_deltas", "0.005,0.01", "--out", str(tmp_path / "t.json"))
         assert code == 0, err
         assert calls == [0.0]
+
+    @pytest.mark.parametrize("real_deltas, steps", [((), 21), (("--real_deltas", "0.005,0.01"), 29)],
+                             ids=["circle", "two-ramps"])
+    def test_block_steps_per_command(self, disk_mesh, tmp_path, block_steps, real_deltas, steps):
+        # 4 lead-in and 17 circle steps, which include the held-out point,
+        # plus 4 per real-delta ramp
+        code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", "15.005677",
+                           "--radius", "0.01", "--samples", "16", *real_deltas,
+                           "--out", str(tmp_path / "t.json"))
+        assert code == 0, err
+        assert len(block_steps) == steps
+
+    def test_held_out_matches_fresh_solve(self, disk_mesh, tmp_path):
+        # second route to lambda(3r/5): an ARPACK harvest with no continuation
+        lam0, r = 15.005677, 0.01
+        out_path = tmp_path / "t.json"
+        code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", str(lam0),
+                           "--radius", str(r), "--samples", "16", "--out", str(out_path))
+        assert code == 0, err
+        payload = json.loads(out_path.read_text())
+        delta = 3 * r / 5
+        lam = eig.delta_spectrum(fem.assemble(load_mesh(disk_mesh)), delta, lam0, 1)[0].lam
+        series = sum(complex(*a) * delta**k for k, a in enumerate(payload["a_coeffs"]))
+        assert len(payload["prediction_errors"]) == 1
+        assert abs(payload["prediction_errors"][0] - abs(series - lam) / abs(lam)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", ["disk", "square"])
+    def test_16_rings(self, ring16_meshes, tmp_path, block_steps, shape):
+        mesh = ring16_meshes[shape]
+        limit_csv = tmp_path / "limit.csv"
+        assert run("eig", "limit", "--mesh", mesh, "--count", "8", "--out", str(limit_csv))[0] == 0
+        limit = [float(line.split(",")[1]) for line in limit_csv.read_text().splitlines()[2:]]
+        reports = []
+        for name in ("t1.json", "t2.json"):
+            del block_steps[:]
+            code, _, err = run("taylor", "--mesh", mesh, "--lambda0", "15.005677",
+                               "--radius", "0.01", "--samples", "16",
+                               "--out", str(tmp_path / name))
+            assert code == 0, err
+            assert len(block_steps) == 21
+            reports.append((tmp_path / name).read_bytes())
+        assert reports[0] == reports[1]
+        payload = json.loads(reports[0])
+        assert payload["closure_defect"] <= 1e-9
+        a0 = complex(*payload["a_coeffs"][0])
+        assert min(abs(a0 - lam) for lam in limit) <= 1e-8
 
     def test_tiny_radius_is_numerical_failure(self, disk2_mesh, tmp_path):
         # radius**k underflows to 0 for k >= 2, so a_2 cannot be finite
@@ -563,16 +623,25 @@ class TestCascadeCommand:
         assert code == 1
 
 
-@pytest.fixture(scope="module")
-def ring32_meshes(tmp_path_factory):
-    """Paths of the 32-ring disk and square meshes, by shape."""
-    root = tmp_path_factory.mktemp("ring32")
+def _ring_meshes(tmp_path_factory, rings):
+    """Paths of the disk and square meshes with `rings` rings, by shape."""
+    root = tmp_path_factory.mktemp(f"ring{rings}")
     paths = {}
     for shape in ("disk", "square"):
-        paths[shape] = str(root / f"{shape}32.txt")
-        assert run("mesh", "gen", "--shape", shape, "--rings_core", "32",
-                   "--rings_shell", "32", "--out", paths[shape])[0] == 0
+        paths[shape] = str(root / f"{shape}{rings}.txt")
+        assert run("mesh", "gen", "--shape", shape, "--rings_core", str(rings),
+                   "--rings_shell", str(rings), "--out", paths[shape])[0] == 0
     return paths
+
+
+@pytest.fixture(scope="module")
+def ring16_meshes(tmp_path_factory):
+    return _ring_meshes(tmp_path_factory, 16)
+
+
+@pytest.fixture(scope="module")
+def ring32_meshes(tmp_path_factory):
+    return _ring_meshes(tmp_path_factory, 32)
 
 
 @pytest.fixture(scope="module")

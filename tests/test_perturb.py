@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from enzspec.perturb import (
+    LEAD_IN_STEPS,
     AnalyticityReport,
     NonClosedBranchError,
     analyticity_report,
@@ -51,8 +52,11 @@ class TestTaylorFromCircle:
 
 class TestCirclePath:
     def test_structure(self):
-        path, start = circle_path(0.05, 16, ramp=4)
+        path, start = circle_path(0.05, 16)
         assert path[0] == 0.0
+        # the lead-in: equal real steps of r / (LEAD_IN_STEPS + 1)
+        assert start == LEAD_IN_STEPS + 1
+        assert np.abs(np.array(path[:start]) - 0.01 * np.arange(start)).max() < 1e-17
         circle = path[start:]
         assert len(circle) == 17
         assert abs(circle[0] - 0.05) < 1e-15
@@ -74,6 +78,14 @@ class TestAnalyticityReport:
         assert rep.prediction_errors.max() < 1e-13
         assert rep.reality_defect == 0.0
         assert rep.closure_defect < 1e-14
+
+    @pytest.mark.parametrize("delta", [0.2, 0.1, -0.1, 0.08 + 0.08j])
+    def test_held_out_outside_circle_rejected(self, delta):
+        # the circle samples bound the truncation error only strictly inside
+        fn = lambda d: 1.0 / (1.0 - 5.0 * d)
+        with pytest.raises(ValueError, match="inside the circle"):
+            analyticity_report(sample_circle(fn, 0.1, 16), 0.1, 4,
+                               held_out=[(0.05, fn(0.05)), (delta, 1.0)])
 
     def test_decay_ratios_geometric(self):
         vals = sample_circle(lambda d: 1.0 / (1.0 - 2.0 * d), 0.1, 32)
