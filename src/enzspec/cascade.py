@@ -392,7 +392,7 @@ def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
                      max_order: int, state: CascadeState | None = None):
     """Relative H1 errors e_K of the truncated series against the direct
     projection of the full field evaluated at delta.  A delta outside the
-    validated disk draws the same UserWarning as `eig.Pencil`: the series
+    validated disk draws the same UserWarning as `eig.Pencil.B`: the series
     need not converge there."""
     warn_outside_validated_disk(delta, validated_radius(cascade.forms))
     if state is None:

@@ -5,6 +5,10 @@ shift-invert Arnoldi with constant-mode deflation, the explicit dense
 compact-operator route, and one continuation loop that tracks a
 branch or a cluster along paths in the complex delta plane.
 
+Every spectrum and tracking call builds one `Pencil`, the data the rest
+reads: `Pencil.B` is the one place that forms and checks B_delta, and
+`_shifted` the one set-up of a shifted solve.
+
 All complex pairings are bilinear (unconjugated): the pencil is complex
 symmetric, its eigenvectors for distinct eigenvalues satisfy u^T B v = 0,
 and bilinear quantities stay analytic in delta.
@@ -54,30 +58,36 @@ _RES_GOAL, _RES_ACCEPT, _SAME_VALUE = 1e-13, 1e-8, 1e-9
 # track_branch: the eigenpairs its start harvests at delta = 0; _continue:
 # the overlap ratio that makes two successors ambiguous or a span lost.
 _START_COUNT, _AMBIGUITY_RATIO = 5, 0.9
-# Pencil: the largest |delta| accepted; beyond it the shifted matrix
+# Pencil.B: the largest |delta| accepted; beyond it the shifted matrix
 # A - sigma (M_D + delta M_S), with sigma growing like delta, overflows.
 _DELTA_MAX = 1e100
 
 
-@dataclass
 class Pencil:
-    """The generalized problem A v = lambda (M_D + delta M_S) v."""
+    """The generalized problem A v = lambda (M_D + delta M_S) v of one
+    assembly: A, M_D, M_S, the vertex count n, the validated radius
+    area(D)/area(S) and the rank of M_D (its nonzero diagonal entries, one
+    per inclusion vertex).  `stiffness(dtype)` is A converted to dtype,
+    once per dtype."""
 
-    forms: AssembledForms
-    delta: complex
+    def __init__(self, forms: AssembledForms):
+        self.A, self.M_D, self.M_S = forms.A, forms.M_D, forms.M_S
+        self.n = forms.mesh.n_vertices
+        self.radius = validated_radius(forms)
+        self.md_rank = int(np.count_nonzero(forms.M_D.diagonal()))
+        self.stiffness = functools.cache(forms.A.astype)
 
-    def __post_init__(self):
-        radius = validated_radius(self.forms)
-        if not abs(self.delta) <= _DELTA_MAX:
-            raise EigError(f"|delta| = {abs(self.delta):.3g} exceeds {_DELTA_MAX:g}")
+    def B(self, delta):
+        """M_D + delta M_S.  Raises EigError when |delta| exceeds _DELTA_MAX
+        or delta = -area(D)/area(S), where the total mass degenerates, and
+        warns outside the validated disk."""
+        if not abs(delta) <= _DELTA_MAX:
+            raise EigError(f"|delta| = {abs(delta):.3g} exceeds {_DELTA_MAX:g}")
         # relative: on a large shell the area ratio itself is tiny
-        if abs(self.delta + radius) < 1e-14 * radius:
+        if abs(delta + self.radius) < 1e-14 * self.radius:
             raise EigError("delta = -area(D)/area(shell): total mass direction degenerate")
-        warn_outside_validated_disk(self.delta, radius)
-
-    @property
-    def B(self):
-        return self.forms.mass_delta(self.delta)
+        warn_outside_validated_disk(delta, self.radius)
+        return self.M_D + delta * self.M_S
 
 
 @dataclass
@@ -126,30 +136,37 @@ def _rayleigh(amat, bmat, v):
     return lam, float(np.linalg.norm(av - lam * bv) / max(scale, 1e-300))
 
 
-def _finite_count(forms: AssembledForms, delta) -> int:
-    """Finite eigenvalues of (A, B_delta) once the constant mode is deflated:
-    rank(B) - 1.  At delta = 0, B = M_D has rank equal to the number of
-    vertices of inclusion triangles; otherwise B is nonsingular."""
-    if delta == 0:
-        return int(np.count_nonzero(forms.M_D.diagonal())) - 1
-    return forms.mesh.n_vertices - 1
-
-
-def _shifted_factor(acsr, bcsr, sigma, bump: float, delta) -> LUFactors:
-    """LU factors of A - sigma B.  A singular shift (sigma at an eigenvalue)
-    moves to sigma (1 + bump) + bump, at most twice."""
+def _shifted(pencil: Pencil, delta, sigma, real: bool, count: int, bump: float):
+    """Set-up of a solve for `count` eigenpairs of (A, B_delta) near sigma:
+    with `real`, delta and sigma become floats and A, B stay real, else both
+    are complex.  `count` must fit the rank(B) - 1 finite eigenvalues left
+    once the constant mode is deflated (B = M_D at delta = 0, else B is
+    nonsingular).  A singular shift (sigma at an eigenvalue) moves to
+    sigma (1 + bump) + bump, at most twice.  Returns (delta, sigma,
+    rank(B) - 1, A, B_delta, LU factors of A - sigma B)."""
+    if real:
+        delta, sigma = float(np.real(delta)), float(np.real(sigma))
+    else:
+        sigma = complex(sigma)
+    available = (pencil.md_rank if delta == 0 else pencil.n) - 1
+    if count > available:
+        raise EigError(f"count {count} exceeds the {available} finite eigenvalues "
+                       f"of the deflated pencil at delta={delta}")
+    dtype = float if real else complex
+    acsr, bcsr = pencil.stiffness(dtype), pencil.B(delta).astype(dtype, copy=False)
+    shift = sigma
     for attempt in range(3):
         try:
-            return LUFactors(acsr - sigma * bcsr)
+            return delta, sigma, available, acsr, bcsr, LUFactors(acsr - shift * bcsr)
         except SingularMatrixError:
             if attempt == 2:
                 raise EigError(
                     f"delta={delta} puts the shifted pencil at a discrete resonance "
-                    f"(singular factorization at shift {sigma})") from None
-            sigma = sigma * (1.0 + bump) + bump
+                    f"(singular factorization at shift {shift})") from None
+            shift = shift * (1.0 + bump) + bump
 
 
-def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count: int):
+def _solve_pencil(pencil: Pencil, delta: complex, target: complex, count: int):
     """Harvest the `count` eigenpairs of (A, B_delta) nearest `target`.
 
     Shift-invert ARPACK (`shift_invert_arnoldi`) runs on (A - sigma B)^{-1} B
@@ -180,27 +197,11 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
     if count < 1:
         raise EigError("count must be >= 1")
     real_case = complex(delta).imag == 0.0 and complex(target).imag == 0.0
-    if real_case:
-        delta = float(np.real(delta))
-    available = _finite_count(forms, delta)
-    if count > available:
-        raise EigError(f"count {count} exceeds the {available} finite eigenvalues "
-                       f"of the deflated pencil at delta={delta}")
-    pencil = Pencil(forms, delta)
-    bmat = pencil.B
-    n = forms.mesh.n_vertices
-    dtype = float if real_case else complex
-    sigma = float(np.real(target)) if real_case else complex(target)
-
-    acsr = forms.A.astype(dtype)
-    bcsr = bmat.astype(dtype)
-    fac = _shifted_factor(acsr, bcsr, sigma, 1e-3, delta)
-
+    _, _, available, acsr, bcsr, fac = _shifted(pencil, delta, target, real_case, count, 1e-3)
+    n, dtype = pencil.n, acsr.dtype
     ones = np.ones(n, dtype=dtype)
     b_ones = bcsr @ ones
     ones_q = ones @ b_ones
-    if abs(ones_q) < 1e-14:
-        raise EigError("total mass degenerate: delta = -area(D)/area(shell)")
 
     accepted: list[EigenPair] = []
     # deflation: v -> v - P (W^T v), columns p and B p / (p^T B p)
@@ -221,8 +222,8 @@ def _solve_pencil(forms: AssembledForms, delta: complex, target: complex, count:
         lie nearer the target than `bound`, stopping when `count` pairs are
         held.  Returns the number accepted."""
         nonlocal basis, weights
-        _, vecs, _ = shift_invert_arnoldi(apply_op, n, k, deflate=deflate, dtype=dtype,
-                                          krylov_dim=krylov_dim)
+        _, vecs = shift_invert_arnoldi(apply_op, n, k, deflate=deflate, dtype=dtype,
+                                       krylov_dim=krylov_dim)
         if real_case:
             # a real operator can still have complex Ritz vectors; the factor is real
             vecs = vecs.real
@@ -278,14 +279,14 @@ def limit_spectrum(forms: AssembledForms, count: int):
     The constant mode (eigenvalue zero) is deflated away; eigenvectors come
     out M_D-bilinearly orthonormal with vanishing inclusion mean.
     """
-    pairs = _solve_pencil(forms, 0.0, -1.0, count)
+    pairs = _solve_pencil(Pencil(forms), 0.0, -1.0, count)
     pairs.sort(key=lambda p: np.real(p.lam))
     return pairs
 
 
 def delta_spectrum(forms: AssembledForms, delta: complex, target: complex, count: int):
     """Eigenpairs of (A, M_D + delta M_S) nearest the target shift."""
-    return _solve_pencil(forms, delta, target, count)
+    return _solve_pencil(Pencil(forms), delta, target, count)
 
 
 def discrete_K0(forms: AssembledForms, size_limit: int = 2000):
@@ -337,10 +338,9 @@ def _predict(history, delta):
             + t * t * (3 - 2 * t) * l1 + t * t * (t - 1) * h * s1)
 
 
-def _block_step(forms: AssembledForms, stiffness, delta, sigma, block):
+def _block_step(pencil: Pencil, delta, sigma, block):
     """Ritz pairs of (A, B_delta) on the span that block inverse iteration
     with one factor of A - sigma B reaches from `block` (n x h).
-    `stiffness(dtype)` is A converted to dtype, once per tracking call.
 
     Each round solves (A - sigma B) W = B V for the whole block and takes a
     bilinear Rayleigh-Ritz step on span W.  Rounds stop once the largest
@@ -349,12 +349,7 @@ def _block_step(forms: AssembledForms, stiffness, delta, sigma, block):
     Returns (B_delta, Ritz values, Ritz vectors scaled to v^T B v = 1).
     """
     real = complex(delta).imag == 0.0 and complex(sigma).imag == 0.0 and not np.iscomplexobj(block)
-    if real:
-        delta, sigma = float(np.real(delta)), float(np.real(sigma))
-    dtype = float if real else complex
-    bcsr = Pencil(forms, delta).B.astype(dtype, copy=False)
-    acsr = stiffness(dtype)
-    fac = _shifted_factor(acsr, bcsr, sigma, 1e-6, delta)
+    delta, sigma, _, acsr, bcsr, fac = _shifted(pencil, delta, sigma, real, block.shape[1], 1e-6)
     bv, res = bcsr @ block, np.inf
     while True:
         q = np.linalg.qr(fac.solve(bv))[0]
@@ -384,7 +379,7 @@ def _match(values, targets):
     return out
 
 
-def _continue(forms: AssembledForms, stiffness, lams, vecs, block, path, pick):
+def _continue(pencil: Pencil, lams, vecs, block, path, pick):
     """Continue the eigenpairs (lams, columns of vecs) of (A, B_path[0]),
     whose eigenspaces `block` spans, along path; returns one sample
     (delta, lams, vecs) per point.
@@ -392,7 +387,7 @@ def _continue(forms: AssembledForms, stiffness, lams, vecs, block, path, pick):
     Each step predicts the tracked values' mean (`_predict` on the means of
     lambda and of its slope -lambda v^T M_S v / v^T B v), corrects the
     block with one factorization there (`_block_step`), and takes the
-    successors and the next block from `pick(forms, delta, B, Ritz values,
+    successors and the next block from `pick(pencil, delta, B, Ritz values,
     Ritz vectors, lams, vecs)`.  With p the bilinear projection of a
     previous vector v onto the successors' span W, |v^T B p| / sqrt|p^T B p|
     = sqrt|c^T (W^T B W)^-1 c|, c = W^T B v (|v^T B w| for one successor w),
@@ -400,12 +395,11 @@ def _continue(forms: AssembledForms, stiffness, lams, vecs, block, path, pick):
     check is set-wise because a symmetry-protected double's Ritz basis
     turns freely.
     """
-    bmat, history, samples = forms.mass_delta(path[0]), [], []
+    bmat, history, samples = pencil.B(path[0]), [], []
     for k, delta in enumerate(path):
         if k:
-            bmat, theta, block = _block_step(forms, stiffness, delta,
-                                             _predict(history, delta), block)
-            prev, (lams, vecs, block) = vecs, pick(forms, delta, bmat, theta, block, lams, vecs)
+            bmat, theta, block = _block_step(pencil, delta, _predict(history, delta), block)
+            prev, (lams, vecs, block) = vecs, pick(pencil, delta, bmat, theta, block, lams, vecs)
             bw = bmat @ vecs
             c = bw.T @ prev
             overlap = np.sqrt(np.min(np.abs(np.sum(c * np.linalg.solve(vecs.T @ bw, c), 0))))
@@ -413,12 +407,12 @@ def _continue(forms: AssembledForms, stiffness, lams, vecs, block, path, pick):
                 raise TrackingAmbiguityError(f"continuation at delta={delta}: the tracked "
                                              f"set lost its span (overlap {overlap:.3e})")
         samples.append((delta, lams, vecs))
-        slopes = [-lam * (v @ (forms.M_S @ v)) / (v @ (bmat @ v)) for lam, v in zip(lams, vecs.T)]
+        slopes = [-lam * (v @ (pencil.M_S @ v)) / (v @ (bmat @ v)) for lam, v in zip(lams, vecs.T)]
         history = history[-1:] + [(delta, sum(lams) / len(lams), sum(slopes) / len(lams))]
     return samples
 
 
-def _pick_branch(forms, delta, bmat, theta, block, lams, vecs):
+def _pick_branch(pencil, delta, bmat, theta, block, lams, vecs):
     """One branch's successor.  When the Ritz values agree to _SAME_VALUE
     (relative), the block's basis is arbitrary: the bilinear projection of
     the tracked vector onto it.  Else the Ritz vector w of largest overlap
@@ -428,7 +422,7 @@ def _pick_branch(forms, delta, bmat, theta, block, lams, vecs):
     if np.all(np.abs(theta - theta[0]) <= _SAME_VALUE * max(1.0, abs(theta[0]))):
         w = block @ np.linalg.solve(block.T @ (bmat @ block), block.T @ (bmat @ v))
         w = _bilinear_normalize(w, bmat)
-        lam = _rayleigh(forms.A, bmat, w)[0]
+        lam = _rayleigh(pencil.A, bmat, w)[0]
     else:
         overlaps = np.abs(block.T @ (bmat @ v))
         best, second = np.argsort(-overlaps)[:2]
@@ -440,7 +434,7 @@ def _pick_branch(forms, delta, bmat, theta, block, lams, vecs):
     return [lam], w[:, None], block
 
 
-def _pick_cluster(forms, delta, bmat, theta, block, lams, vecs):
+def _pick_cluster(pencil, delta, bmat, theta, block, lams, vecs):
     """A cluster's successors: the Ritz pair nearest each tracked value (`_match`)."""
     order = _match(theta, lams)
     ritz = block[:, order]
@@ -461,12 +455,12 @@ def track_branch(forms: AssembledForms, lambda0: float, paths) -> list[Branch]:
     paths = [list(path) for path in paths]
     if not all(path and abs(path[0]) <= 1e-15 for path in paths):
         raise EigError("tracking path must start at delta = 0")
-    pairs = _solve_pencil(forms, 0.0, lambda0 * (1.0 + 1e-4) + 1e-3, _START_COUNT)
+    pencil = Pencil(forms)
+    pairs = _solve_pencil(pencil, 0.0, lambda0 * (1.0 + 1e-4) + 1e-3, _START_COUNT)
     pairs.sort(key=lambda p: abs(p.lam - lambda0))
     lam, v = pairs[0].lam, pairs[0].vector[:, None]
     block = np.column_stack([p.vector for p in pairs if abs(p.lam - lam) <= 1e-6 * abs(lam)])
-    stiffness = functools.cache(forms.A.astype)
-    samples = [_continue(forms, stiffness, [lam], v, block, [0.0] + path[1:], _pick_branch)
+    samples = [_continue(pencil, [lam], v, block, [0.0] + path[1:], _pick_branch)
                for path in paths]
     return [Branch([d for d, _, _ in s], [ls[0] for _, ls, _ in s], [vs[:, 0] for _, _, vs in s])
             for s in samples]
@@ -480,16 +474,14 @@ def cluster_track(forms: AssembledForms, lambda0s, path):
     The symmetric functions are single-valued along closed circles even
     when the individual branches permute.
 
-    One `delta_spectrum` harvest of h + 4 pairs at path[0] takes the
-    eigenpair nearest each lambda0 in turn; the h vectors run `_continue`
-    with `_pick_cluster`.
+    One harvest of h + 4 pairs at path[0] takes the eigenpair nearest each
+    lambda0 in turn; the h vectors run `_continue` with `_pick_cluster`.
     """
-    h, path = len(lambda0s), list(path)
-    pairs = delta_spectrum(forms, path[0], sum(lambda0s) / h, h + 4)
+    h, path, pencil = len(lambda0s), list(path), Pencil(forms)
+    pairs = _solve_pencil(pencil, path[0], sum(lambda0s) / h, h + 4)
     chosen = [pairs[i] for i in _match([p.lam for p in pairs], lambda0s)]
     block = np.column_stack([p.vector for p in chosen])
-    samples = _continue(forms, functools.cache(forms.A.astype), [p.lam for p in chosen],
-                        block, block, path, _pick_cluster)
+    samples = _continue(pencil, [p.lam for p in chosen], block, block, path, _pick_cluster)
     sets = [tuple(ls) for _, ls, _ in samples]
     s = {p: np.array([sum(l**p for l in ls) for ls in sets]) for p in range(1, h + 1)}
     return path, sets, s

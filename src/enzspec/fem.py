@@ -103,9 +103,6 @@ class AssembledForms:
         self.M = M_D + M_S
         self._factors = None     # (solve kind, dtype) -> LUFactors inside factor_once
 
-    def mass_delta(self, delta: complex) -> scipy.sparse.csr_matrix:
-        return self.M_D + delta * self.M_S
-
 
 def validated_radius(forms: AssembledForms) -> float:
     """area(D) / area(shell): the radius of the validated disk of delta,
@@ -267,7 +264,7 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
     """Solve A h = load with nodal Dirichlet data per boundary tag; returns
     the nodal values of h.
 
-    boundary_values maps edge tag -> scalar, callable(x, y) or nodal array.
+    boundary_values maps edge tag -> scalar or nodal array.
     Data must be supplied for every tag present on the mesh.
     """
     mesh = forms.mesh
@@ -285,9 +282,7 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
     constrained = np.zeros(n, dtype=bool)
     for tag, data in boundary_values.items():
         nodes = mesh.boundary_vertices(tag)
-        if callable(data):
-            u[nodes] = [data(*mesh.vertices[v]) for v in nodes]
-        elif isinstance(data, np.ndarray) and data.shape == (n,):
+        if isinstance(data, np.ndarray) and data.shape == (n,):
             u[nodes] = data[nodes]
         else:
             u[nodes] = data

@@ -36,13 +36,14 @@ __all__ = [
 ]
 
 # Singular-pivot threshold and solve backward error above which one step of
-# refinement runs (see LUFactors); ARPACK's relative residual tolerance and
-# restart limit (see shift_invert_arnoldi).
+# refinement runs (see LUFactors).
 _PIVOT_TOL, _REFINE_TOL = 1e-13, 1e-14
 # Every splu call: minimum degree on A^T + A in symmetric mode, no relaxed
 # supernodes and panels of 4 columns (see LUFactors).
 _SPLU_SETTINGS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 4,
                   "options": {"SymmetricMode": True}}
+# ARPACK's relative residual tolerance and restart limit (see
+# shift_invert_arnoldi).
 _ARNOLDI_TOL, _ARNOLDI_RESTARTS = 1e-10, 300
 
 
@@ -168,9 +169,7 @@ def _dense_ritz(op, n: int, count: int, dtype):
     mat = np.column_stack([op(eye[:, j]) for j in range(n)])
     theta, vecs = np.linalg.eig(mat)
     order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))[:count]
-    theta, vecs = theta[order], vecs[:, order]
-    res = np.linalg.norm(mat @ vecs - vecs * theta, axis=0) / np.maximum(np.abs(theta), 1e-300)
-    return theta, vecs, res
+    return theta[order], vecs[:, order]
 
 
 def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
@@ -180,12 +179,11 @@ def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
     apply_op(v) must compute (A - sigma B)^{-1} B v; `deflate`, when given,
     is applied to the start vector and to every operator output, so the
     Krylov space stays in the deflated subspace.  Returns the `count` Ritz
-    pairs of largest |theta| as (thetas, vectors, residual_bounds); pencil
-    eigenvalues follow as lambda = sigma + 1/theta.  ARPACK accepts a Ritz
-    pair once its residual estimate is at most _ARNOLDI_TOL * |theta|, so
-    each bound is _ARNOLDI_TOL.  The start vector is fixed, so repeated
-    calls agree bit for bit.  ARPACK needs count < n - 1; larger counts
-    form the operator densely.
+    pairs of largest |theta| as (thetas, vectors); pencil eigenvalues follow
+    as lambda = sigma + 1/theta.  ARPACK accepts a Ritz pair once its
+    residual estimate is at most _ARNOLDI_TOL * |theta|.  The start vector
+    is fixed, so repeated calls agree bit for bit.  ARPACK needs
+    count < n - 1; larger counts form the operator densely.
     `krylov_dim` is ARPACK's ncv; _ARNOLDI_RESTARTS is its maxiter.
     """
     if count >= n:
@@ -206,4 +204,4 @@ def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
         converged = len(exc.eigenvalues)
         raise ArnoldiError([_ARNOLDI_TOL] * converged + [np.inf] * (count - converged)) from None
     order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))
-    return theta[order], vecs[:, order], np.full(count, _ARNOLDI_TOL)
+    return theta[order], vecs[:, order]

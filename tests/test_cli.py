@@ -383,9 +383,9 @@ def block_steps(monkeypatch):
     deltas = []
     block_step = eig._block_step
 
-    def counted(forms, stiffness, delta, *args):
+    def counted(pencil, delta, *args):
         deltas.append(delta)
-        return block_step(forms, stiffness, delta, *args)
+        return block_step(pencil, delta, *args)
 
     monkeypatch.setattr(eig, "_block_step", counted)
     return deltas
@@ -461,6 +461,22 @@ class TestTaylorCommand:
                            "--out", str(tmp_path / "t.json"))
         assert code == 0, err
         assert len(block_steps) == steps
+
+    def test_one_pencil_per_command(self, disk_mesh, tmp_path, monkeypatch):
+        # the start and all 21 steps read one pencil, which reads the
+        # region areas once
+        calls = []
+        validated_radius = eig.validated_radius
+
+        def counted(forms):
+            calls.append(forms)
+            return validated_radius(forms)
+
+        monkeypatch.setattr(eig, "validated_radius", counted)
+        code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", "15.005677",
+                           "--radius", "0.01", "--samples", "16", "--out", str(tmp_path / "t.json"))
+        assert code == 0, err
+        assert len(calls) == 1
 
     def test_held_out_matches_fresh_solve(self, disk_mesh, tmp_path):
         # second route to lambda(3r/5): an ARPACK harvest with no continuation

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 import weakref
 
@@ -122,7 +123,7 @@ class TestDeltaSpectrum:
     def test_bilinear_orthonormality(self, forms_coarse):
         delta = 0.05 + 0.02j
         pairs = delta_spectrum(forms_coarse, delta, 14.0, 4)
-        b = forms_coarse.mass_delta(delta)
+        b = forms_coarse.M_D + delta * forms_coarse.M_S
         for i, p in enumerate(pairs):
             for j, q in enumerate(pairs):
                 g = p.vector @ (b @ q.vector)
@@ -136,9 +137,23 @@ class TestDeltaSpectrum:
                 warnings.simplefilter("ignore")
                 delta_spectrum(forms_coarse, -area_d / area_s, 10.0, 1)
 
+    def test_pencil_B_linear(self, forms_coarse):
+        delta = 0.3 + 0.1j
+        b = Pencil(forms_coarse).B(delta)
+        ref = forms_coarse.M_D.toarray() + delta * forms_coarse.M_S.toarray()
+        assert np.abs(b.toarray() - ref).max() < 1e-15
+
     def test_outside_disk_warns(self, forms_coarse):
         with pytest.warns(UserWarning, match="validated disk"):
-            Pencil(forms_coarse, 0.9)
+            Pencil(forms_coarse).B(0.9)
+
+    def test_outside_disk_warning_names_a_source_line(self, forms_coarse):
+        # the warning points into a .py file, not into generated code
+        with pytest.warns(UserWarning, match="validated disk") as record:
+            delta_spectrum(forms_coarse, 0.5, 14.5, 2)
+        for w in record:
+            assert w.filename.endswith(".py") and os.path.isfile(w.filename), w.filename
+            assert w.lineno >= 1
 
     def test_pencil_reuses_assembled_areas(self, forms_coarse, monkeypatch):
         # the region areas come from forms.areas, bit for bit what the mesh gives
@@ -153,7 +168,7 @@ class TestDeltaSpectrum:
             return triangle_areas(self)
 
         monkeypatch.setattr(Mesh, "triangle_areas", counted)
-        Pencil(forms_coarse, 0.05)
+        Pencil(forms_coarse).B(0.05)
         path, _ = circle_path(0.02, 4)
         track_branch(forms_coarse, 15.005677, [path])
         assert calls == []
@@ -162,7 +177,7 @@ class TestDeltaSpectrum:
         # a target at an exact eigenvalue whose shifted matrix the pivot
         # check rejects: the factor is retried once at a moved shift
         a = forms_coarse.A
-        b = forms_coarse.mass_delta(0.05)
+        b = forms_coarse.M_D + 0.05 * forms_coarse.M_S
         dense = scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True)
 
         def rejected(lam):
@@ -185,7 +200,7 @@ class TestDeltaSpectrum:
                 outcomes.append("ok")
 
         monkeypatch.setattr(eig, "LUFactors", CountedFactors)
-        pairs = eig._solve_pencil(forms_coarse, 0.05, target, 3)
+        pairs = eig._solve_pencil(Pencil(forms_coarse), 0.05, target, 3)
         assert outcomes == ["singular", "ok"]
         # dense[0] is the constant mode (lambda = 0), which the pencil deflates
         finite = dense[1:]
@@ -225,7 +240,7 @@ def test_real_spectra_on_sparse_meshes(forms_by_mesh, shape, rings, delta, targe
     else:
         pairs = delta_spectrum(forms, delta, target, count)
     assert len(pairs) == count
-    b = forms.mass_delta(delta)
+    b = forms.M_D + delta * forms.M_S
     for p in pairs:
         av, bv = forms.A @ p.vector, b @ p.vector
         res = np.linalg.norm(av - p.lam * bv) / (np.linalg.norm(av) + abs(p.lam) * np.linalg.norm(bv))
@@ -253,8 +268,8 @@ class TestCompleteness:
         forms = forms_by_mesh("square", 8)
         delta = 0.05998
         pairs = delta_spectrum(forms, delta, 14.5, 6)
-        dense = scipy.linalg.eigh(forms.A.toarray(), forms.mass_delta(delta).toarray(),
-                                  eigvals_only=True)
+        b = forms.M_D + delta * forms.M_S
+        dense = scipy.linalg.eigh(forms.A.toarray(), b.toarray(), eigvals_only=True)
         expected = _nearest(dense, 14.5, 6)
         _assert_same_multiset(pairs, expected)
         assert sum(abs(p.lam - 18.244281) < 1e-5 for p in pairs) == 2
@@ -263,14 +278,16 @@ class TestCompleteness:
         forms = forms_by_mesh("square", 8)
         delta = 0.04 + 0.03j
         pairs = delta_spectrum(forms, delta, 14.5, 6)
-        dense = scipy.linalg.eigvals(forms.A.toarray(), forms.mass_delta(delta).toarray())
+        b = forms.M_D + delta * forms.M_S
+        dense = scipy.linalg.eigvals(forms.A.toarray(), b.toarray())
         _assert_same_multiset(pairs, _nearest(dense, 14.5, 6))
 
     def test_disk32_real_delta_keeps_both_copies(self, forms_by_mesh):
         forms = forms_by_mesh("disk", 32)
         delta = 0.05248
         pairs = delta_spectrum(forms, delta, 14.5, 6)
-        ref = scipy.sparse.linalg.eigsh(forms.A.tocsc(), k=10, M=forms.mass_delta(delta).tocsc(),
+        b = forms.M_D + delta * forms.M_S
+        ref = scipy.sparse.linalg.eigsh(forms.A.tocsc(), k=10, M=b.tocsc(),
                                         sigma=14.5, return_eigenvectors=False)
         expected = _nearest(ref, 14.5, 6)
         assert sum(abs(e - 13.22761) < 1e-5 for e in expected) == 2
@@ -293,8 +310,8 @@ class TestCompleteness:
         # copy, count 7 both, each the count values nearest the target
         delta = 0.02623
         pairs = delta_spectrum(forms_coarse, delta, 14.5, count)
-        dense = scipy.linalg.eigh(forms_coarse.A.toarray(), forms_coarse.mass_delta(delta).toarray(),
-                                  eigvals_only=True)
+        b = forms_coarse.M_D + delta * forms_coarse.M_S
+        dense = scipy.linalg.eigh(forms_coarse.A.toarray(), b.toarray(), eigvals_only=True)
         _assert_same_multiset(pairs, _nearest(dense, 14.5, count), rel=1e-10)
         assert sum(abs(p.lam - 27.439249) < 1e-5 for p in pairs) == count - 5
 
@@ -303,7 +320,7 @@ def test_negative_real_delta_vectors_finite(forms_coarse):
     # B = M_D - 0.3 M_S is indefinite: v^T B v < 0 for the eigenvector of -0.39967
     delta = -0.3
     pairs = delta_spectrum(forms_coarse, delta, 14.5, 6)
-    b = forms_coarse.mass_delta(delta)
+    b = forms_coarse.M_D + delta * forms_coarse.M_S
     dense = scipy.linalg.eigvals(forms_coarse.A.toarray(), b.toarray())
     _assert_same_multiset(pairs, _nearest(dense, 14.5, 6))
     assert any(abs(p.lam + 0.39967) < 1e-5 for p in pairs)

@@ -90,12 +90,6 @@ class TestAssemble:
         md = float(c @ (disk_forms.M_D @ c))
         assert abs(md - disk_mesh.region_area(INCLUSION)) < 1e-12
 
-    def test_mass_delta_linear(self, disk_forms):
-        delta = 0.3 + 0.1j
-        b = disk_forms.mass_delta(delta)
-        ref = disk_forms.M_D.toarray() + delta * disk_forms.M_S.toarray()
-        assert np.abs(b.toarray() - ref).max() < 1e-15
-
     def test_element_gradients_linear_exact(self, disk_forms):
         vals = interpolate(disk_forms.mesh, lambda x, y: 3.0 * x - 2.0 * y)
         g = element_gradients(disk_forms, vals)
