@@ -27,7 +27,6 @@ from .fem import (
     FemError,
     assemble,
     divergence_load_vector,
-    element_gradients,
     factor_once,
     norms,
     restrict_forms,
@@ -44,7 +43,6 @@ from .mesh import (
     SHELL,
     Mesh,
     MeshParseError,
-    Submesh,
     _format_rows,
     _SectionReader,
     extract_submesh,
@@ -55,8 +53,6 @@ __all__ = [
     "CascadeState",
     "Cascade",
     "CascadeError",
-    "perp_gradient_field",
-    "solve_psi",
     "direct_projection",
     "series_vs_direct",
     "save_field",
@@ -116,7 +112,8 @@ class DrivingField:
         self.fields = [np.asarray(f, dtype=float) for f in self.fields]
 
     def coefficient(self, k: int) -> np.ndarray:
-        if k < len(self.fields):
+        """F_k, which is zero for k < 0 and beyond the last field."""
+        if 0 <= k < len(self.fields):
             return self.fields[k]
         return np.zeros_like(self.fields[0])
 
@@ -140,13 +137,6 @@ class DrivingField:
         for k, f in enumerate(self.fields):
             out = out + (delta**k) * f
         return out
-
-
-def perp_gradient_field(forms: AssembledForms, stream_values: np.ndarray) -> np.ndarray:
-    """Rotated gradient of a P1 stream function: exactly weakly
-    divergence-free per-triangle field (the discrete curl)."""
-    g = element_gradients(forms, np.asarray(stream_values, dtype=float))
-    return np.column_stack([-g[:, 1], g[:, 0]])
 
 
 def save_field(df: DrivingField, path: str) -> None:
@@ -186,30 +176,6 @@ class CascadeState:
         return len(self.h_list) - 1
 
 
-def solve_psi(mesh: Mesh):
-    """Interface function: harmonic in the shell, 0 on the inclusion
-    (and its boundary), 1 on the outer boundary.  Returns (nodal values on
-    the full mesh, Dirichlet energy)."""
-    sub = extract_submesh(mesh, SHELL)
-    return _solve_psi(sub, assemble(sub.mesh))
-
-
-def _solve_psi(sub: Submesh, forms_s: AssembledForms):
-    """solve_psi on an already extracted and assembled shell submesh."""
-    psi_s = solve_dirichlet(forms_s, {INTERFACE: 0.0, OUTER: 1.0})
-    a_psi = forms_s.A @ psi_s
-    energy = float(psi_s @ a_psi)
-    if energy <= 0.0:
-        raise CascadeError("interface function has nonpositive energy")
-    # identity check: the variational outer flux of psi equals its energy
-    outer_nodes = sub.mesh.boundary_vertices(OUTER)
-    flux = float(a_psi[outer_nodes].sum())
-    if abs(flux - energy) > 1e-8 * energy:
-        raise CascadeError(f"outer flux {flux:g} of the interface function "
-                           f"disagrees with its energy {energy:g}")
-    return sub.extend(psi_s, fill=0.0), energy
-
-
 class Cascade:
     """Workspace bundling the mesh split, assembled forms and Psi.
 
@@ -233,7 +199,19 @@ class Cascade:
 
     @cached_property
     def _psi_solution(self):
-        return _solve_psi(self.sub_s, self.forms_s)
+        """Psi and its Dirichlet energy: harmonic in the shell, 0 on the
+        inclusion (and its boundary), 1 on the outer boundary."""
+        psi_s = solve_dirichlet(self.forms_s, {INTERFACE: 0.0, OUTER: 1.0})
+        a_psi = self.forms_s.A @ psi_s
+        energy = float(psi_s @ a_psi)
+        if energy <= 0.0:
+            raise CascadeError("interface function has nonpositive energy")
+        # identity check: the variational outer flux of psi equals its energy
+        flux = float(a_psi[self._shell_outer].sum())
+        if abs(flux - energy) > 1e-8 * energy:
+            raise CascadeError(f"outer flux {flux:g} of the interface function "
+                               f"disagrees with its energy {energy:g}")
+        return self.sub_s.extend(psi_s), energy
 
     @property
     def psi(self) -> np.ndarray:
@@ -264,37 +242,23 @@ class Cascade:
         return float(np.real_if_close(r[self._shell_outer].sum()))
 
     # -- cascade orders ----------------------------------------------------
-    def base(self, f0: np.ndarray) -> CascadeState:
-        """Order zero: interior Neumann driven by the inclusion-side normal
-        trace of F_0, harmonic shell extension, then the Psi multiple that
-        cancels the outer flux."""
-        state = CascadeState()
-        f0_d = self._restrict(f0, self.sub_d)
-        load = -divergence_load_vector(self.forms_d, f0_d)
-        try:
-            h_d = solve_neumann(self.forms_d, load)
-        except FemError as exc:
-            raise CascadeError(f"order 0 interior problem incompatible: {exc}") from exc
-        self._finish_order(state, h_d, f0)
-        return state
-
     def step(self, state: CascadeState, f_prev: np.ndarray, f_curr: np.ndarray) -> None:
-        """One induction step: the interior Neumann data is the shell-side
-        flux of (grad h_{K-1} + F_{K-1}) minus the inclusion-side normal
-        trace of F_K."""
-        if not state.h_list:
-            raise CascadeError("run base() before step()")
+        """Append order k = state.order + 1.  The interior Neumann data is the
+        shell-side flux of (grad h_{k-1} + F_{k-1}) minus the inclusion-side
+        normal trace of F_k; at order zero h_{-1} = 0 and F_{-1} = 0, so the
+        shell flux vanishes exactly.  A harmonic shell extension follows, then
+        the Psi multiple that cancels the outer flux."""
         k = state.order + 1
-        h_prev_s = self.sub_s.restrict(state.h_list[-1])
-        r = self._shell_residual(h_prev_s, self._restrict(f_prev, self.sub_s))
+        h_prev = state.h_list[-1] if state.h_list else np.zeros(self.mesh.n_vertices)
+        r = self._shell_residual(self.sub_s.restrict(h_prev), self._restrict(f_prev, self.sub_s))
         load = -divergence_load_vector(self.forms_d, self._restrict(f_curr, self.sub_d))
         load[self._iface_in_d] -= r[self._shell_iface]
         try:
             h_d = solve_neumann(self.forms_d, load)
         except FemError as exc:
-            raise CascadeError(
-                f"order {k} interior problem incompatible (flux imbalance "
-                f"upstream of the induction): {exc}") from exc
+            cause = " (flux imbalance upstream of the induction)" if k else ""
+            raise CascadeError(f"order {k} interior problem incompatible{cause}: "
+                               f"{exc}") from exc
         self._finish_order(state, h_d, f_curr)
 
     def _finish_order(self, state: CascadeState, h_d: np.ndarray, f_k: np.ndarray) -> None:
@@ -326,21 +290,11 @@ class Cascade:
         # operators, and Psi (if not yet solved) the same shell Dirichlet
         # one: factor each once, and free both factors before the caller
         # goes on to the (larger) direct projection
+        state = CascadeState()
         with factor_once(self.forms_d, self.forms_s):
-            state = self.base(driving.coefficient(0))
-            for k in range(1, max_order + 1):
+            for k in range(max_order + 1):
                 self.step(state, driving.coefficient(k - 1), driving.coefficient(k))
         return state
-
-    def growth_ratio(self, state: CascadeState) -> float:
-        """Fitted per-order growth of the H1 norms (geometric mean of
-        successive ratios over the norms above 1e-14 of the largest)."""
-        top = max(state.norm_list, default=0.0)
-        ns = [n for n in state.norm_list if n > 1e-14 * top]
-        if len(ns) < 2:
-            return 0.0
-        ratios = [b / a for a, b in zip(ns, ns[1:])]
-        return float(np.exp(np.mean(np.log(ratios))))
 
 
 def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex) -> np.ndarray:

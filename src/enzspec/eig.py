@@ -289,7 +289,11 @@ def delta_spectrum(forms: AssembledForms, delta: complex, target: complex, count
     return _solve_pencil(Pencil(forms), delta, target, count)
 
 
-def discrete_K0(forms: AssembledForms, size_limit: int = 2000):
+# discrete_K0: the most mesh nodes its dense eigendecompositions accept.
+_DENSE_NODE_LIMIT = 2000
+
+
+def discrete_K0(forms: AssembledForms):
     """Spectrum of the dense discrete compact operator route.
 
     Diagonalizing (A, M) gives the discrete Laplacian eigenbasis; dropping
@@ -299,11 +303,13 @@ def discrete_K0(forms: AssembledForms, size_limit: int = 2000):
     matrix whose nonzero eigenvalues are exactly the reciprocals of the
     limit-pencil eigenvalues.
 
-    Returns (rho descending, operator matrix).
+    Meshes above _DENSE_NODE_LIMIT nodes are refused.  Returns (rho
+    descending, operator matrix).
     """
     n = forms.mesh.n_vertices
-    if n > size_limit:
-        raise EigError(f"dense operator path limited to {size_limit} nodes, mesh has {n}")
+    if n > _DENSE_NODE_LIMIT:
+        raise EigError(f"dense operator path limited to {_DENSE_NODE_LIMIT} nodes, "
+                       f"mesh has {n}")
     a = forms.A.toarray()
     m = forms.M.toarray()
     for name, mat in (("stiffness", a), ("mass", m)):

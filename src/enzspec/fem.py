@@ -2,10 +2,9 @@
 
 Assembles the Neumann stiffness matrix and the per-region consistent mass
 matrices as scipy CSR matrices, and provides subdomain Neumann/Dirichlet
-solves, variational boundary-flux functionals, norms and interpolation.
-Solves inside `factor_once` reuse one factor per operator and dtype.
-Divergence loads, their load-size bounds and element gradients are products
-with one sparse divergence operator, built at assembly and sliced out of the
+solves and norms.  Solves inside `factor_once` reuse one factor per operator
+and dtype.  Divergence loads and their load-size bounds are products with
+one sparse divergence operator, built at assembly and sliced out of the
 parent's for a subdomain.
 All matrices are kept per region so that delta-weighted forms (the mass
 B_delta = M_D + delta*M_S, the stiffness A_D + delta*A_S) are exact linear
@@ -29,14 +28,10 @@ __all__ = [
     "assemble",
     "restrict_forms",
     "factor_once",
-    "element_gradients",
     "divergence_load_vector",
-    "edge_flux_load",
     "solve_neumann",
     "solve_dirichlet",
-    "boundary_flux",
     "norms",
-    "interpolate",
     "validated_radius",
     "warn_outside_validated_disk",
 ]
@@ -200,36 +195,17 @@ def _factor(forms: AssembledForms, key, build) -> LUFactors:
     return lu
 
 
-def element_gradients(forms: AssembledForms, values: np.ndarray) -> np.ndarray:
-    """Per-triangle constant gradient of a P1 function, shape (nt, 2)."""
-    return (forms.div.T @ np.asarray(values)).reshape(-1, 2) / forms.areas[:, None]
-
-
 def divergence_load_vector(forms: AssembledForms, field: np.ndarray) -> np.ndarray:
     """b_i = integral of F . grad(phi_i) for a per-triangle constant field F."""
     return forms.div @ np.asarray(field).ravel()
-
-
-def edge_flux_load(mesh: Mesh, tag: int, edge_flux) -> np.ndarray:
-    """Nodal load from edge-wise constant normal flux g on edges of a tag:
-    b_i = integral over the tagged edges of g * phi_i."""
-    sel = np.nonzero(mesh.edge_tags == tag)[0]
-    edge_flux = np.broadcast_to(np.asarray(edge_flux), (len(sel),))
-    b = np.zeros(mesh.n_vertices, dtype=np.result_type(edge_flux.dtype, float))
-    for g, e in zip(edge_flux, sel):
-        a, c = mesh.edges[e]
-        length = np.linalg.norm(mesh.vertices[c] - mesh.vertices[a])
-        b[a] += 0.5 * g * length
-        b[c] += 0.5 * g * length
-    return b
 
 
 def solve_neumann(forms: AssembledForms, load: np.ndarray) -> np.ndarray:
     """Pure-Neumann solve A h = load with mean-zero normalization; returns
     the nodal values of h.
 
-    `load` is an assembled nodal right-hand side (use edge_flux_load and/or
-    divergence_load_vector to build it).  The compatibility condition is
+    `load` is an assembled nodal right-hand side, such as a
+    divergence_load_vector.  The compatibility condition is
     that the load sums to zero; an imbalance beyond _COMPAT_TOL times the
     load scale is an error, since the singular system is then unsolvable.
     A smaller imbalance is taken out along m1 = M 1, the direction a
@@ -303,30 +279,9 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
     return u
 
 
-def boundary_flux(forms: AssembledForms, values: np.ndarray, tag: int,
-                  field: np.ndarray | None = None) -> complex:
-    """Variationally consistent outward flux of (grad h + F) through the
-    edges of a tag: the discrete residual A h + b_F summed over the tag's
-    nodes equals the boundary integral of the normal component."""
-    r = forms.A @ np.asarray(values)
-    if field is not None:
-        r = r + divergence_load_vector(forms, field)
-    nodes = forms.mesh.boundary_vertices(tag)
-    total = r[nodes].sum()
-    return total if np.iscomplexobj(r) else float(total)
-
-
-def norms(forms: AssembledForms, values: np.ndarray, region: int | None = None):
-    """(L2 norm, H1 seminorm) over the whole mesh or one region."""
+def norms(forms: AssembledForms, values: np.ndarray):
+    """(L2 norm, H1 seminorm) over the whole mesh."""
     v = np.asarray(values)
-    if region is None:
-        m, a = forms.M, forms.A
-    elif region == INCLUSION:
-        m, a = forms.M_D, forms.A_D
-    elif region == SHELL:
-        m, a = forms.M_S, forms.A_S
-    else:
-        raise FemError(f"unknown region {region}")
     # the forms square v: divide it by the power of two of its largest entry
     # first, an exact rescale that keeps a small or large v from under- or
     # overflowing, and multiply the norms back
@@ -336,11 +291,6 @@ def norms(forms: AssembledForms, values: np.ndarray, region: int | None = None):
     else:
         v = np.ldexp(v, -e)
     vc = np.conj(v)
-    l2 = float(np.ldexp(np.sqrt(abs(np.dot(vc, m @ v))), e))
-    h1 = float(np.ldexp(np.sqrt(abs(np.dot(vc, a @ v))), e))
+    l2 = float(np.ldexp(np.sqrt(abs(np.dot(vc, forms.M @ v))), e))
+    h1 = float(np.ldexp(np.sqrt(abs(np.dot(vc, forms.A @ v))), e))
     return l2, h1
-
-
-def interpolate(mesh: Mesh, fn) -> np.ndarray:
-    """Nodal values fn(x, y) at the mesh vertices."""
-    return np.array([fn(x, y) for x, y in mesh.vertices])

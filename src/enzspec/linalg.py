@@ -63,17 +63,14 @@ class SingularMatrixError(RuntimeError):
 
 
 class ArnoldiError(RuntimeError):
-    """Non-convergence of the shift-invert iteration; carries best residuals.
+    """Non-convergence of the shift-invert iteration: only `converged` of the
+    `requested` Ritz pairs met _ARNOLDI_TOL within _ARNOLDI_RESTARTS."""
 
-    The message lists the first six of them.
-    """
-
-    def __init__(self, residuals):
-        listed = ", ".join(f"{r:.3e}" for r in residuals[:6])
-        if len(residuals) > 6:
-            listed += f", ... ({len(residuals) - 6} more)"
-        super().__init__(f"Arnoldi did not converge; best residuals [{listed}]")
-        self.residuals = residuals
+    def __init__(self, converged: int, requested: int):
+        super().__init__(f"Arnoldi did not converge: converged {converged} of {requested} "
+                         f"Ritz pairs within {_ARNOLDI_RESTARTS} restarts")
+        self.converged = converged
+        self.requested = requested
 
 
 class LUFactors:
@@ -201,7 +198,6 @@ def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
             linop, k=count, which="LM", v0=_start_vector(n, deflate, dtype),
             ncv=krylov_dim, tol=_ARNOLDI_TOL, maxiter=_ARNOLDI_RESTARTS)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        converged = len(exc.eigenvalues)
-        raise ArnoldiError([_ARNOLDI_TOL] * converged + [np.inf] * (count - converged)) from None
+        raise ArnoldiError(len(exc.eigenvalues), count) from None
     order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))
     return theta[order], vecs[:, order]

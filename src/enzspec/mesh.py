@@ -213,9 +213,10 @@ class Submesh:
     def restrict(self, parent_values: np.ndarray) -> np.ndarray:
         return np.asarray(parent_values)[self.vertex_map]
 
-    def extend(self, child_values: np.ndarray, fill=0.0) -> np.ndarray:
-        out = np.full(self.parent.n_vertices, fill,
-                      dtype=np.result_type(np.asarray(child_values).dtype, type(fill)))
+    def extend(self, child_values: np.ndarray) -> np.ndarray:
+        """Parent nodal values: child_values on the submesh, zero elsewhere."""
+        out = np.zeros(self.parent.n_vertices,
+                       dtype=np.result_type(np.asarray(child_values).dtype, float))
         out[self.vertex_map] = child_values
         return out
 

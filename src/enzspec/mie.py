@@ -10,16 +10,15 @@ Two closed-form families on D = B_1, Omega = B_R:
   field; the wavenumber is selected by tangential-H matching across r = 1,
   located by brentq between consecutive zeros of j_p.
 
-Also provided: the general single-mode interior Maxwell solver on B_1, a
-finite-difference residual checker, and a concentric two-sphere dispersion
-relation for nonzero shell permittivity delta, solved for many delta at once
-by one vectorised Newton iteration with the exact determinant derivative.
+Also provided: a concentric two-sphere dispersion relation for nonzero
+shell permittivity delta, solved for many delta at once by one vectorised
+Newton iteration with the exact determinant derivative.
 
 All magnetic fields follow the convention curl E = -i k H, curl H = i k
 eps E, so H is purely imaginary for the real electric profiles used here.
 The curl of a tangential profile g(r) V[n,m] is
-sqrt(n(n+1)) (g/r) Y omega + ((r g)'/r) U, which fixes every radial factor
-below; in particular the interior factor is j_n(kr) + k r j_n'(kr).
+sqrt(n(n+1)) (g/r) Y omega + ((r g)'/r) U, which fixes the matching
+constants below; in particular the interior factor is j_n(kr) + k r j_n'(kr).
 """
 
 from __future__ import annotations
@@ -32,21 +31,15 @@ import numpy as np
 
 from .specfun import (
     HarmonicIndex,
-    SurfacePoint,
-    _harmonic_frame,
     bessel_zeros,
     spherical_bessel,
     spherical_bessel_complex,
     spherical_neumann_complex,
-    sphere_quadrature,
 )
 
 __all__ = [
     "MieError",
     "MieMode",
-    "FieldSample",
-    "CORE",
-    "SHELL",
     "ELECTROSTATIC",
     "NONELECTROSTATIC",
     "FAMILY_E",
@@ -54,27 +47,17 @@ __all__ = [
     "electrostatic_mode",
     "nonelectrostatic_mode",
     "matching_constants",
-    "interior_solution",
-    "evaluate_fields",
-    "interface_residuals",
-    "residual_checks",
     "concentric_dispersion",
     "save_mode",
 ]
 
 ELECTROSTATIC = "electrostatic"
 NONELECTROSTATIC = "nonelectrostatic"
-CORE = "core"
-SHELL = "shell"
 # polarization families of the concentric dispersion relation: the letter
 # names which field is tangential-only (proportional to V)
 FAMILY_E = "electric"
 FAMILY_H = "magnetic"
 
-_DENOM_TOL = 1e-12
-# residual_checks: the central-difference step, and the distance its sample
-# points keep from the interface
-_FD_STEP, _FD_MARGIN = 1e-4, 0.05
 # concentric_dispersion: the relative Newton update at which it stops, and
 # its iteration limit
 _NEWTON_TOL, _NEWTON_ITER = 1e-12, 80
@@ -109,14 +92,6 @@ class MieMode:
     @property
     def lam(self) -> float:
         return self.k * self.k
-
-
-@dataclass
-class FieldSample:
-    point: np.ndarray
-    E: np.ndarray
-    H: np.ndarray
-    region: str
 
 
 def _check_outer_radius(R: float) -> None:
@@ -208,215 +183,6 @@ def matching_constants(mode: MieMode) -> dict:
         "coeff_plain": -((p + 1.0) * c - d),
         "interior": 1.0 + mode.k * jp / j,
     }
-
-
-def _frame(points) -> tuple:
-    """(r, omega, SurfacePoint) of 3D points away from the origin: the row
-    norms, the unit rows and their angles, for points read as an (N, 3) array."""
-    x = np.asarray(points, dtype=float).reshape(-1, 3)
-    r = np.linalg.norm(x, axis=1)
-    if (r < 1e-12).any():
-        raise MieError("field evaluation at the origin is not supported")
-    omega = x / r[:, None]
-    theta = np.arccos(np.clip(omega[:, 2], -1.0, 1.0))
-    phi = np.arctan2(omega[:, 1], omega[:, 0])
-    return r, omega, SurfacePoint(theta, phi % (2.0 * math.pi))
-
-
-def _expansion(idx: HarmonicIndex, omega: np.ndarray, sp: SurfacePoint):
-    """expand(a, b, c) = a Y omega + b U + c V at the points, for per-point
-    coefficients (or scalars) a, b, c.  Y[n,m] is evaluated once."""
-    y, u, v = _harmonic_frame(idx, sp)
-    yw = y[:, None] * omega
-
-    def expand(a, b, c):
-        return (np.reshape(a, (-1, 1)) * yw + np.reshape(b, (-1, 1)) * u
-                + np.reshape(c, (-1, 1)) * v)
-
-    return expand
-
-
-def _mode_fields(mode: MieMode, points) -> tuple:
-    """(E, H) of the mode at 3D points, each (N, 3) complex; core where |x| <= 1."""
-    r, omega, sp = _frame(points)
-    n, k = mode.idx.n, mode.k
-    root = math.sqrt(n * (n + 1.0))
-    expand = _expansion(mode.idx, omega, sp)
-    core = r <= 1.0
-    j, jp = spherical_bessel(n, k * r)
-    jk, jkp = spherical_bessel(n, k)
-    radial = (j + k * r * jp) / r
-    # both branches are evaluated everywhere; the shell one at |x| >= 1 only,
-    # so that its negative powers cannot overflow near the origin
-    rs = np.maximum(r, 1.0)
-    if mode.family == ELECTROSTATIC:
-        a, b = mode.outer_coeffs
-        den = jk + k * jkp
-        e = expand(np.where(core, root * j / (r * den),
-                            n * a * rs ** (n - 1) - (n + 1.0) * b * rs ** (-n - 2)),
-                   np.where(core, radial / den, root * (a * rs**n + b * rs ** (-n - 1)) / rs),
-                   0.0) + 0j
-        h = expand(0.0, 0.0, np.where(core, 1j * k * j / den, 0.0))
-    else:
-        c, d = mode.outer_coeffs
-        e = expand(0.0, 0.0, np.where(core, -j / jk, (c * rs**n + d * rs ** (-n - 1)) / root)) + 0j
-        h = expand(np.where(core, root * j / (r * jk), -(c * rs ** (n - 1) + d * rs ** (-n - 2))),
-                   np.where(core, radial / jk,
-                            -((n + 1.0) * c * rs ** (n - 1) - n * d * rs ** (-n - 2)) / root),
-                   0.0) / (1j * k)
-    return e, h
-
-
-def _checked_fields(mode: MieMode, points) -> tuple:
-    """_mode_fields, raising MieError at the first point with a non-finite component."""
-    e, h = _mode_fields(mode, points)
-    bad = np.nonzero(~(np.isfinite(e).all(axis=1) & np.isfinite(h).all(axis=1)))[0]
-    if len(bad):
-        raise MieError(f"non-finite field components at {np.reshape(points, (-1, 3))[bad[0]]}")
-    return e, h
-
-
-def evaluate_fields(mode: MieMode, points) -> list:
-    """FieldSamples of the mode at 3D points (core/shell chosen by |x|)."""
-    x = np.asarray(points, dtype=float).reshape(-1, 3)
-    e, h = _checked_fields(mode, x)
-    core = np.linalg.norm(x, axis=1) <= 1.0
-    return [FieldSample(p, a, b, CORE if c else SHELL) for p, a, b, c in zip(x, e, h, core)]
-
-
-def interior_solution(f_coeffs, k: float):
-    """Interior Maxwell evaluator on B_1 from a tangential-trace expansion.
-
-    f_coeffs: iterable of (HarmonicIndex, u_component, v_component) giving
-    the expansion of f = nu x E on the unit sphere over the (U, V) frame.
-    Returns evaluate(points) -> list of (E, H) pairs.  Wavenumbers at
-    which any active denominator j_n(k) or j_n(k) + k j_n'(k) vanishes
-    are rejected (these are the interior resonance conditions).
-    """
-    active = []
-    for idx, uc, vc in f_coeffs:
-        if uc == 0.0 and vc == 0.0:
-            continue
-        jk, jkp = spherical_bessel(idx.n, k)
-        den = jk + k * jkp
-        if abs(jk) <= _DENOM_TOL:
-            raise MieError(f"j_{idx.n}(k) vanishes at k = {k!r} for index "
-                           f"(n={idx.n}, m={idx.m})")
-        if abs(den) <= _DENOM_TOL:
-            raise MieError(f"j_{idx.n}(k) + k j_{idx.n}'(k) vanishes at k = {k!r} "
-                           f"for index (n={idx.n}, m={idx.m})")
-        active.append((idx, complex(uc), complex(vc), jk, den))
-
-    def evaluate(points):
-        r, omega, sp = _frame(points)
-        e = np.zeros(omega.shape, dtype=complex)
-        ikh = np.zeros(omega.shape, dtype=complex)
-        for idx, uc, vc, jk, den in active:
-            root = math.sqrt(idx.n * (idx.n + 1.0))
-            expand = _expansion(idx, omega, sp)
-            j, jp = spherical_bessel(idx.n, k * r)
-            radial = (j + k * r * jp) / r
-            e += expand(vc * root * j / (r * den), vc * radial / den, -uc * j / jk)
-            ikh += expand(uc * root * j / (r * jk), uc * radial / jk, -vc * k * k * j / den)
-        return list(zip(e, ikh / (1j * k)))
-
-    return evaluate
-
-
-def _fibonacci_directions(count: int) -> np.ndarray:
-    """Deterministic, roughly uniform unit vectors (golden-angle spiral)."""
-    i = np.arange(count) + 0.5
-    z = 1.0 - 2.0 * i / count
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-
-
-def _tangential(vec: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows of vec with their components along the unit rows of w removed."""
-    return vec - np.sum(vec * w, axis=1)[:, None] * w
-
-
-def _row_max(vec: np.ndarray) -> float:
-    return float(np.linalg.norm(vec, axis=1).max())
-
-
-def interface_residuals(mode: MieMode, n_quad: int = 24) -> dict:
-    """Boundary/interface defects of a mode, measured by evaluation.
-
-    Electrostatic keys: normal_e_interface, h_interface, tangential_e_jump,
-    tangential_e_outer, net_flux_outer.  Nonelectrostatic keys:
-    tangential_e_jump, tangential_h_jump, normal_h_jump, shell_h_scale.
-    """
-    dirs = _fibonacci_directions(32)
-    e_in, h_in = _checked_fields(mode, (1.0 - 1e-12) * dirs)
-    e_out, h_out = _checked_fields(mode, (1.0 + 1e-12) * dirs)
-    e_jump = _row_max(_tangential(e_in - e_out, dirs))
-    if mode.family == ELECTROSTATIC:
-        res = {
-            "normal_e_interface": float(np.abs(np.sum(e_in * dirs, axis=1)).max()),
-            "h_interface": _row_max(h_in),
-            "tangential_e_jump": e_jump,
-        }
-        e_rim, _ = _checked_fields(mode, mode.R * dirs)
-        res["tangential_e_outer"] = _row_max(_tangential(e_rim, dirs))
-        pts, wts = sphere_quadrature(n_quad, 2 * n_quad)
-        e_quad, _ = _mode_fields(mode, mode.R * pts.omega)
-        flux = float(wts @ np.real(np.sum(e_quad * pts.omega, axis=1)))
-        res["net_flux_outer"] = abs(flux) * mode.R**2
-    else:
-        res = {
-            "tangential_e_jump": e_jump,
-            "tangential_h_jump": _row_max(_tangential(h_in - h_out, dirs)),
-            "normal_h_jump": float(np.abs(np.sum((h_in - h_out) * dirs, axis=1)).max()),
-            "shell_h_scale": _row_max(h_out) / _row_max(h_in),
-        }
-    return res
-
-
-def _fd_curl(evaluate_e, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference curl of evaluate_e at the rows of x."""
-    d = [(evaluate_e(x + step) - evaluate_e(x - step)) / (2.0 * h) for step in h * np.eye(3)]
-    return np.column_stack([d[1][:, 2] - d[2][:, 1], d[2][:, 0] - d[0][:, 2],
-                            d[0][:, 1] - d[1][:, 0]])
-
-
-def _fd_div(evaluate_e, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference divergence of evaluate_e at the rows of x."""
-    return sum((evaluate_e(x + step)[:, a] - evaluate_e(x - step)[:, a]) / (2.0 * h)
-               for a, step in enumerate(h * np.eye(3)))
-
-
-def residual_checks(mode: MieMode, sample_count: int = 20) -> dict:
-    """Finite-difference PDE residuals at interior sample points.
-
-    Checks curl curl E = lam 1_core E and div E = 0 in both regions, plus
-    curl E = 0 in the shell for the electrostatic family, at deterministic
-    sample points kept at least _FD_MARGIN away from the interface (the
-    fields are only piecewise smooth).
-    """
-    step, margin = _FD_STEP, _FD_MARGIN
-    dirs = _fibonacci_directions(sample_count)
-    radii_core = np.linspace(0.25, 1.0 - margin - 2.0 * step, sample_count)
-    hi = mode.R - 2.0 * step
-    radii_shell = np.linspace(1.0 + margin + 2.0 * step, hi, sample_count)
-
-    def e_at(x):
-        return _mode_fields(mode, x)[0]
-
-    lam = mode.lam
-    x = np.vstack([radii_core[:, None] * dirs, radii_shell[:, None] * dirs])
-    in_core = np.arange(len(x)) < sample_count
-    e = e_at(x)
-    scale = _row_max(e)
-    curlcurl = _fd_curl(lambda z: _fd_curl(e_at, z, step), x, step)
-    report = {
-        "curl_curl": _row_max(curlcurl - np.where(in_core[:, None], lam * e, 0.0)) / (lam * scale),
-        "divergence": float(np.abs(_fd_div(e_at, x, step)).max()) / (mode.k * scale),
-    }
-    if mode.family == ELECTROSTATIC:
-        report["shell_curl"] = _row_max(_fd_curl(e_at, x[~in_core], step)) / (mode.k * scale)
-    return report
 
 
 def _det_and_slope(family: str, n: int, R: float, delta, s, k) -> tuple:

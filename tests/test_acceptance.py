@@ -20,14 +20,13 @@ from enzspec.eig import (
     limit_spectrum,
     track_branch,
 )
-from enzspec.fem import assemble, interpolate
+from enzspec.fem import assemble
 from enzspec.mesh import generate_disk_in_disk, generate_square_with_disk
 from enzspec.mie import (
     FAMILY_E,
     FAMILY_H,
     concentric_dispersion,
     electrostatic_mode,
-    interface_residuals,
     matching_constants,
     nonelectrostatic_mode,
 )
@@ -37,14 +36,9 @@ from enzspec.perturb import (
     cluster_series,
     taylor_from_circle,
 )
-from enzspec.specfun import (
-    HarmonicIndex,
-    bessel_zeros,
-    real_spherical_harmonic,
-    sphere_quadrature,
-    spherical_bessel,
-)
-from enzspec.cascade import perp_gradient_field
+from enzspec.specfun import HarmonicIndex, bessel_zeros
+from fem_fields import perp_gradient_field
+from sphere_fields import interface_residuals, real_spherical_harmonic, sphere_quadrature
 
 
 def radial_limit_oracle() -> float:
@@ -184,7 +178,8 @@ def test_criterion_06_cascade():
         fk = constant if k == 0 else zero
         assert abs(cascade.outer_flux(h, fk)) <= 1e-8
     # tangential driving: identically-zero cascade
-    stream = interpolate(cascade.mesh, lambda x, y: x * x + y * y)
+    x, y = cascade.mesh.vertices.T
+    stream = x * x + y * y
     tangential = DrivingField([perp_gradient_field(cascade.forms, stream)])
     trivial = cascade.run(tangential, 3)
     for h in trivial.h_list:

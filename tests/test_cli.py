@@ -199,6 +199,40 @@ def test_no_unused_module_level_import():
         assert not unused, (module.__name__, unused)
 
 
+def test_every_public_name_is_read_in_the_package():
+    # a name that only tests read is a test helper: it belongs in tests/
+    allowed = {
+        ("enzspec.eig", "cluster_track"): "the degenerate-cluster route",
+        ("enzspec.perturb", "cluster_series"): "the degenerate-cluster route",
+        ("enzspec.cascade", "save_field"): "writes the field format the README documents",
+    }
+    trees = {m.__name__: ast.parse(open(m.__file__, encoding="utf-8").read())
+             for m in _modules()}
+
+    def reads(body, local):
+        return any(isinstance(node, ast.Name) and node.id == local
+                   and isinstance(node.ctx, ast.Load)
+                   for top in body for node in ast.walk(top))
+
+    unread = []
+    for module in _modules():
+        owner = module.__name__
+        for name in module.__all__:
+            # its own module, outside its definition, or a module importing it
+            read = reads([top for top in trees[owner].body
+                          if getattr(top, "name", None) != name], name)
+            for tree in trees.values():
+                for node in tree.body:
+                    if isinstance(node, ast.ImportFrom) and f"enzspec.{node.module}" == owner:
+                        read |= any(reads(tree.body, alias.asname or name)
+                                    for alias in node.names if alias.name == name)
+            if not read:
+                unread.append((owner, name))
+    extra = sorted(set(unread) - set(allowed))
+    assert not extra, extra
+    assert set(allowed) <= set(unread)
+
+
 def test_only_linalg_factors():
     # one factorization path: no module but linalg calls, imports or passes
     # on a scipy sparse solver

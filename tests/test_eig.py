@@ -358,7 +358,7 @@ class TestDiscreteK0:
     def test_size_limit(self):
         forms = assemble(generate_disk_in_disk(2.0, 16, 16))
         with pytest.raises(EigError):
-            discrete_K0(forms, size_limit=100)
+            discrete_K0(forms)
 
     @pytest.mark.parametrize("name", ["A", "M"])
     def test_rejects_asymmetric(self, name):

@@ -286,10 +286,15 @@ def pencil_oracle(a, b):
 
 
 class TestShiftInvertArnoldi:
-    def test_error_message_lists_few_residuals(self):
-        exc = ArnoldiError([1e-3] * 500)
-        assert len(exc.residuals) == 500
-        assert str(exc).count("e-03") == 6 and "494 more" in str(exc)
+    def test_error_counts_converged_pairs(self, monkeypatch):
+        # a clustered spectrum that one restart cannot resolve
+        monkeypatch.setattr(linalg, "_ARNOLDI_RESTARTS", 1)
+        d = 1.0 + np.linspace(0.0, 1e-3, 400)
+        with pytest.raises(ArnoldiError) as exc:
+            shift_invert_arnoldi(lambda v: v / d, 400, 6, dtype=float)
+        assert (exc.value.converged, exc.value.requested) == (0, 6)
+        assert str(exc.value) == ("Arnoldi did not converge: converged 0 of 6 "
+                                  "Ritz pairs within 1 restarts")
 
     def test_diagonal_standard(self):
         a = np.diag(np.arange(1.0, 11.0))

@@ -223,10 +223,12 @@ class TestSubmesh:
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(mesh.n_vertices)
         child = sub.restrict(vals)
-        back = sub.extend(child, fill=np.nan)
-        mask = ~np.isnan(back)
+        back = sub.extend(child)
+        mask = np.zeros(mesh.n_vertices, dtype=bool)
+        mask[sub.vertex_map] = True
         assert np.array_equal(back[mask], vals[mask])
         assert mask.sum() == sub.mesh.n_vertices
+        assert not back[~mask].any()
 
     def test_geometry_preserved(self):
         mesh = generate_disk_in_disk(2.0, 4, 4)

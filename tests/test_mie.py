@@ -17,16 +17,13 @@ from enzspec.mie import (
     MieError,
     concentric_dispersion,
     electrostatic_mode,
-    evaluate_fields,
-    interface_residuals,
-    interior_solution,
     matching_constants,
     nonelectrostatic_mode,
-    residual_checks,
     save_mode,
 )
 from enzspec.perturb import taylor_from_circle
 from enzspec.specfun import HarmonicIndex, SpecFunError
+from sphere_fields import _mode_fields, interface_residuals, interior_solution, residual_checks
 
 # first zero of j_1, frozen from the independent closed-form bisection in
 # the special-function tests
@@ -159,10 +156,9 @@ class TestInteriorSolution:
         pts = pts * rng.uniform(0.2, 0.95, 20)[:, None]
         mode = nonelectrostatic_mode(p, q, 2.0, 1)
         general = interior_solution([(idx, 1.0, 0.0)], mode.k)
-        samples = evaluate_fields(mode, pts)
-        for (e, h), s in zip(general(pts), samples):
-            assert np.abs(e - s.E).max() < 1e-12
-            assert np.abs(h - s.H).max() < 1e-12
+        for (e, h), e_ref, h_ref in zip(general(pts), *_mode_fields(mode, pts)):
+            assert np.abs(e - e_ref).max() < 1e-12
+            assert np.abs(h - h_ref).max() < 1e-12
 
     def test_linearity(self):
         idx = HarmonicIndex(1, 1)
@@ -172,16 +168,6 @@ class TestInteriorSolution:
         for (e1, h1), (e2, h2) in zip(one, two):
             assert np.abs(2.0 * e1 - e2).max() < 1e-14
             assert np.abs(2.0 * h1 - h2).max() < 1e-14
-
-    def test_denominator_guard(self):
-        idx = HarmonicIndex(1, 0)
-        with pytest.raises(MieError, match="j_1"):
-            interior_solution([(idx, 0.0, 1.0)], J1_ZERO_1)
-        # first zero of (k j_1(k))' = j_1(k) + k j_1'(k), bracketed in (2, 3)
-        k_den = brentq(lambda k: spherical_jn(1, k) + k * spherical_jn(
-            1, k, derivative=True), 2.0, 3.0, xtol=1e-14)
-        with pytest.raises(MieError, match="j_1"):
-            interior_solution([(idx, 1.0, 0.0)], k_den)
 
     def test_degree_zero_rejected(self):
         # U and V vanish for n = 0, so a degree-0 trace has no interior field
@@ -220,28 +206,17 @@ class TestResidualChecks:
 
 
 class TestEvaluateFields:
-    def test_regions(self):
-        mode = electrostatic_mode(1, 0, 1, 2.0)
-        samples = evaluate_fields(mode, [[0.0, 0.0, 0.5], [0.0, 1.5, 0.0]])
-        assert samples[0].region == "core"
-        assert samples[1].region == "shell"
-
-    def test_origin_rejected(self):
-        mode = electrostatic_mode(1, 0, 1, 2.0)
-        with pytest.raises(MieError):
-            evaluate_fields(mode, [[0.0, 0.0, 0.0]])
-
     def test_high_degree_near_origin(self):
         # the shell powers r^(-n-2) would overflow at a core point this close
         mode = electrostatic_mode(30, 0, 1, 2.0)
-        samples = evaluate_fields(mode, [[0.0, 0.0, 1e-11], [0.0, 0.0, 1.5]])
-        assert [s.region for s in samples] == ["core", "shell"]
-        assert np.abs(samples[0].E).max() < 1e-100
+        e, h = _mode_fields(mode, [[0.0, 0.0, 1e-11], [0.0, 0.0, 1.5]])
+        assert np.isfinite(e).all() and np.isfinite(h).all()
+        assert np.abs(e[0]).max() < 1e-100
 
     def test_shell_h_zero_electrostatic(self):
         mode = electrostatic_mode(2, 1, 1, 2.0)
-        for s in evaluate_fields(mode, [[0.0, 1.2, 0.4], [1.8, 0.1, 0.0]]):
-            assert np.abs(s.H).max() == 0.0
+        _, h = _mode_fields(mode, [[0.0, 1.2, 0.4], [1.8, 0.1, 0.0]])
+        assert np.abs(h).max() == 0.0
 
 
 class TestDispersion:

@@ -6,14 +6,16 @@ import pytest
 from enzspec.specfun import (
     HarmonicIndex,
     SpecFunError,
-    SurfacePoint,
     bessel_zeros,
-    real_spherical_harmonic,
     spherical_bessel,
     spherical_bessel_complex,
     spherical_neumann_complex,
+)
+from sphere_fields import (
+    SurfacePoint,
+    _harmonic_frame,
+    real_spherical_harmonic,
     sphere_quadrature,
-    vector_harmonics,
 )
 
 
@@ -299,19 +301,11 @@ class TestSphericalHarmonics:
                     assert ys == y[i]
                     assert np.array_equal(gs, g[i])
 
-    def test_surface_point_validation(self):
-        with pytest.raises(SpecFunError, match="4.0"):
-            SurfacePoint(np.array([1.0, 4.0]), np.array([0.0, 0.0]))
-        with pytest.raises(SpecFunError, match="nan"):
-            SurfacePoint(float("nan"), 0.0)
-        with pytest.raises(SpecFunError, match="shape"):
-            SurfacePoint(np.array([1.0, 2.0]), 0.5)
-
 
 class TestVectorHarmonics:
     def test_rejects_n0(self):
         with pytest.raises(SpecFunError):
-            vector_harmonics(HarmonicIndex(0, 0), SurfacePoint(1.0, 1.0))
+            _harmonic_frame(HarmonicIndex(0, 0), SurfacePoint(1.0, 1.0))
 
     def test_tangency_and_orthogonality(self):
         rng = np.random.default_rng(17)
@@ -319,7 +313,7 @@ class TestVectorHarmonics:
             n = int(rng.integers(1, 7))
             m = int(rng.integers(-n, n + 1))
             p = SurfacePoint(float(rng.uniform(0.01, math.pi - 0.01)), float(rng.uniform(0, 2 * math.pi)))
-            u, v = vector_harmonics(HarmonicIndex(n, m), p)
+            u, v = _harmonic_frame(HarmonicIndex(n, m), p)[1:]
             s = max(1.0, np.linalg.norm(u))
             assert abs(np.dot(p.omega, u)) < 1e-12 * s
             assert abs(np.dot(p.omega, v)) < 1e-12 * s
@@ -330,7 +324,7 @@ class TestVectorHarmonics:
         idxs = [HarmonicIndex(n, m) for n in range(1, 5) for m in range(-n, n + 1)]
         us, vs = [], []
         for i in idxs:
-            u, v = vector_harmonics(i, pts)
+            u, v = _harmonic_frame(i, pts)[1:]
             us.append(u)
             vs.append(v)
         for a, ia in enumerate(idxs):
