@@ -343,14 +343,12 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
 
 
 def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
-                     max_order: int, state: CascadeState | None = None):
-    """Relative H1 errors e_K of the truncated series against the direct
-    projection of the full field evaluated at delta.  A delta outside the
-    validated disk draws the same UserWarning as `eig.Pencil.B`: the series
-    need not converge there."""
+                     state: CascadeState):
+    """Relative H1 errors e_K, K = 0..state.order, of the truncated series
+    of a `run` state against the direct projection of the full field
+    evaluated at delta.  A delta outside the validated disk draws the same
+    UserWarning as `eig.Pencil.B`: the series need not converge there."""
     warn_outside_validated_disk(delta, validated_radius(cascade.forms))
-    if state is None:
-        state = cascade.run(driving, max_order)
     h_direct = direct_projection(cascade, driving.evaluate(delta), delta)
     l2d, h1d = norms(cascade.forms, h_direct)
     ref = float(np.hypot(l2d, h1d))
@@ -359,8 +357,8 @@ def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
                            "series error is undefined (zero driving field?)")
     errors = []
     partial = np.zeros(cascade.mesh.n_vertices, dtype=complex)
-    for k in range(max_order + 1):
-        partial += (delta**k) * state.h_list[k]
+    for k, h in enumerate(state.h_list):
+        partial += (delta**k) * h
         diff = partial - h_direct
         l2, h1 = norms(cascade.forms, diff)
         errors.append(float(np.hypot(l2, h1)) / ref)

@@ -66,7 +66,10 @@ _REQUIRED = object()
 
 
 def _str_list(text):
-    return [tok.strip() for tok in str(text).split(",") if tok.strip()]
+    items = [tok.strip() for tok in str(text).split(",") if tok.strip()]
+    if not items:
+        raise ValueError("must list at least one value")
+    return items
 
 
 def _checked(cast, ok, what):
@@ -95,7 +98,6 @@ _power_of_two = _checked(int, lambda k: k >= 4 and not k & (k - 1), "a power of 
 _family = _checked(str, lambda f: f in (FAMILY_E, FAMILY_H), f"{FAMILY_E!r} or {FAMILY_H!r}")
 _complex_list = _list_of(_finite_complex)
 _nonzero_complex_list = _list_of(_checked(_finite_complex, lambda d: d != 0, "nonzero"))
-_float_list = _list_of(_finite)
 
 
 def _fmt(x) -> str:
@@ -266,17 +268,12 @@ def _cmd_taylor(cfg, out):
                           f"samples / 4 = {cfg['samples'] // 4}")
     forms = assemble(load_mesh(cfg["mesh"]))
     path, start = circle_path(cfg["radius"], cfg["samples"])
+    lams = track_branch(forms, cfg["lambda0"], path).lambda_samples
     # the held-out point is the circle path's own lead-in sample at
-    # delta = 3r/5, outside the DFT; each real delta ends a ramp of four
-    # equal steps, and every path continues the one delta = 0 start
+    # delta = 3r/5, outside the DFT
     held = LEAD_IN_STEPS - 1
-    ramps = [[d * j / 4 for j in range(5)] for d in cfg["real_deltas"]]
-    circle_branch, *ramp_branches = track_branch(forms, cfg["lambda0"], [path] + ramps)
-    circle = np.asarray(circle_branch.lambda_samples[start:])
-    report = analyticity_report(
-        circle, cfg["radius"], cfg["order"],
-        held_out=[(path[held], circle_branch.lambda_samples[held])],
-        real_axis_samples=[branch.lambda_samples[-1] for branch in ramp_branches])
+    report = analyticity_report(lams[start:], cfg["radius"], cfg["order"],
+                                [(path[held], lams[held])])
     with open(cfg["out"], "w", encoding="utf-8", newline="\n") as f:
         f.write(report.to_json() + "\n")
     print(f"wrote {cfg['out']}: closure defect {report.closure_defect:.3e}", file=out)
@@ -290,8 +287,7 @@ def _cmd_cascade(cfg, out):
         constant = np.tile([cfg["fx"], cfg["fy"]], (cascade.mesh.n_triangles, 1))
         driving = DrivingField([constant])
     state = cascade.run(driving, cfg["orders"])
-    errors = series_vs_direct(cascade, driving, cfg["delta"], cfg["orders"],
-                              state=state)
+    errors = series_vs_direct(cascade, driving, cfg["delta"], state)
     lines = _csv_lines("cascade",
                        ["order", "c", "h1_norm", "series_error"],
                        [(str(k), state.c_list[k], state.norm_list[k], errors[k])
@@ -387,7 +383,6 @@ _COMMANDS = {
         "radius": (_positive, _REQUIRED),
         "samples": (_power_of_two, 16),
         "order": (_at_least_0, 4),
-        "real_deltas": (_float_list, []),
         "out": (str, _REQUIRED),
     }),
     ("cascade", None): (_cmd_cascade, {

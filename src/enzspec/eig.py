@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -101,9 +101,8 @@ class EigenPair:
 class Branch:
     """One eigenvalue family lambda(delta) sampled along a path."""
 
-    delta_samples: list
     lambda_samples: list
-    vectors: list = field(default_factory=list)
+    vectors: list
 
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
@@ -388,7 +387,7 @@ def _match(values, targets):
 def _continue(pencil: Pencil, lams, vecs, block, path, pick):
     """Continue the eigenpairs (lams, columns of vecs) of (A, B_path[0]),
     whose eigenspaces `block` spans, along path; returns one sample
-    (delta, lams, vecs) per point.
+    (lams, vecs) per point.
 
     Each step predicts the tracked values' mean (`_predict` on the means of
     lambda and of its slope -lambda v^T M_S v / v^T B v), corrects the
@@ -412,7 +411,7 @@ def _continue(pencil: Pencil, lams, vecs, block, path, pick):
             if not overlap >= 1.0 / math.hypot(1.0, _AMBIGUITY_RATIO):
                 raise TrackingAmbiguityError(f"continuation at delta={delta}: the tracked "
                                              f"set lost its span (overlap {overlap:.3e})")
-        samples.append((delta, lams, vecs))
+        samples.append((lams, vecs))
         slopes = [-lam * (v @ (pencil.M_S @ v)) / (v @ (bmat @ v)) for lam, v in zip(lams, vecs.T)]
         history = history[-1:] + [(delta, sum(lams) / len(lams), sum(slopes) / len(lams))]
     return samples
@@ -447,38 +446,34 @@ def _pick_cluster(pencil, delta, bmat, theta, block, lams, vecs):
     return [theta[i] for i in order], ritz, ritz
 
 
-def track_branch(forms: AssembledForms, lambda0: float, paths) -> list[Branch]:
-    """Continue one eigenvalue branch along each of several delta paths,
-    all starting at 0; returns one Branch per path.
+def track_branch(forms: AssembledForms, lambda0: float, path) -> Branch:
+    """Continue one eigenvalue branch along a delta path starting at 0.
 
-    One start, shared by every path, harvests _START_COUNT eigenpairs at
-    delta = 0 and keeps the one nearest lambda0 in a block with every
-    harvested copy of its eigenvalue (1e-6 relative), so a double
-    eigenvalue travels as its two-dimensional eigenspace.  Every path,
-    which gives the same branch alone or with others, runs `_continue`
-    with `_pick_branch`.
+    The start harvests _START_COUNT eigenpairs at delta = 0 and keeps the
+    one nearest lambda0 in a block with every harvested copy of its
+    eigenvalue (1e-6 relative), so a double eigenvalue travels as its
+    two-dimensional eigenspace; the path runs `_continue` with
+    `_pick_branch`.
     """
-    paths = [list(path) for path in paths]
-    if not all(path and abs(path[0]) <= 1e-15 for path in paths):
+    path = list(path)
+    if not (path and abs(path[0]) <= 1e-15):
         raise EigError("tracking path must start at delta = 0")
     pencil = Pencil(forms)
     pairs = _solve_pencil(pencil, 0.0, lambda0 * (1.0 + 1e-4) + 1e-3, _START_COUNT)
     pairs.sort(key=lambda p: abs(p.lam - lambda0))
     lam, v = pairs[0].lam, pairs[0].vector[:, None]
     block = np.column_stack([p.vector for p in pairs if abs(p.lam - lam) <= 1e-6 * abs(lam)])
-    samples = [_continue(pencil, [lam], v, block, [0.0] + path[1:], _pick_branch)
-               for path in paths]
-    return [Branch([d for d, _, _ in s], [ls[0] for _, ls, _ in s], [vs[:, 0] for _, _, vs in s])
-            for s in samples]
+    samples = _continue(pencil, [lam], v, block, [0.0] + path[1:], _pick_branch)
+    return Branch([ls[0] for ls, _ in samples], [vs[:, 0] for _, vs in samples])
 
 
 def cluster_track(forms: AssembledForms, lambda0s, path):
     """Track an unordered eigenvalue cluster along a delta path.
 
-    Returns (delta list, list of unordered lambda tuples, dict p -> s_p
-    samples) with s_p(delta) = sum of lambda_i(delta)^p for p = 1..h.
-    The symmetric functions are single-valued along closed circles even
-    when the individual branches permute.
+    Returns (list of unordered lambda tuples, dict p -> s_p samples) with
+    s_p(delta) = sum of lambda_i(delta)^p for p = 1..h.  The symmetric
+    functions are single-valued along closed circles even when the
+    individual branches permute.
 
     One harvest of h + 4 pairs at path[0] takes the eigenpair nearest each
     lambda0 in turn; the h vectors run `_continue` with `_pick_cluster`.
@@ -488,6 +483,6 @@ def cluster_track(forms: AssembledForms, lambda0s, path):
     chosen = [pairs[i] for i in _match([p.lam for p in pairs], lambda0s)]
     block = np.column_stack([p.vector for p in chosen])
     samples = _continue(pencil, [p.lam for p in chosen], block, block, path, _pick_cluster)
-    sets = [tuple(ls) for _, ls, _ in samples]
+    sets = [tuple(ls) for ls, _ in samples]
     s = {p: np.array([sum(l**p for l in ls) for ls in sets]) for p in range(1, h + 1)}
-    return path, sets, s
+    return sets, s

@@ -4,7 +4,10 @@ Taylor coefficients are recovered from equispaced samples on a circle
 |delta| = r by the discrete Cauchy integral (a plain DFT), guarded against
 aliasing by reporting only the first quarter of the sample count.  Reports
 bundle coefficient decay, interior prediction errors against direct
-solves, the reality defect on the real axis and the circle-closure defect.
+solves, the circle-closure defect and the reality defect.  The pencil's
+matrices are real, so an analytic branch obeys Schwarz reflection,
+lambda(conj delta) = conj lambda(delta); the reality defect measures it on
+the circle's own samples, which pair delta_j with delta_{N-j} = conj delta_j.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class NonFiniteSeriesError(RuntimeError):
     small circle radius**k underflows to 0 or the quotient overflows."""
 
 
-def circle_path(r: float, n_samples: int = 32):
+def circle_path(r: float, n_samples: int):
     """Path from delta = 0 onto the circle |delta| = r and once around.
 
     Returns (path, circle_start): path[:circle_start] is the lead-in,
@@ -63,6 +66,7 @@ def circle_path(r: float, n_samples: int = 32):
 
 
 def _circle_samples(values, closure_tol: float):
+    """(the N samples without the closing duplicate, closure defect)."""
     values = np.asarray(values, dtype=complex)
     n = len(values) - 1
     if n < 4 or n & (n - 1):
@@ -70,18 +74,11 @@ def _circle_samples(values, closure_tol: float):
     defect = abs(values[-1] - values[0])
     if defect > closure_tol * (1.0 + abs(values[0])):
         raise NonClosedBranchError(defect)
-    return values[:n], n, defect
+    return values[:n], defect
 
 
-def taylor_from_circle(samples, radius: float, order: int,
-                       closure_tol: float = 1e-9) -> np.ndarray:
-    """Coefficients a_0..a_order of lambda(delta) = sum a_k delta^k from
-    N + 1 equispaced samples on |delta| = radius (closing sample repeated).
-
-    a_k = (1/N) sum_j lambda(delta_j) exp(-2 pi i j k / N) / radius^k;
-    a coefficient that is not finite raises NonFiniteSeriesError.
-    """
-    vals, n, _ = _circle_samples(samples, closure_tol)
+def _taylor(vals: np.ndarray, radius: float, order: int) -> np.ndarray:
+    n = len(vals)
     if order > n // 4:
         raise ValueError(f"order {order} exceeds the aliasing guard N/4 = {n // 4}")
     coeffs = np.fft.fft(vals) / n
@@ -93,6 +90,17 @@ def taylor_from_circle(samples, radius: float, order: int,
         raise NonFiniteSeriesError(f"Taylor coefficient a_{bad[0]} is not finite "
                                    f"on the circle of radius {radius:g}")
     return a
+
+
+def taylor_from_circle(samples, radius: float, order: int,
+                       closure_tol: float = 1e-9) -> np.ndarray:
+    """Coefficients a_0..a_order of lambda(delta) = sum a_k delta^k from
+    N + 1 equispaced samples on |delta| = radius (closing sample repeated).
+
+    a_k = (1/N) sum_j lambda(delta_j) exp(-2 pi i j k / N) / radius^k;
+    a coefficient that is not finite raises NonFiniteSeriesError.
+    """
+    return _taylor(_circle_samples(samples, closure_tol)[0], radius, order)
 
 
 @dataclass
@@ -114,39 +122,29 @@ class AnalyticityReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _evaluate_series(coeffs: np.ndarray, delta: complex) -> complex:
-    out = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        out = out * delta + c
-    return out
-
-
-def analyticity_report(samples, radius: float, order: int,
-                       held_out=(), real_axis_samples=()) -> AnalyticityReport:
+def analyticity_report(samples, radius: float, order: int, held_out) -> AnalyticityReport:
     """Diagnostics for one branch sampled on a circle.
 
     held_out: iterable of (delta, lambda_direct) pairs strictly inside the
     circle (|delta| >= radius raises ValueError: the Cauchy integral
-    bounds the truncation error only inside it); real_axis_samples:
-    iterable of lambda values computed at real delta (their imaginary
-    parts measure the reality defect).
+    bounds the truncation error only inside it).  The reality defect is
+    max_j |lambda_j - conj lambda_{N-j}| / (2 (1 + |lambda_0|)), which at
+    delta = +-r is |Im lambda| / (1 + |lambda|).
     """
     held_out = list(held_out)
     outside = [d for d, _ in held_out if not abs(d) < radius]
     if outside:
         raise ValueError(f"held-out delta {outside[0]} is not inside the circle "
                          f"of radius {radius:g}")
-    vals, _, defect = _circle_samples(samples, _CLOSURE_TOL)
-    coeffs = taylor_from_circle(np.append(vals, vals[0]), radius, order, _CLOSURE_TOL)
+    vals, defect = _circle_samples(samples, _CLOSURE_TOL)
+    coeffs = _taylor(vals, radius, order)
     mags = np.abs(coeffs)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(mags[:-1] > 0, mags[1:] * radius / np.maximum(mags[:-1], 1e-300), np.inf)
-    pred_errs = np.array([
-        abs(_evaluate_series(coeffs, d) - lam) / max(abs(lam), 1e-300)
-        for d, lam in held_out])
-    reality = 0.0
-    for lam in real_axis_samples:
-        reality = max(reality, abs(np.imag(lam)) / (1.0 + abs(lam)))
+    pred_errs = np.array([abs(np.polyval(coeffs[::-1], d) - lam) / max(abs(lam), 1e-300)
+                          for d, lam in held_out])
+    mirror = np.conj(np.roll(vals[::-1], 1))      # conj lambda_{(N-j) mod N}
+    reality = float(np.max(np.abs(vals - mirror))) / (2.0 * (1.0 + abs(vals[0])))
     return AnalyticityReport(coeffs, ratios, pred_errs, reality, defect)
 
 

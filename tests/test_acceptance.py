@@ -15,7 +15,6 @@ from scipy.special import jv, spherical_jn
 from enzspec.cascade import Cascade, DrivingField, series_vs_direct
 from enzspec.eig import (
     cluster_track,
-    delta_spectrum,
     discrete_K0,
     limit_spectrum,
     track_branch,
@@ -32,6 +31,7 @@ from enzspec.mie import (
 )
 from enzspec.perturb import (
     NonClosedBranchError,
+    analyticity_report,
     circle_path,
     cluster_series,
     taylor_from_circle,
@@ -113,25 +113,23 @@ def test_criterion_04_analyticity(forms_track):
     lam0 = float(lams[np.argmin(np.abs(lams - oracle))])
     radius = 0.05
     path, start = circle_path(radius, 32)
-    # the circle and four real ramps, all continued from one delta = 0 start
-    ramp_ends = (0.025, 0.02, 0.05, 0.1)
-    branch, direct, *ramps = track_branch(
-        forms_track, lam0, [path] + [[d * j / 4 for j in range(5)] for d in ramp_ends])
-    circle = np.asarray(branch.lambda_samples[start:])
+    circle = np.asarray(track_branch(forms_track, lam0, path).lambda_samples[start:])
     # closure of the invariant branch on the circle
     assert abs(circle[-1] - circle[0]) <= 1e-9 * (1.0 + abs(circle[0]))
     coeffs = taylor_from_circle(circle, radius, 6)
-    # Taylor prediction against a direct solve strictly inside the circle
-    pred = np.polyval(coeffs[::-1], ramp_ends[0])
-    assert abs(pred - direct.lambda_samples[-1]) / abs(direct.lambda_samples[-1]) <= 1e-6
-    # reality along the real axis and bilinear orthonormality of the
-    # tracked eigenvectors
-    for d, rb in zip(ramp_ends[1:], ramps):
-        lam = rb.lambda_samples[-1]
-        assert abs(np.imag(lam)) <= 1e-9 * (1.0 + abs(lam))
+    # Taylor prediction against a direct solve strictly inside the circle,
+    # and bilinear orthonormality of the tracked eigenvectors on three
+    # real ramps of four equal steps
+    ends = (0.025, 0.02, 0.05, 0.1)
+    ramps = [track_branch(forms_track, lam0, [d * j / 4 for j in range(5)]) for d in ends]
+    direct = ramps[0].lambda_samples[-1]
+    assert abs(np.polyval(coeffs[::-1], ends[0]) - direct) / abs(direct) <= 1e-6
+    for d, rb in zip(ends[1:], ramps[1:]):
         v = rb.vectors[-1]
         b = forms_track.M_D + d * forms_track.M_S
         assert abs(v @ (b @ v) - 1.0) <= 1e-8
+    # reality: lambda(conj delta) = conj lambda(delta) on the circle
+    assert analyticity_report(circle, radius, 6, []).reality_defect <= 1e-9
 
 
 def test_criterion_05_degenerate_cluster(forms_track):
@@ -140,7 +138,7 @@ def test_criterion_05_degenerate_cluster(forms_track):
     assert abs(lam0 - lam1) <= 1e-6 * lam0   # the degenerate angular pair
     radius = 0.02
     path, start = circle_path(radius, 8)
-    _, _, sym = cluster_track(forms_track, [lam0, lam1], path)
+    _, sym = cluster_track(forms_track, [lam0, lam1], path)
     for p in (1, 2):
         vals = np.asarray(sym[p][start:])
         assert abs(vals[-1] - vals[0]) <= 1e-8 * (1.0 + abs(vals[0]))
@@ -168,7 +166,7 @@ def test_criterion_06_cascade():
     constant = np.tile([1.0, 0.0], (cascade.mesh.n_triangles, 1))
     driving = DrivingField([constant])
     state = cascade.run(driving, 6)
-    errors = series_vs_direct(cascade, driving, 0.05, 6, state=state)
+    errors = series_vs_direct(cascade, driving, 0.05, state)
     for k in range(5):
         assert errors[k + 1] / errors[k] <= 0.5
     assert errors[6] <= 1e-5

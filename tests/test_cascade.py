@@ -259,7 +259,7 @@ class TestDirectProjection:
 class TestSeriesVsDirect:
     def test_geometric_decay(self, cascade_ws):
         driving = DrivingField([constant_field(cascade_ws, [1.0, 0.0])])
-        errs = series_vs_direct(cascade_ws, driving, 0.05, 6)
+        errs = series_vs_direct(cascade_ws, driving, 0.05, cascade_ws.run(driving, 6))
         for k in range(5):
             assert errs[k + 1] / errs[k] <= 0.5
         assert errs[6] < 1e-5
@@ -267,8 +267,8 @@ class TestSeriesVsDirect:
     def test_doubling_delta_doubles_ratio(self, cascade_ws):
         driving = DrivingField([constant_field(cascade_ws, [1.0, 0.0])])
         state = cascade_ws.run(driving, 6)
-        e1 = series_vs_direct(cascade_ws, driving, 0.05, 6, state=state)
-        e2 = series_vs_direct(cascade_ws, driving, 0.10, 6, state=state)
+        e1 = series_vs_direct(cascade_ws, driving, 0.05, state)
+        e2 = series_vs_direct(cascade_ws, driving, 0.10, state)
         r1 = e1[4] / e1[3]
         r2 = e2[4] / e2[3]
         assert abs(r2 / r1 - 2.0) < 0.4
@@ -328,7 +328,7 @@ class TestFactorReuse:
             return direct(ws, *args)
 
         monkeypatch.setattr(cascade_module, "direct_projection", checked_direct)
-        series_vs_direct(cascade, driving, 0.05, 6, state=state)
+        series_vs_direct(cascade, driving, 0.05, state)
         assert counts["factors"] == 3
         # Psi of a freshly extracted and assembled shell
         shell = assemble(extract_submesh(cascade.mesh, SHELL).mesh)
@@ -349,7 +349,7 @@ class TestFactorReuse:
         monkeypatch.setattr(LUFactors, "__init__", capturing_init)
         cascade = Cascade(generate_disk_in_disk(2.0, 8, 8))
         driving = DrivingField([constant_field(cascade, [0.6, 0.8])])
-        series_vs_direct(cascade, driving, 0.05 + 0.02j, 3)
+        series_vs_direct(cascade, driving, 0.05 + 0.02j, cascade.run(driving, 3))
         longest = np.diff(cascade.forms.A.indptr).max()
         assert len(matrices) == 3
         for mat in matrices:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import glob
 import importlib
 import io
 import json
@@ -25,13 +26,22 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.fixture(scope="module")
-def disk_mesh(tmp_path_factory):
-    path = tmp_path_factory.mktemp("mesh") / "disk.txt"
-    code, _, err = run("mesh", "gen", "--shape", "disk", "--rings_core", "8",
+def _ring8_mesh(tmp_path_factory, shape):
+    path = tmp_path_factory.mktemp("mesh") / f"{shape}.txt"
+    code, _, err = run("mesh", "gen", "--shape", shape, "--rings_core", "8",
                        "--rings_shell", "8", "--out", str(path))
     assert code == 0, err
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def disk_mesh(tmp_path_factory):
+    return _ring8_mesh(tmp_path_factory, "disk")
+
+
+@pytest.fixture(scope="module")
+def square_mesh(tmp_path_factory):
+    return _ring8_mesh(tmp_path_factory, "square")
 
 
 class TestArgumentHandling:
@@ -92,12 +102,15 @@ class TestArgumentHandling:
     (["eig", "limit", "--count", "0"], "count"),
     (["invariance", "--rings", "2", "--count", "0"], "count"),
     (["eig", "sweep", "--deltas", "nan"], "deltas"),
+    (["eig", "sweep", "--deltas", ""], "deltas"),
+    (["invariance", "--shapes", ""], "shapes"),
     (["cascade", "--delta", "nan"], "delta"),
     (["mie", "electrostatic", "--n", "1", "--m", "5"], "|m| <= n"),
     (["mie", "nonelectrostatic", "--p", "1", "--R", "1"], "R"),
 ], ids=["taylor-samples-12", "taylor-order-9", "dispersion-samples-0", "cascade-orders-neg",
         "k0-tol-nan", "limit-count-0", "invariance-count-0", "sweep-deltas-nan",
-        "cascade-delta-nan", "electrostatic-m-5", "nonelectrostatic-R-1"])
+        "sweep-deltas-empty", "invariance-shapes-empty", "cascade-delta-nan",
+        "electrostatic-m-5", "nonelectrostatic-R-1"])
 def test_value_outside_its_domain_is_validation_error(disk2_mesh, tmp_path, argv, key):
     out_path = tmp_path / "out.txt"
     mesh = [] if argv[0] in ("mie", "invariance") else ["--mesh", disk2_mesh]
@@ -183,9 +196,13 @@ def test_every_exception_class_is_exported():
 
 
 def test_no_unused_module_level_import():
-    # a name counts as used when the module reads it or re-exports it
-    for module in _modules():
-        tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    # a name counts as used when the module reads it or re-exports it; the
+    # package modules and the test modules alike
+    exports = {module.__file__: module.__all__ for module in _modules()}
+    for path in glob.glob(os.path.join(os.path.dirname(__file__), "*.py")):
+        exports[path] = ()
+    for path, exported in exports.items():
+        tree = ast.parse(open(path, encoding="utf-8").read())
         imported = {}
         for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -194,9 +211,9 @@ def test_no_unused_module_level_import():
                         name = alias.asname or alias.name.split(".")[0]
                         imported[name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        used |= set(getattr(module, "__all__", ()))
+        used |= set(exported)
         unused = sorted(name for name in imported if name not in used)
-        assert not unused, (module.__name__, unused)
+        assert not unused, (path, unused)
 
 
 def test_every_public_name_is_read_in_the_package():
@@ -441,8 +458,7 @@ class TestTaylorCommand:
         out_path = tmp_path / "report.json"
         code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0",
                            f"{lam0:.17g}", "--radius", "0.02", "--samples", "8",
-                           "--order", "2", "--real_deltas", "0.01",
-                           "--out", str(out_path))
+                           "--order", "2", "--out", str(out_path))
         assert code == 0, err
         payload = json.loads(out_path.read_text())
         assert set(payload) == {"a_coeffs", "decay_ratios", "prediction_errors",
@@ -452,25 +468,43 @@ class TestTaylorCommand:
         a0 = payload["a_coeffs"][0]
         assert abs(a0[0] - lam0) < 1e-6 * lam0
 
-    def test_lost_branch_is_numerical_failure(self, tmp_path):
-        # on the 8-ring square the 0.05 ramp of the branch at 31.17 meets a
-        # neighbour: exit 2, with a diagnostic naming delta and the residual
-        mesh = tmp_path / "square.txt"
-        assert run("mesh", "gen", "--shape", "square", "--rings_core", "8",
-                   "--rings_shell", "8", "--out", str(mesh))[0] == 0
+    def test_real_deltas_is_unknown_key(self, disk_mesh, tmp_path):
+        # reality is read off the circle: no real-axis ramps are tracked
         out_path = tmp_path / "t.json"
-        code, _, err = run("taylor", "--mesh", str(mesh), "--lambda0", "31.17",
-                           "--radius", "0.01", "--samples", "16", "--real_deltas", "0.02,0.05",
-                           "--out", str(out_path))
+        code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", "15.005677",
+                           "--radius", "0.01", "--real_deltas", "0.01", "--out", str(out_path))
+        assert code == 1 and "unknown keys" in err and "real_deltas" in err
+        assert not out_path.exists()
+
+    def test_lost_branch_is_numerical_failure(self, square_mesh, tmp_path):
+        # on the 8-ring square the lead-in of the r = 0.04 circle around the
+        # branch at 31.17 meets a neighbour at delta = 0.024: exit 2, with a
+        # diagnostic naming delta and the residual
+        out_path = tmp_path / "t.json"
+        code, _, err = run("taylor", "--mesh", square_mesh, "--lambda0", "31.17",
+                           "--radius", "0.04", "--samples", "16", "--out", str(out_path))
         assert code == 2
         payload = json.loads(err)
         assert payload["error"] == "TrackingAmbiguityError" and "unexpected" not in payload
-        assert "delta=" in payload["message"] and "residual" in payload["message"]
+        assert "delta=0.024 " in payload["message"] and "residual" in payload["message"]
         assert not out_path.exists()
 
+    @pytest.mark.xfail(strict=True, reason="a circle around a conjugate pair of branch "
+                       "points closes, so taylor writes a wrong series with exit 0")
+    @pytest.mark.parametrize("shape, radius", [("disk", "0.12"), ("square", "0.06")])
+    def test_circle_around_a_branch_point_is_numerical_failure(
+            self, disk_mesh, square_mesh, tmp_path, shape, radius):
+        # today both exit 0 with a_0 = 3.1355 (disk) and 2.6519 (square)
+        # and held-out prediction errors of 0.72 and 0.78
+        mesh = disk_mesh if shape == "disk" else square_mesh
+        code, _, err = run("taylor", "--mesh", mesh, "--lambda0", "15.005677",
+                           "--radius", radius, "--samples", "32", "--order", "8",
+                           "--out", str(tmp_path / "t.json"))
+        assert code == 2, err
+
     def test_one_harvest_per_command(self, disk_mesh, tmp_path, monkeypatch):
-        # the circle, whose lead-in holds the held-out point, and every
-        # real-delta ramp continue one delta = 0 start
+        # the circle, whose lead-in holds the held-out point, continues one
+        # delta = 0 start
         calls = []
         solve_pencil = eig._solve_pencil
 
@@ -481,20 +515,16 @@ class TestTaylorCommand:
         monkeypatch.setattr(eig, "_solve_pencil", counted)
         code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", "15.005677",
                            "--radius", "0.02", "--samples", "8", "--order", "2",
-                           "--real_deltas", "0.005,0.01", "--out", str(tmp_path / "t.json"))
+                           "--out", str(tmp_path / "t.json"))
         assert code == 0, err
         assert calls == [0.0]
 
-    @pytest.mark.parametrize("real_deltas, steps", [((), 21), (("--real_deltas", "0.005,0.01"), 29)],
-                             ids=["circle", "two-ramps"])
-    def test_block_steps_per_command(self, disk_mesh, tmp_path, block_steps, real_deltas, steps):
-        # 4 lead-in and 17 circle steps, which include the held-out point,
-        # plus 4 per real-delta ramp
+    def test_block_steps_per_command(self, disk_mesh, tmp_path, block_steps):
+        # 4 lead-in and 17 circle steps, which include the held-out point
         code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", "15.005677",
-                           "--radius", "0.01", "--samples", "16", *real_deltas,
-                           "--out", str(tmp_path / "t.json"))
+                           "--radius", "0.01", "--samples", "16", "--out", str(tmp_path / "t.json"))
         assert code == 0, err
-        assert len(block_steps) == steps
+        assert len(block_steps) == 21
 
     def test_one_pencil_per_command(self, disk_mesh, tmp_path, monkeypatch):
         # the start and all 21 steps read one pencil, which reads the

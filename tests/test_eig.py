@@ -1,4 +1,3 @@
-import math
 import os
 import warnings
 import weakref
@@ -170,7 +169,7 @@ class TestDeltaSpectrum:
         monkeypatch.setattr(Mesh, "triangle_areas", counted)
         Pencil(forms_coarse).B(0.05)
         path, _ = circle_path(0.02, 4)
-        track_branch(forms_coarse, 15.005677, [path])
+        track_branch(forms_coarse, 15.005677, path)
         assert calls == []
 
     def test_resonant_shift_is_bumped(self, forms_coarse, monkeypatch):
@@ -373,7 +372,7 @@ class TestDiscreteK0:
 class TestTracking:
     def test_constant_path(self, forms_coarse, limit_coarse):
         lam0 = limit_coarse[0].lam
-        br, = track_branch(forms_coarse, lam0, [[0.0, 0.0, 0.0]])
+        br = track_branch(forms_coarse, lam0, [0.0, 0.0, 0.0])
         assert np.allclose(br.lambda_samples, br.lambda_samples[0])
 
     def test_real_path_monotone_real(self, forms_coarse):
@@ -381,7 +380,7 @@ class TestTracking:
         lam0 = min((p.lam for p in limit_spectrum(forms_coarse, 6)),
                    key=lambda l: abs(l - oracle))
         path = [0.0, 0.025, 0.05, 0.075, 0.1]
-        br, = track_branch(forms_coarse, lam0, [path])
+        br = track_branch(forms_coarse, lam0, path)
         lams = np.real(br.lambda_samples)
         assert np.all(np.abs(np.imag(br.lambda_samples)) <= 1e-9 * (1 + np.abs(lams)))
         diffs = np.diff(lams)
@@ -394,13 +393,13 @@ class TestTracking:
         r = 0.05
         ramp = [0.0, r / 4, r / 2, 3 * r / 4]
         circle = [r * np.exp(2j * np.pi * j / 16) for j in range(17)]
-        br, = track_branch(forms_coarse, lam0, [ramp + circle])
+        br = track_branch(forms_coarse, lam0, ramp + circle)
         assert abs(br.lambda_samples[-1] - br.lambda_samples[len(ramp)]) \
             <= 1e-9 * (1 + abs(br.lambda_samples[-1]))
 
     def test_path_must_start_at_zero(self, forms_coarse):
         with pytest.raises(EigError):
-            track_branch(forms_coarse, 14.0, [[0.1, 0.2]])
+            track_branch(forms_coarse, 14.0, [0.1, 0.2])
 
 
 def _dense_branch_oracle(forms, lambda0, delta, steps=20):
@@ -420,11 +419,11 @@ def _dense_branch_oracle(forms, lambda0, delta, steps=20):
 
 
 def _track_one_step(forms, lambda0, delta):
-    return track_branch(forms, lambda0, [[0.0, delta]])[0].lambda_samples[-1]
+    return track_branch(forms, lambda0, [0.0, delta]).lambda_samples[-1]
 
 
 def _cluster_one_step(forms, lambda0, delta):
-    return cluster_track(forms, [lambda0], [0.0, delta])[1][-1][0]
+    return cluster_track(forms, [lambda0], [0.0, delta])[0][-1][0]
 
 
 @pytest.mark.parametrize("tracker", [_track_one_step, _cluster_one_step],
@@ -491,7 +490,7 @@ def test_double_branch_first_order(forms_by_mesh, shape, lam_nominal, multiplici
 
     radius = 0.01
     path, start = circle_path(radius, 16)
-    circle = np.asarray(track_branch(forms, lam_nominal, [path])[0].lambda_samples[start:])
+    circle = np.asarray(track_branch(forms, lam_nominal, path).lambda_samples[start:])
     assert abs(circle[-1] - circle[0]) <= 1e-9 * (1.0 + abs(circle[0]))
     a = taylor_from_circle(circle, radius, 1)
     assert abs(a[0] - lam0) <= 1e-9 * lam0
@@ -528,9 +527,9 @@ def test_tracking_steps_reuse_no_harvest(forms_coarse, limit_coarse, monkeypatch
     monkeypatch.setattr(eig, "LUFactors", CountedFactors)
     circle, _ = circle_path(0.02, 8)
     paths = [circle, [0.0, 0.005, 0.01], [0.0, -0.01]]
-    branches = track_branch(forms_coarse, limit_coarse[0].lam, paths)
-    assert [len(br.lambda_samples) for br in branches] == [len(p) for p in paths]
-    assert pencil_calls == [0.0]
+    for path in paths:
+        assert len(track_branch(forms_coarse, limit_coarse[0].lam, path).lambda_samples) == len(path)
+    assert pencil_calls == [0.0] * len(paths)
     assert len(most_alive) >= sum(len(p) - 1 for p in paths)
     assert max(most_alive) == 0
 
@@ -538,22 +537,11 @@ def test_tracking_steps_reuse_no_harvest(forms_coarse, limit_coarse, monkeypatch
     pencil_calls.clear()
     most_alive.clear()
     path = circle[-5:]
-    _, sets, _ = cluster_track(forms_coarse, [p.lam for p in limit_coarse[:2]], path)
+    sets, _ = cluster_track(forms_coarse, [p.lam for p in limit_coarse[:2]], path)
     assert len(sets) == len(path)
     assert pencil_calls == [path[0]]
     assert len(most_alive) >= len(path)
     assert max(most_alive) == 0
-
-
-def test_paths_tracked_together_equal_paths_tracked_alone(forms_coarse):
-    # the shared start is the one each single-path call harvests
-    circle, _ = circle_path(0.02, 8)
-    paths = [circle, [0.01 * j / 4 for j in range(5)], [0.0], [0.0, 0.02j]]
-    together = track_branch(forms_coarse, 15.005677, paths)
-    for path, branch in zip(paths, together):
-        alone, = track_branch(forms_coarse, 15.005677, [path])
-        assert branch.lambda_samples == alone.lambda_samples
-        assert branch.delta_samples == alone.delta_samples
 
 
 class TestClusterTrack:
@@ -563,7 +551,7 @@ class TestClusterTrack:
         assert len(pair) == 2
         r = 0.02
         circle = [r * np.exp(2j * np.pi * j / 8) for j in range(9)]
-        _, sets, s = cluster_track(forms_coarse, pair, circle)
+        sets, s = cluster_track(forms_coarse, pair, circle)
         for p in (1, 2):
             assert abs(s[p][-1] - s[p][0]) <= 1e-8 * (1 + abs(s[p][0]))
         assert len(sets[0]) == 2

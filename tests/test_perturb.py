@@ -5,7 +5,6 @@ import pytest
 
 from enzspec.perturb import (
     LEAD_IN_STEPS,
-    AnalyticityReport,
     NonClosedBranchError,
     analyticity_report,
     circle_path,
@@ -65,7 +64,7 @@ class TestCirclePath:
 
     def test_rejects_zero_radius(self):
         with pytest.raises(ValueError):
-            circle_path(0.0)
+            circle_path(0.0, 16)
 
 
 class TestAnalyticityReport:
@@ -73,10 +72,8 @@ class TestAnalyticityReport:
         fn = lambda d: 3.0 + 2.0 * d + d * d
         vals = sample_circle(fn, 0.1, 16)
         held = [(0.05, fn(0.05)), (0.02 + 0.01j, fn(0.02 + 0.01j))]
-        rep = analyticity_report(vals, 0.1, 4, held_out=held,
-                                 real_axis_samples=[fn(0.05), fn(0.08)])
+        rep = analyticity_report(vals, 0.1, 4, held)
         assert rep.prediction_errors.max() < 1e-13
-        assert rep.reality_defect == 0.0
         assert rep.closure_defect < 1e-14
 
     @pytest.mark.parametrize("delta", [0.2, 0.1, -0.1, 0.08 + 0.08j])
@@ -85,29 +82,35 @@ class TestAnalyticityReport:
         fn = lambda d: 1.0 / (1.0 - 5.0 * d)
         with pytest.raises(ValueError, match="inside the circle"):
             analyticity_report(sample_circle(fn, 0.1, 16), 0.1, 4,
-                               held_out=[(0.05, fn(0.05)), (delta, 1.0)])
+                               [(0.05, fn(0.05)), (delta, 1.0)])
 
     def test_decay_ratios_geometric(self):
         vals = sample_circle(lambda d: 1.0 / (1.0 - 2.0 * d), 0.1, 32)
-        rep = analyticity_report(vals, 0.1, 8)
+        rep = analyticity_report(vals, 0.1, 8, [])
         # |a_{k+1}| r / |a_k| = 2 r = 0.2 for the geometric series
         assert np.abs(rep.decay_ratios - 0.2).max() < 1e-6
 
     def test_reality_defect_measures_imag(self):
-        rep = analyticity_report(sample_circle(lambda d: 1.0 + d, 0.1, 16), 0.1, 2,
-                                 real_axis_samples=[1.0 + 1e-7j])
-        assert abs(rep.reality_defect - 1e-7 / 2.0) < 1e-12
+        # lambda = 1 + 1e-7 i delta breaks lambda(conj delta) = conj lambda(delta):
+        # lambda_j - conj lambda_{N-j} = 2e-7 i delta_j, of modulus 2e-7 r
+        r = 0.1
+        rep = analyticity_report(sample_circle(lambda d: 1.0 + 1e-7j * d, r, 16), r, 2, [])
+        expected = 1e-7 * r / (1.0 + abs(1.0 + 1e-7j * r))
+        assert abs(rep.reality_defect - expected) <= 1e-15
+        # real Taylor coefficients reflect to rounding
+        rep = analyticity_report(sample_circle(lambda d: 1.0 / (1.0 - 2.0 * d), r, 32), r, 8, [])
+        assert rep.reality_defect <= 1e-15
 
     def test_json_keys(self):
-        rep = analyticity_report(sample_circle(lambda d: 1.0 + d, 0.1, 16), 0.1, 2)
+        rep = analyticity_report(sample_circle(lambda d: 1.0 + d, 0.1, 16), 0.1, 2, [])
         payload = json.loads(rep.to_json())
         assert set(payload) == {"a_coeffs", "decay_ratios", "prediction_errors",
                                 "reality_defect", "closure_defect"}
 
     def test_json_deterministic(self):
         vals = sample_circle(lambda d: 2.0 + d, 0.1, 16)
-        r1 = analyticity_report(vals, 0.1, 2).to_json()
-        r2 = analyticity_report(vals, 0.1, 2).to_json()
+        r1 = analyticity_report(vals, 0.1, 2, []).to_json()
+        r2 = analyticity_report(vals, 0.1, 2, []).to_json()
         assert r1 == r2
 
 
