@@ -112,10 +112,8 @@ class DrivingField:
         self.fields = [np.asarray(f, dtype=float) for f in self.fields]
 
     def coefficient(self, k: int) -> np.ndarray:
-        """F_k, which is zero for k < 0 and beyond the last field."""
-        if 0 <= k < len(self.fields):
-            return self.fields[k]
-        return np.zeros_like(self.fields[0])
+        """F_k for k >= 0, which is zero beyond the last field."""
+        return self.fields[k] if k < len(self.fields) else np.zeros_like(self.fields[0])
 
     def validate(self, forms: AssembledForms) -> None:
         for k, f in enumerate(self.fields):
@@ -170,6 +168,9 @@ class CascadeState:
     h_list: list = field(default_factory=list)      # full-mesh nodal arrays
     c_list: list = field(default_factory=list)
     norm_list: list = field(default_factory=list)   # H1(Omega) norms of h_k
+    # shell residual of (h_k, F_k), the next order's interface data; none
+    # before order zero
+    residual: np.ndarray | None = None
 
     @property
     def order(self) -> int:
@@ -190,12 +191,11 @@ class Cascade:
         self.sub_s = extract_submesh(mesh, SHELL)
         self.forms_d = restrict_forms(self.forms, self.sub_d)
         self.forms_s = restrict_forms(self.forms, self.sub_s)
-        # node index translation between the two submeshes via the parent
-        parent_to_d = np.empty(mesh.n_vertices, dtype=int)
-        parent_to_d[self.sub_d.vertex_map] = np.arange(len(self.sub_d.vertex_map))
         self._shell_iface = self.sub_s.mesh.boundary_vertices(INTERFACE)
         self._shell_outer = self.sub_s.mesh.boundary_vertices(OUTER)
-        self._iface_in_d = parent_to_d[self.sub_s.vertex_map[self._shell_iface]]
+        # the interface vertices' inclusion indices: both vertex maps are sorted
+        self._iface_in_d = np.searchsorted(self.sub_d.vertex_map,
+                                           self.sub_s.vertex_map[self._shell_iface])
 
     @cached_property
     def _psi_solution(self):
@@ -221,48 +221,29 @@ class Cascade:
     def psi_energy(self) -> float:
         return self._psi_solution[1]
 
-    # -- field restrictions ------------------------------------------------
-    def _restrict(self, field_values, sub):
-        return np.asarray(field_values)[sub.triangle_map]
-
-    def _combine(self, h_d: np.ndarray, h_s: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.mesh.n_vertices, dtype=np.result_type(h_d.dtype, h_s.dtype))
-        full[self.sub_s.vertex_map] = h_s
-        full[self.sub_d.vertex_map] = h_d   # interface nodes: same values
-        return full
-
     def _shell_residual(self, h_s: np.ndarray, field_s: np.ndarray) -> np.ndarray:
         """Nodal residual of the shell solve = variational normal flux of
         (grad h + F) w.r.t. the shell's outward normal."""
         return self.forms_s.A @ h_s + divergence_load_vector(self.forms_s, field_s)
 
-    def outer_flux(self, h_full: np.ndarray, field_full: np.ndarray) -> float:
-        h_s = self.sub_s.restrict(h_full)
-        r = self._shell_residual(h_s, self._restrict(field_full, self.sub_s))
-        return float(np.real_if_close(r[self._shell_outer].sum()))
-
     # -- cascade orders ----------------------------------------------------
-    def step(self, state: CascadeState, f_prev: np.ndarray, f_curr: np.ndarray) -> None:
+    def step(self, state: CascadeState, f_k: np.ndarray) -> None:
         """Append order k = state.order + 1.  The interior Neumann data is the
-        shell-side flux of (grad h_{k-1} + F_{k-1}) minus the inclusion-side
-        normal trace of F_k; at order zero h_{-1} = 0 and F_{-1} = 0, so the
-        shell flux vanishes exactly.  A harmonic shell extension follows, then
-        the Psi multiple that cancels the outer flux."""
+        shell residual of (h_{k-1}, F_{k-1}) minus the inclusion-side normal
+        trace of F_k; order zero has no shell residual.  A harmonic shell
+        extension follows, then the Psi multiple that cancels the outer flux.
+        Its shell residual is re-measured and kept for order k + 1."""
         k = state.order + 1
-        h_prev = state.h_list[-1] if state.h_list else np.zeros(self.mesh.n_vertices)
-        r = self._shell_residual(self.sub_s.restrict(h_prev), self._restrict(f_prev, self.sub_s))
-        load = -divergence_load_vector(self.forms_d, self._restrict(f_curr, self.sub_d))
-        load[self._iface_in_d] -= r[self._shell_iface]
+        load = -divergence_load_vector(self.forms_d, f_k[self.sub_d.triangle_map])
+        if state.residual is not None:
+            load[self._iface_in_d] -= state.residual[self._shell_iface]
         try:
             h_d = solve_neumann(self.forms_d, load)
         except FemError as exc:
             cause = " (flux imbalance upstream of the induction)" if k else ""
             raise CascadeError(f"order {k} interior problem incompatible{cause}: "
                                f"{exc}") from exc
-        self._finish_order(state, h_d, f_curr)
-
-    def _finish_order(self, state: CascadeState, h_d: np.ndarray, f_k: np.ndarray) -> None:
-        f_s = self._restrict(f_k, self.sub_s)
+        f_s = f_k[self.sub_s.triangle_map]
         trace = np.zeros(self.sub_s.mesh.n_vertices)
         trace[self._shell_iface] = h_d[self._iface_in_d]
         h_s = solve_dirichlet(self.forms_s,
@@ -270,19 +251,24 @@ class Cascade:
                               load=-divergence_load_vector(self.forms_s, f_s))
         flux = float(self._shell_residual(h_s, f_s)[self._shell_outer].sum())
         c_k = -flux / self.psi_energy
-        h_full = self._combine(h_d, h_s) + c_k * self.psi
+        h_full = self.sub_s.extend(h_s)
+        h_full[self.sub_d.vertex_map] = h_d   # interface nodes: same values
+        h_full = h_full + c_k * self.psi
         # independent re-measurement of the enforced normalization, against
         # the magnitudes of the terms it sums: order k > 0 is driven by
         # h_{k-1}, not by F_k alone
-        re_flux = self.outer_flux(h_full, f_k)
-        size = _flux_size(self.forms_s.A, self.sub_s.restrict(h_full), self.forms_s, f_s)
+        h_s = self.sub_s.restrict(h_full)
+        residual = self._shell_residual(h_s, f_s)
+        re_flux = float(residual[self._shell_outer].sum())
+        size = _flux_size(self.forms_s.A, h_s, self.forms_s, f_s)
         if abs(re_flux) > 1e-8 * size[self._shell_outer].sum():
             raise CascadeError(f"outer flux {re_flux:.3e} survives the "
-                               f"Psi correction at order {state.order + 1}")
+                               f"Psi correction at order {k}")
         l2, h1 = norms(self.forms, h_full)
         state.h_list.append(h_full)
         state.c_list.append(c_k)
         state.norm_list.append(float(np.hypot(l2, h1)))
+        state.residual = residual
 
     def run(self, driving: DrivingField, max_order: int) -> CascadeState:
         driving.validate(self.forms)
@@ -293,7 +279,7 @@ class Cascade:
         state = CascadeState()
         with factor_once(self.forms_d, self.forms_s):
             for k in range(max_order + 1):
-                self.step(state, driving.coefficient(k - 1), driving.coefficient(k))
+                self.step(state, driving.coefficient(k))
         return state
 
 

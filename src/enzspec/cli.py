@@ -100,6 +100,14 @@ _complex_list = _list_of(_finite_complex)
 _nonzero_complex_list = _list_of(_checked(_finite_complex, lambda d: d != 0, "nonzero"))
 
 
+# largest relative mismatch between the pencil's limit eigenvalues and the
+# reciprocals of the compact operator's that `eig k0` accepts
+_K0_TOL = 1e-7
+# electric `mie dispersion` samples with |delta| at most this seed from the
+# delta -> 0 limit root, the others from the delta = 1 root z_1 / R
+_LIMIT_SEED_RADIUS = 0.05
+
+
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
@@ -192,20 +200,17 @@ def _csv_lines(name: str, header, rows):
     return lines
 
 
-def _generate(shape: str, size: float, rings_core: int, rings_shell: int,
-              n_theta: int = 0):
-    """The mesh of a shape; n_theta = 0 selects the generator's default."""
+def _generate(shape: str, size: float, rings_core: int, rings_shell: int):
     generators = {"disk": generate_disk_in_disk, "square": generate_square_with_disk}
     if shape not in generators:
         raise ConfigError(f"unknown shape {shape!r} (expected disk or square)")
-    return generators[shape](size, rings_core, rings_shell, n_theta or None)
+    return generators[shape](size, rings_core, rings_shell)
 
 
 # -- command bodies ----------------------------------------------------------
 
 def _cmd_mesh_gen(cfg, out):
-    mesh = _generate(cfg["shape"], cfg["size"], cfg["rings_core"],
-                     cfg["rings_shell"], cfg["n_theta"])
+    mesh = _generate(cfg["shape"], cfg["size"], cfg["rings_core"], cfg["rings_shell"])
     save_mesh(mesh, cfg["out"])
     print(f"wrote {cfg['out']}: {mesh.n_vertices} vertices, "
           f"{mesh.n_triangles} triangles", file=out)
@@ -257,9 +262,9 @@ def _cmd_eig_k0(cfg, out):
     _write_lines(cfg["out"], _csv_lines(
         "eig-k0", ["index", "lambda_pencil", "rho", "lambda_from_rho", "mismatch"],
         rows))
-    if worst > cfg["tol"]:
+    if worst > _K0_TOL:
         raise EigError(f"pencil/compact-operator mismatch {worst:.3e} exceeds "
-                       f"{cfg['tol']:g} (table written to {cfg['out']})")
+                       f"{_K0_TOL:g} (table written to {cfg['out']})")
 
 
 def _cmd_taylor(cfg, out):
@@ -330,7 +335,12 @@ def _cmd_mie_dispersion(cfg, out):
     if seed == 0.0:
         seed = float(bessel_zeros(cfg["n"], 1)[0])
         if family == FAMILY_E:
-            seed /= cfg["R"]
+            # the delta -> 0 limit root lies below z_1, in the
+            # nonelectrostatic interval 0
+            small = np.abs(deltas) <= _LIMIT_SEED_RADIUS
+            seed = np.full(len(deltas), seed / cfg["R"])
+            if small.any():
+                seed[small] = nonelectrostatic_mode(cfg["n"], 0, cfg["R"], 0).k
 
     lams = concentric_dispersion(family, cfg["n"], cfg["R"], deltas, seed)
     rows = zip(deltas.real, deltas.imag, lams.real, lams.imag)
@@ -355,7 +365,6 @@ _COMMANDS = {
         "size": (_finite, 2.0),
         "rings_core": (int, 8),
         "rings_shell": (int, 8),
-        "n_theta": (int, 0),
         "out": (str, _REQUIRED),
     }),
     ("mesh", "info"): (_cmd_mesh_info, {"mesh": (str, _REQUIRED)}),
@@ -374,7 +383,6 @@ _COMMANDS = {
     ("eig", "k0"): (_cmd_eig_k0, {
         "mesh": (str, _REQUIRED),
         "count": (_at_least_1, 6),
-        "tol": (_positive, 1e-7),
         "out": (str, _REQUIRED),
     }),
     ("taylor", None): (_cmd_taylor, {
@@ -405,7 +413,7 @@ _COMMANDS = {
         "p": (_at_least_1, _REQUIRED),
         "q": (int, 0),
         "R": (_outer_radius, 2.0),
-        "interval": (_at_least_1, 1),
+        "interval": (_at_least_0, 1),
         "out": (str, _REQUIRED),
     }),
     ("mie", "dispersion"): (_cmd_mie_dispersion, {

@@ -236,8 +236,6 @@ def _ring_mesh(rings_core: int, n_theta: int, shell_rings):
     first.  The tagged edges are the n_theta INTERFACE edges (a, b) of ring
     rings_core, then the n_theta OUTER edges of the last ring.
     """
-    if n_theta < 3:
-        raise MeshError(f"n_theta must be >= 3, got {n_theta}")
     core = (np.arange(1, rings_core + 1) / rings_core)[:, None, None] * _unit_circle(n_theta)
     rings = np.concatenate([core, shell_rings])
     vertices = np.vstack([np.zeros((1, 2)), rings.reshape(-1, 2)])
@@ -260,8 +258,7 @@ def _default_n_theta(rings_core: int) -> int:
     return n + (-n) % 8  # multiple of 8 so square corners land on vertices
 
 
-def generate_disk_in_disk(R: float, rings_core: int, rings_shell: int,
-                          n_theta: int | None = None) -> Mesh:
+def generate_disk_in_disk(R: float, rings_core: int, rings_shell: int) -> Mesh:
     """Structured polar mesh of the unit disk inside the disk of radius R.
 
     Ring i = 1..rings_core is the circle of radius i / rings_core, ring
@@ -278,16 +275,14 @@ def generate_disk_in_disk(R: float, rings_core: int, rings_shell: int,
         raise MeshError(f"outer radius must exceed 1 and be at most {_SIZE_MAX:g}, got {R}")
     if rings_core < 2 or rings_shell < 2:
         raise MeshError("ring counts must be >= 2")
-    if n_theta is None:
-        n_theta = _default_n_theta(rings_core)
+    n_theta = _default_n_theta(rings_core)
     radii = 1.0 + np.arange(1, rings_shell + 1) * (R - 1.0) / rings_shell
     mesh = Mesh(*_ring_mesh(rings_core, n_theta, radii[:, None, None] * _unit_circle(n_theta)))
     mesh.validate()
     return mesh
 
 
-def generate_square_with_disk(L: float, rings_core: int, rings_blend: int,
-                              n_theta: int | None = None) -> Mesh:
+def generate_square_with_disk(L: float, rings_core: int, rings_blend: int) -> Mesh:
     """Unit disk inside the square [-L, L]^2, shell meshed by transfinite
     blending between the circle r = 1 and the square boundary.
 
@@ -304,10 +299,7 @@ def generate_square_with_disk(L: float, rings_core: int, rings_blend: int,
         raise MeshError(f"half side must exceed 1 and be at most {_SIZE_MAX:g}, got {L}")
     if rings_core < 2 or rings_blend < 2:
         raise MeshError("ring counts must be >= 2")
-    if n_theta is None:
-        n_theta = _default_n_theta(rings_core)
-    if n_theta % 8:
-        raise MeshError("n_theta must be a multiple of 8 so square corners are vertices")
+    n_theta = _default_n_theta(rings_core)
     circle = _unit_circle(n_theta)
     square = L * circle / np.abs(circle).max(axis=1, keepdims=True)
     s = (np.arange(1, rings_blend + 1) / rings_blend)[:, None, None]

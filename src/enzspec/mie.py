@@ -135,17 +135,20 @@ def nonelectrostatic_mode(p: int, q: int, R: float, interval_index: int) -> MieM
 
     (C, D) depend only on (p, R); k is then located by brentq on the
     tangential-H mismatch over the interval between consecutive zeros of
-    j_p selected by interval_index (1-based).
+    j_p selected by interval_index (1-based).  Interval 0 is [z_1 / 2, z_1)
+    below the first zero z_1: its root is the delta -> 0 limit of the
+    electric dispersion family.
     """
     if p < 1:
         raise MieError(f"degree must be >= 1, got {p}")
-    if interval_index < 1:
-        raise MieError(f"interval index must be >= 1, got {interval_index}")
+    if interval_index < 0:
+        raise MieError(f"interval index must be >= 0, got {interval_index}")
     idx = HarmonicIndex(p, q)
     c, d = _outer_system(p, R, -math.sqrt(p * (p + 1.0)))
     shell_const = -((p + 1.0) * c - p * d) / math.sqrt(p * (p + 1.0))
     zeros = bessel_zeros(p, interval_index + 1)
-    lo, hi = float(zeros[-2]), float(zeros[-1])
+    lo = float(zeros[-2]) if interval_index else 0.5 * float(zeros[0])
+    hi = float(zeros[-1])
     eps = 1e-9 * (1.0 + hi)
     a, b = lo + eps, hi - eps
     fa = _h_matching_gap(p, a, shell_const)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from enzspec.fem import AssembledForms
-from enzspec.mesh import Mesh
+from enzspec.mesh import OUTER, Mesh
 
 
 def element_gradients(forms: AssembledForms, values: np.ndarray) -> np.ndarray:
@@ -41,3 +41,12 @@ def boundary_flux(forms: AssembledForms, values: np.ndarray, tag: int) -> float:
     boundary integral of the normal derivative."""
     nodes = forms.mesh.boundary_vertices(tag)
     return float((forms.A @ np.asarray(values))[nodes].sum())
+
+
+def outer_flux(cascade, h: np.ndarray, field_values: np.ndarray) -> float:
+    """Variational outward flux of grad h + F through a cascade's outer
+    boundary: the shell residual A_S h + div F summed over the outer nodes."""
+    forms, sub = cascade.forms_s, cascade.sub_s
+    residual = (forms.A @ sub.restrict(h)
+                + forms.div @ np.asarray(field_values)[sub.triangle_map].ravel())
+    return float(residual[forms.mesh.boundary_vertices(OUTER)].sum())

@@ -26,7 +26,7 @@ from enzspec.mesh import (
     generate_disk_in_disk,
     generate_square_with_disk,
 )
-from fem_fields import perp_gradient_field
+from fem_fields import outer_flux, perp_gradient_field
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +170,7 @@ class TestBase:
     def test_outer_flux_cancelled(self, cascade_ws):
         f0 = constant_field(cascade_ws, [1.0, 0.0])
         state = cascade_ws.run(DrivingField([f0]), 0)
-        assert abs(cascade_ws.outer_flux(state.h_list[0], f0)) < 1e-10
+        assert abs(outer_flux(cascade_ws, state.h_list[0], f0)) < 1e-10
 
 
 class TestSteps:
@@ -188,7 +188,21 @@ class TestSteps:
         zero = np.zeros_like(driving.fields[0])
         for k, h in enumerate(state.h_list):
             fk = driving.coefficient(k) if k == 0 else zero
-            assert abs(cascade_ws.outer_flux(h, fk)) < 1e-8
+            assert abs(outer_flux(cascade_ws, h, fk)) < 1e-8
+
+    def test_two_shell_residuals_per_order(self, cascade_ws, monkeypatch):
+        # one sets c_k and one re-measures the outer flux after Psi; the
+        # re-measured residual is the next order's interface data
+        calls = []
+        residual = Cascade._shell_residual
+
+        def counting(self, *args):
+            calls.append(None)
+            return residual(self, *args)
+
+        monkeypatch.setattr(Cascade, "_shell_residual", counting)
+        cascade_ws.run(DrivingField([constant_field(cascade_ws, [1.0, 0.0])]), 6)
+        assert len(calls) == 2 * (6 + 1)
 
     def test_inclusion_mean_zero(self, cascade_ws):
         driving = DrivingField([constant_field(cascade_ws, [0.3, 0.7])])

@@ -98,7 +98,6 @@ class TestArgumentHandling:
     (["mie", "dispersion", "--family", "magnetic", "--n", "1", "--radius", "0.01",
       "--samples", "0"], "samples"),
     (["cascade", "--orders", "-1"], "orders"),
-    (["eig", "k0", "--tol", "nan"], "tol"),
     (["eig", "limit", "--count", "0"], "count"),
     (["invariance", "--rings", "2", "--count", "0"], "count"),
     (["eig", "sweep", "--deltas", "nan"], "deltas"),
@@ -108,7 +107,7 @@ class TestArgumentHandling:
     (["mie", "electrostatic", "--n", "1", "--m", "5"], "|m| <= n"),
     (["mie", "nonelectrostatic", "--p", "1", "--R", "1"], "R"),
 ], ids=["taylor-samples-12", "taylor-order-9", "dispersion-samples-0", "cascade-orders-neg",
-        "k0-tol-nan", "limit-count-0", "invariance-count-0", "sweep-deltas-nan",
+        "limit-count-0", "invariance-count-0", "sweep-deltas-nan",
         "sweep-deltas-empty", "invariance-shapes-empty", "cascade-delta-nan",
         "electrostatic-m-5", "nonelectrostatic-R-1"])
 def test_value_outside_its_domain_is_validation_error(disk2_mesh, tmp_path, argv, key):
@@ -331,14 +330,13 @@ class TestMeshCommands:
                            str(tmp_path / "m.txt"))
         assert code == 1 and "ring counts" in err
 
-    @pytest.mark.parametrize("shape, fragment", [("disk", "n_theta must be >= 3"),
-                                                 ("square", "multiple of 8")])
-    def test_negative_n_theta_rejected(self, tmp_path, shape, fragment):
-        # only 0 selects the default angle count
+    @pytest.mark.parametrize("shape", ["disk", "square"])
+    def test_n_theta_is_unknown_key(self, tmp_path, shape):
+        # the angle count follows from rings_core alone
         path = tmp_path / "m.txt"
-        code, out, err = run("mesh", "gen", "--shape", shape, "--n_theta", "-5",
+        code, out, err = run("mesh", "gen", "--shape", shape, "--n_theta", "16",
                              "--out", str(path))
-        assert code == 1 and fragment in err
+        assert code == 1 and "unknown keys" in err and "n_theta" in err
         assert out == "" and not path.exists()
 
 
@@ -371,6 +369,14 @@ class TestEigCommands:
         lines = out_path.read_text().splitlines()
         mismatches = [float(ln.split(",")[4]) for ln in lines[2:]]
         assert max(mismatches) <= 1e-7
+
+    def test_k0_tol_is_unknown_key(self, disk_mesh, tmp_path):
+        # the accepted pencil/compact-operator mismatch is fixed
+        out_path = tmp_path / "k0.csv"
+        code, _, err = run("eig", "k0", "--mesh", disk_mesh, "--count", "4",
+                           "--tol", "1e-7", "--out", str(out_path))
+        assert code == 1 and "unknown keys" in err and "tol" in err
+        assert not out_path.exists()
 
     def test_sweep(self, disk_mesh, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -819,8 +825,6 @@ class TestMieCommands:
         k_ref = 4.493409457909064 / 2.0   # first zero of j_1, over R
         assert abs(float(row[2]) - k_ref**2) < 1e-9
 
-    @pytest.mark.xfail(strict=True, reason="electric n = 3 samples start from the delta = 0 "
-                       "root and converge to other roots of the dispersion relation")
     def test_dispersion_electric_n3_is_continuous(self, tmp_path):
         # the branch through the limit root is analytic in delta, so
         # neighbouring samples of a fine circle lie close together

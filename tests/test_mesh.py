@@ -115,13 +115,6 @@ def test_ring_numbering_closed_forms(generate, rings, n_theta):
         assert np.array_equal(mesh.boundary_edges(tag), expected)
 
 
-@pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
-@pytest.mark.parametrize("n_theta", [0, -8])
-def test_rejects_too_few_angles(generate, n_theta):
-    with pytest.raises(MeshError, match="n_theta"):
-        generate(2.0, 2, 2, n_theta=n_theta)
-
-
 def reference_mesh_bytes(mesh):
     """The mesh file as a per-row f-string writer formats it: an oracle for
     the bytes save_mesh writes."""

@@ -122,6 +122,16 @@ class TestNonelectrostaticMode:
             zeros = jn_zeros(p, interval + 1)
             assert zeros[-2] < mode.k < zeros[-1]
 
+    @pytest.mark.parametrize("p, R", [(1, 2.0), (3, 1.5), (4, 4.0)])
+    def test_cli_interval_zero_is_electric_limit(self, tmp_path, p, R):
+        # below the first zero of j_p, the tangential-H matching root is the
+        # delta -> 0 limit of the electric dispersion family
+        out = io.StringIO()
+        assert main(["mie", "nonelectrostatic", "--p", str(p), "--R", str(R),
+                     "--interval", "0", "--out", str(tmp_path / "m.txt")], out=out) == 0
+        k = float(dict(ln.split(None, 1) for ln in out.getvalue().splitlines())["k"])
+        assert abs(k - electric_limit_k(p, R)) <= 1e-10 * k
+
     def test_interface_residuals_and_shell_h(self):
         for p, R in [(1, 2.0), (2, 1.5), (3, 2.0)]:
             res = interface_residuals(nonelectrostatic_mode(p, 1 - p, R, 1))
@@ -331,6 +341,19 @@ class TestBatchedDispersion:
         assert len(lams) == 257 and deltas[0] == 0.01
         z2 = jn_zeros(n)[0] ** 2
         assert abs(lams[:-1].mean() - z2) <= 1e-8 * z2
+
+    @pytest.mark.parametrize("R", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cli_electric_circle_mean_is_limit_root(self, tmp_path, n, R):
+        # small |delta| seeds from the limit root, so the whole circle stays
+        # on its branch and the Cauchy mean is the delta = 0 value
+        out_path = tmp_path / "d.csv"
+        assert main(["mie", "dispersion", "--family", "electric", "--n", str(n),
+                     "--R", str(R), "--radius", "0.01", "--samples", "256",
+                     "--out", str(out_path)]) == 0
+        _, lams = _circle_csv(out_path)
+        lim = electric_limit_k(n, R) ** 2
+        assert abs(lams[:-1].mean() - lim) <= 1e-8 * lim
 
     def test_zero_anywhere_rejected(self):
         with pytest.raises(MieError, match="delta != 0"):
