@@ -2,8 +2,10 @@
 
 Covers the delta = 0 limit problem, the complex-delta problem via
 shift-invert Arnoldi with constant-mode deflation, the explicit dense
-compact-operator route, and one continuation loop that tracks a
-branch or a cluster along paths in the complex delta plane.
+compact-operator route, and one continuation loop that tracks a set of
+eigenpairs along paths in the complex delta plane: a cluster, or a branch
+as its lambda-group (every copy of its delta = 0 eigenvalue), reported by
+the group's mean.
 
 Every spectrum and tracking call builds one `Pencil`, the data the rest
 reads: `Pencil.B` is the one place that forms and checks B_delta, and
@@ -46,17 +48,16 @@ class EigError(RuntimeError):
 
 
 class TrackingAmbiguityError(EigError):
-    """Raised when continuation cannot pick its successors or loses the tracked span."""
+    """Raised when a continuation step's corrector stalls or the tracked set loses its span."""
 
 
 # _solve_pencil: the relative residual a harvested eigenpair must reach,
 # and the most ARPACK runs before the verification rounds.
 _RES_TOL, _MAX_ROUNDS = 1e-8, 6
-# _block_step: the relative Ritz residuals it aims for and accepts, and the
-# relative distance within which Ritz values count as one eigenvalue.
-_RES_GOAL, _RES_ACCEPT, _SAME_VALUE = 1e-13, 1e-8, 1e-9
+# _block_step: the relative Ritz residuals it aims for and accepts.
+_RES_GOAL, _RES_ACCEPT = 1e-13, 1e-8
 # track_branch: the eigenpairs its start harvests at delta = 0; _continue:
-# the overlap ratio that makes two successors ambiguous or a span lost.
+# the overlap ratio below which the tracked span counts as lost.
 _START_COUNT, _AMBIGUITY_RATIO = 5, 0.9
 # Pencil.B: the largest |delta| accepted; beyond it the shifted matrix
 # A - sigma (M_D + delta M_S), with sigma growing like delta, overflows.
@@ -99,7 +100,8 @@ class EigenPair:
 
 @dataclass
 class Branch:
-    """One eigenvalue family lambda(delta) sampled along a path."""
+    """The mean lambda(delta) of one lambda-group sampled along a path, and
+    at each sample the group's eigenvectors as the columns of an array."""
 
     lambda_samples: list
     vectors: list
@@ -384,27 +386,26 @@ def _match(values, targets):
     return out
 
 
-def _continue(pencil: Pencil, lams, vecs, block, path, pick):
-    """Continue the eigenpairs (lams, columns of vecs) of (A, B_path[0]),
-    whose eigenspaces `block` spans, along path; returns one sample
-    (lams, vecs) per point.
+def _continue(pencil: Pencil, lams, vecs, path):
+    """Continue the eigenpairs (lams, columns of vecs) of (A, B_path[0])
+    along path; returns one sample (lams, vecs) per point.
 
     Each step predicts the tracked values' mean (`_predict` on the means of
     lambda and of its slope -lambda v^T M_S v / v^T B v), corrects the
-    block with one factorization there (`_block_step`), and takes the
-    successors and the next block from `pick(pencil, delta, B, Ritz values,
-    Ritz vectors, lams, vecs)`.  With p the bilinear projection of a
-    previous vector v onto the successors' span W, |v^T B p| / sqrt|p^T B p|
-    = sqrt|c^T (W^T B W)^-1 c|, c = W^T B v (|v^T B w| for one successor w),
-    below 1 / hypot(1, _AMBIGUITY_RATIO) raises TrackingAmbiguityError.  The
-    check is set-wise because a symmetry-protected double's Ritz basis
-    turns freely.
+    vectors with one factorization there (`_block_step`), and takes as
+    successors the Ritz pair nearest each tracked value (`_match`).  With p
+    the bilinear projection of a previous vector v onto the successors'
+    span W, |v^T B p| / sqrt|p^T B p| = sqrt|c^T (W^T B W)^-1 c|, c = W^T B
+    v, below 1 / hypot(1, _AMBIGUITY_RATIO) raises TrackingAmbiguityError.
+    The check is set-wise because a multiple eigenvalue's Ritz basis turns
+    freely.
     """
     bmat, history, samples = pencil.B(path[0]), [], []
     for k, delta in enumerate(path):
         if k:
-            bmat, theta, block = _block_step(pencil, delta, _predict(history, delta), block)
-            prev, (lams, vecs, block) = vecs, pick(pencil, delta, bmat, theta, block, lams, vecs)
+            bmat, theta, ritz = _block_step(pencil, delta, _predict(history, delta), vecs)
+            order = _match(theta, lams)
+            prev, lams, vecs = vecs, [theta[i] for i in order], ritz[:, order]
             bw = bmat @ vecs
             c = bw.T @ prev
             overlap = np.sqrt(np.min(np.abs(np.sum(c * np.linalg.solve(vecs.T @ bw, c), 0))))
@@ -417,43 +418,16 @@ def _continue(pencil: Pencil, lams, vecs, block, path, pick):
     return samples
 
 
-def _pick_branch(pencil, delta, bmat, theta, block, lams, vecs):
-    """One branch's successor.  When the Ritz values agree to _SAME_VALUE
-    (relative), the block's basis is arbitrary: the bilinear projection of
-    the tracked vector onto it.  Else the Ritz vector w of largest overlap
-    |v^T B w|; a second above _AMBIGUITY_RATIO times it, on a distinct
-    eigenvalue, raises TrackingAmbiguityError.  The block goes on as is."""
-    v = vecs[:, 0]
-    if np.all(np.abs(theta - theta[0]) <= _SAME_VALUE * max(1.0, abs(theta[0]))):
-        w = block @ np.linalg.solve(block.T @ (bmat @ block), block.T @ (bmat @ v))
-        w = _bilinear_normalize(w, bmat)
-        lam = _rayleigh(pencil.A, bmat, w)[0]
-    else:
-        overlaps = np.abs(block.T @ (bmat @ v))
-        best, second = np.argsort(-overlaps)[:2]
-        distinct = abs(theta[best] - theta[second]) > _SAME_VALUE * max(1.0, abs(theta[best]))
-        if distinct and overlaps[second] > _AMBIGUITY_RATIO * overlaps[best]:
-            raise TrackingAmbiguityError(f"ambiguous continuation at delta={delta}: overlaps "
-                                         f"{overlaps[best]:.3e} vs {overlaps[second]:.3e}")
-        w, lam = block[:, best], theta[best]
-    return [lam], w[:, None], block
-
-
-def _pick_cluster(pencil, delta, bmat, theta, block, lams, vecs):
-    """A cluster's successors: the Ritz pair nearest each tracked value (`_match`)."""
-    order = _match(theta, lams)
-    ritz = block[:, order]
-    return [theta[i] for i in order], ritz, ritz
-
-
 def track_branch(forms: AssembledForms, lambda0: float, path) -> Branch:
-    """Continue one eigenvalue branch along a delta path starting at 0.
+    """Continue the lambda-group of the limit eigenvalue nearest lambda0
+    along a delta path starting at 0.
 
-    The start harvests _START_COUNT eigenpairs at delta = 0 and keeps the
-    one nearest lambda0 in a block with every harvested copy of its
-    eigenvalue (1e-6 relative), so a double eigenvalue travels as its
-    two-dimensional eigenspace; the path runs `_continue` with
-    `_pick_branch`.
+    The start harvests _START_COUNT eigenpairs at delta = 0 and keeps every
+    copy (1e-6 relative) of the eigenvalue nearest lambda0: its group, the
+    eigenvalues that leave that value as delta moves off 0.  `_continue`
+    tracks the copies as a cluster, and each sample is their mean, which
+    stays analytic in delta when the copies split or braid (Kato, ch. II
+    section 2).
     """
     path = list(path)
     if not (path and abs(path[0]) <= 1e-15):
@@ -461,10 +435,10 @@ def track_branch(forms: AssembledForms, lambda0: float, path) -> Branch:
     pencil = Pencil(forms)
     pairs = _solve_pencil(pencil, 0.0, lambda0 * (1.0 + 1e-4) + 1e-3, _START_COUNT)
     pairs.sort(key=lambda p: abs(p.lam - lambda0))
-    lam, v = pairs[0].lam, pairs[0].vector[:, None]
-    block = np.column_stack([p.vector for p in pairs if abs(p.lam - lam) <= 1e-6 * abs(lam)])
-    samples = _continue(pencil, [lam], v, block, [0.0] + path[1:], _pick_branch)
-    return Branch([ls[0] for ls, _ in samples], [vs[:, 0] for _, vs in samples])
+    group = [p for p in pairs if abs(p.lam - pairs[0].lam) <= 1e-6 * abs(pairs[0].lam)]
+    samples = _continue(pencil, [p.lam for p in group],
+                        np.column_stack([p.vector for p in group]), [0.0] + path[1:])
+    return Branch([sum(ls) / len(ls) for ls, _ in samples], [vs for _, vs in samples])
 
 
 def cluster_track(forms: AssembledForms, lambda0s, path):
@@ -476,13 +450,13 @@ def cluster_track(forms: AssembledForms, lambda0s, path):
     individual branches permute.
 
     One harvest of h + 4 pairs at path[0] takes the eigenpair nearest each
-    lambda0 in turn; the h vectors run `_continue` with `_pick_cluster`.
+    lambda0 in turn, and `_continue` tracks them.
     """
     h, path, pencil = len(lambda0s), list(path), Pencil(forms)
     pairs = _solve_pencil(pencil, path[0], sum(lambda0s) / h, h + 4)
     chosen = [pairs[i] for i in _match([p.lam for p in pairs], lambda0s)]
-    block = np.column_stack([p.vector for p in chosen])
-    samples = _continue(pencil, [p.lam for p in chosen], block, block, path, _pick_cluster)
+    samples = _continue(pencil, [p.lam for p in chosen],
+                        np.column_stack([p.vector for p in chosen]), path)
     sets = [tuple(ls) for ls, _ in samples]
     s = {p: np.array([sum(l**p for l in ls) for ls in sets]) for p in range(1, h + 1)}
     return sets, s

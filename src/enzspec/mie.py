@@ -100,11 +100,12 @@ def _check_outer_radius(R: float) -> None:
 
 
 def _outer_system(n: int, R: float, rhs0: float) -> tuple:
-    """Solve a + b = rhs0, a R^n + b R^{-n-1} = 0 (singular at R = 1)."""
+    """(a, b) with a + b = rhs0 and a R^n + b R^{-n-1} = 0: with q =
+    R^{-(2n+1)}, b = rhs0 / (1 - q) and a = -q b (singular at R = 1)."""
     _check_outer_radius(R)
-    mat = np.array([[1.0, 1.0], [R**n, R ** (-n - 1)]])
-    a, b = np.linalg.solve(mat, np.array([rhs0, 0.0]))
-    return float(a), float(b)
+    t = -(2 * n + 1) * math.log(R)
+    b = rhs0 / -math.expm1(t)
+    return -math.exp(t) * b, b
 
 
 def electrostatic_mode(n: int, m: int, root_index: int, R: float) -> MieMode:
@@ -127,6 +128,9 @@ def _h_matching_gap(p: int, k: float, shell_const: float) -> float:
     """Tangential-H mismatch at r = 1: shell coefficient minus the interior
     coefficient 1 + k j_p'(k) / j_p(k) (both on the i k H scale)."""
     j, jp = spherical_bessel(p, k)
+    if j == 0.0:
+        raise MieError(f"j_{p}({k:.17g}) underflows to 0: the interior coefficient "
+                       "is out of floating-point range")
     return shell_const - (1.0 + k * jp / j)
 
 

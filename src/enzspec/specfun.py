@@ -94,7 +94,10 @@ def bessel_zeros(n: int, count: int) -> np.ndarray:
     """First ``count`` positive zeros of j_n, strictly increasing.
 
     Consecutive zeros are more than pi apart, so a scan with step pi/4
-    brackets each one exactly once; brentq refines the bracket.
+    brackets each one exactly once; brentq refines the bracket.  The scan
+    runs on the grid 1/4 + k pi/4 from its last point at or below n + 1/4:
+    the first zero lies above n + 1/2, and below n j_n decays so fast that
+    it underflows to 0 for large n.
     """
     if n < 0:
         raise SpecFunError(f"order must be >= 0, got {n}")
@@ -108,7 +111,8 @@ def bessel_zeros(n: int, count: int) -> np.ndarray:
 
     zeros = []
     step = math.pi / 4.0
-    x, fx = 0.25, jn(0.25)
+    x = 0.25 + step * math.floor(n / step)
+    fx = jn(x)
     while len(zeros) < count:
         xn = x + step
         fn = jn(xn)

@@ -297,3 +297,14 @@ def residual_checks(mode: MieMode, sample_count: int = 20) -> dict:
     if mode.family == ELECTROSTATIC:
         report["shell_curl"] = _row_max(_fd_curl(e_at, x[~in_core], step)) / (mode.k * scale)
     return report
+
+
+def first_zero_oracle(n: int) -> float:
+    """The first zero of j_n for large n: scipy's J_{n+1/2} (its zeros are
+    those of j_n), bracketed by 0.5 around Olver's uniform expansion
+    j_{nu,1} ~ nu + 1.8557571 nu^(1/3) + 1.033150 nu^(-1/3), nu = n + 1/2."""
+    from scipy.optimize import brentq
+    from scipy.special import jv
+    nu = n + 0.5
+    guess = nu + 1.8557571 * nu ** (1.0 / 3.0) + 1.033150 * nu ** (-1.0 / 3.0)
+    return brentq(lambda x: jv(nu, x), guess - 0.5, guess + 0.5, xtol=1e-13)

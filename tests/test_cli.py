@@ -18,6 +18,7 @@ import enzspec
 from enzspec import cli, eig, fem
 from enzspec.cli import main
 from enzspec.mesh import generate_disk_in_disk, load_mesh, save_mesh
+from sphere_fields import first_zero_oracle
 
 
 def run(*argv):
@@ -868,6 +869,30 @@ class TestMieCommands:
         code, _, err = run("mie", "dispersion", "--family", "electric", "--n",
                            "1", "--out", str(tmp_path / "d.csv"))
         assert code == 1
+
+
+@pytest.mark.parametrize("R", ["2", "1e300"])
+@pytest.mark.parametrize("n", ["150", "300", "2000"])
+def test_large_sphere_orders_never_escape(tmp_path, n, R):
+    # orders where j_n underflows below its first zero and R^n overflows:
+    # every sphere command ends in success or a numerical diagnostic, and
+    # the electrostatic k is the first zero of j_n
+    out_path = str(tmp_path / "out.txt")
+    circle = ["--radius", "0.01", "--samples", "4"]
+    for args in [["electrostatic", "--n", n],
+                 ["nonelectrostatic", "--p", n, "--interval", "0"],
+                 ["nonelectrostatic", "--p", n, "--interval", "1"],
+                 ["dispersion", "--family", "electric", "--n", n, *circle],
+                 ["dispersion", "--family", "magnetic", "--n", n, *circle]]:
+        code, out, err = run("mie", *args, "--R", R, "--out", out_path)
+        assert code in (0, 2), (args, err)
+        if code == 2:
+            assert "unexpected" not in json.loads(err), (args, err)
+        if args[0] == "electrostatic":
+            assert code == 0, err
+            k = float(dict(ln.split(None, 1) for ln in out.splitlines())["k"])
+            oracle = first_zero_oracle(int(n))
+            assert abs(k - oracle) <= 1e-12 * oracle
 
 
 class TestInvarianceCommand:

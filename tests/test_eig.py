@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import warnings
 import weakref
@@ -20,7 +21,7 @@ from enzspec.eig import (
     limit_spectrum,
     track_branch,
 )
-from enzspec.fem import assemble
+from enzspec.fem import AssembledForms, assemble
 from enzspec.linalg import LUFactors, SingularMatrixError
 from enzspec.mesh import INCLUSION, SHELL, Mesh, generate_disk_in_disk, generate_square_with_disk
 from enzspec.perturb import circle_path, taylor_from_circle
@@ -495,6 +496,44 @@ def test_double_branch_first_order(forms_by_mesh, shape, lam_nominal, multiplici
     a = taylor_from_circle(circle, radius, 1)
     assert abs(a[0] - lam0) <= 1e-9 * lam0
     assert np.abs(a[1] - first_order).max() <= 1e-6 * abs(a[1])
+
+
+def test_split_double_reports_group_mean(forms_by_mesh):
+    # weight 2 on the shell triangles above y = 0 keeps the limit pencil
+    # (A, M_D), and its double 31.173239, but splits the double for delta
+    # != 0: the branch is the mean of both copies, here from scipy's dense
+    # eigh at 10 steps between path points, started at delta = 1e-6 on the
+    # two eigenvalues nearest 31.173239 and matched by the largest bilinear
+    # overlap |v_prev^T B v|
+    forms = forms_by_mesh("disk", 8)
+    mesh = forms.mesh
+    above = mesh.vertices[mesh.triangles][:, :, 1].mean(axis=1) > 0.0
+    upper = dataclasses.replace(mesh, regions=np.where(
+        (mesh.regions == SHELL) & above, SHELL, INCLUSION))
+    split = AssembledForms(mesh, forms.areas, forms.div, forms.A_D, forms.M_D,
+                           forms.A_S, forms.M_S + assemble(upper).M_S)
+    path = [0.0, 0.0025, 0.005, 0.0075, 0.01]
+
+    a, md, ms = split.A.toarray(), split.M_D.toarray(), split.M_S.toarray()
+    w, x = scipy.linalg.eigh(a, md + 1e-6 * ms)
+    vs = x[:, np.argsort(np.abs(w - 31.173239))[:2]]
+    oracle, start = [], 1e-6
+    for delta in path[1:]:
+        for k in range(1, 11):
+            b = md + (start + (delta - start) * k / 10) * ms
+            w, x = scipy.linalg.eigh(a, b)
+            pick = [int(np.argmax(np.abs(v @ b @ x))) for v in vs.T]
+            vs = x[:, pick]
+        oracle.append(w[pick])
+        start = delta
+    assert np.abs(np.diff(oracle, axis=1)).min() > 3e-4     # the double has split
+    means = np.mean(oracle, axis=1)
+    assert np.abs(means - [30.8837780566, 30.5686788730, 30.2248934514,
+                           29.8492993289]).max() < 1e-9
+
+    lams = track_branch(split, 31.173239, path).lambda_samples
+    assert abs(lams[0] - 31.173239) < 1e-6
+    assert np.abs(np.asarray(lams[1:]) - means).max() <= 1e-9 * means.max()
 
 
 def test_simple_branch_shell_sensitivity(forms_by_mesh):

@@ -14,6 +14,7 @@ from enzspec.specfun import (
 from sphere_fields import (
     SurfacePoint,
     _harmonic_frame,
+    first_zero_oracle,
     real_spherical_harmonic,
     sphere_quadrature,
 )
@@ -185,6 +186,15 @@ class TestBesselZeros:
             assert np.all(np.diff(z) > 0)
             for k in z:
                 assert abs(spherical_bessel(n, k)[0]) < 1e-12
+
+    @pytest.mark.parametrize("n", [150, 300, 2000])
+    def test_large_order_first_zero(self, n):
+        # j_n underflows to exactly 0 far below its first zero; the scan
+        # must not take that for a zero
+        z = bessel_zeros(n, 2)
+        oracle = first_zero_oracle(n)
+        assert abs(z[0] - oracle) <= 1e-12 * oracle
+        assert z[1] - z[0] > math.pi
 
     def test_interlacing(self):
         prev = bessel_zeros(0, 11)
