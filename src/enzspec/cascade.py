@@ -43,7 +43,6 @@ from .mesh import (
     SHELL,
     Mesh,
     MeshParseError,
-    _format_rows,
     _SectionReader,
     extract_submesh,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "CascadeError",
     "direct_projection",
     "series_vs_direct",
-    "save_field",
     "load_field",
 ]
 
@@ -137,16 +135,9 @@ class DrivingField:
         return out
 
 
-def save_field(df: DrivingField, path: str) -> None:
-    """Write df as a `field N` text file (README, "Mesh and field files")."""
-    text = f"field {len(df.fields)}\n" + "".join(
-        _format_rows("%.17g %.17g\n", f) for f in df.fields)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-
-
 def load_field(path: str, forms: AssembledForms) -> DrivingField:
-    """Read a save_field file for the mesh of forms.
+    """Read a `field N` file (README, "Mesh and field files") for the mesh
+    of forms.
 
     The file is parsed as a mesh section is: a malformed file raises
     MeshParseError naming its line.  A field that is not weakly

@@ -52,6 +52,7 @@ from .perturb import (
     NonFiniteSeriesError,
     analyticity_report,
     circle_path,
+    taylor_from_circle,
 )
 from .specfun import SpecFunError, bessel_zeros
 
@@ -103,6 +104,9 @@ _nonzero_complex_list = _list_of(_checked(_finite_complex, lambda d: d != 0, "no
 # largest relative mismatch between the pencil's limit eigenvalues and the
 # reciprocals of the compact operator's that `eig k0` accepts
 _K0_TOL = 1e-7
+# the largest |a_0 - lambda(0)| / (1 + |lambda(0)|) `taylor` accepts: valid 8-ring
+# circles miss by <= 6.1e-5, circles around exceptional points by >= 0.74
+_START_TOL = 1e-3
 # electric `mie dispersion` samples with |delta| at most this seed from the
 # delta -> 0 limit root, the others from the delta = 1 root z_1 / R
 _LIMIT_SEED_RADIUS = 0.05
@@ -273,12 +277,23 @@ def _cmd_taylor(cfg, out):
                           f"samples / 4 = {cfg['samples'] // 4}")
     forms = assemble(load_mesh(cfg["mesh"]))
     path, start = circle_path(cfg["radius"], cfg["samples"])
-    lams = track_branch(forms, cfg["lambda0"], path).lambda_samples
+    branch = track_branch(forms, cfg["lambda0"], path)
+    lams = branch.lambda_samples
     # the held-out point is the circle path's own lead-in sample at
     # delta = 3r/5, outside the DFT
     held = LEAD_IN_STEPS - 1
     report = analyticity_report(lams[start:], cfg["radius"], cfg["order"],
                                 [(path[held], lams[held])])
+    # a circle around exceptional points can close on another sheet
+    a0, lam0 = report.a_coeffs[0], lams[0]
+    if abs(a0 - lam0) > _START_TOL * (1.0 + abs(lam0)):
+        raise EigError(f"a_0 = {a0:.10g} misses the delta = 0 group mean lambda(0) = "
+                       f"{lam0:.10g} by more than {_START_TOL:g} (1 + |lambda(0)|)")
+    # a multiple eigenvalue's copies are analytic only through their power sums
+    copies = np.asarray(branch.copies[start:])
+    report.power_sum_coeffs = {
+        p: taylor_from_circle((copies**p).sum(axis=1), cfg["radius"], cfg["order"])
+        for p in range(2, copies.shape[1] + 1)}
     with open(cfg["out"], "w", encoding="utf-8", newline="\n") as f:
         f.write(report.to_json() + "\n")
     print(f"wrote {cfg['out']}: closure defect {report.closure_defect:.3e}", file=out)

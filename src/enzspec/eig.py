@@ -2,10 +2,9 @@
 
 Covers the delta = 0 limit problem, the complex-delta problem via
 shift-invert Arnoldi with constant-mode deflation, the explicit dense
-compact-operator route, and one continuation loop that tracks a set of
-eigenpairs along paths in the complex delta plane: a cluster, or a branch
-as its lambda-group (every copy of its delta = 0 eigenvalue), reported by
-the group's mean.
+compact-operator route, and one continuation loop that tracks a branch
+along paths in the complex delta plane as its lambda-group (every copy of
+its delta = 0 eigenvalue), reported by the copies' values and their mean.
 
 Every spectrum and tracking call builds one `Pencil`, the data the rest
 reads: `Pencil.B` is the one place that forms and checks B_delta, and
@@ -39,7 +38,6 @@ __all__ = [
     "delta_spectrum",
     "discrete_K0",
     "track_branch",
-    "cluster_track",
 ]
 
 
@@ -100,11 +98,13 @@ class EigenPair:
 
 @dataclass
 class Branch:
-    """The mean lambda(delta) of one lambda-group sampled along a path, and
-    at each sample the group's eigenvectors as the columns of an array."""
+    """One lambda-group sampled along a path: at each sample the mean
+    lambda(delta) of its copies, their eigenvectors as the columns of an
+    array, and the copies' values in the order of those columns."""
 
     lambda_samples: list
     vectors: list
+    copies: list
 
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
@@ -425,9 +425,10 @@ def track_branch(forms: AssembledForms, lambda0: float, path) -> Branch:
     The start harvests _START_COUNT eigenpairs at delta = 0 and keeps every
     copy (1e-6 relative) of the eigenvalue nearest lambda0: its group, the
     eigenvalues that leave that value as delta moves off 0.  `_continue`
-    tracks the copies as a cluster, and each sample is their mean, which
+    tracks the copies together, and each sample is their mean, which
     stays analytic in delta when the copies split or braid (Kato, ch. II
-    section 2).
+    section 2); the copies themselves are analytic only through their
+    symmetric functions.
     """
     path = list(path)
     if not (path and abs(path[0]) <= 1e-15):
@@ -438,25 +439,6 @@ def track_branch(forms: AssembledForms, lambda0: float, path) -> Branch:
     group = [p for p in pairs if abs(p.lam - pairs[0].lam) <= 1e-6 * abs(pairs[0].lam)]
     samples = _continue(pencil, [p.lam for p in group],
                         np.column_stack([p.vector for p in group]), [0.0] + path[1:])
-    return Branch([sum(ls) / len(ls) for ls, _ in samples], [vs for _, vs in samples])
+    return Branch([sum(ls) / len(ls) for ls, _ in samples], [vs for _, vs in samples],
+                  [ls for ls, _ in samples])
 
-
-def cluster_track(forms: AssembledForms, lambda0s, path):
-    """Track an unordered eigenvalue cluster along a delta path.
-
-    Returns (list of unordered lambda tuples, dict p -> s_p samples) with
-    s_p(delta) = sum of lambda_i(delta)^p for p = 1..h.  The symmetric
-    functions are single-valued along closed circles even when the
-    individual branches permute.
-
-    One harvest of h + 4 pairs at path[0] takes the eigenpair nearest each
-    lambda0 in turn, and `_continue` tracks them.
-    """
-    h, path, pencil = len(lambda0s), list(path), Pencil(forms)
-    pairs = _solve_pencil(pencil, path[0], sum(lambda0s) / h, h + 4)
-    chosen = [pairs[i] for i in _match([p.lam for p in pairs], lambda0s)]
-    samples = _continue(pencil, [p.lam for p in chosen],
-                        np.column_stack([p.vector for p in chosen]), path)
-    sets = [tuple(ls) for ls, _ in samples]
-    s = {p: np.array([sum(l**p for l in ls) for ls in sets]) for p in range(1, h + 1)}
-    return sets, s

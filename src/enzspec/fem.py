@@ -101,7 +101,8 @@ class AssembledForms:
 
 def validated_radius(forms: AssembledForms) -> float:
     """area(D) / area(shell): the radius of the validated disk of delta,
-    inside which the mean functional's contraction bound applies."""
+    inside which the mean functional's contraction bound applies: the
+    distance to delta = -radius, not a radius of analyticity for a branch."""
     # forms.areas holds the triangle areas of the mesh, computed once
     regions = forms.mesh.regions
     area_d = float(forms.areas[regions == INCLUSION].sum())
@@ -114,8 +115,10 @@ def warn_outside_validated_disk(delta, radius: float) -> None:
     if abs(delta) >= radius:
         warnings.warn(
             f"|delta| = {abs(delta):.3g} is outside the validated disk "
-            f"|delta| < {radius:.3g}; the solve proceeds but the "
-            "mean functional's contraction bound no longer applies",
+            f"|delta| < {radius:.3g} = area(D)/area(S), the distance to the "
+            "total-mass degeneracy delta = -area(D)/area(S) (not a radius of "
+            "analyticity for each branch); the solve proceeds but the mean "
+            "functional's contraction bound no longer applies",
             stacklevel=3)
 
 

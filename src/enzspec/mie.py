@@ -247,8 +247,8 @@ def concentric_dispersion(family: str, n: int, R: float, delta, k_seed):
     samples share one vectorised Newton iteration with the exact
     determinant derivative (`_det_and_slope`); a sample is frozen once its
     own update is below _NEWTON_TOL, so its result does not depend on the
-    other samples of the call.  A scalar delta gives a complex, an array
-    delta an array.
+    other samples of the call, and a determinant that is not finite raises
+    MieError at once.  A scalar delta gives a complex, an array an array.
     """
     d = np.asarray(delta, dtype=complex)
     if d.ndim > 1:
@@ -267,11 +267,15 @@ def concentric_dispersion(family: str, n: int, R: float, delta, k_seed):
     s = np.sqrt(deltas)
     k = np.full(deltas.shape, k_seed, dtype=complex)
     todo = np.arange(len(deltas))
-    # a wandering iterate may overflow; it then stays unconverged and is
-    # reported below, so numpy's warnings would say nothing more
+    # a determinant that is not finite (Bessel values out of range) raises
+    # at once, so numpy's warnings would say nothing more
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_ITER):
             f, df = _det_and_slope(family, n, R, deltas[todo], s[todo], k[todo])
+            bad = todo[~(np.isfinite(f) & np.isfinite(df))]
+            if len(bad):
+                raise MieError("dispersion determinant or its slope is not finite at "
+                               f"delta = {complex(deltas[bad[0]])!r}, k = {complex(k[bad[0]])!r}")
             flat = df == 0
             if flat.any():
                 raise MieError("Newton derivative vanished in the dispersion solve "

@@ -13,7 +13,7 @@ the circle's own samples, which pair delta_j with delta_{N-j} = conj delta_j.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +25,11 @@ __all__ = [
     "circle_path",
     "taylor_from_circle",
     "analyticity_report",
-    "cluster_series",
 ]
 
-# Circle closure defects, relative to 1 + |lambda|, that analyticity_report
-# accepts for one branch and cluster_series for a symmetric function.
-_CLOSURE_TOL, _CLUSTER_CLOSURE_TOL = 1e-9, 1e-8
+# The largest circle closure defect, relative to 1 + |lambda|, accepted for
+# any series.
+_CLOSURE_TOL = 1e-9
 # circle_path: equal steps from delta = 0 to the circle; lead-in sample j
 # sits at delta = j r / (LEAD_IN_STEPS + 1).
 LEAD_IN_STEPS = 4
@@ -65,14 +64,14 @@ def circle_path(r: float, n_samples: int):
     return lead + circle, len(lead)
 
 
-def _circle_samples(values, closure_tol: float):
+def _circle_samples(values):
     """(the N samples without the closing duplicate, closure defect)."""
     values = np.asarray(values, dtype=complex)
     n = len(values) - 1
     if n < 4 or n & (n - 1):
         raise ValueError("need a power-of-two sample count plus the closing duplicate")
     defect = abs(values[-1] - values[0])
-    if defect > closure_tol * (1.0 + abs(values[0])):
+    if defect > _CLOSURE_TOL * (1.0 + abs(values[0])):
         raise NonClosedBranchError(defect)
     return values[:n], defect
 
@@ -92,24 +91,27 @@ def _taylor(vals: np.ndarray, radius: float, order: int) -> np.ndarray:
     return a
 
 
-def taylor_from_circle(samples, radius: float, order: int,
-                       closure_tol: float = 1e-9) -> np.ndarray:
+def taylor_from_circle(samples, radius: float, order: int) -> np.ndarray:
     """Coefficients a_0..a_order of lambda(delta) = sum a_k delta^k from
     N + 1 equispaced samples on |delta| = radius (closing sample repeated).
 
     a_k = (1/N) sum_j lambda(delta_j) exp(-2 pi i j k / N) / radius^k;
     a coefficient that is not finite raises NonFiniteSeriesError.
     """
-    return _taylor(_circle_samples(samples, closure_tol)[0], radius, order)
+    return _taylor(_circle_samples(samples)[0], radius, order)
 
 
 @dataclass
 class AnalyticityReport:
+    """Diagnostics of one branch; for a lambda-group of h > 1 copies, also
+    the series of each power sum s_p = sum_i lambda_i^p, p = 2..h."""
+
     a_coeffs: np.ndarray
     decay_ratios: np.ndarray
     prediction_errors: np.ndarray
     reality_defect: float
     closure_defect: float
+    power_sum_coeffs: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
@@ -119,6 +121,10 @@ class AnalyticityReport:
             "reality_defect": float(self.reality_defect),
             "closure_defect": float(self.closure_defect),
         }
+        if self.power_sum_coeffs:
+            payload["group_size"] = max(self.power_sum_coeffs)
+            payload["power_sum_coeffs"] = {str(p): [[float(c.real), float(c.imag)] for c in a]
+                                           for p, a in self.power_sum_coeffs.items()}
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -136,7 +142,7 @@ def analyticity_report(samples, radius: float, order: int, held_out) -> Analytic
     if outside:
         raise ValueError(f"held-out delta {outside[0]} is not inside the circle "
                          f"of radius {radius:g}")
-    vals, defect = _circle_samples(samples, _CLOSURE_TOL)
+    vals, defect = _circle_samples(samples)
     coeffs = _taylor(vals, radius, order)
     mags = np.abs(coeffs)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -147,9 +153,3 @@ def analyticity_report(samples, radius: float, order: int, held_out) -> Analytic
     reality = float(np.max(np.abs(vals - mirror))) / (2.0 * (1.0 + abs(vals[0])))
     return AnalyticityReport(coeffs, ratios, pred_errs, reality, defect)
 
-
-def cluster_series(sym_functions: dict, radius: float, order: int) -> dict:
-    """Taylor coefficients of each symmetric function s_p sampled on a
-    circle (N + 1 samples each, closing duplicate included)."""
-    return {p: taylor_from_circle(vals, radius, order, _CLUSTER_CLOSURE_TOL)
-            for p, vals in sym_functions.items()}

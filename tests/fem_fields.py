@@ -1,10 +1,12 @@
 """P1 functionals that the tests measure solutions with: element gradients,
-edge flux loads, variational boundary fluxes and divergence-free fields."""
+edge flux loads, variational boundary fluxes and divergence-free fields;
+and the writer of the field files that `cascade --field` reads."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from enzspec.cascade import DrivingField
 from enzspec.fem import AssembledForms
 from enzspec.mesh import OUTER, Mesh
 
@@ -50,3 +52,12 @@ def outer_flux(cascade, h: np.ndarray, field_values: np.ndarray) -> float:
     residual = (forms.A @ sub.restrict(h)
                 + forms.div @ np.asarray(field_values)[sub.triangle_map].ravel())
     return float(residual[forms.mesh.boundary_vertices(OUTER)].sum())
+
+
+def save_field(df: DrivingField, path: str) -> None:
+    """Write df as a `field N` text file (README, "Mesh and field files"),
+    the format `cascade.load_field` reads."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"field {len(df.fields)}\n")
+        for values in df.fields:
+            np.savetxt(f, values, fmt="%.17g")

@@ -13,12 +13,7 @@ from scipy.optimize import brentq
 from scipy.special import jv, spherical_jn
 
 from enzspec.cascade import Cascade, DrivingField, series_vs_direct
-from enzspec.eig import (
-    cluster_track,
-    discrete_K0,
-    limit_spectrum,
-    track_branch,
-)
+from enzspec.eig import discrete_K0, limit_spectrum, track_branch
 from enzspec.fem import assemble
 from enzspec.mesh import generate_disk_in_disk, generate_square_with_disk
 from enzspec.mie import (
@@ -33,7 +28,6 @@ from enzspec.perturb import (
     NonClosedBranchError,
     analyticity_report,
     circle_path,
-    cluster_series,
     taylor_from_circle,
 )
 from enzspec.specfun import HarmonicIndex, bessel_zeros
@@ -138,12 +132,12 @@ def test_criterion_05_degenerate_cluster(forms_track):
     assert abs(lam0 - lam1) <= 1e-6 * lam0   # the degenerate angular pair
     radius = 0.02
     path, start = circle_path(radius, 8)
-    _, sym = cluster_track(forms_track, [lam0, lam1], path)
-    for p in (1, 2):
-        vals = np.asarray(sym[p][start:])
+    copies = np.asarray(track_branch(forms_track, lam0, path).copies[start:])
+    assert copies.shape[1] == 2      # one lambda-group
+    sym = {p: np.sum(copies**p, axis=1) for p in (1, 2)}
+    for vals in sym.values():
         assert abs(vals[-1] - vals[0]) <= 1e-8 * (1.0 + abs(vals[0]))
-    series = cluster_series({p: np.asarray(sym[p][start:]) for p in (1, 2)},
-                            radius, 2)
+    series = {p: taylor_from_circle(vals, radius, 2) for p, vals in sym.items()}
     assert abs(series[1][0] - (lam0 + lam1)) <= 1e-6 * abs(lam0 + lam1)
     # synthetic square-root braid: branches permute (flagged non-closed)
     # while their symmetric functions close
@@ -154,9 +148,9 @@ def test_criterion_05_degenerate_cluster(forms_track):
     for branch_vals in (lam_p, lam_m):
         with pytest.raises(NonClosedBranchError):
             taylor_from_circle(branch_vals, radius, 2)
-    braided = cluster_series({1: lam_p + lam_m, 2: lam_p**2 + lam_m**2},
-                             radius, 2)
-    assert np.abs(braided[1] - [2.0, 0.0, 0.0]).max() <= 1e-10
+    assert np.abs(taylor_from_circle(lam_p + lam_m, radius, 2) - [2.0, 0.0, 0.0]).max() <= 1e-10
+    assert np.abs(taylor_from_circle(lam_p**2 + lam_m**2, radius, 2)
+                  - [2.0, 2.0, 0.0]).max() <= 1e-10
 
 
 def test_criterion_06_cascade():

@@ -12,7 +12,6 @@ from enzspec.cascade import (
     DrivingField,
     direct_projection,
     load_field,
-    save_field,
     series_vs_direct,
 )
 from enzspec.fem import assemble, divergence_load_vector, solve_dirichlet, solve_neumann
@@ -26,7 +25,7 @@ from enzspec.mesh import (
     generate_disk_in_disk,
     generate_square_with_disk,
 )
-from fem_fields import outer_flux, perp_gradient_field
+from fem_fields import outer_flux, perp_gradient_field, save_field
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import enzspec
 from enzspec import cli, eig, fem
@@ -218,11 +219,6 @@ def test_no_unused_module_level_import():
 
 def test_every_public_name_is_read_in_the_package():
     # a name that only tests read is a test helper: it belongs in tests/
-    allowed = {
-        ("enzspec.eig", "cluster_track"): "the degenerate-cluster route",
-        ("enzspec.perturb", "cluster_series"): "the degenerate-cluster route",
-        ("enzspec.cascade", "save_field"): "writes the field format the README documents",
-    }
     trees = {m.__name__: ast.parse(open(m.__file__, encoding="utf-8").read())
              for m in _modules()}
 
@@ -245,9 +241,7 @@ def test_every_public_name_is_read_in_the_package():
                                     for alias in node.names if alias.name == name)
             if not read:
                 unread.append((owner, name))
-    extra = sorted(set(unread) - set(allowed))
-    assert not extra, extra
-    assert set(allowed) <= set(unread)
+    assert not unread, unread
 
 
 def test_only_linalg_factors():
@@ -272,8 +266,8 @@ def test_only_linalg_factors():
 
 
 def test_one_continuation_loop():
-    # branches and clusters share one step loop: the corrector is called
-    # from one place, the loop both trackers run
+    # one step loop: the corrector is called from one place, the loop that
+    # track_branch runs
     calls = []
     for module in _modules():
         tree = ast.parse(open(module.__file__, encoding="utf-8").read())
@@ -449,6 +443,10 @@ def block_steps(monkeypatch):
     return deltas
 
 
+_TAYLOR_KEYS = {"a_coeffs", "decay_ratios", "prediction_errors", "reality_defect",
+                "closure_defect"}
+
+
 class TestTaylorCommand:
     def test_zero_radius_is_validation_error(self, disk_mesh, tmp_path):
         code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", "3.0",
@@ -457,7 +455,7 @@ class TestTaylorCommand:
 
     def test_report_written(self, disk_mesh, tmp_path):
         # smallest limit eigenvalue of the coarse disk mesh, read back from
-        # the limit command's own artifact
+        # the limit command's own artifact: the double of angular order 1
         limit_csv = tmp_path / "limit.csv"
         assert run("eig", "limit", "--mesh", disk_mesh, "--count", "1",
                    "--out", str(limit_csv))[0] == 0
@@ -468,12 +466,34 @@ class TestTaylorCommand:
                            "--order", "2", "--out", str(out_path))
         assert code == 0, err
         payload = json.loads(out_path.read_text())
-        assert set(payload) == {"a_coeffs", "decay_ratios", "prediction_errors",
-                                "reality_defect", "closure_defect"}
+        assert set(payload) == _TAYLOR_KEYS | {"group_size", "power_sum_coeffs"}
+        assert payload["group_size"] == 2
         assert payload["closure_defect"] <= 1e-9
         assert payload["reality_defect"] <= 1e-9
         a0 = payload["a_coeffs"][0]
         assert abs(a0[0] - lam0) < 1e-6 * lam0
+
+    def test_double_reports_power_sums(self, disk_mesh, tmp_path):
+        # the double 31.173239 is a lambda-group of two copies: the report
+        # gains the series of s_2 = lambda_1^2 + lambda_2^2, whose a_0 is the
+        # sum of the squares of the copies from scipy's dense eig at delta = 0;
+        # the simple 15.005677 gains nothing
+        forms = fem.assemble(load_mesh(disk_mesh))
+        w = scipy.linalg.eig(forms.A.toarray(), forms.M_D.toarray(), right=False)
+        copies = w[np.isfinite(w) & (np.abs(w - 31.173239) <= 1e-6 * 31.173239)].real
+        assert len(copies) == 2
+        s2 = float(np.sum(copies**2))
+        payloads = []
+        for lam0 in ("31.173239", "15.005677"):
+            out_path = tmp_path / f"{lam0}.json"
+            code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", lam0,
+                               "--radius", "0.01", "--samples", "16", "--out", str(out_path))
+            assert code == 0, err
+            payloads.append(json.loads(out_path.read_text()))
+        double, simple = payloads
+        assert double["group_size"] == 2 and set(double["power_sum_coeffs"]) == {"2"}
+        assert abs(complex(*double["power_sum_coeffs"]["2"][0]) - s2) <= 1e-9 * s2
+        assert set(simple) == _TAYLOR_KEYS
 
     def test_real_deltas_is_unknown_key(self, disk_mesh, tmp_path):
         # reality is read off the circle: no real-axis ramps are tracked
@@ -496,18 +516,22 @@ class TestTaylorCommand:
         assert "delta=0.024 " in payload["message"] and "residual" in payload["message"]
         assert not out_path.exists()
 
-    @pytest.mark.xfail(strict=True, reason="a circle around a conjugate pair of branch "
-                       "points closes, so taylor writes a wrong series with exit 0")
     @pytest.mark.parametrize("shape, radius", [("disk", "0.12"), ("square", "0.06")])
     def test_circle_around_a_branch_point_is_numerical_failure(
             self, disk_mesh, square_mesh, tmp_path, shape, radius):
-        # today both exit 0 with a_0 = 3.1355 (disk) and 2.6519 (square)
-        # and held-out prediction errors of 0.72 and 0.78
+        # the circle encloses a conjugate pair of exceptional points and
+        # closes on another sheet: its a_0 (3.1355 on the disk, 2.6519 on
+        # the square) misses the delta = 0 start 15.005677
         mesh = disk_mesh if shape == "disk" else square_mesh
+        out_path = tmp_path / "t.json"
         code, _, err = run("taylor", "--mesh", mesh, "--lambda0", "15.005677",
                            "--radius", radius, "--samples", "32", "--order", "8",
-                           "--out", str(tmp_path / "t.json"))
+                           "--out", str(out_path))
         assert code == 2, err
+        payload = json.loads(err)
+        assert payload["error"] == "EigError" and "unexpected" not in payload
+        assert "a_0 = " in payload["message"] and "lambda(0) = 15.0056" in payload["message"]
+        assert not out_path.exists()
 
     def test_one_harvest_per_command(self, disk_mesh, tmp_path, monkeypatch):
         # the circle, whose lead-in holds the held-out point, continues one

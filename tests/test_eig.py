@@ -15,7 +15,6 @@ from enzspec.eig import (
     EigError,
     Pencil,
     TrackingAmbiguityError,
-    cluster_track,
     delta_spectrum,
     discrete_K0,
     limit_spectrum,
@@ -423,12 +422,7 @@ def _track_one_step(forms, lambda0, delta):
     return track_branch(forms, lambda0, [0.0, delta]).lambda_samples[-1]
 
 
-def _cluster_one_step(forms, lambda0, delta):
-    return cluster_track(forms, [lambda0], [0.0, delta])[0][-1][0]
-
-
-@pytest.mark.parametrize("tracker", [_track_one_step, _cluster_one_step],
-                         ids=["track_branch", "cluster_track"])
+@pytest.mark.parametrize("tracker", [_track_one_step], ids=["track_branch"])
 @pytest.mark.parametrize("shape, lambda0, delta, expected", [
     ("square", 15.005677, 0.1, 7.95535675),
     ("disk", 15.005677, 0.2, 7.30328311),
@@ -449,11 +443,10 @@ def test_coarse_step_stays_on_branch(forms_by_mesh, tracker, shape, lambda0, del
     assert abs(lam - oracle) <= 1e-8 * abs(oracle)
 
 
-@pytest.mark.parametrize("tracker", [_track_one_step, _cluster_one_step],
-                         ids=["track_branch", "cluster_track"])
+@pytest.mark.parametrize("tracker", [_track_one_step], ids=["track_branch"])
 def test_lost_span_names_delta_and_overlap(forms_by_mesh, tracker):
     # the one step from 14.841263 to 0.1 on the 8-ring square lands on a
-    # neighbour: a branch and a cluster of one both say so
+    # neighbour, and the tracker says so
     with pytest.raises(TrackingAmbiguityError,
                        match=r"delta=0\.1: the tracked set lost its span \(overlap \d"):
         tracker(forms_by_mesh("square", 8), 14.841263, 0.1)
@@ -531,9 +524,12 @@ def test_split_double_reports_group_mean(forms_by_mesh):
     assert np.abs(means - [30.8837780566, 30.5686788730, 30.2248934514,
                            29.8492993289]).max() < 1e-9
 
-    lams = track_branch(split, 31.173239, path).lambda_samples
+    branch = track_branch(split, 31.173239, path)
+    lams = branch.lambda_samples
     assert abs(lams[0] - 31.173239) < 1e-6
     assert np.abs(np.asarray(lams[1:]) - means).max() <= 1e-9 * means.max()
+    copies = np.sort(np.real(branch.copies[1:]), axis=1)
+    assert np.abs(copies - np.sort(oracle, axis=1)).max() <= 1e-9 * means.max()
 
 
 def test_simple_branch_shell_sensitivity(forms_by_mesh):
@@ -572,25 +568,20 @@ def test_tracking_steps_reuse_no_harvest(forms_coarse, limit_coarse, monkeypatch
     assert len(most_alive) >= sum(len(p) - 1 for p in paths)
     assert max(most_alive) == 0
 
-    # a cluster harvests once, at its path's first point
-    pencil_calls.clear()
-    most_alive.clear()
-    path = circle[-5:]
-    sets, _ = cluster_track(forms_coarse, [p.lam for p in limit_coarse[:2]], path)
-    assert len(sets) == len(path)
-    assert pencil_calls == [path[0]]
-    assert len(most_alive) >= len(path)
-    assert max(most_alive) == 0
-
 
 class TestClusterTrack:
     def test_symmetric_functions_close(self, forms_coarse, limit_coarse):
+        # the angular-order-1 double is one lambda-group: its power sums
+        # close on the circle and expand
         oracle = m1_limit_oracle(2.0)
         pair = [p.lam for p in limit_coarse if abs(p.lam - oracle) / oracle < 0.05]
         assert len(pair) == 2
         r = 0.02
-        circle = [r * np.exp(2j * np.pi * j / 8) for j in range(9)]
-        sets, s = cluster_track(forms_coarse, pair, circle)
+        path, start = circle_path(r, 8)
+        copies = np.asarray(track_branch(forms_coarse, pair[0], path).copies[start:])
+        assert copies.shape[1] == 2
         for p in (1, 2):
-            assert abs(s[p][-1] - s[p][0]) <= 1e-8 * (1 + abs(s[p][0]))
-        assert len(sets[0]) == 2
+            s = np.sum(copies**p, axis=1)
+            assert abs(s[-1] - s[0]) <= 1e-8 * (1 + abs(s[0]))
+        assert abs(taylor_from_circle(copies.sum(axis=1), r, 0)[0] - sum(pair)) \
+            <= 1e-6 * abs(sum(pair))

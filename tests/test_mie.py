@@ -392,6 +392,28 @@ class TestBatchedDispersion:
         assert payload["error"] == "MieError" and "unexpected" not in payload
         assert "at delta = (0.01+0j): 17 of 17 samples" in payload["message"]
 
+    @pytest.mark.parametrize("family, n, R", [
+        (FAMILY_H, "2000", "2"), (FAMILY_H, "150", "1e300"), (FAMILY_E, "150", "1e300")])
+    def test_non_finite_determinant_stops_at_once(self, monkeypatch, tmp_path, family, n, R):
+        # y_2000 overflows at kappa = 202.4, and the Bessel values at
+        # kappa R ~ 1.6e301 are not finite: so is the first determinant
+        calls = []
+        exact = mie._det_and_slope
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(mie, "_det_and_slope", counted)
+        out_path, err = tmp_path / "d.csv", io.StringIO()
+        code = main(["mie", "dispersion", "--family", family, "--n", n, "--R", R,
+                     "--radius", "0.01", "--out", str(out_path)], out=io.StringIO(), err=err)
+        assert code == 2 and not out_path.exists()
+        payload = json.loads(err.getvalue())
+        assert payload["error"] == "MieError" and "unexpected" not in payload
+        assert "not finite at delta = (0.01+0j)" in payload["message"]
+        assert len(calls) == 1
+
 
 class TestModeExport:
     def test_save_format(self, tmp_path):

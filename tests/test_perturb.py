@@ -8,7 +8,6 @@ from enzspec.perturb import (
     NonClosedBranchError,
     analyticity_report,
     circle_path,
-    cluster_series,
     taylor_from_circle,
 )
 
@@ -124,13 +123,7 @@ class TestClusterSeries:
         lam_m = 1.0 - roots
         with pytest.raises(NonClosedBranchError):
             taylor_from_circle(lam_p, r, 4)
-        s = {1: lam_p + lam_m, 2: lam_p**2 + lam_m**2}
-        coeffs = cluster_series(s, r, 3)
-        assert np.abs(coeffs[1] - [2.0, 0.0, 0.0, 0.0]).max() < 1e-12
-        assert np.abs(coeffs[2] - [2.0, 2.0, 0.0, 0.0]).max() < 1e-12
-
-    def test_single_branch_reduces(self):
-        vals = sample_circle(lambda d: 5.0 + 3.0 * d, 0.05, 16)
-        out = cluster_series({1: vals}, 0.05, 2)
-        ref = taylor_from_circle(vals, 0.05, 2)
-        assert np.array_equal(out[1], ref)
+        s1 = taylor_from_circle(lam_p + lam_m, r, 3)
+        s2 = taylor_from_circle(lam_p**2 + lam_m**2, r, 3)
+        assert np.abs(s1 - [2.0, 0.0, 0.0, 0.0]).max() < 1e-12
+        assert np.abs(s2 - [2.0, 2.0, 0.0, 0.0]).max() < 1e-12
