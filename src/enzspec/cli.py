@@ -5,8 +5,10 @@ CSV tables / JSON reports.  Configuration is a flat key=value file merged
 with command-line flags (flags win); unknown keys are rejected.  All
 numeric cells use 17 significant digits and row order is fixed, so repeated
 runs with the same configuration produce bit-identical artifacts.
-`mie dispersion` solves all of its delta samples in one batched Newton call
-with the exact determinant derivative (from the spherical Bessel equation).
+`mie dispersion` solves its delta samples by batched Newton with the exact
+determinant derivative (from the spherical Bessel equation): a list of deltas
+in one call, and a circle of 32 or more samples in two, the second seeded
+from the polynomial through the first's samples.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure (with a
 diagnostic JSON on stderr), 3 I/O error.  An unexpected exception is
@@ -110,6 +112,9 @@ _START_TOL = 1e-3
 # electric `mie dispersion` samples with |delta| at most this seed from the
 # delta -> 0 limit root, the others from the delta = 1 root z_1 / R
 _LIMIT_SEED_RADIUS = 0.05
+# `mie dispersion --radius` first solves every s-th sample of its circle, with
+# s the largest divisor of the sample count that leaves at least this many
+_COARSE_SAMPLES = 16
 
 
 def _fmt(x) -> str:
@@ -357,10 +362,36 @@ def _cmd_mie_dispersion(cfg, out):
             if small.any():
                 seed[small] = nonelectrostatic_mode(cfg["n"], 0, cfg["R"], 0).k
 
-    lams = concentric_dispersion(family, cfg["n"], cfg["R"], deltas, seed)
+    stride = max((s for s in range(1, cfg["samples"] // _COARSE_SAMPLES + 1)
+                  if cfg["samples"] % s == 0), default=1)
+    if cfg["radius"] > 0.0 and stride > 1:
+        lams = _interpolated_circle(family, cfg["n"], cfg["R"], cfg["radius"], deltas,
+                                    seed, stride)
+    else:
+        lams = concentric_dispersion(family, cfg["n"], cfg["R"], deltas, seed)
     rows = zip(deltas.real, deltas.imag, lams.real, lams.imag)
     _write_lines(cfg["out"], _csv_lines(
         "mie-dispersion", ["delta_re", "delta_im", "lambda_re", "lambda_im"], rows))
+
+
+def _interpolated_circle(family, n, R, radius, deltas, seed, stride):
+    """The dispersion branch at the samples of a circle |delta| = radius
+    whose last sample closes it: first every stride-th sample from its own
+    seed (a scalar, or one per sample), then every other one from the square root of the polynomial in
+    delta / radius whose coefficients are the DFT of the first call's m
+    distinct samples.  The branch is analytic inside its radius rho of
+    analyticity, so the polynomial misses it by about (radius / rho)^m, and
+    most of the second call's samples need one Newton step.
+    """
+    coarse = np.zeros(len(deltas), dtype=bool)
+    coarse[::stride] = True
+    lams = np.empty(len(deltas), dtype=complex)
+    lams[coarse] = concentric_dispersion(family, n, R, deltas[coarse],
+                                         np.broadcast_to(seed, deltas.shape)[coarse])
+    coeffs = np.fft.fft(lams[coarse][:-1]) / (coarse.sum() - 1)
+    guess = np.polyval(coeffs[::-1], deltas[~coarse] / radius)
+    lams[~coarse] = concentric_dispersion(family, n, R, deltas[~coarse], np.sqrt(guess))
+    return lams
 
 
 def _cmd_invariance(cfg, out):

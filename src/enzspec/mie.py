@@ -139,9 +139,12 @@ def nonelectrostatic_mode(p: int, q: int, R: float, interval_index: int) -> MieM
 
     (C, D) depend only on (p, R); k is then located by brentq on the
     tangential-H mismatch over the interval between consecutive zeros of
-    j_p selected by interval_index (1-based).  Interval 0 is [z_1 / 2, z_1)
-    below the first zero z_1: its root is the delta -> 0 limit of the
-    electric dispersion family.
+    j_p selected by interval_index (1-based).  Interval 0 lies below the
+    first zero z_1 of j_p, on [w (1 - 1e-9), z_1) with w the first zero of
+    j_{p-1}: the interior coefficient equals -p at w, and the shell's is
+    below -p, so the root lies above w (at w once R^{-(2p+1)} underflows),
+    and j_p does not underflow there for any p.  Its root is the
+    delta -> 0 limit of the electric dispersion family.
     """
     if p < 1:
         raise MieError(f"degree must be >= 1, got {p}")
@@ -151,10 +154,16 @@ def nonelectrostatic_mode(p: int, q: int, R: float, interval_index: int) -> MieM
     c, d = _outer_system(p, R, -math.sqrt(p * (p + 1.0)))
     shell_const = -((p + 1.0) * c - p * d) / math.sqrt(p * (p + 1.0))
     zeros = bessel_zeros(p, interval_index + 1)
-    lo = float(zeros[-2]) if interval_index else 0.5 * float(zeros[0])
     hi = float(zeros[-1])
     eps = 1e-9 * (1.0 + hi)
-    a, b = lo + eps, hi - eps
+    if interval_index:
+        lo = float(zeros[-2])
+        a = lo + eps
+    else:
+        # the interior coefficient k j_{p-1}(k) / j_p(k) - p falls from -p
+        # to -inf between the first zeros of j_{p-1} and j_p
+        lo = a = float(bessel_zeros(p - 1, 1)[0]) * (1.0 - 1e-9)
+    b = hi - eps
     fa = _h_matching_gap(p, a, shell_const)
     fb = _h_matching_gap(p, b, shell_const)
     if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):

@@ -308,3 +308,14 @@ def first_zero_oracle(n: int) -> float:
     nu = n + 0.5
     guess = nu + 1.8557571 * nu ** (1.0 / 3.0) + 1.033150 * nu ** (-1.0 / 3.0)
     return brentq(lambda x: jv(nu, x), guess - 0.5, guess + 0.5, xtol=1e-13)
+
+
+def magnetic_first_coefficient(n: int, R: float) -> float:
+    """a_1 = d lambda / d delta at delta = 0 on the magnetic dispersion branch
+    through z_1^2, z_1 the first zero of j_n: 2 z_1^2 / P_n(R), where
+    P_n(R) = n(n+1)(1 - R^(2n+1)) / (n + (n+1) R^(2n+1)) is (r h)' / h at
+    r = 1 for the static shell profile h = r^n + b r^(-n-1) with
+    (r h)'(R) = 0."""
+    q = R ** (2 * n + 1)
+    z = first_zero_oracle(n)
+    return 2.0 * z * z * (n + (n + 1) * q) / (n * (n + 1) * (1.0 - q))

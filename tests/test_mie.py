@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
-from enzspec import mie
+from enzspec import cli, mie
 from enzspec.cli import main
 from enzspec.mie import (
     ELECTROSTATIC,
@@ -23,7 +23,13 @@ from enzspec.mie import (
 )
 from enzspec.perturb import taylor_from_circle
 from enzspec.specfun import HarmonicIndex, SpecFunError
-from sphere_fields import _mode_fields, interface_residuals, interior_solution, residual_checks
+from sphere_fields import (
+    _mode_fields,
+    interface_residuals,
+    interior_solution,
+    magnetic_first_coefficient,
+    residual_checks,
+)
 
 # first zero of j_1, frozen from the independent closed-form bisection in
 # the special-function tests
@@ -354,6 +360,57 @@ class TestBatchedDispersion:
         _, lams = _circle_csv(out_path)
         lim = electric_limit_k(n, R) ** 2
         assert abs(lams[:-1].mean() - lim) <= 1e-8 * lim
+
+    @pytest.mark.parametrize("samples, calls, evaluations", [(16, 1, 17 * 5), (256, 2, 400)])
+    def test_cli_circle_seeds_from_its_interpolant(self, monkeypatch, tmp_path,
+                                                   samples, calls, evaluations):
+        # a 256-sample circle solves every 16th sample from the constant
+        # seed (4-5 Newton steps each), then the others from the 16-sample
+        # interpolant in about one step each: seeding all 257 samples from
+        # the constant took 1 066 evaluations.  A 16-sample circle keeps
+        # the single call.
+        solves, evaluated = [], []
+        exact_solve, exact_det = cli.concentric_dispersion, mie._det_and_slope
+
+        def counted_solve(*args):
+            solves.append(len(args[3]))
+            return exact_solve(*args)
+
+        def counted_det(*args):
+            evaluated.append(len(args[3]))
+            return exact_det(*args)
+
+        monkeypatch.setattr(cli, "concentric_dispersion", counted_solve)
+        monkeypatch.setattr(mie, "_det_and_slope", counted_det)
+        assert main(["mie", "dispersion", "--family", "magnetic", "--n", "1", "--R", "2",
+                     "--radius", "0.01", "--samples", str(samples),
+                     "--out", str(tmp_path / "d.csv")]) == 0
+        assert len(solves) == calls and sum(solves) == samples + 1
+        assert sum(evaluated) <= evaluations
+
+    def test_electric_circle_across_the_seed_switch(self, tmp_path):
+        # |delta| = 0.05 is where the electric seed switches from the limit
+        # root to z_1 / R, so a constant seed sent some samples of this
+        # circle to another root; the interpolant keeps them on the branch
+        out_path = tmp_path / "d.csv"
+        assert main(["mie", "dispersion", "--family", "electric", "--n", "5", "--R", "2",
+                     "--radius", "0.05", "--samples", "64", "--out", str(out_path)]) == 0
+        _, lams = _circle_csv(out_path)
+        lim = electric_limit_k(5, 2.0) ** 2
+        assert abs(lams[:-1].mean() - lim) <= 1e-8 * lim
+
+    @pytest.mark.parametrize("R", [1.2, 1.5, 2.0, 4.0, 10.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_cli_magnetic_slope_is_closed_form(self, tmp_path, n, R):
+        # the first DFT coefficient of the interpolated circle over its
+        # radius is the branch's slope at delta = 0, 2 z_1^2 / P_n(R)
+        out_path, r = tmp_path / "d.csv", 0.002
+        assert main(["mie", "dispersion", "--family", "magnetic", "--n", str(n),
+                     "--R", str(R), "--radius", str(r), "--samples", "64",
+                     "--out", str(out_path)]) == 0
+        _, lams = _circle_csv(out_path)
+        a1 = magnetic_first_coefficient(n, R)
+        assert abs(np.fft.fft(lams[:-1])[1] / 64 / r - a1) <= 1e-10 * abs(a1)
 
     def test_zero_anywhere_rejected(self):
         with pytest.raises(MieError, match="delta != 0"):
