@@ -26,7 +26,6 @@ from .fem import (
     AssembledForms,
     FemError,
     assemble,
-    divergence_load_vector,
     factor_once,
     norms,
     restrict_forms,
@@ -78,9 +77,10 @@ def _abs(matrix):
 
 
 def _load_size(forms: AssembledForms, field_values: np.ndarray) -> np.ndarray:
-    """Per vertex, the summed magnitudes of the terms that
-    divergence_load_vector adds up: the scale of its rounding error, which
-    follows both the field and the mesh length scale."""
+    """Per vertex, the summed magnitudes of the terms that the divergence
+    load forms.div @ F.ravel() adds up: the scale of its rounding error,
+    which follows both the field and the mesh length scale, and the
+    `load_size` that solve_neumann checks a load against."""
     return _abs(forms.div) @ np.abs(field_values).ravel()
 
 
@@ -93,7 +93,7 @@ def _flux_size(matrix, h: np.ndarray, forms: AssembledForms, field_values) -> np
 def _weak_divergence_defect(forms: AssembledForms, field_values: np.ndarray) -> float:
     """Largest patch flux of a per-triangle field over non-outer vertices,
     each relative to the summed magnitudes of its terms (0 where all vanish)."""
-    b = divergence_load_vector(forms, field_values)
+    b = forms.div @ field_values.ravel()
     defect = np.abs(b) / np.maximum(_load_size(forms, field_values), np.finfo(float).tiny)
     defect[forms.mesh.boundary_vertices(OUTER)] = 0.0
     return float(defect.max())
@@ -159,9 +159,10 @@ class CascadeState:
     h_list: list = field(default_factory=list)      # full-mesh nodal arrays
     c_list: list = field(default_factory=list)
     norm_list: list = field(default_factory=list)   # H1(Omega) norms of h_k
-    # shell residual of (h_k, F_k), the next order's interface data; none
-    # before order zero
+    # shell residual of (h_k, F_k), the next order's interface data, and
+    # the summed magnitudes of its terms; none before order zero
     residual: np.ndarray | None = None
+    size: np.ndarray | None = None
 
     @property
     def order(self) -> int:
@@ -215,7 +216,7 @@ class Cascade:
     def _shell_residual(self, h_s: np.ndarray, field_s: np.ndarray) -> np.ndarray:
         """Nodal residual of the shell solve = variational normal flux of
         (grad h + F) w.r.t. the shell's outward normal."""
-        return self.forms_s.A @ h_s + divergence_load_vector(self.forms_s, field_s)
+        return self.forms_s.A @ h_s + self.forms_s.div @ field_s.ravel()
 
     # -- cascade orders ----------------------------------------------------
     def step(self, state: CascadeState, f_k: np.ndarray) -> None:
@@ -225,11 +226,14 @@ class Cascade:
         extension follows, then the Psi multiple that cancels the outer flux.
         Its shell residual is re-measured and kept for order k + 1."""
         k = state.order + 1
-        load = -divergence_load_vector(self.forms_d, f_k[self.sub_d.triangle_map])
+        f_d = f_k[self.sub_d.triangle_map]
+        load = -(self.forms_d.div @ f_d.ravel())
+        load_size = _load_size(self.forms_d, f_d)
         if state.residual is not None:
             load[self._iface_in_d] -= state.residual[self._shell_iface]
+            load_size[self._iface_in_d] += state.size[self._shell_iface]
         try:
-            h_d = solve_neumann(self.forms_d, load)
+            h_d = solve_neumann(self.forms_d, load, load_size)
         except FemError as exc:
             cause = " (flux imbalance upstream of the induction)" if k else ""
             raise CascadeError(f"order {k} interior problem incompatible{cause}: "
@@ -239,7 +243,7 @@ class Cascade:
         trace[self._shell_iface] = h_d[self._iface_in_d]
         h_s = solve_dirichlet(self.forms_s,
                               {INTERFACE: trace, OUTER: 0.0},
-                              load=-divergence_load_vector(self.forms_s, f_s))
+                              load=-(self.forms_s.div @ f_s.ravel()))
         flux = float(self._shell_residual(h_s, f_s)[self._shell_outer].sum())
         c_k = -flux / self.psi_energy
         h_full = self.sub_s.extend(h_s)
@@ -259,7 +263,7 @@ class Cascade:
         state.h_list.append(h_full)
         state.c_list.append(c_k)
         state.norm_list.append(float(np.hypot(l2, h1)))
-        state.residual = residual
+        state.residual, state.size = residual, size
 
     def run(self, driving: DrivingField, max_order: int) -> CascadeState:
         driving.validate(self.forms)
@@ -296,7 +300,7 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
     a_delta = (forms.A_D + delta_s * forms.A_S).astype(dtype)
     field_w = np.asarray(field_values, dtype=dtype).copy()
     field_w[mesh.regions == SHELL] *= delta_s
-    b_w = divergence_load_vector(forms, field_w)
+    b_w = forms.div @ field_w.ravel()
 
     outer = mesh.boundary_vertices(OUTER)
     free = np.ones(n, dtype=bool)
@@ -313,7 +317,7 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
     if np.abs(res[free]).max() > 1e-8 * size[free].max():
         raise CascadeError("weighted divergence residual too large in direct projection")
     field_u = np.asarray(field_values, dtype=dtype)
-    flux = forms.A @ h + divergence_load_vector(forms, field_u)
+    flux = forms.A @ h + forms.div @ field_u.ravel()
     if abs(flux[outer].sum()) > 1e-8 * _flux_size(forms.A, h, forms, field_u)[outer].sum():
         raise CascadeError("outer flux condition violated in direct projection")
     return h

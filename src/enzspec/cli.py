@@ -8,7 +8,8 @@ runs with the same configuration produce bit-identical artifacts.
 `mie dispersion` solves its delta samples by batched Newton with the exact
 determinant derivative (from the spherical Bessel equation): a list of deltas
 in one call, and a circle of 32 or more samples in two, the second seeded
-from the polynomial through the first's samples.
+from the polynomial through the first's samples.  A circle without `--seed`
+whose mean misses the squared delta -> 0 root is a numerical failure.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure (with a
 diagnostic JSON on stderr), 3 I/O error.  An unexpected exception is
@@ -106,8 +107,9 @@ _nonzero_complex_list = _list_of(_checked(_finite_complex, lambda d: d != 0, "no
 # largest relative mismatch between the pencil's limit eigenvalues and the
 # reciprocals of the compact operator's that `eig k0` accepts
 _K0_TOL = 1e-7
-# the largest |a_0 - lambda(0)| / (1 + |lambda(0)|) `taylor` accepts: valid 8-ring
-# circles miss by <= 6.1e-5, circles around exceptional points by >= 0.74
+# the largest |a_0 - lambda(0)| / (1 + |lambda(0)|) `taylor` and `mie dispersion
+# --radius` accept: valid 8-ring `taylor` circles miss by <= 6.1e-5, circles
+# around exceptional points by >= 0.74
 _START_TOL = 1e-3
 # electric `mie dispersion` samples with |delta| at most this seed from the
 # delta -> 0 limit root, the others from the delta = 1 root z_1 / R
@@ -351,16 +353,14 @@ def _cmd_mie_dispersion(cfg, out):
         deltas = cfg["radius"] * np.exp(2j * np.pi * np.arange(samples + 1) / samples)
     if not len(deltas):
         raise ConfigError("no delta samples requested")
-    seed = cfg["seed"]
+    seed, limit = cfg["seed"], None
     if seed == 0.0:
-        seed = float(bessel_zeros(cfg["n"], 1)[0])
-        if family == FAMILY_E:
-            # the delta -> 0 limit root lies below z_1, in the
-            # nonelectrostatic interval 0
-            small = np.abs(deltas) <= _LIMIT_SEED_RADIUS
-            seed = np.full(len(deltas), seed / cfg["R"])
-            if small.any():
-                seed[small] = nonelectrostatic_mode(cfg["n"], 0, cfg["R"], 0).k
+        # each family's delta -> 0 root: z_1 for magnetic, the root below
+        # z_1 in the nonelectrostatic interval 0 for electric
+        z1 = float(bessel_zeros(cfg["n"], 1)[0])
+        electric = family == FAMILY_E
+        limit = nonelectrostatic_mode(cfg["n"], 0, cfg["R"], 0).k if electric else z1
+        seed = np.where(electric & (np.abs(deltas) > _LIMIT_SEED_RADIUS), z1 / cfg["R"], limit)
 
     stride = max((s for s in range(1, cfg["samples"] // _COARSE_SAMPLES + 1)
                   if cfg["samples"] % s == 0), default=1)
@@ -369,6 +369,13 @@ def _cmd_mie_dispersion(cfg, out):
                                     seed, stride)
     else:
         lams = concentric_dispersion(family, cfg["n"], cfg["R"], deltas, seed)
+    if cfg["radius"] > 0.0 and limit is not None:
+        # an analytic branch's circle mean is its delta = 0 value, a_0 = limit^2
+        a0, lam0 = lams[:-1].mean(), limit**2
+        if abs(a0 - lam0) > _START_TOL * (1.0 + abs(lam0)):
+            raise MieError(f"circle mean a_0 = {a0:.10g} misses the delta -> 0 root "
+                           f"lambda(0) = {lam0:.10g} by more than {_START_TOL:g} "
+                           "(1 + |lambda(0)|): the samples left the branch")
     rows = zip(deltas.real, deltas.imag, lams.real, lams.imag)
     _write_lines(cfg["out"], _csv_lines(
         "mie-dispersion", ["delta_re", "delta_im", "lambda_re", "lambda_im"], rows))

@@ -3,9 +3,10 @@
 Assembles the Neumann stiffness matrix and the per-region consistent mass
 matrices as scipy CSR matrices, and provides subdomain Neumann/Dirichlet
 solves and norms.  Solves inside `factor_once` reuse one factor per operator
-and dtype.  Divergence loads and their load-size bounds are products with
+and dtype.  A divergence load is the product `forms.div @ F.ravel()` with
 one sparse divergence operator, built at assembly and sliced out of the
-parent's for a subdomain.
+parent's for a subdomain; the caller knows which terms each load entry
+sums, so it passes their magnitudes (`load_size`) to `solve_neumann`.
 All matrices are kept per region so that delta-weighted forms (the mass
 B_delta = M_D + delta*M_S, the stiffness A_D + delta*A_S) are exact linear
 combinations of the assembled pieces.
@@ -28,7 +29,6 @@ __all__ = [
     "assemble",
     "restrict_forms",
     "factor_once",
-    "divergence_load_vector",
     "solve_neumann",
     "solve_dirichlet",
     "norms",
@@ -41,8 +41,8 @@ class FemError(RuntimeError):
     pass
 
 
-# Neumann load imbalance, relative to the load scale, that solve_neumann
-# rejects as incompatible.
+# Neumann load imbalance, relative to the summed load size, that
+# solve_neumann rejects as incompatible.
 _COMPAT_TOL = 1e-8
 
 
@@ -198,32 +198,30 @@ def _factor(forms: AssembledForms, key, build) -> LUFactors:
     return lu
 
 
-def divergence_load_vector(forms: AssembledForms, field: np.ndarray) -> np.ndarray:
-    """b_i = integral of F . grad(phi_i) for a per-triangle constant field F."""
-    return forms.div @ np.asarray(field).ravel()
-
-
-def solve_neumann(forms: AssembledForms, load: np.ndarray) -> np.ndarray:
+def solve_neumann(forms: AssembledForms, load: np.ndarray,
+                  load_size: np.ndarray) -> np.ndarray:
     """Pure-Neumann solve A h = load with mean-zero normalization; returns
     the nodal values of h.
 
-    `load` is an assembled nodal right-hand side, such as a
-    divergence_load_vector.  The compatibility condition is
-    that the load sums to zero; an imbalance beyond _COMPAT_TOL times the
-    load scale is an error, since the singular system is then unsolvable.
-    A smaller imbalance is taken out along m1 = M 1, the direction a
-    multiplier on the M-weighted mean would absorb.  Vertex 0 is then
-    grounded: the other vertices solve with the principal submatrix
-    A[1:, 1:], nonsingular on a connected mesh, and the M-weighted mean is
-    subtracted after.
+    `load` is an assembled nodal right-hand side, such as a divergence load
+    `forms.div @ F.ravel()`; `load_size` holds, per vertex, the summed
+    magnitudes of the terms its entry adds up, which only the caller knows.
+    The compatibility condition is that the load sums to zero; an imbalance
+    beyond _COMPAT_TOL times the summed load size is an error, since the
+    singular system is then unsolvable.  A smaller imbalance is taken out
+    along m1 = M 1, the direction a multiplier on the M-weighted mean would
+    absorb.  Vertex 0 is then grounded: the other vertices solve with the
+    principal submatrix A[1:, 1:], nonsingular on a connected mesh, and the
+    M-weighted mean is subtracted after.  The residual is checked against
+    the summed load size too.
     """
     a = forms.A
     load = np.asarray(load)
-    scale = max(1.0, float(np.abs(load).sum()))
+    scale = float(np.sum(load_size))
     imbalance = abs(load.sum())
     if imbalance > _COMPAT_TOL * scale:
         raise FemError(f"Neumann compatibility violated: flux imbalance {imbalance:.3e} "
-                       f"(relative {imbalance / scale:.3e})")
+                       f"against a summed load size of {scale:.3e}")
     n = forms.mesh.n_vertices
     m1 = forms.M @ np.ones(n)
     dtype = np.result_type(a.dtype, load.dtype)
@@ -232,9 +230,10 @@ def solve_neumann(forms: AssembledForms, load: np.ndarray) -> np.ndarray:
     h = np.zeros(n, dtype=dtype)
     h[1:] = lu.solve(load[1:])
     h = h - np.dot(m1, h) / m1.sum()   # zero M-weighted mean
-    res = np.linalg.norm(a @ h - load) / scale
-    if res > 1e-8:
-        raise FemError(f"Neumann solve residual too large: {res:.3e}")
+    res = np.linalg.norm(a @ h - load)
+    if res > 1e-8 * scale:
+        raise FemError(f"Neumann solve residual too large: {res:.3e} against a "
+                       f"summed load size of {scale:.3e}")
     return h
 
 
@@ -243,8 +242,10 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
     """Solve A h = load with nodal Dirichlet data per boundary tag; returns
     the nodal values of h.
 
-    boundary_values maps edge tag -> scalar or nodal array.
-    Data must be supplied for every tag present on the mesh.
+    boundary_values maps edge tag -> data that broadcasts to the nodal
+    values: a real or complex scalar, or a nodal array.  Data must be
+    supplied for every tag present on the mesh.  The residual on the free
+    nodes is checked against the magnitudes |A| |h| + |load| of its terms.
     """
     mesh = forms.mesh
     a = forms.A
@@ -254,20 +255,16 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
         raise FemError(f"missing Dirichlet data for boundary role(s) {sorted(missing)}")
 
     n = mesh.n_vertices
-    dtype = np.result_type(a.dtype, np.asarray(load).dtype if load is not None else float,
-                           *[np.asarray(v).dtype if isinstance(v, np.ndarray) else float
-                             for v in boundary_values.values()])
+    b = np.zeros(n) if load is None else np.asarray(load)
+    dtype = np.result_type(a.dtype, b, *boundary_values.values())
     u = np.zeros(n, dtype=dtype)
     constrained = np.zeros(n, dtype=bool)
     for tag, data in boundary_values.items():
         nodes = mesh.boundary_vertices(tag)
-        if isinstance(data, np.ndarray) and data.shape == (n,):
-            u[nodes] = data[nodes]
-        else:
-            u[nodes] = data
+        u[nodes] = np.broadcast_to(data, (n,))[nodes]
         constrained[nodes] = True
 
-    b = np.zeros(n, dtype=dtype) if load is None else np.asarray(load).astype(dtype)
+    b = b.astype(dtype)
     free = ~constrained
     acsr = a.astype(dtype, copy=False)
     rhs = b[free] - (acsr @ u)[free]
@@ -276,7 +273,7 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
         u[free] = lu.solve(rhs)
     # Galerkin residual on the free nodes
     res = np.linalg.norm((acsr @ u - b)[free])
-    scale = max(1.0, np.linalg.norm(u), np.linalg.norm(b))
+    scale = np.linalg.norm((abs(a) @ np.abs(u) + np.abs(b))[free])
     if res > 1e-8 * scale:
         raise FemError(f"Dirichlet solve residual too large: {res:.3e}")
     return u

@@ -160,15 +160,6 @@ def _start_vector(n: int, deflate, dtype) -> np.ndarray:
     return v if deflate is None else deflate(v)
 
 
-def _dense_ritz(op, n: int, count: int, dtype):
-    """Eigenpairs of the operator formed column by column (small n)."""
-    eye = np.eye(n, dtype=dtype)
-    mat = np.column_stack([op(eye[:, j]) for j in range(n)])
-    theta, vecs = np.linalg.eig(mat)
-    order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))[:count]
-    return theta[order], vecs[:, order]
-
-
 def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
                          dtype=complex, krylov_dim: int | None = None):
     """ARPACK's implicitly restarted Arnoldi on the shift-inverted operator.
@@ -191,13 +182,15 @@ def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
         return w if deflate is None else deflate(w)
 
     if count >= n - 1:
-        return _dense_ritz(op, n, count, dtype)
-    linop = scipy.sparse.linalg.LinearOperator((n, n), matvec=op, dtype=dtype)
-    try:
-        theta, vecs = scipy.sparse.linalg.eigs(
-            linop, k=count, which="LM", v0=_start_vector(n, deflate, dtype),
-            ncv=krylov_dim, tol=_ARNOLDI_TOL, maxiter=_ARNOLDI_RESTARTS)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise ArnoldiError(len(exc.eigenvalues), count) from None
-    order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))
+        eye = np.eye(n, dtype=dtype)
+        theta, vecs = np.linalg.eig(np.column_stack([op(eye[:, j]) for j in range(n)]))
+    else:
+        linop = scipy.sparse.linalg.LinearOperator((n, n), matvec=op, dtype=dtype)
+        try:
+            theta, vecs = scipy.sparse.linalg.eigs(
+                linop, k=count, which="LM", v0=_start_vector(n, deflate, dtype),
+                ncv=krylov_dim, tol=_ARNOLDI_TOL, maxiter=_ARNOLDI_RESTARTS)
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise ArnoldiError(len(exc.eigenvalues), count) from None
+    order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))[:count]
     return theta[order], vecs[:, order]

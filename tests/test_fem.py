@@ -7,7 +7,6 @@ from enzspec.cascade import _load_size
 from enzspec.fem import (
     FemError,
     assemble,
-    divergence_load_vector,
     factor_once,
     norms,
     solve_dirichlet,
@@ -95,8 +94,8 @@ class TestAssemble:
 
 
 class TestDivergenceOperator:
-    """divergence_load_vector and the cascade's load-size bound are products
-    with the assembled operator: each must equal the element formula."""
+    """A divergence load and the cascade's load-size bound are products with
+    the assembled operator: each must equal the element formula."""
 
     @pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
     @pytest.mark.parametrize("rings", [8, 32])
@@ -108,13 +107,14 @@ class TestDivergenceOperator:
         fields = [real, real + 1j * rng.standard_normal(real.shape)]
         loads, sizes = element_loads(mesh, fields)
         for f, b, size in zip(fields, loads, sizes):
-            assert np.all(np.abs(divergence_load_vector(forms, f) - b) <= 1e-14 * size)
+            assert np.all(np.abs(forms.div @ f.ravel() - b) <= 1e-14 * size)
             assert np.all(np.abs(_load_size(forms, f) - size) <= 1e-14 * size)
 
 
 class TestSolveNeumann:
     def test_zero_flux_gives_zero(self, disk_forms):
-        h = solve_neumann(disk_forms, np.zeros(disk_forms.mesh.n_vertices))
+        zero = np.zeros(disk_forms.mesh.n_vertices)
+        h = solve_neumann(disk_forms, zero, zero)
         assert np.abs(h).max() < 1e-12
 
     def test_linear_solution_from_normal_flux(self):
@@ -124,18 +124,22 @@ class TestSolveNeumann:
         forms = assemble(sub.mesh)
         normals = outward_edge_normals(sub.mesh, INTERFACE)
         load = edge_flux_load(sub.mesh, INTERFACE, normals[:, 0])
-        h = solve_neumann(forms, load)
+        size = edge_flux_load(sub.mesh, INTERFACE, np.abs(normals[:, 0]))
+        h = solve_neumann(forms, load, size)
         exact = sub.mesh.vertices[:, 0]
         m1 = forms.M @ np.ones(len(exact))
         exact = exact - (m1 @ exact) / m1.sum()
         assert np.abs(h - exact).max() < 1e-9
 
     def test_imbalance_rejected(self, disk_forms):
-        load = np.zeros(disk_forms.mesh.n_vertices)
-        load[0] = 0.1
-        with pytest.raises(FemError) as exc:
-            solve_neumann(disk_forms, load)
-        assert "imbalance" in str(exc.value)
+        # an imbalance of 5e-4 of the load's size, however small the load
+        load = np.random.default_rng(5).standard_normal(disk_forms.mesh.n_vertices)
+        load -= load.mean()
+        load[0] += 5e-4 * np.abs(load).sum()
+        for scale in (1.0, 2.0**-600):
+            with pytest.raises(FemError) as exc:
+                solve_neumann(disk_forms, scale * load, scale * np.abs(load))
+            assert "imbalance" in str(exc.value)
 
     @pytest.mark.parametrize("imbalance", [0.0, 1e-10])
     def test_matches_dense_least_squares(self, imbalance):
@@ -151,7 +155,7 @@ class TestSolveNeumann:
         kkt = np.block([[forms.A.toarray(), m1[:, None]], [m1[None, :], np.zeros((1, 1))]])
         exact = np.linalg.lstsq(kkt, np.append(load, 0.0), rcond=None)[0][:n]
         exact -= (m1 @ exact) / m1.sum()
-        h = solve_neumann(forms, load)
+        h = solve_neumann(forms, load, np.abs(load))
         assert np.linalg.norm(h - exact) <= 1e-10 * np.linalg.norm(exact)
 
     def test_mean_zero(self):
@@ -160,7 +164,8 @@ class TestSolveNeumann:
         forms = assemble(sub.mesh)
         normals = outward_edge_normals(sub.mesh, INTERFACE)
         load = edge_flux_load(sub.mesh, INTERFACE, normals[:, 1])
-        h = solve_neumann(forms, load)
+        size = edge_flux_load(sub.mesh, INTERFACE, np.abs(normals[:, 1]))
+        h = solve_neumann(forms, load, size)
         m1 = forms.M @ np.ones(sub.mesh.n_vertices)
         assert abs(m1 @ h) < 1e-10
 
@@ -169,6 +174,14 @@ class TestSolveDirichlet:
     def test_constant_data(self, disk_forms):
         h = solve_dirichlet(disk_forms, {INTERFACE: 1.0, OUTER: 1.0})
         assert np.abs(h - 1.0).max() < 1e-10
+
+    def test_complex_scalar_data(self):
+        # scalar data broadcast to the nodes, in the dtype of the data
+        forms = assemble(extract_submesh(generate_disk_in_disk(2.0, 8, 8), SHELL).mesh)
+        real = solve_dirichlet(forms, {INTERFACE: 0.0, OUTER: 1.0})
+        h = solve_dirichlet(forms, {INTERFACE: 0.0, OUTER: 1j})
+        assert h.dtype == complex
+        assert np.abs(h - 1j * real).max() <= 1e-14    # 3.3e-16 measured
 
     def test_annulus_log_solution(self):
         mesh = generate_disk_in_disk(2.0, 8, 8)
@@ -202,7 +215,7 @@ class TestSolveDirichlet:
     def test_divergence_free_load_zero_solution(self, disk_forms):
         nt = disk_forms.mesh.n_triangles
         field = np.tile([1.0, 0.0], (nt, 1))  # constant field, weakly div-free
-        load = -divergence_load_vector(disk_forms, field)
+        load = -(disk_forms.div @ field.ravel())
         h = solve_dirichlet(disk_forms, {INTERFACE: 0.0, OUTER: 0.0}, load=load)
         assert np.abs(h).max() < 1e-9
 
@@ -226,15 +239,15 @@ class TestFactorOnce:
     def test_neumann_real_complex_real(self, factor_count):
         sub = extract_submesh(generate_disk_in_disk(2.0, 8, 8), INCLUSION)
         normals = outward_edge_normals(sub.mesh, INTERFACE)
-        loads = [edge_flux_load(sub.mesh, INTERFACE, normals[:, 0]),
-                 edge_flux_load(sub.mesh, INTERFACE, normals[:, 0] + 2j * normals[:, 1]),
-                 edge_flux_load(sub.mesh, INTERFACE, normals[:, 1])]
+        fluxes = [normals[:, 0], normals[:, 0] + 2j * normals[:, 1], normals[:, 1]]
+        loads = [(edge_flux_load(sub.mesh, INTERFACE, g),
+                  edge_flux_load(sub.mesh, INTERFACE, np.abs(g))) for g in fluxes]
         forms = assemble(sub.mesh)
         with factor_once(forms):
-            reused = [solve_neumann(forms, load) for load in loads]
+            reused = [solve_neumann(forms, *load) for load in loads]
         assert len(factor_count) == 2       # one real, one complex factor
         for load, h in zip(loads, reused):
-            fresh = solve_neumann(assemble(sub.mesh), load)
+            fresh = solve_neumann(assemble(sub.mesh), *load)
             assert h.dtype == fresh.dtype
             assert np.array_equal(h, fresh)
 
@@ -244,7 +257,7 @@ class TestFactorOnce:
         field = np.tile([0.6, 0.8], (sub.mesh.n_triangles, 1))
         cases = [({INTERFACE: 0.0, OUTER: 1.0}, None),
                  ({INTERFACE: sub.mesh.vertices[:, 0].copy(), OUTER: 0.5},
-                  -divergence_load_vector(forms, field))]
+                  -(forms.div @ field.ravel()))]
         with factor_once(forms):
             reused = [solve_dirichlet(forms, bv, load) for bv, load in cases]
         assert len(factor_count) == 1
@@ -254,14 +267,16 @@ class TestFactorOnce:
 
     def test_neumann_and_dirichlet_on_one_forms(self, disk_mesh, factor_count):
         forms = assemble(disk_mesh)
-        load = -divergence_load_vector(forms, np.tile([1.0, 0.0], (disk_mesh.n_triangles, 1)))
+        field = np.tile([1.0, 0.0], (disk_mesh.n_triangles, 1))
+        load = -(forms.div @ field.ravel())
         load -= load.mean()
+        size = _load_size(forms, field)
         bv = {INTERFACE: 0.0, OUTER: 1.0}
         with factor_once(forms):
-            h_n = solve_neumann(forms, load)
+            h_n = solve_neumann(forms, load, size)
             h_d = solve_dirichlet(forms, bv)
         assert len(factor_count) == 2
-        assert np.array_equal(h_n, solve_neumann(assemble(disk_mesh), load))
+        assert np.array_equal(h_n, solve_neumann(assemble(disk_mesh), load, size))
         assert np.array_equal(h_d, solve_dirichlet(assemble(disk_mesh), bv))
 
     def test_factors_dropped_on_exit(self, factor_count):
@@ -306,7 +321,8 @@ class TestBoundaryFlux:
         forms = assemble(sub.mesh)
         normals = outward_edge_normals(sub.mesh, INTERFACE)
         load = edge_flux_load(sub.mesh, INTERFACE, normals[:, 0])
-        h = solve_neumann(forms, load)
+        size = edge_flux_load(sub.mesh, INTERFACE, np.abs(normals[:, 0]))
+        h = solve_neumann(forms, load, size)
         flux = boundary_flux(forms, h, INTERFACE)
         assert abs(flux) < 1e-9  # net flux of nu_x over a closed curve is 0
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -411,6 +412,35 @@ class TestBatchedDispersion:
         _, lams = _circle_csv(out_path)
         a1 = magnetic_first_coefficient(n, R)
         assert abs(np.fft.fft(lams[:-1])[1] / 64 / r - a1) <= 1e-10 * abs(a1)
+
+    @pytest.mark.parametrize("family, n, R, radius, samples", [
+        (FAMILY_H, 1, 2.0, "0.05", "64"), (FAMILY_H, 1, 4.0, "0.02", "16"),
+        (FAMILY_E, 2, 2.0, "0.1", "64")])
+    def test_cli_circle_off_its_branch_is_numerical_failure(self, tmp_path, family, n, R,
+                                                             radius, samples):
+        # near an exceptional point (magnetic), or seeded from z_1 / R at
+        # every |delta| > 0.05 (electric), the samples leave the branch, and
+        # the circle mean misses a_0, the squared delta -> 0 root (scipy)
+        args = ["mie", "dispersion", "--family", family, "--n", str(n), "--R", str(R),
+                "--radius", radius, "--samples", samples]
+        out_path, err = tmp_path / "d.csv", io.StringIO()
+        assert main([*args, "--out", str(out_path)], out=io.StringIO(), err=err) == 2
+        assert not out_path.exists()
+        payload = json.loads(err.getvalue())
+        assert payload["error"] == "MieError" and "unexpected" not in payload
+        named = re.search(r"a_0 = (\S+) misses .* lambda\(0\) = (\S+) by", payload["message"])
+        a0, lam0 = complex(named[1]), float(named[2])
+        k0 = electric_limit_k(n, R) if family == FAMILY_E else jn_zeros(n)[0]
+        assert abs(lam0 - k0**2) <= 1e-9 * k0**2
+        assert abs(a0 - k0**2) > 1e-3 * (1.0 + k0**2)
+        # the same seed given on the command line turns the gate off: the
+        # same samples, written with exit 0
+        z1 = float(jn_zeros(n)[0])
+        seed = z1 / R if family == FAMILY_E else z1
+        assert main([*args, "--seed", repr(seed), "--out", str(out_path)],
+                    out=io.StringIO()) == 0
+        _, lams = _circle_csv(out_path)
+        assert abs(lams[:-1].mean() - a0) <= 1e-9 * abs(a0)
 
     def test_zero_anywhere_rejected(self):
         with pytest.raises(MieError, match="delta != 0"):
