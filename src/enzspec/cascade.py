@@ -13,6 +13,13 @@ All traces are exchanged variationally: the shell-side normal flux handed
 to the interior Neumann problem is the nodal residual of the shell solve,
 never an edge-differentiated gradient.  This preserves the discrete
 compatibility identity that makes every interior problem solvable.
+
+The products each order forms: the inclusion's divergence load div_D F_D
+and its size |div_D| |F_D|; the shell's divergence load div_S F_S, once,
+which is the shell solve's load and enters both shell residuals
+A_S h_S + div_S F_S; the size |A_S| |h_S| + |div_S| |F_S| of the second
+residual; and the two full-mesh norm products M h and A h.  The solves add
+their own residual products.
 """
 
 from __future__ import annotations
@@ -213,10 +220,11 @@ class Cascade:
     def psi_energy(self) -> float:
         return self._psi_solution[1]
 
-    def _shell_residual(self, h_s: np.ndarray, field_s: np.ndarray) -> np.ndarray:
+    def _shell_residual(self, h_s: np.ndarray, load_s: np.ndarray) -> np.ndarray:
         """Nodal residual of the shell solve = variational normal flux of
-        (grad h + F) w.r.t. the shell's outward normal."""
-        return self.forms_s.A @ h_s + self.forms_s.div @ field_s.ravel()
+        (grad h + F) w.r.t. the shell's outward normal, given the shell's
+        divergence load load_s = div_S @ F_S."""
+        return self.forms_s.A @ h_s + load_s
 
     # -- cascade orders ----------------------------------------------------
     def step(self, state: CascadeState, f_k: np.ndarray) -> None:
@@ -239,12 +247,11 @@ class Cascade:
             raise CascadeError(f"order {k} interior problem incompatible{cause}: "
                                f"{exc}") from exc
         f_s = f_k[self.sub_s.triangle_map]
+        load_s = self.forms_s.div @ f_s.ravel()
         trace = np.zeros(self.sub_s.mesh.n_vertices)
         trace[self._shell_iface] = h_d[self._iface_in_d]
-        h_s = solve_dirichlet(self.forms_s,
-                              {INTERFACE: trace, OUTER: 0.0},
-                              load=-(self.forms_s.div @ f_s.ravel()))
-        flux = float(self._shell_residual(h_s, f_s)[self._shell_outer].sum())
+        h_s = solve_dirichlet(self.forms_s, {INTERFACE: trace, OUTER: 0.0}, load=-load_s)
+        flux = float(self._shell_residual(h_s, load_s)[self._shell_outer].sum())
         c_k = -flux / self.psi_energy
         h_full = self.sub_s.extend(h_s)
         h_full[self.sub_d.vertex_map] = h_d   # interface nodes: same values
@@ -253,7 +260,7 @@ class Cascade:
         # the magnitudes of the terms it sums: order k > 0 is driven by
         # h_{k-1}, not by F_k alone
         h_s = self.sub_s.restrict(h_full)
-        residual = self._shell_residual(h_s, f_s)
+        residual = self._shell_residual(h_s, load_s)
         re_flux = float(residual[self._shell_outer].sum())
         size = _flux_size(self.forms_s.A, h_s, self.forms_s, f_s)
         if abs(re_flux) > 1e-8 * size[self._shell_outer].sum():

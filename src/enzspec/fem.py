@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from contextlib import contextmanager
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -47,19 +48,16 @@ _COMPAT_TOL = 1e-8
 
 
 def _triangle_geometry(mesh: Mesh):
-    """Areas and barycentric gradients for all triangles, vectorized."""
-    p = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
+    """Areas and barycentric gradients (x and y parts, (nt, 3) each) for all
+    triangles, vectorized."""
+    x, y = mesh.corner_coordinates()
     area = mesh.triangle_areas()
     if np.any(area <= 0):
         raise FemError("degenerate or inverted triangle in assembly")
     # grad lambda_i = (y_j - y_k, x_k - x_j) / (2 area), (i, j, k) cyclic
-    grads = np.empty((len(area), 3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        grads[:, i, 0] = p[:, j, 1] - p[:, k, 1]
-        grads[:, i, 1] = p[:, k, 0] - p[:, j, 0]
-    grads /= (2.0 * area)[:, None, None]
-    return area, grads
+    j, k = [1, 2, 0], [2, 0, 1]
+    twice = (2.0 * area)[:, None]
+    return area, (y[:, j] - y[:, k]) / twice, (x[:, k] - x[:, j]) / twice
 
 
 _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -68,7 +66,8 @@ _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12
 def _div_operator(triangles: np.ndarray, data: np.ndarray, n_vertices: int):
     """The P1 divergence operator: CSC of shape (n_vertices, 2 nt) whose
     column 2t + d holds area_t d(phi_i)/dx_d at the three vertices i of
-    triangle t, with data laid out as (nt, 2, 3)."""
+    triangle t, with data laid out as (nt, 2, 3) or, the same in C order,
+    (nt, 6)."""
     nt = len(triangles)
     indices = np.repeat(triangles.astype(np.int32)[:, None, :], 2, axis=1).ravel()
     indptr = 3 * np.arange(2 * nt + 1, dtype=np.int32)
@@ -85,6 +84,14 @@ class AssembledForms:
     b_i = integral of F . grad(phi_i) of a per-triangle constant field F of
     shape (nt, 2).  Built by `assemble` for a mesh and by `restrict_forms`
     for a submesh of an assembled mesh.
+
+    The nodal values that depend only on the assembly (M 1, the boundary
+    vertices per tag and the Dirichlet free set) are derived once, on first
+    use, and kept here: the forms are a snapshot of their mesh, while the
+    Mesh itself holds no derived state.  The entrywise magnitudes |A| and
+    |div| are formed per use: kept on a cascade's three forms, their
+    entries would stay in memory through the direct projection's
+    factorization and raise the command's peak memory.
     """
 
     def __init__(self, mesh: Mesh, areas, div, A_D, M_D, A_S, M_S):
@@ -97,6 +104,25 @@ class AssembledForms:
         self.A = A_D + A_S
         self.M = M_D + M_S
         self._factors = None     # (solve kind, dtype) -> LUFactors inside factor_once
+
+    @cached_property
+    def m1(self) -> np.ndarray:
+        """M 1, the nodal masses."""
+        return self.M @ np.ones(self.mesh.n_vertices)
+
+    @cached_property
+    def boundary_nodes(self) -> dict:
+        """Edge tag -> its sorted boundary vertices, for each tag present."""
+        return {int(t): self.mesh.boundary_vertices(t) for t in np.unique(self.mesh.edge_tags)}
+
+    @cached_property
+    def dirichlet_free(self) -> np.ndarray:
+        """The vertices on no tagged edge, as a mask: a Dirichlet solve's
+        free set, since it takes data on every tag present."""
+        free = np.ones(self.mesh.n_vertices, dtype=bool)
+        for nodes in self.boundary_nodes.values():
+            free[nodes] = False
+        return free
 
 
 def validated_radius(forms: AssembledForms) -> float:
@@ -123,28 +149,26 @@ def warn_outside_validated_disk(delta, radius: float) -> None:
 
 
 def assemble(mesh: Mesh) -> AssembledForms:
-    area, grads = _triangle_geometry(mesh)
-    nt = mesh.n_triangles
-    tri = mesh.triangles
-
-    rows = np.repeat(tri, 3, axis=1).ravel()            # i index
-    cols = np.tile(tri, (1, 3)).ravel()                 # j index
-    k_local = np.einsum("tid,tjd->tij", grads, grads) * area[:, None, None]
-    m_local = _LOCAL_MASS[None, :, :] * area[:, None, None]
-
+    area, gx, gy = _triangle_geometry(mesh)
     shape = (mesh.n_vertices, mesh.n_vertices)
 
-    def build(mask):
-        # duplicate (i, j) triplets sum on conversion to CSR, as assembly needs
-        sel = np.repeat(mask, 9)
-        ij = (rows[sel], cols[sel])
-        return (scipy.sparse.csr_matrix((k_local.reshape(nt, 9)[mask].ravel(), ij), shape=shape),
-                scipy.sparse.csr_matrix((m_local.reshape(nt, 9)[mask].ravel(), ij), shape=shape))
+    def build(region):
+        # the region's element matrices from its own triangles, entry (i, j)
+        # of triangle t at 9 t + 3 i + j: the stiffness g_i . g_j area and the
+        # consistent mass; duplicate (i, j) triplets sum on conversion to
+        # CSR, as assembly needs
+        sel = np.nonzero(mesh.regions == region)[0]
+        tri, a, x, y = mesh.triangles[sel], area[sel], gx[sel], gy[sel]
+        k_local = np.stack([(x[:, i] * x[:, j] + y[:, i] * y[:, j]) * a
+                            for i in range(3) for j in range(3)], axis=1)
+        m_local = np.multiply.outer(a, _LOCAL_MASS.ravel())
+        ij = (np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel())
+        return (scipy.sparse.csr_matrix((k_local.ravel(), ij), shape=shape),
+                scipy.sparse.csr_matrix((m_local.ravel(), ij), shape=shape))
 
-    div = _div_operator(tri, grads.transpose(0, 2, 1) * area[:, None, None],
+    div = _div_operator(mesh.triangles, np.hstack([gx * area[:, None], gy * area[:, None]]),
                         mesh.n_vertices)
-    return AssembledForms(mesh, area, div, *build(mesh.regions == INCLUSION),
-                          *build(mesh.regions == SHELL))
+    return AssembledForms(mesh, area, div, *build(INCLUSION), *build(SHELL))
 
 
 def restrict_forms(forms: AssembledForms, sub: Submesh) -> AssembledForms:
@@ -223,7 +247,7 @@ def solve_neumann(forms: AssembledForms, load: np.ndarray,
         raise FemError(f"Neumann compatibility violated: flux imbalance {imbalance:.3e} "
                        f"against a summed load size of {scale:.3e}")
     n = forms.mesh.n_vertices
-    m1 = forms.M @ np.ones(n)
+    m1 = forms.m1
     dtype = np.result_type(a.dtype, load.dtype)
     load = load.astype(dtype) - (load.sum() / m1.sum()) * m1
     lu = _factor(forms, ("neumann", dtype), lambda: a[1:, 1:].astype(dtype))
@@ -247,25 +271,22 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
     supplied for every tag present on the mesh.  The residual on the free
     nodes is checked against the magnitudes |A| |h| + |load| of its terms.
     """
-    mesh = forms.mesh
     a = forms.A
-    present = set(int(t) for t in np.unique(mesh.edge_tags))
-    missing = present - set(boundary_values)
+    nodes = forms.boundary_nodes
+    missing = set(nodes) - set(boundary_values)
     if missing:
         raise FemError(f"missing Dirichlet data for boundary role(s) {sorted(missing)}")
 
-    n = mesh.n_vertices
+    n = forms.mesh.n_vertices
     b = np.zeros(n) if load is None else np.asarray(load)
     dtype = np.result_type(a.dtype, b, *boundary_values.values())
     u = np.zeros(n, dtype=dtype)
-    constrained = np.zeros(n, dtype=bool)
     for tag, data in boundary_values.items():
-        nodes = mesh.boundary_vertices(tag)
-        u[nodes] = np.broadcast_to(data, (n,))[nodes]
-        constrained[nodes] = True
+        if tag in nodes:
+            u[nodes[tag]] = np.broadcast_to(data, (n,))[nodes[tag]]
 
     b = b.astype(dtype)
-    free = ~constrained
+    free = forms.dirichlet_free
     acsr = a.astype(dtype, copy=False)
     rhs = b[free] - (acsr @ u)[free]
     if free.any():

@@ -70,10 +70,14 @@ class Mesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
+    def corner_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of each triangle's corners, two (nt, 3) arrays."""
+        return self.vertices[:, 0][self.triangles], self.vertices[:, 1][self.triangles]
+
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        x, y = self.corner_coordinates()
+        return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                      - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
 
     def region_area(self, region: int) -> float:
         return float(self.triangle_areas()[self.regions == region].sum())
@@ -89,7 +93,8 @@ class Mesh:
         nv = self.n_vertices
         if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= nv:
             raise MeshError("triangle vertex index out of range")
-        bad = np.nonzero(~np.isfinite(self.vertices).all(axis=1))[0]
+        finite = np.isfinite(self.vertices)
+        bad = np.nonzero(~(finite[:, 0] & finite[:, 1]))[0]
         if len(bad):
             raise MeshError(f"vertex {bad[0]} has non-finite coordinates")
         areas = self.triangle_areas()
@@ -105,15 +110,17 @@ class Mesh:
             raise MeshError(f"edge {_edge_of(keys[e], nv)} shared by {count[e]} triangles")
 
         # each tagged edge, in file order, against the checks in this order
-        tagged, tag_order = _edge_keys(self.edges, nv)
-        in_range = (self.edges.min(axis=1) >= 0) & (self.edges.max(axis=1) < nv)
+        a, b = self.edges[:, 0], self.edges[:, 1]
+        tagged, tag_order = _edge_keys(a, b, nv)
+        in_range = (np.minimum(a, b) >= 0) & (np.maximum(a, b) < nv)
         pos, found = _find(keys, tagged)
         found &= in_range
         n = np.zeros(len(tagged), dtype=int)
         n[found] = count[pos[found]]
         regs = np.full((len(tagged), 2), -1)
         regs[found] = self.regions[incident[pos[found]]]
-        separates = (regs.min(axis=1) == INCLUSION) & (regs.max(axis=1) == SHELL)
+        separates = ((np.minimum(regs[:, 0], regs[:, 1]) == INCLUSION)
+                     & (np.maximum(regs[:, 0], regs[:, 1]) == SHELL))
         twice = np.zeros(len(tagged), dtype=bool)
         sorted_tagged = tagged[tag_order]
         twice[tag_order[1:][sorted_tagged[1:] == sorted_tagged[:-1]]] = True
@@ -150,7 +157,7 @@ class Mesh:
             from scipy.sparse.csgraph import connected_components
 
             pairs = incident[count == 2]
-            a, b = pairs[in_inc[pairs].all(axis=1)].T
+            a, b = pairs[in_inc[pairs[:, 0]] & in_inc[pairs[:, 1]]].T
             nt = self.n_triangles
             graph = scipy.sparse.coo_matrix((np.ones(len(a)), (a, b)), shape=(nt, nt))
             labels = connected_components(graph, directed=False)[1]
@@ -159,11 +166,13 @@ class Mesh:
                 raise MeshError(f"INCLUSION region is disconnected ({parts} components)")
 
 
-def _edge_keys(edges: np.ndarray, n_vertices: int):
-    """Key lo * n_vertices + hi (int64) of each undirected edge, and the
-    stable permutation that sorts the keys."""
-    edges = np.asarray(edges, dtype=np.int64)
-    keys = edges.min(axis=1) * n_vertices + edges.max(axis=1)
+def _edge_keys(a: np.ndarray, b: np.ndarray, n_vertices: int):
+    """Key lo * n_vertices + hi (int64) of each undirected edge (a, b), with
+    a and b same-shape endpoint arrays read in C order, and the stable
+    permutation that sorts the keys."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    keys = (np.minimum(a, b) * n_vertices + np.maximum(a, b)).ravel()
     return keys, np.argsort(keys, kind="stable")
 
 
@@ -188,8 +197,7 @@ def _edge_incidence(triangles: np.ndarray, n_vertices: int):
     triangles (the second is -1 on an edge of one triangle) and the position
     of its first occurrence in the edge sequence.
     """
-    ends = np.stack([triangles, triangles[:, [1, 2, 0]]], axis=-1).reshape(-1, 2)
-    keys, order = _edge_keys(ends, n_vertices)
+    keys, order = _edge_keys(triangles, triangles[:, [1, 2, 0]], n_vertices)
     sorted_keys = keys[order]
     start = np.ones(len(keys), dtype=bool)
     start[1:] = sorted_keys[1:] != sorted_keys[:-1]
@@ -349,7 +357,10 @@ def _parse_rows(numbers: list, texts: list, form: str, dtype,
     if block is not None and block.shape[1] == k:
         if tag is None:
             return block
-        bad = np.nonzero(~np.isin(block[:, -1], tag[1]))[0]
+        known = np.zeros(len(block), dtype=bool)
+        for value in tag[1]:
+            known |= block[:, -1] == value
+        bad = np.nonzero(~known)[0]
         if not len(bad):
             return block
         raise MeshParseError(numbers[bad[0]], f"unknown {tag[0]} tag {block[bad[0], -1]}")
@@ -437,7 +448,9 @@ def extract_submesh(mesh: Mesh, region: int) -> Submesh:
     if not len(sel):
         raise MeshError(f"region {region} is empty")
     tris = mesh.triangles[sel]
-    used = np.unique(tris)
+    mark = np.zeros(mesh.n_vertices, dtype=bool)
+    mark[tris] = True
+    used = np.nonzero(mark)[0]
     remap = -np.ones(mesh.n_vertices, dtype=int)
     remap[used] = np.arange(len(used))
     child_tris = remap[tris]
@@ -447,7 +460,7 @@ def extract_submesh(mesh: Mesh, region: int) -> Submesh:
     keys, count, _, first = _edge_incidence(tris, nv)
     once = np.nonzero(count == 1)[0]
     boundary = keys[once[np.argsort(first[once])]]
-    tagged, tag_order = _edge_keys(mesh.edges, nv)
+    tagged, tag_order = _edge_keys(mesh.edges[:, 0], mesh.edges[:, 1], nv)
     pos, found = _find(tagged[tag_order], boundary)
     if not found.all():
         key = _edge_of(boundary[np.argmin(found)], nv)

@@ -310,6 +310,30 @@ def first_zero_oracle(n: int) -> float:
     return brentq(lambda x: jv(nu, x), guess - 0.5, guess + 0.5, xtol=1e-13)
 
 
+def scipy_roots(f, count=1, lo=0.5, hi=40.0, step=0.05):
+    """First `count` sign changes of the ufunc expression f on a grid from
+    lo, refined by brentq."""
+    from scipy.optimize import brentq
+    grid = np.arange(lo, hi, step)
+    vals = f(grid)
+    flips = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0][:count]
+    return np.array([brentq(f, grid[i], grid[i + 1], xtol=1e-15) for i in flips])
+
+
+def electric_limit_k(n: int, R: float) -> float:
+    """First root of the delta -> 0 limit of the electric family, where the
+    shell field is g ~ r^n - R^(2n+1) r^(-n-1):
+    j_n(k) [(n+1) + n R^(2n+1)] = (j_n(k) + k j_n'(k)) (1 - R^(2n+1))."""
+    from scipy.special import spherical_jn
+    q = R ** (2 * n + 1)
+
+    def f(k):
+        j = spherical_jn(n, k)
+        return j * ((n + 1) + n * q) - (j + k * spherical_jn(n, k, derivative=True)) * (1 - q)
+
+    return float(scipy_roots(f)[0])
+
+
 def magnetic_first_coefficient(n: int, R: float) -> float:
     """a_1 = d lambda / d delta at delta = 0 on the magnetic dispersion branch
     through z_1^2, z_1 the first zero of j_n: 2 z_1^2 / P_n(R), where

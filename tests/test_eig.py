@@ -22,7 +22,15 @@ from enzspec.eig import (
 )
 from enzspec.fem import AssembledForms, assemble
 from enzspec.linalg import LUFactors, SingularMatrixError
-from enzspec.mesh import INCLUSION, SHELL, Mesh, generate_disk_in_disk, generate_square_with_disk
+from enzspec.mesh import (
+    INCLUSION,
+    SHELL,
+    Mesh,
+    generate_disk_in_disk,
+    generate_square_with_disk,
+    load_mesh,
+    save_mesh,
+)
 from enzspec.perturb import circle_path, taylor_from_circle
 
 
@@ -538,6 +546,58 @@ def test_simple_branch_shell_sensitivity(forms_by_mesh):
     lam_square, a1_square = _first_order(forms_by_mesh("square", 8), 15.005677, 1)
     assert abs(lam_disk - lam_square) <= 1e-6 * lam_disk
     assert a1_square[0] / a1_disk[0] > 1.3     # -63.87 against -46.44
+
+
+# the radial limit mode near j'_{0,1}^2 = 14.681971 at R = L = 2, per ring count
+_RADIAL_MODE = {8: 15.005677, 16: 14.762803, 32: 14.702182}
+
+
+@pytest.fixture(scope="module")
+def radial_first_order(tmp_path_factory):
+    """Per (shape, rings): the first-order coefficient
+    a_1 = -lambda_0 v^T M_S v / v^T M_D v of the radial limit mode, with
+    lambda_0 and the discrete region areas area_h(D), area_h(S), from a mesh
+    written to a file and read back, as the command line ingests it."""
+    cache = {}
+
+    def get(shape, rings):
+        if (shape, rings) not in cache:
+            path = str(tmp_path_factory.mktemp("shell_law") / f"{shape}{rings}.txt")
+            save_mesh(_GENERATORS[shape](2.0, rings, rings), path)
+            mesh = load_mesh(path)
+            forms = assemble(mesh)
+            (pair,) = delta_spectrum(forms, 0.0, _RADIAL_MODE[rings], 1)
+            v, lam0 = pair.vector, pair.lam
+            assert abs(lam0 - _RADIAL_MODE[rings]) <= 1e-6 * lam0
+            a1 = -lam0 * (v @ (forms.M_S @ v)) / (v @ (forms.M_D @ v))
+            cache[shape, rings] = (a1, lam0, mesh.region_area(INCLUSION),
+                                   mesh.region_area(SHELL))
+        return cache[shape, rings]
+    return get
+
+
+class TestShellLaw:
+    """The 2-D shell law: the radial mode's trace on the interface is
+    constant, so its shell extension is that constant, a_0 does not see the
+    shell and a_1 = -lambda_0 area(S) / area(D) sees it only through its
+    area."""
+
+    @pytest.mark.parametrize("rings", [8, 16, 32])
+    def test_a1_ratio_is_the_shell_area_ratio(self, radial_first_order, rings):
+        a1_disk, _, _, shell_disk = radial_first_order("disk", rings)
+        a1_square, _, _, shell_square = radial_first_order("square", rings)
+        ratio, areas = a1_square / a1_disk, shell_square / shell_disk
+        assert abs(ratio - areas) <= 1e-12 * areas
+
+    @pytest.mark.parametrize("shape", ["disk", "square"])
+    def test_a1_converges_to_the_law_at_second_order(self, radial_first_order, shape):
+        misses = []
+        for rings in (8, 16, 32):
+            a1, lam0, inclusion, shell = radial_first_order(shape, rings)
+            law = -lam0 * shell / inclusion
+            misses.append(abs(a1 - law) / abs(law))
+        for coarse, fine in zip(misses, misses[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
 
 
 def test_tracking_steps_reuse_no_harvest(forms_coarse, limit_coarse, monkeypatch):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from enzspec.cascade import _load_size
 from enzspec.fem import (
@@ -61,6 +62,28 @@ def element_loads(mesh, fields):
     return loads, sizes
 
 
+def element_loop_matrices(mesh, region):
+    """Stiffness and mass of one region, triangle by triangle, as CSR of the
+    COO triplets: local stiffness e_i . e_j / (4 area) from the edge vectors
+    e_i opposite vertex i, local mass area / 12 [[2, 1, 1], [1, 2, 1],
+    [1, 1, 2]]."""
+    rows, cols, stiffness, mass = [], [], [], []
+    for tri in mesh.triangles[mesh.regions == region]:
+        p = mesh.vertices[tri]
+        (ux, uy), (vx, vy) = p[1] - p[0], p[2] - p[0]
+        area = 0.5 * (ux * vy - uy * vx)
+        edges = [p[(i + 2) % 3] - p[(i + 1) % 3] for i in range(3)]
+        for i in range(3):
+            for j in range(3):
+                rows.append(tri[i])
+                cols.append(tri[j])
+                stiffness.append(edges[i] @ edges[j] / (4.0 * area))
+                mass.append(area / 12.0 * (2.0 if i == j else 1.0))
+    shape = (mesh.n_vertices, mesh.n_vertices)
+    return [scipy.sparse.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+            for data in (stiffness, mass)]
+
+
 @pytest.fixture(scope="module")
 def disk_mesh():
     return generate_disk_in_disk(2.0, 8, 8)
@@ -85,6 +108,21 @@ class TestAssemble:
         c = np.ones(disk_mesh.n_vertices)
         md = float(c @ (disk_forms.M_D @ c))
         assert abs(md - disk_mesh.region_area(INCLUSION)) < 1e-12
+
+    @pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+    @pytest.mark.parametrize("rings", [2, 8])
+    def test_matches_the_element_loop(self, generate, rings):
+        # the CSR structure (explicit zeros included) of the loop's triplets,
+        # and its values to roundoff
+        mesh = generate(2.0, rings, rings)
+        forms = assemble(mesh)
+        for region, names in ((INCLUSION, ("A_D", "M_D")), (SHELL, ("A_S", "M_S"))):
+            for name, ref in zip(names, element_loop_matrices(mesh, region)):
+                got = getattr(forms, name)
+                assert got.shape == ref.shape and got.dtype == ref.dtype, name
+                assert np.array_equal(got.indptr, ref.indptr), name
+                assert np.array_equal(got.indices, ref.indices), name
+                assert np.abs(got.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max(), name
 
     def test_element_gradients_linear_exact(self, disk_forms):
         x, y = disk_forms.mesh.vertices.T

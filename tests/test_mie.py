@@ -26,10 +26,12 @@ from enzspec.perturb import taylor_from_circle
 from enzspec.specfun import HarmonicIndex, SpecFunError
 from sphere_fields import (
     _mode_fields,
+    electric_limit_k,
     interface_residuals,
     interior_solution,
     magnetic_first_coefficient,
     residual_checks,
+    scipy_roots,
 )
 
 # first zero of j_1, frozen from the independent closed-form bisection in
@@ -37,30 +39,8 @@ from sphere_fields import (
 J1_ZERO_1 = 4.493409457909064
 
 
-def scipy_roots(f, count=1, lo=0.5, hi=40.0, step=0.05):
-    """First `count` sign changes of the ufunc expression f on a grid from
-    lo, refined by brentq."""
-    grid = np.arange(lo, hi, step)
-    vals = f(grid)
-    flips = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0][:count]
-    return np.array([brentq(f, grid[i], grid[i + 1], xtol=1e-15) for i in flips])
-
-
 def jn_zeros(n: int, count: int = 1) -> np.ndarray:
     return scipy_roots(lambda x: spherical_jn(n, x), count)
-
-
-def electric_limit_k(n: int, R: float) -> float:
-    """First root of the delta -> 0 limit of the electric family, where the
-    shell field is g ~ r^n - R^(2n+1) r^(-n-1):
-    j_n(k) [(n+1) + n R^(2n+1)] = (j_n(k) + k j_n'(k)) (1 - R^(2n+1))."""
-    q = R ** (2 * n + 1)
-
-    def f(k):
-        j = spherical_jn(n, k)
-        return j * ((n + 1) + n * q) - (j + k * spherical_jn(n, k, derivative=True)) * (1 - q)
-
-    return float(scipy_roots(f)[0])
 
 
 def oracle_nonelectro_k(p: int, R: float, interval: int) -> float:
@@ -336,18 +316,20 @@ class TestBatchedDispersion:
         seeds = np.full(CIRCLE.shape, k0)
         assert (concentric_dispersion(family, n, 2.0, CIRCLE, seeds) == lams).all()
 
+    @pytest.mark.parametrize("R", [1.2, 1.5, 2.0, 4.0, 10.0])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_cli_circle_mean_is_limit_root(self, tmp_path, n):
+    def test_cli_circle_mean_is_limit_root(self, tmp_path, n, R):
         # the Cauchy mean of the magnetic branch is its delta = 0 value, the
-        # squared first zero of j_n (scipy brentq, not the code under test)
+        # squared first zero of j_n (scipy brentq, not the code under test),
+        # whatever the shell
         out_path = tmp_path / "d.csv"
         assert main(["mie", "dispersion", "--family", "magnetic", "--n", str(n),
-                     "--R", "2", "--radius", "0.01", "--samples", "256",
+                     "--R", str(R), "--radius", "0.002", "--samples", "64",
                      "--out", str(out_path)]) == 0
         deltas, lams = _circle_csv(out_path)
-        assert len(lams) == 257 and deltas[0] == 0.01
+        assert len(lams) == 65 and deltas[0] == 0.002
         z2 = jn_zeros(n)[0] ** 2
-        assert abs(lams[:-1].mean() - z2) <= 1e-8 * z2
+        assert abs(lams[:-1].mean() - z2) <= 1e-10 * z2
 
     @pytest.mark.parametrize("R", [1.5, 2.0, 4.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
