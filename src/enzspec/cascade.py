@@ -33,7 +33,6 @@ from .fem import (
     AssembledForms,
     FemError,
     assemble,
-    factor_once,
     norms,
     restrict_forms,
     solve_dirichlet,
@@ -102,7 +101,7 @@ def _weak_divergence_defect(forms: AssembledForms, field_values: np.ndarray) -> 
     each relative to the summed magnitudes of its terms (0 where all vanish)."""
     b = forms.div @ field_values.ravel()
     defect = np.abs(b) / np.maximum(_load_size(forms, field_values), np.finfo(float).tiny)
-    defect[forms.mesh.boundary_vertices(OUTER)] = 0.0
+    defect[forms.boundary_nodes[OUTER]] = 0.0
     return float(defect.max())
 
 
@@ -179,9 +178,9 @@ class CascadeState:
 class Cascade:
     """Workspace bundling the mesh split, assembled forms and Psi.
 
-    Psi is solved on first use.  Inside `run` that is within the factor
-    scope, so Psi and every order's shell solve share one shell Dirichlet
-    factor."""
+    Psi is solved on first use.  The shell forms keep their Dirichlet
+    factor, so Psi and every order's shell solve share it however Psi is
+    first reached."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -190,8 +189,10 @@ class Cascade:
         self.sub_s = extract_submesh(mesh, SHELL)
         self.forms_d = restrict_forms(self.forms, self.sub_d)
         self.forms_s = restrict_forms(self.forms, self.sub_s)
-        self._shell_iface = self.sub_s.mesh.boundary_vertices(INTERFACE)
-        self._shell_outer = self.sub_s.mesh.boundary_vertices(OUTER)
+        if set(self.forms_s.boundary_nodes) != {INTERFACE, OUTER}:
+            raise CascadeError("the shell must touch both the inclusion and the outer boundary")
+        self._shell_iface = self.forms_s.boundary_nodes[INTERFACE]
+        self._shell_outer = self.forms_s.boundary_nodes[OUTER]
         # the interface vertices' inclusion indices: both vertex maps are sorted
         self._iface_in_d = np.searchsorted(self.sub_d.vertex_map,
                                            self.sub_s.vertex_map[self._shell_iface])
@@ -275,13 +276,16 @@ class Cascade:
     def run(self, driving: DrivingField, max_order: int) -> CascadeState:
         driving.validate(self.forms)
         # every order solves the same interior Neumann and shell Dirichlet
-        # operators, and Psi (if not yet solved) the same shell Dirichlet
-        # one: factor each once, and free both factors before the caller
-        # goes on to the (larger) direct projection
+        # operators, and Psi (however first reached) the same shell Dirichlet
+        # one: the forms keep one factor of each, freed here, also on error,
+        # before the caller goes on to the (larger) direct projection
         state = CascadeState()
-        with factor_once(self.forms_d, self.forms_s):
+        try:
             for k in range(max_order + 1):
                 self.step(state, driving.coefficient(k))
+        finally:
+            self.forms_d.factors.clear()
+            self.forms_s.factors.clear()
         return state
 
 
@@ -309,7 +313,7 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
     field_w[mesh.regions == SHELL] *= delta_s
     b_w = forms.div @ field_w.ravel()
 
-    outer = mesh.boundary_vertices(OUTER)
+    outer = forms.boundary_nodes[OUTER]
     free = np.ones(n, dtype=bool)
     free[outer] = False
     h = np.zeros(n, dtype=dtype)

@@ -280,9 +280,8 @@ def limit_spectrum(forms: AssembledForms, count: int):
     The constant mode (eigenvalue zero) is deflated away; eigenvectors come
     out M_D-bilinearly orthonormal with vanishing inclusion mean.
     """
-    pairs = _solve_pencil(Pencil(forms), 0.0, -1.0, count)
-    pairs.sort(key=lambda p: np.real(p.lam))
-    return pairs
+    # _solve_pencil orders pairs by |lambda + 1|: ascending, as lambda >= 0
+    return _solve_pencil(Pencil(forms), 0.0, -1.0, count)
 
 
 def delta_spectrum(forms: AssembledForms, delta: complex, target: complex, count: int):

@@ -2,11 +2,12 @@
 
 Assembles the Neumann stiffness matrix and the per-region consistent mass
 matrices as scipy CSR matrices, and provides subdomain Neumann/Dirichlet
-solves and norms.  Solves inside `factor_once` reuse one factor per operator
-and dtype.  A divergence load is the product `forms.div @ F.ravel()` with
-one sparse divergence operator, built at assembly and sliced out of the
-parent's for a subdomain; the caller knows which terms each load entry
-sums, so it passes their magnitudes (`load_size`) to `solve_neumann`.
+solves and norms.  A solve factors its operator once per dtype and keeps the
+factor on the forms, like the other values derived from an assembly.  A
+divergence load is the product `forms.div @ F.ravel()` with one sparse
+divergence operator, built at assembly and sliced out of the parent's for a
+subdomain; the caller knows which terms each load entry sums, so it passes
+their magnitudes (`load_size`) to `solve_neumann`.
 All matrices are kept per region so that delta-weighted forms (the mass
 B_delta = M_D + delta*M_S, the stiffness A_D + delta*A_S) are exact linear
 combinations of the assembled pieces.
@@ -15,7 +16,6 @@ combinations of the assembled pieces.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "FemError",
     "assemble",
     "restrict_forms",
-    "factor_once",
     "solve_neumann",
     "solve_dirichlet",
     "norms",
@@ -85,13 +84,14 @@ class AssembledForms:
     shape (nt, 2).  Built by `assemble` for a mesh and by `restrict_forms`
     for a submesh of an assembled mesh.
 
-    The nodal values that depend only on the assembly (M 1, the boundary
-    vertices per tag and the Dirichlet free set) are derived once, on first
-    use, and kept here: the forms are a snapshot of their mesh, while the
-    Mesh itself holds no derived state.  The entrywise magnitudes |A| and
-    |div| are formed per use: kept on a cascade's three forms, their
-    entries would stay in memory through the direct projection's
-    factorization and raise the command's peak memory.
+    The values that depend only on the assembly (M 1, the boundary vertices
+    per tag, the Dirichlet free set, and the solve factors in `factors`) are
+    derived once, on first use, and kept here: the forms are a snapshot of
+    their mesh, while the Mesh itself holds no derived state.
+    `factors.clear()` frees the factors; the next solve factors again.  The
+    entrywise magnitudes |A| and |div| are formed per use: kept on a
+    cascade's three forms, their entries would stay in memory through the
+    direct projection's factorization and raise the command's peak memory.
     """
 
     def __init__(self, mesh: Mesh, areas, div, A_D, M_D, A_S, M_S):
@@ -103,7 +103,7 @@ class AssembledForms:
         # the sums drop the entries that cancel to exactly zero
         self.A = A_D + A_S
         self.M = M_D + M_S
-        self._factors = None     # (solve kind, dtype) -> LUFactors inside factor_once
+        self.factors = {}        # (solve kind, dtype) -> LUFactors, see _factor
 
     @cached_property
     def m1(self) -> np.ndarray:
@@ -194,31 +194,14 @@ def restrict_forms(forms: AssembledForms, sub: Submesh) -> AssembledForms:
                           piece(forms.A_S, SHELL), piece(forms.M_S, SHELL))
 
 
-@contextmanager
-def factor_once(*forms_list: AssembledForms):
-    """Inside the block, solve_neumann and solve_dirichlet on these forms
-    factor each operator once per (solve kind, dtype) and reuse the factor
-    for later loads; the factors are dropped on exit, also on error.
-
-    Keying on dtype keeps a complex load away from a real factor.  The
-    Dirichlet free set needs no key: data is required on every boundary
-    tag present, so the forms fix it."""
-    for forms in forms_list:
-        forms._factors = {}
-    try:
-        yield
-    finally:
-        for forms in forms_list:
-            forms._factors = None
-
-
 def _factor(forms: AssembledForms, key, build) -> LUFactors:
-    """LUFactors of build(), kept on forms under key inside factor_once."""
-    if forms._factors is None:
-        return LUFactors(build())
-    lu = forms._factors.get(key)
+    """LUFactors of build(), kept in forms.factors under key for later loads.
+    Keying on dtype keeps a complex load away from a real factor.  The
+    Dirichlet free set needs no key: data is required on every boundary tag
+    present, so the forms fix it."""
+    lu = forms.factors.get(key)
     if lu is None:
-        lu = forms._factors[key] = LUFactors(build())
+        lu = forms.factors[key] = LUFactors(build())
     return lu
 
 

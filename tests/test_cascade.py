@@ -299,8 +299,16 @@ def failing_after_order_zero(step):
 
 
 class TestFactorReuse:
-    """Every order solves the same two operators: a run factors each once
-    and drops both factors when it returns."""
+    """Every order solves the same two operators: a run factors each once,
+    Psi shares the shell factor however it is first reached, and the run
+    drops both factors when it returns."""
+
+    @pytest.fixture
+    def ws(self, cascade_ws):
+        """The shared workspace, without a factor kept by an earlier test."""
+        cascade_ws.forms_d.factors.clear()
+        cascade_ws.forms_s.factors.clear()
+        return cascade_ws
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -319,12 +327,19 @@ class TestFactorReuse:
         monkeypatch.setattr(cascade_module, "solve_neumann", counting_neumann)
         return counts
 
-    def test_two_factors_per_run(self, cascade_ws, counts):
-        driving = DrivingField([constant_field(cascade_ws, [1.0, 0.0])])
-        cascade_ws.run(driving, 6)
+    def test_two_factors_per_run(self, ws, counts):
+        driving = DrivingField([constant_field(ws, [1.0, 0.0])])
+        ws.run(driving, 6)
         assert counts == {"factors": 2, "neumann": 7}
-        cascade_ws.run(driving, 6)     # released: the next run factors again
+        ws.run(driving, 6)     # released: the next run factors again
         assert counts == {"factors": 4, "neumann": 14}
+
+    def test_two_factors_when_psi_is_reached_first(self, counts):
+        cascade = Cascade(generate_disk_in_disk(2.0, 8, 8))
+        assert cascade.psi_energy > 0.0
+        assert counts["factors"] == 1
+        cascade.run(DrivingField([constant_field(cascade, [1.0, 0.0])]), 6)
+        assert counts == {"factors": 2, "neumann": 7}
 
     def test_three_factors_per_cascade_command(self, counts, monkeypatch):
         # interior Neumann, shell Dirichlet (shared by Psi), direct projection
@@ -337,7 +352,7 @@ class TestFactorReuse:
 
         def checked_direct(ws, *args):
             # no cascade factor is alive while the direct projection runs
-            assert ws.forms_d._factors is None and ws.forms_s._factors is None
+            assert not ws.forms_d.factors and not ws.forms_s.factors
             return direct(ws, *args)
 
         monkeypatch.setattr(cascade_module, "direct_projection", checked_direct)
@@ -369,13 +384,13 @@ class TestFactorReuse:
             assert np.diff(mat.indptr).max() <= longest
             assert np.diff(mat.tocsc().indptr).max() <= longest
 
-    def test_factors_released_on_error(self, cascade_ws, counts, monkeypatch):
+    def test_factors_released_on_error(self, ws, counts, monkeypatch):
         monkeypatch.setattr(Cascade, "step", failing_after_order_zero(Cascade.step))
         with pytest.raises(CascadeError):
-            cascade_ws.run(DrivingField([constant_field(cascade_ws, [1.0, 0.0])]), 3)
+            ws.run(DrivingField([constant_field(ws, [1.0, 0.0])]), 3)
         assert counts["factors"] == 2
-        load = np.zeros(cascade_ws.forms_d.mesh.n_vertices)
-        solve_neumann(cascade_ws.forms_d, load, load)
+        load = np.zeros(ws.forms_d.mesh.n_vertices)
+        solve_neumann(ws.forms_d, load, load)
         assert counts["factors"] == 3  # no cached factor survived the error
 
     def test_psi_factor_released_on_error(self, counts, monkeypatch):
@@ -385,6 +400,6 @@ class TestFactorReuse:
         with pytest.raises(CascadeError):
             cascade.run(DrivingField([constant_field(cascade, [1.0, 0.0])]), 3)
         assert counts["factors"] == 2
-        assert cascade.forms_d._factors is None and cascade.forms_s._factors is None
+        assert not cascade.forms_d.factors and not cascade.forms_s.factors
         assert cascade.psi_energy > 0.0
         assert counts["factors"] == 2  # Psi was kept; its factor was not

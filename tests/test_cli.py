@@ -18,7 +18,15 @@ import scipy.linalg
 import enzspec
 from enzspec import cli, eig, fem
 from enzspec.cli import main
-from enzspec.mesh import generate_disk_in_disk, load_mesh, save_mesh
+from enzspec.mesh import (
+    INCLUSION,
+    OUTER,
+    SHELL,
+    Mesh,
+    generate_disk_in_disk,
+    load_mesh,
+    save_mesh,
+)
 from sphere_fields import first_zero_oracle
 
 
@@ -687,6 +695,26 @@ class TestCascadeCommand:
         again = tmp_path / "again.csv"
         assert run(*argv, "--out", str(again))[0] == 0
         assert again.read_bytes() == out_path.read_bytes()
+
+    @pytest.mark.parametrize("layout", ["shell_inside", "apart"])
+    def test_shell_without_both_boundaries_is_numerical_failure(self, tmp_path, layout):
+        # Psi needs a shell with interface and outer edges
+        if layout == "shell_inside":
+            mesh = generate_disk_in_disk(2.0, 3, 3)
+            swapped = np.where(mesh.regions == INCLUSION, SHELL, INCLUSION)
+            mesh = dataclasses.replace(mesh, regions=swapped)
+        else:
+            # one inclusion triangle and a shell square that do not touch
+            vertices = np.array([[0, 0], [1, 0], [0, 1], [3, 0], [4, 0], [4, 1], [3, 1.0]])
+            edges = np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 6], [6, 3]])
+            mesh = Mesh(vertices, np.array([[0, 1, 2], [3, 4, 5], [3, 5, 6]]),
+                        np.array([INCLUSION, SHELL, SHELL]), edges, np.full(7, OUTER))
+        mesh.validate()
+        save_mesh(mesh, str(tmp_path / "mesh.txt"))
+        code, _, err = run("cascade", "--mesh", str(tmp_path / "mesh.txt"),
+                           "--out", str(tmp_path / "cascade.csv"))
+        assert code == 2
+        assert json.loads(err)["error"] == "CascadeError"
 
     def test_tiny_field_on_32_ring_disk(self, ring32_meshes, tmp_path):
         # the norms square h, which is of the field's size: 1e-200 squared

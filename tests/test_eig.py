@@ -24,6 +24,7 @@ from enzspec.fem import AssembledForms, assemble
 from enzspec.linalg import LUFactors, SingularMatrixError
 from enzspec.mesh import (
     INCLUSION,
+    INTERFACE,
     SHELL,
     Mesh,
     generate_disk_in_disk,
@@ -553,11 +554,9 @@ _RADIAL_MODE = {8: 15.005677, 16: 14.762803, 32: 14.702182}
 
 
 @pytest.fixture(scope="module")
-def radial_first_order(tmp_path_factory):
-    """Per (shape, rings): the first-order coefficient
-    a_1 = -lambda_0 v^T M_S v / v^T M_D v of the radial limit mode, with
-    lambda_0 and the discrete region areas area_h(D), area_h(S), from a mesh
-    written to a file and read back, as the command line ingests it."""
+def ingested_forms(tmp_path_factory):
+    """Per (shape, rings): the forms and region areas area_h(D), area_h(S) of
+    a mesh written to a file and read back, as the command line ingests it."""
     cache = {}
 
     def get(shape, rings):
@@ -565,13 +564,27 @@ def radial_first_order(tmp_path_factory):
             path = str(tmp_path_factory.mktemp("shell_law") / f"{shape}{rings}.txt")
             save_mesh(_GENERATORS[shape](2.0, rings, rings), path)
             mesh = load_mesh(path)
-            forms = assemble(mesh)
+            cache[shape, rings] = (assemble(mesh), mesh.region_area(INCLUSION),
+                                   mesh.region_area(SHELL))
+        return cache[shape, rings]
+    return get
+
+
+@pytest.fixture(scope="module")
+def radial_first_order(ingested_forms):
+    """Per (shape, rings): the first-order coefficient
+    a_1 = -lambda_0 v^T M_S v / v^T M_D v of the radial limit mode, with
+    lambda_0 and the discrete region areas area_h(D), area_h(S)."""
+    cache = {}
+
+    def get(shape, rings):
+        if (shape, rings) not in cache:
+            forms, inclusion, shell = ingested_forms(shape, rings)
             (pair,) = delta_spectrum(forms, 0.0, _RADIAL_MODE[rings], 1)
             v, lam0 = pair.vector, pair.lam
             assert abs(lam0 - _RADIAL_MODE[rings]) <= 1e-6 * lam0
             a1 = -lam0 * (v @ (forms.M_S @ v)) / (v @ (forms.M_D @ v))
-            cache[shape, rings] = (a1, lam0, mesh.region_area(INCLUSION),
-                                   mesh.region_area(SHELL))
+            cache[shape, rings] = (a1, lam0, inclusion, shell)
         return cache[shape, rings]
     return get
 
@@ -580,7 +593,8 @@ class TestShellLaw:
     """The 2-D shell law: the radial mode's trace on the interface is
     constant, so its shell extension is that constant, a_0 does not see the
     shell and a_1 = -lambda_0 area(S) / area(D) sees it only through its
-    area."""
+    area.  A mode whose trace is not constant has an a_0 that sees the
+    shell."""
 
     @pytest.mark.parametrize("rings", [8, 16, 32])
     def test_a1_ratio_is_the_shell_area_ratio(self, radial_first_order, rings):
@@ -598,6 +612,32 @@ class TestShellLaw:
             misses.append(abs(a1 - law) / abs(law))
         for coarse, fine in zip(misses, misses[1:]):
             assert 3.5 <= coarse / fine <= 4.5
+
+    @pytest.mark.parametrize("rings", [8, 16])
+    def test_a0_is_shared_exactly_when_the_trace_is_constant(self, ingested_forms, rings):
+        # each of the first 10 limit pairs, by the spread of v over the
+        # interface vertices relative to max |v|: the radial mode's is at
+        # most 1e-12, every other mode's at least 1.19.  A constant-trace
+        # eigenvalue is on the other shell too; any other misses all of the
+        # other shell's, the nearest by 1.75e-3 (41.673255 on disk16
+        # against 41.746378 on square16)
+        spectra = {}
+        for shape in _GENERATORS:
+            forms = ingested_forms(shape, rings)[0]
+            iface = forms.boundary_nodes[INTERFACE]
+            spectra[shape] = [(p.lam, np.ptp(p.vector[iface]) / np.abs(p.vector).max())
+                              for p in limit_spectrum(forms, 10)]
+        for shape, other in (("disk", "square"), ("square", "disk")):
+            others = np.array([lam for lam, _ in spectra[other]])
+            constant = [lam for lam, spread in spectra[shape] if spread < 1e-9]
+            assert len(constant) == 1
+            assert abs(constant[0] - _RADIAL_MODE[rings]) <= 1e-6 * constant[0]
+            for lam, spread in spectra[shape]:
+                miss = np.abs(others - lam).min() / lam
+                if spread < 1e-9:
+                    assert miss <= 1e-9
+                else:
+                    assert spread > 1.0 and miss > 1e-3
 
 
 def test_tracking_steps_reuse_no_harvest(forms_coarse, limit_coarse, monkeypatch):

@@ -8,7 +8,6 @@ from enzspec.cascade import _load_size
 from enzspec.fem import (
     FemError,
     assemble,
-    factor_once,
     norms,
     solve_dirichlet,
     solve_neumann,
@@ -259,8 +258,9 @@ class TestSolveDirichlet:
 
 
 class TestFactorOnce:
-    """Inside factor_once one forms object reuses its factors; each solve
-    must equal, bit for bit, the same solve on freshly assembled forms."""
+    """A forms object factors each operator once per (solve kind, dtype) and
+    keeps the factor for later loads; each solve must equal, bit for bit,
+    the same solve on freshly assembled forms."""
 
     @pytest.fixture
     def factor_count(self, monkeypatch):
@@ -281,8 +281,7 @@ class TestFactorOnce:
         loads = [(edge_flux_load(sub.mesh, INTERFACE, g),
                   edge_flux_load(sub.mesh, INTERFACE, np.abs(g))) for g in fluxes]
         forms = assemble(sub.mesh)
-        with factor_once(forms):
-            reused = [solve_neumann(forms, *load) for load in loads]
+        reused = [solve_neumann(forms, *load) for load in loads]
         assert len(factor_count) == 2       # one real, one complex factor
         for load, h in zip(loads, reused):
             fresh = solve_neumann(assemble(sub.mesh), *load)
@@ -296,8 +295,7 @@ class TestFactorOnce:
         cases = [({INTERFACE: 0.0, OUTER: 1.0}, None),
                  ({INTERFACE: sub.mesh.vertices[:, 0].copy(), OUTER: 0.5},
                   -(forms.div @ field.ravel()))]
-        with factor_once(forms):
-            reused = [solve_dirichlet(forms, bv, load) for bv, load in cases]
+        reused = [solve_dirichlet(forms, bv, load) for bv, load in cases]
         assert len(factor_count) == 1
         for (bv, load), h in zip(cases, reused):
             fresh = solve_dirichlet(assemble(sub.mesh), bv, load)
@@ -310,22 +308,25 @@ class TestFactorOnce:
         load -= load.mean()
         size = _load_size(forms, field)
         bv = {INTERFACE: 0.0, OUTER: 1.0}
-        with factor_once(forms):
-            h_n = solve_neumann(forms, load, size)
-            h_d = solve_dirichlet(forms, bv)
+        h_n = solve_neumann(forms, load, size)
+        h_d = solve_dirichlet(forms, bv)
         assert len(factor_count) == 2
         assert np.array_equal(h_n, solve_neumann(assemble(disk_mesh), load, size))
         assert np.array_equal(h_d, solve_dirichlet(assemble(disk_mesh), bv))
 
-    def test_factors_dropped_on_exit(self, factor_count):
+    def test_cleared_factors_are_built_again(self, factor_count):
         sub = extract_submesh(generate_disk_in_disk(2.0, 4, 4), SHELL)
         forms = assemble(sub.mesh)
+        bv = {INTERFACE: 0.0, OUTER: 1.0}
+        first = solve_dirichlet(forms, bv)
         with pytest.raises(FemError):
-            with factor_once(forms):
-                solve_dirichlet(forms, {INTERFACE: 0.0, OUTER: 1.0})
-                solve_dirichlet(forms, {OUTER: 0.0})    # missing data raises
-        solve_dirichlet(forms, {INTERFACE: 0.0, OUTER: 1.0})
+            solve_dirichlet(forms, {OUTER: 0.0})    # missing data raises
+        assert np.array_equal(solve_dirichlet(forms, bv), first)
+        assert len(factor_count) == 1       # the factor outlives the error
+        forms.factors.clear()
+        assert np.array_equal(solve_dirichlet(forms, bv), first)
         assert len(factor_count) == 2
+        assert np.array_equal(first, solve_dirichlet(assemble(sub.mesh), bv))
 
 
 class TestBoundaryFlux:
