@@ -24,6 +24,7 @@ their own residual products.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -339,7 +340,10 @@ def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
     """Relative H1 errors e_K, K = 0..state.order, of the truncated series
     of a `run` state against the direct projection of the full field
     evaluated at delta.  A delta outside the validated disk draws the same
-    UserWarning as `eig.Pencil.B`: the series need not converge there."""
+    UserWarning as `eig.Pencil.B`: the series need not converge there.  An
+    error that rises from one order to the next draws a UserWarning too: a
+    thin shell puts the cascade's nearest pole inside the validated disk,
+    so the series can diverge where no validated-disk warning is drawn."""
     warn_outside_validated_disk(delta, validated_radius(cascade.forms))
     h_direct = direct_projection(cascade, driving.evaluate(delta), delta)
     l2d, h1d = norms(cascade.forms, h_direct)
@@ -354,4 +358,11 @@ def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
         diff = partial - h_direct
         l2, h1 = norms(cascade.forms, diff)
         errors.append(float(np.hypot(l2, h1)) / ref)
+    rises = [k for k in range(1, len(errors)) if errors[k] > errors[k - 1]]
+    if rises:
+        k = rises[0]
+        warnings.warn(
+            f"the series error rises from {errors[k - 1]:.3g} at order {k - 1} to "
+            f"{errors[k]:.3g} at order {k}: the cascade series need not converge "
+            f"at delta = {delta}", stacklevel=2)
     return errors

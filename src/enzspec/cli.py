@@ -28,7 +28,7 @@ import traceback
 import numpy as np
 
 from .cascade import Cascade, CascadeError, DrivingField, load_field, series_vs_direct
-from .eig import EigError, delta_spectrum, discrete_K0, limit_spectrum, track_branch
+from .eig import EigError, Pencil, delta_spectrum, discrete_K0, limit_spectrum, track_branch
 from .fem import FemError, assemble
 from .linalg import ArnoldiError, SingularMatrixError
 from .mesh import (
@@ -246,10 +246,10 @@ def _cmd_eig_limit(cfg, out):
 
 
 def _cmd_eig_sweep(cfg, out):
-    forms = assemble(load_mesh(cfg["mesh"]))
+    pencil = Pencil(assemble(load_mesh(cfg["mesh"])))
     rows = []
     for d in cfg["deltas"]:
-        pairs = delta_spectrum(forms, d, cfg["target"], cfg["count"])
+        pairs = delta_spectrum(pencil, d, cfg["target"], cfg["count"])
         for i, p in enumerate(pairs):
             rows.append((_fmt(d.real), _fmt(d.imag), str(i),
                          float(np.real(p.lam)), float(np.imag(p.lam)), p.residual))

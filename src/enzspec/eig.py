@@ -6,9 +6,14 @@ compact-operator route, and one continuation loop that tracks a branch
 along paths in the complex delta plane as its lambda-group (every copy of
 its delta = 0 eigenvalue), reported by the copies' values and their mean.
 
-Every spectrum and tracking call builds one `Pencil`, the data the rest
-reads: `Pencil.B` is the one place that forms and checks B_delta, and
-`_shifted` the one set-up of a shifted solve.
+A `Pencil` is the data the rest reads: one serves a tracking call or every
+delta of a sweep.  `Pencil.B` is the one place that checks B_delta, and
+`_shifted` the one set-up of a shifted solve.  Both form their matrix as
+one array expression on the mesh pattern that the forms lay out once per
+assembly (`AssembledForms.pencil_layout`), with the entries that are
+exactly zero dropped: bit for bit the CSR of M_D + delta M_S and the CSC of
+A - sigma B that the sparse sums give.  The factor's probe and ARPACK's
+start vector are one cached fixed vector per length and dtype (`linalg`).
 
 All complex pairings are bilinear (unconjugated): the pencil is complex
 symmetric, its eigenvectors for distinct eigenvalues satisfy u^T B v = 0,
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .fem import AssembledForms, validated_radius, warn_outside_validated_disk
 from .linalg import LUFactors, SingularMatrixError, shift_invert_arnoldi
@@ -64,29 +70,40 @@ _DELTA_MAX = 1e100
 
 class Pencil:
     """The generalized problem A v = lambda (M_D + delta M_S) v of one
-    assembly: A, M_D, M_S, the vertex count n, the validated radius
-    area(D)/area(S) and the rank of M_D (its nonzero diagonal entries, one
-    per inclusion vertex).  `stiffness(dtype)` is A converted to dtype,
-    once per dtype."""
+    assembly: M_S, the vertex count n, the validated radius
+    area(D)/area(S), the rank of M_D (its nonzero diagonal entries, one per
+    inclusion vertex) and the forms' pencil layout.
+    `stiffness(dtype)` is A converted to dtype, once per dtype."""
 
     def __init__(self, forms: AssembledForms):
-        self.A, self.M_D, self.M_S = forms.A, forms.M_D, forms.M_S
+        self.M_S = forms.M_S
         self.n = forms.mesh.n_vertices
         self.radius = validated_radius(forms)
         self.md_rank = int(np.count_nonzero(forms.M_D.diagonal()))
         self.stiffness = functools.cache(forms.A.astype)
+        self.layout = forms.pencil_layout
 
     def B(self, delta):
-        """M_D + delta M_S.  Raises EigError when |delta| exceeds _DELTA_MAX
-        or delta = -area(D)/area(S), where the total mass degenerates, and
-        warns outside the validated disk."""
+        """M_D + delta M_S (CSR).  Raises EigError when |delta| exceeds
+        _DELTA_MAX or delta = -area(D)/area(S), where the total mass
+        degenerates, and warns outside the validated disk."""
         if not abs(delta) <= _DELTA_MAX:
             raise EigError(f"|delta| = {abs(delta):.3g} exceeds {_DELTA_MAX:g}")
         # relative: on a large shell the area ratio itself is tiny
         if abs(delta + self.radius) < 1e-14 * self.radius:
             raise EigError("delta = -area(D)/area(shell): total mass direction degenerate")
         warn_outside_validated_disk(delta, self.radius)
-        return self.M_D + delta * self.M_S
+        layout = self.layout
+        return self._matrix(scipy.sparse.csr_matrix, layout.indices, layout.indptr,
+                            layout.m_d + layout.m_s * delta)
+
+    def _matrix(self, kind, indices, indptr, values):
+        """The `kind` matrix (csr_matrix or csc_matrix) of `values` on the
+        pattern, with its exact zeros dropped.  Dropping prunes the index
+        arrays in place, and the layout's are shared, so they are copied."""
+        mat = kind((values, indices.copy(), indptr.copy()), shape=(self.n, self.n))
+        mat.eliminate_zeros()
+        return mat
 
 
 @dataclass
@@ -143,7 +160,9 @@ def _shifted(pencil: Pencil, delta, sigma, real: bool, count: int, bump: float):
     are complex.  `count` must fit the rank(B) - 1 finite eigenvalues left
     once the constant mode is deflated (B = M_D at delta = 0, else B is
     nonsingular).  A singular shift (sigma at an eigenvalue) moves to
-    sigma (1 + bump) + bump, at most twice.  Returns (delta, sigma,
+    sigma (1 + bump) + bump, at most twice.  A - sigma B is factored from
+    its values on the pattern, in the operand order of the sparse sums (B's
+    data times the scalar), taken in CSC order.  Returns (delta, sigma,
     rank(B) - 1, A, B_delta, LU factors of A - sigma B)."""
     if real:
         delta, sigma = float(np.real(delta)), float(np.real(sigma))
@@ -155,10 +174,14 @@ def _shifted(pencil: Pencil, delta, sigma, real: bool, count: int, bump: float):
                        f"of the deflated pencil at delta={delta}")
     dtype = float if real else complex
     acsr, bcsr = pencil.stiffness(dtype), pencil.B(delta).astype(dtype, copy=False)
+    layout = pencil.layout
+    b = (layout.m_d + layout.m_s * delta).astype(dtype, copy=False)
     shift = sigma
     for attempt in range(3):
         try:
-            return delta, sigma, available, acsr, bcsr, LUFactors(acsr - shift * bcsr)
+            shifted = pencil._matrix(scipy.sparse.csc_matrix, layout.csc_indices,
+                                     layout.csc_indptr, (layout.a - b * shift)[layout.to_csc])
+            return delta, sigma, available, acsr, bcsr, LUFactors(shifted)
         except SingularMatrixError:
             if attempt == 2:
                 raise EigError(
@@ -284,9 +307,10 @@ def limit_spectrum(forms: AssembledForms, count: int):
     return _solve_pencil(Pencil(forms), 0.0, -1.0, count)
 
 
-def delta_spectrum(forms: AssembledForms, delta: complex, target: complex, count: int):
-    """Eigenpairs of (A, M_D + delta M_S) nearest the target shift."""
-    return _solve_pencil(Pencil(forms), delta, target, count)
+def delta_spectrum(pencil: Pencil, delta: complex, target: complex, count: int):
+    """Eigenpairs of (A, M_D + delta M_S) nearest the target shift; one
+    Pencil serves every delta of a sweep."""
+    return _solve_pencil(pencil, delta, target, count)
 
 
 # discrete_K0: the most mesh nodes its dense eigendecompositions accept.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -74,6 +75,22 @@ def _div_operator(triangles: np.ndarray, data: np.ndarray, n_vertices: int):
                                    shape=(n_vertices, 2 * nt))
 
 
+class _PencilLayout(NamedTuple):
+    """The mesh pattern, the structure of M, with the values of A, M_D and
+    M_S laid out on it in CSR order (0.0 where a matrix has no entry): the
+    CSR index arrays, which are forms.M's own (copy them before pruning),
+    the CSC index arrays, and the CSR position of each CSC entry."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    csc_indices: np.ndarray
+    csc_indptr: np.ndarray
+    to_csc: np.ndarray
+    a: np.ndarray
+    m_d: np.ndarray
+    m_s: np.ndarray
+
+
 class AssembledForms:
     """Stiffness and mass matrices (scipy CSR) split by region, and the
     divergence operator `div`.
@@ -85,13 +102,14 @@ class AssembledForms:
     for a submesh of an assembled mesh.
 
     The values that depend only on the assembly (M 1, the boundary vertices
-    per tag, the Dirichlet free set, and the solve factors in `factors`) are
-    derived once, on first use, and kept here: the forms are a snapshot of
-    their mesh, while the Mesh itself holds no derived state.
-    `factors.clear()` frees the factors; the next solve factors again.  The
-    entrywise magnitudes |A| and |div| are formed per use: kept on a
-    cascade's three forms, their entries would stay in memory through the
-    direct projection's factorization and raise the command's peak memory.
+    per tag, the Dirichlet free set, the pencil layout and the solve
+    factors in `factors`) are derived once, on first use, and kept here: the
+    forms are a snapshot of their mesh, while the Mesh itself holds no
+    derived state.  `factors.clear()` frees the factors; the next solve
+    factors again.  The entrywise magnitudes |A| and |div| are formed per
+    use: kept on a cascade's three forms, their entries would stay in memory
+    through the direct projection's factorization and raise the command's
+    peak memory.
     """
 
     def __init__(self, mesh: Mesh, areas, div, A_D, M_D, A_S, M_S):
@@ -100,9 +118,13 @@ class AssembledForms:
         self.div = div
         self.A_D, self.M_D = A_D, M_D
         self.A_S, self.M_S = A_S, M_S
-        # the sums drop the entries that cancel to exactly zero
+        # the sums drop the entries that cancel to exactly zero.  Mass
+        # entries are positive, so when one region is empty (a subdomain's
+        # forms) M is the other region's mass bit for bit and is shared; A
+        # is summed all the same, since a region's stiffness can hold
+        # explicit zeros that the sum drops
         self.A = A_D + A_S
-        self.M = M_D + M_S
+        self.M = M_D + M_S if M_D.nnz and M_S.nnz else (M_S if M_S.nnz else M_D)
         self.factors = {}        # (solve kind, dtype) -> LUFactors, see _factor
 
     @cached_property
@@ -114,6 +136,35 @@ class AssembledForms:
     def boundary_nodes(self) -> dict:
         """Edge tag -> its sorted boundary vertices, for each tag present."""
         return {int(t): self.mesh.boundary_vertices(t) for t in np.unique(self.mesh.edge_tags)}
+
+    @cached_property
+    def pencil_layout(self) -> _PencilLayout:
+        """The mesh pattern, the structure of M, with A, M_D and M_S laid out
+        on it: each matrix of the pencil A v = lambda (M_D + delta M_S) v is
+        one array expression on it, in CSR order or, through `to_csc`, in
+        CSC order.
+
+        A_D and M_D share one structure, as do A_S and M_S (each pair is
+        built from the same element triplets, or sliced alike), so one
+        searchsorted per region places its entries; A is A_D plus A_S, in
+        that order, as in the sum A_D + A_S.  One tocsc of the entry
+        positions gives the CSC order."""
+        m, n = self.M, self.mesh.n_vertices
+
+        def keys(mat):
+            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(mat.indptr))
+            return rows * n + mat.indices
+
+        pattern = keys(m)
+        at_d = np.searchsorted(pattern, keys(self.M_D))
+        at_s = np.searchsorted(pattern, keys(self.M_S))
+        a, m_d, m_s = np.zeros((3, m.nnz))
+        a[at_d] += self.A_D.data
+        a[at_s] += self.A_S.data
+        m_d[at_d], m_s[at_s] = self.M_D.data, self.M_S.data
+        csc = scipy.sparse.csr_matrix((np.arange(m.nnz), m.indices, m.indptr),
+                                      shape=m.shape).tocsc()
+        return _PencilLayout(m.indices, m.indptr, csc.indices, csc.indptr, csc.data, a, m_d, m_s)
 
     @cached_property
     def dirichlet_free(self) -> np.ndarray:

@@ -19,10 +19,14 @@ test.  The Arnoldi iteration is ARPACK's implicitly restarted Arnoldi
 shift-inverted pencil followed by the caller's deflation.  The bilinear
 (unconjugated) handling of complex-symmetric pencils lives in that deflation
 and in the caller's normalization; ARPACK itself only needs the operator and
-a fixed start vector.
+a fixed start vector.  The probe and the start vector are one fixed generic
+vector, generated once per length and dtype and kept read-only.
 """
 
 from __future__ import annotations
+
+import functools
+import mmap
 
 import numpy as np
 import scipy.sparse
@@ -149,6 +153,22 @@ class LUFactors:
         return x
 
 
+@functools.lru_cache(maxsize=4)
+def _generic_vector(n: int, dtype: np.dtype) -> np.ndarray:
+    """The fixed generic vector of length n, read-only: one copy per (n,
+    dtype) serves every probe and start vector of that size.
+
+    It lives in an anonymous mapping of its own, not on the malloc heap: a
+    block that outlives the call allocating it, in the middle of a large
+    solve, keeps the heap from shrinking below it (glibc trims the heap
+    only from its top), and a cascade run's peak memory then grows with
+    the number of ops it has run."""
+    v = np.frombuffer(mmap.mmap(-1, max(n, 1) * dtype.itemsize), dtype)[:n]
+    v[:] = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    v.flags.writeable = False
+    return v
+
+
 def _start_vector(n: int, deflate, dtype) -> np.ndarray:
     """A fixed generic start vector, deflated.
 
@@ -156,7 +176,7 @@ def _start_vector(n: int, deflate, dtype) -> np.ndarray:
     reflection, so its Krylov space never reaches the antisymmetric member
     of a double eigenvalue.
     """
-    v = np.random.default_rng(0).uniform(-1.0, 1.0, n).astype(dtype)
+    v = _generic_vector(n, np.dtype(dtype))
     return v if deflate is None else deflate(v)
 
 

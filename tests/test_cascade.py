@@ -80,6 +80,17 @@ def test_subdomain_forms_equal_their_assembly(generate):
             assert np.array_equal(getattr(forms.div, name), getattr(ref.div, name)), name
 
 
+def test_subdomain_mass_is_shared():
+    # a subdomain's other region is empty, so its M is its region's mass
+    # piece itself, not a copy; A stays a zero-dropped sum of its own
+    cascade = Cascade(generate_disk_in_disk(2.0, 8, 8))
+    assert cascade.forms_d.M is cascade.forms_d.M_D
+    assert cascade.forms_s.M is cascade.forms_s.M_S
+    for forms in (cascade.forms_d, cascade.forms_s):
+        assert forms.A is not forms.A_D and forms.A is not forms.A_S
+    assert cascade.forms.M is not cascade.forms.M_D and cascade.forms.M is not cascade.forms.M_S
+
+
 class TestSolvePsi:
     def test_annulus_energy(self):
         energy = Cascade(generate_disk_in_disk(2.0, 16, 16)).psi_energy

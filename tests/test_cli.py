@@ -626,7 +626,8 @@ class TestTaylorCommand:
         assert code == 0, err
         payload = json.loads(out_path.read_text())
         delta = 3 * r / 5
-        lam = eig.delta_spectrum(fem.assemble(load_mesh(disk_mesh)), delta, lam0, 1)[0].lam
+        pencil = eig.Pencil(fem.assemble(load_mesh(disk_mesh)))
+        lam = eig.delta_spectrum(pencil, delta, lam0, 1)[0].lam
         series = sum(complex(*a) * delta**k for k, a in enumerate(payload["a_coeffs"]))
         assert len(payload["prediction_errors"]) == 1
         assert abs(payload["prediction_errors"][0] - abs(series - lam) / abs(lam)) <= 1e-12
@@ -791,6 +792,43 @@ class TestCascadeCommand:
                                "--out", str(tmp_path / "out.csv"))
         assert code == 0, err
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 3 + 7
+
+    @staticmethod
+    def _cascade_warnings(tmp_path, shape, size, delta):
+        """(exit code, series_error column, warning messages) of an 8-ring
+        `cascade --orders 6` at delta on the shape of that size."""
+        mesh = str(tmp_path / "m.txt")
+        assert run("mesh", "gen", "--shape", shape, "--size", str(size), "--rings_core", "8",
+                   "--rings_shell", "8", "--out", mesh)[0] == 0
+        out_path = tmp_path / "c.csv"
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            code, _, err = run("cascade", "--mesh", mesh, "--delta", str(delta),
+                               "--orders", "6", "--out", str(out_path))
+        assert code == 0, err
+        errors = [float(line.split(",")[3]) for line in out_path.read_text().splitlines()[3:]]
+        return errors, [str(w.message) for w in record]
+
+    @pytest.mark.parametrize("shape, size, delta, first, last", [
+        ("disk", 1.5, 0.5, 3.64, 19.1),
+        ("disk", 1.5, 0.7, 8.49, 336.0),
+        ("square", 1.5, 0.5, 3.28, 7.47),
+    ])
+    def test_rising_series_error_warns(self, tmp_path, shape, size, delta, first, last):
+        # a thin shell puts the cascade's pole (0.379 on the 8-ring disk of
+        # size 1.5, 0.436 on the square) inside area(D)/area(S) = 0.8 and
+        # 0.536, so these deltas draw no validated-disk warning
+        errors, messages = self._cascade_warnings(tmp_path, shape, size, delta)
+        assert errors[0] == pytest.approx(first, rel=2e-3)
+        assert errors[-1] == pytest.approx(last, rel=2e-3)
+        assert not any("validated disk" in m for m in messages)
+        assert sum("series error rises from" in m for m in messages) == 1, messages
+
+    @pytest.mark.parametrize("size, delta", [(2.0, 0.05), (2.0, 0.4), (3.0, 0.2)])
+    def test_falling_series_error_does_not_warn(self, tmp_path, size, delta):
+        errors, messages = self._cascade_warnings(tmp_path, "disk", size, delta)
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert not any("series error" in m for m in messages), messages
 
     def test_zero_delta_rejected(self, disk_mesh, tmp_path):
         code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", "0",

@@ -285,6 +285,16 @@ def pencil_oracle(a, b):
     return w
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_generic_vector_is_one_read_only_copy(dtype):
+    # the factor's probe and ARPACK's start vector: the values of
+    # default_rng(0), generated once per length and dtype
+    v = linalg._start_vector(513, None, dtype)
+    assert v is linalg._start_vector(513, None, dtype) and not v.flags.writeable
+    ref = np.random.default_rng(0).uniform(-1.0, 1.0, 513).astype(dtype)
+    assert v.dtype == ref.dtype and np.array_equal(v.view(np.uint8), ref.view(np.uint8))
+
+
 class TestShiftInvertArnoldi:
     def test_error_counts_converged_pairs(self, monkeypatch):
         # a clustered spectrum that one restart cannot resolve

@@ -1,10 +1,18 @@
-"""Exit 0 means right: seeded random `eig limit` and `eig sweep` runs through
-the command line, each checked against dense `scipy.linalg.eigvals` of the
-same pencil (A, M_D + delta M_S).
+"""Exit 0 means right: seeded random `eig limit`, `eig sweep` and `taylor`
+runs through the command line, each checked against dense
+`scipy.linalg.eigvals` of the same pencil (A, M_D + delta M_S), and a
+`taylor` group at delta > 0 against dense `scipy.linalg.eigh`.
 
-A run may end in a numerical failure (exit 2) with its diagnostic.  A run
-that exits 0 must have written the finite nonzero eigenvalues nearest its
-target, every copy of a multiple eigenvalue included, to 1e-10 relative.
+A run may end in a numerical failure (exit 2) with its diagnostic.  An
+`eig` run that exits 0 must have written the finite nonzero eigenvalues
+nearest its target, every copy of a multiple eigenvalue included, to 1e-10
+relative.  A `taylor` run that exits 0 must have written an a_0 within 1e-8
+of the dense delta = 0 group mean, and a series that meets the dense group
+mean at the held-out delta = 3r/5 as closely as its own prediction error
+says, to 1e-10.
+
+The draws marked `slow` (more seeds, meshes up to 8 rings) are deselected
+by default; run them with `pytest -m slow tests/test_oracle_sweep.py`.
 """
 
 import io
@@ -23,13 +31,18 @@ from enzspec.mesh import load_mesh
 _LIMIT_TARGET = -1.0      # `eig limit` returns the smallest, nearest -1
 
 
-def _draw_cases(seed=20261020, n=24):
+def _draw_mesh(rng, max_rings):
+    """(shape, rings_core, rings_shell, size): a mesh key."""
+    return (rng.choice(["disk", "square"]), rng.randint(2, max_rings),
+            rng.randint(2, max_rings), rng.choice([1.5, 2.0, 3.0]))
+
+
+def _draw_cases(seed=20261020, n=24, max_rings=6):
     """(mesh key, command args, delta, target) for n random runs."""
     rng = random.Random(seed)
     cases = []
     for _ in range(n):
-        mesh = (rng.choice(["disk", "square"]), rng.randint(2, 6), rng.randint(2, 6),
-                rng.choice([1.5, 2.0, 3.0]))
+        mesh = _draw_mesh(rng, max_rings)
         count = str(rng.randint(1, 8))
         kind = rng.choice(["limit", "real", "complex"])
         if kind == "limit":
@@ -44,7 +57,16 @@ def _draw_cases(seed=20261020, n=24):
     return cases
 
 
+def _draw_taylor_cases(seed, n, max_rings=6):
+    """(mesh key, lambda0, radius) for n random `taylor` runs."""
+    rng = random.Random(seed)
+    return [(_draw_mesh(rng, max_rings), round(rng.uniform(5.0, 40.0), 4),
+             round(rng.uniform(0.002, 0.01), 5)) for _ in range(n)]
+
+
 _CASES = _draw_cases()
+# the seeds of the draws marked slow
+_SLOW_SEEDS = (1, 2, 3)
 
 
 def _run(*argv):
@@ -91,11 +113,17 @@ def _dense_nearest(path, delta, target, count):
     return np.sort_complex(w[np.argsort(np.abs(w - target), kind="stable")[:count]])
 
 
+def _eig_params(cases, prefix="", marks=()):
+    return [pytest.param(*case, marks=list(marks),
+                         id=f"{prefix}{i}-{'-'.join(map(str, case[0]))}-"
+                         + ("limit" if case[1][1] == "limit" else type(case[2]).__name__))
+            for i, case in enumerate(cases)]
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")   # outside the validated disk
-@pytest.mark.parametrize("mesh, args, delta, target", _CASES,
-                         ids=[f"{i}-{'-'.join(map(str, mesh))}-"
-                              + ("limit" if args[1] == "limit" else type(delta).__name__)
-                              for i, (mesh, args, delta, _) in enumerate(_CASES)])
+@pytest.mark.parametrize("mesh, args, delta, target", _eig_params(_CASES) + [
+    param for seed in _SLOW_SEEDS for param in _eig_params(
+        _draw_cases(seed, 24, max_rings=8), f"slow{seed}-", [pytest.mark.slow])])
 def test_exit_zero_means_the_dense_eigenvalues(mesh_file, tmp_path, mesh, args, delta, target):
     out = str(tmp_path / "out.csv")
     code, err = _run(*args, "--mesh", mesh_file(mesh), "--out", out)
@@ -107,3 +135,82 @@ def test_exit_zero_means_the_dense_eigenvalues(mesh_file, tmp_path, mesh, args, 
     expected = _dense_nearest(mesh_file(mesh), delta, target, int(args[args.index("--count") + 1]))
     assert len(got) == len(expected)
     assert np.all(np.abs(got - expected) <= 1e-10 * np.abs(expected)), (got, expected)
+
+
+def _dense_group_means(path, lambda0, held):
+    """The means of the dense lambda-group of lambda0 at delta = 0 and at
+    delta = held.  At delta = 0 (`scipy.linalg.eigvals`) the group is every
+    finite eigenvalue within 1e-6 (relative) of the one nearest lambda0.
+    For delta > 0, where M_D + delta M_S is definite (`scipy.linalg.eigh`),
+    it is as many eigenvalues: the nearest to that mean at held / 1e4, then
+    at held / 2 and at held those whose eigenvectors lie most in the span
+    of the previous step's, since a group can cross another eigenvalue."""
+    forms = assemble(load_mesh(path))
+    a, md, ms = forms.A.toarray(), forms.M_D.toarray(), forms.M_S.toarray()
+    w = scipy.linalg.eigvals(a, md)
+    w = w[np.isfinite(w) & (np.abs(w) > 1e-8)]
+    nearest = w[np.argmin(np.abs(w - lambda0))]
+    group = w[np.abs(w - nearest) <= 1e-6 * abs(nearest)]
+    mean0, size, vecs = group.mean(), len(group), None
+    for delta in (held / 1e4, held / 2, held):
+        b = md + delta * ms
+        w, x = scipy.linalg.eigh(a, b)
+        if vecs is None:
+            pick = np.argsort(np.abs(w - mean0.real))[:size]
+        else:
+            c = x.T @ (b @ vecs)
+            span = np.sum(c * np.linalg.solve(vecs.T @ b @ vecs, c.T).T, axis=1)
+            pick = np.argsort(-span)[:size]
+        vals, vecs = w[pick], x[:, pick]
+    return mean0, vals.mean()
+
+
+# taylor runs that exit 0 with an a_0 beyond 1e-8 of the dense group mean
+# (the DFT circle meets singularities of the group, ROADMAP item 2), and so
+# pass the 1e-3 a_0 gate wrongly: strict xfails, by id
+_WRONG_TAYLOR = {
+    "5-square-3-4-3.0-30.2585-0.0089":
+        "a_0 37.3951447 against the dense 37.3873291 (2.1e-4 relative): shell "
+        "eigenvalues mu/delta cross the group on the circle (38.12 at delta = 0.00534)",
+    "slow1-9-square-7-7-3.0-37.7754-0.00538":
+        "a_0 32.0771825357 against the dense 32.0771817006 (2.6e-8 relative): the "
+        "coefficients decay by only 0.34-0.40 per order, so 16 samples alias",
+    "slow3-8-square-7-5-3.0-34.9329-0.00537":
+        "a_0 32.1260095445 against the dense 32.1260011603 (2.6e-7 relative): the "
+        "coefficients decay by only 0.33-0.39 per order, so 16 samples alias",
+    "slow3-10-square-7-2-2.0-39.6846-0.00737":
+        "a_0 31.7651675018 against the dense 31.7651689162 (4.5e-8 relative): "
+        "decay ratio 1.16 at order 4, so 16 samples alias",
+}
+
+
+def _taylor_params(cases, prefix, marks=()):
+    params = []
+    for i, case in enumerate(cases):
+        name = f"{prefix}{i}-{'-'.join(map(str, case[0]))}-{case[1]}-{case[2]}"
+        wrong = _WRONG_TAYLOR.get(name)
+        params.append(pytest.param(*case, id=name, marks=list(marks) + (
+            [pytest.mark.xfail(strict=True, reason=wrong)] if wrong else [])))
+    return params
+
+
+@pytest.mark.parametrize("mesh, lambda0, radius", _taylor_params(
+    _draw_taylor_cases(20261021, 8), "") + [
+    param for seed in _SLOW_SEEDS for param in _taylor_params(
+        _draw_taylor_cases(seed, 16, max_rings=8), f"slow{seed}-", [pytest.mark.slow])])
+def test_taylor_exit_zero_means_the_dense_group(mesh_file, tmp_path, mesh, lambda0, radius):
+    out = tmp_path / "t.json"
+    code, err = _run("taylor", "--mesh", mesh_file(mesh), "--lambda0", str(lambda0),
+                     "--radius", str(radius), "--out", str(out))
+    assert code in (0, 2), err
+    if code == 2:
+        assert "unexpected" not in json.loads(err), err
+        return
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    a = np.array([complex(re, im) for re, im in payload["a_coeffs"]])
+    held = 3 * radius / 5
+    mean0, mean_held = _dense_group_means(mesh_file(mesh), lambda0, held)
+    assert abs(a[0] - mean0) <= 1e-8 * abs(mean0), (a[0], mean0)
+    series = np.polyval(a[::-1], held)
+    miss = abs(series - mean_held) / abs(mean_held)
+    assert miss <= payload["prediction_errors"][0] + 1e-10, (series, mean_held, miss)
