@@ -33,6 +33,7 @@ import numpy as np
 from .fem import (
     AssembledForms,
     FemError,
+    _abs,
     assemble,
     norms,
     restrict_forms,
@@ -77,10 +78,11 @@ _DIVERGENCE_TOL = 1e-12
 _FIELD_MAX = 1e100
 
 
-def _abs(matrix):
-    """|matrix| entrywise, on the matrix's own index arrays."""
-    return type(matrix)((np.abs(matrix.data), matrix.indices, matrix.indptr),
-                        shape=matrix.shape)
+def _delta_value(delta):
+    """delta as the cascade computes with it: a float when its imaginary
+    part is 0, else a complex, so that delta = 0.05 + 0j and 0.05 take the
+    same real route bit for bit."""
+    return complex(delta) if np.imag(delta) != 0 else float(np.real(delta))
 
 
 def _load_size(forms: AssembledForms, field_values: np.ndarray) -> np.ndarray:
@@ -135,8 +137,8 @@ class DrivingField:
                     f"patch flux defect {defect:.3e} > {_DIVERGENCE_TOL:g}")
 
     def evaluate(self, delta: complex) -> np.ndarray:
-        out = np.zeros(self.fields[0].shape, dtype=complex if np.iscomplexobj(
-            np.asarray(delta)) or np.imag(delta) != 0 else float)
+        delta = _delta_value(delta)
+        out = np.zeros(self.fields[0].shape, dtype=type(delta))
         for k, f in enumerate(self.fields):
             out = out + (delta**k) * f
         return out
@@ -305,9 +307,8 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
     forms = cascade.forms
     mesh = cascade.mesh
     n = mesh.n_vertices
-    complex_case = np.imag(delta) != 0
-    dtype = complex if complex_case else float
-    delta_s = complex(delta) if complex_case else float(np.real(delta))
+    delta_s = _delta_value(delta)
+    dtype = type(delta_s)
 
     a_delta = (forms.A_D + delta_s * forms.A_S).astype(dtype)
     field_w = np.asarray(field_values, dtype=dtype).copy()
@@ -340,10 +341,13 @@ def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
     """Relative H1 errors e_K, K = 0..state.order, of the truncated series
     of a `run` state against the direct projection of the full field
     evaluated at delta.  A delta outside the validated disk draws the same
-    UserWarning as `eig.Pencil.B`: the series need not converge there.  An
-    error that rises from one order to the next draws a UserWarning too: a
-    thin shell puts the cascade's nearest pole inside the validated disk,
-    so the series can diverge where no validated-disk warning is drawn."""
+    UserWarning as the eig pencil's B_delta: the series need not converge
+    there.  An error that rises from one order to the next draws a
+    UserWarning too: a thin shell puts the cascade's nearest pole inside
+    the validated disk, so the series can diverge where no validated-disk
+    warning is drawn.  A delta whose imaginary part is 0 is taken as the
+    real delta."""
+    delta = _delta_value(delta)
     warn_outside_validated_disk(delta, validated_radius(cascade.forms))
     h_direct = direct_projection(cascade, driving.evaluate(delta), delta)
     l2d, h1d = norms(cascade.forms, h_direct)

@@ -28,7 +28,7 @@ import traceback
 import numpy as np
 
 from .cascade import Cascade, CascadeError, DrivingField, load_field, series_vs_direct
-from .eig import EigError, Pencil, delta_spectrum, discrete_K0, limit_spectrum, track_branch
+from .eig import EigError, delta_spectrum, discrete_K0, limit_spectrum, track_branch
 from .fem import FemError, assemble
 from .linalg import ArnoldiError, SingularMatrixError
 from .mesh import (
@@ -94,14 +94,14 @@ def _list_of(cast):
 _finite = _checked(float, math.isfinite, "finite")
 _finite_complex = _checked(complex, cmath.isfinite, "finite")
 _positive = _checked(_finite, lambda x: x > 0, "> 0")
-_nonzero = _checked(_finite, lambda x: x != 0, "nonzero")
 _outer_radius = _checked(_finite, lambda x: x > 1, "> 1")
 _at_least_1 = _checked(int, lambda k: k >= 1, ">= 1")
 _at_least_0 = _checked(int, lambda k: k >= 0, ">= 0")
 _power_of_two = _checked(int, lambda k: k >= 4 and not k & (k - 1), "a power of two >= 4")
 _family = _checked(str, lambda f: f in (FAMILY_E, FAMILY_H), f"{FAMILY_E!r} or {FAMILY_H!r}")
 _complex_list = _list_of(_finite_complex)
-_nonzero_complex_list = _list_of(_checked(_finite_complex, lambda d: d != 0, "nonzero"))
+_nonzero_complex = _checked(_finite_complex, lambda d: d != 0, "nonzero")
+_nonzero_complex_list = _list_of(_nonzero_complex)
 
 
 # largest relative mismatch between the pencil's limit eigenvalues and the
@@ -246,10 +246,10 @@ def _cmd_eig_limit(cfg, out):
 
 
 def _cmd_eig_sweep(cfg, out):
-    pencil = Pencil(assemble(load_mesh(cfg["mesh"])))
+    forms = assemble(load_mesh(cfg["mesh"]))
+    spectra = delta_spectrum(forms, cfg["deltas"], cfg["target"], cfg["count"])
     rows = []
-    for d in cfg["deltas"]:
-        pairs = delta_spectrum(pencil, d, cfg["target"], cfg["count"])
+    for d, pairs in zip(cfg["deltas"], spectra):
         for i, p in enumerate(pairs):
             rows.append((_fmt(d.real), _fmt(d.imag), str(i),
                          float(np.real(p.lam)), float(np.imag(p.lam)), p.residual))
@@ -451,7 +451,7 @@ _COMMANDS = {
         "field": (str, ""),
         "fx": (_finite, 1.0),
         "fy": (_finite, 0.0),
-        "delta": (_nonzero, 0.05),
+        "delta": (_nonzero_complex, 0.05),
         "orders": (_at_least_0, 6),
         "out": (str, _REQUIRED),
     }),

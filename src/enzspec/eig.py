@@ -6,14 +6,15 @@ compact-operator route, and one continuation loop that tracks a branch
 along paths in the complex delta plane as its lambda-group (every copy of
 its delta = 0 eigenvalue), reported by the copies' values and their mean.
 
-A `Pencil` is the data the rest reads: one serves a tracking call or every
-delta of a sweep.  `Pencil.B` is the one place that checks B_delta, and
-`_shifted` the one set-up of a shifted solve.  Both form their matrix as
-one array expression on the mesh pattern that the forms lay out once per
-assembly (`AssembledForms.pencil_layout`), with the entries that are
-exactly zero dropped: bit for bit the CSR of M_D + delta M_S and the CSC of
-A - sigma B that the sparse sums give.  The factor's probe and ARPACK's
-start vector are one cached fixed vector per length and dtype (`linalg`).
+Every entry point takes the `AssembledForms` and builds one private
+`_Pencil` from them: one serves a limit spectrum, a tracking call or every
+delta of a sweep.  The pencil lays A, M_D and M_S out on the mesh pattern
+once; `_Pencil.B` is the one place that checks B_delta, and `_shifted` the
+one set-up of a shifted solve.  Both form their matrix as one array
+expression on that layout, with the entries that are exactly zero dropped:
+bit for bit the CSR of M_D + delta M_S and the CSC of A - sigma B that the
+sparse sums give.  The factor's probe and ARPACK's start vector are one
+cached fixed vector per length and dtype (`linalg`).
 
 All complex pairings are bilinear (unconjugated): the pencil is complex
 symmetric, its eigenvectors for distinct eigenvalues satisfy u^T B v = 0,
@@ -35,7 +36,6 @@ from .fem import AssembledForms, validated_radius, warn_outside_validated_disk
 from .linalg import LUFactors, SingularMatrixError, shift_invert_arnoldi
 
 __all__ = [
-    "Pencil",
     "EigenPair",
     "Branch",
     "EigError",
@@ -63,25 +63,49 @@ _RES_GOAL, _RES_ACCEPT = 1e-13, 1e-8
 # track_branch: the eigenpairs its start harvests at delta = 0; _continue:
 # the overlap ratio below which the tracked span counts as lost.
 _START_COUNT, _AMBIGUITY_RATIO = 5, 0.9
-# Pencil.B: the largest |delta| accepted; beyond it the shifted matrix
+# _Pencil.B: the largest |delta| accepted; beyond it the shifted matrix
 # A - sigma (M_D + delta M_S), with sigma growing like delta, overflows.
 _DELTA_MAX = 1e100
 
 
-class Pencil:
+class _Pencil:
     """The generalized problem A v = lambda (M_D + delta M_S) v of one
     assembly: M_S, the vertex count n, the validated radius
     area(D)/area(S), the rank of M_D (its nonzero diagonal entries, one per
-    inclusion vertex) and the forms' pencil layout.
-    `stiffness(dtype)` is A converted to dtype, once per dtype."""
+    inclusion vertex), `stiffness(dtype)` (A converted to dtype, once per
+    dtype) and the layout: the mesh pattern, the structure of M, with A,
+    M_D and M_S laid out on it in CSR order (`a`, `m_d`, `m_s`; 0.0 where a
+    matrix has no entry), M's own CSR index arrays, the CSC ones and the
+    CSR position of each CSC entry (`to_csc`).
+
+    A_D and M_D share one structure, as do A_S and M_S (each pair is built
+    from the same element triplets, or sliced alike), so one searchsorted
+    per region places its entries; A is A_D plus A_S, in that order, as in
+    the sum.  One tocsc of the entry positions gives the CSC order."""
 
     def __init__(self, forms: AssembledForms):
         self.M_S = forms.M_S
-        self.n = forms.mesh.n_vertices
+        n = self.n = forms.mesh.n_vertices
         self.radius = validated_radius(forms)
         self.md_rank = int(np.count_nonzero(forms.M_D.diagonal()))
         self.stiffness = functools.cache(forms.A.astype)
-        self.layout = forms.pencil_layout
+        m = forms.M
+
+        def keys(mat):
+            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(mat.indptr))
+            return rows * n + mat.indices
+
+        pattern = keys(m)
+        at_d = np.searchsorted(pattern, keys(forms.M_D))
+        at_s = np.searchsorted(pattern, keys(forms.M_S))
+        self.a, self.m_d, self.m_s = np.zeros((3, m.nnz))
+        self.a[at_d] += forms.A_D.data
+        self.a[at_s] += forms.A_S.data
+        self.m_d[at_d], self.m_s[at_s] = forms.M_D.data, forms.M_S.data
+        csc = scipy.sparse.csr_matrix((np.arange(m.nnz), m.indices, m.indptr),
+                                      shape=m.shape).tocsc()
+        self.indices, self.indptr = m.indices, m.indptr
+        self.csc_indices, self.csc_indptr, self.to_csc = csc.indices, csc.indptr, csc.data
 
     def B(self, delta):
         """M_D + delta M_S (CSR).  Raises EigError when |delta| exceeds
@@ -93,14 +117,14 @@ class Pencil:
         if abs(delta + self.radius) < 1e-14 * self.radius:
             raise EigError("delta = -area(D)/area(shell): total mass direction degenerate")
         warn_outside_validated_disk(delta, self.radius)
-        layout = self.layout
-        return self._matrix(scipy.sparse.csr_matrix, layout.indices, layout.indptr,
-                            layout.m_d + layout.m_s * delta)
+        return self._matrix(scipy.sparse.csr_matrix, self.indices, self.indptr,
+                            self.m_d + self.m_s * delta)
 
     def _matrix(self, kind, indices, indptr, values):
         """The `kind` matrix (csr_matrix or csc_matrix) of `values` on the
         pattern, with its exact zeros dropped.  Dropping prunes the index
-        arrays in place, and the layout's are shared, so they are copied."""
+        arrays in place, and the layout's serve every call, so they are
+        copied."""
         mat = kind((values, indices.copy(), indptr.copy()), shape=(self.n, self.n))
         mat.eliminate_zeros()
         return mat
@@ -154,34 +178,29 @@ def _rayleigh(amat, bmat, v):
     return lam, float(np.linalg.norm(av - lam * bv) / max(scale, 1e-300))
 
 
-def _shifted(pencil: Pencil, delta, sigma, real: bool, count: int, bump: float):
-    """Set-up of a solve for `count` eigenpairs of (A, B_delta) near sigma:
-    with `real`, delta and sigma become floats and A, B stay real, else both
-    are complex.  `count` must fit the rank(B) - 1 finite eigenvalues left
-    once the constant mode is deflated (B = M_D at delta = 0, else B is
-    nonsingular).  A singular shift (sigma at an eigenvalue) moves to
-    sigma (1 + bump) + bump, at most twice.  A - sigma B is factored from
-    its values on the pattern, in the operand order of the sparse sums (B's
-    data times the scalar), taken in CSC order.  Returns (delta, sigma,
-    rank(B) - 1, A, B_delta, LU factors of A - sigma B)."""
-    if real:
-        delta, sigma = float(np.real(delta)), float(np.real(sigma))
-    else:
-        sigma = complex(sigma)
-    available = (pencil.md_rank if delta == 0 else pencil.n) - 1
-    if count > available:
-        raise EigError(f"count {count} exceeds the {available} finite eigenvalues "
-                       f"of the deflated pencil at delta={delta}")
-    dtype = float if real else complex
+def _typed(delta, sigma, real: bool):
+    """(delta, sigma) as a shifted solve takes them: both floats with
+    `real`, else sigma complex."""
+    return (float(np.real(delta)), float(np.real(sigma))) if real else (delta, complex(sigma))
+
+
+def _shifted(pencil: _Pencil, delta, sigma, bump: float):
+    """Set-up of a solve of (A, B_delta) near sigma, from `_typed` values: a
+    float sigma keeps A and B real, a complex one makes both complex.  A
+    singular shift (sigma at an eigenvalue) moves to sigma (1 + bump) +
+    bump, at most twice.  A - sigma B is factored from its values on the
+    layout, in the operand order of the sparse sums (B's data times the
+    scalar), taken in CSC order.  Returns (A, B_delta, LU factors of
+    A - sigma B)."""
+    dtype = type(sigma)
     acsr, bcsr = pencil.stiffness(dtype), pencil.B(delta).astype(dtype, copy=False)
-    layout = pencil.layout
-    b = (layout.m_d + layout.m_s * delta).astype(dtype, copy=False)
+    b = (pencil.m_d + pencil.m_s * delta).astype(dtype, copy=False)
     shift = sigma
     for attempt in range(3):
         try:
-            shifted = pencil._matrix(scipy.sparse.csc_matrix, layout.csc_indices,
-                                     layout.csc_indptr, (layout.a - b * shift)[layout.to_csc])
-            return delta, sigma, available, acsr, bcsr, LUFactors(shifted)
+            shifted = pencil._matrix(scipy.sparse.csc_matrix, pencil.csc_indices,
+                                     pencil.csc_indptr, (pencil.a - b * shift)[pencil.to_csc])
+            return acsr, bcsr, LUFactors(shifted)
         except SingularMatrixError:
             if attempt == 2:
                 raise EigError(
@@ -190,7 +209,7 @@ def _shifted(pencil: Pencil, delta, sigma, real: bool, count: int, bump: float):
             shift = shift * (1.0 + bump) + bump
 
 
-def _solve_pencil(pencil: Pencil, delta: complex, target: complex, count: int):
+def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
     """Harvest the `count` eigenpairs of (A, B_delta) nearest `target`.
 
     Shift-invert ARPACK (`shift_invert_arnoldi`) runs on (A - sigma B)^{-1} B
@@ -221,7 +240,14 @@ def _solve_pencil(pencil: Pencil, delta: complex, target: complex, count: int):
     if count < 1:
         raise EigError("count must be >= 1")
     real_case = complex(delta).imag == 0.0 and complex(target).imag == 0.0
-    _, _, available, acsr, bcsr, fac = _shifted(pencil, delta, target, real_case, count, 1e-3)
+    delta, sigma = _typed(delta, target, real_case)
+    # the rank(B) - 1 finite eigenvalues left once the constant mode is
+    # deflated: B = M_D at delta = 0, else B is nonsingular
+    available = (pencil.md_rank if delta == 0 else pencil.n) - 1
+    if count > available:
+        raise EigError(f"count {count} exceeds the {available} finite eigenvalues "
+                       f"of the deflated pencil at delta={delta}")
+    acsr, bcsr, fac = _shifted(pencil, delta, sigma, 1e-3)
     n, dtype = pencil.n, acsr.dtype
     ones = np.ones(n, dtype=dtype)
     b_ones = bcsr @ ones
@@ -304,13 +330,14 @@ def limit_spectrum(forms: AssembledForms, count: int):
     out M_D-bilinearly orthonormal with vanishing inclusion mean.
     """
     # _solve_pencil orders pairs by |lambda + 1|: ascending, as lambda >= 0
-    return _solve_pencil(Pencil(forms), 0.0, -1.0, count)
+    return _solve_pencil(_Pencil(forms), 0.0, -1.0, count)
 
 
-def delta_spectrum(pencil: Pencil, delta: complex, target: complex, count: int):
-    """Eigenpairs of (A, M_D + delta M_S) nearest the target shift; one
-    Pencil serves every delta of a sweep."""
-    return _solve_pencil(pencil, delta, target, count)
+def delta_spectrum(forms: AssembledForms, deltas, target: complex, count: int):
+    """The `count` eigenpairs of (A, M_D + delta M_S) nearest the target
+    shift, one list per delta of `deltas`: one pencil serves them all."""
+    pencil = _Pencil(forms)
+    return [_solve_pencil(pencil, delta, target, count) for delta in deltas]
 
 
 # discrete_K0: the most mesh nodes its dense eigendecompositions accept.
@@ -368,7 +395,7 @@ def _predict(history, delta):
             + t * t * (3 - 2 * t) * l1 + t * t * (t - 1) * h * s1)
 
 
-def _block_step(pencil: Pencil, delta, sigma, block):
+def _block_step(pencil: _Pencil, delta, sigma, block):
     """Ritz pairs of (A, B_delta) on the span that block inverse iteration
     with one factor of A - sigma B reaches from `block` (n x h).
 
@@ -379,7 +406,8 @@ def _block_step(pencil: Pencil, delta, sigma, block):
     Returns (B_delta, Ritz values, Ritz vectors scaled to v^T B v = 1).
     """
     real = complex(delta).imag == 0.0 and complex(sigma).imag == 0.0 and not np.iscomplexobj(block)
-    delta, sigma, _, acsr, bcsr, fac = _shifted(pencil, delta, sigma, real, block.shape[1], 1e-6)
+    delta, sigma = _typed(delta, sigma, real)
+    acsr, bcsr, fac = _shifted(pencil, delta, sigma, 1e-6)
     bv, res = bcsr @ block, np.inf
     while True:
         q = np.linalg.qr(fac.solve(bv))[0]
@@ -409,7 +437,7 @@ def _match(values, targets):
     return out
 
 
-def _continue(pencil: Pencil, lams, vecs, path):
+def _continue(pencil: _Pencil, lams, vecs, path):
     """Continue the eigenpairs (lams, columns of vecs) of (A, B_path[0])
     along path; returns one sample (lams, vecs) per point.
 
@@ -456,7 +484,7 @@ def track_branch(forms: AssembledForms, lambda0: float, path) -> Branch:
     path = list(path)
     if not (path and abs(path[0]) <= 1e-15):
         raise EigError("tracking path must start at delta = 0")
-    pencil = Pencil(forms)
+    pencil = _Pencil(forms)
     pairs = _solve_pencil(pencil, 0.0, lambda0 * (1.0 + 1e-4) + 1e-3, _START_COUNT)
     pairs.sort(key=lambda p: abs(p.lam - lambda0))
     group = [p for p in pairs if abs(p.lam - pairs[0].lam) <= 1e-6 * abs(pairs[0].lam)]

@@ -10,14 +10,13 @@ subdomain; the caller knows which terms each load entry sums, so it passes
 their magnitudes (`load_size`) to `solve_neumann`.
 All matrices are kept per region so that delta-weighted forms (the mass
 B_delta = M_D + delta*M_S, the stiffness A_D + delta*A_S) are exact linear
-combinations of the assembled pieces.
+combinations of the assembled pieces (`eig` lays them out for its pencil).
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -75,20 +74,10 @@ def _div_operator(triangles: np.ndarray, data: np.ndarray, n_vertices: int):
                                    shape=(n_vertices, 2 * nt))
 
 
-class _PencilLayout(NamedTuple):
-    """The mesh pattern, the structure of M, with the values of A, M_D and
-    M_S laid out on it in CSR order (0.0 where a matrix has no entry): the
-    CSR index arrays, which are forms.M's own (copy them before pruning),
-    the CSC index arrays, and the CSR position of each CSC entry."""
-
-    indices: np.ndarray
-    indptr: np.ndarray
-    csc_indices: np.ndarray
-    csc_indptr: np.ndarray
-    to_csc: np.ndarray
-    a: np.ndarray
-    m_d: np.ndarray
-    m_s: np.ndarray
+def _abs(matrix):
+    """|matrix| entrywise, on the matrix's own index arrays."""
+    return type(matrix)((np.abs(matrix.data), matrix.indices, matrix.indptr),
+                        shape=matrix.shape)
 
 
 class AssembledForms:
@@ -102,14 +91,15 @@ class AssembledForms:
     for a submesh of an assembled mesh.
 
     The values that depend only on the assembly (M 1, the boundary vertices
-    per tag, the Dirichlet free set, the pencil layout and the solve
-    factors in `factors`) are derived once, on first use, and kept here: the
-    forms are a snapshot of their mesh, while the Mesh itself holds no
-    derived state.  `factors.clear()` frees the factors; the next solve
-    factors again.  The entrywise magnitudes |A| and |div| are formed per
-    use: kept on a cascade's three forms, their entries would stay in memory
-    through the direct projection's factorization and raise the command's
-    peak memory.
+    per tag, the Dirichlet free set and the solve factors in `factors`) are
+    derived once, on first use, and kept here: the forms are a snapshot of
+    their mesh, while the Mesh itself holds no derived state.  The pencil's
+    layout is not among them: `eig` derives it, once per pencil.
+    `factors.clear()` frees the factors; the next solve factors again.  The
+    entrywise magnitudes |A| and |div| are formed per use (`_abs`, on the
+    matrix's own index arrays): kept on a cascade's three forms, their
+    entries would stay in memory through the direct projection's
+    factorization and raise the command's peak memory.
     """
 
     def __init__(self, mesh: Mesh, areas, div, A_D, M_D, A_S, M_S):
@@ -136,35 +126,6 @@ class AssembledForms:
     def boundary_nodes(self) -> dict:
         """Edge tag -> its sorted boundary vertices, for each tag present."""
         return {int(t): self.mesh.boundary_vertices(t) for t in np.unique(self.mesh.edge_tags)}
-
-    @cached_property
-    def pencil_layout(self) -> _PencilLayout:
-        """The mesh pattern, the structure of M, with A, M_D and M_S laid out
-        on it: each matrix of the pencil A v = lambda (M_D + delta M_S) v is
-        one array expression on it, in CSR order or, through `to_csc`, in
-        CSC order.
-
-        A_D and M_D share one structure, as do A_S and M_S (each pair is
-        built from the same element triplets, or sliced alike), so one
-        searchsorted per region places its entries; A is A_D plus A_S, in
-        that order, as in the sum A_D + A_S.  One tocsc of the entry
-        positions gives the CSC order."""
-        m, n = self.M, self.mesh.n_vertices
-
-        def keys(mat):
-            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(mat.indptr))
-            return rows * n + mat.indices
-
-        pattern = keys(m)
-        at_d = np.searchsorted(pattern, keys(self.M_D))
-        at_s = np.searchsorted(pattern, keys(self.M_S))
-        a, m_d, m_s = np.zeros((3, m.nnz))
-        a[at_d] += self.A_D.data
-        a[at_s] += self.A_S.data
-        m_d[at_d], m_s[at_s] = self.M_D.data, self.M_S.data
-        csc = scipy.sparse.csr_matrix((np.arange(m.nnz), m.indices, m.indptr),
-                                      shape=m.shape).tocsc()
-        return _PencilLayout(m.indices, m.indptr, csc.indices, csc.indptr, csc.data, a, m_d, m_s)
 
     @cached_property
     def dirichlet_free(self) -> np.ndarray:
@@ -328,7 +289,7 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
         u[free] = lu.solve(rhs)
     # Galerkin residual on the free nodes
     res = np.linalg.norm((acsr @ u - b)[free])
-    scale = np.linalg.norm((abs(a) @ np.abs(u) + np.abs(b))[free])
+    scale = np.linalg.norm((_abs(a) @ np.abs(u) + np.abs(b))[free])
     if res > 1e-8 * scale:
         raise FemError(f"Dirichlet solve residual too large: {res:.3e}")
     return u

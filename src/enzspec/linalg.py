@@ -81,9 +81,12 @@ class LUFactors:
     """Sparse LU factors of a square matrix.  A solve takes one step of
     iterative refinement only when its normwise backward error exceeds
     _REFINE_TOL; for an (n, k) right-hand side each column is tested, and
-    refined, on its own.  The input is copied to CSC; the SuperLU settings
-    (_SPLU_SETTINGS) are fixed, so repeated factorizations are
-    deterministic.
+    refined, on its own.  The factor keeps its input as CSC, converted only
+    when it is not CSC already: a CSC input is kept as it is (splu sums its
+    duplicates in place), and the caller must not change it afterwards,
+    since the refinement residual needs the matrix as factored.  The
+    SuperLU settings (_SPLU_SETTINGS) are fixed, so repeated factorizations
+    are deterministic.
 
     Those settings are minimum degree on A^T + A in symmetric mode, relax=1
     and panel_size=4.  On the package's pencils (8- to 32-ring, real and
@@ -105,9 +108,7 @@ class LUFactors:
     """
 
     def __init__(self, matrix):
-        # a copy the factor owns: splu sums duplicates in place, and the
-        # refinement residual needs the matrix as factored
-        mat = scipy.sparse.csc_matrix(matrix, copy=True)
+        mat = scipy.sparse.csc_matrix(matrix)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("LUFactors requires a square matrix")
         self.n = mat.shape[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,18 @@ class TestSeriesVsDirect:
         for k in range(5):
             assert errs[k + 1] / errs[k] <= 0.5
         assert errs[6] < 1e-5
+
+    def test_zero_imaginary_part_is_the_real_delta(self, cascade_ws):
+        # one rule for the whole cascade: a delta whose imaginary part is 0
+        # takes the real route, with no complex-to-real cast on the way
+        driving = DrivingField([constant_field(cascade_ws, [0.6, 0.8])])
+        state = cascade_ws.run(driving, 6)
+        for delta in (0.05, 0.3, -0.2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                errs = series_vs_direct(cascade_ws, driving, complex(delta, 0.0), state)
+                assert not np.iscomplexobj(driving.evaluate(complex(delta, 0.0)))
+            assert errs == series_vs_direct(cascade_ws, driving, delta, state), delta
 
     def test_doubling_delta_doubles_ratio(self, cascade_ws):
         driving = DrivingField([constant_field(cascade_ws, [1.0, 0.0])])

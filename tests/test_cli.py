@@ -17,6 +17,7 @@ import scipy.linalg
 
 import enzspec
 from enzspec import cli, eig, fem
+from enzspec.cascade import Cascade, DrivingField, series_vs_direct
 from enzspec.cli import main
 from enzspec.mesh import (
     INCLUSION,
@@ -626,8 +627,8 @@ class TestTaylorCommand:
         assert code == 0, err
         payload = json.loads(out_path.read_text())
         delta = 3 * r / 5
-        pencil = eig.Pencil(fem.assemble(load_mesh(disk_mesh)))
-        lam = eig.delta_spectrum(pencil, delta, lam0, 1)[0].lam
+        ((pair,),) = eig.delta_spectrum(fem.assemble(load_mesh(disk_mesh)), [delta], lam0, 1)
+        lam = pair.lam
         series = sum(complex(*a) * delta**k for k, a in enumerate(payload["a_coeffs"]))
         assert len(payload["prediction_errors"]) == 1
         assert abs(payload["prediction_errors"][0] - abs(series - lam) / abs(lam)) <= 1e-12
@@ -831,9 +832,41 @@ class TestCascadeCommand:
         assert not any("series error" in m for m in messages), messages
 
     def test_zero_delta_rejected(self, disk_mesh, tmp_path):
-        code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", "0",
-                           "--out", str(tmp_path / "c.csv"))
-        assert code == 1
+        for delta in ("0", "0+0j"):
+            code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", delta,
+                               "--out", str(tmp_path / "c.csv"))
+            assert code == 1, delta
+
+    def test_complex_delta(self, disk_mesh, tmp_path):
+        # the series error column is the library's series_vs_direct at that delta
+        out_path = tmp_path / "c.csv"
+        code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", "0.03+0.02j",
+                           "--orders", "6", "--out", str(out_path))
+        assert code == 0, err
+        written = [float(ln.split(",")[3]) for ln in out_path.read_text().splitlines()[3:]]
+        cascade = Cascade(load_mesh(disk_mesh))
+        driving = DrivingField([np.tile([1.0, 0.0], (cascade.mesh.n_triangles, 1))])
+        errors = series_vs_direct(cascade, driving, 0.03 + 0.02j, cascade.run(driving, 6))
+        assert written == errors
+        assert all(b < a for a, b in zip(errors, errors[1:])) and errors[6] < 1e-8
+
+    def test_zero_imaginary_delta_writes_the_real_bytes(self, disk_mesh, tmp_path):
+        # --delta parses as a complex; either spelling is the float delta's series
+        tables = []
+        for delta in ("0.05", "0.05+0j"):
+            out_path = tmp_path / f"c{delta}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", delta,
+                                   "--fx", "0.6", "--fy", "0.8", "--orders", "6",
+                                   "--out", str(out_path))
+            assert code == 0 and err == "", err
+            tables.append(out_path.read_bytes())
+        assert tables[0] == tables[1]
+        cascade = Cascade(load_mesh(disk_mesh))
+        driving = DrivingField([np.tile([0.6, 0.8], (cascade.mesh.n_triangles, 1))])
+        errors = series_vs_direct(cascade, driving, 0.05, cascade.run(driving, 6))
+        assert [float(ln.split(",")[3]) for ln in tables[0].decode().splitlines()[3:]] == errors
 
 
 def _ring_meshes(tmp_path_factory, rings):

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import io
 import os
 import warnings
@@ -16,7 +15,6 @@ from enzspec import eig, linalg
 from enzspec.cli import main
 from enzspec.eig import (
     EigError,
-    Pencil,
     TrackingAmbiguityError,
     delta_spectrum,
     discrete_K0,
@@ -106,7 +104,7 @@ class TestDeltaSpectrum:
         forms = assemble(generate_disk_in_disk(2.0, 12, 12))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            pairs = delta_spectrum(Pencil(forms), 1.0, 0.8, 6)
+            (pairs,) = delta_spectrum(forms, [1.0], 0.8, 6)
         # first nonzero Neumann eigenvalue of the R=2 disk: (z/2)^2 with
         # z the first zero of J_1'
         oracle = (brentq(lambda k: jvp(1, k), 1.5, 2.5, xtol=1e-13) / 2.0) ** 2
@@ -114,7 +112,7 @@ class TestDeltaSpectrum:
         assert best < 0.02
 
     def test_delta_zero_matches_limit(self, forms_coarse, limit_coarse):
-        pairs = delta_spectrum(Pencil(forms_coarse), 0.0, limit_coarse[0].lam + 0.1, 3)
+        (pairs,) = delta_spectrum(forms_coarse, [0.0], limit_coarse[0].lam + 0.1, 3)
         lams = sorted(np.real(p.lam) for p in pairs)
         ref = sorted(p.lam for p in limit_coarse)[:3]
         for a, b in zip(lams, ref):
@@ -122,18 +120,18 @@ class TestDeltaSpectrum:
 
     def test_complex_delta(self, forms_coarse, limit_coarse):
         lam0 = limit_coarse[0].lam
-        pairs = delta_spectrum(Pencil(forms_coarse), 0.05 + 0.05j, lam0, 2)
+        (pairs,) = delta_spectrum(forms_coarse, [0.05 + 0.05j], lam0, 2)
         assert all(p.residual <= 1e-8 for p in pairs)
         assert any(abs(np.imag(p.lam)) > 1e-6 for p in pairs)
 
     def test_real_delta_reality(self, forms_coarse):
-        pairs = delta_spectrum(Pencil(forms_coarse), 0.1, 14.0, 3)
+        (pairs,) = delta_spectrum(forms_coarse, [0.1], 14.0, 3)
         for p in pairs:
             assert abs(np.imag(p.lam)) <= 1e-9 * (1.0 + abs(p.lam))
 
     def test_bilinear_orthonormality(self, forms_coarse):
         delta = 0.05 + 0.02j
-        pairs = delta_spectrum(Pencil(forms_coarse), delta, 14.0, 4)
+        (pairs,) = delta_spectrum(forms_coarse, [delta], 14.0, 4)
         b = forms_coarse.M_D + delta * forms_coarse.M_S
         for i, p in enumerate(pairs):
             for j, q in enumerate(pairs):
@@ -146,22 +144,22 @@ class TestDeltaSpectrum:
         with pytest.raises(EigError):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                delta_spectrum(Pencil(forms_coarse), -area_d / area_s, 10.0, 1)
+                delta_spectrum(forms_coarse, [-area_d / area_s], 10.0, 1)
 
     def test_pencil_B_linear(self, forms_coarse):
         delta = 0.3 + 0.1j
-        b = Pencil(forms_coarse).B(delta)
+        b = eig._Pencil(forms_coarse).B(delta)
         ref = forms_coarse.M_D.toarray() + delta * forms_coarse.M_S.toarray()
         assert np.abs(b.toarray() - ref).max() < 1e-15
 
     def test_outside_disk_warns(self, forms_coarse):
         with pytest.warns(UserWarning, match="validated disk"):
-            Pencil(forms_coarse).B(0.9)
+            eig._Pencil(forms_coarse).B(0.9)
 
     def test_outside_disk_warning_names_a_source_line(self, forms_coarse):
         # the warning points into a .py file, not into generated code
         with pytest.warns(UserWarning, match="validated disk") as record:
-            delta_spectrum(Pencil(forms_coarse), 0.5, 14.5, 2)
+            delta_spectrum(forms_coarse, [0.5], 14.5, 2)
         for w in record:
             assert w.filename.endswith(".py") and os.path.isfile(w.filename), w.filename
             assert w.lineno >= 1
@@ -179,7 +177,7 @@ class TestDeltaSpectrum:
             return triangle_areas(self)
 
         monkeypatch.setattr(Mesh, "triangle_areas", counted)
-        Pencil(forms_coarse).B(0.05)
+        eig._Pencil(forms_coarse).B(0.05)
         path, _ = circle_path(0.02, 4)
         track_branch(forms_coarse, 15.005677, path)
         assert calls == []
@@ -211,7 +209,7 @@ class TestDeltaSpectrum:
                 outcomes.append("ok")
 
         monkeypatch.setattr(eig, "LUFactors", CountedFactors)
-        pairs = eig._solve_pencil(Pencil(forms_coarse), 0.05, target, 3)
+        (pairs,) = delta_spectrum(forms_coarse, [0.05], target, 3)
         assert outcomes == ["singular", "ok"]
         # dense[0] is the constant mode (lambda = 0), which the pencil deflates
         finite = dense[1:]
@@ -242,8 +240,8 @@ def _same_bits(x, y):
 
 
 class TestPencilLayout:
-    """`Pencil.B` and the matrix `_shifted` factors come from the pencil
-    layout; they must be what the sparse sums M_D + delta M_S and
+    """`_Pencil.B` and the matrix `_shifted` factors come from the pencil's
+    own layout; they must be what the sparse sums M_D + delta M_S and
     A - sigma B give, bit for bit, explicit zeros dropped."""
 
     @staticmethod
@@ -269,12 +267,13 @@ class TestPencilLayout:
         forms = forms_by_mesh(shape, rings)
         inputs = self._factor_inputs(monkeypatch)
         real = complex(delta).imag == 0 and complex(sigma).imag == 0
-        _, _, _, _, bmat, _ = eig._shifted(Pencil(forms), delta, sigma, real, 1, 1e-3)
+        pencil = eig._Pencil(forms)
+        _, bmat, _ = eig._shifted(pencil, *eig._typed(delta, sigma, real), 1e-3)
         dtype = float if real else complex
         if real:
             delta, sigma = float(np.real(delta)), float(np.real(sigma))
         b = forms.M_D + delta * forms.M_S
-        assert _same_bits(Pencil(forms).B(delta), b)
+        assert _same_bits(pencil.B(delta), b)
         b = b.astype(dtype, copy=False)
         assert _same_bits(bmat, b)
         (factored,) = inputs
@@ -283,7 +282,7 @@ class TestPencilLayout:
     def test_bumped_shift_is_the_sparse_formula(self, forms_by_mesh, monkeypatch):
         forms = forms_by_mesh("disk", 8)
         inputs = self._factor_inputs(monkeypatch, fail_first=True)
-        eig._shifted(Pencil(forms), 0.05, 14.5, True, 1, 1e-3)
+        eig._shifted(eig._Pencil(forms), 0.05, 14.5, 1e-3)
         b = forms.M_D + 0.05 * forms.M_S
         first, bumped = inputs
         assert _same_bits(first, (forms.A - 14.5 * b).tocsc())
@@ -293,23 +292,18 @@ class TestPencilLayout:
         # B at delta = 0 drops the shell-only entries; the layout and
         # forms.M keep theirs
         forms = forms_by_mesh("disk", 8)
-        pencil = Pencil(forms)
-        layout = forms.pencil_layout
-        assert pencil.B(0.0).nnz < forms.M.nnz == len(layout.indices) == len(layout.csc_indices)
+        pencil = eig._Pencil(forms)
+        assert pencil.B(0.0).nnz < forms.M.nnz == len(pencil.indices) == len(pencil.csc_indices)
         assert _same_bits(pencil.B(0.03 + 0.02j), forms.M_D + (0.03 + 0.02j) * forms.M_S)
-        assert np.array_equal(layout.indptr, forms.M.indptr)
+        assert np.array_equal(pencil.indptr, forms.M.indptr)
 
     def test_sweep_derives_the_layout_once(self, tmp_path, monkeypatch):
+        # the pencil derives the layout: one pencil serves all 16 deltas
         mesh_path = str(tmp_path / "disk4.txt")
         save_mesh(generate_disk_in_disk(2.0, 4, 4), mesh_path)
-        derive = AssembledForms.pencil_layout.func
-        calls = {"layout": 0, "pencils": 0, "solves": 0}
+        calls = {"pencils": 0, "solves": 0}
 
-        def counted_layout(forms):
-            calls["layout"] += 1
-            return derive(forms)
-
-        def counted_pencil(self, forms, init=Pencil.__init__):
+        def counted_pencil(self, forms, init=eig._Pencil.__init__):
             calls["pencils"] += 1
             init(self, forms)
 
@@ -317,16 +311,13 @@ class TestPencilLayout:
             calls["solves"] += 1
             return solve(*args)
 
-        layout = functools.cached_property(counted_layout)
-        layout.__set_name__(AssembledForms, "pencil_layout")
-        monkeypatch.setattr(AssembledForms, "pencil_layout", layout)
-        monkeypatch.setattr(Pencil, "__init__", counted_pencil)
+        monkeypatch.setattr(eig._Pencil, "__init__", counted_pencil)
         monkeypatch.setattr(eig, "_solve_pencil", counted_solve)
         deltas = ",".join(f"{0.005 * (k + 1):g}" for k in range(16))
         code = main(["eig", "sweep", "--mesh", mesh_path, "--deltas", deltas, "--count", "1",
                      "--out", str(tmp_path / "sweep.csv")], out=io.StringIO(), err=io.StringIO())
         assert code == 0
-        assert calls == {"layout": 1, "pencils": 1, "solves": 16}
+        assert calls == {"pencils": 1, "solves": 16}
 
 
 @pytest.mark.parametrize("shape, rings, delta, target, count", [
@@ -345,7 +336,7 @@ def test_real_spectra_on_sparse_meshes(forms_by_mesh, shape, rings, delta, targe
     if target is None:
         pairs = limit_spectrum(forms, count)
     else:
-        pairs = delta_spectrum(Pencil(forms), delta, target, count)
+        (pairs,) = delta_spectrum(forms, [delta], target, count)
     assert len(pairs) == count
     b = forms.M_D + delta * forms.M_S
     for p in pairs:
@@ -374,7 +365,7 @@ class TestCompleteness:
     def test_square8_real_delta_keeps_both_copies(self, forms_by_mesh):
         forms = forms_by_mesh("square", 8)
         delta = 0.05998
-        pairs = delta_spectrum(Pencil(forms), delta, 14.5, 6)
+        (pairs,) = delta_spectrum(forms, [delta], 14.5, 6)
         b = forms.M_D + delta * forms.M_S
         dense = scipy.linalg.eigh(forms.A.toarray(), b.toarray(), eigvals_only=True)
         expected = _nearest(dense, 14.5, 6)
@@ -384,7 +375,7 @@ class TestCompleteness:
     def test_square8_complex_delta(self, forms_by_mesh):
         forms = forms_by_mesh("square", 8)
         delta = 0.04 + 0.03j
-        pairs = delta_spectrum(Pencil(forms), delta, 14.5, 6)
+        (pairs,) = delta_spectrum(forms, [delta], 14.5, 6)
         b = forms.M_D + delta * forms.M_S
         dense = scipy.linalg.eigvals(forms.A.toarray(), b.toarray())
         _assert_same_multiset(pairs, _nearest(dense, 14.5, 6))
@@ -392,7 +383,7 @@ class TestCompleteness:
     def test_disk32_real_delta_keeps_both_copies(self, forms_by_mesh):
         forms = forms_by_mesh("disk", 32)
         delta = 0.05248
-        pairs = delta_spectrum(Pencil(forms), delta, 14.5, 6)
+        (pairs,) = delta_spectrum(forms, [delta], 14.5, 6)
         b = forms.M_D + delta * forms.M_S
         ref = scipy.sparse.linalg.eigsh(forms.A.tocsc(), k=10, M=b.tocsc(),
                                         sigma=14.5, return_eigenvectors=False)
@@ -416,7 +407,7 @@ class TestCompleteness:
         # 27.439249 (distances equal to about 1e-13): count 6 returns one
         # copy, count 7 both, each the count values nearest the target
         delta = 0.02623
-        pairs = delta_spectrum(Pencil(forms_coarse), delta, 14.5, count)
+        (pairs,) = delta_spectrum(forms_coarse, [delta], 14.5, count)
         b = forms_coarse.M_D + delta * forms_coarse.M_S
         dense = scipy.linalg.eigh(forms_coarse.A.toarray(), b.toarray(), eigvals_only=True)
         _assert_same_multiset(pairs, _nearest(dense, 14.5, count), rel=1e-10)
@@ -426,7 +417,7 @@ class TestCompleteness:
 def test_negative_real_delta_vectors_finite(forms_coarse):
     # B = M_D - 0.3 M_S is indefinite: v^T B v < 0 for the eigenvector of -0.39967
     delta = -0.3
-    pairs = delta_spectrum(Pencil(forms_coarse), delta, 14.5, 6)
+    (pairs,) = delta_spectrum(forms_coarse, [delta], 14.5, 6)
     b = forms_coarse.M_D + delta * forms_coarse.M_S
     dense = scipy.linalg.eigvals(forms_coarse.A.toarray(), b.toarray())
     _assert_same_multiset(pairs, _nearest(dense, 14.5, 6))
@@ -679,7 +670,7 @@ def radial_first_order(ingested_forms):
     def get(shape, rings):
         if (shape, rings) not in cache:
             forms, inclusion, shell = ingested_forms(shape, rings)
-            (pair,) = delta_spectrum(Pencil(forms), 0.0, _RADIAL_MODE[rings], 1)
+            ((pair,),) = delta_spectrum(forms, [0.0], _RADIAL_MODE[rings], 1)
             v, lam0 = pair.vector, pair.lam
             assert abs(lam0 - _RADIAL_MODE[rings]) <= 1e-6 * lam0
             a1 = -lam0 * (v @ (forms.M_S @ v)) / (v @ (forms.M_D @ v))

@@ -115,6 +115,17 @@ class TestLU:
         # the first column is left as the first solve gave it
         assert np.array_equal(x[:, 0], Counting(exact, 1e-17).solve(b)[:, 0])
 
+    def test_csc_input_is_kept_not_copied(self):
+        # the factor keeps a CSC input as it is; another format is converted
+        a = scipy.sparse.random(40, 40, density=0.1, format="csc", random_state=3)
+        a = (a + 4.0 * scipy.sparse.eye(40)).tocsc()
+        assert np.shares_memory(LUFactors(a)._mat.data, a.data)
+        csr = a.tocsr()
+        lu = LUFactors(csr)
+        assert lu._mat.format == "csc" and not np.shares_memory(lu._mat.data, csr.data)
+        b = np.arange(40.0)
+        assert np.linalg.norm(a @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((20, 20))

@@ -214,3 +214,30 @@ def test_taylor_exit_zero_means_the_dense_group(mesh_file, tmp_path, mesh, lambd
     series = np.polyval(a[::-1], held)
     miss = abs(series - mean_held) / abs(mean_held)
     assert miss <= payload["prediction_errors"][0] + 1e-10, (series, mean_held, miss)
+
+
+_MIXED_DELTAS = ("0.05", "0.03+0.02j", "-0.05", "0.03+0.02j")
+
+
+@pytest.mark.parametrize("shape", ["disk", "square"])
+def test_mixed_sweep_is_one_sweep_per_delta(mesh_file, tmp_path, shape):
+    # one pencil serves real and complex deltas in turn: each delta's rows
+    # are the bytes of a sweep at that delta alone, and the dense eigenvalues
+    mesh, target, count = mesh_file((shape, 4, 4, 2.0)), 14.5, 4
+    common = ("--mesh", mesh, "--target", str(target), "--count", str(count))
+    out = tmp_path / "mixed.csv"
+    code, err = _run("eig", "sweep", "--deltas", ",".join(_MIXED_DELTAS), *common,
+                     "--out", str(out))
+    assert code == 0, err
+    lines = out.read_text(encoding="utf-8").splitlines()
+    header, rows = lines[:2], lines[2:]
+    assert len(rows) == count * len(_MIXED_DELTAS)
+    for k, delta in enumerate(_MIXED_DELTAS):
+        single = tmp_path / f"single{k}.csv"
+        code, err = _run("eig", "sweep", "--deltas", delta, *common, "--out", str(single))
+        assert code == 0, err
+        assert single.read_text(encoding="utf-8").splitlines() == header + rows[
+            k * count:(k + 1) * count]
+        got = np.sort_complex(_written_eigenvalues(single))
+        expected = _dense_nearest(mesh, complex(delta), target, count)
+        assert np.all(np.abs(got - expected) <= 1e-10 * np.abs(expected)), (got, expected)
