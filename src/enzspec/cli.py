@@ -204,10 +204,16 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _csv_lines(name: str, header, rows):
+    """A CSV table as the lines `_write_lines` takes: its title, its header
+    and, unless there are no rows, all rows as one text.  A string cell is
+    written as it is, any other as %.17g, which gives the bytes of `_fmt`;
+    the rows are rendered by one % operation over the flattened cells."""
+    rows = list(rows)
     lines = [f"# enzspec {name} csv v1", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                              for cell in row))
+    if rows:
+        fmt = "\n".join([",".join(["%s" if isinstance(cell, str) else "%.17g" for cell in row])
+                         for row in rows])
+        lines.append(fmt % tuple([cell for row in rows for cell in row]))
     return lines
 
 
@@ -356,11 +362,13 @@ def _cmd_mie_dispersion(cfg, out):
     seed, limit = cfg["seed"], None
     if seed == 0.0:
         # each family's delta -> 0 root: z_1 for magnetic, the root below
-        # z_1 in the nonelectrostatic interval 0 for electric
-        z1 = float(bessel_zeros(cfg["n"], 1)[0])
+        # z_1 in the nonelectrostatic interval 0 for electric; z_1 only
+        # where a sample uses it
         electric = family == FAMILY_E
+        far = electric & (np.abs(deltas) > _LIMIT_SEED_RADIUS)
+        z1 = float(bessel_zeros(cfg["n"], 1)[0]) if far.any() or not electric else None
         limit = nonelectrostatic_mode(cfg["n"], 0, cfg["R"], 0).k if electric else z1
-        seed = np.where(electric & (np.abs(deltas) > _LIMIT_SEED_RADIUS), z1 / cfg["R"], limit)
+        seed = np.where(far, z1 / cfg["R"], limit) if far.any() else limit
 
     stride = max((s for s in range(1, cfg["samples"] // _COARSE_SAMPLES + 1)
                   if cfg["samples"] % s == 0), default=1)
@@ -376,7 +384,7 @@ def _cmd_mie_dispersion(cfg, out):
             raise MieError(f"circle mean a_0 = {a0:.10g} misses the delta -> 0 root "
                            f"lambda(0) = {lam0:.10g} by more than {_START_TOL:g} "
                            "(1 + |lambda(0)|): the samples left the branch")
-    rows = zip(deltas.real, deltas.imag, lams.real, lams.imag)
+    rows = np.column_stack([deltas.real, deltas.imag, lams.real, lams.imag]).tolist()
     _write_lines(cfg["out"], _csv_lines(
         "mie-dispersion", ["delta_re", "delta_im", "lambda_re", "lambda_im"], rows))
 

@@ -15,6 +15,7 @@ combinations of the assembled pieces (`eig` lays them out for its pencil).
 
 from __future__ import annotations
 
+import sys
 import warnings
 from functools import cached_property
 
@@ -149,15 +150,21 @@ def validated_radius(forms: AssembledForms) -> float:
 
 
 def warn_outside_validated_disk(delta, radius: float) -> None:
-    """A UserWarning, for the caller's caller, when |delta| >= radius."""
+    """A UserWarning when |delta| >= radius, at the first line outside the
+    module that calls this: for the eig pencil, the line that called
+    `delta_spectrum` or `track_branch`, however deep in eig the check runs."""
     if abs(delta) >= radius:
+        frame, level = sys._getframe(1), 2
+        module = frame.f_globals["__name__"]
+        while frame.f_back is not None and frame.f_globals["__name__"] == module:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"|delta| = {abs(delta):.3g} is outside the validated disk "
             f"|delta| < {radius:.3g} = area(D)/area(S), the distance to the "
             "total-mass degeneracy delta = -area(D)/area(S) (not a radius of "
             "analyticity for each branch); the solve proceeds but the mean "
             "functional's contraction bound no longer applies",
-            stacklevel=3)
+            stacklevel=level)
 
 
 def assemble(mesh: Mesh) -> AssembledForms:

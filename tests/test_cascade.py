@@ -311,6 +311,24 @@ class TestSeriesVsDirect:
         assert abs(r2 / r1 - 2.0) < 0.4
 
 
+class TestPlasmonPole:
+    @pytest.mark.parametrize("R", [1.5, 2.0, 3.0])
+    def test_norm_ratio_converges_to_the_shell_factor(self, R):
+        # on the coated disk the series' nearest singularity is the m = 1
+        # plasmon pole delta = -p_1(R), p_1(R) = (R^2 - 1) / (R^2 + 1), so
+        # ||h_11|| / ||h_12|| tends to p_1(R) at O(h^2): the error falls by
+        # about 4 per ring doubling
+        p1 = (R * R - 1.0) / (R * R + 1.0)
+        errors = []
+        for rings in (8, 16, 32):
+            cascade = Cascade(generate_disk_in_disk(R, rings, rings))
+            norms_k = cascade.run(DrivingField([constant_field(cascade, [0.6, 0.8])]),
+                                  12).norm_list
+            errors.append(abs(norms_k[11] / norms_k[12] - p1))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5, errors
+
+
 def failing_after_order_zero(step):
     """Cascade.step that solves order zero, then raises at order one."""
 

@@ -985,6 +985,27 @@ class TestMieCommands:
         k_ref = 4.493409457909064 / 2.0   # first zero of j_1, over R
         assert abs(float(row[2]) - k_ref**2) < 1e-9
 
+    @pytest.mark.parametrize("args, calls", [
+        (["--family", "magnetic", "--radius", "0.01", "--samples", "256"], 1),
+        (["--family", "electric", "--radius", "0.01", "--samples", "256"], 0),
+        (["--family", "electric", "--deltas", "1"], 1)])
+    def test_dispersion_finds_z1_only_where_a_sample_uses_it(self, monkeypatch, tmp_path,
+                                                             args, calls):
+        # z_1 is the magnetic limit root and the electric seed beyond
+        # |delta| = 0.05; a small electric circle seeds every sample from
+        # the electric limit root
+        counted, exact = [], cli.bessel_zeros
+
+        def counted_zeros(*args):
+            counted.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(cli, "bessel_zeros", counted_zeros)
+        code, _, err = run("mie", "dispersion", "--n", "2", "--R", "2", *args,
+                           "--out", str(tmp_path / "disp.csv"))
+        assert code == 0, err
+        assert len(counted) == calls
+
     def test_dispersion_electric_n3_is_continuous(self, tmp_path):
         # the branch through the limit root is analytic in delta, so
         # neighbouring samples of a fine circle lie close together
@@ -1053,6 +1074,22 @@ def test_large_sphere_orders_never_escape(tmp_path, n, R):
             k = float(dict(ln.split(None, 1) for ln in out.splitlines())["k"])
             oracle = first_zero_oracle(int(n) - (args[0] != "electrostatic"))
             assert abs(k - oracle) <= 1e-12 * oracle
+
+
+class TestCsvTables:
+    def test_cells_render_as_17_significant_digits(self):
+        # one % operation over the flattened cells gives the bytes of a
+        # per-cell f"{float(x):.17g}", strings as they are
+        cells = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 7, -3, 2**60,
+                 np.float32(0.1), np.float32(-2.5e-38), np.float64(1 / 3), np.float64(-0.0),
+                 np.float64(np.nan), "name", "-0.0", "1e5", "%d"]
+        rows = [cells[i:i + 4] for i in range(0, 16, 4)] + [cells[16:], ["x", "y"]]
+        lines = cli._csv_lines("t", ["a", "b", "c", "d"], iter(rows))
+        expected = [",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row)
+                    for row in rows]
+        assert lines[:2] == ["# enzspec t csv v1", "a,b,c,d"]
+        assert "\n".join(lines[2:]) == "\n".join(expected)
+        assert cli._csv_lines("t", ["a"], []) == ["# enzspec t csv v1", "a"]
 
 
 class TestInvarianceCommand:

@@ -164,6 +164,19 @@ class TestDeltaSpectrum:
             assert w.filename.endswith(".py") and os.path.isfile(w.filename), w.filename
             assert w.lineno >= 1
 
+    @pytest.mark.parametrize("entry", ["delta_spectrum", "track_branch"])
+    def test_outside_disk_warning_names_the_entry_caller(self, forms_coarse, entry):
+        # the check runs deep inside eig, but the warning names the line of
+        # this file that called the public entry point
+        radius = eig._Pencil(forms_coarse).radius
+        call = {
+            "delta_spectrum": lambda: delta_spectrum(forms_coarse, [1.05 * radius], 14.5, 2),
+            "track_branch": lambda: track_branch(forms_coarse, 4.9, [0.0, 0.5 * radius, 1.05 * radius]),
+        }[entry]
+        with pytest.warns(UserWarning, match="validated disk") as record:
+            call()
+        assert {(w.filename, w.lineno) for w in record} == {(__file__, call.__code__.co_firstlineno)}
+
     def test_pencil_reuses_assembled_areas(self, forms_coarse, monkeypatch):
         # the region areas come from forms.areas, bit for bit what the mesh gives
         mesh = forms_coarse.mesh

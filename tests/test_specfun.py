@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import brentq
+from scipy.special import spherical_jn
 
 from enzspec.specfun import (
     HarmonicIndex,
@@ -124,6 +127,19 @@ class TestSphericalBessel:
         with pytest.raises(SpecFunError, match="-0.5"):
             spherical_bessel(1, np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 50, 2000])
+    def test_values_are_scipys_bit_for_bit(self, n):
+        # the derivative formed from one call on the orders n - 1 and n is
+        # scipy's own `derivative=True` value, x = 0 included
+        xs = np.concatenate([[0.0], np.linspace(0.1, 40.0, 20001),
+                             np.geomspace(1e-8, 0.1, 2500), np.linspace(40.0, 2500.0, 3000)])
+        val, dval = spherical_bessel(n, xs)
+        assert np.array_equal(val, spherical_jn(n, xs))
+        assert np.array_equal(dval, spherical_jn(n, xs, derivative=True))
+        for x in xs[::1000]:
+            assert spherical_bessel(n, float(x)) == (spherical_jn(n, x),
+                                                     spherical_jn(n, x, derivative=True))
+
     def test_complex_argument_matches_real(self):
         # complex evaluation on the real axis against the real closed forms
         xs = np.array([0.4, 2.5, 11.0])
@@ -169,7 +185,43 @@ class TestSphericalBessel:
             assert np.all(np.abs(j * yp - jp * y - 1.0 / z**2) < 1e-12 * scale)
 
 
+def scan_one_point_at_a_time(n, count, root):
+    """The zeros of j_n from the scan of `bessel_zeros`, one grid point and
+    one spherical_jn call per step, each bracket refined by `root`."""
+    def jn(x):
+        return spherical_jn(n, x)
+
+    zeros, step = [], math.pi / 4.0
+    x = 0.25 + step * math.floor(n / step)
+    fx = jn(x)
+    while len(zeros) < count:
+        xn = x + step
+        fn = jn(xn)
+        if fx * fn < 0.0:
+            zeros.append(root(jn, x, xn, xtol=1e-15))
+        elif fn == 0.0:
+            zeros.append(xn)
+        x, fx = xn, fn
+    return np.array(zeros)
+
+
 class TestBesselZeros:
+    @pytest.mark.parametrize("count", [1, 3, 6])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 100, 2000])
+    def test_block_scan_is_the_pointwise_scan(self, monkeypatch, n, count):
+        # the same brackets, so the same brentq roots, bit for bit
+        brackets = []
+
+        def recorded(f, a, b, **kwargs):
+            brackets.append((a, b))
+            return brentq(f, a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "brentq", recorded)
+        zeros = bessel_zeros(n, count)
+        scanned, brackets[:] = brackets[:], []
+        assert np.array_equal(zeros, scan_one_point_at_a_time(n, count, recorded))
+        assert scanned == brackets and len(brackets) == count
+
     def test_j0_zeros_are_multiples_of_pi(self):
         z = bessel_zeros(0, 5)
         ref = math.pi * np.arange(1, 6)
