@@ -39,8 +39,6 @@ from .fem import (
     restrict_forms,
     solve_dirichlet,
     solve_neumann,
-    validated_radius,
-    warn_outside_validated_disk,
 )
 from .linalg import LUFactors
 from .mesh import (
@@ -340,15 +338,11 @@ def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
                      state: CascadeState):
     """Relative H1 errors e_K, K = 0..state.order, of the truncated series
     of a `run` state against the direct projection of the full field
-    evaluated at delta.  A delta outside the validated disk draws the same
-    UserWarning as the eig pencil's B_delta: the series need not converge
-    there.  An error that rises from one order to the next draws a
-    UserWarning too: a thin shell puts the cascade's nearest pole inside
-    the validated disk, so the series can diverge where no validated-disk
-    warning is drawn.  A delta whose imaginary part is 0 is taken as the
-    real delta."""
+    evaluated at delta.  An error that rises from one order to the next
+    draws a UserWarning: the series need not converge at delta, whose
+    radius of convergence is the distance to the cascade's nearest pole.
+    A delta whose imaginary part is 0 is taken as the real delta."""
     delta = _delta_value(delta)
-    warn_outside_validated_disk(delta, validated_radius(cascade.forms))
     h_direct = direct_projection(cascade, driving.evaluate(delta), delta)
     l2d, h1d = norms(cascade.forms, h_direct)
     ref = float(np.hypot(l2d, h1d))

@@ -363,12 +363,19 @@ def _cmd_mie_dispersion(cfg, out):
     if seed == 0.0:
         # each family's delta -> 0 root: z_1 for magnetic, the root below
         # z_1 in the nonelectrostatic interval 0 for electric; z_1 only
-        # where a sample uses it
+        # where a sample uses it, the electric root only where a sample
+        # seeds from it or a circle checks its mean against it
         electric = family == FAMILY_E
         far = electric & (np.abs(deltas) > _LIMIT_SEED_RADIUS)
         z1 = float(bessel_zeros(cfg["n"], 1)[0]) if far.any() or not electric else None
-        limit = nonelectrostatic_mode(cfg["n"], 0, cfg["R"], 0).k if electric else z1
-        seed = np.where(far, z1 / cfg["R"], limit) if far.any() else limit
+        if not electric:
+            limit = z1
+        elif cfg["radius"] > 0.0 or not far.all():
+            limit = nonelectrostatic_mode(cfg["n"], 0, cfg["R"], 0).k
+        if far.all():
+            seed = z1 / cfg["R"]
+        else:
+            seed = np.where(far, z1 / cfg["R"], limit) if far.any() else limit
 
     stride = max((s for s in range(1, cfg["samples"] // _COARSE_SAMPLES + 1)
                   if cfg["samples"] % s == 0), default=1)

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .fem import AssembledForms, validated_radius, warn_outside_validated_disk
+from .fem import AssembledForms
 from .linalg import LUFactors, SingularMatrixError, shift_invert_arnoldi
 
 __all__ = [
@@ -70,13 +70,13 @@ _DELTA_MAX = 1e100
 
 class _Pencil:
     """The generalized problem A v = lambda (M_D + delta M_S) v of one
-    assembly: M_S, the vertex count n, the validated radius
-    area(D)/area(S), the rank of M_D (its nonzero diagonal entries, one per
-    inclusion vertex), `stiffness(dtype)` (A converted to dtype, once per
-    dtype) and the layout: the mesh pattern, the structure of M, with A,
-    M_D and M_S laid out on it in CSR order (`a`, `m_d`, `m_s`; 0.0 where a
-    matrix has no entry), M's own CSR index arrays, the CSC ones and the
-    CSR position of each CSC entry (`to_csc`).
+    assembly: M_S, the vertex count n, the total masses 1^T M_D 1 and
+    1^T M_S 1 (`mass_d`, `mass_s`), the rank of M_D (its nonzero diagonal
+    entries, one per inclusion vertex), `stiffness(dtype)` (A converted to
+    dtype, once per dtype) and the layout: the mesh pattern, the structure
+    of M, with A, M_D and M_S laid out on it in CSR order (`a`, `m_d`,
+    `m_s`; 0.0 where a matrix has no entry), M's own CSR index arrays, the
+    CSC ones and the CSR position of each CSC entry (`to_csc`).
 
     A_D and M_D share one structure, as do A_S and M_S (each pair is built
     from the same element triplets, or sliced alike), so one searchsorted
@@ -86,7 +86,6 @@ class _Pencil:
     def __init__(self, forms: AssembledForms):
         self.M_S = forms.M_S
         n = self.n = forms.mesh.n_vertices
-        self.radius = validated_radius(forms)
         self.md_rank = int(np.count_nonzero(forms.M_D.diagonal()))
         self.stiffness = functools.cache(forms.A.astype)
         m = forms.M
@@ -102,6 +101,7 @@ class _Pencil:
         self.a[at_d] += forms.A_D.data
         self.a[at_s] += forms.A_S.data
         self.m_d[at_d], self.m_s[at_s] = forms.M_D.data, forms.M_S.data
+        self.mass_d, self.mass_s = float(self.m_d.sum()), float(self.m_s.sum())
         csc = scipy.sparse.csr_matrix((np.arange(m.nnz), m.indices, m.indptr),
                                       shape=m.shape).tocsc()
         self.indices, self.indptr = m.indices, m.indptr
@@ -109,14 +109,13 @@ class _Pencil:
 
     def B(self, delta):
         """M_D + delta M_S (CSR).  Raises EigError when |delta| exceeds
-        _DELTA_MAX or delta = -area(D)/area(S), where the total mass
-        degenerates, and warns outside the validated disk."""
+        _DELTA_MAX or when the total mass 1^T B_delta 1 = mass_d +
+        delta mass_s, the constant mode's denominator in `_solve_pencil`,
+        vanishes relative to mass_d: at delta = -area(D)/area(S)."""
         if not abs(delta) <= _DELTA_MAX:
             raise EigError(f"|delta| = {abs(delta):.3g} exceeds {_DELTA_MAX:g}")
-        # relative: on a large shell the area ratio itself is tiny
-        if abs(delta + self.radius) < 1e-14 * self.radius:
+        if abs(self.mass_d + delta * self.mass_s) < 1e-14 * self.mass_d:
             raise EigError("delta = -area(D)/area(shell): total mass direction degenerate")
-        warn_outside_validated_disk(delta, self.radius)
         return self._matrix(scipy.sparse.csr_matrix, self.indices, self.indptr,
                             self.m_d + self.m_s * delta)
 

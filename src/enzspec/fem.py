@@ -15,8 +15,6 @@ combinations of the assembled pieces (`eig` lays them out for its pencil).
 
 from __future__ import annotations
 
-import sys
-import warnings
 from functools import cached_property
 
 import numpy as np
@@ -33,8 +31,6 @@ __all__ = [
     "solve_neumann",
     "solve_dirichlet",
     "norms",
-    "validated_radius",
-    "warn_outside_validated_disk",
 ]
 
 
@@ -103,9 +99,8 @@ class AssembledForms:
     factorization and raise the command's peak memory.
     """
 
-    def __init__(self, mesh: Mesh, areas, div, A_D, M_D, A_S, M_S):
+    def __init__(self, mesh: Mesh, div, A_D, M_D, A_S, M_S):
         self.mesh = mesh
-        self.areas = areas
         self.div = div
         self.A_D, self.M_D = A_D, M_D
         self.A_S, self.M_S = A_S, M_S
@@ -138,35 +133,6 @@ class AssembledForms:
         return free
 
 
-def validated_radius(forms: AssembledForms) -> float:
-    """area(D) / area(shell): the radius of the validated disk of delta,
-    inside which the mean functional's contraction bound applies: the
-    distance to delta = -radius, not a radius of analyticity for a branch."""
-    # forms.areas holds the triangle areas of the mesh, computed once
-    regions = forms.mesh.regions
-    area_d = float(forms.areas[regions == INCLUSION].sum())
-    area_s = float(forms.areas[regions == SHELL].sum())
-    return area_d / area_s
-
-
-def warn_outside_validated_disk(delta, radius: float) -> None:
-    """A UserWarning when |delta| >= radius, at the first line outside the
-    module that calls this: for the eig pencil, the line that called
-    `delta_spectrum` or `track_branch`, however deep in eig the check runs."""
-    if abs(delta) >= radius:
-        frame, level = sys._getframe(1), 2
-        module = frame.f_globals["__name__"]
-        while frame.f_back is not None and frame.f_globals["__name__"] == module:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"|delta| = {abs(delta):.3g} is outside the validated disk "
-            f"|delta| < {radius:.3g} = area(D)/area(S), the distance to the "
-            "total-mass degeneracy delta = -area(D)/area(S) (not a radius of "
-            "analyticity for each branch); the solve proceeds but the mean "
-            "functional's contraction bound no longer applies",
-            stacklevel=level)
-
-
 def assemble(mesh: Mesh) -> AssembledForms:
     area, gx, gy = _triangle_geometry(mesh)
     shape = (mesh.n_vertices, mesh.n_vertices)
@@ -187,7 +153,7 @@ def assemble(mesh: Mesh) -> AssembledForms:
 
     div = _div_operator(mesh.triangles, np.hstack([gx * area[:, None], gy * area[:, None]]),
                         mesh.n_vertices)
-    return AssembledForms(mesh, area, div, *build(INCLUSION), *build(SHELL))
+    return AssembledForms(mesh, div, *build(INCLUSION), *build(SHELL))
 
 
 def restrict_forms(forms: AssembledForms, sub: Submesh) -> AssembledForms:
@@ -208,7 +174,7 @@ def restrict_forms(forms: AssembledForms, sub: Submesh) -> AssembledForms:
 
     div = _div_operator(sub.mesh.triangles, forms.div.data.reshape(nt, 2, 3)[t],
                         sub.mesh.n_vertices)
-    return AssembledForms(sub.mesh, forms.areas[t], div,
+    return AssembledForms(sub.mesh, div,
                           piece(forms.A_D, INCLUSION), piece(forms.M_D, INCLUSION),
                           piece(forms.A_S, SHELL), piece(forms.M_S, SHELL))
 

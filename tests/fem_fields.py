@@ -13,7 +13,7 @@ from enzspec.mesh import OUTER, Mesh
 
 def element_gradients(forms: AssembledForms, values: np.ndarray) -> np.ndarray:
     """Per-triangle constant gradient of a P1 function, shape (nt, 2)."""
-    return (forms.div.T @ np.asarray(values)).reshape(-1, 2) / forms.areas[:, None]
+    return (forms.div.T @ np.asarray(values)).reshape(-1, 2) / forms.mesh.triangle_areas()[:, None]
 
 
 def perp_gradient_field(forms: AssembledForms, stream_values: np.ndarray) -> np.ndarray:

@@ -150,7 +150,10 @@ _SMALL_ARGS = {
 _PATH_KEYS = {"mesh", "field"}      # a missing file is an i/o error (exit 3)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")   # outside the validated disk
+# edge values draw two UserWarnings: the cascade's rising series error at
+# `cascade --delta`, and mie's negative-real-axis branch cut at
+# `mie dispersion --deltas`
+@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("command, key", [(command, key) for command, (_, schema)
                                           in cli._COMMANDS.items() for key in schema],
                          ids=lambda v: v if isinstance(v, str) else "-".join(filter(None, v)))
@@ -462,6 +465,37 @@ class TestEigCommands:
         assert len(lams[0]) == 4
         assert np.allclose(np.array(lams[1]) * 1e-16, lams[0], rtol=1e-10, atol=0.0)
 
+    @staticmethod
+    def _one_region_mesh(tmp_path, region):
+        """The 2-ring disk with every triangle in region and its OUTER edges
+        only, written as a mesh file."""
+        mesh = generate_disk_in_disk(2.0, 2, 2)
+        outer = mesh.edge_tags == OUTER
+        mesh = dataclasses.replace(mesh, regions=np.full_like(mesh.regions, region),
+                                   edges=mesh.edges[outer], edge_tags=mesh.edge_tags[outer])
+        path = str(tmp_path / "mesh.txt")
+        save_mesh(mesh, path)
+        return path
+
+    def test_mesh_without_shell(self, tmp_path):
+        # M_S = 0: every delta leaves B_delta = M_D, the Neumann disk's mass
+        mesh = self._one_region_mesh(tmp_path, INCLUSION)
+        out_path = str(tmp_path / "out.csv")
+        for argv in (["eig", "limit"], ["eig", "sweep", "--deltas", "0.05,-0.3"],
+                     ["taylor", "--lambda0", "4", "--radius", "0.01"], ["eig", "k0"]):
+            code, _, err = run(*argv, "--mesh", mesh, "--out", out_path)
+            assert code == 0, (argv, err)
+        lines = (tmp_path / "out.csv").read_text().splitlines()[2:]
+        assert lines and max(float(ln.split(",")[4]) for ln in lines) <= 1e-7
+
+    def test_mesh_without_inclusion(self, tmp_path):
+        # M_D = 0: the limit pencil has no finite eigenvalue
+        code, _, err = run("eig", "limit", "--mesh", self._one_region_mesh(tmp_path, SHELL),
+                           "--out", str(tmp_path / "limit.csv"))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "EigError" and "unexpected" not in payload
+
     def test_count_beyond_the_spectrum(self, disk_mesh, tmp_path):
         # the 513-node disk has far fewer than 600 finite limit eigenvalues
         out_path = tmp_path / "limit.csv"
@@ -603,16 +637,15 @@ class TestTaylorCommand:
         assert len(block_steps) == 21
 
     def test_one_pencil_per_command(self, disk_mesh, tmp_path, monkeypatch):
-        # the start and all 21 steps read one pencil, which reads the
-        # region areas once
+        # the start and all 21 steps read one pencil
         calls = []
-        validated_radius = eig.validated_radius
+        init = eig._Pencil.__init__
 
-        def counted(forms):
+        def counted(self, forms):
             calls.append(forms)
-            return validated_radius(forms)
+            init(self, forms)
 
-        monkeypatch.setattr(eig, "validated_radius", counted)
+        monkeypatch.setattr(eig._Pencil, "__init__", counted)
         code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", "15.005677",
                            "--radius", "0.01", "--samples", "16", "--out", str(tmp_path / "t.json"))
         assert code == 0, err
@@ -781,19 +814,6 @@ class TestCascadeCommand:
         lines = out_path.read_text().splitlines()[3:]
         return np.array([ln.split(",")[1:] for ln in lines], dtype=float)
 
-    def test_warns_outside_validated_disk(self, disk2_mesh, tmp_path):
-        # area(D) / area(shell) = 1/3 on the radius-2 disk: 0.3 is inside,
-        # 0.4 is outside and still writes its table
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run("cascade", "--mesh", disk2_mesh, "--delta", "0.3",
-                       "--out", str(tmp_path / "in.csv"))[0] == 0
-        with pytest.warns(UserWarning, match="validated disk"):
-            code, _, err = run("cascade", "--mesh", disk2_mesh, "--delta", "0.4",
-                               "--out", str(tmp_path / "out.csv"))
-        assert code == 0, err
-        assert len((tmp_path / "out.csv").read_text().splitlines()) == 3 + 7
-
     @staticmethod
     def _cascade_warnings(tmp_path, shape, size, delta):
         """(exit code, series_error column, warning messages) of an 8-ring
@@ -816,20 +836,21 @@ class TestCascadeCommand:
         ("square", 1.5, 0.5, 3.28, 7.47),
     ])
     def test_rising_series_error_warns(self, tmp_path, shape, size, delta, first, last):
-        # a thin shell puts the cascade's pole (0.379 on the 8-ring disk of
-        # size 1.5, 0.436 on the square) inside area(D)/area(S) = 0.8 and
-        # 0.536, so these deltas draw no validated-disk warning
+        # a thin shell puts the cascade's pole near delta = -0.379 on the
+        # 8-ring disk of size 1.5 and -0.436 on the square: beyond it the
+        # series diverges, and the rising error is the one warning drawn
         errors, messages = self._cascade_warnings(tmp_path, shape, size, delta)
         assert errors[0] == pytest.approx(first, rel=2e-3)
         assert errors[-1] == pytest.approx(last, rel=2e-3)
-        assert not any("validated disk" in m for m in messages)
-        assert sum("series error rises from" in m for m in messages) == 1, messages
+        assert len(messages) == 1 and "series error rises from" in messages[0], messages
 
     @pytest.mark.parametrize("size, delta", [(2.0, 0.05), (2.0, 0.4), (3.0, 0.2)])
     def test_falling_series_error_does_not_warn(self, tmp_path, size, delta):
+        # R = 3, delta = 0.2 lies inside the cascade's pole radius 0.8 and
+        # draws no warning at all; delta = 0.4 on R = 2 still writes its table
         errors, messages = self._cascade_warnings(tmp_path, "disk", size, delta)
-        assert all(b < a for a, b in zip(errors, errors[1:]))
-        assert not any("series error" in m for m in messages), messages
+        assert len(errors) == 7 and all(b < a for a, b in zip(errors, errors[1:]))
+        assert messages == []
 
     def test_zero_delta_rejected(self, disk_mesh, tmp_path):
         for delta in ("0", "0+0j"):
@@ -1002,6 +1023,27 @@ class TestMieCommands:
 
         monkeypatch.setattr(cli, "bessel_zeros", counted_zeros)
         code, _, err = run("mie", "dispersion", "--n", "2", "--R", "2", *args,
+                           "--out", str(tmp_path / "disp.csv"))
+        assert code == 0, err
+        assert len(counted) == calls
+
+    @pytest.mark.parametrize("args, calls", [
+        (["--family", "electric", "--deltas", "1"], 0),
+        (["--family", "electric", "--deltas", "0.01,1"], 1),
+        (["--family", "electric", "--radius", "0.1", "--samples", "16"], 1),
+        (["--family", "magnetic", "--radius", "0.01", "--samples", "16"], 0)])
+    def test_dispersion_finds_the_electric_limit_root_only_where_used(
+            self, monkeypatch, tmp_path, args, calls):
+        # beyond |delta| = 0.05 every sample seeds from z_1 / R, so only a
+        # nearer sample or a circle's mean check needs the electric root
+        counted, exact = [], cli.nonelectrostatic_mode
+
+        def counted_root(*args):
+            counted.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(cli, "nonelectrostatic_mode", counted_root)
+        code, _, err = run("mie", "dispersion", "--n", "1", "--R", "2", *args,
                            "--out", str(tmp_path / "disp.csv"))
         assert code == 0, err
         assert len(counted) == calls

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from enzspec.cli import main
 from enzspec.fem import assemble
@@ -54,6 +55,21 @@ def _draw_cases(seed=20261020, n=24, max_rings=6):
         target = rng.uniform(5.0, 40.0)
         cases.append((mesh, ["eig", "sweep", "--deltas", str(delta), "--target", str(target),
                              "--count", count], delta, target))
+    return cases
+
+
+def _draw_negative_cases(seed, n):
+    """(mesh key, command args, delta, target) for n random `eig sweep` runs
+    at a real delta in [-0.3, -0.05], on 2- to 6-ring meshes from thin to
+    thick shells: beyond -area(D)/area(S) on all but the thinnest."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        mesh = (rng.choice(["disk", "square"]), rng.randint(2, 6), rng.randint(2, 6),
+                rng.choice([1.01, 1.5, 10.0, 1e4]))
+        delta, target = rng.uniform(-0.3, -0.05), rng.uniform(5.0, 40.0)
+        cases.append((mesh, ["eig", "sweep", "--deltas", str(delta), "--target", str(target),
+                             "--count", str(rng.randint(1, 8))], delta, target))
     return cases
 
 
@@ -106,9 +122,14 @@ def _written_eigenvalues(path):
 def _dense_nearest(path, delta, target, count):
     """The count finite eigenvalues with |lambda| > 1e-8 of the dense pencil
     nearest target, sorted: the constant mode and the infinite eigenvalues of
-    a singular M_D drop out."""
+    a singular M_D drop out.  The pencil is scaled by the congruence
+    diag(M)^(-1/2), which keeps its eigenvalues: unscaled, QZ loses digits
+    once the triangle areas span many orders (2e-9 relative on a size-1e4
+    square)."""
     forms = assemble(load_mesh(path))
-    w = scipy.linalg.eigvals(forms.A.toarray(), (forms.M_D + delta * forms.M_S).toarray())
+    scale = scipy.sparse.diags(1.0 / np.sqrt(forms.M.diagonal()))
+    w = scipy.linalg.eigvals((scale @ forms.A @ scale).toarray(),
+                             (scale @ (forms.M_D + delta * forms.M_S) @ scale).toarray())
     w = w[np.isfinite(w) & (np.abs(w) > 1e-8)]
     return np.sort_complex(w[np.argsort(np.abs(w - target), kind="stable")[:count]])
 
@@ -120,8 +141,8 @@ def _eig_params(cases, prefix="", marks=()):
             for i, case in enumerate(cases)]
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")   # outside the validated disk
-@pytest.mark.parametrize("mesh, args, delta, target", _eig_params(_CASES) + [
+@pytest.mark.parametrize("mesh, args, delta, target", _eig_params(_CASES) + _eig_params(
+    _draw_negative_cases(20261021, 16), "negative") + [
     param for seed in _SLOW_SEEDS for param in _eig_params(
         _draw_cases(seed, 24, max_rings=8), f"slow{seed}-", [pytest.mark.slow])])
 def test_exit_zero_means_the_dense_eigenvalues(mesh_file, tmp_path, mesh, args, delta, target):
