@@ -25,6 +25,7 @@ their own residual products.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,6 +59,7 @@ __all__ = [
     "Cascade",
     "CascadeError",
     "direct_projection",
+    "run_beside_direct",
     "series_vs_direct",
     "load_field",
 ]
@@ -150,7 +152,8 @@ def load_field(path: str, forms: AssembledForms) -> DrivingField:
     MeshParseError naming its line.  A field that is not weakly
     divergence-free raises CascadeError.
     """
-    lines = _SectionReader(path)
+    with open(path, "rb") as f:
+        lines = _SectionReader(f.read())
     nt = forms.mesh.n_triangles
     block = lines.section("field", "fx fy", float, rows_per_count=nt)
     if not len(block):
@@ -279,7 +282,7 @@ class Cascade:
         # every order solves the same interior Neumann and shell Dirichlet
         # operators, and Psi (however first reached) the same shell Dirichlet
         # one: the forms keep one factor of each, freed here, also on error,
-        # before the caller goes on to the (larger) direct projection
+        # so that none outlives the run
         state = CascadeState()
         try:
             for k in range(max_order + 1):
@@ -308,7 +311,7 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
     delta_s = _delta_value(delta)
     dtype = type(delta_s)
 
-    a_delta = (forms.A_D + delta_s * forms.A_S).astype(dtype)
+    a_delta = (forms.A_D + delta_s * forms.A_S).astype(dtype, copy=False)
     field_w = np.asarray(field_values, dtype=dtype).copy()
     field_w[mesh.regions == SHELL] *= delta_s
     b_w = forms.div @ field_w.ravel()
@@ -317,7 +320,9 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
     free = np.ones(n, dtype=bool)
     free[outer] = False
     h = np.zeros(n, dtype=dtype)
-    h[free] = LUFactors(a_delta[free][:, free]).solve(-b_w[free])
+    # the free block goes to the factor as CSC: its CSR slice is freed
+    # before SuperLU factors
+    h[free] = LUFactors(a_delta[free][:, free].tocsc()).solve(-b_w[free])
     md1 = forms.M_D @ np.ones(n)
     h = h - np.dot(md1, h) / md1.sum()   # exact zero inclusion mean
 
@@ -334,16 +339,38 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
     return h
 
 
-def series_vs_direct(cascade: Cascade, driving: DrivingField, delta: complex,
+def run_beside_direct(cascade: Cascade, driving: DrivingField, delta: complex,
+                      max_order: int):
+    """`cascade.run(driving, max_order)` on this thread, beside the direct
+    projection of the driving field evaluated at delta on a worker thread
+    started first; returns the run state and the direct projection.
+
+    SuperLU releases the GIL while it factors and solves, so the direct
+    factorization, the largest of a cascade command, runs beside the orders'
+    two factorizations and their solves instead of after them.  The worker
+    is joined on every path: an error of the run is raised first, then one
+    of the direct projection.  The values both threads read and derive on
+    first use (the full-mesh boundary nodes, a cached_property, which has no
+    lock from Python 3.12) are derived before the worker starts.
+    """
+    delta = _delta_value(delta)
+    field_values = driving.evaluate(delta)
+    cascade.forms.boundary_nodes    # derived here, then read by both threads
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        direct = worker.submit(direct_projection, cascade, field_values, delta)
+        state = cascade.run(driving, max_order)
+        return state, direct.result()
+
+
+def series_vs_direct(cascade: Cascade, h_direct: np.ndarray, delta: complex,
                      state: CascadeState):
     """Relative H1 errors e_K, K = 0..state.order, of the truncated series
-    of a `run` state against the direct projection of the full field
-    evaluated at delta.  An error that rises from one order to the next
-    draws a UserWarning: the series need not converge at delta, whose
+    of a `run` state against h_direct, the direct projection of the full
+    field evaluated at delta.  An error that rises from one order to the
+    next draws a UserWarning: the series need not converge at delta, whose
     radius of convergence is the distance to the cascade's nearest pole.
     A delta whose imaginary part is 0 is taken as the real delta."""
     delta = _delta_value(delta)
-    h_direct = direct_projection(cascade, driving.evaluate(delta), delta)
     l2d, h1d = norms(cascade.forms, h_direct)
     ref = float(np.hypot(l2d, h1d))
     if ref == 0.0:

@@ -27,7 +27,14 @@ import traceback
 
 import numpy as np
 
-from .cascade import Cascade, CascadeError, DrivingField, load_field, series_vs_direct
+from .cascade import (
+    Cascade,
+    CascadeError,
+    DrivingField,
+    load_field,
+    run_beside_direct,
+    series_vs_direct,
+)
 from .eig import EigError, delta_spectrum, discrete_K0, limit_spectrum, track_branch
 from .fem import FemError, assemble
 from .linalg import ArnoldiError, SingularMatrixError
@@ -319,8 +326,8 @@ def _cmd_cascade(cfg, out):
     else:
         constant = np.tile([cfg["fx"], cfg["fy"]], (cascade.mesh.n_triangles, 1))
         driving = DrivingField([constant])
-    state = cascade.run(driving, cfg["orders"])
-    errors = series_vs_direct(cascade, driving, cfg["delta"], state)
+    state, h_direct = run_beside_direct(cascade, driving, cfg["delta"], cfg["orders"])
+    errors = series_vs_direct(cascade, h_direct, cfg["delta"], state)
     lines = _csv_lines("cascade",
                        ["order", "c", "h1_norm", "series_error"],
                        [(str(k), state.c_list[k], state.norm_list[k], errors[k])

@@ -240,6 +240,9 @@ def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
         raise EigError("count must be >= 1")
     real_case = complex(delta).imag == 0.0 and complex(target).imag == 0.0
     delta, sigma = _typed(delta, target, real_case)
+    if delta == 0 and not pencil.md_rank:
+        raise EigError("M_D is zero (the mesh has no INCLUSION triangle): the delta = 0 "
+                       "pencil has no finite eigenvalue")
     # the rank(B) - 1 finite eigenvalues left once the constant mode is
     # deflated: B = M_D at delta = 0, else B is nonsingular
     available = (pencil.md_rank if delta == 0 else pencil.n) - 1

@@ -90,13 +90,16 @@ class AssembledForms:
     The values that depend only on the assembly (M 1, the boundary vertices
     per tag, the Dirichlet free set and the solve factors in `factors`) are
     derived once, on first use, and kept here: the forms are a snapshot of
-    their mesh, while the Mesh itself holds no derived state.  The pencil's
-    layout is not among them: `eig` derives it, once per pencil.
-    `factors.clear()` frees the factors; the next solve factors again.  The
-    entrywise magnitudes |A| and |div| are formed per use (`_abs`, on the
-    matrix's own index arrays): kept on a cascade's three forms, their
-    entries would stay in memory through the direct projection's
-    factorization and raise the command's peak memory.
+    their mesh, while the Mesh itself holds no derived state.  The first
+    use takes no lock (cached_property has none from Python 3.12), so a
+    caller that reads one forms object from two threads derives what both
+    read before the second starts, as `cascade.run_beside_direct` does.
+    The pencil's layout is not among these values: `eig` derives it, once
+    per pencil.  `factors.clear()` frees the factors; the next solve
+    factors again.  The entrywise magnitudes |A| and |div| are formed per
+    use (`_abs`, on the matrix's own index arrays): kept on a cascade's
+    three forms, their entries would stay in memory while the direct
+    projection factors and raise the command's peak memory.
     """
 
     def __init__(self, mesh: Mesh, div, A_D, M_D, A_S, M_S):

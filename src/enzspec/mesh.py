@@ -9,6 +9,7 @@ extraction.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from itertools import compress
@@ -380,11 +381,9 @@ def _parse_rows(numbers: list, texts: list, form: str, dtype,
 
 
 class _SectionReader:
-    """The non-blank lines of a text file, read as `name N` sections."""
+    """The non-blank lines of a text file's bytes, read as `name N` sections."""
 
-    def __init__(self, path: str):
-        with open(path, "rb") as f:
-            data = f.read()
+    def __init__(self, data: bytes):
         try:
             raw = data.decode("utf-8").splitlines()
         except UnicodeDecodeError as exc:
@@ -426,16 +425,77 @@ class _SectionReader:
                                                          f"{self.texts[self.pos]!r}")
 
 
-def load_mesh(path: str) -> Mesh:
-    lines = _SectionReader(path)
+# each mesh section: name, row form, dtype and the tags its last column takes
+_MESH_SECTIONS = (
+    ("vertices", "x y", float, None),
+    ("triangles", "i j k region", int, ("region", (INCLUSION, SHELL))),
+    ("boundary", "i j tag", int, ("boundary", (INTERFACE, OUTER))),
+)
+# the bytes of a file in the form save_mesh writes: printable ASCII and "\n"
+_SAVED_BYTES = bytes(range(0x20, 0x7f)) + b"\n"
+
+
+def _parse_saved_form(data: bytes):
+    """The vertex, triangle and boundary blocks of a mesh file in the form
+    save_mesh writes, each section parsed by one loadtxt straight from the
+    file's bytes; None for any other file, which _walk_mesh then reads.
+
+    The guard admits only printable ASCII lines ended by "\n", with single
+    spaces between their fields and no blank line.  On such a file the
+    lines _SectionReader walks are the file's own lines, so both parse the
+    same rows with the same loadtxt and return the same arrays; a file the
+    guard or a section refuses goes to _walk_mesh, which names its bad line.
+    """
+    if (data.translate(None, _SAVED_BYTES) or not data.endswith(b"\n")
+            or any(s in data for s in (b"  ", b" \n", b"\n ", b"\n\n"))):
+        return None
+    f = io.BytesIO(data)
+    if f.readline() != b"enzmesh 1 2\n":
+        return None
+    blocks = []
+    for name, form, dtype, tag in _MESH_SECTIONS:
+        head, _, count = f.readline().partition(b" ")
+        if head != name.encode() or not count[:-1].isdigit():
+            return None
+        n, k = int(count), len(form.split())
+        # a row takes at least two bytes: the file's rest must hold n rows
+        if 2 * n > len(data) - f.tell():
+            return None
+        if not n:
+            block = np.empty((0, k), dtype=dtype)
+        else:
+            try:
+                block = np.loadtxt(f, dtype=dtype, comments=None, ndmin=2, max_rows=n)
+            except ValueError:
+                return None
+        if block.shape != (n, k) or (tag and not np.isin(block[:, -1], tag[1]).all()):
+            return None
+        blocks.append(block)
+    return None if f.read(1) else blocks
+
+
+def _walk_mesh(data: bytes):
+    """The vertex, triangle and boundary blocks of a mesh file's bytes, read
+    line by line; a malformed file raises MeshParseError naming its line."""
+    lines = _SectionReader(data)
     no, header = lines.next_line()
     if header.split() != ["enzmesh", "1", "2"]:
         raise MeshParseError(no, f"bad header {header!r}, expected 'enzmesh 1 2'")
-    verts = lines.section("vertices", "x y", float)
-    tris = lines.section("triangles", "i j k region", int, ("region", (INCLUSION, SHELL)))
-    edges = lines.section("boundary", "i j tag", int, ("boundary", (INTERFACE, OUTER)))
+    blocks = [lines.section(name, form, dtype, tag) for name, form, dtype, tag in _MESH_SECTIONS]
     lines.finish("the boundary section")
+    return blocks
 
+
+def load_mesh(path: str) -> Mesh:
+    """Read an `enzmesh 1 2` text file (README, "Mesh and field files").
+
+    A file in the form save_mesh writes is parsed from its bytes section by
+    section (_parse_saved_form); any other goes to the line walker, which
+    keeps every line of the file in memory as a string."""
+    with open(path, "rb") as f:
+        data = f.read()
+    blocks = _parse_saved_form(data)
+    verts, tris, edges = _walk_mesh(data) if blocks is None else blocks
     mesh = Mesh(verts, *(np.ascontiguousarray(a) for a in
                          (tris[:, :3], tris[:, 3], edges[:, :2], edges[:, 2])))
     mesh.validate()

@@ -1,12 +1,14 @@
 """P1 functionals that the tests measure solutions with: element gradients,
 edge flux loads, variational boundary fluxes and divergence-free fields;
-and the writer of the field files that `cascade --field` reads."""
+the writer of the field files that `cascade --field` reads; and, for the
+cascade, its series errors against a serial direct projection and a step
+that fails after order zero."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from enzspec.cascade import DrivingField
+from enzspec.cascade import CascadeError, DrivingField, direct_projection, series_vs_direct
 from enzspec.fem import AssembledForms
 from enzspec.mesh import OUTER, Mesh
 
@@ -61,3 +63,21 @@ def save_field(df: DrivingField, path: str) -> None:
         f.write(f"field {len(df.fields)}\n")
         for values in df.fields:
             np.savetxt(f, values, fmt="%.17g")
+
+
+def serial_series_errors(cascade, driving: DrivingField, delta, state) -> list:
+    """series_vs_direct of a run state against the direct projection of the
+    driving field at delta, solved here on the calling thread."""
+    h_direct = direct_projection(cascade, driving.evaluate(delta), delta)
+    return series_vs_direct(cascade, h_direct, delta, state)
+
+
+def failing_after_order_zero(step):
+    """Cascade.step that solves order zero, then raises at order one."""
+
+    def broken(self, state, *args):
+        if state.h_list:
+            raise CascadeError("step failed")
+        step(self, state, *args)
+
+    return broken

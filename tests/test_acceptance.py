@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import jv, spherical_jn
 
-from enzspec.cascade import Cascade, DrivingField, series_vs_direct
+from enzspec.cascade import Cascade, DrivingField
 from enzspec.eig import discrete_K0, limit_spectrum, track_branch
 from enzspec.fem import assemble
 from enzspec.mesh import generate_disk_in_disk, generate_square_with_disk
@@ -31,7 +31,7 @@ from enzspec.perturb import (
     taylor_from_circle,
 )
 from enzspec.specfun import HarmonicIndex, bessel_zeros
-from fem_fields import outer_flux, perp_gradient_field
+from fem_fields import outer_flux, perp_gradient_field, serial_series_errors
 from sphere_fields import interface_residuals, real_spherical_harmonic, sphere_quadrature
 
 
@@ -160,7 +160,7 @@ def test_criterion_06_cascade():
     constant = np.tile([1.0, 0.0], (cascade.mesh.n_triangles, 1))
     driving = DrivingField([constant])
     state = cascade.run(driving, 6)
-    errors = series_vs_direct(cascade, driving, 0.05, state)
+    errors = serial_series_errors(cascade, driving, 0.05, state)
     for k in range(5):
         assert errors[k + 1] / errors[k] <= 0.5
     assert errors[6] <= 1e-5

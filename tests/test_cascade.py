@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,13 +10,14 @@ import scipy.linalg
 import scipy.sparse
 
 from enzspec import cascade as cascade_module
+from enzspec import cli
 from enzspec.cascade import (
     Cascade,
     CascadeError,
     DrivingField,
     direct_projection,
     load_field,
-    series_vs_direct,
+    run_beside_direct,
 )
 from enzspec.fem import assemble, solve_dirichlet, solve_neumann
 from enzspec.linalg import LUFactors
@@ -26,8 +29,15 @@ from enzspec.mesh import (
     extract_submesh,
     generate_disk_in_disk,
     generate_square_with_disk,
+    save_mesh,
 )
-from fem_fields import outer_flux, perp_gradient_field, save_field
+from fem_fields import (
+    failing_after_order_zero,
+    outer_flux,
+    perp_gradient_field,
+    save_field,
+    serial_series_errors,
+)
 
 
 @pytest.fixture(scope="module")
@@ -281,10 +291,41 @@ class TestDirectProjection:
         assert np.iscomplexobj(h)
 
 
+class TestRunBesideDirect:
+    @pytest.mark.parametrize("delta", [0.05, 0.05 + 0.02j])
+    def test_matches_the_serial_calls(self, monkeypatch, delta):
+        # oracle: Cascade.run, then direct_projection, on a workspace of its
+        # own.  The GIL switches threads every microsecond here, and the
+        # worker finds the full-mesh boundary nodes derived before it starts
+        mesh = generate_disk_in_disk(2.0, 8, 8)
+        serial = Cascade(mesh)
+        driving = DrivingField([constant_field(serial, [0.6, 0.8])])
+        state = serial.run(driving, 6)
+        h_direct = direct_projection(serial, driving.evaluate(delta), delta)
+        direct, entered = cascade_module.direct_projection, []
+
+        def checked_direct(ws, *args):
+            entered.append("boundary_nodes" in vars(ws.forms))
+            return direct(ws, *args)
+
+        monkeypatch.setattr(cascade_module, "direct_projection", checked_direct)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, got_direct = run_beside_direct(Cascade(mesh), driving, delta, 6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert entered == [True]
+        assert np.array_equal(got_direct, h_direct)
+        assert got.c_list == state.c_list and got.norm_list == state.norm_list
+        for h, want in zip(got.h_list, state.h_list, strict=True):
+            assert np.array_equal(h, want)
+
+
 class TestSeriesVsDirect:
     def test_geometric_decay(self, cascade_ws):
         driving = DrivingField([constant_field(cascade_ws, [1.0, 0.0])])
-        errs = series_vs_direct(cascade_ws, driving, 0.05, cascade_ws.run(driving, 6))
+        errs = serial_series_errors(cascade_ws, driving, 0.05, cascade_ws.run(driving, 6))
         for k in range(5):
             assert errs[k + 1] / errs[k] <= 0.5
         assert errs[6] < 1e-5
@@ -297,15 +338,15 @@ class TestSeriesVsDirect:
         for delta in (0.05, 0.3, -0.2):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                errs = series_vs_direct(cascade_ws, driving, complex(delta, 0.0), state)
+                errs = serial_series_errors(cascade_ws, driving, complex(delta, 0.0), state)
                 assert not np.iscomplexobj(driving.evaluate(complex(delta, 0.0)))
-            assert errs == series_vs_direct(cascade_ws, driving, delta, state), delta
+            assert errs == serial_series_errors(cascade_ws, driving, delta, state), delta
 
     def test_doubling_delta_doubles_ratio(self, cascade_ws):
         driving = DrivingField([constant_field(cascade_ws, [1.0, 0.0])])
         state = cascade_ws.run(driving, 6)
-        e1 = series_vs_direct(cascade_ws, driving, 0.05, state)
-        e2 = series_vs_direct(cascade_ws, driving, 0.10, state)
+        e1 = serial_series_errors(cascade_ws, driving, 0.05, state)
+        e2 = serial_series_errors(cascade_ws, driving, 0.10, state)
         r1 = e1[4] / e1[3]
         r2 = e2[4] / e2[3]
         assert abs(r2 / r1 - 2.0) < 0.4
@@ -352,17 +393,6 @@ class TestPlasmonPole:
         assert abs(norms_k[11] / norms_k[12] - abs(pole)) <= 1e-6 * abs(pole)
 
 
-def failing_after_order_zero(step):
-    """Cascade.step that solves order zero, then raises at order one."""
-
-    def broken(self, state, *args):
-        if state.h_list:
-            raise CascadeError("step failed")
-        step(self, state, *args)
-
-    return broken
-
-
 class TestFactorReuse:
     """Every order solves the same two operators: a run factors each once,
     Psi shares the shell factor however it is first reached, and the run
@@ -406,27 +436,37 @@ class TestFactorReuse:
         cascade.run(DrivingField([constant_field(cascade, [1.0, 0.0])]), 6)
         assert counts == {"factors": 2, "neumann": 7}
 
-    def test_three_factors_per_cascade_command(self, counts, monkeypatch):
-        # interior Neumann, shell Dirichlet (shared by Psi), direct projection
-        cascade = Cascade(generate_disk_in_disk(2.0, 8, 8))
-        assert counts["factors"] == 0       # Psi is solved on first use
-        driving = DrivingField([constant_field(cascade, [0.6, 0.8])])
-        state = cascade.run(driving, 6)
-        assert counts["factors"] == 2
-        direct = cascade_module.direct_projection
+    def test_three_factors_per_cascade_command(self, counts, monkeypatch, tmp_path):
+        # interior Neumann, shell Dirichlet (shared by Psi) and the direct
+        # projection, which runs beside the orders: the run frees its two
+        # factors when it returns, and no factor outlives the command
+        path = str(tmp_path / "disk8.txt")
+        save_mesh(generate_disk_in_disk(2.0, 8, 8), path)
+        alive, runs = weakref.WeakSet(), []
+        init, run = LUFactors.__init__, Cascade.run
 
-        def checked_direct(ws, *args):
-            # no cascade factor is alive while the direct projection runs
-            assert not ws.forms_d.factors and not ws.forms_s.factors
-            return direct(ws, *args)
+        def tracked_init(self, *args):
+            init(self, *args)
+            alive.add(self)
 
-        monkeypatch.setattr(cascade_module, "direct_projection", checked_direct)
-        series_vs_direct(cascade, driving, 0.05, state)
-        assert counts["factors"] == 3
+        def checked_run(self, *args):
+            # Psi is solved on first use, in the run
+            assert not self.forms_d.factors and not self.forms_s.factors
+            state = run(self, *args)
+            assert not self.forms_d.factors and not self.forms_s.factors
+            runs.append(self)
+            return state
+
+        monkeypatch.setattr(LUFactors, "__init__", tracked_init)
+        monkeypatch.setattr(Cascade, "run", checked_run)
+        assert cli.main(["cascade", "--mesh", path, "--fx", "0.6", "--fy", "0.8",
+                         "--out", str(tmp_path / "c.csv")]) == 0
+        assert counts["factors"] == 3 and len(runs) == 1
+        assert not alive
         # Psi of a freshly extracted and assembled shell
-        shell = assemble(extract_submesh(cascade.mesh, SHELL).mesh)
+        shell = assemble(extract_submesh(runs[0].mesh, SHELL).mesh)
         psi = solve_dirichlet(shell, {INTERFACE: 0.0, OUTER: 1.0})
-        assert cascade.psi_energy == float(psi @ (shell.A @ psi))
+        assert runs[0].psi_energy == float(psi @ (shell.A @ psi))
 
     def test_no_factored_matrix_has_a_dense_row(self, monkeypatch):
         # every factor is a principal submatrix of a mesh operator, so no
@@ -442,7 +482,7 @@ class TestFactorReuse:
         monkeypatch.setattr(LUFactors, "__init__", capturing_init)
         cascade = Cascade(generate_disk_in_disk(2.0, 8, 8))
         driving = DrivingField([constant_field(cascade, [0.6, 0.8])])
-        series_vs_direct(cascade, driving, 0.05 + 0.02j, cascade.run(driving, 3))
+        serial_series_errors(cascade, driving, 0.05 + 0.02j, cascade.run(driving, 3))
         longest = np.diff(cascade.forms.A.indptr).max()
         assert len(matrices) == 3
         for mat in matrices:

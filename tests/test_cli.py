@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -16,8 +17,9 @@ import pytest
 import scipy.linalg
 
 import enzspec
+from enzspec import cascade as cascade_module
 from enzspec import cli, eig, fem
-from enzspec.cascade import Cascade, DrivingField, series_vs_direct
+from enzspec.cascade import Cascade, DrivingField
 from enzspec.cli import main
 from enzspec.mesh import (
     INCLUSION,
@@ -28,6 +30,7 @@ from enzspec.mesh import (
     load_mesh,
     save_mesh,
 )
+from fem_fields import failing_after_order_zero, serial_series_errors
 from sphere_fields import first_zero_oracle
 
 
@@ -489,12 +492,18 @@ class TestEigCommands:
         assert lines and max(float(ln.split(",")[4]) for ln in lines) <= 1e-7
 
     def test_mesh_without_inclusion(self, tmp_path):
-        # M_D = 0: the limit pencil has no finite eigenvalue
-        code, _, err = run("eig", "limit", "--mesh", self._one_region_mesh(tmp_path, SHELL),
-                           "--out", str(tmp_path / "limit.csv"))
-        assert code == 2
-        payload = json.loads(err)
-        assert payload["error"] == "EigError" and "unexpected" not in payload
+        # M_D = 0: the limit pencil, which `eig k0` and `taylor` start from
+        # too, has no finite eigenvalue
+        mesh = self._one_region_mesh(tmp_path, SHELL)
+        for argv in (["eig", "limit"], ["eig", "k0"],
+                     ["taylor", "--lambda0", "4", "--radius", "0.01"]):
+            code, _, err = run(*argv, "--mesh", mesh, "--out", str(tmp_path / "out.csv"))
+            assert code == 2, argv
+            assert json.loads(err) == {
+                "error": "EigError",
+                "message": "M_D is zero (the mesh has no INCLUSION triangle): "
+                           "the delta = 0 pencil has no finite eigenvalue"}, argv
+            assert not (tmp_path / "out.csv").exists()
 
     def test_count_beyond_the_spectrum(self, disk_mesh, tmp_path):
         # the 513-node disk has far fewer than 600 finite limit eigenvalues
@@ -859,7 +868,8 @@ class TestCascadeCommand:
             assert code == 1, delta
 
     def test_complex_delta(self, disk_mesh, tmp_path):
-        # the series error column is the library's series_vs_direct at that delta
+        # the series error column is the library's serial run and direct
+        # projection at that delta
         out_path = tmp_path / "c.csv"
         code, _, err = run("cascade", "--mesh", disk_mesh, "--delta", "0.03+0.02j",
                            "--orders", "6", "--out", str(out_path))
@@ -867,7 +877,7 @@ class TestCascadeCommand:
         written = [float(ln.split(",")[3]) for ln in out_path.read_text().splitlines()[3:]]
         cascade = Cascade(load_mesh(disk_mesh))
         driving = DrivingField([np.tile([1.0, 0.0], (cascade.mesh.n_triangles, 1))])
-        errors = series_vs_direct(cascade, driving, 0.03 + 0.02j, cascade.run(driving, 6))
+        errors = serial_series_errors(cascade, driving, 0.03 + 0.02j, cascade.run(driving, 6))
         assert written == errors
         assert all(b < a for a, b in zip(errors, errors[1:])) and errors[6] < 1e-8
 
@@ -886,8 +896,57 @@ class TestCascadeCommand:
         assert tables[0] == tables[1]
         cascade = Cascade(load_mesh(disk_mesh))
         driving = DrivingField([np.tile([0.6, 0.8], (cascade.mesh.n_triangles, 1))])
-        errors = series_vs_direct(cascade, driving, 0.05, cascade.run(driving, 6))
+        errors = serial_series_errors(cascade, driving, 0.05, cascade.run(driving, 6))
         assert [float(ln.split(",")[3]) for ln in tables[0].decode().splitlines()[3:]] == errors
+
+    @staticmethod
+    def _failing_direct(*args):
+        raise cascade_module.CascadeError("direct projection failed")
+
+    def test_no_thread_outlives_the_command(self, disk_mesh, tmp_path, monkeypatch):
+        # the direct projection's worker is joined after a success and
+        # after a failure of the run
+        before = threading.active_count()
+        argv = ["cascade", "--mesh", disk_mesh, "--out", str(tmp_path / "c.csv")]
+        assert run(*argv)[0] == 0
+        assert threading.active_count() == before
+        monkeypatch.setattr(Cascade, "step", failing_after_order_zero(Cascade.step))
+        assert run(*argv)[0] == 2
+        assert threading.active_count() == before
+
+    def test_failing_run_is_reported_first(self, disk_mesh, tmp_path, monkeypatch):
+        # the run and the direct projection both fail: the run's error is
+        # the diagnostic, as when the direct projection came after it
+        monkeypatch.setattr(Cascade, "step", failing_after_order_zero(Cascade.step))
+        monkeypatch.setattr(cascade_module, "direct_projection", self._failing_direct)
+        out_path = tmp_path / "c.csv"
+        code, _, err = run("cascade", "--mesh", disk_mesh, "--out", str(out_path))
+        assert code == 2 and json.loads(err) == {"error": "CascadeError",
+                                                 "message": "step failed"}
+        assert not out_path.exists()
+
+    def test_failing_direct_projection_is_reported(self, disk_mesh, tmp_path, monkeypatch):
+        monkeypatch.setattr(cascade_module, "direct_projection", self._failing_direct)
+        out_path = tmp_path / "c.csv"
+        code, _, err = run("cascade", "--mesh", disk_mesh, "--out", str(out_path))
+        assert code == 2 and json.loads(err) == {"error": "CascadeError",
+                                                 "message": "direct projection failed"}
+        assert not out_path.exists()
+
+    def test_delta_at_the_dense_pole(self, tmp_path):
+        # delta = -0.58856 is the 8-ring disk's (A_D, -A_S) pole to five
+        # digits: the direct projection factors a nearly singular matrix and
+        # every series error is about 1.  The command still succeeds, draws
+        # the rising-error warning alone and writes the serial library's table
+        errors, messages = self._cascade_warnings(tmp_path, "disk", 2.0, -0.58856)
+        assert messages == ["the series error rises from 1 at order 0 to 1 at order 1: "
+                            "the cascade series need not converge at delta = -0.58856"]
+        cascade = Cascade(load_mesh(str(tmp_path / "m.txt")))
+        driving = DrivingField([np.tile([1.0, 0.0], (cascade.mesh.n_triangles, 1))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert errors == serial_series_errors(cascade, driving, -0.58856,
+                                                  cascade.run(driving, 6))
 
 
 def _ring_meshes(tmp_path_factory, rings):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from enzspec import mesh as mesh_module
 from enzspec.mesh import (
     INCLUSION,
     INTERFACE,
@@ -441,13 +442,84 @@ class TestParseErrors:
         path.write_text(SMALL_MESH + "\n  \n\n")
         load_mesh(str(path))
 
-    def test_bytes_that_are_not_utf8(self, tmp_path):
+    def test_count_beyond_the_file(self, tmp_path):
+        # n rows are read on from the vertices header: line 9 is the first
+        # that is no 'x y' row
+        self._fails_at(tmp_path, _edited({2: "vertices 99999999999999999999"}), 9,
+                       "bad coordinate in 'triangles 7'")
+
+    # 0xa0 is a no-break space in latin-1, which loadtxt would split on
+    @pytest.mark.parametrize("row", [b"1 \xff0", b"1\xa00"])
+    def test_bytes_that_are_not_utf8(self, tmp_path, row):
         path = tmp_path / "bad.txt"
         lines = SMALL_MESH.encode().splitlines()
-        lines[3] = b"1 \xff0"
+        lines[3] = row
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(MeshParseError, match="^line 4: not UTF-8 text$"):
             load_mesh(str(path))
+
+
+def _mesh_arrays(mesh):
+    return [mesh.vertices, mesh.triangles, mesh.regions, mesh.edges, mesh.edge_tags]
+
+
+def _same_arrays(got, want):
+    return all(g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+               for g, w in zip(got, want, strict=True))
+
+
+class TestSavedFormParse:
+    """load_mesh parses a file in the form save_mesh writes from its bytes,
+    one loadtxt per section; any other file goes to the line walker."""
+
+    @pytest.fixture(params=["disk", "square"])
+    def saved(self, request, tmp_path):
+        generate = {"disk": generate_disk_in_disk, "square": generate_square_with_disk}
+        mesh = generate[request.param](2.0, 16, 8)
+        path = tmp_path / "m.txt"
+        save_mesh(mesh, str(path))
+        return mesh, path
+
+    def test_same_blocks_as_the_walker(self, saved):
+        mesh, path = saved
+        direct = mesh_module._parse_saved_form(path.read_bytes())
+        walked = mesh_module._walk_mesh(path.read_bytes())
+        assert _same_arrays(direct, walked)
+        tris, edges = walked[1:]
+        assert _same_arrays([walked[0], tris[:, :3], tris[:, 3], edges[:, :2], edges[:, 2]],
+                            _mesh_arrays(mesh))
+
+    def test_saved_file_bypasses_the_walker(self, saved, monkeypatch):
+        mesh, path = saved
+
+        def no_walker(data):
+            raise AssertionError("walked a file in the saved form")
+
+        monkeypatch.setattr(mesh_module, "_walk_mesh", no_walker)
+        assert _same_arrays(_mesh_arrays(load_mesh(str(path))), _mesh_arrays(mesh))
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\ntriangles", "\n\ntriangles") + "\n",
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace(" ", "\t"),
+        lambda t: t.replace("\n", " \n"),
+        lambda t: t.replace("\n", "\n  ", 3),
+        lambda t: t.replace(" ", "  ", 5),
+        lambda t: "\x0c".join(t.split("\n", 4)),
+        lambda t: "\x1c".join(t.split("\n", 9)),
+        lambda t: t[:-1],
+    ], ids=["blank-lines", "crlf", "tabs", "trailing-spaces", "leading-spaces",
+            "double-spaces", "form-feed", "file-separator", "no-final-newline"])
+    def test_other_layouts_keep_the_walker_result(self, saved, tmp_path, edit):
+        # each edit, made after the header and the vertices line, leaves a
+        # file the walker reads as the saved mesh, and load_mesh still does:
+        # the direct parse refuses them
+        mesh, path = saved
+        header, count, rows = path.read_text().split("\n", 2)
+        edited = tmp_path / "edited.txt"
+        edited.write_bytes(f"{header}\n{count}\n{edit(rows)}".encode())
+        assert mesh_module._parse_saved_form(edited.read_bytes()) is None
+        assert _same_arrays(_mesh_arrays(load_mesh(str(edited))), _mesh_arrays(mesh))
 
 
 @pytest.fixture(scope="module", params=["disk", "square"])
