@@ -448,15 +448,20 @@ class TestParseErrors:
         self._fails_at(tmp_path, _edited({2: "vertices 99999999999999999999"}), 9,
                        "bad coordinate in 'triangles 7'")
 
-    # 0xa0 is a no-break space in latin-1, which loadtxt would split on
-    @pytest.mark.parametrize("row", [b"1 \xff0", b"1\xa00"])
-    def test_bytes_that_are_not_utf8(self, tmp_path, row):
+    def _fails_on_row_4(self, tmp_path, row):
         path = tmp_path / "bad.txt"
         lines = SMALL_MESH.encode().splitlines()
         lines[3] = row
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(MeshParseError, match="^line 4: not UTF-8 text$"):
             load_mesh(str(path))
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        self._fails_on_row_4(tmp_path, b"1 \xff0")
+
+    def test_latin1_no_break_space_is_not_utf8(self, tmp_path):
+        # 0xa0 is a no-break space in latin-1, which loadtxt would split on
+        self._fails_on_row_4(tmp_path, b"1\xa00")
 
 
 def _mesh_arrays(mesh):
