@@ -33,7 +33,13 @@ import scipy.linalg
 import scipy.sparse
 
 from .fem import AssembledForms
-from .linalg import LUFactors, SingularMatrixError, shift_invert_arnoldi
+from .linalg import (
+    ArnoldiError,
+    LUFactors,
+    SingularMatrixError,
+    negative_pivots,
+    shift_invert_arnoldi,
+)
 
 __all__ = [
     "EigenPair",
@@ -56,7 +62,8 @@ class TrackingAmbiguityError(EigError):
 
 
 # _solve_pencil: the relative residual a harvested eigenpair must reach,
-# and the most ARPACK runs before the verification rounds.
+# and the most ARPACK runs before the inertia count or the verification
+# rounds.
 _RES_TOL, _MAX_ROUNDS = 1e-8, 6
 # _block_step: the relative Ritz residuals it aims for and accepts.
 _RES_GOAL, _RES_ACCEPT = 1e-13, 1e-8
@@ -87,7 +94,7 @@ class _Pencil:
         self.M_S = forms.M_S
         n = self.n = forms.mesh.n_vertices
         self.md_rank = int(np.count_nonzero(forms.M_D.diagonal()))
-        self.stiffness = functools.cache(forms.A.astype)
+        self.stiffness = functools.cache(functools.partial(forms.A.astype, copy=False))
         m = forms.M
 
         def keys(mat):
@@ -208,6 +215,51 @@ def _shifted(pencil: _Pencil, delta, sigma, bump: float):
             shift = shift * (1.0 + bump) + bump
 
 
+def _counted(pencil: _Pencil, delta: float, x: float) -> int:
+    """F(x) - F(0) for the real pencil (A, B_delta), F(x) its number of
+    finite eigenvalues below x with the constant mode deflated: the
+    eigenvalues in (0, x) for x > 0, minus those in (x, 0) for x < 0.
+
+    A is positive semidefinite with the constants as its kernel, so on the
+    B-orthogonal complement of the constants A - x B_delta is congruent to
+    I - x C, C = A^(-1/2) B_delta A^(-1/2) there, and the constant mode adds
+    -x 1^T B_delta 1.  By Sylvester's law of inertia A - x B_delta thus has
+    one negative eigenvalue per eigenvalue in (0, x) (x > 0) or (x, 0)
+    (x < 0), plus one when x 1^T B_delta 1 > 0, whatever the sign of
+    B_delta; the infinite eigenvalues of a singular M_D are never counted.
+    `negative_pivots` reads them off a factor of A - x B_delta, formed on
+    the layout like the shifted matrix of `_shifted`.  For delta >= 0,
+    B_delta is semidefinite and no eigenvalue is negative: x < 0 needs no
+    factor."""
+    if x == 0.0 or (x < 0.0 and delta >= 0.0):
+        return 0
+    try:
+        # the matrix is built in the call, so that nothing here keeps it
+        below = negative_pivots(pencil._matrix(
+            scipy.sparse.csc_matrix, pencil.csc_indices, pencil.csc_indptr,
+            (pencil.a - (pencil.m_d + pencil.m_s * delta) * x)[pencil.to_csc]))
+    except SingularMatrixError:
+        raise EigError(f"delta={delta}: the inertia count at {x} met a zero pivot "
+                       f"(an eigenvalue at the counted window's end)") from None
+    below -= x * (pencil.mass_d + delta * pencil.mass_s) > 0.0
+    return below if x > 0.0 else -below
+
+
+def _window(edge: float, known, target: float) -> float:
+    """Half-width of the counted window around `target`: the middle of the
+    first gap above `edge` (the count-th held distance) between the known
+    distances, where a gap is wider than 1e-8 (|target| + edge).  Distances
+    closer than that chain into one cluster, so both window ends stay clear
+    of every known eigenvalue by far more than rounding.  With nothing known
+    beyond the cluster the window is twice as wide as it."""
+    tol = 1e-8 * (abs(target) + edge)
+    for d in sorted(known):
+        if d > edge + tol:
+            return 0.5 * (edge + d)
+        edge = max(edge, d)
+    return 2.0 * edge + tol
+
+
 def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
     """Harvest the `count` eigenpairs of (A, B_delta) nearest `target`.
 
@@ -224,11 +276,26 @@ def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
 
     A Krylov space reaches a multiple eigenvalue's eigenspace only along its
     start vector's component there, so it can hold one copy and miss
-    another.  Once `count` pairs are held, verification rounds run on the
-    operator deflated by all of them, until a round finds nothing nearer the
-    target than the count-th pair.  A round asks ARPACK for one Ritz pair in
-    a 12-dimensional space: on the 8- and 16-ring meshes, two pairs in 16
-    dimensions took a quarter more solves and found nothing more.
+    another.  For real delta and target the pencil is real symmetric with A
+    semidefinite, and completeness is counted (`_counted`, by Sylvester's
+    law of inertia).  The window of half-width w = `_window` around the
+    target holds the `count` nearest pairs and ends in a gap between the
+    known eigenvalues: every candidate's Rayleigh quotient and the constant
+    mode's 0.  It holds exactly `_counted(target + w) - _counted(target - w)`
+    eigenvalues.  At delta >= 0, where no eigenvalue is negative, an end
+    below 0 needs no factor, and the bottom end is counted only when the
+    count at the top end exceeds the pairs held below it: `limit_spectrum`
+    makes one count factor.  The shift factor is dropped before the count
+    factors are made; only while the count exceeds the pairs held inside
+    the window does a harvest run again, on a fresh shift factor, accepting
+    only pairs inside it.  A real harvest keeps every pair that passes,
+    past `count` too, and an ARPACK run that stops short gives up the pairs
+    that did converge.  For complex delta verification rounds run instead,
+    once `count` pairs are held, on the operator deflated by all of them,
+    until a round finds nothing nearer the target than the count-th pair.
+    A round asks ARPACK for one Ritz pair in a 12-dimensional space: on the
+    8- and 16-ring meshes, two pairs in 16 dimensions took a quarter more
+    solves and found nothing more.
 
     `count` is a hard cut on the pairs sorted by distance: when the count-th
     nearest eigenvalue is one copy of a multiple eigenvalue whose other
@@ -256,6 +323,8 @@ def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
     ones_q = ones @ b_ones
 
     accepted: list[EigenPair] = []
+    # real case: the distance of every candidate's Rayleigh quotient
+    known: list[float] = []
     # deflation: v -> v - P (W^T v), columns p and B p / (p^T B p)
     basis = ones[:, None]
     weights = (b_ones / ones_q)[:, None]
@@ -271,11 +340,16 @@ def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
 
     def harvest(k, krylov_dim, bound):
         """Accept the Ritz pairs of one ARPACK run that pass every check and
-        lie nearer the target than `bound`, stopping when `count` pairs are
-        held.  Returns the number accepted."""
+        lie nearer the target than `bound`, for complex delta stopping when
+        `count` pairs are held.  Returns the number accepted."""
         nonlocal basis, weights
-        _, vecs = shift_invert_arnoldi(apply_op, n, k, deflate=deflate, dtype=dtype,
-                                       krylov_dim=krylov_dim)
+        try:
+            _, vecs = shift_invert_arnoldi(apply_op, n, k, deflate=deflate, dtype=dtype,
+                                           krylov_dim=krylov_dim)
+        except ArnoldiError as exc:
+            if not real_case:
+                raise
+            vecs = exc.vectors
         if real_case:
             # a real operator can still have complex Ritz vectors; the factor is real
             vecs = vecs.real
@@ -295,6 +369,8 @@ def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
                         break
                     v = w / nw
                 quotient = _rayleigh(acsr, bcsr, v)
+            if quotient is not None and real_case:
+                known.append(distance(quotient[0]))
             if quotient is None or not quotient[1] <= _RES_TOL or not distance(quotient[0]) < bound:
                 continue
             lam, res = quotient
@@ -304,19 +380,41 @@ def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
             weights = np.column_stack([weights, bv / (v @ bv)])
             accepted.append(EigenPair(float(np.real(lam)) if real_case else lam, v, res))
             added += 1
-            if len(accepted) == count:
+            if len(accepted) == count and not real_case:
                 break
         return added
 
     for _ in range(_MAX_ROUNDS):
-        if len(accepted) == count or not harvest(
+        if len(accepted) >= count or not harvest(
                 min(count - len(accepted) + 4, available - len(accepted)), None, np.inf):
             break
     if len(accepted) < count:
         raise EigError(f"found only {len(accepted)} of {count} requested eigenpairs "
                        f"near target {target}")
 
-    while len(accepted) < available:
+    if real_case and len(accepted) < available:
+        fac = None
+        # the constant mode's eigenvalue 0 bounds a gap too: an end there is singular
+        width = _window(sorted(distance(p.lam) for p in accepted)[count - 1],
+                        known + [abs(sigma)], sigma)
+        inside = _counted(pencil, delta, sigma + width)
+        # at delta >= 0 no eigenvalue is negative: when the count at the top
+        # end is the number of pairs held below it, they are all there are,
+        # and the bottom end needs no count
+        if delta >= 0.0 and inside == sum(p.lam < sigma + width for p in accepted):
+            inside = sum(distance(p.lam) < width for p in accepted)
+        else:
+            inside -= _counted(pencil, delta, sigma - width)
+        while (missing := inside - sum(distance(p.lam) < width for p in accepted)) > 0:
+            if fac is None:
+                fac = _shifted(pencil, delta, sigma, 1e-3)[2]
+            if not harvest(min(missing, available - len(accepted)),
+                           min(n, max(12, 2 * missing + 2)), width):
+                break
+        if missing:
+            raise EigError(f"the inertia count puts {inside} eigenvalues within {width} of "
+                           f"target {target} at delta={delta}; {inside - missing} found")
+    while not real_case and len(accepted) < available:
         bound = sorted(distance(p.lam) for p in accepted)[count - 1]
         if not harvest(1, 12, bound):
             break

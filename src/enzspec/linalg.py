@@ -1,5 +1,5 @@
-"""Linear-algebra kernels: sparse LU solves with conditional refinement
-and shift-invert Arnoldi.
+"""Linear-algebra kernels: sparse LU solves with conditional refinement,
+inertia counts of real symmetric matrices and shift-invert Arnoldi.
 
 Matrices are plain scipy sparse (CSR) matrices.  Every factorization is a
 SuperLU factorization with a fixed ordering: minimum degree on the structure
@@ -14,13 +14,17 @@ default relaxation does, cost more than the blocking saved.
 The pivot check is gated: one solve with a fixed probe vector measures the
 growth |A||x|/|b|, and only a matrix that this flags has U's diagonal read
 (which makes scipy keep CSC copies of L and U) for the exact small-pivot
-test.  The Arnoldi iteration is ARPACK's implicitly restarted Arnoldi
-(`scipy.sparse.linalg.eigs`) on a linear operator that applies the
-shift-inverted pencil followed by the caller's deflation.  The bilinear
-(unconjugated) handling of complex-symmetric pencils lives in that deflation
-and in the caller's normalization; ARPACK itself only needs the operator and
-a fixed start vector.  The probe and the start vector are one fixed generic
-vector, generated once per length and dtype and kept read-only.
+test.  An inertia count (`negative_pivots`) is the one factorization with
+other pivoting: the same settings with diagonal pivots only, so that U's
+diagonal is the D of an LDL^T and its signs are the matrix's inertia
+(Sylvester's law).  The Arnoldi iteration is ARPACK's implicitly
+restarted Arnoldi (`scipy.sparse.linalg.eigs`) on a linear operator that
+applies the shift-inverted pencil followed by the caller's deflation.  The
+bilinear (unconjugated) handling of complex-symmetric pencils lives in that
+deflation and in the caller's normalization; ARPACK itself only needs the
+operator and a fixed start vector.  The probe and the start vector are one
+fixed generic vector, generated once per length and dtype and kept
+read-only.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "LUFactors",
     "SingularMatrixError",
     "ArnoldiError",
+    "negative_pivots",
     "shift_invert_arnoldi",
 ]
 
@@ -68,13 +73,17 @@ class SingularMatrixError(RuntimeError):
 
 class ArnoldiError(RuntimeError):
     """Non-convergence of the shift-invert iteration: only `converged` of the
-    `requested` Ritz pairs met _ARNOLDI_TOL within _ARNOLDI_RESTARTS."""
+    `requested` Ritz pairs met _ARNOLDI_TOL within _ARNOLDI_RESTARTS.
+    `thetas` and `vectors` hold the converged pairs, ordered as
+    `shift_invert_arnoldi` returns its pairs."""
 
-    def __init__(self, converged: int, requested: int):
+    def __init__(self, converged: int, requested: int, thetas, vectors):
         super().__init__(f"Arnoldi did not converge: converged {converged} of {requested} "
                          f"Ritz pairs within {_ARNOLDI_RESTARTS} restarts")
         self.converged = converged
         self.requested = requested
+        self.thetas = thetas
+        self.vectors = vectors
 
 
 class LUFactors:
@@ -154,6 +163,44 @@ class LUFactors:
         return x
 
 
+def negative_pivots(matrix) -> int:
+    """The number of negative eigenvalues of a real symmetric matrix, from
+    the signs of its pivots (Sylvester's law of inertia).
+
+    SuperLU factors it with _SPLU_SETTINGS and diag_pivot_thresh=0, so a
+    nonzero diagonal entry is always the pivot: the row and column orders
+    agree (checked), P A P^T = L U with L unit lower triangular, and U's
+    diagonal is the D of an LDL^T, with A's inertia.  The matrix (CSC, or
+    converted) is dropped once SuperLU has factored it, and the factor once
+    its diagonal is read: reading U makes scipy build CSC copies of L and U.
+    Pass a matrix nothing else holds, so that dropping it frees it.
+
+    Raises SingularMatrixError when a pivot is at most
+    `_PIVOT_TOL * max(1, max |a_ij|)` (its sign then says nothing), or when
+    elimination met an exactly zero diagonal and had to pivot off it.
+    """
+    mat = scipy.sparse.csc_matrix(matrix)
+    del matrix
+    scale = max(1.0, np.abs(mat.data).max(initial=0.0))
+    try:
+        splu = scipy.sparse.linalg.splu(mat, diag_pivot_thresh=0.0, **_SPLU_SETTINGS)
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        raise SingularMatrixError(None, 0.0) from exc
+    del mat
+    if not np.array_equal(splu.perm_r, splu.perm_c):
+        raise SingularMatrixError(None, 0.0)
+    diag = splu.U.diagonal()
+    order = splu.perm_c
+    del splu
+    small = np.nonzero(np.abs(diag) <= _PIVOT_TOL * scale)[0]
+    if len(small):
+        # U's k-th pivot belongs to column perm_c^{-1}[k] of the input
+        raise SingularMatrixError(int(np.argsort(order)[small[0]]), float(abs(diag[small[0]])))
+    return int(np.count_nonzero(diag < 0.0))
+
+
 @functools.lru_cache(maxsize=4)
 def _generic_vector(n: int, dtype: np.dtype) -> np.ndarray:
     """The fixed generic vector of length n, read-only: one copy per (n,
@@ -193,7 +240,8 @@ def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
     residual estimate is at most _ARNOLDI_TOL * |theta|.  The start vector
     is fixed, so repeated calls agree bit for bit.  ARPACK needs
     count < n - 1; larger counts form the operator densely.
-    `krylov_dim` is ARPACK's ncv; _ARNOLDI_RESTARTS is its maxiter.
+    `krylov_dim` is ARPACK's ncv; _ARNOLDI_RESTARTS is its maxiter.  A run
+    that does not converge raises ArnoldiError with the pairs that did.
     """
     if count >= n:
         raise ValueError("count must be smaller than the dimension")
@@ -212,6 +260,8 @@ def shift_invert_arnoldi(apply_op, n: int, count: int, deflate=None,
                 linop, k=count, which="LM", v0=_start_vector(n, deflate, dtype),
                 ncv=krylov_dim, tol=_ARNOLDI_TOL, maxiter=_ARNOLDI_RESTARTS)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ArnoldiError(len(exc.eigenvalues), count) from None
+            theta, vecs = exc.eigenvalues, exc.eigenvectors
+            order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))
+            raise ArnoldiError(len(theta), count, theta[order], vecs[:, order]) from None
     order = np.lexsort((theta.imag, theta.real, -np.abs(theta)))[:count]
     return theta[order], vecs[:, order]

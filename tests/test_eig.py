@@ -20,7 +20,7 @@ from enzspec.eig import (
     track_branch,
 )
 from enzspec.fem import AssembledForms, assemble
-from enzspec.linalg import LUFactors, SingularMatrixError
+from enzspec.linalg import ArnoldiError, LUFactors, SingularMatrixError, negative_pivots
 from enzspec.mesh import (
     INCLUSION,
     INTERFACE,
@@ -405,6 +405,152 @@ class TestCompleteness:
         _assert_same_multiset(pairs, _nearest(dense, 14.5, count), rel=1e-10)
         assert sum(abs(p.lam - 27.439249) < 1e-5 for p in pairs) == count - 5
 
+
+    def test_count_restores_a_dropped_copy(self, forms_coarse, monkeypatch):
+        # the first ARPACK run loses one copy of a double it found: the
+        # count sees the window one short, and one more run brings it back
+        delta, target = 0.02998, 14.5
+        real_arnoldi, calls, dropped = eig.shift_invert_arnoldi, [], []
+
+        def dropping(*args, **kwargs):
+            thetas, vecs = real_arnoldi(*args, **kwargs)
+            if not calls:
+                lams = target + 1.0 / thetas.real
+                copies = [i for i in range(len(lams))
+                          if np.any(np.abs(lams[:i] - lams[i]) <= 1e-8 * abs(lams[i]))]
+                dropped.append(lams[copies[0]])
+                keep = np.arange(len(lams)) != copies[0]
+                thetas, vecs = thetas[keep], vecs[:, keep]
+            calls.append(len(thetas))
+            return thetas, vecs
+
+        monkeypatch.setattr(eig, "shift_invert_arnoldi", dropping)
+        (pairs,) = delta_spectrum(forms_coarse, [delta], target, 6)
+        b = forms_coarse.M_D + delta * forms_coarse.M_S
+        dense = scipy.linalg.eigh(forms_coarse.A.toarray(), b.toarray(), eigvals_only=True)
+        _assert_same_multiset(pairs, _nearest(dense, target, 6), rel=1e-10)
+        assert abs(dropped[0] - 14.165204) < 1e-5
+        assert sum(abs(p.lam - dropped[0]) < 1e-5 for p in pairs) == 2
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("delta, target, count", [
+        (0.0, -1.0, 6), (0.0, -1.0, 8), (0.02998, 14.5, 6), (0.05248, 14.5, 6)])
+    def test_real_harvest_runs_no_empty_round(self, forms_coarse, monkeypatch,
+                                              delta, target, count):
+        # the first run finds every pair the count asks for: it is the only one
+        calls = []
+        real_arnoldi = eig.shift_invert_arnoldi
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real_arnoldi(*args, **kwargs)
+
+        monkeypatch.setattr(eig, "shift_invert_arnoldi", counted)
+        (pairs,) = delta_spectrum(forms_coarse, [delta], target, count)
+        assert len(pairs) == count
+        assert len(calls) == 1
+
+    def test_no_shift_factor_lives_beside_a_count(self, forms_coarse, monkeypatch):
+        # the limit counts at its top end only.  At delta = 0.02248 the count
+        # at the top end finds a pair missing, the bottom end is counted too,
+        # and the harvest goes back for the copy on a fresh shift factor; at
+        # 0.05248 the top end's count is the pairs held below it
+        live, events = weakref.WeakSet(), []
+        real_count = eig.negative_pivots
+
+        class TrackedFactors(LUFactors):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                live.add(self)
+                events.append("factor")
+
+        def count(matrix):
+            events.append(f"count beside {len(live)}")
+            return real_count(matrix)
+
+        monkeypatch.setattr(eig, "LUFactors", TrackedFactors)
+        monkeypatch.setattr(eig, "negative_pivots", count)
+        limit_spectrum(forms_coarse, 6)
+        delta_spectrum(forms_coarse, [0.02248, 0.05248], 14.5, 6)
+        assert events == ["factor", "count beside 0",
+                          "factor", "count beside 0", "count beside 0", "factor",
+                          "factor", "count beside 0"]
+
+    def test_real_delta_keeps_what_arnoldi_converged(self, forms_coarse, monkeypatch):
+        # a run that stops short gives up its converged pairs: at real delta
+        # they are kept and the count finds the rest; at complex delta the
+        # error stands
+        real_arnoldi, failed = eig.shift_invert_arnoldi, []
+
+        def short(*args, **kwargs):
+            thetas, vecs = real_arnoldi(*args, **kwargs)
+            if failed:
+                return thetas, vecs
+            failed.append(len(thetas))
+            raise ArnoldiError(2, len(thetas), thetas[:2], vecs[:, :2])
+
+        monkeypatch.setattr(eig, "shift_invert_arnoldi", short)
+        delta = 0.05248
+        (pairs,) = delta_spectrum(forms_coarse, [delta], 14.5, 6)
+        b = forms_coarse.M_D + delta * forms_coarse.M_S
+        dense = scipy.linalg.eigh(forms_coarse.A.toarray(), b.toarray(), eigvals_only=True)
+        _assert_same_multiset(pairs, _nearest(dense, 14.5, 6), rel=1e-10)
+        failed.clear()
+        with pytest.raises(ArnoldiError):
+            delta_spectrum(forms_coarse, [delta + 0.01j], 14.5, 6)
+
+
+def _dense_finite(forms, delta):
+    """The finite eigenvalues of the dense pencil (A, M_D + delta M_S) but
+    the constant mode's 0, all real: QZ (`scipy.linalg.eigvals`) on the
+    pencil scaled by the congruence diag(M)^(-1/2)."""
+    scale = scipy.sparse.diags(1.0 / np.sqrt(forms.M.diagonal()))
+    w = scipy.linalg.eigvals((scale @ forms.A @ scale).toarray(),
+                             (scale @ (forms.M_D + delta * forms.M_S) @ scale).toarray())
+    w = w[np.isfinite(w)]
+    assert np.all(np.abs(w.imag) <= 1e-8 * np.maximum(1.0, np.abs(w)))
+    return np.delete(w.real, np.argmin(np.abs(w)))
+
+
+def _assert_counts(forms, delta, finite, xs):
+    """negative_pivots(A - x B_delta) and eig._counted at each x against the
+    count of the dense eigenvalues `finite` (the constant mode left out)."""
+    pencil = eig._Pencil(forms)
+    b = forms.M_D + delta * forms.M_S
+    mass = b.sum()
+    for x in xs:
+        assert np.abs(finite - x).min() > 1e-6 * max(1.0, abs(x))   # a well-posed count
+        inside = int(np.count_nonzero((finite > 0.0) & (finite < x) if x > 0.0
+                                      else (finite < 0.0) & (finite > x)))
+        got = negative_pivots((forms.A - x * b).tocsc())
+        assert got == inside + (x * mass > 0.0), (x, got, inside)
+        assert eig._counted(pencil, delta, x) == (inside if x > 0.0 else -inside)
+
+
+class TestInertiaCount:
+    """The count of eigenvalues between 0 and x is exactly the dense one, at
+    delta on both sides of the mass degeneracy -area(D)/area(S) (-1/3 on
+    the disk, -0.24 on the square) and x on both sides of 0."""
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, -0.05, -0.2, -0.5, -2.0])
+    @pytest.mark.parametrize("shape, rings", [
+        ("disk", 4), ("square", 4), ("disk", 8), ("square", 8)])
+    def test_count_is_the_dense_count(self, forms_by_mesh, shape, rings, delta):
+        forms = forms_by_mesh(shape, rings)
+        _assert_counts(forms, delta, _dense_finite(forms, delta),
+                       (-30.0, -0.7, -0.3, -0.01, 0.01, 10.0, 30.0))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("delta", [0.05, 0.2])
+    @pytest.mark.parametrize("shape", ["disk", "square"])
+    def test_16_ring_count_is_the_dense_count(self, forms_by_mesh, shape, delta):
+        # B_delta is definite here, so the dense oracle is eigh
+        forms = forms_by_mesh(shape, 16)
+        scale = scipy.sparse.diags(1.0 / np.sqrt(forms.M.diagonal()))
+        w = scipy.linalg.eigh((scale @ forms.A @ scale).toarray(),
+                              (scale @ (forms.M_D + delta * forms.M_S) @ scale).toarray(),
+                              eigvals_only=True)
+        _assert_counts(forms, delta, w[1:], (10.0, 30.0))
 
 def test_negative_real_delta_vectors_finite(forms_coarse):
     # B = M_D - 0.3 M_S is indefinite: v^T B v < 0 for the eigenvector of -0.39967

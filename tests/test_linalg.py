@@ -12,6 +12,7 @@ from enzspec.linalg import (
     ArnoldiError,
     LUFactors,
     SingularMatrixError,
+    negative_pivots,
     shift_invert_arnoldi,
 )
 from enzspec.mesh import generate_disk_in_disk
@@ -255,6 +256,53 @@ def test_factor_takes_the_shared_settings(monkeypatch):
                                      "options": {"SymmetricMode": True}}
 
 
+
+class TestNegativePivots:
+    def test_inertia_of_symmetric_matrices(self):
+        # seeded sparse symmetric matrices, definite and indefinite, none
+        # with an eigenvalue within 1e-3 of 0: the count is eigvalsh's.  Every
+        # third is shifted to be positive definite, every third negative
+        rng = np.random.default_rng(37)
+        kinds = set()
+        for i in range(60):
+            n = int(rng.integers(5, 60))
+            r = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+            a = r + r.T + np.diag(rng.uniform(-4.0, 4.0, n))
+            a += (i % 3 - 1) * (np.abs(a).sum(axis=1).max() + 1.0) * np.eye(n)
+            w = scipy.linalg.eigvalsh(a)
+            if np.abs(w).min() < 1e-3:
+                continue
+            expected = int(np.count_nonzero(w < 0.0))
+            assert negative_pivots(scipy.sparse.csr_matrix(a)) == expected
+            kinds.add(min(expected, 1) + (expected == n))
+        assert kinds == {0, 1, 2}
+
+    def test_singular_matrix_is_refused(self):
+        # the path-graph Laplacian has the constants as its kernel
+        k = 12
+        lap = scipy.sparse.diags([-np.ones(k - 1), 2.0 * np.ones(k), -np.ones(k - 1)],
+                                 [-1, 0, 1]).tolil()
+        lap[0, 0] = lap[k - 1, k - 1] = 1.0
+        with pytest.raises(SingularMatrixError):
+            negative_pivots(lap.tocsc())
+
+    def test_zero_diagonal_is_refused(self):
+        # nonsingular, but only off-diagonal pivots factor it
+        with pytest.raises(SingularMatrixError):
+            negative_pivots(scipy.sparse.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+    def test_takes_the_shared_settings_with_diagonal_pivots(self, monkeypatch):
+        calls = []
+        splu = scipy.sparse.linalg.splu
+
+        def capturing(*args, **kwargs):
+            calls.append((len(args), kwargs))
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", capturing)
+        assert negative_pivots(scipy.sparse.csc_matrix(np.diag([1.0, -2.0, 3.0]))) == 1
+        assert calls == [(1, {"diag_pivot_thresh": 0.0, **linalg._SPLU_SETTINGS})]
+
 @pytest.fixture(scope="module")
 def disk32_operators():
     """The cascade's direct-projection matrix (A_D + 0.05 A_S on the
@@ -316,6 +364,18 @@ class TestShiftInvertArnoldi:
         assert (exc.value.converged, exc.value.requested) == (0, 6)
         assert str(exc.value) == ("Arnoldi did not converge: converged 0 of 6 "
                                   "Ritz pairs within 1 restarts")
+
+    def test_error_keeps_the_converged_pairs(self, monkeypatch):
+        # three separated eigenvalues before a cluster: those three converge
+        # in one restart, largest |theta| first, and come with the error
+        monkeypatch.setattr(linalg, "_ARNOLDI_RESTARTS", 1)
+        d = np.concatenate([[0.1, 0.2, 0.3], 1.0 + np.linspace(0.0, 1e-3, 397)])
+        with pytest.raises(ArnoldiError) as exc:
+            shift_invert_arnoldi(lambda v: v / d, 400, 6, dtype=float)
+        assert (exc.value.converged, exc.value.requested) == (3, 6)
+        assert np.allclose(exc.value.thetas, [10.0, 5.0, 10.0 / 3.0], rtol=1e-10, atol=0.0)
+        for theta, v in zip(exc.value.thetas, exc.value.vectors.T):
+            assert np.linalg.norm(v / d - theta * v) <= 1e-8 * abs(theta) * np.linalg.norm(v)
 
     def test_diagonal_standard(self):
         a = np.diag(np.arange(1.0, 11.0))

@@ -25,8 +25,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from enzspec import eig
 from enzspec.cli import main
 from enzspec.fem import assemble
+from enzspec.linalg import ArnoldiError
 from enzspec.mesh import load_mesh
 
 _LIMIT_TARGET = -1.0      # `eig limit` returns the smallest, nearest -1
@@ -157,6 +159,38 @@ def test_exit_zero_means_the_dense_eigenvalues(mesh_file, tmp_path, mesh, args, 
     assert len(got) == len(expected)
     assert np.all(np.abs(got - expected) <= 1e-10 * np.abs(expected)), (got, expected)
 
+
+
+def test_thin_shell_draw_keeps_the_converged_pairs(mesh_file, tmp_path, monkeypatch):
+    # draw negative6: on the size-1e4 disk with 6 core and 3 shell rings,
+    # ARPACK converges 10 of the 11 Ritz pairs it is asked for.  At the real
+    # delta the converged pairs are kept and the inertia count finds what is
+    # missing: exit 0 with the dense eigenvalues.  At a complex delta beside
+    # it the error stands: exit 2
+    mesh, args, delta, target = _draw_negative_cases(20261021, 16)[6]
+    assert mesh == ("disk", 6, 3, 1e4) and args[-1] == "7"
+    real_arnoldi, errors = eig.shift_invert_arnoldi, []
+
+    def recorded(*a, **kw):
+        try:
+            return real_arnoldi(*a, **kw)
+        except ArnoldiError as exc:
+            errors.append((exc.converged, exc.requested))
+            raise
+
+    monkeypatch.setattr(eig, "shift_invert_arnoldi", recorded)
+    out = str(tmp_path / "out.csv")
+    code, err = _run(*args, "--mesh", mesh_file(mesh), "--out", out)
+    assert code == 0, err
+    assert errors == [(10, 11)]
+    got = np.sort_complex(_written_eigenvalues(out))
+    expected = _dense_nearest(mesh_file(mesh), delta, target, 7)
+    assert len(got) == 7
+    assert np.all(np.abs(got - expected) <= 1e-10 * np.abs(expected)), (got, expected)
+    complex_args = [f"{delta}+0.001j" if a == str(delta) else a for a in args]
+    code, err = _run(*complex_args, "--mesh", mesh_file(mesh), "--out", out)
+    assert code == 2
+    assert json.loads(err)["error"] == "ArnoldiError"
 
 def _dense_group_means(path, lambda0, held):
     """The means of the dense lambda-group of lambda0 at delta = 0 and at
