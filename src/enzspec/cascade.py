@@ -157,7 +157,7 @@ def load_field(path: str, forms: AssembledForms) -> DrivingField:
     nt = forms.mesh.n_triangles
     block = lines.section("field", "fx fy", float, rows_per_count=nt)
     if not len(block):
-        raise MeshParseError(lines.numbers[0], "a field file holds at least one field")
+        raise MeshParseError(lines.line(lines.header), "a field file holds at least one field")
     lines.finish("the field data")
     df = DrivingField(list(block.reshape(-1, nt, 2)))
     df.validate(forms)

@@ -9,12 +9,13 @@ its delta = 0 eigenvalue), reported by the copies' values and their mean.
 Every entry point takes the `AssembledForms` and builds one private
 `_Pencil` from them: one serves a limit spectrum, a tracking call or every
 delta of a sweep.  The pencil lays A, M_D and M_S out on the mesh pattern
-once; `_Pencil.B` is the one place that checks B_delta, and `_shifted` the
-one set-up of a shifted solve.  Both form their matrix as one array
-expression on that layout, with the entries that are exactly zero dropped:
-bit for bit the CSR of M_D + delta M_S and the CSC of A - sigma B that the
-sparse sums give.  The factor's probe and ARPACK's start vector are one
-cached fixed vector per length and dtype (`linalg`).
+once; `_Pencil.B` is the one place that checks B_delta, `_Pencil.shifted`
+the one builder of A - x B_delta (`_shifted` sets up a shifted solve on
+it).  Both form their matrix as one array expression on that layout, with
+the entries that are exactly zero dropped: bit for bit the CSR of
+M_D + delta M_S and the CSC of A - sigma B that the sparse sums give.  The
+factor's probe and ARPACK's start vector are one cached fixed vector per
+length and dtype (`linalg`).
 
 All complex pairings are bilinear (unconjugated): the pencil is complex
 symmetric, its eigenvectors for distinct eigenvalues satisfy u^T B v = 0,
@@ -126,6 +127,13 @@ class _Pencil:
         return self._matrix(scipy.sparse.csr_matrix, self.indices, self.indptr,
                             self.m_d + self.m_s * delta)
 
+    def shifted(self, b, x):
+        """A - x B (CSC) from B's values `b` on the layout, in the operand
+        order of the sparse sums (B's data times the scalar), taken in CSC
+        order."""
+        return self._matrix(scipy.sparse.csc_matrix, self.csc_indices, self.csc_indptr,
+                            (self.a - b * x)[self.to_csc])
+
     def _matrix(self, kind, indices, indptr, values):
         """The `kind` matrix (csr_matrix or csc_matrix) of `values` on the
         pattern, with its exact zeros dropped.  Dropping prunes the index
@@ -194,19 +202,15 @@ def _shifted(pencil: _Pencil, delta, sigma, bump: float):
     """Set-up of a solve of (A, B_delta) near sigma, from `_typed` values: a
     float sigma keeps A and B real, a complex one makes both complex.  A
     singular shift (sigma at an eigenvalue) moves to sigma (1 + bump) +
-    bump, at most twice.  A - sigma B is factored from its values on the
-    layout, in the operand order of the sparse sums (B's data times the
-    scalar), taken in CSC order.  Returns (A, B_delta, LU factors of
-    A - sigma B)."""
+    bump, at most twice.  A - sigma B is factored as `_Pencil.shifted`
+    forms it.  Returns (A, B_delta, LU factors of A - sigma B)."""
     dtype = type(sigma)
     acsr, bcsr = pencil.stiffness(dtype), pencil.B(delta).astype(dtype, copy=False)
     b = (pencil.m_d + pencil.m_s * delta).astype(dtype, copy=False)
     shift = sigma
     for attempt in range(3):
         try:
-            shifted = pencil._matrix(scipy.sparse.csc_matrix, pencil.csc_indices,
-                                     pencil.csc_indptr, (pencil.a - b * shift)[pencil.to_csc])
-            return acsr, bcsr, LUFactors(shifted)
+            return acsr, bcsr, LUFactors(pencil.shifted(b, shift))
         except SingularMatrixError:
             if attempt == 2:
                 raise EigError(
@@ -227,17 +231,14 @@ def _counted(pencil: _Pencil, delta: float, x: float) -> int:
     one negative eigenvalue per eigenvalue in (0, x) (x > 0) or (x, 0)
     (x < 0), plus one when x 1^T B_delta 1 > 0, whatever the sign of
     B_delta; the infinite eigenvalues of a singular M_D are never counted.
-    `negative_pivots` reads them off a factor of A - x B_delta, formed on
-    the layout like the shifted matrix of `_shifted`.  For delta >= 0,
-    B_delta is semidefinite and no eigenvalue is negative: x < 0 needs no
-    factor."""
+    `negative_pivots` reads them off a factor of A - x B_delta
+    (`_Pencil.shifted`).  For delta >= 0, B_delta is semidefinite and no
+    eigenvalue is negative: x < 0 needs no factor."""
     if x == 0.0 or (x < 0.0 and delta >= 0.0):
         return 0
     try:
         # the matrix is built in the call, so that nothing here keeps it
-        below = negative_pivots(pencil._matrix(
-            scipy.sparse.csc_matrix, pencil.csc_indices, pencil.csc_indptr,
-            (pencil.a - (pencil.m_d + pencil.m_s * delta) * x)[pencil.to_csc]))
+        below = negative_pivots(pencil.shifted(pencil.m_d + pencil.m_s * delta, x))
     except SingularMatrixError:
         raise EigError(f"delta={delta}: the inertia count at {x} met a zero pivot "
                        f"(an eigenvalue at the counted window's end)") from None

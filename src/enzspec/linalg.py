@@ -86,6 +86,28 @@ class ArnoldiError(RuntimeError):
         self.vectors = vectors
 
 
+def _splu(mat, **settings):
+    """SuperLU's factor of the CSC matrix mat with _SPLU_SETTINGS and the
+    given extra settings.  SuperLU reports an exactly zero pivot without
+    its position: that raises SingularMatrixError(None, 0.0)."""
+    try:
+        return scipy.sparse.linalg.splu(mat, **settings, **_SPLU_SETTINGS)
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        raise SingularMatrixError(None, 0.0) from exc
+
+
+def _check_pivots(diag, scale: float, perm_c) -> None:
+    """Raise SingularMatrixError for the first of U's pivots `diag` whose
+    magnitude is at most _PIVOT_TOL * scale, naming its input column."""
+    diag = np.abs(diag)
+    small = np.nonzero(diag <= _PIVOT_TOL * scale)[0]
+    if len(small):
+        # U's k-th pivot belongs to column perm_c^{-1}[k] of the input
+        raise SingularMatrixError(int(np.argsort(perm_c)[small[0]]), float(diag[small[0]]))
+
+
 class LUFactors:
     """Sparse LU factors of a square matrix.  A solve takes one step of
     iterative refinement only when its normwise backward error exceeds
@@ -121,13 +143,7 @@ class LUFactors:
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("LUFactors requires a square matrix")
         self.n = mat.shape[0]
-        try:
-            splu = scipy.sparse.linalg.splu(mat, **_SPLU_SETTINGS)
-        except RuntimeError as exc:
-            if "singular" not in str(exc):
-                raise
-            # SuperLU reports an exactly zero pivot without its position
-            raise SingularMatrixError(None, 0.0) from exc
+        splu = _splu(mat)
         magnitudes = np.abs(mat.data)
         self._mat = mat
         self._norm_inf = float(np.bincount(mat.indices, weights=magnitudes,
@@ -138,13 +154,8 @@ class LUFactors:
         growth = (max(1.0, self._norm_inf) * np.abs(x).max(initial=0.0)
                   / np.abs(probe).max(initial=0.0)) if self.n else 0.0
         if not growth <= 1e-5 / _PIVOT_TOL:
-            diag = np.abs(splu.U.diagonal())
-            scale = max(1.0, magnitudes.max(initial=0.0))
-            small = np.nonzero(diag <= _PIVOT_TOL * scale)[0]
-            if len(small):
-                # U's k-th pivot belongs to column perm_c^{-1}[k] of the input
-                column = int(np.argsort(splu.perm_c)[small[0]])
-                raise SingularMatrixError(column, float(diag[small[0]]))
+            _check_pivots(splu.U.diagonal(), max(1.0, magnitudes.max(initial=0.0)),
+                          splu.perm_c)
         self._splu = splu
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -182,22 +193,14 @@ def negative_pivots(matrix) -> int:
     mat = scipy.sparse.csc_matrix(matrix)
     del matrix
     scale = max(1.0, np.abs(mat.data).max(initial=0.0))
-    try:
-        splu = scipy.sparse.linalg.splu(mat, diag_pivot_thresh=0.0, **_SPLU_SETTINGS)
-    except RuntimeError as exc:
-        if "singular" not in str(exc):
-            raise
-        raise SingularMatrixError(None, 0.0) from exc
+    splu = _splu(mat, diag_pivot_thresh=0.0)
     del mat
     if not np.array_equal(splu.perm_r, splu.perm_c):
         raise SingularMatrixError(None, 0.0)
     diag = splu.U.diagonal()
     order = splu.perm_c
     del splu
-    small = np.nonzero(np.abs(diag) <= _PIVOT_TOL * scale)[0]
-    if len(small):
-        # U's k-th pivot belongs to column perm_c^{-1}[k] of the input
-        raise SingularMatrixError(int(np.argsort(order)[small[0]]), float(abs(diag[small[0]])))
+    _check_pivots(diag, scale, order)
     return int(np.count_nonzero(diag < 0.0))
 
 

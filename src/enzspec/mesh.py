@@ -3,16 +3,16 @@
 A mesh carries per-triangle region tags (INCLUSION / SHELL), and a list of
 tagged edges: INTERFACE edges separate the two regions, OUTER edges lie on
 the domain boundary.  Two structured generators are provided (disk inside a
-disk, disk inside a square) plus a plain-text file format and submesh
-extraction.
+disk, disk inside a square) plus submesh extraction and a plain-text file
+format, which one reader (_SectionReader) parses for mesh and field files.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 import scipy.sparse
@@ -340,89 +340,103 @@ def save_mesh(mesh: Mesh, path: str) -> None:
         f.write(text)
 
 
-def _parse_rows(numbers: list, texts: list, form: str, dtype,
-                tag: tuple[str, tuple[int, ...]] | None = None) -> np.ndarray:
-    """Convert the lines of one section as one (n, k) block.
-
-    The last column of an integer section is a tag that must be one of
-    tag[1].  If the block does not convert, the lines are walked to name the
-    first bad one.
-    """
-    k = len(form.split())
-    if not texts:
-        return np.empty((0, k), dtype=dtype)
-    try:
-        block = np.loadtxt(texts, dtype=dtype, comments=None, ndmin=2)
-    except ValueError:
-        block = None
-    if block is not None and block.shape[1] == k:
-        if tag is None:
-            return block
-        known = np.zeros(len(block), dtype=bool)
-        for value in tag[1]:
-            known |= block[:, -1] == value
-        bad = np.nonzero(~known)[0]
-        if not len(bad):
-            return block
-        raise MeshParseError(numbers[bad[0]], f"unknown {tag[0]} tag {block[bad[0], -1]}")
-    for no, ln in zip(numbers, texts):
-        if len(ln.split()) != k:
-            raise MeshParseError(no, f"expected '{form}', got {ln!r}")
-        try:
-            row = np.loadtxt([ln], dtype=dtype, comments=None, ndmin=2)
-        except ValueError:
-            row = None
-        if row is None or row.shape != (1, k):
-            raise MeshParseError(no, f"bad {'coordinate' if dtype is float else 'integer'} "
-                                     f"in {ln!r}")
-        if tag is not None and row[0, -1] not in tag[1]:
-            raise MeshParseError(no, f"unknown {tag[0]} tag {row[0, -1]}")
-    raise AssertionError("a mesh section failed to convert but every line converts")
+# str.splitlines' line ends but "\n" and "\r\n": ASCII, then U+0085, U+2028, U+2029
+_LINE_ENDS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+              b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
 
 
 class _SectionReader:
-    """The non-blank lines of a text file's bytes, read as `name N` sections."""
+    """A file's bytes as `name N` sections, on the lines that str.splitlines
+    makes of its UTF-8 text, stripped, blank ones skipped.  The text is
+    checked for UTF-8 once and its line ends are made "\n"; a section's rows
+    are one loadtxt from the bytes, and only a section whose block fails is
+    walked (_walk).  Line numbers are counted for errors only; `header` is
+    the byte offset of the last `name N` line read."""
 
     def __init__(self, data: bytes):
-        try:
-            raw = data.decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise MeshParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
-        stripped = list(map(str.strip, raw))
-        self.texts = list(compress(stripped, stripped))
-        self.numbers = list(compress(range(1, len(raw) + 1), stripped))
-        self.end = len(raw) + 1   # line number reported at end of file
-        self.pos = 0
+        ends = _LINE_ENDS[:6]   # the multi-byte ones are slow to search for
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MeshParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+            ends = _LINE_ENDS
+        data = data.replace(b"\r\n", b"\n") if b"\r" in data else data
+        for end in ends:
+            data = data.replace(end, b"\n")
+        if data[-1:] not in (b"", b"\n"):
+            data += b"\n"   # a final line end adds no line: the end is the line after the last
+        self.data, self.stream, self.header = data, io.BytesIO(data), 0
 
-    def next_line(self) -> tuple[int, str]:
-        if self.pos >= len(self.texts):
-            raise MeshParseError(self.end, "unexpected end of file")
-        self.pos += 1
-        return self.numbers[self.pos - 1], self.texts[self.pos - 1]
+    def line(self, offset: int) -> int:
+        """The number of the line holding the byte at offset."""
+        return self.data.count(b"\n", 0, offset) + 1
+
+    def next_line(self, required: bool = True) -> tuple[int, str]:
+        """Byte offset and stripped text of the next non-blank line; at the
+        end of the file, the file's length and "" unless `required`."""
+        while ln := self.stream.readline():
+            if text := ln.decode().strip():
+                return self.stream.tell() - len(ln), text
+        if required:
+            raise MeshParseError(self.line(len(self.data)), "unexpected end of file")
+        return len(self.data), ""
 
     def section(self, name: str, form: str, dtype, tag=None, rows_per_count: int = 1):
-        """Read a `name N` line and the N * rows_per_count rows after it."""
-        no, ln = self.next_line()
+        """Read a `name N` line and the N * rows_per_count rows after it; the
+        last column of an integer section is a tag, one of tag[1]."""
+        self.header, ln = self.next_line()
         parts = ln.split()
         if len(parts) != 2 or parts[0] != name:
-            raise MeshParseError(no, f"expected '{name} N', got {ln!r}")
+            raise MeshParseError(self.line(self.header), f"expected '{name} N', got {ln!r}")
         try:
             n = int(parts[1])
         except ValueError:
-            raise MeshParseError(no, f"bad count {parts[1]!r}") from None
+            raise MeshParseError(self.line(self.header), f"bad count {parts[1]!r}") from None
         if n < 0:
-            raise MeshParseError(no, f"negative count {n}")
-        rows = slice(self.pos, self.pos + n * rows_per_count)
-        block = _parse_rows(self.numbers[rows], self.texts[rows], form, dtype, tag)
-        self.pos += len(block)
-        if len(block) < n * rows_per_count:
-            raise MeshParseError(self.end, "unexpected end of file")
-        return block
+            raise MeshParseError(self.line(self.header), f"negative count {n}")
+        rows, k = n * rows_per_count, len(form.split())
+        if not rows:
+            return np.empty((0, k), dtype=dtype)
+        start = self.stream.tell()
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns of each blank line it skips, and of no row left
+                warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+                block = np.loadtxt(self.stream, dtype=dtype, comments=None, ndmin=2,
+                                   max_rows=min(rows, len(self.data)))
+            if block.shape == (rows, k) and (not tag or np.isin(block[:, -1], tag[1]).all()):
+                return block
+        except ValueError:
+            pass
+        self.stream.seek(start)
+        return self._walk(rows, form, dtype, tag)
+
+    def _walk(self, rows: int, form: str, dtype, tag):
+        """The next `rows` non-blank lines, each converted on its own as
+        str.split splits it: rows that only str.split separates (a no-break
+        space stays in a field of bytes), or an error at the first bad line."""
+        k, block = len(form.split()), []
+        while len(block) < rows:
+            offset, ln = self.next_line()
+            if len(ln.split()) != k:
+                raise MeshParseError(self.line(offset), f"expected '{form}', got {ln!r}")
+            try:
+                row = np.loadtxt([ln], dtype=dtype, comments=None, ndmin=2)
+            except ValueError:
+                row = None
+            if row is None or row.shape != (1, k):
+                kind = "coordinate" if dtype is float else "integer"
+                raise MeshParseError(self.line(offset), f"bad {kind} in {ln!r}")
+            if tag and row[0, -1] not in tag[1]:
+                raise MeshParseError(self.line(offset), f"unknown {tag[0]} tag {row[0, -1]}")
+            block.append(row)
+        return np.concatenate(block)
 
     def finish(self, last: str) -> None:
-        if self.pos < len(self.texts):
-            raise MeshParseError(self.numbers[self.pos], f"unexpected line after {last}: "
-                                                         f"{self.texts[self.pos]!r}")
+        offset, text = self.next_line(required=False)
+        if text:
+            raise MeshParseError(self.line(offset), f"unexpected line after {last}: {text!r}")
 
 
 # each mesh section: name, row form, dtype and the tags its last column takes
@@ -431,71 +445,17 @@ _MESH_SECTIONS = (
     ("triangles", "i j k region", int, ("region", (INCLUSION, SHELL))),
     ("boundary", "i j tag", int, ("boundary", (INTERFACE, OUTER))),
 )
-# the bytes of a file in the form save_mesh writes: printable ASCII and "\n"
-_SAVED_BYTES = bytes(range(0x20, 0x7f)) + b"\n"
-
-
-def _parse_saved_form(data: bytes):
-    """The vertex, triangle and boundary blocks of a mesh file in the form
-    save_mesh writes, each section parsed by one loadtxt straight from the
-    file's bytes; None for any other file, which _walk_mesh then reads.
-
-    The guard admits only printable ASCII lines ended by "\n", with single
-    spaces between their fields and no blank line.  On such a file the
-    lines _SectionReader walks are the file's own lines, so both parse the
-    same rows with the same loadtxt and return the same arrays; a file the
-    guard or a section refuses goes to _walk_mesh, which names its bad line.
-    """
-    if (data.translate(None, _SAVED_BYTES) or not data.endswith(b"\n")
-            or any(s in data for s in (b"  ", b" \n", b"\n ", b"\n\n"))):
-        return None
-    f = io.BytesIO(data)
-    if f.readline() != b"enzmesh 1 2\n":
-        return None
-    blocks = []
-    for name, form, dtype, tag in _MESH_SECTIONS:
-        head, _, count = f.readline().partition(b" ")
-        if head != name.encode() or not count[:-1].isdigit():
-            return None
-        n, k = int(count), len(form.split())
-        # a row takes at least two bytes: the file's rest must hold n rows
-        if 2 * n > len(data) - f.tell():
-            return None
-        if not n:
-            block = np.empty((0, k), dtype=dtype)
-        else:
-            try:
-                block = np.loadtxt(f, dtype=dtype, comments=None, ndmin=2, max_rows=n)
-            except ValueError:
-                return None
-        if block.shape != (n, k) or (tag and not np.isin(block[:, -1], tag[1]).all()):
-            return None
-        blocks.append(block)
-    return None if f.read(1) else blocks
-
-
-def _walk_mesh(data: bytes):
-    """The vertex, triangle and boundary blocks of a mesh file's bytes, read
-    line by line; a malformed file raises MeshParseError naming its line."""
-    lines = _SectionReader(data)
-    no, header = lines.next_line()
-    if header.split() != ["enzmesh", "1", "2"]:
-        raise MeshParseError(no, f"bad header {header!r}, expected 'enzmesh 1 2'")
-    blocks = [lines.section(name, form, dtype, tag) for name, form, dtype, tag in _MESH_SECTIONS]
-    lines.finish("the boundary section")
-    return blocks
 
 
 def load_mesh(path: str) -> Mesh:
-    """Read an `enzmesh 1 2` text file (README, "Mesh and field files").
-
-    A file in the form save_mesh writes is parsed from its bytes section by
-    section (_parse_saved_form); any other goes to the line walker, which
-    keeps every line of the file in memory as a string."""
+    """Read an `enzmesh 1 2` text file (README, "Mesh and field files")."""
     with open(path, "rb") as f:
-        data = f.read()
-    blocks = _parse_saved_form(data)
-    verts, tris, edges = _walk_mesh(data) if blocks is None else blocks
+        lines = _SectionReader(f.read())
+    offset, header = lines.next_line()
+    if header.split() != ["enzmesh", "1", "2"]:
+        raise MeshParseError(lines.line(offset), f"bad header {header!r}, expected 'enzmesh 1 2'")
+    verts, tris, edges = [lines.section(*section) for section in _MESH_SECTIONS]
+    lines.finish("the boundary section")
     mesh = Mesh(verts, *(np.ascontiguousarray(a) for a in
                          (tris[:, :3], tris[:, 3], edges[:, :2], edges[:, 2])))
     mesh.validate()

@@ -26,6 +26,7 @@ from enzspec.mesh import (
     INTERFACE,
     OUTER,
     SHELL,
+    MeshParseError,
     extract_submesh,
     generate_disk_in_disk,
     generate_square_with_disk,
@@ -159,6 +160,28 @@ class TestDrivingField:
         assert len(back.fields) == 3
         for a, b in zip(df.fields, back.fields):
             assert np.array_equal(a, b)
+
+    def test_file_with_blank_lines_and_crlf(self, cascade_ws, tmp_path):
+        # blank lines before the header, inside and between the fields and
+        # after them, all ended by CRLF
+        df = DrivingField([constant_field(cascade_ws, [1.0, 0.5]),
+                           constant_field(cascade_ws, [0.0, -2.0])])
+        path = tmp_path / "f.txt"
+        save_field(df, str(path))
+        lines = path.read_text().splitlines()
+        nt = cascade_ws.mesh.n_triangles
+        for at in (1 + 2 * nt, 1 + nt, 5, 1, 0):
+            lines[at:at] = ["", " \t"]
+        path.write_bytes("\r\n".join(lines + ["", ""]).encode())
+        back = load_field(str(path), cascade_ws.forms)
+        assert len(back.fields) == 2
+        for a, b in zip(df.fields, back.fields):
+            assert np.array_equal(a, b)
+        # a file without a field is refused at its `field N` line
+        path.write_bytes(b"\r\n  \r\nfield 0\r\n\r\n")
+        with pytest.raises(MeshParseError,
+                           match="^line 3: a field file holds at least one field$"):
+            load_field(str(path), cascade_ws.forms)
 
     @pytest.mark.parametrize("fields", [
         [[[-0.0, 5e-324], [-1e300, 1.0 / 3.0]], [[2.0**53 + 2.0, -1e-300], [0.1, 7.0]]],

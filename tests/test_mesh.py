@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -463,6 +464,40 @@ class TestParseErrors:
         # 0xa0 is a no-break space in latin-1, which loadtxt would split on
         self._fails_on_row_4(tmp_path, b"1\xa00")
 
+    @pytest.mark.parametrize("keep", [5, 13, 17, 21])
+    def test_cut_off_without_final_newline(self, tmp_path, keep):
+        # the end of the file is on the line after its last one
+        text = "\n".join(SMALL_MESH.splitlines()[:keep])
+        self._fails_at(tmp_path, text, keep + 1, "unexpected end of file")
+
+
+class TestLineModel:
+    """load_mesh reads the lines that str.splitlines makes of the file's
+    UTF-8 text, each stripped, blank ones skipped, and splits them as
+    str.split does."""
+
+    def _reads_small_mesh(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_bytes(SMALL_MESH.encode())
+        want = _mesh_arrays(load_mesh(str(path)))
+        path.write_bytes(text.encode())
+        assert _same_arrays(_mesh_arrays(load_mesh(str(path))), want)
+
+    @pytest.mark.parametrize("end", ["\r", "\x0b", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                             ids=["cr", "vt", "gs", "rs", "nel", "ls", "ps"])
+    def test_line_ends(self, tmp_path, end):
+        self._reads_small_mesh(tmp_path, SMALL_MESH.replace("\n", end))
+        path = tmp_path / "bad.txt"
+        path.write_bytes(_edited({12: "0 4 1"}).replace("\n", end).encode())
+        with pytest.raises(MeshParseError, match="^line 12: expected 'i j k region'"):
+            load_mesh(str(path))
+
+    @pytest.mark.parametrize("space", ["\xa0", "\u3000"], ids=["nbsp", "ideographic"])
+    def test_unicode_spaces(self, tmp_path, space):
+        self._reads_small_mesh(tmp_path, SMALL_MESH.replace(" ", space))
+        self._reads_small_mesh(tmp_path, SMALL_MESH.replace("\n", space + "\n"))
+        self._reads_small_mesh(tmp_path, SMALL_MESH.replace("\n", f"\n{space}\n"))
+
 
 def _mesh_arrays(mesh):
     return [mesh.vertices, mesh.triangles, mesh.regions, mesh.edges, mesh.edge_tags]
@@ -474,8 +509,9 @@ def _same_arrays(got, want):
 
 
 class TestSavedFormParse:
-    """load_mesh parses a file in the form save_mesh writes from its bytes,
-    one loadtxt per section; any other file goes to the line walker."""
+    """load_mesh parses each section of a file with one loadtxt from its
+    bytes and walks a section line by line only where that fails; every
+    file reads as the line walker (_reference_load) reads it."""
 
     @pytest.fixture(params=["disk", "square"])
     def saved(self, request, tmp_path):
@@ -487,21 +523,27 @@ class TestSavedFormParse:
 
     def test_same_blocks_as_the_walker(self, saved):
         mesh, path = saved
-        direct = mesh_module._parse_saved_form(path.read_bytes())
-        walked = mesh_module._walk_mesh(path.read_bytes())
-        assert _same_arrays(direct, walked)
-        tris, edges = walked[1:]
-        assert _same_arrays([walked[0], tris[:, :3], tris[:, 3], edges[:, :2], edges[:, 2]],
-                            _mesh_arrays(mesh))
+        loaded = _mesh_arrays(load_mesh(str(path)))
+        assert _same_arrays(loaded, _mesh_arrays(_reference_load(path.read_bytes())))
+        assert _same_arrays(loaded, _mesh_arrays(mesh))
 
     def test_saved_file_bypasses_the_walker(self, saved, monkeypatch):
+        # one loadtxt per section, and no section walked line by line
         mesh, path = saved
+        calls = []
 
-        def no_walker(data):
-            raise AssertionError("walked a file in the saved form")
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("max_rows"))
+            return loadtxt(*args, **kwargs)
 
-        monkeypatch.setattr(mesh_module, "_walk_mesh", no_walker)
+        def no_walk(*args):
+            raise AssertionError("walked a section of a file in the saved form")
+
+        loadtxt = mesh_module.np.loadtxt
+        monkeypatch.setattr(mesh_module.np, "loadtxt", counted)
+        monkeypatch.setattr(mesh_module._SectionReader, "_walk", no_walk)
         assert _same_arrays(_mesh_arrays(load_mesh(str(path))), _mesh_arrays(mesh))
+        assert calls == [mesh.n_vertices, mesh.n_triangles, len(mesh.edges)]
 
     @pytest.mark.parametrize("edit", [
         lambda t: t.replace("\ntriangles", "\n\ntriangles") + "\n",
@@ -517,14 +559,129 @@ class TestSavedFormParse:
             "double-spaces", "form-feed", "file-separator", "no-final-newline"])
     def test_other_layouts_keep_the_walker_result(self, saved, tmp_path, edit):
         # each edit, made after the header and the vertices line, leaves a
-        # file the walker reads as the saved mesh, and load_mesh still does:
-        # the direct parse refuses them
+        # file the line walker reads as the saved mesh, and load_mesh does
         mesh, path = saved
         header, count, rows = path.read_text().split("\n", 2)
         edited = tmp_path / "edited.txt"
         edited.write_bytes(f"{header}\n{count}\n{edit(rows)}".encode())
-        assert mesh_module._parse_saved_form(edited.read_bytes()) is None
         assert _same_arrays(_mesh_arrays(load_mesh(str(edited))), _mesh_arrays(mesh))
+
+
+def _reference_load(data: bytes) -> Mesh:
+    """The mesh in a file's bytes as a line walker reads it: decode, str
+    splitlines, str.strip, blank lines skipped, then one loadtxt per row,
+    with load_mesh's messages.  An oracle for load_mesh's reader."""
+    try:
+        raw = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MeshParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    lines = iter([(no, ln.strip()) for no, ln in enumerate(raw, 1) if ln.strip()])
+
+    def next_line():
+        found = next(lines, None)
+        if found is None:
+            raise MeshParseError(len(raw) + 1, "unexpected end of file")
+        return found
+
+    no, header = next_line()
+    if header.split() != ["enzmesh", "1", "2"]:
+        raise MeshParseError(no, f"bad header {header!r}, expected 'enzmesh 1 2'")
+    blocks = []
+    for name, form, dtype, tag in [("vertices", "x y", float, None),
+                                   ("triangles", "i j k region", int, ("region", (INCLUSION, SHELL))),
+                                   ("boundary", "i j tag", int, ("boundary", (INTERFACE, OUTER)))]:
+        no, ln = next_line()
+        parts, k = ln.split(), len(form.split())
+        if len(parts) != 2 or parts[0] != name:
+            raise MeshParseError(no, f"expected '{name} N', got {ln!r}")
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise MeshParseError(no, f"bad count {parts[1]!r}") from None
+        if n < 0:
+            raise MeshParseError(no, f"negative count {n}")
+        rows = [np.empty((0, k), dtype=dtype)]
+        while len(rows) <= n:
+            no, ln = next_line()
+            if len(ln.split()) != k:
+                raise MeshParseError(no, f"expected '{form}', got {ln!r}")
+            try:
+                rows.append(np.loadtxt([ln], dtype=dtype, comments=None, ndmin=2))
+            except ValueError:
+                kind = "coordinate" if dtype is float else "integer"
+                raise MeshParseError(no, f"bad {kind} in {ln!r}") from None
+            if tag and rows[-1][0, -1] not in tag[1]:
+                raise MeshParseError(no, f"unknown {tag[0]} tag {rows[-1][0, -1]}")
+        blocks.append(np.concatenate(rows))
+    found = next(lines, None)
+    if found:
+        raise MeshParseError(found[0], f"unexpected line after the boundary section: "
+                                       f"{found[1]!r}")
+    (verts, tris, edges) = blocks
+    mesh = Mesh(verts, tris[:, :3].copy(), tris[:, 3].copy(), edges[:, :2].copy(),
+                edges[:, 2].copy())
+    mesh.validate()
+    return mesh
+
+
+# the edits of the mutation sweep: whitespace and line ends that a layout
+# may use, then bytes and tokens that break a file
+_SPACES = [b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+           b"\x1f", *(c.encode() for c in "\x85\xa0\u1680\u2005\u2028\u2029\u3000"),
+           b"  ", b"\n\n", b"\n \n", b" \n"]
+_TOKENS = [*_SPACES, b"\x00", b"\x85", b"\xa0", b"\xff", b"\xc2", b"\xe2\x80",
+           *(c.encode() for c in "\u200b\ufeff\u0661"), b"-", b"+", b".", b"e", b"x", b"#",
+           b"_", b"0", b"1", b"2", b"7", b"9", b"nan", b"inf", b"1e400", b"0x1", b",", b"'"]
+
+
+def _byte_mutations(seed: int, count: int):
+    """`count` seeded edits of SMALL_MESH's bytes.  Half change only its
+    layout (spaces and line ends swapped for other whitespace, perhaps cut
+    off); the rest replace, insert or delete bytes, or cut the file."""
+    rng = random.Random(seed)
+    base = SMALL_MESH.encode()
+    for _ in range(count):
+        data = bytearray(base)
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 6)):
+                pos = rng.choice([i for i, c in enumerate(data) if c in b" \n"])
+                data[pos:pos + 1] = rng.choice(_SPACES)
+            if rng.random() < 0.3:
+                data = data[:rng.randint(0, len(data))] if rng.random() < 0.5 else data.rstrip()
+        else:
+            for _ in range(rng.randint(1, 3)):
+                pos, op = rng.randint(0, len(data)), rng.random()
+                token = rng.choice(_TOKENS) if rng.random() < 0.7 else bytes([rng.randrange(256)])
+                if op < 0.35:
+                    data[pos:pos + 1] = token
+                elif op < 0.7:
+                    data[pos:pos] = token
+                elif op < 0.9:
+                    del data[pos:pos + rng.randint(1, 4)]
+                else:
+                    del data[pos:]
+        yield bytes(data)
+
+
+def _outcome(load):
+    """A load's arrays, or its exception's class, line and message."""
+    try:
+        return _mesh_arrays(load())
+    except Exception as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+@pytest.mark.parametrize("seed, count", [
+    (1, 300), pytest.param(2, 3000, marks=pytest.mark.slow)])
+def test_byte_mutations_read_as_the_line_walker_reads_them(tmp_path, seed, count):
+    path = tmp_path / "m.txt"
+    for data in _byte_mutations(seed, count):
+        path.write_bytes(data)
+        got, want = _outcome(lambda: load_mesh(str(path))), _outcome(lambda: _reference_load(data))
+        if isinstance(want, tuple):
+            assert got == want, data
+        else:
+            assert _same_arrays(got, want), data
 
 
 @pytest.fixture(scope="module", params=["disk", "square"])
