@@ -290,10 +290,12 @@ def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
     factors are made; only while the count exceeds the pairs held inside
     the window does a harvest run again, on a fresh shift factor, accepting
     only pairs inside it.  A real harvest keeps every pair that passes,
-    past `count` too, and an ARPACK run that stops short gives up the pairs
-    that did converge.  For complex delta verification rounds run instead,
-    once `count` pairs are held, on the operator deflated by all of them,
-    until a round finds nothing nearer the target than the count-th pair.
+    past `count` too.  An ARPACK run that stops short gives up the pairs
+    that did converge, and a harvest keeps them at any delta: the next
+    harvest or the count finds the rest.  For complex delta verification
+    rounds run instead, once `count` pairs are held, on the operator
+    deflated by all of them, until a round finds nothing nearer the target
+    than the count-th pair; a round that stops short raises ArnoldiError.
     A round asks ARPACK for one Ritz pair in a 12-dimensional space: on the
     8- and 16-ring meshes, two pairs in 16 dimensions took a quarter more
     solves and found nothing more.
@@ -348,7 +350,10 @@ def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
             _, vecs = shift_invert_arnoldi(apply_op, n, k, deflate=deflate, dtype=dtype,
                                            krylov_dim=krylov_dim)
         except ArnoldiError as exc:
-            if not real_case:
+            # a complex-delta verification round that stops short shows
+            # nothing about the pairs it misses: only a harvest keeps the
+            # pairs that converged
+            if not real_case and len(accepted) >= count:
                 raise
             vecs = exc.vectors
         if real_case:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -384,15 +385,16 @@ class _SectionReader:
 
     def section(self, name: str, form: str, dtype, tag=None, rows_per_count: int = 1):
         """Read a `name N` line and the N * rows_per_count rows after it; the
-        last column of an integer section is a tag, one of tag[1]."""
+        last column of an integer section is a tag, one of tag[1].  N is
+        what loadtxt reads as an integer in a row: ASCII digits with an
+        optional sign (int() would also take '0_6' or a fullwidth 7)."""
         self.header, ln = self.next_line()
         parts = ln.split()
         if len(parts) != 2 or parts[0] != name:
             raise MeshParseError(self.line(self.header), f"expected '{name} N', got {ln!r}")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise MeshParseError(self.line(self.header), f"bad count {parts[1]!r}") from None
+        if not re.fullmatch("[+-]?[0-9]+", parts[1]):
+            raise MeshParseError(self.line(self.header), f"bad count {parts[1]!r}")
+        n = int(parts[1])
         if n < 0:
             raise MeshParseError(self.line(self.header), f"negative count {n}")
         rows, k = n * rows_per_count, len(form.split())

@@ -5,10 +5,19 @@ one call evaluates the orders n - 1 and n, and the derivative follows from
 them) and their zeros from a scan, one spherical_jn call per block of grid
 points, plus scipy.optimize.brentq; both modules are imported on first
 use, so importing enzspec does not pay for them.
+
+At real arguments j_n is evaluated by inspect.unwrap(spherical_jn), the
+function that scipy's reflection decorator wraps.  The wrapper only maps
+a negative real argument to a positive one (DLMF 10.47(v)), and it costs
+some 25 times the evaluation itself on a scalar.  No argument here is
+negative: spherical_bessel rejects x < 0, and the zero scan's grid points
+and brentq's brackets are positive; so the values are scipy's bit for
+bit.  Complex arguments bypass the wrapper inside scipy already.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -62,7 +71,8 @@ def spherical_bessel(n: int, x):
         raise SpecFunError(f"argument must be >= 0, got {x[x < 0.0].flat[0]}")
     from scipy.special import spherical_jn
     zero = x == 0.0
-    val, dval = _value_and_slope(spherical_jn, n, np.where(zero, 1.0, x))  # j_n'(0) is 0/0
+    val, dval = _value_and_slope(inspect.unwrap(spherical_jn), n,
+                                 np.where(zero, 1.0, x))  # j_n'(0) is 0/0
     val = np.where(zero, 1.0 if n == 0 else 0.0, val)
     dval = np.where(zero, 1.0 / 3.0 if n == 1 else 0.0, dval)
     if x.ndim == 0:
@@ -110,9 +120,10 @@ def bessel_zeros(n: int, count: int) -> np.ndarray:
         raise SpecFunError("count must be >= 1")
     from scipy.optimize import brentq
     from scipy.special import spherical_jn
+    real_jn = inspect.unwrap(spherical_jn)
 
     def jn(x):
-        return spherical_jn(n, x)
+        return real_jn(n, x)
 
     step = math.pi / 4.0
     zeros, steps = [], np.full(4 * count + 9, step)

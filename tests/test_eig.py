@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import weakref
 
 import numpy as np
@@ -477,9 +478,9 @@ class TestCompleteness:
                           "factor", "count beside 0"]
 
     def test_real_delta_keeps_what_arnoldi_converged(self, forms_coarse, monkeypatch):
-        # a run that stops short gives up its converged pairs: at real delta
-        # they are kept and the count finds the rest; at complex delta the
-        # error stands
+        # a run that stops short gives up its converged pairs, and the harvest
+        # keeps them at any delta: at real delta the count finds the rest, at
+        # complex delta the next harvest run and the verification rounds do
         real_arnoldi, failed = eig.shift_invert_arnoldi, []
 
         def short(*args, **kwargs):
@@ -496,8 +497,33 @@ class TestCompleteness:
         dense = scipy.linalg.eigh(forms_coarse.A.toarray(), b.toarray(), eigvals_only=True)
         _assert_same_multiset(pairs, _nearest(dense, 14.5, 6), rel=1e-10)
         failed.clear()
-        with pytest.raises(ArnoldiError):
-            delta_spectrum(forms_coarse, [delta + 0.01j], 14.5, 6)
+        (pairs,) = delta_spectrum(forms_coarse, [delta + 0.01j], 14.5, 6)
+        dense = scipy.linalg.eigvals(forms_coarse.A.toarray(),
+                                     (b + 0.01j * forms_coarse.M_S).toarray())
+        _assert_same_multiset(pairs, _nearest(dense, 14.5, 6), rel=1e-10)
+        assert failed
+
+    def test_short_verification_round_exits_2(self, tmp_path, monkeypatch):
+        # a verification round that stops short shows nothing about the
+        # pairs it misses: it is an error, never a round that found nothing
+        mesh_path = str(tmp_path / "disk4.txt")
+        save_mesh(generate_disk_in_disk(2.0, 4, 4), mesh_path)
+        real_arnoldi, held = eig.shift_invert_arnoldi, []
+
+        def short_once_held(apply_op, n, k, **kwargs):
+            if held:
+                raise ArnoldiError(0, k, np.empty(0), np.empty((n, 0)))
+            held.append(k)
+            return real_arnoldi(apply_op, n, k, **kwargs)
+
+        monkeypatch.setattr(eig, "shift_invert_arnoldi", short_once_held)
+        err = io.StringIO()
+        code = main(["eig", "sweep", "--mesh", mesh_path, "--deltas", "0.05+0.01j",
+                     "--target", "14.5", "--count", "3", "--out", str(tmp_path / "sweep.csv")],
+                    out=io.StringIO(), err=err)
+        assert code == 2
+        assert json.loads(err.getvalue())["error"] == "ArnoldiError"
+        assert held == [7]
 
 
 def _dense_finite(forms, delta):

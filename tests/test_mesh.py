@@ -377,7 +377,7 @@ def _edited(changes, keep=None):
 class TestParseErrors:
     def _fails_at(self, tmp_path, text, line, fragment):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         with pytest.raises(MeshParseError) as exc:
             load_mesh(str(path))
         assert exc.value.line == line
@@ -403,6 +403,8 @@ class TestParseErrors:
         (2, "vertices -1", "negative count -1"),
         (9, "triangles -7", "negative count -7"),
         (17, "boundary x", "bad count 'x'"),
+        (2, "vertices 0_6", "bad count '0_6'"),
+        (9, "triangles \uff17", "bad count '\uff17'"),
         (9, "faces 7", "expected 'triangles N'"),
     ])
     def test_bad_line(self, tmp_path, line, text, fragment):
@@ -497,6 +499,9 @@ class TestLineModel:
         self._reads_small_mesh(tmp_path, SMALL_MESH.replace(" ", space))
         self._reads_small_mesh(tmp_path, SMALL_MESH.replace("\n", space + "\n"))
         self._reads_small_mesh(tmp_path, SMALL_MESH.replace("\n", f"\n{space}\n"))
+
+    def test_counts_take_a_sign_and_leading_zeros_as_rows_do(self, tmp_path):
+        self._reads_small_mesh(tmp_path, _edited({2: "vertices +6", 9: "triangles 007"}))
 
 
 def _mesh_arrays(mesh):
@@ -594,10 +599,10 @@ def _reference_load(data: bytes) -> Mesh:
         parts, k = ln.split(), len(form.split())
         if len(parts) != 2 or parts[0] != name:
             raise MeshParseError(no, f"expected '{name} N', got {ln!r}")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise MeshParseError(no, f"bad count {parts[1]!r}") from None
+        digits = parts[1][1:] if parts[1][0] in "+-" else parts[1]
+        if not (digits.isascii() and digits.isdigit()):
+            raise MeshParseError(no, f"bad count {parts[1]!r}")
+        n = int(parts[1])
         if n < 0:
             raise MeshParseError(no, f"negative count {n}")
         rows = [np.empty((0, k), dtype=dtype)]
