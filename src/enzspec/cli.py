@@ -10,6 +10,9 @@ determinant derivative (from the spherical Bessel equation): a list of deltas
 in one call, and a circle of 32 or more samples in two, the second seeded
 from the polynomial through the first's samples.  A circle without `--seed`
 whose mean misses the squared delta -> 0 root is a numerical failure.
+`eig sweep` solves the second half of its deltas in one forked child when
+its process has one OS thread and two CPUs (`_sweep_pairs`), with the
+artifact, exit code and diagnostic of a serial sweep.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure (with a
 diagnostic JSON on stderr), 3 I/O error.  An unexpected exception is
@@ -22,6 +25,8 @@ import cmath
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import traceback
 
@@ -260,16 +265,100 @@ def _cmd_eig_limit(cfg, out):
 
 def _cmd_eig_sweep(cfg, out):
     forms = assemble(load_mesh(cfg["mesh"]))
-    spectra = delta_spectrum(forms, cfg["deltas"], cfg["target"], cfg["count"])
+    spectra = _sweep_pairs(forms, cfg["deltas"], cfg["target"], cfg["count"])
     rows = []
     for d, pairs in zip(cfg["deltas"], spectra):
-        for i, p in enumerate(pairs):
+        for i, (lam, residual) in enumerate(pairs):
             rows.append((_fmt(d.real), _fmt(d.imag), str(i),
-                         float(np.real(p.lam)), float(np.imag(p.lam)), p.residual))
+                         float(np.real(lam)), float(np.imag(lam)), residual))
     _write_lines(cfg["out"], _csv_lines(
         "eig-sweep",
         ["delta_re", "delta_im", "index", "lambda_re", "lambda_im", "residual"],
         rows))
+
+
+def _pairs(forms, deltas, target, count):
+    """(lambda, residual) of each pair `delta_spectrum` finds, one list per delta."""
+    return [[(p.lam, p.residual) for p in pairs]
+            for pairs in delta_spectrum(forms, deltas, target, count)]
+
+
+def _second_cpu(n_deltas: int) -> bool:
+    """Whether a sweep of n_deltas solves half of them in a forked child:
+    it has two or more deltas, this thread may run on two or more CPUs, and
+    the process has one OS thread, so no lock another thread holds is
+    copied into the child."""
+    if n_deltas < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _sweep_pairs(forms, deltas, target, count):
+    """`_pairs` of a sweep, with the second half of its deltas solved by one
+    forked child when `_second_cpu` allows it.
+
+    The child solves its half with the same call as a serial sweep, sends
+    its rows, or the numerical error that `main` reports from its class and
+    message, pickled through a pipe, and always leaves with os._exit.  The
+    parent's own half comes first in delta order, so an error there wins;
+    the child is killed and reaped on every path.  Any other child error
+    (a defect, or one that does not pickle) is raised again by solving the
+    child's half here, so that its diagnostic names the frame a serial
+    sweep's does.  A child that ends without a result is an EigError
+    naming its signal or exit status.
+    """
+    half = (len(deltas) + 1) // 2
+    if not _second_cpu(len(deltas)):
+        return _pairs(forms, deltas, target, count)
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return _pairs(forms, deltas, target, count)
+    if pid == 0:    # the child
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                try:
+                    data = pickle.dumps((True, _pairs(forms, deltas[half:], target, count)))
+                except _NUMERICAL_ERRORS as exc:
+                    data = pickle.dumps((False, exc))
+            except Exception:
+                data = pickle.dumps((False, None))
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    status = None
+    try:
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            first = _pairs(forms, deltas[:half], target, count)
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status:
+        ended = (f"died by signal {signal.Signals(os.WTERMSIG(status)).name}"
+                 if os.WIFSIGNALED(status) else
+                 f"exited with status {os.waitstatus_to_exitcode(status)}")
+        raise EigError(f"the process solving deltas {half}..{len(deltas) - 1} of the sweep "
+                       f"{ended} without a result")
+    ok, second = pickle.loads(data)
+    if ok:
+        return first + second
+    if second is None:
+        return first + _pairs(forms, deltas[half:], target, count)
+    raise second
 
 
 def _cmd_eig_k0(cfg, out):

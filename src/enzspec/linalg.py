@@ -70,6 +70,9 @@ class SingularMatrixError(RuntimeError):
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
 
+    def __reduce__(self):
+        return type(self), (self.pivot_index, self.pivot_value)
+
 
 class ArnoldiError(RuntimeError):
     """Non-convergence of the shift-invert iteration: only `converged` of the
@@ -84,6 +87,9 @@ class ArnoldiError(RuntimeError):
         self.requested = requested
         self.thetas = thetas
         self.vectors = vectors
+
+    def __reduce__(self):
+        return type(self), (self.converged, self.requested, self.thetas, self.vectors)
 
 
 def _splu(mat, **settings):

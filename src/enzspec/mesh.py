@@ -55,6 +55,9 @@ class MeshParseError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
+    def __reduce__(self):
+        return type(self), (self.line, str(self).split(": ", 1)[1])
+
 
 @dataclass
 class Mesh:

@@ -43,6 +43,9 @@ class NonClosedBranchError(RuntimeError):
         super().__init__(f"branch does not close on the circle: defect {defect:.3e}")
         self.defect = defect
 
+    def __reduce__(self):
+        return type(self), (self.defect,)
+
 
 class NonFiniteSeriesError(RuntimeError):
     """A Taylor coefficient a_k = c_k / radius**k is not finite: on a very

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from enzspec.mesh import (
 )
 from fem_fields import failing_after_order_zero, serial_series_errors
 from sphere_fields import first_zero_oracle
+from split_sweeps import run_cases
 
 
 def run(*argv):
@@ -245,6 +247,38 @@ def test_every_exception_class_is_exported():
                    and obj.__module__ == module.__name__]
         missing = [name for name in defined if name not in module.__all__]
         assert not missing, (module.__name__, missing)
+
+
+# constructor arguments of the exception classes whose __init__ takes more
+# than a message; every other class is made from one message
+_EXCEPTION_ARGS = {
+    "SingularMatrixError": [(3, 1.5e-17), (None, 0.0)],
+    "ArnoldiError": [(2, 6, np.array([0.5, 0.25j]), np.arange(10.0).reshape(5, 2))],
+    "MeshParseError": [(7, "bad count '0_6': expected a count")],
+    "NonClosedBranchError": [(2.5e-3,)],
+}
+
+
+def test_every_exception_class_survives_pickle():
+    # a forked `eig sweep` child sends its error back pickled: class,
+    # message and attributes must arrive as they left
+    seen = set()
+    for module in _modules():
+        for name, cls in vars(module).items():
+            if not (isinstance(cls, type) and issubclass(cls, Exception)
+                    and cls.__module__ == module.__name__):
+                continue
+            seen.add(name)
+            for args in _EXCEPTION_ARGS.get(name, [("line 3: a message",)]):
+                exc = cls(*args)
+                back = pickle.loads(pickle.dumps(exc))
+                assert type(back) is cls and back.args == exc.args, name
+                assert vars(back).keys() == vars(exc).keys(), name
+                for key, value in vars(exc).items():
+                    copy = vars(back)[key]
+                    assert type(copy) is type(value) and np.array_equal(copy, value), (name, key)
+                    assert getattr(copy, "dtype", None) == getattr(value, "dtype", None)
+    assert set(_EXCEPTION_ARGS) <= seen
 
 
 def test_no_unused_module_level_import():
@@ -1208,3 +1242,97 @@ class TestInvarianceCommand:
         # but every column is positive and ascending
         for lams in by_shape.values():
             assert lams == sorted(lams) and lams[0] > 0
+
+
+# `eig sweep` cases that split_sweeps runs in one fresh process, first on one
+# CPU (serial) and then on two or three (split: the second half of the deltas
+# in a forked child); the README's mixed sweep repeats 0.03+0.02j on both
+# sides of the split
+_MIXED8 = {"mesh": "disk8", "deltas": "0.05,0.03+0.02j,-0.05,0.03+0.02j", "target": 14.5,
+           "count": 6}
+_SPLIT_CASES = {
+    "real8": {**_MIXED8, "deltas": "0.02,0.035,0.05,0.065,0.08"},
+    "complex8": {**_MIXED8, "deltas": "0.035+0.02j,0.05+0.01j,0.02-0.03j,-0.04+0.01j"},
+    "mixed8": _MIXED8,
+    "real16": {"mesh": "disk16", "deltas": "0.02,0.05,0.1", "target": -1, "count": 4},
+    "complex16": {"mesh": "disk16", "deltas": "0.035+0.02j,0.05+0.01j,0.02-0.03j",
+                  "target": 14.5, "count": 6},
+    "mixed16": {"mesh": "disk16", "deltas": "0.05,0.03+0.02j,-0.05,0.02-0.03j",
+                "target": 14.5, "count": 6},
+    "arnoldi-first": {**_MIXED8, "plant": {"0.05": "arnoldi 3"}},
+    "arnoldi-second": {**_MIXED8, "plant": {"-0.05": "arnoldi 3"}},
+    "arnoldi-both": {**_MIXED8, "plant": {"0.03+0.02j": "arnoldi 1", "-0.05": "arnoldi 2"}},
+    "degenerate-second": {**_MIXED8, "deltas": "0.05,0.03+0.02j,DEGENERATE,0.03+0.02j"},
+    "defect-second": {**_MIXED8, "plant": {"-0.05": "defect"}},
+    "killed-child": {**_MIXED8, "plant": {"-0.05": "kill"}},
+    "exited-child": {**_MIXED8, "plant": {"-0.05": "exit"}},
+    "interrupted-parent": {**_MIXED8, "plant": {"0.05": "interrupt"}},
+    "extra-thread": {**_MIXED8, "thread": True},
+}
+_SOLVED = ["real8", "complex8", "mixed8", "real16", "complex16", "mixed16"]
+_FAILED = ["arnoldi-first", "arnoldi-second", "arnoldi-both", "degenerate-second",
+           "defect-second", "interrupted-parent"]
+
+
+@pytest.fixture(scope="module")
+def split_runs(tmp_path_factory):
+    results = run_cases(list(_SPLIT_CASES.values()), tmp_path_factory.mktemp("split"))
+    if "skip" in results:
+        pytest.skip(results["skip"])
+    return dict(zip(_SPLIT_CASES, results))
+
+
+class TestSplitSweep:
+    """`eig sweep` on two or more CPUs solves the second half of its deltas
+    in one forked child; its exit code, stderr and artifact are those of the
+    serial sweep on one CPU, and no child outlives the command."""
+
+    @staticmethod
+    def _solvers(run):
+        # the pid of each solved delta, in the order each process solved them
+        return [pid for pid, kind, _ in run["events"] if kind == "solve"]
+
+    @pytest.mark.parametrize("name", _SOLVED + _FAILED + ["extra-thread"])
+    def test_split_gives_the_serial_outcome(self, split_runs, name):
+        serial, split = split_runs[name]["serial"], split_runs[name]["split"]
+        assert (split["code"], split["err"]) == (serial["code"], serial["err"])
+        assert split["artifact"] == serial["artifact"]
+        assert serial["reaped"] and split["reaped"]
+        assert set(self._solvers(serial)) == {str(serial["pid"])}
+
+    @pytest.mark.parametrize("name", _SOLVED)
+    def test_each_process_solves_its_half_once(self, split_runs, name):
+        split = split_runs[name]["split"]
+        case = _SPLIT_CASES[name]
+        n = len(case["deltas"].split(","))
+        parent = [pid for pid in self._solvers(split) if pid == str(split["pid"])]
+        child = [pid for pid in self._solvers(split) if pid != str(split["pid"])]
+        assert (len(parent), len(child), len(set(child))) == ((n + 1) // 2, n // 2, 1)
+        assert split["code"] == 0
+        assert len(split["artifact"].splitlines()) == 2 + n * case["count"]
+
+    def test_the_first_failing_delta_gives_the_error(self, split_runs):
+        for name in _FAILED[:-1]:
+            run = split_runs[name]["split"]
+            assert run["code"] == 2 and run["artifact"] is None, name
+        assert split_runs["interrupted-parent"]["split"]["code"] == "KeyboardInterrupt"
+        # 0.03+0.02j (index 1, the parent's half) fails before -0.05 (index 2)
+        assert json.loads(split_runs["arnoldi-both"]["split"]["err"]) == {
+            "error": "ArnoldiError",
+            "message": "Arnoldi did not converge: converged 1 of 6 Ritz pairs within 300 restarts"}
+        assert json.loads(split_runs["defect-second"]["split"]["err"])["unexpected"] is True
+
+    @pytest.mark.parametrize("name, ended", [("killed-child", "died by signal SIGKILL"),
+                                              ("exited-child", "exited with status 3")])
+    def test_a_child_without_a_result_is_a_diagnostic(self, split_runs, name, ended):
+        serial, split = split_runs[name]["serial"], split_runs[name]["split"]
+        assert serial["code"] == 0      # the plant fires only in a child
+        assert split["code"] == 2 and split["artifact"] is None and split["reaped"]
+        assert "Traceback" not in split["err"]
+        assert json.loads(split["err"]) == {
+            "error": "EigError",
+            "message": f"the process solving deltas 2..3 of the sweep {ended} without a result"}
+
+    def test_a_live_thread_keeps_the_sweep_serial(self, split_runs):
+        split = split_runs["extra-thread"]["split"]
+        assert set(self._solvers(split)) == {str(split["pid"])}

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import os
 import weakref
 
 import numpy as np
@@ -33,6 +34,7 @@ from enzspec.mesh import (
     save_mesh,
 )
 from enzspec.perturb import circle_path, taylor_from_circle
+from split_sweeps import run_cases
 
 
 def radial_limit_oracle():
@@ -52,6 +54,15 @@ def m1_limit_oracle(R):
     while f(x) * f(x + 0.05) > 0.0:
         x += 0.05
     return brentq(f, x, x + 0.05, xtol=1e-13) ** 2
+
+
+@pytest.fixture
+def one_cpu():
+    """This thread limited to one CPU, so that an `eig sweep` stays serial."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    yield
+    os.sched_setaffinity(0, cpus)
 
 
 @pytest.fixture(scope="module")
@@ -290,8 +301,9 @@ class TestPencilLayout:
         assert _same_bits(pencil.B(0.03 + 0.02j), forms.M_D + (0.03 + 0.02j) * forms.M_S)
         assert np.array_equal(pencil.indptr, forms.M.indptr)
 
-    def test_sweep_derives_the_layout_once(self, tmp_path, monkeypatch):
+    def test_sweep_derives_the_layout_once(self, tmp_path, monkeypatch, one_cpu):
         # the pencil derives the layout: one pencil serves all 16 deltas
+        # (on one CPU, where the sweep stays in this process)
         mesh_path = str(tmp_path / "disk4.txt")
         save_mesh(generate_disk_in_disk(2.0, 4, 4), mesh_path)
         calls = {"pencils": 0, "solves": 0}
@@ -311,6 +323,25 @@ class TestPencilLayout:
                      "--out", str(tmp_path / "sweep.csv")], out=io.StringIO(), err=io.StringIO())
         assert code == 0
         assert calls == {"pencils": 1, "solves": 16}
+
+    def test_split_sweep_derives_the_layout_once_per_process(self, tmp_path):
+        # on two or three CPUs the same sweep splits: the parent and its one
+        # child each build one pencil, and each delta is solved once
+        deltas = [f"{0.005 * (k + 1):g}" for k in range(16)]
+        results = run_cases([{"mesh": "disk4", "deltas": ",".join(deltas), "target": -1,
+                              "count": 1}], tmp_path)
+        if "skip" in results:
+            pytest.skip(results["skip"])
+        split = results[0]["split"]
+        assert split["code"] == 0 and split["reaped"]
+        events = {}
+        for pid, kind, delta in split["events"]:
+            events.setdefault(pid, []).append((kind, delta))
+        parent = events.pop(str(split["pid"]))
+        (child,) = events.values()
+        solved = [[complex(d).real for kind, d in log if kind == "solve"] for log in (parent, child)]
+        assert [sum(kind == "pencil" for kind, _ in log) for log in (parent, child)] == [1, 1]
+        assert solved == [[float(d) for d in deltas[:8]], [float(d) for d in deltas[8:]]]
 
 
 @pytest.mark.parametrize("shape, rings, delta, target, count", [
