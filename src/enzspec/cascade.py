@@ -320,9 +320,9 @@ def direct_projection(cascade: Cascade, field_values: np.ndarray, delta: complex
     free = np.ones(n, dtype=bool)
     free[outer] = False
     h = np.zeros(n, dtype=dtype)
-    # the free block goes to the factor as CSC: its CSR slice is freed
-    # before SuperLU factors
-    h[free] = LUFactors(a_delta[free][:, free].tocsc()).solve(-b_w[free])
+    # the free block is symmetric bit for bit (fem.AssembledForms): its
+    # transpose view is its CSC, with no copy
+    h[free] = LUFactors(a_delta[free][:, free].T).solve(-b_w[free])
     md1 = forms.M_D @ np.ones(n)
     h = h - np.dot(md1, h) / md1.sum()   # exact zero inclusion mean
 

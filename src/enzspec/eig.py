@@ -13,9 +13,9 @@ once; `_Pencil.B` is the one place that checks B_delta, `_Pencil.shifted`
 the one builder of A - x B_delta (`_shifted` sets up a shifted solve on
 it).  Both form their matrix as one array expression on that layout, with
 the entries that are exactly zero dropped: bit for bit the CSR of
-M_D + delta M_S and the CSC of A - sigma B that the sparse sums give.  The
-factor's probe and ARPACK's start vector are one cached fixed vector per
-length and dtype (`linalg`).
+M_D + delta M_S and of A - sigma B that the sparse sums give, the latter
+read as its own CSC (`fem.AssembledForms`).  The factor's probe and
+ARPACK's start vector are one cached fixed vector per length and dtype.
 
 All complex pairings are bilinear (unconjugated): the pencil is complex
 symmetric, its eigenvectors for distinct eigenvalues satisfy u^T B v = 0,
@@ -83,13 +83,12 @@ class _Pencil:
     entries, one per inclusion vertex), `stiffness(dtype)` (A converted to
     dtype, once per dtype) and the layout: the mesh pattern, the structure
     of M, with A, M_D and M_S laid out on it in CSR order (`a`, `m_d`,
-    `m_s`; 0.0 where a matrix has no entry), M's own CSR index arrays, the
-    CSC ones and the CSR position of each CSC entry (`to_csc`).
+    `m_s`; 0.0 where a matrix has no entry) and M's own CSR index arrays.
 
     A_D and M_D share one structure, as do A_S and M_S (each pair is built
     from the same element triplets, or sliced alike), so one searchsorted
     per region places its entries; A is A_D plus A_S, in that order, as in
-    the sum.  One tocsc of the entry positions gives the CSC order."""
+    the sum."""
 
     def __init__(self, forms: AssembledForms):
         self.M_S = forms.M_S
@@ -110,10 +109,7 @@ class _Pencil:
         self.a[at_s] += forms.A_S.data
         self.m_d[at_d], self.m_s[at_s] = forms.M_D.data, forms.M_S.data
         self.mass_d, self.mass_s = float(self.m_d.sum()), float(self.m_s.sum())
-        csc = scipy.sparse.csr_matrix((np.arange(m.nnz), m.indices, m.indptr),
-                                      shape=m.shape).tocsc()
         self.indices, self.indptr = m.indices, m.indptr
-        self.csc_indices, self.csc_indptr, self.to_csc = csc.indices, csc.indptr, csc.data
 
     def B(self, delta):
         """M_D + delta M_S (CSR).  Raises EigError when |delta| exceeds
@@ -124,22 +120,20 @@ class _Pencil:
             raise EigError(f"|delta| = {abs(delta):.3g} exceeds {_DELTA_MAX:g}")
         if abs(self.mass_d + delta * self.mass_s) < 1e-14 * self.mass_d:
             raise EigError("delta = -area(D)/area(shell): total mass direction degenerate")
-        return self._matrix(scipy.sparse.csr_matrix, self.indices, self.indptr,
-                            self.m_d + self.m_s * delta)
+        return self._matrix(scipy.sparse.csr_matrix, self.m_d + self.m_s * delta)
 
     def shifted(self, b, x):
         """A - x B (CSC) from B's values `b` on the layout, in the operand
-        order of the sparse sums (B's data times the scalar), taken in CSC
-        order."""
-        return self._matrix(scipy.sparse.csc_matrix, self.csc_indices, self.csc_indptr,
-                            (self.a - b * x)[self.to_csc])
+        order of the sparse sums (B's data times the scalar).  The matrix is
+        symmetric bit for bit, so its CSR arrays are its CSC arrays."""
+        return self._matrix(scipy.sparse.csc_matrix, self.a - b * x)
 
-    def _matrix(self, kind, indices, indptr, values):
+    def _matrix(self, kind, values):
         """The `kind` matrix (csr_matrix or csc_matrix) of `values` on the
         pattern, with its exact zeros dropped.  Dropping prunes the index
         arrays in place, and the layout's serve every call, so they are
         copied."""
-        mat = kind((values, indices.copy(), indptr.copy()), shape=(self.n, self.n))
+        mat = kind((values, self.indices.copy(), self.indptr.copy()), shape=(self.n, self.n))
         mat.eliminate_zeros()
         return mat
 
@@ -290,15 +284,18 @@ def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
     factors are made; only while the count exceeds the pairs held inside
     the window does a harvest run again, on a fresh shift factor, accepting
     only pairs inside it.  A real harvest keeps every pair that passes,
-    past `count` too.  An ARPACK run that stops short gives up the pairs
-    that did converge, and a harvest keeps them at any delta: the next
-    harvest or the count finds the rest.  For complex delta verification
-    rounds run instead, once `count` pairs are held, on the operator
-    deflated by all of them, until a round finds nothing nearer the target
-    than the count-th pair; a round that stops short raises ArnoldiError.
-    A round asks ARPACK for one Ritz pair in a 12-dimensional space: on the
-    8- and 16-ring meshes, two pairs in 16 dimensions took a quarter more
-    solves and found nothing more.
+    past `count` too.  ARPACK can return the two copies of a real double as
+    one complex pair x +- iy, whose real parts are one vector; x and y are
+    both eigenvectors, so a real harvest takes x and then y of each complex
+    vector, the copies before any farther candidate.  An ARPACK run that
+    stops short gives up the pairs that did converge, and a harvest keeps
+    them at any delta: the next harvest or the count finds the rest.  For
+    complex delta verification rounds run instead, once `count` pairs are
+    held, on the operator deflated by all of them, until a round finds
+    nothing nearer the target than the count-th pair; a round that stops
+    short raises ArnoldiError.  A round asks ARPACK for one Ritz pair in a
+    12-dimensional space: wider rounds took more solves and found nothing
+    more.
 
     `count` is a hard cut on the pairs sorted by distance: when the count-th
     nearest eigenvalue is one copy of a multiple eigenvalue whose other
@@ -357,8 +354,9 @@ def _solve_pencil(pencil: _Pencil, delta: complex, target: complex, count: int):
                 raise
             vecs = exc.vectors
         if real_case:
-            # a real operator can still have complex Ritz vectors; the factor is real
-            vecs = vecs.real
+            # x, y of each complex column, x alone of a real one
+            keep = np.stack([np.ones(vecs.shape[1], dtype=bool), np.any(vecs.imag, axis=0)], 1)
+            vecs = np.stack([vecs.real, vecs.imag], 2).reshape(n, -1)[:, keep.ravel()]
         added = 0
         for i in range(vecs.shape[1]):
             v = deflate(vecs[:, i])

@@ -87,6 +87,10 @@ class AssembledForms:
     shape (nt, 2).  Built by `assemble` for a mesh and by `restrict_forms`
     for a submesh of an assembled mesh.
 
+    Each of these matrices, and each sum, scaled sum and principal submatrix
+    of them, equals its transpose bit for bit (symmetric element matrices, at
+    most two per off-diagonal entry), so a solve factors its transpose view.
+
     The values that depend only on the assembly (M 1, the boundary vertices
     per tag, the Dirichlet free set and the solve factors in `factors`) are
     derived once, on first use, and kept here: the forms are a snapshot of
@@ -221,7 +225,7 @@ def solve_neumann(forms: AssembledForms, load: np.ndarray,
     m1 = forms.m1
     dtype = np.result_type(a.dtype, load.dtype)
     load = load.astype(dtype) - (load.sum() / m1.sum()) * m1
-    lu = _factor(forms, ("neumann", dtype), lambda: a[1:, 1:].astype(dtype))
+    lu = _factor(forms, ("neumann", dtype), lambda: a[1:, 1:].astype(dtype).T)
     h = np.zeros(n, dtype=dtype)
     h[1:] = lu.solve(load[1:])
     h = h - np.dot(m1, h) / m1.sum()   # zero M-weighted mean
@@ -261,7 +265,7 @@ def solve_dirichlet(forms: AssembledForms, boundary_values: dict,
     acsr = a.astype(dtype, copy=False)
     rhs = b[free] - (acsr @ u)[free]
     if free.any():
-        lu = _factor(forms, ("dirichlet", dtype), lambda: acsr[free][:, free])
+        lu = _factor(forms, ("dirichlet", dtype), lambda: acsr[free][:, free].T)
         u[free] = lu.solve(rhs)
     # Galerkin residual on the free nodes
     res = np.linalg.norm((acsr @ u - b)[free])

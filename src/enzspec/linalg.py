@@ -125,14 +125,6 @@ class LUFactors:
     SuperLU settings (_SPLU_SETTINGS) are fixed, so repeated factorizations
     are deterministic.
 
-    Those settings are minimum degree on A^T + A in symmetric mode, relax=1
-    and panel_size=4.  On the package's pencils (8- to 32-ring, real and
-    complex) and its cascade Neumann, Dirichlet and projection matrices
-    (32- and 64-ring), this pair factored in 0.56-0.86 of the time of
-    SuperLU's default relaxation and panel width, with 0.61-0.98 of the
-    fill, and solved in 0.76-1.04 of the time; the gain is largest on the
-    small 8-ring matrices.
-
     A pivot counts as singular when its magnitude is at most
     `_PIVOT_TOL * max(1, max |a_ij|)`.  Reading U's diagonal makes scipy
     keep CSC copies of L and U for the factor's whole life, so it is read

@@ -94,7 +94,9 @@ class Mesh:
         return np.unique(self.edges[self.edge_tags == tag])
 
     def validate(self) -> None:
-        """Raise MeshError on any structural inconsistency."""
+        """Raise MeshError on any structural inconsistency.  A Mesh holds no
+        derived state, so its arrays may be changed in place: the edge
+        incidence is derived afresh on each call."""
         nv = self.n_vertices
         if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= nv:
             raise MeshError("triangle vertex index out of range")

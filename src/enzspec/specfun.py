@@ -8,8 +8,8 @@ use, so importing enzspec does not pay for them.
 
 At real arguments j_n is evaluated by inspect.unwrap(spherical_jn), the
 function that scipy's reflection decorator wraps.  The wrapper only maps
-a negative real argument to a positive one (DLMF 10.47(v)), and it costs
-some 25 times the evaluation itself on a scalar.  No argument here is
+a negative real argument to a positive one (DLMF 10.47(v)), and on a
+scalar it costs far more than the evaluation itself.  No argument here is
 negative: spherical_bessel rejects x < 0, and the zero scan's grid points
 and brentq's brackets are positive; so the values are scipy's bit for
 bit.  Complex arguments bypass the wrapper inside scipy already.

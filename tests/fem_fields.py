@@ -1,8 +1,8 @@
 """P1 functionals that the tests measure solutions with: element gradients,
 edge flux loads, variational boundary fluxes and divergence-free fields;
-the writer of the field files that `cascade --field` reads; and, for the
+the writer of the field files that `cascade --field` reads; for the
 cascade, its series errors against a serial direct projection and a step
-that fails after order zero."""
+that fails after order zero; and a mesh renumbered at random."""
 
 from __future__ import annotations
 
@@ -81,3 +81,21 @@ def failing_after_order_zero(step):
         step(self, state, *args)
 
     return broken
+
+
+def renumbered(mesh: Mesh, seed: int) -> Mesh:
+    """The same mesh numbered at random: a vertex permutation, a triangle
+    order, a cyclic rotation of each triangle's corners (so each stays
+    counter-clockwise), an edge order and a direction for each edge."""
+    rng = np.random.default_rng(seed)
+    new = rng.permutation(mesh.n_vertices)     # the new index of each vertex
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new] = mesh.vertices
+    order = rng.permutation(mesh.n_triangles)
+    turn = (np.arange(3) + rng.integers(0, 3, (len(order), 1))) % 3
+    triangles = np.take_along_axis(new[mesh.triangles[order]], turn, axis=1)
+    edge_order = rng.permutation(len(mesh.edges))
+    edges = new[mesh.edges[edge_order]]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return Mesh(vertices, triangles, mesh.regions[order], edges, mesh.edge_tags[edge_order])

@@ -19,7 +19,7 @@ import scipy.linalg
 
 import enzspec
 from enzspec import cascade as cascade_module
-from enzspec import cli, eig, fem
+from enzspec import cli, eig, fem, linalg
 from enzspec.cascade import Cascade, DrivingField
 from enzspec.cli import main
 from enzspec.mesh import (
@@ -28,10 +28,11 @@ from enzspec.mesh import (
     SHELL,
     Mesh,
     generate_disk_in_disk,
+    generate_square_with_disk,
     load_mesh,
     save_mesh,
 )
-from fem_fields import failing_after_order_zero, serial_series_errors
+from fem_fields import failing_after_order_zero, renumbered, serial_series_errors
 from sphere_fields import first_zero_oracle
 from split_sweeps import run_cases
 
@@ -350,6 +351,46 @@ def test_only_linalg_factors():
         assert not found, (module.__name__, found)
 
 
+def test_readme_command_block_names_every_command():
+    # the lines that the CI README step runs: the "## Command line" section
+    # up to its closing fence, each line that starts with "enzspec "
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    start = lines.index("## Command line")
+    block = lines[start:lines.index("```", start)]
+    named = set()
+    for words in (line.split() for line in block if line.startswith("enzspec ")):
+        named.add((words[1], None if words[2].startswith("--") else words[2]))
+    assert named == set(cli._COMMANDS)
+
+
+def test_every_factored_matrix_arrives_as_csc(disk_mesh, tmp_path, monkeypatch):
+    # every matrix the package factors is symmetric bit for bit, so its CSR
+    # arrays reach SuperLU as its CSC, with no conversion or copy
+    formats = []
+    init, count = linalg.LUFactors.__init__, eig.negative_pivots
+
+    def recorded_init(self, matrix):
+        formats.append(("factor", matrix.format))
+        init(self, matrix)
+
+    def recorded_count(matrix):
+        formats.append(("count", matrix.format))
+        return count(matrix)
+
+    monkeypatch.setattr(linalg.LUFactors, "__init__", recorded_init)
+    monkeypatch.setattr(eig, "negative_pivots", recorded_count)
+    for argv in (["eig", "sweep", "--deltas", "0.05", "--target", "14.5"],
+                 ["eig", "sweep", "--deltas", "0.03+0.02j", "--target", "14.5"],
+                 ["taylor", "--lambda0", "15.0057", "--radius", "0.015"],
+                 ["cascade", "--delta", "0.05"], ["cascade", "--delta", "0.03+0.02j"]):
+        code, _, err = run(*argv, "--mesh", disk_mesh, "--out", str(tmp_path / "out"))
+        assert code == 0, err
+    assert {kind for kind, _ in formats} == {"factor", "count"}
+    assert {fmt for _, fmt in formats} == {"csc"}
+
+
 def test_one_continuation_loop():
     # one step loop: the corrector is called from one place, the loop that
     # track_branch runs
@@ -503,6 +544,76 @@ class TestEigCommands:
         assert np.allclose(np.array(lams[1]) * 1e-16, lams[0], rtol=1e-10, atol=0.0)
 
     @staticmethod
+    def _square_spectrum(tmp_path, size, rings_core, rings_shell, argv):
+        """The eigenvalues that an `eig sweep` on a square mesh writes, the
+        mesh's forms and its file."""
+        mesh = generate_square_with_disk(size, rings_core, rings_shell)
+        mesh_path, out_path = tmp_path / "square.txt", tmp_path / "sweep.csv"
+        save_mesh(mesh, str(mesh_path))
+        code, _, err = run("eig", "sweep", "--mesh", str(mesh_path), *argv, "--out", str(out_path))
+        assert code == 0, err
+        rows = [[float(c) for c in ln.split(",")] for ln in out_path.read_text().splitlines()[2:]]
+        return [complex(r[3], r[4]) for r in rows], fem.assemble(mesh), str(mesh_path)
+
+    @staticmethod
+    def _dense_nearest(forms, delta, target, count):
+        b = (forms.M_D + delta * forms.M_S).toarray()
+        lams = scipy.linalg.eigvals(forms.A.toarray(), b)
+        lams = lams[np.isfinite(lams)]
+        lams = lams[np.abs(lams) > 1e-8 * np.abs(lams).max()]    # the constant mode
+        return np.sort_complex(np.array(sorted(lams, key=lambda l: abs(l - target))[:count]))
+
+    def test_thin_shell_double_from_one_complex_pair(self, tmp_path):
+        # on the L = 1.05 square with 6 core and 3 shell rings (217 nodes),
+        # ARPACK returns the double 3.857336 as one complex pair x +- iy: the
+        # sweep and `taylor` both keep both copies, and the sweep is the
+        # dense spectrum's
+        lams, forms, mesh_path = self._square_spectrum(
+            tmp_path, 1.05, 6, 3, ["--deltas", "0", "--target", "5.0015", "--count", "5"])
+        expected = self._dense_nearest(forms, 0.0, 5.0015, 5)
+        assert np.allclose(np.sort_complex(np.array(lams)), expected, rtol=1e-10, atol=0.0)
+        assert sum(abs(lam - 3.857336) < 1e-6 for lam in lams) == 2
+        code, _, err = run("taylor", "--mesh", mesh_path, "--lambda0", "5.0", "--radius", "6e-5",
+                           "--samples", "4", "--order", "0", "--out", str(tmp_path / "t.json"))
+        assert code == 0, err
+
+    @pytest.mark.xfail(strict=True, reason="the default target -1 is absolute, not scaled to "
+                       "the pencil: the inertia count on the L = 100 square finds a copy of "
+                       "the double 2.5548e-4 missing, and the sweep exits 2")
+    def test_sweep_on_a_large_square(self, tmp_path):
+        lams, forms, _ = self._square_spectrum(tmp_path, 100.0, 4, 4,
+                                               ["--deltas", "1.0", "--count", "2"])
+        expected = self._dense_nearest(forms, 1.0, -1.0, 2)
+        assert np.allclose(np.sort_complex(np.array(lams)), expected, rtol=1e-10, atol=0.0)
+        assert np.allclose(expected, 2.5548266642e-4, rtol=1e-9, atol=0.0)
+
+    def test_zero_pivot_in_a_count_is_numerical_failure(self, disk_mesh, tmp_path, monkeypatch):
+        # a count factor that meets a zero pivot names the window end it
+        # counted at: the matrix it was handed is A - x M_D for that x
+        counted = []
+
+        def singular(matrix):
+            counted.append(matrix)
+            raise linalg.SingularMatrixError(None, 0.0)
+
+        monkeypatch.setattr(eig, "negative_pivots", singular)
+        out_path = tmp_path / "limit.csv"
+        code, _, err = run("eig", "limit", "--mesh", disk_mesh, "--count", "4",
+                           "--out", str(out_path))
+        assert code == 2 and not out_path.exists()
+        payload = json.loads(err)
+        assert payload["error"] == "EigError" and "unexpected" not in payload
+        message = payload["message"]
+        assert "zero pivot" in message and "window's end" in message
+        x = float(message.split("the inertia count at ")[1].split()[0])
+        (matrix,) = counted
+        forms = fem.assemble(load_mesh(disk_mesh))
+        expected = (forms.A - x * forms.M_D).tocsc()
+        assert np.array_equal(matrix.indptr, expected.indptr)
+        assert np.array_equal(matrix.indices, expected.indices)
+        assert np.array_equal(matrix.data, expected.data)
+
+    @staticmethod
     def _one_region_mesh(tmp_path, region):
         """The 2-ring disk with every triangle in region and its OUTER edges
         only, written as a mesh file."""
@@ -549,6 +660,72 @@ class TestEigCommands:
         assert payload["error"] == "EigError" and "600" in payload["message"]
         assert "unexpected" not in payload
         assert not out_path.exists()
+
+
+class TestRenumberedMesh:
+    """A mesh numbered at random (vertices, triangles, corners and edges),
+    saved and reloaded, gives the generator's numbering's spectra,
+    coefficients and cascade table, up to rounding."""
+
+    _ARGV = {
+        "limit": ["eig", "limit", "--count", "8"],
+        "sweep": ["eig", "sweep", "--deltas", "0.05,0.03+0.02j,-0.05", "--target", "14.5",
+                  "--count", "6"],
+        "k0": ["eig", "k0"],
+        "taylor": ["taylor", "--lambda0", "15.0057", "--radius", "0.015"],
+        "cascade": ["cascade", "--delta", "0.05"],
+    }
+
+    @staticmethod
+    def _outputs(mesh, tmp_path, name):
+        path = str(tmp_path / f"{name}.txt")
+        save_mesh(mesh, path)
+        outputs = {}
+        for command, argv in TestRenumberedMesh._ARGV.items():
+            out_path = tmp_path / f"{name}-{command}.out"
+            code, _, err = run(*argv, "--mesh", path, "--out", str(out_path))
+            assert code == 0, (command, err)
+            outputs[command] = out_path.read_text()
+        return outputs
+
+    @staticmethod
+    def _rows(table):
+        return np.array([[float(c) for c in ln.split(",")]
+                         for ln in table.splitlines() if ln[0].isdigit() or ln[0] == "-"])
+
+    @pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+    def test_commands_match_the_generator_numbering(self, generate, tmp_path):
+        mesh = generate(2.0, 8, 8)
+        ref = self._outputs(mesh, tmp_path, "generated")
+        got = self._outputs(renumbered(mesh, seed=0), tmp_path, "renumbered")
+
+        def close(x, y, scale):
+            assert np.all(np.abs(x - y) <= 1e-12 * scale), (x, y)
+
+        # eigenvalues; the residual and mismatch columns are rounding
+        x, y = self._rows(ref["limit"]), self._rows(got["limit"])
+        close(x[:, 1], y[:, 1], np.abs(x[:, 1]))
+        x, y = self._rows(ref["k0"]), self._rows(got["k0"])
+        close(x[:, 1:4], y[:, 1:4], np.abs(x[:, 1:4]))
+        # a sweep's eigenvalues by value: the copies of a double may swap
+        x, y = self._rows(ref["sweep"]), self._rows(got["sweep"])
+        assert np.array_equal(x[:, :3], y[:, :3])
+        for delta in np.unique(x[:, 0] + 1j * x[:, 1]):
+            at = (x[:, 0] + 1j * x[:, 1]) == delta
+            lx, ly = (np.sort_complex(r[at, 3] + 1j * r[at, 4]) for r in (x, y))
+            close(lx, ly, np.abs(lx))
+        # Taylor coefficients as the circle's DFT gives them, a_k r^k
+        ax, ay = (np.array(json.loads(t["taylor"])["a_coeffs"]) @ [1, 1j] for t in (ref, got))
+        close(ax * 0.015 ** np.arange(len(ax)), ay * 0.015 ** np.arange(len(ay)), abs(ax[0]))
+        # the cascade: psi energy and norms relative, outer constants against
+        # the norms, series errors (themselves relative) absolute
+        energy = [float(t["cascade"].splitlines()[1].split()[-1]) for t in (ref, got)]
+        close(energy[0], energy[1], energy[0])
+        x, y = self._rows(ref["cascade"]), self._rows(got["cascade"])
+        assert np.array_equal(x[:, 0], y[:, 0])
+        close(x[:, 1], y[:, 1], x[:, 2])
+        close(x[:, 2], y[:, 2], x[:, 2])
+        close(x[:, 3], y[:, 3], 1.0)
 
 
 @pytest.fixture
@@ -1238,10 +1415,15 @@ class TestInvarianceCommand:
         for shape, _, lam in rows:
             by_shape.setdefault(shape, []).append(float(lam))
         assert set(by_shape) == {"disk", "square"}
-        # the smallest eigenvalues belong to shape-dependent angular modes,
-        # but every column is positive and ascending
         for lams in by_shape.values():
             assert lams == sorted(lams) and lams[0] > 0
+        # the radial eigenvalue 15.005677 is the one the shapes share; the
+        # angular modes depend on the shape, the nearest (15.00568 against
+        # 15.04433) missing by 2.6e-3
+        pairs = [(abs(d - q) / d, d) for d in by_shape["disk"] for q in by_shape["square"]]
+        shared = [d for miss, d in pairs if miss <= 1e-9]
+        assert len(shared) == 1 and abs(shared[0] - 15.005677) < 1e-6
+        assert all(miss > 1e-3 for miss, _ in pairs if miss > 1e-9)
 
 
 # `eig sweep` cases that split_sweeps runs in one fresh process, first on one

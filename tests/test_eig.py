@@ -297,7 +297,7 @@ class TestPencilLayout:
         # forms.M keep theirs
         forms = forms_by_mesh("disk", 8)
         pencil = eig._Pencil(forms)
-        assert pencil.B(0.0).nnz < forms.M.nnz == len(pencil.indices) == len(pencil.csc_indices)
+        assert pencil.B(0.0).nnz < forms.M.nnz == len(pencil.indices)
         assert _same_bits(pencil.B(0.03 + 0.02j), forms.M_D + (0.03 + 0.02j) * forms.M_S)
         assert np.array_equal(pencil.indptr, forms.M.indptr)
 
@@ -482,11 +482,10 @@ class TestCompleteness:
         assert len(pairs) == count
         assert len(calls) == 1
 
-    def test_no_shift_factor_lives_beside_a_count(self, forms_coarse, monkeypatch):
-        # the limit counts at its top end only.  At delta = 0.02248 the count
-        # at the top end finds a pair missing, the bottom end is counted too,
-        # and the harvest goes back for the copy on a fresh shift factor; at
-        # 0.05248 the top end's count is the pairs held below it
+    @staticmethod
+    def _factor_events(forms, monkeypatch):
+        """The factorizations and counts of a limit and a two-delta sweep,
+        each count with the number of LU factors alive beside it."""
         live, events = weakref.WeakSet(), []
         real_count = eig.negative_pivots
 
@@ -502,11 +501,61 @@ class TestCompleteness:
 
         monkeypatch.setattr(eig, "LUFactors", TrackedFactors)
         monkeypatch.setattr(eig, "negative_pivots", count)
-        limit_spectrum(forms_coarse, 6)
-        delta_spectrum(forms_coarse, [0.02248, 0.05248], 14.5, 6)
-        assert events == ["factor", "count beside 0",
-                          "factor", "count beside 0", "count beside 0", "factor",
-                          "factor", "count beside 0"]
+        limit_spectrum(forms, 6)
+        delta_spectrum(forms, [0.02248, 0.05248], 14.5, 6)
+        return events
+
+    def test_no_shift_factor_lives_beside_a_count(self, forms_coarse, monkeypatch):
+        # the limit counts at its top end only, and at delta = 0.02248 and
+        # 0.05248 the top end's count is the pairs held below it
+        assert self._factor_events(forms_coarse, monkeypatch) == [
+            "factor", "count beside 0", "factor", "count beside 0",
+            "factor", "count beside 0"]
+
+    def test_a_lost_copy_is_harvested_on_a_fresh_shift_factor(self, forms_coarse, monkeypatch):
+        # planted: every ARPACK run keeps only the real parts of its vectors,
+        # so at delta = 0.02248 a double that comes as x +- iy loses a copy.
+        # The count at the top end finds it missing, the bottom end is
+        # counted too, and the harvest goes back for the copy on a fresh
+        # shift factor, made after the counts
+        real_arnoldi = eig.shift_invert_arnoldi
+
+        def real_parts(*args, **kwargs):
+            thetas, vecs = real_arnoldi(*args, **kwargs)
+            return thetas, vecs.real.astype(vecs.dtype)
+
+        monkeypatch.setattr(eig, "shift_invert_arnoldi", real_parts)
+        assert self._factor_events(forms_coarse, monkeypatch) == [
+            "factor", "count beside 0",
+            "factor", "count beside 0", "count beside 0", "factor",
+            "factor", "count beside 0"]
+
+    def test_real_harvest_takes_both_parts_of_a_complex_pair(self, forms_coarse, monkeypatch):
+        # ARPACK can return the two copies of a real double as one complex
+        # pair x +- iy, whose real parts are one vector: x and y are both
+        # eigenvectors, and the one run gives both copies.  Planted on the
+        # double 14.165204, which the run returns as two real columns
+        delta, target = 0.02998, 14.5
+        real_arnoldi, calls = eig.shift_invert_arnoldi, []
+
+        def paired(*args, **kwargs):
+            thetas, vecs = real_arnoldi(*args, **kwargs)
+            if not calls:
+                lams = target + 1.0 / thetas.real
+                i, j = [k for k in range(len(lams)) if abs(lams[k] - 14.165204) < 1e-5]
+                x, y = vecs[:, i].real, vecs[:, j].real
+                vecs = vecs.copy()
+                vecs[:, i], vecs[:, j] = x + 1j * y, x - 1j * y
+            calls.append(len(thetas))
+            return thetas, vecs
+
+        monkeypatch.setattr(eig, "shift_invert_arnoldi", paired)
+        (pairs,) = delta_spectrum(forms_coarse, [delta], target, 6)
+        b = forms_coarse.M_D + delta * forms_coarse.M_S
+        dense = scipy.linalg.eigh(forms_coarse.A.toarray(), b.toarray(), eigvals_only=True)
+        _assert_same_multiset(pairs, _nearest(dense, target, 6), rel=1e-10)
+        assert sum(abs(p.lam - 14.165204) < 1e-5 for p in pairs) == 2
+        assert len(calls) == 1
 
     def test_real_delta_keeps_what_arnoldi_converged(self, forms_coarse, monkeypatch):
         # a run that stops short gives up its converged pairs, and the harvest

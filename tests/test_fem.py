@@ -21,8 +21,10 @@ from enzspec.mesh import (
     extract_submesh,
     generate_disk_in_disk,
     generate_square_with_disk,
+    load_mesh,
+    save_mesh,
 )
-from fem_fields import boundary_flux, edge_flux_load, element_gradients
+from fem_fields import boundary_flux, edge_flux_load, element_gradients, renumbered
 
 
 def outward_edge_normals(mesh, tag):
@@ -128,6 +130,35 @@ class TestAssemble:
         vals = 3.0 * x - 2.0 * y
         g = element_gradients(disk_forms, vals)
         assert np.abs(g - np.array([3.0, -2.0])).max() < 1e-12
+
+
+class TestSymmetricForms:
+    """Every form equals its transpose bit for bit, so the solves and the
+    pencil hand SuperLU a CSR matrix's arrays as its CSC."""
+
+    @staticmethod
+    def _assert_symmetric(forms):
+        for name in ("A_D", "A_S", "M_D", "M_S", "A", "M"):
+            mat = getattr(forms, name)
+            assert (mat != mat.T).nnz == 0, name
+            # explicit zeros and signed zeros too: the CSC arrays are the CSR ones
+            csc = mat.tocsc()
+            assert np.array_equal(csc.indptr, mat.indptr), name
+            assert np.array_equal(csc.indices, mat.indices), name
+            assert np.array_equal(csc.data.view(np.uint8), mat.data.view(np.uint8)), name
+
+    @pytest.mark.parametrize("rings", [4, 8, 16, 32])
+    @pytest.mark.parametrize("size", [1.05, 2.0])
+    @pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+    def test_generated_meshes(self, generate, size, rings):
+        self._assert_symmetric(assemble(generate(size, rings, rings)))
+
+    @pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+    def test_renumbered_meshes(self, generate, tmp_path):
+        # saved and reloaded, as a mesh made elsewhere would arrive
+        path = str(tmp_path / "mesh.txt")
+        save_mesh(renumbered(generate(2.0, 8, 8), seed=0), path)
+        self._assert_symmetric(assemble(load_mesh(path)))
 
 
 class TestDivergenceOperator:
