@@ -67,6 +67,7 @@ from .perturb import (
     NonFiniteSeriesError,
     analyticity_report,
     circle_path,
+    reflect_arc,
     taylor_from_circle,
 )
 from .specfun import SpecFunError, bessel_zeros
@@ -386,13 +387,16 @@ def _cmd_taylor(cfg, out):
                           f"samples / 4 = {cfg['samples'] // 4}")
     forms = assemble(load_mesh(cfg["mesh"]))
     path, start = circle_path(cfg["radius"], cfg["samples"])
-    branch = track_branch(forms, cfg["lambda0"], path)
+    # the upper half circle, delta = r .. -r: the lower half is its mirror image
+    branch = track_branch(forms, cfg["lambda0"], path[:start + cfg["samples"] // 2 + 1])
     lams = branch.lambda_samples
+    circle, meet = reflect_arc(lams[start:])
     # the held-out point is the circle path's own lead-in sample at
     # delta = 3r/5, outside the DFT
     held = LEAD_IN_STEPS - 1
-    report = analyticity_report(lams[start:], cfg["radius"], cfg["order"],
+    report = analyticity_report(circle, cfg["radius"], cfg["order"],
                                 [(path[held], lams[held])])
+    report.closure_defect = meet
     # a circle around exceptional points can close on another sheet
     a0, lam0 = report.a_coeffs[0], lams[0]
     if abs(a0 - lam0) > _START_TOL * (1.0 + abs(lam0)):
@@ -401,7 +405,8 @@ def _cmd_taylor(cfg, out):
     # a multiple eigenvalue's copies are analytic only through their power sums
     copies = np.asarray(branch.copies[start:])
     report.power_sum_coeffs = {
-        p: taylor_from_circle((copies**p).sum(axis=1), cfg["radius"], cfg["order"])
+        p: taylor_from_circle(reflect_arc((copies**p).sum(axis=1))[0], cfg["radius"],
+                              cfg["order"])
         for p in range(2, copies.shape[1] + 1)}
     with open(cfg["out"], "w", encoding="utf-8", newline="\n") as f:
         f.write(report.to_json() + "\n")

@@ -6,8 +6,13 @@ aliasing by reporting only the first quarter of the sample count.  Reports
 bundle coefficient decay, interior prediction errors against direct
 solves, the circle-closure defect and the reality defect.  The pencil's
 matrices are real, so an analytic branch obeys Schwarz reflection,
-lambda(conj delta) = conj lambda(delta); the reality defect measures it on
-the circle's own samples, which pair delta_j with delta_{N-j} = conj delta_j.
+lambda(conj delta) = conj lambda(delta), and the circle pairs delta_j with
+delta_{N-j} = conj delta_j.  So `taylor` tracks only the upper half circle,
+samples 0 .. N/2 (delta = r .. -r), and `reflect_arc` takes the lower half
+as their conjugates.  Reflected samples obey the reflection by
+construction; what is left to measure is where the tracked arc meets its
+mirror image at delta = -r, where lambda must arrive real.  The reality
+defect measures the reflection on a circle tracked in full.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "NonClosedBranchError",
     "NonFiniteSeriesError",
     "circle_path",
+    "reflect_arc",
     "taylor_from_circle",
     "analyticity_report",
 ]
@@ -36,8 +42,9 @@ LEAD_IN_STEPS = 4
 
 
 class NonClosedBranchError(RuntimeError):
-    """First and last circle samples disagree: the branch permuted
-    (a cluster was crossed); only symmetric functions are single-valued."""
+    """First and last circle samples disagree, or a tracked upper half
+    circle arrives off the real axis at delta = -r: the branch permuted (a
+    cluster was crossed); only symmetric functions are single-valued."""
 
     def __init__(self, defect: float):
         super().__init__(f"branch does not close on the circle: defect {defect:.3e}")
@@ -65,6 +72,22 @@ def circle_path(r: float, n_samples: int):
     lead = [r * j / (LEAD_IN_STEPS + 1) for j in range(LEAD_IN_STEPS + 1)]
     circle = [r * np.exp(2j * np.pi * j / n_samples) for j in range(n_samples + 1)]
     return lead + circle, len(lead)
+
+
+def reflect_arc(arc):
+    """The N + 1 circle samples from the N/2 + 1 samples of its upper half.
+
+    arc holds the samples at delta_j = r exp(2 pi i j / N), j = 0 .. N/2;
+    sample N - j of the circle is conj arc[j], so the closing sample is
+    conj arc[0].  Returns (circle, meet), with meet = |arc[-1] - conj arc[-1]|
+    the gap where the arc meets its mirror image at delta = -r; above the
+    closure tolerance it raises NonClosedBranchError.
+    """
+    arc = np.asarray(arc, dtype=complex)
+    meet = abs(arc[-1] - np.conj(arc[-1]))
+    if meet > _CLOSURE_TOL * (1.0 + abs(arc[-1])):
+        raise NonClosedBranchError(meet)
+    return np.concatenate([arc, np.conj(arc[-2::-1])]), float(meet)
 
 
 def _circle_samples(values):
@@ -107,7 +130,10 @@ def taylor_from_circle(samples, radius: float, order: int) -> np.ndarray:
 @dataclass
 class AnalyticityReport:
     """Diagnostics of one branch; for a lambda-group of h > 1 copies, also
-    the series of each power sum s_p = sum_i lambda_i^p, p = 2..h."""
+    the series of each power sum s_p = sum_i lambda_i^p, p = 2..h.
+
+    `to_json` writes the `taylor` report, which leaves out the reality
+    defect: its samples reflect by construction (`reflect_arc`)."""
 
     a_coeffs: np.ndarray
     decay_ratios: np.ndarray
@@ -121,7 +147,6 @@ class AnalyticityReport:
             "a_coeffs": [[float(c.real), float(c.imag)] for c in self.a_coeffs],
             "decay_ratios": [float(x) for x in self.decay_ratios],
             "prediction_errors": [float(x) for x in self.prediction_errors],
-            "reality_defect": float(self.reality_defect),
             "closure_defect": float(self.closure_defect),
         }
         if self.power_sum_coeffs:

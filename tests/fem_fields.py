@@ -2,7 +2,8 @@
 edge flux loads, variational boundary fluxes and divergence-free fields;
 the writer of the field files that `cascade --field` reads; for the
 cascade, its series errors against a serial direct projection and a step
-that fails after order zero; and a mesh renumbered at random."""
+that fails after order zero; and a mesh renumbered at random, rotated or
+mirrored."""
 
 from __future__ import annotations
 
@@ -99,3 +100,18 @@ def renumbered(mesh: Mesh, seed: int) -> Mesh:
     flip = rng.random(len(edges)) < 0.5
     edges[flip] = edges[flip, ::-1]
     return Mesh(vertices, triangles, mesh.regions[order], edges, mesh.edge_tags[edge_order])
+
+
+def rotated(mesh: Mesh, angle: float) -> Mesh:
+    """The mesh turned rigidly by angle about the origin, numbered as before."""
+    c, s = np.cos(angle), np.sin(angle)
+    vertices = mesh.vertices @ np.array([[c, s], [-s, c]])
+    return Mesh(vertices, mesh.triangles, mesh.regions, mesh.edges, mesh.edge_tags)
+
+
+def mirrored(mesh: Mesh) -> Mesh:
+    """The mesh reflected by x -> -x, each triangle's last two corners
+    swapped so that it stays counter-clockwise."""
+    vertices = mesh.vertices * [-1.0, 1.0]
+    return Mesh(vertices, mesh.triangles[:, [0, 2, 1]], mesh.regions, mesh.edges,
+                mesh.edge_tags)

@@ -8,6 +8,7 @@ import math
 import os
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 import threading
@@ -32,7 +33,13 @@ from enzspec.mesh import (
     load_mesh,
     save_mesh,
 )
-from fem_fields import failing_after_order_zero, renumbered, serial_series_errors
+from fem_fields import (
+    failing_after_order_zero,
+    mirrored,
+    renumbered,
+    rotated,
+    serial_series_errors,
+)
 from sphere_fields import first_zero_oracle
 from split_sweeps import run_cases
 
@@ -351,18 +358,43 @@ def test_only_linalg_factors():
         assert not found, (module.__name__, found)
 
 
+def _readme_lines():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as f:
+        return f.read().splitlines()
+
+
 def test_readme_command_block_names_every_command():
     # the lines that the CI README step runs: the "## Command line" section
     # up to its closing fence, each line that starts with "enzspec "
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
-              encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = _readme_lines()
     start = lines.index("## Command line")
     block = lines[start:lines.index("```", start)]
     named = set()
     for words in (line.split() for line in block if line.startswith("enzspec ")):
         named.add((words[1], None if words[2].startswith("--") else words[2]))
     assert named == set(cli._COMMANDS)
+
+
+def test_readme_taylor_keys_are_the_report_keys(disk_mesh, tmp_path):
+    # the README's `taylor` key list: the first bullet list after the
+    # paragraph that starts with "`taylor` ", one "- `key`...:" bullet per
+    # key, "(λ-group only)" before the colon for the keys a group adds
+    lines = _readme_lines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("`taylor` "))
+    first = next(i for i in range(start, len(lines)) if lines[i].startswith("- "))
+    group_only = {}
+    for line in lines[first:lines.index("", first)]:
+        if line.startswith("- "):
+            head = line.split(":")[0]
+            group_only[re.match(r"- `(\w+)`", head).group(1)] = "(λ-group only)" in head
+    for lambda0, group in (("15.005677", False), ("31.173239", True)):
+        out_path = tmp_path / f"{lambda0}.json"
+        code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", lambda0,
+                           "--radius", "0.01", "--out", str(out_path))
+        assert code == 0, err
+        keys = {key for key, only in group_only.items() if group or not only}
+        assert set(json.loads(out_path.read_text())) == keys
 
 
 def test_every_factored_matrix_arrives_as_csc(disk_mesh, tmp_path, monkeypatch):
@@ -664,8 +696,8 @@ class TestEigCommands:
 
 class TestRenumberedMesh:
     """A mesh numbered at random (vertices, triangles, corners and edges),
-    saved and reloaded, gives the generator's numbering's spectra,
-    coefficients and cascade table, up to rounding."""
+    or turned or mirrored rigidly, saved and reloaded, gives the generator
+    mesh's spectra, coefficients and cascade table, up to rounding."""
 
     _ARGV = {
         "limit": ["eig", "limit", "--count", "8"],
@@ -677,38 +709,50 @@ class TestRenumberedMesh:
     }
 
     @staticmethod
-    def _outputs(mesh, tmp_path, name):
+    def _outputs(mesh, tmp_path, name, field=(1.0, 0.0)):
+        # the cascade's driving field turns and mirrors with the mesh
         path = str(tmp_path / f"{name}.txt")
         save_mesh(mesh, path)
         outputs = {}
         for command, argv in TestRenumberedMesh._ARGV.items():
+            if command == "cascade":
+                argv = argv + ["--fx", repr(field[0]), "--fy", repr(field[1])]
             out_path = tmp_path / f"{name}-{command}.out"
             code, _, err = run(*argv, "--mesh", path, "--out", str(out_path))
             assert code == 0, (command, err)
             outputs[command] = out_path.read_text()
         return outputs
 
+    @pytest.fixture(scope="class")
+    def generated(self, tmp_path_factory):
+        """The generator mesh of each generator, and its outputs."""
+        cache = {}
+
+        def get(generate):
+            if generate not in cache:
+                mesh = generate(2.0, 8, 8)
+                cache[generate] = mesh, self._outputs(mesh, tmp_path_factory.mktemp("ref"),
+                                                      "generated")
+            return cache[generate]
+        return get
+
     @staticmethod
     def _rows(table):
         return np.array([[float(c) for c in ln.split(",")]
                          for ln in table.splitlines() if ln[0].isdigit() or ln[0] == "-"])
 
-    @pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
-    def test_commands_match_the_generator_numbering(self, generate, tmp_path):
-        mesh = generate(2.0, 8, 8)
-        ref = self._outputs(mesh, tmp_path, "generated")
-        got = self._outputs(renumbered(mesh, seed=0), tmp_path, "renumbered")
-
+    @classmethod
+    def _check(cls, ref, got):
         def close(x, y, scale):
             assert np.all(np.abs(x - y) <= 1e-12 * scale), (x, y)
 
         # eigenvalues; the residual and mismatch columns are rounding
-        x, y = self._rows(ref["limit"]), self._rows(got["limit"])
+        x, y = cls._rows(ref["limit"]), cls._rows(got["limit"])
         close(x[:, 1], y[:, 1], np.abs(x[:, 1]))
-        x, y = self._rows(ref["k0"]), self._rows(got["k0"])
+        x, y = cls._rows(ref["k0"]), cls._rows(got["k0"])
         close(x[:, 1:4], y[:, 1:4], np.abs(x[:, 1:4]))
         # a sweep's eigenvalues by value: the copies of a double may swap
-        x, y = self._rows(ref["sweep"]), self._rows(got["sweep"])
+        x, y = cls._rows(ref["sweep"]), cls._rows(got["sweep"])
         assert np.array_equal(x[:, :3], y[:, :3])
         for delta in np.unique(x[:, 0] + 1j * x[:, 1]):
             at = (x[:, 0] + 1j * x[:, 1]) == delta
@@ -721,11 +765,28 @@ class TestRenumberedMesh:
         # the norms, series errors (themselves relative) absolute
         energy = [float(t["cascade"].splitlines()[1].split()[-1]) for t in (ref, got)]
         close(energy[0], energy[1], energy[0])
-        x, y = self._rows(ref["cascade"]), self._rows(got["cascade"])
+        x, y = cls._rows(ref["cascade"]), cls._rows(got["cascade"])
         assert np.array_equal(x[:, 0], y[:, 0])
         close(x[:, 1], y[:, 1], x[:, 2])
         close(x[:, 2], y[:, 2], x[:, 2])
         close(x[:, 3], y[:, 3], 1.0)
+
+    @pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+    def test_commands_match_the_generator_numbering(self, generate, generated, tmp_path):
+        mesh, ref = generated(generate)
+        self._check(ref, self._outputs(renumbered(mesh, seed=0), tmp_path, "renumbered"))
+
+    # 0.3 is no multiple of 2 pi / n for any whole n, so no turn maps the
+    # generator's rings onto themselves
+    @pytest.mark.parametrize("motion", ["turned", "mirrored"])
+    @pytest.mark.parametrize("generate", [generate_disk_in_disk, generate_square_with_disk])
+    def test_rigid_motions_match_the_generator_mesh(self, generate, generated, tmp_path, motion):
+        mesh, ref = generated(generate)
+        if motion == "turned":
+            moved, field = rotated(mesh, 0.3), (math.cos(0.3), math.sin(0.3))
+        else:
+            moved, field = mirrored(mesh), (-1.0, 0.0)
+        self._check(ref, self._outputs(moved, tmp_path, motion, field))
 
 
 @pytest.fixture
@@ -742,8 +803,7 @@ def block_steps(monkeypatch):
     return deltas
 
 
-_TAYLOR_KEYS = {"a_coeffs", "decay_ratios", "prediction_errors", "reality_defect",
-                "closure_defect"}
+_TAYLOR_KEYS = {"a_coeffs", "decay_ratios", "prediction_errors", "closure_defect"}
 
 
 class TestTaylorCommand:
@@ -768,7 +828,6 @@ class TestTaylorCommand:
         assert set(payload) == _TAYLOR_KEYS | {"group_size", "power_sum_coeffs"}
         assert payload["group_size"] == 2
         assert payload["closure_defect"] <= 1e-9
-        assert payload["reality_defect"] <= 1e-9
         a0 = payload["a_coeffs"][0]
         assert abs(a0[0] - lam0) < 1e-6 * lam0
 
@@ -832,6 +891,34 @@ class TestTaylorCommand:
         assert "a_0 = " in payload["message"] and "lambda(0) = 15.0056" in payload["message"]
         assert not out_path.exists()
 
+    def test_arc_off_the_real_axis_is_numerical_failure(self, disk_mesh, tmp_path, monkeypatch):
+        # a planted square-root braid 1 +- sqrt(delta): over the upper half
+        # circle each copy ends at 1 +- i sqrt(r), off the real axis, so it
+        # misses its mirror image by 2 sqrt(r) = 0.2; the group's mean and
+        # power sums meet theirs
+        def braid(forms, lambda0, path):
+            root = np.sqrt(np.asarray(path, dtype=complex))
+            copies = [[1.0 + s, 1.0 - s][:size] for s in root]
+            return eig.Branch([sum(c) / size for c in copies], [None] * len(path), copies)
+
+        monkeypatch.setattr(cli, "track_branch", braid)
+        results = {}
+        for size in (1, 2):
+            results[size] = run("taylor", "--mesh", disk_mesh, "--lambda0", "1", "--radius",
+                                "0.01", "--samples", "16", "--order", "2",
+                                "--out", str(tmp_path / f"braid{size}.json"))
+        code, _, err = results[1]
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "NonClosedBranchError" and "unexpected" not in payload
+        assert "defect 2.000e-01" in payload["message"]
+        assert not (tmp_path / "braid1.json").exists()
+        code, _, err = results[2]
+        assert code == 0, err
+        group = json.loads((tmp_path / "braid2.json").read_text())
+        s2 = np.array(group["power_sum_coeffs"]["2"]) @ [1, 1j]
+        assert np.abs(s2 - [2.0, 2.0, 0.0]).max() <= 1e-12
+
     def test_one_harvest_per_command(self, disk_mesh, tmp_path, monkeypatch):
         # the circle, whose lead-in holds the held-out point, continues one
         # delta = 0 start
@@ -850,14 +937,16 @@ class TestTaylorCommand:
         assert calls == [0.0]
 
     def test_block_steps_per_command(self, disk_mesh, tmp_path, block_steps):
-        # 4 lead-in and 17 circle steps, which include the held-out point
+        # 4 lead-in steps, which include the held-out point, and the upper
+        # half circle: delta = r and 8 steps to delta = -r
         code, _, err = run("taylor", "--mesh", disk_mesh, "--lambda0", "15.005677",
                            "--radius", "0.01", "--samples", "16", "--out", str(tmp_path / "t.json"))
         assert code == 0, err
-        assert len(block_steps) == 21
+        assert len(block_steps) == 13
+        assert abs(block_steps[-1] + 0.01) <= 1e-15
 
     def test_one_pencil_per_command(self, disk_mesh, tmp_path, monkeypatch):
-        # the start and all 21 steps read one pencil
+        # the start and all 13 steps read one pencil
         calls = []
         init = eig._Pencil.__init__
 
@@ -899,7 +988,7 @@ class TestTaylorCommand:
                                "--radius", "0.01", "--samples", "16",
                                "--out", str(tmp_path / name))
             assert code == 0, err
-            assert len(block_steps) == 21
+            assert len(block_steps) == 13
             reports.append((tmp_path / name).read_bytes())
         assert reports[0] == reports[1]
         payload = json.loads(reports[0])

@@ -10,10 +10,12 @@ nearest its target, every copy of a multiple eigenvalue included, to 1e-10
 relative.  A `taylor` run that exits 0 must have written an a_0 within 1e-8
 of the dense delta = 0 group mean, and a series that meets the dense group
 mean at the held-out delta = 3r/5 as closely as its own prediction error
-says, to 1e-10.  A `mie dispersion --radius` circle that exits 0 must
-have a mean within 1e-8 of the squared delta -> 0 root (z_1 for magnetic,
-the interval-0 root of the limit relation for electric, both from public
-scipy), no neighbour jump beyond 3 times its median jump, and, magnetic, a
+says, to 1e-10.  A `taylor` report, whose lower half circle is the
+mirror image of its tracked upper half, must give the coefficients and
+power sums of the circle tracked in full by `eig.track_branch`.  A `mie
+dispersion --radius` circle that exits 0 must have a mean within 1e-8 of
+the squared delta -> 0 root (z_1 for magnetic, the interval-0 root of
+the limit relation for electric, both from public scipy), no neighbour jump beyond 3 times its median jump, and, magnetic, a
 first DFT coefficient that meets the closed-form slope 2 z_1^2 / P_n(R) as
 closely as the circle's own aliasing allows.
 
@@ -39,6 +41,7 @@ from enzspec.cli import main
 from enzspec.fem import assemble
 from enzspec.linalg import ArnoldiError
 from enzspec.mesh import load_mesh
+from enzspec.perturb import circle_path, taylor_from_circle
 from sphere_fields import first_zero_oracle, magnetic_first_coefficient
 
 _LIMIT_TARGET = -1.0      # `eig limit` returns the smallest, nearest -1
@@ -287,6 +290,45 @@ def test_taylor_exit_zero_means_the_dense_group(mesh_file, tmp_path, mesh, lambd
     series = np.polyval(a[::-1], held)
     miss = abs(series - mean_held) / abs(mean_held)
     assert miss <= payload["prediction_errors"][0] + 1e-10, (series, mean_held, miss)
+
+
+# (mesh, lambda0, radius, samples): the continuation benchmark's simple
+# branches and lambda-groups of two, and the README's 16-ring circle
+_FULL_CIRCLE_CASES = [
+    pytest.param(("disk", 8, 8, 2.0), 15.0057, 0.015, 16, id="disk8-15.0057"),
+    pytest.param(("square", 8, 8, 2.0), 15.0057, 0.008, 16, id="square8-15.0057"),
+    pytest.param(("disk", 8, 8, 2.0), 31.1732, 0.015, 16, id="disk8-31.1732"),
+    pytest.param(("square", 8, 8, 2.0), 31.2993, 0.005, 16, id="square8-31.2993"),
+    pytest.param(("disk", 16, 16, 2.0), 14.8, 0.05, 32, id="disk16-14.8",
+                 marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("mesh, lambda0, radius, samples", _FULL_CIRCLE_CASES)
+def test_taylor_reflection_is_the_full_circle(mesh_file, tmp_path, mesh, lambda0, radius,
+                                              samples):
+    out = tmp_path / "t.json"
+    code, err = _run("taylor", "--mesh", mesh_file(mesh), "--lambda0", str(lambda0),
+                     "--radius", str(radius), "--samples", str(samples), "--out", str(out))
+    assert code == 0, err
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["closure_defect"] <= 1e-9
+    # the second route: the library tracks every sample of the circle
+    path, start = circle_path(radius, samples)
+    branch = eig.track_branch(assemble(load_mesh(mesh_file(mesh))), lambda0, path)
+    order = len(payload["a_coeffs"]) - 1
+    scale = radius ** np.arange(order + 1)
+    full = {"1": branch.lambda_samples[start:]}
+    copies = np.asarray(branch.copies[start:])
+    full.update({str(p): (copies**p).sum(axis=1) for p in range(2, copies.shape[1] + 1)})
+    reported = {"1": payload["a_coeffs"], **payload.get("power_sum_coeffs", {})}
+    assert set(reported) == set(full)
+    assert len(full) == (2 if lambda0 > 30 else 1)
+    # c_k = a_k r^k of lambda and of each power sum, against that series' a_0
+    for p, values in full.items():
+        c_full = taylor_from_circle(values, radius, order) * scale
+        c_half = np.array(reported[p]) @ [1, 1j] * scale
+        assert np.abs(c_half - c_full).max() <= 1e-13 * abs(c_full[0]), (p, c_half, c_full)
 
 
 def _draw_dispersion_cases(seed, n):

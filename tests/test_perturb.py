@@ -8,6 +8,7 @@ from enzspec.perturb import (
     NonClosedBranchError,
     analyticity_report,
     circle_path,
+    reflect_arc,
     taylor_from_circle,
 )
 
@@ -101,10 +102,11 @@ class TestAnalyticityReport:
         assert rep.reality_defect <= 1e-15
 
     def test_json_keys(self):
+        # the reality defect stays on the report, out of the `taylor` JSON
         rep = analyticity_report(sample_circle(lambda d: 1.0 + d, 0.1, 16), 0.1, 2, [])
         payload = json.loads(rep.to_json())
         assert set(payload) == {"a_coeffs", "decay_ratios", "prediction_errors",
-                                "reality_defect", "closure_defect"}
+                                "closure_defect"}
 
     def test_json_deterministic(self):
         vals = sample_circle(lambda d: 2.0 + d, 0.1, 16)
@@ -125,5 +127,45 @@ class TestClusterSeries:
             taylor_from_circle(lam_p, r, 4)
         s1 = taylor_from_circle(lam_p + lam_m, r, 3)
         s2 = taylor_from_circle(lam_p**2 + lam_m**2, r, 3)
+        assert np.abs(s1 - [2.0, 0.0, 0.0, 0.0]).max() < 1e-12
+        assert np.abs(s2 - [2.0, 2.0, 0.0, 0.0]).max() < 1e-12
+
+
+class TestReflectArc:
+    def test_mirror_image_is_the_lower_half(self):
+        # the upper half of a real-coefficient function's circle, reflected,
+        # gives the circle sampled in full, to rounding
+        fn = lambda d: 1.0 / (1.0 - 2.0 * d) + 0.5 * d**3
+        full = sample_circle(fn, 0.1, 32)
+        circle, meet = reflect_arc(full[:17])
+        assert circle.shape == full.shape
+        assert np.array_equal(circle[:17], full[:17])
+        assert np.abs(circle - full).max() <= 1e-15
+        assert meet <= 1e-15
+        # c_k = a_k r^k
+        scale = 0.1 ** np.arange(9)
+        assert np.abs((taylor_from_circle(circle, 0.1, 8)
+                       - taylor_from_circle(full, 0.1, 8)) * scale).max() <= 1e-15
+
+    def test_meet_is_the_gap_at_minus_r(self):
+        # lambda = 1 + 1e-11 i delta arrives at delta = -r as 1 - 1e-12 i
+        r = 0.1
+        arc = sample_circle(lambda d: 1.0 + 1e-11j * d, r, 8)[:5]
+        _, meet = reflect_arc(arc)
+        assert abs(meet - 2e-11 * r) <= 1e-20
+
+    def test_sqrt_braid_arc(self):
+        # 1 +- sqrt(delta) over the upper half circle ends at 1 +- i sqrt(r):
+        # each branch misses its mirror image by 2 sqrt(r), while the
+        # symmetric functions s_1 = 2 and s_2 = 2 + 2 delta meet theirs
+        r, n = 0.1, 16
+        roots = np.array([np.sqrt(r) * np.exp(1j * np.pi * j / n) for j in range(n // 2 + 1)])
+        lam_p, lam_m = 1.0 + roots, 1.0 - roots
+        for branch in (lam_p, lam_m):
+            with pytest.raises(NonClosedBranchError) as info:
+                reflect_arc(branch)
+            assert abs(info.value.defect - 2.0 * np.sqrt(r)) <= 1e-15
+        s1 = taylor_from_circle(reflect_arc(lam_p + lam_m)[0], r, 3)
+        s2 = taylor_from_circle(reflect_arc(lam_p**2 + lam_m**2)[0], r, 3)
         assert np.abs(s1 - [2.0, 0.0, 0.0, 0.0]).max() < 1e-12
         assert np.abs(s2 - [2.0, 2.0, 0.0, 0.0]).max() < 1e-12
